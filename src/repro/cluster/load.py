@@ -222,8 +222,9 @@ class FleetNodeLoad:
     """One logical node's window onto the shared :class:`FleetLoad`.
 
     Satisfies the node-daemon load contract: ``procfs`` is the slave's
-    :class:`~repro.sim.vec.VecProcFS` (whose ``snapshot()`` the sadc
-    sampler differences), ``advance_to`` delegates to the shared fleet,
+    :class:`~repro.sim.vec.VecProcFS` (array-backed, so the daemon's
+    sampler joins the fleet's one-pass ``sadc``), ``advance_to``
+    delegates to the shared fleet,
     and ``inject``/``clear`` run the simulator's real
     :class:`~repro.hadoop.cluster.ExternalLoad` contention faults
     against this node only.

@@ -8,7 +8,9 @@ Three measurements, each per (fleet size, engine):
   job-bookkeeping Python that is identical in both engines.
 * **pipeline samples/second** -- an end-to-end data-plane loop: step the
   cluster one second, collect every node's black-box vector through the
-  real :class:`repro.sysstat.sadc.Sadc` sampler, classify the fleet
+  sampler its engine calls for (:func:`repro.sysstat.sadc.node_sampler`:
+  per-node ``Sadc`` under ``scalar``, the one-pass fleet ``sadc`` under
+  ``vec``), classify the fleet
   against a centroid model, and fold the states into window histograms
   with L1 peer deviations.  The ``scalar`` engine uses the per-node
   classify/histogram loops; ``vec`` uses the fleet-batched passes
@@ -43,7 +45,7 @@ from ..analysis.peer import state_histogram, state_vector_l1_deviation
 from ..faults import FaultSpec, make_fault
 from ..hadoop import MB, ClusterConfig, HadoopCluster, JobSpec
 from ..sysstat.metrics import NODE_METRICS
-from ..sysstat.sadc import Sadc
+from ..sysstat.sadc import node_sampler
 
 #: Engines compared by every measurement.
 SCALE_ENGINES = ("scalar", "vec")
@@ -114,7 +116,7 @@ def measure_pipeline_rate(
     """
     cluster = _cluster(num_slaves, engine, seed)
     nodes = list(cluster.slave_names)
-    samplers = [Sadc(cluster.procfs(node)) for node in nodes]
+    samplers = [node_sampler(cluster.procfs(node)) for node in nodes]
     centroids, sigma = _pipeline_model()
     batched = engine == "vec"
     states: List[np.ndarray] = []
@@ -124,10 +126,10 @@ def measure_pipeline_rate(
     for second in range(seconds + 1):
         cluster.step(1.0)
         now = cluster.time
-        raw = [sampler.collect(now) for sampler in samplers]
-        if any(sample is None for sample in raw):
+        raw = [sampler.collect_vector(now) for sampler in samplers]
+        if any(row is None for row in raw):
             continue  # priming second
-        vectors = np.array([sample.node_vector() for sample in raw])
+        vectors = np.array(raw)
         if batched:
             scaled = np.log1p(np.maximum(vectors, 0.0)) / sigma
             column = nearest_k_batch(scaled, centroids, 1)[:, 0]

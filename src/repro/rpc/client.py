@@ -34,7 +34,13 @@ import time
 import zlib
 from typing import Any, Dict, List, Optional, Tuple
 
-from .codec import CODEC_BINARY, CODEC_JSON, decode_message, encode_request_frame
+from .codec import (
+    CODEC_BINARY,
+    CODEC_JSON,
+    decode_message,
+    encode_request_frame,
+    welcome_codec,
+)
 from .protocol import (
     ByteCounter,
     ProtocolError,
@@ -43,6 +49,7 @@ from .protocol import (
     _LENGTH,
     encode_frame,
     make_hello,
+    max_frame_bytes,
     wire_bytes,
 )
 
@@ -106,9 +113,13 @@ class RpcClient:
             (self.host, self.port), timeout=self.timeout
         )
         self.counter.count_handshake()
+        # The frame limit in force when the connection opens holds for
+        # its lifetime (one lookup, not one per frame).
+        self.frame_limit: int = max_frame_bytes()  # fpt: noqa[FPT401] -- single writer: only the thread that owns the client (re)connects, and it alone decodes
         offered = [CODEC_BINARY, CODEC_JSON] if self.codec_stance == "auto" else None
         hello = encode_frame(
-            make_hello(self.client_name, codecs=offered), peer=self.peer
+            make_hello(self.client_name, codecs=offered), peer=self.peer,
+            limit=self.frame_limit,
         )
         self._sock.sendall(hello)
         self.counter.count_tx(len(hello), static=True)
@@ -118,16 +129,12 @@ class RpcClient:
             raise ProtocolError(f"expected welcome, got {welcome!r} (peer {self.peer})")
         self.service: str = welcome["welcome"]
         self.methods: List[str] = list(welcome.get("methods", []))
-        chosen = welcome.get("codec")
-        self.codec: str = (
-            CODEC_BINARY
-            if offered is not None and chosen == CODEC_BINARY
-            else CODEC_JSON
+        # A client that offered nothing stays on JSON whatever comes back.
+        codec, metric_names = (
+            welcome_codec(welcome) if offered is not None else (CODEC_JSON, ())
         )
-        self.metric_names: Tuple[str, ...] = (
-            tuple(welcome.get("metrics") or ())
-            if self.codec == CODEC_BINARY else ()
-        )
+        self.codec: str = codec
+        self.metric_names: Tuple[str, ...] = metric_names
 
     def reconnect(self, retries: int = 10, delay_s: float = 0.25,
                   max_delay_s: float = RECONNECT_MAX_DELAY_S) -> None:
@@ -191,6 +198,7 @@ class RpcClient:
         """Decode one complete frame in this connection's codec."""
         return decode_message(
             data, peer=self.peer, metric_names=getattr(self, "metric_names", ()),
+            limit=self.frame_limit,
         )
 
     def begin_call(self, method: str, trace: Optional[TraceContext] = None,
@@ -207,7 +215,7 @@ class RpcClient:
         frame = encode_request_frame(
             request_id, method, params,
             trace.to_wire() if trace is not None else None,
-            codec=self.codec, peer=self.peer,
+            codec=self.codec, peer=self.peer, limit=self.frame_limit,
         )
         started = time.perf_counter()
         self._sock.sendall(frame)

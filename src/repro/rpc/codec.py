@@ -36,7 +36,8 @@ Binary message layouts (all big-endian):
              <origin_len:u8> <origin>
 
 Anything a binary frame cannot represent (extra params, a node dict
-whose keys differ from the interned catalog, non-hex trace ids) falls
+whose keys differ from the interned catalog, a result or window with
+keys besides the ones laid out above, non-hex trace ids) falls
 back to a JSON frame on the same connection -- per-message, not
 per-connection -- so correctness never depends on the fast path.
 """
@@ -66,6 +67,7 @@ __all__ = [
     "encode_response_frame",
     "frame_length",
     "is_binary_payload",
+    "welcome_codec",
 ]
 
 #: Codec names carried in hello/welcome negotiation.
@@ -88,6 +90,11 @@ _METHOD_BY_ID = {v: k for k, v in BINARY_METHOD_IDS.items()}
 #: Request param keys a binary frame can carry.
 _REQUEST_PARAMS = {"now", "max_windows"}
 
+#: Keys of a sample window / a batch result the binary layout carries.
+#: A dict with any other key goes out as a JSON frame.
+_WINDOW_KEYS = frozenset({"timestamp", "emit_wall", "node_name", "node"})
+_BATCH_KEYS = frozenset({"node_name", "windows"})
+
 _HEAD = struct.Struct(">BBIB")  # magic, kind, request_id, flags
 _F64 = struct.Struct(">d")
 _U16 = struct.Struct(">H")
@@ -105,24 +112,37 @@ _RS_NONE = 0x04    # with _RS_SINGLE: the priming-call None result
 _TR_PARENT = 0x01
 
 
+def welcome_codec(welcome: Dict[str, Any]) -> Tuple[str, Tuple[str, ...]]:
+    """The codec and interned metric catalog a welcome pins for its
+    connection: ``("bin", names)`` or, for a v1 welcome, ``("json", ())``."""
+    if welcome.get("codec") == CODEC_BINARY:
+        return CODEC_BINARY, tuple(welcome.get("metrics") or ())
+    return CODEC_JSON, ()
+
+
 def is_binary_payload(body: bytes) -> bool:
     """Whether a frame payload is codec-v2 binary (vs JSON)."""
     return bool(body) and body[0] == MAGIC
 
 
-def frame_length(data: bytes, peer: str = "") -> Optional[int]:
+def frame_length(
+    data: bytes, peer: str = "", limit: Optional[int] = None
+) -> Optional[int]:
     """Total bytes of the frame at the head of ``data``; None if the
     length prefix itself is still incomplete.
 
     Raises :class:`ProtocolError` when the advertised length exceeds the
     frame limit -- the connection is unrecoverable at that point, which
     is exactly what an incremental reader needs to know *before* it
-    buffers an attacker-sized body.
+    buffers an attacker-sized body.  ``limit`` is the connection's
+    resolved limit (see :func:`repro.rpc.protocol.encode_frame`), here
+    and in every function below that takes one.
     """
     if len(data) < _LENGTH.size:
         return None
     (length,) = _LENGTH.unpack_from(data)
-    limit = max_frame_bytes()
+    if limit is None:
+        limit = max_frame_bytes()
     if length > limit:
         raise ProtocolError(
             f"frame length {length} exceeds maximum {limit}"
@@ -215,8 +235,9 @@ def _unpack_trace(reader: _Reader) -> Dict[str, Any]:
 
 # -- encoding -----------------------------------------------------------------
 
-def _frame(body: bytes, peer: str = "") -> bytes:
-    limit = max_frame_bytes()
+def _frame(body: bytes, peer: str = "", limit: Optional[int] = None) -> bytes:
+    if limit is None:
+        limit = max_frame_bytes()
     if len(body) > limit:
         raise ProtocolError(
             f"frame too large: {len(body)} bytes > limit {limit}"
@@ -232,6 +253,7 @@ def encode_request_frame(
     trace_wire: Optional[Dict[str, Any]],
     codec: str,
     peer: str = "",
+    limit: Optional[int] = None,
 ) -> bytes:
     """Encode one request in the connection's negotiated codec.
 
@@ -260,23 +282,25 @@ def encode_request_frame(
                     MAGIC, _KIND_REQUEST, request_id & 0xFFFFFFFF, flags
                 )
                 body = head + _U8.pack(BINARY_METHOD_IDS[method]) + b"".join(tail)
-                return _frame(body, peer=peer)
+                return _frame(body, peer=peer, limit=limit)
     frame: Dict[str, Any] = make_request(request_id, method, params)
     if trace_wire is not None:
         frame["trace"] = trace_wire
-    return encode_frame(frame, peer=peer)
+    return encode_frame(frame, peer=peer, limit=limit)
 
 
 def _pack_windows(
     windows: Sequence[Dict[str, Any]], metric_names: Sequence[str]
 ) -> Optional[bytes]:
     """Pack sample windows as float rows; None if any window doesn't
-    carry exactly the interned catalog."""
+    carry exactly the interned catalog, or carries more than a row."""
     catalog = list(metric_names)
     if not catalog:
         return None
     parts = []
     for window in windows:
+        if not (isinstance(window, dict) and window.keys() <= _WINDOW_KEYS):
+            return None
         node = window.get("node")
         if not isinstance(node, dict) or len(node) != len(catalog):
             return None
@@ -296,6 +320,7 @@ def encode_response_frame(
     metric_names: Sequence[str],
     codec: str,
     peer: str = "",
+    limit: Optional[int] = None,
 ) -> bytes:
     """Encode one response/error in the connection's negotiated codec.
 
@@ -318,12 +343,12 @@ def encode_response_frame(
                         + packed_trace
                         + _U16.pack(len(message)) + message
                     )
-                    return _frame(body, peer=peer)
+                    return _frame(body, peer=peer, limit=limit)
             elif method in BINARY_METHOD_IDS:
                 body = _pack_result(payload, packed_trace, metric_names)
                 if body is not None:
-                    return _frame(body, peer=peer)
-    return encode_frame(payload, peer=peer)
+                    return _frame(body, peer=peer, limit=limit)
+    return encode_frame(payload, peer=peer, limit=limit)
 
 
 def _pack_result(
@@ -338,7 +363,8 @@ def _pack_result(
         node_name = ""
     elif isinstance(result, dict) and "windows" in result:
         windows = result["windows"]
-        if not isinstance(windows, (list, tuple)):
+        if not (isinstance(windows, (list, tuple))
+                and result.keys() <= _BATCH_KEYS):
             return None
         node_name = str(result.get("node_name", ""))
     elif isinstance(result, dict) and "node" in result:
@@ -367,6 +393,7 @@ def _pack_result(
 
 def decode_message(
     data: bytes, peer: str = "", metric_names: Sequence[str] = (),
+    limit: Optional[int] = None,
 ) -> Tuple[Dict[str, Any], int]:
     """Decode one frame (either codec) from the head of ``data``.
 
@@ -374,7 +401,7 @@ def decode_message(
     shape regardless of wire codec; raises :class:`ProtocolError` on
     truncated, oversized or garbage input, labelled with ``peer``.
     """
-    total = frame_length(data, peer=peer)
+    total = frame_length(data, peer=peer, limit=limit)
     if total is None or len(data) < total:
         raise ProtocolError(
             f"short frame: need {total or _LENGTH.size} bytes, have "
@@ -382,7 +409,7 @@ def decode_message(
         )
     body = data[_LENGTH.size:total]
     if not is_binary_payload(body):
-        return decode_frame(data[:total], peer=peer)
+        return decode_frame(data[:total], peer=peer, limit=limit)
     return _decode_binary(body, peer, metric_names), total
 
 

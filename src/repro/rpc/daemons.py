@@ -19,8 +19,7 @@ from typing import Any, Dict, List, Optional
 from ..hadoop.log_parser import NodeLogParser
 from ..hadoop.logs import DaemonLog
 from ..sysstat.metrics import NIC_METRICS, NODE_METRICS, PROCESS_METRICS
-from ..sysstat.procfs import SimProcFS
-from ..sysstat.sadc import Sadc
+from ..sysstat.sadc import node_sampler
 
 #: Seconds the log parser lags behind real time: Hadoop buffers log
 #: writes, and some statistics resolve only one or two iterations later
@@ -44,12 +43,31 @@ class _CpuMeter:
         self.calls += 1
 
 
-class SadcDaemon:
-    """``sadc_rpcd``: expose libsadc samples of one node's ``/proc``."""
+def _node_window(node: str, timestamp: float, row) -> Dict[str, Any]:
+    """One sample in the shape codec v2 packs as a single f64 row."""
+    return {
+        "timestamp": timestamp,
+        "node_name": node,
+        "node": dict(zip(NODE_METRICS, row.tolist())),
+    }
 
-    def __init__(self, node: str, procfs: SimProcFS) -> None:
+
+class SadcDaemon:
+    """``sadc_rpcd``: expose libsadc samples of one node's ``/proc``.
+
+    A sample is the 64-metric node vector (``timestamp``, ``node_name``,
+    ``node``); the per-NIC and per-process metrics no module reads stay
+    a :meth:`repro.sysstat.sadc.Sadc.collect` library feature.  The
+    procfs decides the sampler: an array-backed one joins its fleet's
+    one-pass ``sadc``, a dataclass ``SimProcFS`` gets a per-node one.
+    """
+
+    #: Interned metric catalog for binary sample framing (codec v2).
+    metric_names = tuple(NODE_METRICS)
+
+    def __init__(self, node: str, procfs: Any) -> None:
         self.node = node
-        self._sadc = Sadc(procfs)
+        self._sampler = node_sampler(procfs)
         self.meter = _CpuMeter()
 
     def rpc_list_metrics(self) -> Dict[str, List[str]]:
@@ -63,15 +81,11 @@ class SadcDaemon:
     def rpc_sample(self, now: float) -> Optional[Dict[str, Any]]:
         """One collection iteration; ``None`` on the priming call."""
         with self.meter:
-            sample = self._sadc.collect(float(now))
-            if sample is None:
+            now = float(now)
+            row = self._sampler.collect_vector(now)
+            if row is None:
                 return None
-            return {
-                "timestamp": sample.timestamp,
-                "node": sample.node,
-                "nics": sample.nics,
-                "processes": {str(pid): m for pid, m in sample.processes.items()},
-            }
+            return _node_window(self.node, now, row)
 
 
 class HadoopLogDaemon:
@@ -191,7 +205,9 @@ class ClusterNodeDaemon:
 
     One logical node of the live cluster (``repro cluster up``): a load
     source advances the node's ``/proc`` counters to *wall-clock* time,
-    and the sadc sampler differences the snapshots -- so the whole
+    and the node's sampler (:func:`repro.sysstat.sadc.node_sampler`:
+    over a ``FleetLoad`` view, one fleet pass per tick for all the
+    host's logical nodes) differences the counters -- so the whole
     collect path (load -> ``/proc`` counters -> sadc rates -> RPC frame)
     runs at real speed over real sockets.  ``load`` is duck-typed (see
     :class:`repro.cluster.load.FleetNodeLoad` /
@@ -221,7 +237,7 @@ class ClusterNodeDaemon:
         self.node = node
         self.load = load
         self.buffered = buffered
-        self._sadc = Sadc(load.procfs)
+        self._sampler = node_sampler(load.procfs)
         # deque append/popleft are atomic; single producer (sampler
         # loop) + single consumer (the node's one poller connection).
         self._windows: "deque[Dict[str, Any]]" = deque(
@@ -240,15 +256,12 @@ class ClusterNodeDaemon:
             # ticks.  A wall interval that held no tick yields elapsed 0
             # and no window -- a zero-delta window would read as 0% idle.
             ts = sample_time()
-        sample = self._sadc.collect(ts)
-        if sample is None:
+        row = self._sampler.collect_vector(ts)
+        if row is None:
             return None
-        return {
-            "timestamp": sample.timestamp,
-            "node_name": self.node,
-            "node": sample.node,
-            "emit_wall": time.time(),  # fpt: noqa[FPT201] -- emit stamp feeding wall-latency measurement
-        }
+        window = _node_window(self.node, ts, row)
+        window["emit_wall"] = time.time()  # fpt: noqa[FPT201] -- emit stamp feeding wall-latency measurement
+        return window
 
     def buffer_sample(self, now: Optional[float] = None) -> bool:
         """One sampler-loop iteration (push mode): collect + enqueue.

@@ -2,9 +2,13 @@
 
 Simulated experiments collect from hundreds of virtual daemons per run;
 real TCP round-trips would add nothing but wall-clock time.  The
-in-process channel still *encodes and decodes every frame* and counts
-bytes identically to the TCP path, so bandwidth measurements (Table 4)
-are the same regardless of transport -- only the kernel is skipped.
+in-process channel still *negotiates, encodes and decodes every frame*
+exactly as :class:`RpcClient` and :class:`RpcServer` do (the hello
+offers ``["bin", "json"]``; a handler with an interned ``metric_names``
+catalog answers with codec v2 and ships each sample as one f64 row, any
+other handler stays on JSON) and counts bytes identically to the TCP
+path, so bandwidth measurements (Table 4) are the same regardless of
+transport -- only the kernel is skipped.
 """
 
 from __future__ import annotations
@@ -13,6 +17,14 @@ import itertools
 import time
 from typing import Any, List, Optional
 
+from .codec import (
+    CODEC_BINARY,
+    CODEC_JSON,
+    decode_message,
+    encode_request_frame,
+    encode_response_frame,
+    welcome_codec,
+)
 from .protocol import (
     ByteCounter,
     RemoteError,
@@ -21,10 +33,9 @@ from .protocol import (
     encode_frame,
     frame_trace,
     make_hello,
-    make_request,
-    make_welcome,
+    max_frame_bytes,
 )
-from .server import dispatch, handler_methods
+from .server import dispatch, negotiate
 
 
 class InprocChannel:
@@ -42,36 +53,60 @@ class InprocChannel:
         self.counter = ByteCounter()
         self.telemetry = telemetry
         self._ids = itertools.count(1)
-        # Perform the same hello/welcome exchange as the TCP transport so
-        # static overhead is accounted identically.
+        # The frame limit in force when the channel opens holds for its
+        # lifetime, as on a TCP connection.
+        self._limit = limit = max_frame_bytes()
+        # Perform the same hello/welcome exchange as the TCP transport --
+        # RpcClient's offer, RpcServer's answer -- so static overhead is
+        # accounted identically and a handler with an interned metric
+        # catalog gets binary sample rows here too.
         self.counter.count_handshake()
-        hello = encode_frame(make_hello(client_name))
-        self.counter.count_tx(len(hello), static=True)
-        welcome = encode_frame(make_welcome(service, handler_methods(handler)))
-        payload, consumed = decode_frame(welcome)
+        hello_frame = encode_frame(
+            make_hello(client_name, codecs=[CODEC_BINARY, CODEC_JSON]),
+            limit=limit,
+        )
+        self.counter.count_tx(len(hello_frame), static=True)
+        hello, _ = decode_frame(hello_frame, limit=limit)
+        welcome_frame = encode_frame(
+            negotiate(handler, service, hello), limit=limit
+        )
+        welcome, consumed = decode_frame(welcome_frame, limit=limit)
         self.counter.count_rx(consumed, static=True)
-        self.methods: List[str] = list(payload.get("methods", []))
+        self.methods: List[str] = list(welcome.get("methods", []))
+        # Both ends of the channel live here, so the codec and catalog
+        # the client reads off the welcome are the server's too.
+        self.codec, self.metric_names = welcome_codec(welcome)
         if telemetry is not None and telemetry.enabled:
             telemetry.record_rpc(service, self.counter.tx_wire, self.counter.rx_wire)
 
     def call(self, method: str, trace: Optional[TraceContext] = None,
              **params: Any) -> Any:
         request_id = next(self._ids)
+        limit = self._limit
         tx_before, rx_before = self.counter.tx_wire, self.counter.rx_wire
-        frame = encode_frame(make_request(request_id, method, params, trace=trace))
+        frame = encode_request_frame(
+            request_id, method, params,
+            trace.to_wire() if trace is not None else None,
+            codec=self.codec, limit=limit,
+        )
         self.counter.count_tx(len(frame))
-        request, _ = decode_frame(frame)
+        request, _ = decode_message(frame, limit=limit)
         incoming = frame_trace(request)
         serve_trace = (
             incoming.child(origin=f"{self.service}@inproc")
             if incoming is not None else None
         )
         started = time.perf_counter()
-        response_frame = encode_frame(
-            dispatch(self.handler, request, trace=serve_trace)
+        response_frame = encode_response_frame(
+            dispatch(self.handler, request, trace=serve_trace),
+            method=request.get("method"),
+            metric_names=self.metric_names,
+            codec=self.codec, limit=limit,
         )
         duration = time.perf_counter() - started
-        response, consumed = decode_frame(response_frame)
+        response, consumed = decode_message(
+            response_frame, metric_names=self.metric_names, limit=limit
+        )
         self.counter.count_rx(consumed)
         telemetry = self.telemetry
         if (telemetry is not None and telemetry.enabled

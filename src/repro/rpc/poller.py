@@ -165,7 +165,9 @@ class MultiPoller:
                     f"connection closed mid-response (peer {client.peer})"
                 )
             state.buffer += chunk
-            total = frame_length(state.buffer, peer=client.peer)
+            total = frame_length(
+                state.buffer, peer=client.peer, limit=client.frame_limit
+            )
             if total is None or len(state.buffer) < total:
                 return False  # frame still incomplete; wait for more
             payload, consumed = client.decode(state.buffer[:total])

@@ -92,14 +92,20 @@ def _peer_suffix(peer: str) -> str:
     return f" (peer {peer})" if peer else ""
 
 
-def encode_frame(payload: Dict[str, Any], peer: str = "") -> bytes:
+def encode_frame(
+    payload: Dict[str, Any], peer: str = "", limit: Optional[int] = None
+) -> bytes:
     """Serialize one message to its framed wire form.
 
     ``peer``, when given, names the remote endpoint in error messages so
-    oversized-frame kills are attributable in cluster logs.
+    oversized-frame kills are attributable in cluster logs.  ``limit`` is
+    the frame-size limit a connection resolved when it was set up
+    (:func:`max_frame_bytes` reads the environment, which is too dear
+    per frame); without one the process-wide limit is looked up now.
     """
     body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
-    limit = max_frame_bytes()
+    if limit is None:
+        limit = max_frame_bytes()
     if len(body) > limit:
         raise ProtocolError(
             f"frame too large: {len(body)} bytes > limit {limit}"
@@ -108,20 +114,23 @@ def encode_frame(payload: Dict[str, Any], peer: str = "") -> bytes:
     return _LENGTH.pack(len(body)) + body
 
 
-def decode_frame(data: bytes, peer: str = "") -> Tuple[Dict[str, Any], int]:
+def decode_frame(
+    data: bytes, peer: str = "", limit: Optional[int] = None
+) -> Tuple[Dict[str, Any], int]:
     """Decode one frame from the head of ``data``.
 
     Returns (payload, total_bytes_consumed).  Raises
     :class:`ProtocolError` on malformed input; raises ``IndexError``-like
     short reads as ProtocolError too.  ``peer`` labels the remote
-    endpoint in error messages.
+    endpoint in error messages; ``limit`` is as for :func:`encode_frame`.
     """
     if len(data) < _LENGTH.size:
         raise ProtocolError(
             f"short frame: missing length prefix{_peer_suffix(peer)}"
         )
     (length,) = _LENGTH.unpack_from(data)
-    limit = max_frame_bytes()
+    if limit is None:
+        limit = max_frame_bytes()
     if length > limit:
         raise ProtocolError(
             f"frame length {length} exceeds maximum {limit}"

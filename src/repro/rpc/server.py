@@ -32,6 +32,7 @@ from .codec import (
     CODEC_JSON,
     decode_message,
     encode_response_frame,
+    welcome_codec,
 )
 from .protocol import (
     ByteCounter,
@@ -42,6 +43,7 @@ from .protocol import (
     make_error,
     make_response,
     make_welcome,
+    max_frame_bytes,
     wire_bytes,
 )
 
@@ -65,6 +67,35 @@ def handler_methods(handler: Any) -> List[str]:
         name[len("rpc_"):]
         for name in dir(handler)
         if name.startswith("rpc_") and callable(getattr(handler, name))
+    )
+
+
+def negotiate(
+    handler: Any, service: str, hello: Dict[str, Any], stance: str = "auto"
+) -> Dict[str, Any]:
+    """The welcome that answers ``hello`` for a connection to ``handler``.
+
+    Binary (``codec`` and the interned ``metrics`` catalog present) only
+    when the serving side allows it (``stance="auto"``), the client
+    advertised it, and the handler publishes a catalog to pack rows
+    against.  Everything else -- v1 clients (no ``codecs`` key),
+    JSON-pinned servers, catalog-less handlers -- gets the v1 welcome
+    and stays on JSON.  Shared by :class:`RpcServer` and
+    :class:`repro.rpc.inproc.InprocChannel`, so both transports put the
+    same frames on the wire.
+    """
+    offered = hello.get("codecs")
+    metric_names = handler_metric_names(handler)
+    use_binary = (
+        stance == "auto"
+        and isinstance(offered, list)
+        and CODEC_BINARY in offered
+        and bool(metric_names)
+    )
+    return make_welcome(
+        service, handler_methods(handler),
+        codec=CODEC_BINARY if use_binary else None,
+        metrics=list(metric_names) if use_binary else None,
     )
 
 
@@ -99,6 +130,7 @@ def dispatch(handler: Any, payload: Dict[str, Any],
 def _read_frame(
     sock: socket.socket, peer: str = "",
     metric_names: Sequence[str] = (),
+    limit: Optional[int] = None,
 ) -> Optional[Tuple[Dict[str, Any], int]]:
     """Read one full frame (either codec) from a socket; None on EOF."""
     header = b""
@@ -116,7 +148,9 @@ def _read_frame(
                 f"connection closed mid-frame{f' (peer {peer})' if peer else ''}"
             )
         body += chunk
-    return decode_message(header + body, peer=peer, metric_names=metric_names)
+    return decode_message(
+        header + body, peer=peer, metric_names=metric_names, limit=limit
+    )
 
 
 class RpcServer:
@@ -144,42 +178,29 @@ class RpcServer:
                 sock: socket.socket = self.request
                 peer = "%s:%s" % self.client_address[:2]
                 outer.counter.count_handshake()
+                # The frame limit in force when the connection opens
+                # holds for its lifetime (one lookup, not one per frame).
+                limit = max_frame_bytes()
                 try:
-                    first = _read_frame(sock, peer=peer)
+                    first = _read_frame(sock, peer=peer, limit=limit)
                     if first is None:
                         return
                     hello, consumed = first
                     outer.counter.count_rx(consumed, static=True)
                     if "hello" not in hello:
                         return
-                    # Codec negotiation: binary only when this server
-                    # allows it, the client advertised it, and the
-                    # handler publishes an interned metric catalog to
-                    # pack rows against.  Everything else -- v1 clients
-                    # (no "codecs" key), JSON-pinned servers, catalog-
-                    # less handlers -- lands on JSON, the v1 wire form.
-                    offered = hello.get("codecs")
-                    metric_names = handler_metric_names(outer.handler)
-                    use_binary = (
-                        outer.codec_stance == "auto"
-                        and isinstance(offered, list)
-                        and CODEC_BINARY in offered
-                        and bool(metric_names)
+                    answer = negotiate(
+                        outer.handler, outer.service, hello,
+                        stance=outer.codec_stance,
                     )
-                    chosen = CODEC_BINARY if use_binary else CODEC_JSON
-                    welcome = encode_frame(
-                        make_welcome(
-                            outer.service, handler_methods(outer.handler),
-                            codec=chosen if use_binary else None,
-                            metrics=list(metric_names) if use_binary else None,
-                        ),
-                        peer=peer,
-                    )
+                    chosen, metric_names = welcome_codec(answer)
+                    welcome = encode_frame(answer, peer=peer, limit=limit)
                     sock.sendall(welcome)
                     outer.counter.count_tx(len(welcome), static=True)
                     while True:
                         frame = _read_frame(
-                            sock, peer=peer, metric_names=metric_names
+                            sock, peer=peer, metric_names=metric_names,
+                            limit=limit,
                         )
                         if frame is None:
                             return
@@ -191,6 +212,7 @@ class RpcServer:
                             metric_names=metric_names,
                             codec=chosen,
                             peer=peer,
+                            limit=limit,
                         )
                         sock.sendall(response)
                         outer.counter.count_tx(len(response))

@@ -11,8 +11,10 @@ vectorized pass per tick:
 - :class:`FleetState` owns one float64 array per ``/proc`` counter and
   per tick accumulator, plus the per-node load-average matrix;
 - :class:`VecProcFS` / the generated view classes expose the exact
-  ``SimProcFS`` attribute surface as thin views over the arrays, so the
-  collection stack (``sadc`` snapshots, tests, daemons) is unchanged;
+  ``SimProcFS`` attribute surface as thin views over the arrays, so
+  fault hooks, tests and a per-node ``Sadc`` work unchanged, while
+  :meth:`VecProcFS.sampler` joins the fleet's one-pass ``sadc``
+  (:mod:`repro.sysstat.fleet_sadc`), which reads the arrays directly;
 - :class:`VecSimNode` is a :class:`~repro.sim.node.SimNode` whose
   ``account_*`` methods write fleet arrays, so task attempts, external
   loads and fault hooks work unmodified;
@@ -40,6 +42,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..sysstat.fleet_sadc import FleetSadc
 from ..sysstat.procfs import (
     CpuTicks,
     DiskCounters,
@@ -80,6 +83,7 @@ _PROC_GROUPS: Tuple[Tuple[str, type], ...] = (
     ("loadavg", LoadAvg),
     ("sockstat", SockStat),
     ("tcp", TcpCounters),
+    ("tables", KernelTables),
     ("nic", NicCounters),
 )
 
@@ -144,6 +148,12 @@ class FleetState:
         self.proc_dirty = set(range(n))
 
         self.nodes: List[Optional["VecSimNode"]] = [None] * n
+
+        #: Completed :meth:`end_tick_all` passes -- with the poll time,
+        #: the validity key of the fleet ``sadc`` pass's cached matrix.
+        self.ticks = 0
+        #: The one-pass collector every node's sampler takes its row from.
+        self.sadc = FleetSadc(self)
 
     def register(self, node: "VecSimNode") -> None:
         i = node._i
@@ -334,6 +344,7 @@ class FleetState:
 
         for arr in self._acc_arrays:
             arr.fill(0.0)
+        self.ticks += 1
 
 
 # -- array-backed /proc views -------------------------------------------------
@@ -389,6 +400,7 @@ VecMemView = _make_view(
 VecLoadAvgView = _make_view("VecLoadAvgView", "loadavg", LoadAvg)
 VecSockStatView = _make_view("VecSockStatView", "sockstat", SockStat)
 VecTcpView = _make_view("VecTcpView", "tcp", TcpCounters)
+VecTablesView = _make_view("VecTablesView", "tables", KernelTables)
 VecNicView = _make_view("VecNicView", "nic", NicCounters)
 
 
@@ -412,7 +424,7 @@ class VecProcFS:
         self.loadavg = VecLoadAvgView(fleet, i)
         self.sockstat = VecSockStatView(fleet, i)
         self.tcp = VecTcpView(fleet, i)
-        self.tables = KernelTables()
+        self.tables = VecTablesView(fleet, i)
         self.nics: Dict[str, object] = {"eth0": VecNicView(fleet, i)}
         self.processes: Dict[int, ProcessStat] = {}
 
@@ -430,6 +442,14 @@ class VecProcFS:
             self.processes[pid] = proc
         self._fleet.proc_dirty.add(self._i)
         return proc
+
+    def sampler(self):
+        """This node's sampler over the fleet's one-pass ``sadc``.
+
+        :func:`repro.sysstat.sadc.node_sampler` looks for this method:
+        a procfs that has it is array-backed and joins the fleet pass.
+        """
+        return self._fleet.sadc.sampler(self._i)
 
     def _materialize(self, cls: type, prefix: str):
         a = self._fleet.a
@@ -455,7 +475,7 @@ class VecProcFS:
             loadavg=self._materialize(LoadAvg, "loadavg"),
             sockstat=self._materialize(SockStat, "sockstat"),
             tcp=self._materialize(TcpCounters, "tcp"),
-            tables=copy.deepcopy(self.tables),
+            tables=self._materialize(KernelTables, "tables"),
             nics=nics,
             processes={pid: copy.copy(p) for pid, p in self.processes.items()},
         )

@@ -4,7 +4,9 @@ The paper's black-box data source is the sysstat package's ``sadc``
 collector reading ``/proc``.  Here the cluster simulator populates a
 :class:`SimProcFS` per node and :class:`Sadc` turns successive snapshots
 into the 64 node-level / 18 per-NIC / 19 per-process metrics the paper
-reports (section 3.5).
+reports (section 3.5).  :func:`node_sampler` is how collectors get the
+node-level vector: per-node :class:`Sadc` for a dataclass procfs, a row
+of the one-pass :class:`FleetSadc` for an array-backed one.
 """
 
 from .metrics import (
@@ -30,12 +32,14 @@ from .procfs import (
     TcpCounters,
     VmCounters,
 )
-from .sadc import NodeSample, Sadc
+from .fleet_sadc import FleetSadc
+from .sadc import NodeSample, Sadc, node_sampler
 from .syscalls import SYSCALL_CATEGORIES, SYSCALL_INDEX, SyscallTracer
 
 __all__ = [
     "CpuTicks",
     "DiskCounters",
+    "FleetSadc",
     "KernelStat",
     "KernelTables",
     "LoadAvg",
@@ -58,4 +62,5 @@ __all__ = [
     "SockStat",
     "TcpCounters",
     "VmCounters",
+    "node_sampler",
 ]

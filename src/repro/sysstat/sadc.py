@@ -40,6 +40,19 @@ def _rate(current: float, previous: float, elapsed: float) -> float:
     return max(0.0, current - previous) / elapsed
 
 
+def node_sampler(procfs):
+    """The node-vector sampler ``procfs`` calls for.
+
+    An array-backed procfs (:class:`repro.sim.vec.VecProcFS`) hands out
+    its slot in the fleet's one-pass collector
+    (:mod:`repro.sysstat.fleet_sadc`); a dataclass :class:`SimProcFS`
+    gets its own :class:`Sadc`.  Either way the result has
+    ``collect_vector(now)``, and the two agree element for element.
+    """
+    fleet_sampler = getattr(procfs, "sampler", None)
+    return fleet_sampler() if fleet_sampler is not None else Sadc(procfs)
+
+
 class Sadc:
     """Stateful sampler for one node's :class:`SimProcFS`.
 
@@ -53,8 +66,9 @@ class Sadc:
         self._prev: Optional[SimProcFS] = None
         self._prev_time: float = 0.0
 
-    def collect(self, now: float) -> Optional[NodeSample]:
-        """Sample the node at time ``now``; ``None`` on the priming call."""
+    def _step(self, now: float):
+        """Snapshot ``/proc``; ``(current, previous, elapsed)`` once two
+        observations a positive time apart exist, else ``None``."""
         current = self._procfs.snapshot()
         previous, prev_time = self._prev, self._prev_time
         self._prev, self._prev_time = current, now
@@ -63,12 +77,27 @@ class Sadc:
         elapsed = now - prev_time
         if elapsed <= 0:
             return None
+        return current, previous, elapsed
+
+    def collect(self, now: float) -> Optional[NodeSample]:
+        """Sample the node at time ``now``; ``None`` on the priming call."""
+        step = self._step(now)
+        if step is None:
+            return None
         return NodeSample(
             timestamp=now,
-            node=self._node_metrics(current, previous, elapsed),
-            nics=self._nic_metrics(current, previous, elapsed),
-            processes=self._process_metrics(current, previous, elapsed),
+            node=self._node_metrics(*step),
+            nics=self._nic_metrics(*step),
+            processes=self._process_metrics(*step),
         )
+
+    def collect_vector(self, now: float) -> Optional[np.ndarray]:
+        """The node-level vector of :meth:`collect`, catalog-ordered,
+        without computing the per-NIC and per-process metrics."""
+        step = self._step(now)
+        if step is None:
+            return None
+        return NodeSample(now, self._node_metrics(*step)).node_vector()
 
     # -- node level -----------------------------------------------------------
 

@@ -154,6 +154,28 @@ class TestResponseRoundTrip:
         decoded, _ = decode_message(frame, metric_names=CATALOG)
         assert decoded == payload
 
+    @pytest.mark.parametrize("place", ["single", "window", "batch"])
+    def test_keys_the_layout_cannot_carry_fall_back_to_json(self, place):
+        """A packed frame holds a row, two stamps and a name: a result
+        with anything else used to lose it without an error."""
+        window = _window(2.0, 45.0)
+        extra = {"nics": {"eth0": {"rxkb_per_s": 1.0}}, "processes": {"42": {}}}
+        if place == "single":
+            result, method = {**window, **extra}, "sample"
+        elif place == "window":
+            result = {"node_name": "node-01", "windows": [{**window, **extra}]}
+            method = "poll_many"
+        else:
+            result = {"node_name": "node-01", "windows": [window], **extra}
+            method = "poll_many"
+        payload = {"id": 11, "result": result}
+        frame = encode_response_frame(
+            payload, method=method, metric_names=CATALOG, codec=CODEC_BINARY,
+        )
+        assert not is_binary_payload(frame[_LENGTH.size:])
+        decoded, _ = decode_message(frame, metric_names=CATALOG)
+        assert decoded == payload
+
     def test_non_sample_result_falls_back_to_json(self):
         payload = {"id": 8, "result": {"acknowledged": True}}
         frame = encode_response_frame(

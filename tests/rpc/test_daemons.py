@@ -21,14 +21,20 @@ class TestSadcDaemon:
         assert set(sample["node"]) == set(NODE_METRICS)
         assert sample["timestamp"] == 1.0
 
-    def test_process_keys_are_strings_for_json(self):
+    def test_sample_carries_exactly_the_interned_catalog(self):
+        """Per-NIC and per-process metrics stay out of the hot RPC: the
+        sample is the node window codec v2 packs as one f64 row."""
         procfs = SimProcFS()
         procfs.process(42, "java")
+        procfs.nic("eth1")
         daemon = SadcDaemon("slave01", procfs)
         daemon.rpc_sample(now=0.0)
         procfs.cpu.idle += 4.0
         sample = daemon.rpc_sample(now=1.0)
-        assert "42" in sample["processes"]
+        assert set(sample) == {"timestamp", "node_name", "node"}
+        assert sample["node_name"] == "slave01"
+        assert tuple(sample["node"]) == daemon.metric_names == NODE_METRICS
+        assert all(type(v) is float for v in sample["node"].values())
 
     def test_list_metrics(self):
         daemon = SadcDaemon("slave01", SimProcFS())

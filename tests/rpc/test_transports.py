@@ -2,8 +2,22 @@
 
 import pytest
 
-from repro.rpc import InprocChannel, RemoteError, RpcClient, RpcServer, dispatch, handler_methods
+from repro.cluster.load import SyntheticNodeLoad
+from repro.hadoop import TASKTRACKER_CLASS, DaemonLog
+from repro.rpc import (
+    ClusterNodeDaemon,
+    HadoopLogDaemon,
+    InprocChannel,
+    ProtocolError,
+    RemoteError,
+    RpcClient,
+    RpcServer,
+    SadcDaemon,
+    dispatch,
+    handler_methods,
+)
 from repro.rpc.protocol import make_request
+from repro.sysstat import NODE_METRICS, SimProcFS
 
 
 class ToyHandler:
@@ -129,3 +143,137 @@ class TestInprocTransport:
 
     def test_close_is_noop(self):
         InprocChannel(ToyHandler(), "toy").close()
+
+
+def _sadc_handler():
+    procfs = SimProcFS()
+    return SadcDaemon("slave01", procfs), procfs
+
+
+def _sadc_calls(procfs):
+    def busy():
+        procfs.cpu.user += 1.0
+        procfs.cpu.idle += 3.0
+        procfs.nic().rx_bytes += 4096.0
+
+    return [
+        ("sample", {"now": 0.0}, busy),       # priming: None
+        ("sample", {"now": 1.0}, busy),
+        ("list_metrics", {}, None),           # JSON on a binary connection
+        ("sample", {"now": 2.0}, busy),
+        ("sample", {"now": 2.0}, None),       # elapsed 0: None
+    ]
+
+
+def _node_handler():
+    load = SyntheticNodeLoad("node-01", seed=5)
+    return ClusterNodeDaemon("node-01", load), load
+
+
+def _node_calls(_load):
+    return [
+        ("sample", {"now": 1000.0}, None),
+        ("sample", {"now": 1001.0}, None),
+        ("poll_many", {"now": 1002.0, "max_windows": 4}, None),
+        ("inject", {"kind": "cpuhog", "intensity": 0.5}, None),
+        ("poll_many", {"now": 1003.0}, None),
+        ("clear", {}, None),
+    ]
+
+
+def _log_handler():
+    log = DaemonLog("slave01", "tasktracker")
+    log.append(1.0, "INFO", TASKTRACKER_CLASS,
+               "LaunchTaskAction: task_0001_m_000000_0")
+    log.append(20.0, "INFO", TASKTRACKER_CLASS,
+               "Task task_0001_m_000000_0 is done.")
+    return HadoopLogDaemon("slave01", log), log
+
+
+def _log_calls(_log):
+    return [
+        ("collect", {"now": 10.0}, None),
+        ("collect", {"now": 30.0}, None),
+        ("stats", {}, None),
+    ]
+
+
+COUNTER_FIELDS = (
+    "tx_payload", "rx_payload", "tx_wire", "rx_wire", "static_wire",
+    "messages_sent", "messages_received",
+)
+
+
+class TestInprocCountsLikeTcp:
+    """The module docstring's promise: the in-process channel negotiates,
+    frames and counts exactly as ``RpcClient`` against ``RpcServer``."""
+
+    @pytest.mark.parametrize("make, calls, codec", [
+        (_sadc_handler, _sadc_calls, "bin"),
+        (_node_handler, _node_calls, "bin"),
+        (_log_handler, _log_calls, "json"),
+    ])
+    def test_counter_equal_field_for_field(self, make, calls, codec):
+        def drive(channel, state):
+            results = []
+            for method, params, before in calls(state):
+                if before is not None:
+                    before()
+                results.append(channel.call(method, **params))
+            return results
+
+        handler, state = make()
+        channel = InprocChannel(handler, "svc@node")
+        inproc_results = drive(channel, state)
+
+        handler, state = make()
+        with RpcServer(handler, "svc@node") as server:
+            with RpcClient(*server.address) as client:
+                tcp_results = drive(client, state)
+                assert channel.codec == client.codec == codec
+                assert channel.metric_names == client.metric_names
+                assert channel.methods == client.methods
+                for name in COUNTER_FIELDS:
+                    assert getattr(channel.counter, name) == getattr(
+                        client.counter, name
+                    ), name
+        for inproc, tcp in zip(inproc_results, tcp_results):
+            if isinstance(inproc, dict):
+                inproc, tcp = dict(inproc), dict(tcp)
+                for result in (inproc, tcp):   # wall stamps differ by run
+                    result.pop("emit_wall", None)
+                    for window in result.get("windows", ()):
+                        window.pop("emit_wall", None)
+            assert inproc == tcp
+
+    def test_catalog_is_counted_as_static_bytes(self):
+        with_catalog = InprocChannel(_sadc_handler()[0], "svc@node")
+        without = InprocChannel(ToyHandler(), "svc@node")
+        assert with_catalog.metric_names == NODE_METRICS
+        assert with_catalog.counter.static_wire > without.counter.static_wire + 500
+        assert with_catalog.counter.dynamic_wire == 0
+
+    def test_sample_crosses_as_one_binary_row(self):
+        handler, procfs = _sadc_handler()
+        channel = InprocChannel(handler, "svc@node")
+        channel.call("sample", now=0.0)
+        procfs.cpu.idle += 4.0
+        before = channel.counter.rx_payload
+        sample = channel.call("sample", now=1.0)
+        # 64 doubles + two stamps + a short header; the JSON object was 3.3 kB.
+        assert 8 * 66 < channel.counter.rx_payload - before < 8 * 66 + 40
+        assert tuple(sample["node"]) == NODE_METRICS
+        assert sample["node"]["cpu_idle_pct"] == 100.0
+
+    def test_frame_limit_is_resolved_when_the_channel_opens(self):
+        from repro.rpc import set_max_frame_bytes
+
+        channel = InprocChannel(ToyHandler(), "toy")
+        try:
+            set_max_frame_bytes(16)
+            # An open channel keeps its limit; a new one takes the new one.
+            assert channel.call("echo", value="x" * 64) == "x" * 64
+            with pytest.raises(ProtocolError, match="frame too large"):
+                InprocChannel(ToyHandler(), "toy")
+        finally:
+            set_max_frame_bytes(None)
