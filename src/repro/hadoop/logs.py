@@ -37,10 +37,20 @@ def format_timestamp(sim_time: float) -> str:
 
 
 def parse_timestamp(text: str) -> float:
-    """Parse a Hadoop log timestamp back into simulated seconds."""
-    head, _, millis = text.partition(",")
-    moment = datetime.datetime.strptime(head, "%Y-%m-%d %H:%M:%S")
+    """Parse a Hadoop log timestamp back into simulated seconds.
+
+    The layout is fixed-width (``YYYY-MM-DD HH:MM:SS[,mmm]``), so the
+    fields are sliced out; anything else raises ``ValueError``, as does
+    a field out of its range.
+    """
+    fields = (text[0:4], text[5:7], text[8:10], text[11:13], text[14:16], text[17:19])
+    if (len(text) < 19 or text[19:20] not in ("", ",")
+            or text[4] + text[7] + text[10] + text[13] + text[16] != "-- ::"
+            or not "".join(fields).isdigit()):
+        raise ValueError(f"not a Hadoop log timestamp: {text!r}")
+    moment = datetime.datetime(*map(int, fields))
     seconds = (moment - LOG_EPOCH).total_seconds()
+    millis = text[20:]
     if millis:
         seconds += int(millis) / 1000.0
     return seconds

@@ -351,7 +351,15 @@ def standard_contracts() -> ContractRegistry:
             check=_check_hadoop_log,
             cost=CostFact(
                 terms=(
-                    CostTerm(18.0, "trigger", ("nodes",), "per-node log parse"),
+                    # bench/ stage table, fleet50 traced passes at 200 us/cu:
+                    # modules.hadoop_log + rpc.inproc_hl + hadoop.log_parse
+                    # read 46-54 us with tracing's 10-14 % on top, so
+                    # 41-47 untraced (two daemons polled per node; 87 us
+                    # before they streamed their counts over codec v2).
+                    CostTerm(
+                        45.0, "trigger", ("nodes",),
+                        "per-node tt+dn collect: stage table, 200 us/cu",
+                    ),
                 ),
                 batched=True,
             ),

@@ -8,8 +8,9 @@ data outputs for each node is updated with Hadoop log data from the same
 time point".
 
 Each poll, the module collects newly stable per-second state vectors
-from every node's ``hadoop_log_rpcd``.  A second is emitted -- one write
-per node, all carrying the same timestamp -- only once *all* nodes have
+from every node's ``hadoop_log_rpcd`` into one (nodes x states) block per
+second.  A second is emitted -- one write per node, its row of the block,
+all carrying the same timestamp -- only once *all* nodes have
 produced it; seconds that remain incomplete past ``max_skew`` seconds
 are dropped for every node ("if one or more nodes does not contain data
 for a particular timestamp, this data is dropped").
@@ -28,7 +29,8 @@ Outputs: one per node, named after the node, each carrying an
 
 from __future__ import annotations
 
-from typing import Dict, List
+import math
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -72,11 +74,15 @@ class HadoopLogModule(Module):
             for node in self.nodes
         }
         self.max_skew = ctx.param_float("max_skew", 15.0)
-        #: node -> {second -> (channels_reporting, summed_vector)}; a
-        #: second is node-complete once every channel has reported it.
-        self._pending: Dict[str, Dict[int, "tuple[int, np.ndarray]"]] = {
-            node: {} for node in self.nodes
-        }
+        #: (channel, row of its node) in poll order; a second is complete
+        #: once every one of them has reported it.
+        self._sources = [
+            (channel, row)
+            for row, node in enumerate(self.nodes)
+            for channel in self.channels[node]
+        ]
+        #: second -> (row of each report so far, its vector)
+        self._pending: Dict[int, Tuple[List[int], List[Sequence[float]]]] = {}
         self._emitted_through = -1
         self.seconds_emitted = 0
         self.seconds_dropped = 0
@@ -86,54 +92,65 @@ class HadoopLogModule(Module):
 
     def run(self, reason: RunReason) -> None:
         now = self.ctx.clock.now()
-        for node in self.nodes:
-            pending = self._pending[node]
-            for channel in self.channels[node]:
-                result = channel.call("collect", now=now)
-                for second, vector in zip(result["seconds"], result["vectors"]):
-                    second = int(second)
-                    if second <= self._emitted_through:
-                        continue
-                    vector = np.asarray(vector, dtype=float)
-                    if second in pending:
-                        count, total = pending[second]
-                        pending[second] = (count + 1, total + vector)
-                    else:
-                        pending[second] = (1, vector)
-        self._emit_synchronized(now)
-        self._drop_stale(now)
-
-    def _node_complete(self, node: str, second: int) -> bool:
-        entry = self._pending[node].get(second)
-        return entry is not None and entry[0] >= len(self.channels[node])
-
-    def _emit_synchronized(self, now: float) -> None:
-        """Emit every second available on all nodes, in time order."""
-        while True:
-            candidate = self._emitted_through + 1
-            if all(self._node_complete(node, candidate) for node in self.nodes):
-                for node in self.nodes:
-                    _, vector = self._pending[node].pop(candidate)
-                    self.outputs[node].write(vector, float(candidate))
-                self._emitted_through = candidate
-                self.seconds_emitted += 1
-                continue
-            # The next second is incomplete; nothing newer may overtake it
-            # (emission is strictly in time order), so stop here.
-            return
-
-    def _drop_stale(self, now: float) -> None:
-        """Give up on seconds that stayed incomplete past the skew bound."""
         stale_cutoff = int(now - self.max_skew)
-        candidate = self._emitted_through + 1
-        while candidate < stale_cutoff:
-            if all(self._node_complete(node, candidate) for node in self.nodes):
-                break  # actually complete; the emit loop will take it
-            for node in self.nodes:
-                self._pending[node].pop(candidate, None)
-            self._emitted_through = candidate
+        for channel, row in self._sources:
+            # A daemon serves a bounded batch per call: after a poll gap
+            # ask again until it has caught up to within the skew bound,
+            # or the rest would be dropped as stale before it arrives.
+            while self._collect(channel, row, now) < stale_cutoff:
+                pass
+        self._emit_synchronized()
+        self._drop_stale(stale_cutoff)
+
+    def _collect(self, channel, row: int, now: float) -> float:
+        """One ``collect`` call; the newest second it brought (``inf``
+        when it brought none)."""
+        result = channel.call("collect", now=now)
+        seconds = result["seconds"]
+        if not seconds:
+            return math.inf
+        pending = self._pending
+        for second, vector in zip(seconds, result["vectors"]):
+            second = int(second)
+            if second <= self._emitted_through:
+                continue
+            entry = pending.get(second)
+            if entry is None:
+                entry = pending[second] = ([], [])
+            entry[0].append(row)
+            entry[1].append(vector)
+        return seconds[-1]
+
+    def _complete(self, second: int) -> bool:
+        entry = self._pending.get(second)
+        return entry is not None and len(entry[0]) >= len(self._sources)
+
+    def _emit_synchronized(self) -> None:
+        """Emit every second available on all nodes, in time order.
+
+        The next second being incomplete stops it: nothing newer may
+        overtake (emission is strictly in time order).
+        """
+        while self._complete(self._emitted_through + 1):
+            self._emitted_through += 1
+            rows, vectors = self._pending.pop(self._emitted_through)
+            # One (nodes x states) block a second: every report summed
+            # into its node's row, every output handed its row.
+            block = np.zeros((len(self.nodes), len(vectors[0])))
+            np.add.at(block, rows, vectors)
+            timestamp = float(self._emitted_through)
+            for node, vector in zip(self.nodes, block):
+                self.outputs[node].write(vector, timestamp)
+            self.seconds_emitted += 1
+
+    def _drop_stale(self, stale_cutoff: int) -> None:
+        """Give up on seconds that stayed incomplete past the skew bound."""
+        # A complete second is not stale: the emit loop will take it.
+        while (self._emitted_through + 1 < stale_cutoff
+               and not self._complete(self._emitted_through + 1)):
+            self._emitted_through += 1
+            self._pending.pop(self._emitted_through, None)
             self.seconds_dropped += 1
-            candidate += 1
 
     def close(self) -> None:
         for channels in self.channels.values():

@@ -31,13 +31,22 @@ Binary message layouts (all big-endian):
              [trace] <name_len:u8> <node_name> <n_windows:u16>
              n_windows x (<timestamp:f64> <emit_wall:f64> <row: n x f64>)
    error     A5 03 <id:u32> <flags:u8> [trace] <msg_len:u16> <message>
+   series    A5 04 <id:u32> <flags:u8> <watermark:f64> <first:i64>
+             <n_rows:u16> n_rows x (<row: n x f64>) [trace]
 
    trace     <trace_id:8s> <span_id:4s> [parent_id:4s]
              <origin_len:u8> <origin>
 
+A *series* is the ``collect`` result of ``hadoop_log_rpcd``: ``seconds``
+(``first``, ``first + 1``, ...), one ``vectors`` row per second against
+the interned catalog, and ``watermark``.  Everything before the rows has
+one fixed layout, so a frame is packed and unpacked by one precompiled
+``Struct`` per row count.
+
 Anything a binary frame cannot represent (extra params, a node dict
 whose keys differ from the interned catalog, a result or window with
-keys besides the ones laid out above, non-hex trace ids) falls
+keys besides the ones laid out above, seconds with a gap, a ragged or
+non-numeric row, non-hex trace ids) falls
 back to a JSON frame on the same connection -- per-message, not
 per-connection -- so correctness never depends on the fast path.
 """
@@ -45,6 +54,8 @@ per-connection -- so correctness never depends on the fast path.
 from __future__ import annotations
 
 import struct
+from functools import lru_cache
+from itertools import chain
 from typing import Any, Dict, Optional, Sequence, Tuple
 
 from .protocol import (
@@ -81,10 +92,11 @@ MAGIC = 0xA5
 _KIND_REQUEST = 1
 _KIND_RESPONSE = 2
 _KIND_ERROR = 3
+_KIND_SERIES = 4
 
 #: Methods with a binary request encoding.  Only the hot poll path is
 #: worth packing; everything else (inject/clear/info) stays JSON.
-BINARY_METHOD_IDS: Dict[str, int] = {"sample": 1, "poll_many": 2}
+BINARY_METHOD_IDS: Dict[str, int] = {"sample": 1, "poll_many": 2, "collect": 3}
 _METHOD_BY_ID = {v: k for k, v in BINARY_METHOD_IDS.items()}
 
 #: Request param keys a binary frame can carry.
@@ -94,11 +106,23 @@ _REQUEST_PARAMS = {"now", "max_windows"}
 #: A dict with any other key goes out as a JSON frame.
 _WINDOW_KEYS = frozenset({"timestamp", "emit_wall", "node_name", "node"})
 _BATCH_KEYS = frozenset({"node_name", "windows"})
+_SERIES_KEYS = frozenset({"seconds", "vectors", "watermark"})
 
 _HEAD = struct.Struct(">BBIB")  # magic, kind, request_id, flags
 _F64 = struct.Struct(">d")
 _U16 = struct.Struct(">H")
 _U8 = struct.Struct(">B")
+
+
+@lru_cache(maxsize=32)
+def _series_struct(values: int) -> struct.Struct:
+    """A series message with ``values`` row values, up to its trace:
+    head, watermark, first second, row count, rows."""
+    return struct.Struct(f">BBIBdqH{values}d")
+
+
+#: Offset of the row count in a series message.
+_SERIES_ROWS_AT = _series_struct(0).size - _U16.size
 
 # flags, request
 _RQ_TRACE = 0x01
@@ -186,9 +210,9 @@ class _Reader:
 
     __slots__ = ("data", "pos", "peer")
 
-    def __init__(self, data: bytes, peer: str) -> None:
+    def __init__(self, data: bytes, peer: str, pos: int = 0) -> None:
         self.data = data
-        self.pos = 0
+        self.pos = pos
         self.peer = peer
 
     def take(self, n: int) -> bytes:
@@ -351,6 +375,33 @@ def encode_response_frame(
     return encode_frame(payload, peer=peer, limit=limit)
 
 
+def _pack_series(
+    payload: Dict[str, Any], packed_trace: bytes, width: int
+) -> Optional[bytes]:
+    """Pack a ``collect`` result; None unless it is exactly consecutive
+    integer ``seconds``, as many ``vectors`` of ``width`` numbers each,
+    and a ``watermark``."""
+    result = payload["result"]
+    if result.keys() != _SERIES_KEYS:
+        return None
+    seconds, vectors = result["seconds"], result["vectors"]
+    try:
+        rows = len(seconds)
+        first = seconds[0] if rows else 0
+        if (rows != len(vectors) or rows > 0xFFFF
+                or seconds != list(range(first, first + rows))
+                or (rows and set(map(len, vectors)) != {width})):
+            return None
+        return _series_struct(rows * width).pack(
+            MAGIC, _KIND_SERIES, int(payload.get("id", 0)) & 0xFFFFFFFF,
+            _RS_TRACE if packed_trace else 0,
+            result["watermark"], first, rows,
+            *chain.from_iterable(vectors),
+        ) + packed_trace
+    except (struct.error, TypeError, OverflowError):
+        return None
+
+
 def _pack_result(
     payload: Dict[str, Any], packed_trace: bytes,
     metric_names: Sequence[str],
@@ -371,6 +422,8 @@ def _pack_result(
         flags |= _RS_SINGLE
         windows = (result,)
         node_name = str(result.get("node_name", ""))
+    elif isinstance(result, dict) and "vectors" in result:
+        return _pack_series(payload, packed_trace, len(metric_names))
     else:
         return None
     name = node_name.encode("utf-8")
@@ -390,6 +443,39 @@ def _pack_result(
 
 
 # -- decoding -----------------------------------------------------------------
+
+def _unpack_series(body: bytes, peer: str, width: int) -> Dict[str, Any]:
+    try:
+        (rows,) = _U16.unpack_from(body, _SERIES_ROWS_AT)
+        layout = _series_struct(rows * width)
+        _, _, request_id, flags, watermark, first, _, *values = (
+            layout.unpack_from(body)
+        )
+    except struct.error:
+        raise ProtocolError(
+            f"truncated binary frame: series of {len(body)} bytes"
+            f"{_peer_suffix(peer)}"
+        ) from None
+    if rows and not width:
+        raise ProtocolError(
+            f"binary series frame but no interned metric catalog "
+            f"negotiated{_peer_suffix(peer)}"
+        )
+    payload: Dict[str, Any] = {"id": request_id}
+    if flags & _RS_TRACE or len(body) != layout.size:
+        reader = _Reader(body, peer, layout.size)
+        if flags & _RS_TRACE:
+            payload["trace"] = _unpack_trace(reader)
+        reader.done()
+    payload["result"] = {
+        "seconds": list(range(first, first + rows)),
+        "vectors": [
+            values[at:at + width] for at in range(0, len(values), width)
+        ],
+        "watermark": watermark,
+    }
+    return payload
+
 
 def decode_message(
     data: bytes, peer: str = "", metric_names: Sequence[str] = (),
@@ -444,6 +530,8 @@ def _decode_binary(
         payload["error"] = reader.take(msg_len).decode("utf-8", "replace")
         reader.done()
         return payload
+    if kind == _KIND_SERIES:
+        return _unpack_series(body, peer, len(metric_names))
     if kind != _KIND_RESPONSE:
         raise ProtocolError(
             f"unknown binary message kind {kind}{_peer_suffix(peer)}"

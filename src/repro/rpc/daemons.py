@@ -16,8 +16,9 @@ import time
 from collections import deque
 from typing import Any, Dict, List, Optional
 
-from ..hadoop.log_parser import NodeLogParser
+from ..hadoop.log_parser import StateVectorStream
 from ..hadoop.logs import DaemonLog
+from ..hadoop.states import WHITEBOX_STATES
 from ..sysstat.metrics import NIC_METRICS, NODE_METRICS, PROCESS_METRICS
 from ..sysstat.sadc import node_sampler
 
@@ -25,6 +26,11 @@ from ..sysstat.sadc import node_sampler
 #: writes, and some statistics resolve only one or two iterations later
 #: (paper section 3.7).
 LOG_PARSER_LAG_S = 2
+
+#: Collection windows one daemon buffers (``ClusterNodeDaemon``) or
+#: serves in one call (``HadoopLogDaemon``): bounds memory, and the
+#: frame, when the central poller falls behind.
+MAX_BUFFERED_WINDOWS = 240
 
 
 class _CpuMeter:
@@ -93,15 +99,19 @@ class HadoopLogDaemon:
 
     Incrementally tails one Hadoop daemon's log (tasktracker *or*
     datanode -- the paper runs these as separate RPC types, ``hl-tt`` and
-    ``hl-dn`` in Table 4), feeds the SALSA-style parser, and returns the
-    per-second state vectors that have become *stable* (older than the
-    parser lag).  A cursor ensures each second is returned exactly once;
-    consumed history is pruned.
+    ``hl-dn`` in Table 4), feeds the streaming state counter, and returns
+    the per-second state vectors that have become *stable* (older than
+    the parser lag).  The counter's cursor ensures each second is
+    returned exactly once; nothing is kept of a second once it is served.
 
     The emitted vector always spans the full 8-state catalog; states the
     daemon's log cannot populate stay zero, so per-node vectors from the
     tasktracker and datanode daemons can simply be summed.
     """
+
+    #: Interned catalog: the state behind each column of a ``collect``
+    #: row, which lets the series ride codec v2.
+    metric_names = WHITEBOX_STATES
 
     def __init__(self, node: str, *logs: DaemonLog) -> None:
         if not logs:
@@ -109,44 +119,43 @@ class HadoopLogDaemon:
         self.node = node
         self._logs = tuple(logs)
         self._offsets = [0] * len(self._logs)
-        self._parser = NodeLogParser(node)
-        self._cursor = 0  # next second to emit
+        self._states = StateVectorStream(node)
         self.meter = _CpuMeter()
 
     def _feed_new_lines(self) -> None:
         for index, log in enumerate(self._logs):
             records, self._offsets[index] = log.read_from(self._offsets[index])
             for record in records:
-                self._parser.feed_line(record.line)
+                self._states.feed_line(record.line)
 
     def rpc_collect(self, now: float) -> Dict[str, Any]:
-        """Return state vectors for all newly stable seconds.
+        """Return state vectors for newly stable seconds, oldest first.
 
         ``now`` is the collection time at the control node; seconds up to
-        ``now - LOG_PARSER_LAG_S`` (exclusive) are considered stable.
+        ``now - LOG_PARSER_LAG_S`` (exclusive) are considered stable.  One
+        call serves at most :data:`MAX_BUFFERED_WINDOWS` seconds, so the
+        response always fits a frame; after a long poll gap the rest
+        follows on the next polls.
         """
         with self.meter:
             self._feed_new_lines()
-            stable_end = int(now) - LOG_PARSER_LAG_S
-            seconds = list(range(self._cursor, max(self._cursor, stable_end)))
-            vectors = [
-                [float(x) for x in self._parser.state_vector(s)] for s in seconds
-            ]
-            if seconds:
-                self._cursor = seconds[-1] + 1  # fpt: noqa[FPT401] -- single writer: one poller connection serializes rpc_collect
-                self._parser.prune(float(self._cursor))
-            watermark = self._parser.watermark()
+            states = self._states
+            first = states.cursor
+            vectors = states.take(
+                min(int(now) - LOG_PARSER_LAG_S, first + MAX_BUFFERED_WINDOWS)
+            )
+            watermark = states.watermark()
             return {
-                "seconds": seconds,
+                "seconds": list(range(first, first + len(vectors))),
                 "vectors": vectors,
                 "watermark": watermark if watermark is not None else -1.0,
             }
 
     def rpc_stats(self) -> Dict[str, Any]:
         return {
-            "lines_parsed": self._parser.lines_parsed,
-            "lines_skipped": self._parser.lines_skipped,
-            "cursor": self._cursor,
+            "lines_parsed": self._states.lines_parsed,
+            "lines_skipped": self._states.lines_skipped,
+            "cursor": self._states.cursor,
         }
 
 
@@ -191,10 +200,6 @@ class ObservatoryDaemon:
         with self.meter:
             return self.observatory.telemetry.metrics.render_prometheus()
 
-
-#: Buffered collection windows kept per node daemon; the central poller
-#: drains them batch-wise, so this bounds memory if it falls behind.
-MAX_BUFFERED_WINDOWS = 240
 
 #: Default batch size served per ``poll_many`` call.
 DEFAULT_MAX_WINDOWS = 32

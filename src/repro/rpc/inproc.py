@@ -81,51 +81,52 @@ class InprocChannel:
 
     def call(self, method: str, trace: Optional[TraceContext] = None,
              **params: Any) -> Any:
-        request_id = next(self._ids)
         limit = self._limit
-        tx_before, rx_before = self.counter.tx_wire, self.counter.rx_wire
+        counter = self.counter
+        telemetry = self.telemetry
+        if telemetry is not None and not telemetry.enabled:
+            telemetry = None
+        if telemetry is not None:
+            tx_before, rx_before = counter.tx_wire, counter.rx_wire
         frame = encode_request_frame(
-            request_id, method, params,
+            next(self._ids), method, params,
             trace.to_wire() if trace is not None else None,
             codec=self.codec, limit=limit,
         )
-        self.counter.count_tx(len(frame))
+        counter.count_tx(len(frame))
         request, _ = decode_message(frame, limit=limit)
-        incoming = frame_trace(request)
-        serve_trace = (
-            incoming.child(origin=f"{self.service}@inproc")
-            if incoming is not None else None
-        )
-        started = time.perf_counter()
+        # Only a traced call pays for a serving span and its clock reads.
+        serve_trace = None
+        if "trace" in request:
+            incoming = frame_trace(request)
+            if incoming is not None:
+                serve_trace = incoming.child(origin=f"{self.service}@inproc")
+                started = time.perf_counter()
         response_frame = encode_response_frame(
             dispatch(self.handler, request, trace=serve_trace),
             method=request.get("method"),
             metric_names=self.metric_names,
             codec=self.codec, limit=limit,
         )
-        duration = time.perf_counter() - started
+        if serve_trace is not None:
+            duration = time.perf_counter() - started
         response, consumed = decode_message(
             response_frame, metric_names=self.metric_names, limit=limit
         )
-        self.counter.count_rx(consumed)
-        telemetry = self.telemetry
-        if (telemetry is not None and telemetry.enabled
-                and telemetry.tracer.enabled and serve_trace is not None):
-            telemetry.tracer.complete(
-                f"rpc.serve:{method}", "rpc", started, duration,
-                track=f"rpc:{self.service}", method=method,
-                **serve_trace.span_args(),
-            )
-        telemetry = self.telemetry
-        if telemetry is not None and telemetry.enabled:
+        counter.count_rx(consumed)
+        if telemetry is not None:
+            if telemetry.tracer.enabled and serve_trace is not None:
+                telemetry.tracer.complete(
+                    f"rpc.serve:{method}", "rpc", started, duration,
+                    track=f"rpc:{self.service}", method=method,
+                    **serve_trace.span_args(),
+                )
             telemetry.record_rpc(
                 self.service,
-                self.counter.tx_wire - tx_before,
-                self.counter.rx_wire - rx_before,
+                counter.tx_wire - tx_before,
+                counter.rx_wire - rx_before,
             )
-            telemetry.record_rpc_endpoint(
-                f"inproc:{self.service}", self.counter
-            )
+            telemetry.record_rpc_endpoint(f"inproc:{self.service}", counter)
         if "error" in response:
             raise RemoteError(response["error"])
         return response.get("result")

@@ -1,19 +1,23 @@
 """Tests for the SALSA-style log parser (paper section 4.4, Figure 5)."""
 
 import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
+from repro.faults import FAULT_NAMES, FaultSpec, make_fault
 from repro.hadoop import (
     ClusterConfig,
     HadoopCluster,
     JobSpec,
     MB,
     NodeLogParser,
+    StateVectorStream,
     WHITEBOX_STATE_INDEX,
     WHITEBOX_STATES,
     format_line,
 )
 from repro.hadoop.logs import DATANODE_CLASS, TASKTRACKER_CLASS
+from repro.workloads.gridmix import GridMixConfig, generate_workload
 
 
 def tt_line(t: float, message: str) -> str:
@@ -222,3 +226,253 @@ def test_property_counts_are_bounded_by_launches(tasks):
     for second in range(0, 120, 5):
         count = state(parser.state_vector(second), "MapTask")
         assert 0 <= count <= len(tasks)
+
+
+# -- the streaming counter against the interval scan ---------------------------
+
+class Replay:
+    """A :class:`StateVectorStream` next to the interval-scan oracle.
+
+    Both read the same lines as they *arrive*; every second the stream
+    emits is compared with ``NodeLogParser.state_vector`` asked at that
+    moment, and the oracle is then pruned to the cursor, as the daemon
+    pruned it before it streamed.
+    """
+
+    def __init__(self, node: str = "n") -> None:
+        self.stream = StateVectorStream(node)
+        self.oracle = NodeLogParser(node)
+        self.rows = {}
+        self.mismatches = []
+
+    def feed(self, *lines: str) -> None:
+        for line in lines:
+            self.stream.feed_line(line)
+            self.oracle.feed_line(line)
+
+    def take(self, end: int) -> None:
+        first = self.stream.cursor
+        for second, row in enumerate(self.stream.take(end), start=first):
+            assert second not in self.rows
+            self.rows[second] = row
+            if list(self.oracle.state_vector(second)) != row:
+                self.mismatches.append(second)
+        self.oracle.prune(float(self.stream.cursor))
+
+    def count(self, second: int, name: str) -> float:
+        return self.rows[second][WHITEBOX_STATE_INDEX[name]]
+
+
+def _busy_cluster(num_slaves: int, seed: int = 3, duration_s: float = 300.0):
+    cluster = HadoopCluster(
+        ClusterConfig(num_slaves=num_slaves, seed=seed, engine="vec")
+    )
+    for spec in generate_workload(
+        GridMixConfig(duration_s=duration_s, seed=seed + 17)
+    ).jobs:
+        cluster.schedule_job(spec)
+    return cluster
+
+
+@pytest.mark.parametrize("fault_name", [None, *FAULT_NAMES])
+def test_stream_equals_interval_scan_on_a_25_slave_run(fault_name):
+    """tt and dn logs of 25 slaves over 300 sim-s, fault-free and under
+    each Table 2 fault, tailed once a second with the daemon's lag."""
+    cluster = _busy_cluster(25)
+    if fault_name is not None:
+        make_fault(fault_name).arm(
+            cluster, FaultSpec(node=cluster.slave_names[12], inject_time=60.0)
+        )
+    tails = [
+        (log, Replay(node))
+        for node in cluster.slave_names
+        for log in (cluster.tt_logs[node], cluster.dn_logs[node])
+    ]
+    offsets = [0] * len(tails)
+    ticks = 300
+    for _ in range(ticks):
+        cluster.step(1.0)
+        for index, (log, replay) in enumerate(tails):
+            records, offsets[index] = log.read_from(offsets[index])
+            replay.feed(*(record.line for record in records))
+            replay.take(int(cluster.time) - 2)
+    assert [replay.mismatches for _, replay in tails] == [[]] * len(tails)
+    assert all(sorted(replay.rows) == list(range(ticks - 2)) for _, replay in tails)
+    # Every state was live somewhere, so equality is not 0 == 0.
+    seen = np.sum(
+        [np.sum(list(replay.rows.values()), axis=0) for _, replay in tails], axis=0
+    )
+    assert (seen > 0).all()
+    # Bounded: nothing is kept of an interval once it has closed.
+    parsed = sum(replay.stream.lines_parsed for _, replay in tails)
+    kept = sum(
+        len(replay.stream._open) + len(replay.stream._deltas) for _, replay in tails
+    )
+    assert parsed > 1000 and kept < 10 * len(tails)
+
+
+class TestStreamHandCases:
+    MAP = "task_0001_m_000000_0"
+    REDUCE = "task_0001_r_000001_0"
+
+    def test_line_older_than_the_cursor_is_folded_onto_it(self):
+        replay = Replay()
+        replay.take(8)
+        # Hadoop flushed these late: seconds 3..7 are gone already.
+        replay.feed(tt_line(3.2, f"LaunchTaskAction: {self.MAP}"))
+        replay.feed(tt_line(4.1, "LaunchTaskAction: task_0001_m_000001_0"))
+        replay.feed(tt_line(4.9, "Task task_0001_m_000001_0 is done."))
+        replay.take(12)
+        replay.feed(tt_line(10.5, f"Task {self.MAP} is done."))  # late again
+        replay.take(15)
+        assert replay.mismatches == []
+        assert [replay.count(s, "MapTask") for s in range(6, 15)] == [
+            0, 0, 1, 1, 1, 1, 0, 0, 0,
+        ]
+
+    def test_instant_older_than_the_cursor_is_lost(self):
+        replay = Replay()
+        replay.take(8)
+        replay.feed(dn_line(4.5, "x Served block blk_1 to /10.0.0.5"))
+        replay.feed(dn_line(8.5, "x Served block blk_2 to /10.0.0.5"))
+        replay.take(12)
+        assert replay.mismatches == []
+        assert [replay.count(s, "ReadBlock") for s in range(8, 12)] == [1, 0, 0, 0]
+
+    def test_relaunch_of_a_still_open_attempt(self):
+        replay = Replay()
+        replay.feed(tt_line(2.0, f"LaunchTaskAction: {self.REDUCE}"))
+        replay.feed(tt_line(4.0, f"{self.REDUCE} 0.40% reduce > sort"))
+        replay.take(10)
+        # The scan forgets the first start; seconds already served stay.
+        replay.feed(tt_line(12.5, f"LaunchTaskAction: {self.REDUCE}"))
+        replay.take(16)
+        replay.feed(tt_line(17.0, f"Task {self.REDUCE} is done."))
+        replay.take(20)
+        assert replay.mismatches == []
+        assert [replay.count(s, "ReduceTask") for s in range(8, 20)] == [
+            1, 1, 0, 0, 0, 1, 1, 1, 1, 0, 0, 0,
+        ]
+        # It keeps the phase it was in.
+        assert replay.count(14, "ReduceSort") == 1
+        assert replay.count(14, "ReduceCopy") == 0
+
+    def test_relaunch_inside_the_lag_with_a_phase_change_pending(self):
+        replay = Replay()
+        replay.take(100)
+        replay.feed(
+            tt_line(100.2, f"LaunchTaskAction: {self.REDUCE}"),
+            tt_line(101.5, f"{self.REDUCE} 0.40% reduce > sort"),
+            tt_line(102.3, f"LaunchTaskAction: {self.REDUCE}"),
+        )
+        replay.take(106)
+        assert replay.mismatches == []
+        assert [replay.count(s, "ReduceTask") for s in range(100, 106)] == [
+            0, 0, 0, 1, 1, 1,
+        ]
+        assert replay.count(104, "ReduceSort") == 1
+
+    def test_phase_line_for_an_unknown_attempt(self):
+        replay = Replay()
+        replay.feed(tt_line(3.0, f"{self.REDUCE} 0.40% reduce > sort"))
+        replay.feed(tt_line(4.0, f"{self.MAP} 0.40% reduce > sort"))
+        replay.take(6)
+        assert all(row == [0.0] * 8 for row in replay.rows.values())
+        # It is not remembered: a later launch starts in copy.
+        replay.feed(tt_line(7.0, f"LaunchTaskAction: {self.REDUCE}"))
+        replay.feed(tt_line(7.0, f"LaunchTaskAction: {self.MAP}"))
+        replay.take(10)
+        assert replay.mismatches == []
+        assert replay.count(8, "ReduceCopy") == 1 and replay.count(8, "ReduceSort") == 0
+        assert replay.count(8, "MapTask") == 1
+
+    def test_launch_and_done_inside_one_second(self):
+        replay = Replay()
+        replay.feed(tt_line(5.2, f"LaunchTaskAction: {self.MAP}"))
+        replay.feed(tt_line(5.8, f"Task {self.MAP} is done."))
+        # From the boundary itself, the second counts it.
+        replay.feed(tt_line(7.0, "LaunchTaskAction: task_0001_m_000001_0"))
+        replay.feed(tt_line(7.8, "Task task_0001_m_000001_0 is done."))
+        replay.take(10)
+        assert replay.mismatches == []
+        assert [replay.count(s, "MapTask") for s in range(4, 10)] == [0, 0, 0, 1, 0, 0]
+
+    def test_instants_on_a_second_boundary(self):
+        replay = Replay()
+        replay.feed(dn_line(7.0, "x Served block blk_1 to /10.0.0.5"))
+        replay.feed(dn_line(7.999, "x Served block blk_2 to /10.0.0.5"))
+        replay.feed(dn_line(8.0, "Deleting block blk_3 file /d/blk_3"))
+        replay.take(10)
+        assert replay.mismatches == []
+        assert [replay.count(s, "ReadBlock") for s in range(6, 10)] == [0, 2, 0, 0]
+        assert [replay.count(s, "DeleteBlock") for s in range(6, 10)] == [0, 0, 1, 0]
+
+    def test_done_line_stamped_before_the_launch(self):
+        replay = Replay()
+        replay.feed(tt_line(10.0, f"LaunchTaskAction: {self.MAP}"))
+        replay.feed(tt_line(5.0, f"Task {self.MAP} is done."))
+        replay.feed(dn_line(10.0, "Receiving block blk_7 src: /a dest: /b"))
+        replay.feed(dn_line(10.0, "Receiving block blk_7 src: /a dest: /b"))
+        replay.feed(dn_line(12.5, "Received block blk_7 of size 9 from /a"))
+        replay.take(15)
+        assert replay.mismatches == []
+        assert all(replay.count(s, "MapTask") == 0 for s in range(15))
+        assert [replay.count(s, "WriteBlock") for s in range(9, 15)] == [
+            0, 1, 1, 1, 0, 0,
+        ]
+
+    def test_take_is_empty_behind_the_cursor_and_rows_are_copies(self):
+        stream = StateVectorStream("n")
+        assert stream.take(0) == [] and stream.take(-5) == []
+        rows = stream.take(3)
+        rows[0][0] = 99.0
+        assert stream.take(4) == [[0.0] * 8]
+        assert stream.take(2) == [] and stream.cursor == 4
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(0, 400),        # start, tenths of a second
+            st.integers(0, 150),        # duration, tenths
+            st.sampled_from(["m", "r", "w", "read", "delete"]),
+            st.integers(0, 60),         # tenths after the start: sort
+            st.integers(0, 60),         # tenths after that: reduce
+        ),
+        min_size=1, max_size=25,
+    ),
+    st.integers(0, 4),                  # how late Hadoop flushes, seconds
+)
+def test_property_stream_equals_interval_scan(intervals, flush_lag):
+    """Any schedule of tasks, writes and instants whose lines are in time
+    order, read once a second, up to ``flush_lag`` seconds late (lines
+    may then be older than the cursor)."""
+    lines = []
+    for index, (start, duration, kind, to_sort, to_reduce) in enumerate(intervals):
+        t0, t1 = start / 10.0, (start + duration) / 10.0
+        if kind in ("m", "r"):
+            attempt = f"task_0001_{kind}_{index:06d}_0"
+            lines.append((t0, tt_line(t0, f"LaunchTaskAction: {attempt}")))
+            if kind == "r":
+                for phase, at in (("sort", to_sort), ("reduce", to_sort + to_reduce)):
+                    t = t0 + at / 10.0
+                    if t < t1:
+                        lines.append(
+                            (t, tt_line(t, f"{attempt} 0.50% reduce > {phase}"))
+                        )
+            lines.append((t1, tt_line(t1, f"Task {attempt} is done.")))
+        elif kind == "w":
+            lines.append((t0, dn_line(t0, f"Receiving block blk_{index} src: /a dest: /b")))
+            lines.append((t1, dn_line(t1, f"Received block blk_{index} of size 1 from /a")))
+        elif kind == "read":
+            lines.append((t0, dn_line(t0, f"x Served block blk_{index} to /c")))
+        else:
+            lines.append((t0, dn_line(t0, f"Deleting block blk_{index} file /d")))
+    lines.sort(key=lambda item: item[0])
+    replay = Replay()
+    for now in range(0, 62):
+        while lines and lines[0][0] + flush_lag <= now:
+            replay.feed(lines.pop(0)[1])
+        replay.take(now - 2)
+    assert replay.mismatches == []
+    assert not replay.stream._open and not replay.stream._deltas

@@ -30,6 +30,49 @@ class TestTimestamps:
         with pytest.raises(ValueError):
             parse_timestamp("not a timestamp")
 
+    @pytest.mark.parametrize("text", [
+        "2008-13-15 14:00:10,000",      # month 13
+        "2008-00-15 14:00:10,000",      # month 0
+        "2008-04-31 14:00:10,000",      # April has 30 days
+        "2008-04-15 24:00:10,000",      # hour 24
+        "2008-04-15 14:60:10,000",      # minute 60
+        "2008-04-15 14:00:61,000",      # second 61
+        "2008-04-15 14:00",             # short
+        "2008-04-15",                   # shorter
+        "",                             # empty
+        "2008-4-15 14:00:10,000",       # not fixed-width
+        "2008/04/15 14:00:10,000",      # wrong separators
+        "2008-04-15T14:00:10,000",
+        "2008-04-15 14:00:10.000",      # millis behind a dot
+        "2008-04-15 14:00:10,abc",      # millis not a number
+        "2008-04-15 14:0x:10,000",      # a digit that is not one
+        "2008-04-15 14:00:10 INFO",     # trailing text
+    ])
+    def test_malformed_or_out_of_range_raises(self, text):
+        with pytest.raises(ValueError):
+            parse_timestamp(text)
+
+    def test_every_second_of_a_day_round_trips(self):
+        # The sliced fields cross minute, hour and day boundaries.
+        for sim_time in range(0, 36 * 3600, 997):
+            assert parse_timestamp(format_timestamp(sim_time + 0.5)) == sim_time + 0.5
+
+
+class TestBadTimestampLines:
+    def test_bad_timestamp_counts_as_skipped(self):
+        from repro.hadoop import NodeLogParser, StateVectorStream
+
+        good = format_line(5.0, "INFO", TASKTRACKER_CLASS,
+                           "LaunchTaskAction: task_0001_m_000000_0")
+        bad_month = good.replace("2008-04-15", "2008-13-15")
+        bad_hour = good.replace(" 14:", " 25:")
+        for reader in (NodeLogParser("n"), StateVectorStream("n")):
+            for line in (bad_month, bad_hour, good[:15], good):
+                reader.feed_line(line)
+            assert reader.lines_skipped == 3
+            assert reader.lines_parsed == 1
+            assert reader.watermark() == 5.0
+
 
 class TestFormatLine:
     def test_full_line_shape(self):

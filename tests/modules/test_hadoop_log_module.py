@@ -114,6 +114,45 @@ class TestSynchronization:
         assert core.instance("hl").seconds_emitted == 0
 
 
+class TestPollGap:
+    def test_daemon_batches_are_drained_before_the_stale_rule_applies(self):
+        """A poll interval longer than one daemon batch: the module asks
+        again until each daemon has caught up, and drops nothing."""
+        from repro.hadoop import DATANODE_CLASS, TASKTRACKER_CLASS, DaemonLog
+        from repro.rpc import HadoopLogDaemon, InprocChannel
+        from repro.rpc.daemons import MAX_BUFFERED_WINDOWS
+
+        nodes = ["a", "b"]
+        channels = {}
+        for node in nodes:
+            tt, dn = DaemonLog(node, "tasktracker"), DaemonLog(node, "datanode")
+            tt.append(300.0, "INFO", TASKTRACKER_CLASS,
+                      "LaunchTaskAction: task_0001_m_000000_0")
+            dn.append(301.2, "INFO", DATANODE_CLASS,
+                      "x Served block blk_1 to /10.0.0.5")
+            channels[node] = [
+                InprocChannel(HadoopLogDaemon(node, tt), f"hl_tt_rpcd@{node}"),
+                InprocChannel(HadoopLogDaemon(node, dn), f"hl_dn_rpcd@{node}"),
+            ]
+        # More than one batch, less than a connection queue holds.
+        interval = MAX_BUFFERED_WINDOWS + 10
+        config = config_for(nodes).replace("interval = 1.0", f"interval = {interval}")
+        core = build_core(config, services_for(channels))
+        core.run_until(2.0 * interval + 1.0)
+        module = core.instance("hl")
+        assert module.seconds_dropped == 0
+        assert module.seconds_emitted == 2 * interval - 2
+        received = core.instance("sink").received
+        assert len(received) == 2 * module.seconds_emitted
+        by_second = {}
+        for sample in received:
+            by_second.setdefault(sample.timestamp, []).append(sample.value)
+        assert all(len(rows) == 2 for rows in by_second.values())
+        assert list(by_second[299.0][0]) == [0.0] * 8
+        assert list(by_second[301.0][1]) == [1.0, 0, 0, 0, 0, 0, 1.0, 0]
+        assert list(by_second[302.0][0]) == [1.0] + [0.0] * 7
+
+
 class TestConfigErrors:
     def test_empty_nodes_rejected(self):
         with pytest.raises(ConfigError, match="empty"):

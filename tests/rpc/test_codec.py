@@ -3,6 +3,7 @@
 import struct
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.rpc import ProtocolError, RpcClient, RpcServer, TraceContext
 from repro.rpc.codec import (
@@ -192,6 +193,147 @@ class TestResponseRoundTrip:
         )
         json_frame = encode_frame(payload)
         assert len(binary) < len(json_frame)
+
+
+STATES = tuple(f"state{i}" for i in range(8))
+
+_counts = st.floats(allow_nan=False, allow_infinity=False, width=64) | st.integers(0, 50)
+
+
+@st.composite
+def _series(draw):
+    """A ``collect`` result as ``HadoopLogDaemon`` shapes it."""
+    rows = draw(st.integers(0, 40))
+    first = draw(st.integers(-5, 2**40))
+    return {
+        "seconds": list(range(first, first + rows)),
+        "vectors": [
+            draw(st.lists(_counts, min_size=len(STATES), max_size=len(STATES)))
+            for _ in range(rows)
+        ],
+        "watermark": draw(st.floats(allow_nan=False)),
+    }
+
+
+class TestSeriesRoundTrip:
+    """The ``collect`` result of ``hadoop_log_rpcd`` on codec v2."""
+
+    def _encode(self, result, trace=None, request_id=21):
+        payload = {"id": request_id, "result": result}
+        if trace is not None:
+            payload["trace"] = trace
+        frame = encode_response_frame(
+            payload, method="collect", metric_names=STATES, codec=CODEC_BINARY,
+        )
+        return payload, frame
+
+    def test_collect_request_is_binary(self):
+        frame = encode_request_frame(7, "collect", {"now": 12.0}, None, CODEC_BINARY)
+        assert len(frame) == _LENGTH.size + 16
+        payload, _ = decode_message(frame)
+        assert payload == {"id": 7, "method": "collect", "params": {"now": 12.0}}
+
+    @given(_series(), st.booleans())
+    def test_decoded_equals_json_decoded(self, result, traced):
+        trace = TraceContext.new_root(origin="central@pid1").child().to_wire()
+        payload, frame = self._encode(result, trace if traced else None)
+        assert is_binary_payload(frame[_LENGTH.size:])
+        decoded, consumed = decode_message(frame, metric_names=STATES)
+        via_json, _ = decode_message(encode_frame(payload))
+        assert consumed == len(frame)
+        assert decoded == via_json == payload
+        assert all(type(s) is int for s in decoded["result"]["seconds"])
+        assert all(
+            type(v) is float for row in decoded["result"]["vectors"] for v in row
+        )
+
+    def test_one_row_is_a_fixed_size_frame(self):
+        _, frame = self._encode(
+            {"seconds": [598], "vectors": [[0.0] * 8], "watermark": 597.5}
+        )
+        assert len(frame) == _LENGTH.size + 25 + 8 * 8
+        _, empty = self._encode({"seconds": [], "vectors": [], "watermark": -1.0})
+        assert len(empty) == _LENGTH.size + 25
+
+    @pytest.mark.parametrize("result", [
+        {"seconds": [1, 2], "vectors": [[0.0] * 8, [0.0] * 7], "watermark": 1.0},
+        {"seconds": [1, 2], "vectors": [[0.0] * 7, [0.0] * 9], "watermark": 1.0},
+        {"seconds": [1, 2], "vectors": [[0.0] * 8], "watermark": 1.0},
+        {"seconds": [1, 3], "vectors": [[0.0] * 8] * 2, "watermark": 1.0},
+        {"seconds": [2, 1], "vectors": [[0.0] * 8] * 2, "watermark": 1.0},
+        {"seconds": [1.5], "vectors": [[0.0] * 8], "watermark": 1.0},
+        {"seconds": ["1"], "vectors": [[0.0] * 8], "watermark": 1.0},
+        {"seconds": [1], "vectors": [["a"] + [0.0] * 7], "watermark": 1.0},
+        {"seconds": [1], "vectors": [[None] * 8], "watermark": 1.0},
+        {"seconds": [1], "vectors": [3], "watermark": 1.0},
+        {"seconds": [1], "vectors": [[0.0] * 8], "watermark": None},
+        {"seconds": [1], "vectors": [[0.0] * 8]},
+        {"seconds": [1], "vectors": [[0.0] * 8], "watermark": 1.0, "node": "n"},
+        {"seconds": [2**63], "vectors": [[0.0] * 8], "watermark": 1.0},
+        {"seconds": [1], "vectors": [[10**400] + [0.0] * 7], "watermark": 1.0},
+        {"seconds": 5, "vectors": [[0.0] * 8], "watermark": 1.0},
+    ])
+    def test_what_the_layout_cannot_carry_falls_back_to_json(self, result):
+        payload, frame = self._encode(result)
+        assert not is_binary_payload(frame[_LENGTH.size:])
+        decoded, _ = decode_message(frame, metric_names=STATES)
+        assert decoded == payload
+
+    def test_more_rows_than_a_u16_fall_back_to_json(self):
+        rows = 0x10000
+        payload, frame = self._encode({
+            "seconds": list(range(rows)), "vectors": [[0.0] * 8] * rows,
+            "watermark": 1.0,
+        })
+        assert not is_binary_payload(frame[_LENGTH.size:])
+
+    def test_series_without_a_catalog_is_json(self):
+        payload = {"id": 1, "result": {
+            "seconds": [1], "vectors": [[0.0] * 8], "watermark": 1.0,
+        }}
+        frame = encode_response_frame(payload, "collect", (), CODEC_BINARY)
+        assert not is_binary_payload(frame[_LENGTH.size:])
+
+    @given(_series(), st.data())
+    def test_truncated_and_padded_frames_raise(self, result, data):
+        _, frame = self._encode(result)
+        body = frame[_LENGTH.size:]
+        cut = data.draw(st.integers(1, len(body) - 1))
+        for bad in (body[:cut], body + b"\x00" * data.draw(st.integers(1, 9))):
+            with pytest.raises(ProtocolError, match="truncated|trailing"):
+                decode_message(_LENGTH.pack(len(bad)) + bad, metric_names=STATES)
+
+    @given(st.binary(max_size=200))
+    def test_garbage_behind_a_series_head_raises_or_decodes(self, tail):
+        body = bytes([MAGIC, 4]) + tail
+        frame = _LENGTH.pack(len(body)) + body
+        try:
+            decoded, consumed = decode_message(frame, metric_names=STATES)
+        except ProtocolError:
+            return
+        assert consumed == len(frame)
+        rows = decoded["result"]["vectors"]
+        assert len(rows) == len(decoded["result"]["seconds"])
+        assert all(len(row) == len(STATES) for row in rows)
+
+    def test_series_frame_without_catalog_rejected(self):
+        _, frame = self._encode(
+            {"seconds": [1], "vectors": [[0.0] * 8], "watermark": 1.0}
+        )
+        with pytest.raises(ProtocolError, match="no interned metric catalog"):
+            decode_message(frame, metric_names=())
+
+    def test_row_count_that_disagrees_with_the_body_rejected(self):
+        _, frame = self._encode(
+            {"seconds": [1, 2], "vectors": [[0.0] * 8] * 2, "watermark": 1.0}
+        )
+        body = bytearray(frame[_LENGTH.size:])
+        body[23:25] = (3).to_bytes(2, "big")
+        with pytest.raises(ProtocolError, match="truncated"):
+            decode_message(_LENGTH.pack(len(body)) + bytes(body), metric_names=STATES)
+        body[23:25] = (1).to_bytes(2, "big")
+        with pytest.raises(ProtocolError, match="trailing"):
+            decode_message(_LENGTH.pack(len(body)) + bytes(body), metric_names=STATES)
 
 
 class TestMalformedFrames:

@@ -110,6 +110,45 @@ class TestHadoopLogDaemon:
         assert stats["lines_parsed"] == 2
         assert stats["cursor"] == 8
 
+    def test_long_poll_gap_is_served_in_bounded_batches(self):
+        """After 10 000 s without a poll every second still arrives, once,
+        oldest first, in frames that fit a 16 KiB limit."""
+        from repro.rpc import InprocChannel, set_max_frame_bytes
+        from repro.rpc.daemons import MAX_BUFFERED_WINDOWS
+
+        log = tt_log_with_task()
+        log.append(9000.5, "INFO", TASKTRACKER_CLASS,
+                   "LaunchTaskAction: task_0001_m_000001_0")
+        set_max_frame_bytes(16 * 1024)
+        try:
+            channel = InprocChannel(HadoopLogDaemon("slave01", log), "hl_tt_rpcd@slave01")
+            seconds, vectors, calls = [], [], 0
+            while True:
+                result = channel.call("collect", now=10_002.0)
+                if not result["seconds"]:
+                    break
+                assert len(result["seconds"]) <= MAX_BUFFERED_WINDOWS
+                seconds += result["seconds"]
+                vectors += result["vectors"]
+                calls += 1
+        finally:
+            set_max_frame_bytes(None)
+        assert seconds == list(range(10_000))
+        assert calls == -(-10_000 // MAX_BUFFERED_WINDOWS)
+        maps = [vector[0] for vector in vectors]
+        assert maps == [0.0] + [1.0] * 19 + [0.0] * 8981 + [1.0] * 999
+        assert channel.call("collect", now=10_003.0)["seconds"] == [10_000]
+
+    def test_collect_advertises_the_state_catalog(self):
+        from repro.hadoop import WHITEBOX_STATES
+
+        assert HadoopLogDaemon.metric_names == WHITEBOX_STATES
+        daemon = HadoopLogDaemon("slave01", tt_log_with_task())
+        assert all(
+            len(vector) == len(WHITEBOX_STATES)
+            for vector in daemon.rpc_collect(now=10.0)["vectors"]
+        )
+
     def test_vector_is_json_friendly(self):
         daemon = HadoopLogDaemon("slave01", tt_log_with_task())
         result = daemon.rpc_collect(now=10.0)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cluster.load import SyntheticNodeLoad
-from repro.hadoop import TASKTRACKER_CLASS, DaemonLog
+from repro.hadoop import TASKTRACKER_CLASS, WHITEBOX_STATES, DaemonLog
 from repro.rpc import (
     ClusterNodeDaemon,
     HadoopLogDaemon,
@@ -16,7 +16,7 @@ from repro.rpc import (
     dispatch,
     handler_methods,
 )
-from repro.rpc.protocol import make_request
+from repro.rpc.protocol import encode_frame, make_request
 from repro.sysstat import NODE_METRICS, SimProcFS
 
 
@@ -192,9 +192,11 @@ def _log_handler():
 
 def _log_calls(_log):
     return [
+        ("collect", {"now": 1.0}, None),      # nothing stable yet: no rows
         ("collect", {"now": 10.0}, None),
         ("collect", {"now": 30.0}, None),
-        ("stats", {}, None),
+        ("stats", {}, None),                  # JSON on a binary connection
+        ("collect", {"now": 31.0}, None),     # the steady state: one row
     ]
 
 
@@ -211,7 +213,7 @@ class TestInprocCountsLikeTcp:
     @pytest.mark.parametrize("make, calls, codec", [
         (_sadc_handler, _sadc_calls, "bin"),
         (_node_handler, _node_calls, "bin"),
-        (_log_handler, _log_calls, "json"),
+        (_log_handler, _log_calls, "bin"),
     ])
     def test_counter_equal_field_for_field(self, make, calls, codec):
         def drive(channel, state):
@@ -264,6 +266,30 @@ class TestInprocCountsLikeTcp:
         assert 8 * 66 < channel.counter.rx_payload - before < 8 * 66 + 40
         assert tuple(sample["node"]) == NODE_METRICS
         assert sample["node"]["cpu_idle_pct"] == 100.0
+
+    def test_state_series_crosses_as_one_binary_frame(self):
+        handler, _ = _log_handler()
+        channel = InprocChannel(handler, "svc@node")
+        assert channel.metric_names == WHITEBOX_STATES
+        before = channel.counter.rx_payload
+        result = channel.call("collect", now=30.0)
+        # 28 rows of 8 doubles behind a 29-byte head.
+        assert channel.counter.rx_payload - before == 29 + 28 * 64
+        assert result["seconds"] == list(range(28))
+        assert result["vectors"][5][0] == 1.0 and result["vectors"][25][0] == 0.0
+        assert result["watermark"] == 20.0
+
+    def test_json_only_client_still_gets_json_series(self):
+        handler, _ = _log_handler()
+        reference = _log_handler()[0].rpc_collect(now=30.0)
+        with RpcServer(handler, "svc@node") as server:
+            with RpcClient(*server.address, codec="json") as client:
+                assert client.codec == "json" and client.metric_names == ()
+                before = client.counter.rx_payload
+                assert client.call("collect", now=30.0) == reference
+                assert client.counter.rx_payload - before == len(
+                    encode_frame({"id": 1, "result": reference})
+                )
 
     def test_frame_limit_is_resolved_when_the_channel_opens(self):
         from repro.rpc import set_max_frame_bytes
