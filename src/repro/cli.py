@@ -105,11 +105,6 @@ def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
         help="worker processes for scenario execution (0 = one per CPU; "
         "results are identical at any worker count)",
     )
-    parser.add_argument(
-        "--fleet-knn", action="store_true",
-        help="deploy one fleet-batched knnfleet instance instead of a "
-        "per-node knn per slave",
-    )
 
 
 def _add_telemetry_args(parser: argparse.ArgumentParser) -> None:
@@ -189,7 +184,6 @@ def _scenario_config(args, fault: Optional[str]) -> ScenarioConfig:
         seed=args.seed,
         fault_name=fault,
         inject_time=args.inject,
-        fleet_knn=getattr(args, "fleet_knn", False),
     )
 
 
@@ -306,55 +300,8 @@ def cmd_overhead(args) -> int:
     return 0
 
 
-def cmd_bench_scale(args) -> int:
-    """The 50->1000-node scaling benchmark (scalar vs vectorized)."""
-    from .experiments import check_scale_gate, run_scale_benchmark
-    from .experiments.scale import write_scale_json
-
-    sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
-    parity_sizes = [
-        int(s) for s in args.parity_sizes.split(",") if s.strip()
-    ]
-    payload = run_scale_benchmark(
-        sizes=sizes,
-        ticks=args.ticks,
-        pipeline_seconds=args.pipeline_seconds,
-        parity_sizes=parity_sizes,
-        parity_ticks=args.parity_ticks,
-        seed=args.seed,
-        check_parity=args.check_parity,
-        progress=lambda message: print(f"  {message}", flush=True),
-    )
-    for row in payload["rows"]:
-        print(
-            f"N={row['num_slaves']:<5} {row['engine']:<7} "
-            f"tick {row['tick_ms']:.2f} ms ({row['ticks_per_s']:.0f}/s)  "
-            f"pipeline {row['samples_per_s']:.0f} samples/s"
-        )
-    for size in payload["sizes"]:
-        print(
-            f"N={size}: vec/scalar tick speedup "
-            f"{payload['tick_speedup'][str(size)]:.2f}x, pipeline "
-            f"{payload['pipeline_speedup'][str(size)]:.2f}x"
-        )
-    if payload["parity"]["checked"]:
-        print(f"parity mismatches: {payload['parity']['mismatches']}")
-    path = write_scale_json(payload, directory=args.out)
-    print(f"wrote {path}")
-    ok, message = check_scale_gate(
-        payload,
-        baseline_path=args.gate,
-        min_speedup=args.min_speedup,
-        slack=args.gate_slack,
-    )
-    print(message, file=sys.stdout if ok else sys.stderr)
-    return 0 if ok else 1
-
-
 def cmd_bench(args) -> int:
     """Benchmark the experiment runner on a fault x trial matrix."""
-    if args.mode == "scale":
-        return cmd_bench_scale(args)
     faults = [f.strip() for f in args.faults.split(",") if f.strip()]
     unknown = [f for f in faults if f not in FAULT_NAMES]
     if unknown:
@@ -670,7 +617,6 @@ def cmd_cluster_up(args) -> int:
         max_frame_bytes=args.max_frame_bytes,
         per_host=args.per_host,
         codec=args.codec,
-        engine=args.engine,
         sample_interval_s=args.sample_interval,
     )
     launcher.up()
@@ -713,7 +659,7 @@ def cmd_cluster_node(args) -> int:
         print("error: cluster node needs --names or --name", file=sys.stderr)
         return 2
     return run_node_host(
-        names, args.dir, seed=args.seed, engine=args.engine,
+        names, args.dir, seed=args.seed,
         sample_interval_s=args.sample_interval,
     )
 
@@ -1039,40 +985,9 @@ def build_parser() -> argparse.ArgumentParser:
     bench = commands.add_parser(
         "bench",
         help="run a fault x trial matrix through the parallel experiment "
-        "runner (default), or 'bench scale' for the 50->1000-node "
-        "scalar-vs-vectorized scaling benchmark; writes BENCH_<name>.json",
+        "runner; writes BENCH_<name>.json",
     )
     _add_scenario_args(bench)
-    bench.add_argument(
-        "mode", nargs="?", choices=("matrix", "scale"), default="matrix",
-        help="'matrix' (default): fault x trial matrix; 'scale': the "
-        "scaling benchmark (BENCH_scale.json)",
-    )
-    bench.add_argument(
-        "--sizes", default="50,200,500,1000",
-        help="[scale] comma-separated fleet sizes",
-    )
-    bench.add_argument(
-        "--ticks", type=int, default=200,
-        help="[scale] timed simulator ticks per (size, engine)",
-    )
-    bench.add_argument(
-        "--pipeline-seconds", type=int, default=60,
-        help="[scale] simulated seconds of the end-to-end pipeline loop",
-    )
-    bench.add_argument(
-        "--parity-sizes", default="50,200",
-        help="[scale] fleet sizes whose scalar/vec parity is asserted",
-    )
-    bench.add_argument(
-        "--parity-ticks", type=int, default=90,
-        help="[scale] ticks compared snapshot-by-snapshot per parity size",
-    )
-    bench.add_argument(
-        "--min-speedup", type=float, default=1.0,
-        help="[scale] gate floor for vec/scalar tick speedup at the "
-        "largest size",
-    )
     bench.add_argument(
         "--faults", default=",".join(FAULT_NAMES),
         help="comma-separated Table 2 fault names",
@@ -1227,10 +1142,6 @@ def build_parser() -> argparse.ArgumentParser:
     up.add_argument("--codec", default="v2", choices=["v1", "v2"],
                     help="poll codec: v2 negotiates binary framing, "
                     "v1 pins JSON")
-    up.add_argument("--engine", default="fleet",
-                    choices=["fleet", "synthetic"],
-                    help="node telemetry source: the vectorized Hadoop "
-                    "fleet or the v1 synthetic generator")
     up.add_argument("--sample-interval", type=float, default=None,
                     help="node-host sampling cadence, wall seconds "
                     "(default: max(0.25, --interval))")
@@ -1246,9 +1157,6 @@ def build_parser() -> argparse.ArgumentParser:
                       "process serves")
     node.add_argument("--seed", type=int, default=0,
                       help="RNG seed for this host's load")
-    node.add_argument("--engine", default="fleet",
-                      choices=["fleet", "synthetic"],
-                      help="telemetry source for this host's nodes")
     node.add_argument("--sample-interval", type=float, default=0.5,
                       help="sampler-thread cadence, wall seconds")
     node.set_defaults(handler=cmd_cluster_node)

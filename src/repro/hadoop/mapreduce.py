@@ -591,25 +591,17 @@ class TaskTracker:
 
     # -- lifecycle -----------------------------------------------------------------
 
-    def heartbeat(self, ctx: TickContext, now: float) -> None:
-        """Exchange a heartbeat with the JobTracker and accept new tasks."""
-        if not self.heartbeat_due(now):
-            return
-        self._last_heartbeat = now
-        ctx.demand_transfer(
-            self.node_name, self.jobtracker.master_node, HEARTBEAT_BYTES, tag="heartbeat"
-        )
-        ctx.demand_transfer(
-            self.jobtracker.master_node, self.node_name, HEARTBEAT_BYTES, tag="heartbeat"
-        )
-        self.heartbeat_pull(now)
-
     def heartbeat_due(self, now: float) -> bool:
         """Whether this tick is a heartbeat tick for this tracker."""
         return now - self._last_heartbeat >= HEARTBEAT_INTERVAL_S
 
     def heartbeat_pull(self, now: float) -> None:
-        """Pull task assignments from the JobTracker (heartbeat payload)."""
+        """The heartbeat's payload: note it and pull task assignments.
+
+        The caller declares the two ``HEARTBEAT_BYTES`` transfers
+        (tracker -> master and back) for every tracker that is due.
+        """
+        self._last_heartbeat = now
         for _ in range(self.free_map_slots()):
             launch = self.jobtracker.assign_map(self.node_name, now)
             if launch is None:
@@ -652,14 +644,9 @@ class TaskTracker:
     #: Idle CPU overhead of the TaskTracker daemon, cores.
     DAEMON_CORES = 0.02
 
-    def demand(self, ctx: TickContext, now: float) -> None:
-        """First pass: daemon overhead plus every running attempt."""
-        daemon_cpu = ctx.demand_cpu(self.node_name, self.pid, self.DAEMON_CORES)
-        daemon_cpu.book_all()
-        self.demand_tasks(ctx, now)
-
     def demand_tasks(self, ctx: TickContext, now: float) -> None:
-        """Declare demand for the running attempts only (no daemon)."""
+        """First pass: declare demand for the running attempts (the
+        cluster declares the daemon's ``DAEMON_CORES`` fleet-wide)."""
         for attempt in self.running:
             attempt.demand(ctx, now)
 

@@ -42,9 +42,9 @@ from .diagnostics import (
 #: observatory-enabled scenarios: its wall-clock reads are confined to
 #: perf_counter/monotonic measurement plus explicitly-suppressed
 #: metadata stamps, and this lint keeps it that way.  ``repro.sim`` is
-#: the simulator core itself: both engines' bit parity (scalar vs
-#: struct-of-arrays) depends on every stochastic draw flowing through
-#: seeded per-node generators, never global or wall-clock state.
+#: the simulator core itself: the fleet's bit parity with the per-node
+#: reference tick (``tests/sim``) depends on every stochastic draw flowing
+#: through seeded per-node generators, never global or wall-clock state.
 #: ``repro.cluster``/``repro.rpc``/``repro.telemetry`` host the daemons a
 #: deployed scenario runs through; their wall-clock reads are confined to
 #: explicitly-suppressed liveness/measurement sites.

@@ -17,9 +17,10 @@ buffer.  The buffer is keyed to the ``dt`` it was drawn for: a tick with
 a different ``dt`` flushes and redraws, so runs remain deterministic
 functions of ``(seed, dt sequence)``.
 
-Both the scalar and the vectorized simulator paths consume the same
-per-node buffers, which is what makes their outputs bit-identical by
-construction (see :mod:`repro.sim.vec`).
+The per-node :meth:`SimNode.end_tick` and the fleet-wide
+``FleetState.end_tick_all`` consume the same per-node buffers, which is
+what makes their outputs bit-identical by construction (see
+:mod:`repro.sim.vec`).
 """
 
 from __future__ import annotations

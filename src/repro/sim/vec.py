@@ -1,12 +1,11 @@
-"""Struct-of-arrays fleet state: the vectorized simulator core.
+"""Struct-of-arrays fleet state: the simulator core.
 
-The scalar simulator advances every node in a Python loop -- each
+Advancing every node in a Python loop -- each
 :meth:`repro.sim.node.SimNode.end_tick` performs a few hundred scalar
 operations, and each daemon/heartbeat declares its demand through one
-Python call per node per tick.  At fleet scale that loop dominates the
-tick cost.  This module keeps *all* per-node simulator state in
-``(N_nodes,)`` numpy arrays and advances the whole fleet in one
-vectorized pass per tick:
+Python call per node per tick -- dominates the tick cost at fleet scale.
+This module keeps *all* per-node simulator state in ``(N_nodes,)`` numpy
+arrays and advances the whole fleet in one vectorized pass per tick:
 
 - :class:`FleetState` owns one float64 array per ``/proc`` counter and
   per tick accumulator, plus the per-node load-average matrix;
@@ -23,7 +22,11 @@ vectorized pass per tick:
   transfers at once) and per-activity demand objects, then arbitrates
   with ``np.bincount`` totals instead of per-node Python grouping.
 
-Bit parity with the scalar path is a design invariant, not a tolerance:
+Bit parity with the per-node reference (``SimNode.end_tick`` and
+``TickContext.arbitrate``, which this module extends and which the
+reference cluster under ``tests/sim`` steps beside every
+:class:`~repro.hadoop.cluster.HadoopCluster` tick) is a design
+invariant, not a tolerance:
 ``np.bincount`` accumulates each bin's weights sequentially in input
 order, so per-node demand totals see the same left-to-right float
 addition order as :func:`repro.sim.resources.share_proportionally`, and

@@ -82,3 +82,23 @@ class TestRoundTrip:
         bad.write_text(json.dumps({"format": "something-else"}))
         with pytest.raises(ValueError, match="not a saved scenario result"):
             load_result(bad)
+
+    def test_file_saved_before_the_knobs_were_retired_still_loads(
+        self, result, round_tripped, tmp_path
+    ):
+        """Older files carry ``engine`` and ``fleet_knn`` in the config."""
+        payload = json.loads(round_tripped[1].read_text())
+        payload["config"].update(engine="scalar", fleet_knn=False)
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(payload))
+        assert load_result(old).config == result.config
+
+    def test_any_other_unknown_config_key_is_still_rejected(
+        self, round_tripped, tmp_path
+    ):
+        payload = json.loads(round_tripped[1].read_text())
+        payload["config"]["turbo"] = True
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        with pytest.raises(TypeError, match="turbo"):
+            load_result(bad)

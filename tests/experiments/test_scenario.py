@@ -1,5 +1,6 @@
 """Tests for the end-to-end scenario runner."""
 
+import pytest
 
 from repro.analysis import WindowDecision
 from repro.core import parse_config
@@ -9,6 +10,7 @@ from repro.experiments import (
     merge_decisions,
     run_scenario,
 )
+from repro.lint import analyze_config
 
 
 def small_config(**kwargs) -> ScenarioConfig:
@@ -25,13 +27,15 @@ def small_config(**kwargs) -> ScenarioConfig:
 
 
 class TestConfigGeneration:
+    """One rendered shape: N ``sadc`` -> one ``knnfleet`` -> N ``ibuffer``."""
+
     def test_generated_config_parses(self):
         text = build_asdf_config_text(["slave01", "slave02"], ScenarioConfig())
         specs = parse_config(text)
         types = {spec.module_type for spec in specs}
         assert {
             "sadc",
-            "knn",
+            "knnfleet",
             "ibuffer",
             "analysis_bb",
             "hadoop_log",
@@ -39,37 +43,42 @@ class TestConfigGeneration:
             "alarm_union",
             "print",
         } <= types
+        assert "knn" not in types
 
     def test_one_blackbox_chain_per_node(self):
-        text = build_asdf_config_text(["a", "b", "c"], ScenarioConfig())
-        specs = parse_config(text)
-        assert sum(1 for s in specs if s.module_type == "sadc") == 3
-        assert sum(1 for s in specs if s.module_type == "knn") == 3
+        specs = parse_config(
+            build_asdf_config_text(["a", "b", "c"], ScenarioConfig())
+        )
+        for module_type, prefix in (("sadc", "sadc"), ("ibuffer", "buf")):
+            assert [
+                s.instance_id for s in specs if s.module_type == module_type
+            ] == [f"{prefix}_a", f"{prefix}_b", f"{prefix}_c"]
+
+    def test_fleet_knn_swaps_per_node_chains_for_one_instance(self):
+        nodes = ["a", "b", "c"]
+        specs = parse_config(build_asdf_config_text(nodes, ScenarioConfig()))
+        (fleet,) = [s for s in specs if s.module_type == "knnfleet"]
+        assert fleet.instance_id == "onenn"
+        assert [(i.instance_id, i.output_name) for i in fleet.inputs] == [
+            (f"sadc_{node}", "vector") for node in nodes
+        ]
+        assert [
+            (s.inputs[0].instance_id, s.inputs[0].output_name)
+            for s in specs
+            if s.module_type == "ibuffer"
+        ] == [("onenn", node) for node in nodes]
+
+    def test_generated_config_lints_clean(self):
+        text = build_asdf_config_text(
+            ["slave01", "slave02", "slave03"], ScenarioConfig()
+        )
+        assert analyze_config(text) == []
 
     def test_parameters_flow_into_config(self):
         config = ScenarioConfig(bb_threshold=42.0, wb_k=1.5)
         text = build_asdf_config_text(["a"], config)
         assert "threshold = 42.0" in text
         assert "k = 1.5" in text
-
-    def test_fleet_knn_swaps_per_node_chains_for_one_instance(self):
-        nodes = ["a", "b", "c"]
-        text = build_asdf_config_text(
-            nodes, ScenarioConfig(fleet_knn=True)
-        )
-        specs = parse_config(text)
-        assert sum(1 for s in specs if s.module_type == "knnfleet") == 1
-        assert sum(1 for s in specs if s.module_type == "knn") == 0
-        assert sum(1 for s in specs if s.module_type == "ibuffer") == 3
-
-    def test_fleet_knn_off_keeps_text_byte_identical(self):
-        nodes = ["a", "b"]
-        default = build_asdf_config_text(nodes, ScenarioConfig())
-        explicit = build_asdf_config_text(
-            nodes, ScenarioConfig(fleet_knn=False)
-        )
-        assert default == explicit
-        assert "knnfleet" not in default
 
 
 class TestFaultFreeRun:
@@ -107,6 +116,11 @@ class TestFaultRun:
             model=tiny_model,
         )
         assert result.truth.faulty_node == "slave05"
+
+    def test_unknown_faulty_node_is_rejected_before_the_run(self, tiny_model):
+        config = small_config(fault_name="CPUHog", faulty_node="nosuch")
+        with pytest.raises(ValueError, match=r"'nosuch'.*slave01.*slave05"):
+            run_scenario(config, model=tiny_model)
 
     def test_decision_counts_match_across_detectors(self, tiny_model):
         result = run_scenario(

@@ -265,7 +265,7 @@ class Replay:
 
 def _busy_cluster(num_slaves: int, seed: int = 3, duration_s: float = 300.0):
     cluster = HadoopCluster(
-        ClusterConfig(num_slaves=num_slaves, seed=seed, engine="vec")
+        ClusterConfig(num_slaves=num_slaves, seed=seed)
     )
     for spec in generate_workload(
         GridMixConfig(duration_s=duration_s, seed=seed + 17)

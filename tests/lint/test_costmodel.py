@@ -15,6 +15,8 @@ from repro.lint import CostFact, CostTerm, estimate_config, scan_hot_modules
 from repro.lint.contracts import ContractRegistry, ModuleContract
 from repro.lint.costmodel import DEFAULT_TICK_BUDGET_MS, FLEET_THRESHOLD
 
+from .helpers import per_node_knn_text, slave_names
+
 BENCH_SCALE = os.path.join(
     os.path.dirname(__file__), os.pardir, os.pardir, "BENCH_scale.json"
 )
@@ -22,8 +24,7 @@ BENCH_SCALE = os.path.join(
 
 def generated(slaves, **kwargs):
     config = ScenarioConfig(num_slaves=slaves, **kwargs)
-    nodes = [f"slave{i + 1:03d}" for i in range(slaves)]
-    return build_asdf_config_text(nodes, config)
+    return build_asdf_config_text(slave_names(slaves), config)
 
 
 def codes(report):
@@ -91,26 +92,24 @@ class TestFleetEquivalent:
         assert len(hits) == 1
         assert "knnfleet" in hits[0].message
 
+    def test_fpt302_fires_on_the_expanded_per_node_deployment(self):
+        """...which nevertheless fits the 1 s budget at N=1000."""
+        report = estimate_config(per_node_knn_text(1000))
+        assert "FPT302" in codes(report)
+        assert "FPT301" not in codes(report)
+        assert report.total_ms_per_s < DEFAULT_TICK_BUDGET_MS
+
     def test_fpt302_silent_on_the_fleet_batched_variant(self):
-        slaves = 200
-        config = ScenarioConfig(num_slaves=slaves, fleet_knn=True)
-        nodes = [f"slave{i + 1:03d}" for i in range(slaves)]
-        report = estimate_config(build_asdf_config_text(nodes, config))
-        assert "FPT302" not in codes(report)
+        """The generated N=1000 deployment is ``--strict``-clean as is."""
+        assert codes(estimate_config(generated(1000))) == []
 
     def test_fpt302_silent_below_the_fleet_threshold(self):
-        report = estimate_config(generated(FLEET_THRESHOLD - 1))
+        report = estimate_config(per_node_knn_text(FLEET_THRESHOLD - 1))
         assert "FPT302" not in codes(report)
 
     def test_knnfleet_cost_dominates_per_node_knn_at_scale(self):
-        slaves = 200
-        nodes = [f"slave{i + 1:03d}" for i in range(slaves)]
-        plain = estimate_config(build_asdf_config_text(
-            nodes, ScenarioConfig(num_slaves=slaves)
-        ))
-        fleet = estimate_config(build_asdf_config_text(
-            nodes, ScenarioConfig(num_slaves=slaves, fleet_knn=True)
-        ))
+        plain = estimate_config(per_node_knn_text(200))
+        fleet = estimate_config(generated(200))
         assert fleet.total_ms_per_s < plain.total_ms_per_s / 2
 
 
@@ -151,7 +150,7 @@ class TestGoldenCostReports:
         if row is None:
             pytest.skip(f"no scalar bench row at N={slaves}")
         measured = self.measured_ms_per_s(row)
-        report = estimate_config(generated(slaves))
+        report = estimate_config(per_node_knn_text(slaves))
         assert measured / 3 <= report.total_ms_per_s <= measured * 3
 
     def test_fleet_estimate_within_3x_of_vec_pipeline(self, bench_rows):
@@ -159,7 +158,7 @@ class TestGoldenCostReports:
         if row is None:
             pytest.skip("no vec bench row at N=1000")
         measured = self.measured_ms_per_s(row)
-        report = estimate_config(generated(1000, fleet_knn=True))
+        report = estimate_config(generated(1000))
         assert measured / 3 <= report.total_ms_per_s <= measured * 3
 
     def test_shipped_deployments_fit_the_real_time_budget(self):

@@ -15,6 +15,8 @@ from repro.faults import FAULT_NAMES
 from repro.lint import analyze_config, contracts_for_registry
 from repro.modules import standard_registry
 
+from .helpers import per_node_knn_text
+
 EXAMPLES_DIR = os.path.join(
     os.path.dirname(__file__), os.pardir, os.pardir, "examples"
 )
@@ -57,11 +59,17 @@ class TestGeneratedDeployment:
         assert_clean(text)
 
     def test_fleet_knn_config_lints_clean(self):
-        config = ScenarioConfig(num_slaves=5, fleet_knn=True)
+        config = ScenarioConfig(num_slaves=5)
         nodes = [f"slave{i + 1:02d}" for i in range(5)]
         text = build_asdf_config_text(nodes, config)
         assert "[knnfleet]" in text
-        assert "[knn]" not in text.replace("[knnfleet]", "")
+        assert "[knn]" not in text
+        assert_clean(text)
+
+    def test_per_node_knn_config_still_lints_clean(self):
+        """Hand-written configs and older flight archives carry it."""
+        text = per_node_knn_text(5)
+        assert text.count("[knn]") == 5 and "[knnfleet]" not in text
         assert_clean(text)
 
     def test_scoreboard_section_is_opt_in(self):

@@ -1,46 +1,43 @@
 """Parity and behavior tests for the struct-of-arrays simulator core.
 
-The vectorized engine's contract is *bit parity*: a ``vec`` cluster
-stepped through the same jobs, faults and packet loss as a ``scalar``
-cluster must expose byte-identical procfs state on every node, every
-tick.  These tests pin that contract at small fleet sizes; the
-``bench scale --check-parity`` run asserts it at N=50 and N=200.
+The fleet's contract is *bit parity* with the per-node reference tick
+(``ReferenceCluster`` in ``helpers.py``): stepped through the same jobs,
+faults and packet loss, both must expose identical procfs state on every
+node, every tick.
 """
 
-import numpy as np
+import dataclasses
+
 import pytest
 
-from repro.experiments.scale import tick_parity_mismatches
 from repro.hadoop import ClusterConfig, HadoopCluster
 from repro.sim.vec import FleetState, VecProcFS, VecSimNode
 from repro.sysstat.procfs import CpuTicks, ProcessStat, SimProcFS
 
+from .helpers import ReferenceCluster, tick_parity_mismatches
+
 
 def vec_cluster(num_slaves=4, seed=11):
-    return HadoopCluster(
-        ClusterConfig(num_slaves=num_slaves, seed=seed, engine="vec")
-    )
+    return HadoopCluster(ClusterConfig(num_slaves=num_slaves, seed=seed))
 
 
 class TestEngineSelection:
-    def test_scalar_default_has_no_fleet(self):
-        cluster = HadoopCluster(ClusterConfig(num_slaves=3, seed=1))
-        assert cluster.fleet is None
+    """There is none: every cluster is fleet-backed, master included."""
 
     def test_vec_builds_fleet_backed_nodes(self):
-        cluster = vec_cluster()
-        assert isinstance(cluster.fleet, FleetState)
-        # Master + slaves all live in the same arrays.
-        assert len(cluster.fleet.names) == 5
-        for node in cluster.nodes.values():
-            assert isinstance(node, VecSimNode)
-            assert isinstance(node.procfs, VecProcFS)
+        for cluster in (HadoopCluster(), vec_cluster()):
+            assert isinstance(cluster.fleet, FleetState)
+            assert cluster.fleet.names == ["master", *cluster.slave_names]
+            for node in cluster.nodes.values():
+                assert isinstance(node, VecSimNode)
+                assert isinstance(node.procfs, VecProcFS)
 
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="engine"):
-            HadoopCluster(
-                ClusterConfig(num_slaves=3, seed=1, engine="simd")
-            )
+        assert "engine" not in {
+            f.name for f in dataclasses.fields(ClusterConfig)
+        }
+        with pytest.raises(TypeError, match="engine"):
+            ClusterConfig(num_slaves=3, seed=1, engine="scalar")
 
 
 class TestViews:
@@ -81,7 +78,7 @@ class TestViews:
 
 class TestTickParity:
     def test_bit_parity_under_jobs_faults_and_loss(self):
-        """Every node's full snapshot matches the scalar engine exactly,
+        """Every node's full snapshot matches the reference tick exactly,
         tick for tick, with jobs running, CPU/disk hogs armed and packet
         loss injected."""
         assert tick_parity_mismatches(8, ticks=60, seed=11) == []
@@ -99,10 +96,8 @@ class TestFleetAccounting:
         assert (fleet.acc_net_tx == 0.0).all()
 
     def test_loadavg_decays_like_scalar(self):
-        scalar = HadoopCluster(ClusterConfig(num_slaves=4, seed=5))
-        vec = HadoopCluster(
-            ClusterConfig(num_slaves=4, seed=5, engine="vec")
-        )
+        scalar = ReferenceCluster(ClusterConfig(num_slaves=4, seed=5))
+        vec = HadoopCluster(ClusterConfig(num_slaves=4, seed=5))
         scalar.run_until(30.0)
         vec.run_until(30.0)
         for node in scalar.nodes:

@@ -20,10 +20,8 @@ from repro.sysstat.fleet_sadc import FleetNodeSampler
 from repro.workloads.gridmix import GridMixConfig, generate_workload
 
 
-def busy_cluster(num_slaves, seed=3, duration_s=300.0, engine="vec"):
-    cluster = HadoopCluster(
-        ClusterConfig(num_slaves=num_slaves, seed=seed, engine=engine)
-    )
+def busy_cluster(num_slaves, seed=3, duration_s=300.0):
+    cluster = HadoopCluster(ClusterConfig(num_slaves=num_slaves, seed=seed))
     workload = GridMixConfig(duration_s=duration_s, seed=seed + 17)
     for spec in generate_workload(workload).jobs:
         cluster.schedule_job(spec)
@@ -68,8 +66,6 @@ class TestSamplerChoice:
 
     def test_dataclass_procfs_gets_a_per_node_sadc(self):
         assert isinstance(node_sampler(SimProcFS()), Sadc)
-        scalar = busy_cluster(2, engine="scalar")
-        assert isinstance(node_sampler(scalar.procfs("slave01")), Sadc)
 
     def test_per_node_vector_is_the_catalog_ordered_sample(self):
         procfs = SimProcFS()
@@ -307,24 +303,26 @@ def test_concurrent_pollers_share_one_pass_per_round():
 
 # -- scenario level ----------------------------------------------------------
 #
-# The digests were taken at the parent commit (per-node ``Sadc`` behind
-# JSON in-process frames on both engines): the fleet pass and the binary
-# in-process framing must not move one alarm, decision or count.
+# The digests were taken at the commit before the fleet pass (per-node
+# ``Sadc`` behind JSON in-process frames, on the per-node simulator with
+# per-node ``knn`` and on the fleet with ``knnfleet`` alike): the fleet
+# pass and the binary in-process framing must not move one alarm,
+# decision or count.
 
 SCENARIO = dict(
     num_slaves=6, duration_s=540.0, seed=1, fault_name="CPUHog",
     inject_time=120.0,
 )
 
-#: The parent commit gave one digest on both engines (5 black-box alarms,
-#: 4 true positives over 48 node-windows).
+#: That commit gave one digest on both paths (5 black-box alarms, 4 true
+#: positives over 48 node-windows).
 PINNED_MODEL = "04ceb873580f37f8f85299f442ce0572c5d629515c77b87ece307b248db38a3b"
 PINNED_SCENARIO = "ec06f397122731e76eb8e524dd3f50e82392b27d3979cd24041fd2d92e601dde"
 
 
-def train(engine):
+def train():
     return train_blackbox_model(
-        cluster_config=ClusterConfig(num_slaves=6, seed=1004, engine=engine),
+        cluster_config=ClusterConfig(num_slaves=6, seed=1004),
         duration_s=150.0, num_states=6, seed=4,
     )
 
@@ -356,22 +354,15 @@ def scenario_digest(result):
 
 
 @pytest.fixture(scope="module")
-def models():
-    return {engine: train(engine) for engine in ("scalar", "vec")}
+def model():
+    return train()
 
 
 class TestScenarioUnchanged:
-    def test_training_centroids_are_byte_identical(self, models):
-        assert model_digest(models["scalar"]) == PINNED_MODEL
-        assert model_digest(models["vec"]) == PINNED_MODEL
+    def test_training_centroids_are_byte_identical(self, model):
+        assert model_digest(model) == PINNED_MODEL
 
-    @pytest.mark.parametrize("engine, fleet_knn", [
-        ("scalar", False), ("vec", True),
-    ])
-    def test_alarms_decisions_and_counts_equal_the_parent_commit(
-        self, models, engine, fleet_knn
-    ):
-        config = ScenarioConfig(**SCENARIO, engine=engine, fleet_knn=fleet_knn)
-        result = run_scenario(config, model=models[engine])
+    def test_alarms_decisions_and_counts_equal_the_parent_commit(self, model):
+        result = run_scenario(ScenarioConfig(**SCENARIO), model=model)
         assert len(result.alarms_bb) == 5
         assert scenario_digest(result) == PINNED_SCENARIO
