@@ -25,7 +25,7 @@ from .driver import (
 from .federation import MetricsFederator, render_snapshot_prometheus
 from .launcher import ClusterLauncher
 from .load import FleetLoad, FleetNodeLoad, SyntheticNodeLoad
-from .nodeproc import run_node, run_node_host
+from .nodeproc import run_node_host
 from .state import (
     DaemonRuntime,
     list_runtimes,
@@ -54,7 +54,6 @@ __all__ = [
     "request_stop",
     "run_central",
     "run_drive",
-    "run_node",
     "run_node_host",
     "run_scale_drive",
     "stop_requested",

@@ -35,7 +35,7 @@ from ..telemetry import Telemetry
 from .load import FleetLoad
 from .state import DaemonRuntime, stop_requested, write_runtime
 
-__all__ = ["run_node", "run_node_host"]
+__all__ = ["run_node_host"]
 
 #: How often the idle loop checks its exit conditions.
 POLL_S = 0.2
@@ -117,8 +117,3 @@ def run_node_host(
             server.stop()
         ops.stop()
     return 0
-
-
-def run_node(name: str, state_dir: str, seed: int = 0) -> int:
-    """Run one single-node collection daemon (compatibility wrapper)."""
-    return run_node_host([name], state_dir, seed=seed)

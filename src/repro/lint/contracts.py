@@ -328,8 +328,16 @@ def standard_contracts() -> ContractRegistry:
             trigger=TriggerSpec.periodic(),
             cost=CostFact(
                 terms=(
-                    CostTerm(20.0, "trigger", note="proc scrape + dispatch"),
-                    CostTerm(0.3, "trigger", ("dim",), "per-metric read"),
+                    # bench/ stage table, fleet50 traced passes at 200 us/cu:
+                    # modules.sadc + rpc.inproc_sadc + sysstat.collect read
+                    # 29-35 us with tracing's 10-14 % on top, so 26-31
+                    # untraced (53-55 us before the row crossed as one
+                    # array; the old 20 + 0.3 x 64 = 39 was a guess).  The
+                    # row is one 512-byte copy, so no per-metric term.
+                    CostTerm(
+                        30.0, "trigger",
+                        note="fleet-pass row + round trip: stage table, 200 us/cu",
+                    ),
                 ),
                 per_node=True,
             ),

@@ -26,6 +26,7 @@ import numpy as np
 
 from ..core import Module, Origin, RunReason
 from ..core.errors import ConfigError
+from ..rpc.protocol import MetricRow
 from ..sysstat.metrics import NODE_METRICS
 
 #: Name of the service carrying node -> RPC channel mappings.
@@ -73,7 +74,12 @@ class SadcModule(Module):
             self.priming_skips += 1
             return
         node_metrics = result["node"]
-        vector = np.array([node_metrics[name] for name in NODE_METRICS])
+        if (isinstance(node_metrics, MetricRow)
+                and node_metrics.names == NODE_METRICS):
+            # Off the binary path: the decoded row is the vector.
+            vector = node_metrics.row
+        else:
+            vector = np.array([node_metrics[name] for name in NODE_METRICS])
         self.vector_out.write(vector, now)
         for name, output in self.metric_outputs.items():
             output.write(float(node_metrics[name]), now)

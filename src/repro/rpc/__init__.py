@@ -34,6 +34,7 @@ from .protocol import (
     TCP_HANDSHAKE_WIRE_BYTES,
     WIRE_HEADER_BYTES,
     ByteCounter,
+    MetricRow,
     ProtocolError,
     RemoteError,
     TraceContext,
@@ -60,6 +61,7 @@ __all__ = [
     "InprocChannel",
     "LOG_PARSER_LAG_S",
     "MAX_FRAME_BYTES",
+    "MetricRow",
     "MultiPoller",
     "ObservatoryDaemon",
     "PROTOCOL_VERSION",

@@ -39,17 +39,17 @@ from .codec import (
     CODEC_JSON,
     decode_message,
     encode_request_frame,
+    read_frame,
     welcome_codec,
 )
 from .protocol import (
     ByteCounter,
     ProtocolError,
-    RemoteError,
     TraceContext,
-    _LENGTH,
     encode_frame,
     make_hello,
     max_frame_bytes,
+    response_result,
     wire_bytes,
 )
 
@@ -175,24 +175,16 @@ class RpcClient:
     def _read_frame(self) -> Tuple[Dict[str, Any], int]:
         if self._sock is None:
             raise ProtocolError(f"client not connected (peer {self.peer})")
-        header = b""
-        while len(header) < _LENGTH.size:
-            chunk = self._sock.recv(_LENGTH.size - len(header))
-            if not chunk:
-                raise ProtocolError(
-                    f"connection closed before frame (peer {self.peer})"
-                )
-            header += chunk
-        (length,) = _LENGTH.unpack(header)
-        body = b""
-        while len(body) < length:
-            chunk = self._sock.recv(min(65536, length - len(body)))
-            if not chunk:
-                raise ProtocolError(
-                    f"connection closed mid-frame (peer {self.peer})"
-                )
-            body += chunk
-        return self.decode(header + body)
+        frame = read_frame(
+            self._sock, peer=self.peer,
+            metric_names=getattr(self, "metric_names", ()),
+            limit=self.frame_limit,
+        )
+        if frame is None:
+            raise ProtocolError(
+                f"connection closed before frame (peer {self.peer})"
+            )
+        return frame
 
     def decode(self, data: bytes) -> Tuple[Dict[str, Any], int]:
         """Decode one complete frame in this connection's codec."""
@@ -250,14 +242,7 @@ class RpcClient:
                     f"rpc.call:{pending.method}", "rpc", pending.started,
                     duration, track=f"rpc:{self.service}", **args,
                 )
-        if response.get("id") != pending.request_id:
-            raise ProtocolError(
-                f"response id {response.get('id')} != request id "
-                f"{pending.request_id} (peer {self.peer})"
-            )
-        if "error" in response:
-            raise RemoteError(response["error"])
-        return response.get("result")
+        return response_result(response, pending.request_id, self.peer)
 
     def call(self, method: str, trace: Optional[TraceContext] = None,
              **params: Any) -> Any:

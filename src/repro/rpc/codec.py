@@ -21,7 +21,8 @@ hello; a v2 server answers with the chosen ``codec`` plus the interned
 (or never sends them), so either side silently falls back to JSON --
 cross-version deployments keep working during a rolling upgrade.
 
-Binary message layouts (all big-endian):
+Binary message layouts (all big-endian; ``<len:u32>``, the framing's
+payload length, comes first):
 
 .. code-block:: text
 
@@ -34,20 +35,44 @@ Binary message layouts (all big-endian):
    series    A5 04 <id:u32> <flags:u8> <watermark:f64> <first:i64>
              <n_rows:u16> n_rows x (<row: n x f64>) [trace]
 
-   trace     <trace_id:8s> <span_id:4s> [parent_id:4s]
+   trace     <flags:u8> <trace_id:8s> <span_id:4s> [parent_id:4s]
              <origin_len:u8> <origin>
 
 A *series* is the ``collect`` result of ``hadoop_log_rpcd``: ``seconds``
 (``first``, ``first + 1``, ...), one ``vectors`` row per second against
-the interned catalog, and ``watermark``.  Everything before the rows has
-one fixed layout, so a frame is packed and unpacked by one precompiled
-``Struct`` per row count.
+the interned catalog, and ``watermark``.
 
-Anything a binary frame cannot represent (extra params, a node dict
+The three frames of the steady poll have one fixed layout each -- the
+same bytes as above, not a second format -- packed by one precompiled
+``Struct.pack`` (length prefix included) and read by one ``unpack_from``
+when the frame's length and flags are the layout's:
+
+.. code-block:: text
+
+   request, untraced     >IBBIBB + "" | "d" | "H" | "dH" by flags 0x02
+                         (now) and 0x04 (max_windows): 12/20/14/22 bytes
+   one sample, untraced  >IBBIBB{name_len}sHdd, flags 0x02, n_windows 1,
+                         then the row: 30 + name_len + 8 n bytes
+   series                >IBBIBdqH{n_rows * n}d, then the trace if any
+
+A traced request or sample, an error, a ``None`` or batch result, and
+any frame whose length disagrees with its layout are walked field by
+field (:class:`_Reader`), which is what names a frame truncated or
+trailed.
+
+A sample's ``node`` is a :class:`~repro.rpc.protocol.MetricRow`.  When
+its catalog *is* the connection's (catalogs are interned per process in
+:func:`welcome_codec`, so an identity test) the row goes out as
+``row.astype(">f8").tobytes()`` whatever its numeric dtype or strides;
+a row against another catalog, or a plain dict, is read name by name
+into the same bytes.  Decoding wraps ``np.frombuffer`` of the wire row,
+as native float64, for single samples and batches alike.
+
+Anything a binary frame cannot represent (extra params, a node mapping
 whose keys differ from the interned catalog, a result or window with
-keys besides the ones laid out above, seconds with a gap, a ragged or
-non-numeric row, non-hex trace ids) falls
-back to a JSON frame on the same connection -- per-message, not
+keys besides the ones laid out above, a node name over 255 bytes,
+seconds with a gap, a ragged or non-numeric row, non-hex trace ids)
+falls back to a JSON frame on the same connection -- per-message, not
 per-connection -- so correctness never depends on the fast path.
 """
 
@@ -56,14 +81,18 @@ from __future__ import annotations
 import struct
 from functools import lru_cache
 from itertools import chain
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .protocol import (
+    MetricRow,
     ProtocolError,
     _LENGTH,
     _peer_suffix,
     decode_frame,
     encode_frame,
+    intern_catalog,
     make_request,
     max_frame_bytes,
 )
@@ -78,6 +107,7 @@ __all__ = [
     "encode_response_frame",
     "frame_length",
     "is_binary_payload",
+    "read_frame",
     "welcome_codec",
 ]
 
@@ -100,29 +130,13 @@ BINARY_METHOD_IDS: Dict[str, int] = {"sample": 1, "poll_many": 2, "collect": 3}
 _METHOD_BY_ID = {v: k for k, v in BINARY_METHOD_IDS.items()}
 
 #: Request param keys a binary frame can carry.
-_REQUEST_PARAMS = {"now", "max_windows"}
+_REQUEST_PARAMS = frozenset({"now", "max_windows"})
 
 #: Keys of a sample window / a batch result the binary layout carries.
 #: A dict with any other key goes out as a JSON frame.
 _WINDOW_KEYS = frozenset({"timestamp", "emit_wall", "node_name", "node"})
 _BATCH_KEYS = frozenset({"node_name", "windows"})
 _SERIES_KEYS = frozenset({"seconds", "vectors", "watermark"})
-
-_HEAD = struct.Struct(">BBIB")  # magic, kind, request_id, flags
-_F64 = struct.Struct(">d")
-_U16 = struct.Struct(">H")
-_U8 = struct.Struct(">B")
-
-
-@lru_cache(maxsize=32)
-def _series_struct(values: int) -> struct.Struct:
-    """A series message with ``values`` row values, up to its trace:
-    head, watermark, first second, row count, rows."""
-    return struct.Struct(f">BBIBdqH{values}d")
-
-
-#: Offset of the row count in a series message.
-_SERIES_ROWS_AT = _series_struct(0).size - _U16.size
 
 # flags, request
 _RQ_TRACE = 0x01
@@ -135,12 +149,53 @@ _RS_NONE = 0x04    # with _RS_SINGLE: the priming-call None result
 # flags, trace block
 _TR_PARENT = 0x01
 
+#: Every binary frame starts: length, magic, kind, request id, flags.
+_FRAME_HEAD = struct.Struct(">IBBIB")
+_STAMPS = struct.Struct(">dd")  # a window's timestamp, emit_wall
+_U16 = struct.Struct(">H")
+_WIRE_F64 = np.dtype(">f8")
+
+#: The params behind a request's method byte, by the flags that announce
+#: them: alone they make the whole untraced frame (``_REQUEST``), behind
+#: a trace block they are the frame's tail (``_REQUEST_TAIL``).
+_REQUEST_PARAM_FORMATS = {
+    0: "", _RQ_NOW: "d", _RQ_MAXW: "H", _RQ_NOW | _RQ_MAXW: "dH",
+}
+_REQUEST = {
+    flags: struct.Struct(">IBBIBB" + params)
+    for flags, params in _REQUEST_PARAM_FORMATS.items()
+}
+_REQUEST_TAIL = {
+    flags: struct.Struct(">" + params)
+    for flags, params in _REQUEST_PARAM_FORMATS.items()
+}
+
+
+@lru_cache(maxsize=256)
+def _sample_struct(name_len: int) -> struct.Struct:
+    """An untraced single-sample response up to its row: head, node
+    name, window count (1), timestamp, emit_wall."""
+    return struct.Struct(f">IBBIBB{name_len}sHdd")
+
+
+@lru_cache(maxsize=32)
+def _series_struct(values: int) -> struct.Struct:
+    """A series message with ``values`` row values, up to its trace:
+    head, watermark, first second, row count, rows."""
+    return struct.Struct(f">IBBIBdqH{values}d")
+
+
+#: Offset of the row count in a series message.
+_SERIES_ROWS_AT = _series_struct(0).size - _U16.size
+
 
 def welcome_codec(welcome: Dict[str, Any]) -> Tuple[str, Tuple[str, ...]]:
     """The codec and interned metric catalog a welcome pins for its
-    connection: ``("bin", names)`` or, for a v1 welcome, ``("json", ())``."""
+    connection: ``("bin", names)`` or, for a v1 welcome, ``("json", ())``.
+    ``names`` is the process's one tuple for that catalog, so a row a
+    daemon laid out against it is recognised by identity."""
     if welcome.get("codec") == CODEC_BINARY:
-        return CODEC_BINARY, tuple(welcome.get("metrics") or ())
+        return CODEC_BINARY, intern_catalog(tuple(welcome.get("metrics") or ()))
     return CODEC_JSON, ()
 
 
@@ -175,6 +230,35 @@ def frame_length(
     return _LENGTH.size + length
 
 
+def read_frame(
+    sock: Any, peer: str = "", metric_names: Sequence[str] = (),
+    limit: Optional[int] = None,
+) -> Optional[Tuple[Dict[str, Any], int]]:
+    """Read and decode one frame (either codec) from a blocking socket.
+
+    ``None`` when the peer closed before the frame's first byte.  The
+    advertised length is held against the limit *before* the body is
+    read, so a garbage prefix fails at once instead of buffering until
+    the peer closes or the socket times out.
+    """
+    data = b""
+    want = _LENGTH.size  # the prefix first, then the frame it announces
+    while len(data) < want:
+        chunk = sock.recv(min(65536, want - len(data)))
+        if not chunk:
+            if not data:
+                return None
+            raise ProtocolError(
+                f"connection closed mid-frame{_peer_suffix(peer)}"
+            )
+        data += chunk
+        if len(data) == _LENGTH.size:
+            want = frame_length(data, peer=peer, limit=limit)
+    return decode_message(
+        data, peer=peer, metric_names=metric_names, limit=limit
+    )
+
+
 # -- trace block --------------------------------------------------------------
 
 def _pack_trace(trace_wire: Optional[Dict[str, Any]]) -> Optional[bytes]:
@@ -197,48 +281,52 @@ def _pack_trace(trace_wire: Optional[Dict[str, Any]]) -> Optional[bytes]:
     if len(origin) > 255:
         return None
     flags = _TR_PARENT if parent_id is not None else 0
-    parts = [_U8.pack(flags), trace_id, span_id]
+    parts = [bytes((flags,)), trace_id, span_id]
     if parent_id is not None:
         parts.append(parent_id)
-    parts.append(_U8.pack(len(origin)))
+    parts.append(bytes((len(origin),)))
     parts.append(origin)
     return b"".join(parts)
 
 
 class _Reader:
-    """Bounds-checked cursor over one binary payload."""
+    """Bounds-checked cursor over one binary frame, for the shapes no
+    fixed layout covers: traced frames, errors, batches, and any frame
+    whose length disagrees with its layout (to say how)."""
 
-    __slots__ = ("data", "pos", "peer")
+    __slots__ = ("data", "pos", "end", "peer")
 
-    def __init__(self, data: bytes, peer: str, pos: int = 0) -> None:
+    def __init__(self, data: bytes, peer: str, pos: int, end: int) -> None:
         self.data = data
         self.pos = pos
+        self.end = end
         self.peer = peer
 
-    def take(self, n: int) -> bytes:
-        end = self.pos + n
-        if end > len(self.data):
+    def skip(self, n: int) -> int:
+        """Advance over ``n`` bytes; returns where they start."""
+        start = self.pos
+        if start + n > self.end:
             raise ProtocolError(
-                f"truncated binary frame: need {end} bytes, have "
-                f"{len(self.data)}{_peer_suffix(self.peer)}"
+                f"truncated binary frame: need {start + n} bytes, have "
+                f"{self.end}{_peer_suffix(self.peer)}"
             )
-        chunk = self.data[self.pos:end]
-        self.pos = end  # fpt: noqa[FPT401] -- per-frame cursor, confined to the one thread decoding this payload
-        return chunk
+        self.pos = start + n  # fpt: noqa[FPT401] -- per-frame cursor, confined to the one thread decoding this payload
+        return start
+
+    def take(self, n: int) -> bytes:
+        start = self.skip(n)
+        return self.data[start:start + n]
 
     def u8(self) -> int:
-        return self.take(1)[0]
+        return self.data[self.skip(1)]
 
     def u16(self) -> int:
-        return _U16.unpack(self.take(2))[0]
-
-    def f64(self) -> float:
-        return _F64.unpack(self.take(8))[0]
+        return _U16.unpack_from(self.data, self.skip(2))[0]
 
     def done(self) -> None:
-        if self.pos != len(self.data):
+        if self.pos != self.end:
             raise ProtocolError(
-                f"binary frame has {len(self.data) - self.pos} trailing "
+                f"binary frame has {self.end - self.pos} trailing "
                 f"bytes{_peer_suffix(self.peer)}"
             )
 
@@ -259,15 +347,28 @@ def _unpack_trace(reader: _Reader) -> Dict[str, Any]:
 
 # -- encoding -----------------------------------------------------------------
 
-def _frame(body: bytes, peer: str = "", limit: Optional[int] = None) -> bytes:
+def _body_length(frame_bytes: int, peer: str, limit: Optional[int]) -> int:
+    """The length prefix of a frame of ``frame_bytes``, limit checked."""
+    length = frame_bytes - _LENGTH.size
     if limit is None:
         limit = max_frame_bytes()
-    if len(body) > limit:
+    if length > limit:
         raise ProtocolError(
-            f"frame too large: {len(body)} bytes > limit {limit}"
+            f"frame too large: {length} bytes > limit {limit}"
             f"{_peer_suffix(peer)}"
         )
-    return _LENGTH.pack(len(body)) + body
+    return length
+
+
+def _frame(
+    kind: int, request_id: int, flags: int, tail: bytes,
+    peer: str, limit: Optional[int],
+) -> bytes:
+    """A binary frame no fixed layout covers: the head, then ``tail``."""
+    return _FRAME_HEAD.pack(
+        _body_length(_FRAME_HEAD.size + len(tail), peer, limit),
+        MAGIC, kind, request_id, flags,
+    ) + tail
 
 
 def encode_request_frame(
@@ -285,57 +386,66 @@ def encode_request_frame(
     otherwise (including always under ``codec="json"``).
     """
     params = params or {}
-    if codec == CODEC_BINARY and method in BINARY_METHOD_IDS:
-        if set(params) <= _REQUEST_PARAMS:
-            packed_trace = _pack_trace(trace_wire)
-            if packed_trace is not None:
-                flags = 0
-                tail = []
-                if packed_trace:
-                    flags |= _RQ_TRACE
-                    tail.append(packed_trace)
-                now = params.get("now")
-                if now is not None:
-                    flags |= _RQ_NOW
-                    tail.append(_F64.pack(float(now)))
-                maxw = params.get("max_windows")
-                if maxw is not None:
-                    flags |= _RQ_MAXW
-                    tail.append(_U16.pack(min(0xFFFF, max(0, int(maxw)))))
-                head = _HEAD.pack(
-                    MAGIC, _KIND_REQUEST, request_id & 0xFFFFFFFF, flags
+    method_id = BINARY_METHOD_IDS.get(method) if codec == CODEC_BINARY else None
+    if method_id is not None and params.keys() <= _REQUEST_PARAMS:
+        packed_trace = _pack_trace(trace_wire)
+        if packed_trace is not None:
+            flags = 0
+            values: List[Any] = []
+            now = params.get("now")
+            if now is not None:
+                flags |= _RQ_NOW
+                values.append(float(now))
+            maxw = params.get("max_windows")
+            if maxw is not None:
+                flags |= _RQ_MAXW
+                values.append(min(0xFFFF, max(0, int(maxw))))
+            request_id &= 0xFFFFFFFF
+            if not packed_trace:
+                layout = _REQUEST[flags]
+                return layout.pack(
+                    _body_length(layout.size, peer, limit), MAGIC,
+                    _KIND_REQUEST, request_id, flags, method_id, *values,
                 )
-                body = head + _U8.pack(BINARY_METHOD_IDS[method]) + b"".join(tail)
-                return _frame(body, peer=peer, limit=limit)
+            return _frame(
+                _KIND_REQUEST, request_id, flags | _RQ_TRACE,
+                bytes((method_id,)) + packed_trace
+                + _REQUEST_TAIL[flags].pack(*values),
+                peer, limit,
+            )
     frame: Dict[str, Any] = make_request(request_id, method, params)
     if trace_wire is not None:
         frame["trace"] = trace_wire
     return encode_frame(frame, peer=peer, limit=limit)
 
 
-def _pack_windows(
-    windows: Sequence[Dict[str, Any]], metric_names: Sequence[str]
-) -> Optional[bytes]:
-    """Pack sample windows as float rows; None if any window doesn't
-    carry exactly the interned catalog, or carries more than a row."""
-    catalog = list(metric_names)
-    if not catalog:
+def _pack_window(
+    window: Any, metric_names: Sequence[str]
+) -> Optional[Tuple[float, float, bytes]]:
+    """A sample window as (timestamp, emit_wall, packed f64 row); None
+    if it doesn't carry exactly the interned catalog, or carries more
+    than a row."""
+    if not (isinstance(window, dict) and window.keys() <= _WINDOW_KEYS):
         return None
-    parts = []
-    for window in windows:
-        if not (isinstance(window, dict) and window.keys() <= _WINDOW_KEYS):
+    node = window.get("node")
+    try:
+        if type(node) is MetricRow and node.names is metric_names:
+            row = node.row.astype(_WIRE_F64).tobytes()
+        elif (isinstance(node, (dict, MetricRow))
+                and len(node) == len(metric_names)):
+            row = struct.pack(
+                f">{len(metric_names)}d",
+                *[float(node[name]) for name in metric_names],
+            )
+        else:
             return None
-        node = window.get("node")
-        if not isinstance(node, dict) or len(node) != len(catalog):
-            return None
-        try:
-            row = [float(node[name]) for name in catalog]
-            parts.append(_F64.pack(float(window.get("timestamp", 0.0))))
-            parts.append(_F64.pack(float(window.get("emit_wall", 0.0))))
-        except (KeyError, TypeError, ValueError):
-            return None
-        parts.append(struct.pack(f">{len(row)}d", *row))
-    return b"".join(parts)
+        return (
+            float(window.get("timestamp", 0.0)),
+            float(window.get("emit_wall", 0.0)),
+            row,
+        )
+    except (KeyError, TypeError, ValueError):
+        return None
 
 
 def encode_response_frame(
@@ -355,33 +465,33 @@ def encode_response_frame(
     if codec == CODEC_BINARY:
         packed_trace = _pack_trace(payload.get("trace"))
         if packed_trace is not None:
+            request_id = int(payload.get("id", 0)) & 0xFFFFFFFF
             if "error" in payload:
                 message = str(payload["error"]).encode("utf-8")
                 if len(message) <= 0xFFFF:
-                    flags = _RS_TRACE if packed_trace else 0
-                    body = (
-                        _HEAD.pack(
-                            MAGIC, _KIND_ERROR,
-                            int(payload.get("id", 0)) & 0xFFFFFFFF, flags,
-                        )
-                        + packed_trace
-                        + _U16.pack(len(message)) + message
+                    return _frame(
+                        _KIND_ERROR, request_id,
+                        _RS_TRACE if packed_trace else 0,
+                        packed_trace + _U16.pack(len(message)) + message,
+                        peer, limit,
                     )
-                    return _frame(body, peer=peer, limit=limit)
             elif method in BINARY_METHOD_IDS:
-                body = _pack_result(payload, packed_trace, metric_names)
-                if body is not None:
-                    return _frame(body, peer=peer, limit=limit)
+                frame = _pack_result(
+                    payload.get("result"), request_id, packed_trace,
+                    metric_names, peer, limit,
+                )
+                if frame is not None:
+                    return frame
     return encode_frame(payload, peer=peer, limit=limit)
 
 
 def _pack_series(
-    payload: Dict[str, Any], packed_trace: bytes, width: int
+    result: Dict[str, Any], request_id: int, packed_trace: bytes,
+    width: int, peer: str, limit: Optional[int],
 ) -> Optional[bytes]:
     """Pack a ``collect`` result; None unless it is exactly consecutive
     integer ``seconds``, as many ``vectors`` of ``width`` numbers each,
     and a ``watermark``."""
-    result = payload["result"]
     if result.keys() != _SERIES_KEYS:
         return None
     seconds, vectors = result["seconds"], result["vectors"]
@@ -392,8 +502,10 @@ def _pack_series(
                 or seconds != list(range(first, first + rows))
                 or (rows and set(map(len, vectors)) != {width})):
             return None
-        return _series_struct(rows * width).pack(
-            MAGIC, _KIND_SERIES, int(payload.get("id", 0)) & 0xFFFFFFFF,
+        layout = _series_struct(rows * width)
+        return layout.pack(
+            _body_length(layout.size + len(packed_trace), peer, limit),
+            MAGIC, _KIND_SERIES, request_id,
             _RS_TRACE if packed_trace else 0,
             result["watermark"], first, rows,
             *chain.from_iterable(vectors),
@@ -403,74 +515,94 @@ def _pack_series(
 
 
 def _pack_result(
-    payload: Dict[str, Any], packed_trace: bytes,
-    metric_names: Sequence[str],
+    result: Any, request_id: int, packed_trace: bytes,
+    metric_names: Sequence[str], peer: str, limit: Optional[int],
 ) -> Optional[bytes]:
-    result = payload.get("result")
+    """The binary frame of a sample-shaped result; None if it has none."""
     flags = _RS_TRACE if packed_trace else 0
     if result is None:
         flags |= _RS_SINGLE | _RS_NONE
         windows: Sequence[Dict[str, Any]] = ()
         node_name = ""
-    elif isinstance(result, dict) and "windows" in result:
+    elif not isinstance(result, dict):
+        return None
+    elif "windows" in result:
         windows = result["windows"]
         if not (isinstance(windows, (list, tuple))
                 and result.keys() <= _BATCH_KEYS):
             return None
         node_name = str(result.get("node_name", ""))
-    elif isinstance(result, dict) and "node" in result:
+    elif "node" in result:
         flags |= _RS_SINGLE
         windows = (result,)
         node_name = str(result.get("node_name", ""))
-    elif isinstance(result, dict) and "vectors" in result:
-        return _pack_series(payload, packed_trace, len(metric_names))
+    elif "vectors" in result:
+        return _pack_series(
+            result, request_id, packed_trace, len(metric_names), peer, limit
+        )
     else:
         return None
     name = node_name.encode("utf-8")
     if len(name) > 255 or len(windows) > 0xFFFF:
         return None
-    packed = _pack_windows(windows, metric_names)
-    if packed is None and windows:
+    if windows and not metric_names:
         return None
-    return (
-        _HEAD.pack(MAGIC, _KIND_RESPONSE,
-                   int(payload.get("id", 0)) & 0xFFFFFFFF, flags)
-        + packed_trace
-        + _U8.pack(len(name)) + name
-        + _U16.pack(len(windows))
-        + (packed or b"")
+    packed = [_pack_window(window, metric_names) for window in windows]
+    if None in packed:
+        return None
+    if flags == _RS_SINGLE:
+        # The untraced single sample: one fixed layout, then the row.
+        ((timestamp, emit_wall, row),) = packed
+        layout = _sample_struct(len(name))
+        return layout.pack(
+            _body_length(layout.size + len(row), peer, limit), MAGIC,
+            _KIND_RESPONSE, request_id, flags, len(name), name, 1,
+            timestamp, emit_wall,
+        ) + row
+    parts = [packed_trace, bytes((len(name),)), name, _U16.pack(len(packed))]
+    for timestamp, emit_wall, row in packed:
+        parts.append(_STAMPS.pack(timestamp, emit_wall))
+        parts.append(row)
+    return _frame(
+        _KIND_RESPONSE, request_id, flags, b"".join(parts), peer, limit
     )
 
 
 # -- decoding -----------------------------------------------------------------
 
-def _unpack_series(body: bytes, peer: str, width: int) -> Dict[str, Any]:
-    try:
-        (rows,) = _U16.unpack_from(body, _SERIES_ROWS_AT)
-        layout = _series_struct(rows * width)
-        _, _, request_id, flags, watermark, first, _, *values = (
-            layout.unpack_from(body)
-        )
-    except struct.error:
-        raise ProtocolError(
-            f"truncated binary frame: series of {len(body)} bytes"
-            f"{_peer_suffix(peer)}"
-        ) from None
+def _truncated(what: str, total: int, peer: str) -> ProtocolError:
+    return ProtocolError(
+        f"truncated binary frame: {what} of {total} bytes{_peer_suffix(peer)}"
+    )
+
+
+def _unpack_series(
+    data: bytes, total: int, request_id: int, flags: int, peer: str,
+    width: int,
+) -> Dict[str, Any]:
+    if total < _SERIES_ROWS_AT + _U16.size:
+        raise _truncated("series", total, peer)
+    (rows,) = _U16.unpack_from(data, _SERIES_ROWS_AT)
+    layout = _series_struct(rows * width)
+    if total < layout.size:
+        raise _truncated("series", total, peer)
+    fields = layout.unpack_from(data)
+    watermark, first, values = fields[5], fields[6], fields[8:]
     if rows and not width:
         raise ProtocolError(
             f"binary series frame but no interned metric catalog "
             f"negotiated{_peer_suffix(peer)}"
         )
     payload: Dict[str, Any] = {"id": request_id}
-    if flags & _RS_TRACE or len(body) != layout.size:
-        reader = _Reader(body, peer, layout.size)
+    if flags & _RS_TRACE or total != layout.size:
+        reader = _Reader(data, peer, layout.size, total)
         if flags & _RS_TRACE:
             payload["trace"] = _unpack_trace(reader)
         reader.done()
     payload["result"] = {
         "seconds": list(range(first, first + rows)),
         "vectors": [
-            values[at:at + width] for at in range(0, len(values), width)
+            list(values[at:at + width]) for at in range(0, len(values), width)
         ],
         "watermark": watermark,
     }
@@ -484,83 +616,129 @@ def decode_message(
     """Decode one frame (either codec) from the head of ``data``.
 
     Returns ``(payload, consumed)`` with the payload in the JSON dict
-    shape regardless of wire codec; raises :class:`ProtocolError` on
-    truncated, oversized or garbage input, labelled with ``peer``.
+    shape regardless of wire codec (a sample's ``node`` is a
+    :class:`~repro.rpc.protocol.MetricRow` over the decoded row, which
+    equals the dict); raises :class:`ProtocolError` on truncated,
+    oversized or garbage input, labelled with ``peer``.
+
+    The untraced request, the untraced single sample and the series are
+    read by one ``unpack_from`` when the frame's length is their
+    layout's; everything else -- and a frame whose length disagrees --
+    is walked by a :class:`_Reader`.
     """
-    total = frame_length(data, peer=peer, limit=limit)
+    total = frame_length(data, peer, limit)
     if total is None or len(data) < total:
         raise ProtocolError(
             f"short frame: need {total or _LENGTH.size} bytes, have "
             f"{len(data)}{_peer_suffix(peer)}"
         )
-    body = data[_LENGTH.size:total]
-    if not is_binary_payload(body):
+    if total == _LENGTH.size or data[_LENGTH.size] != MAGIC:
         return decode_frame(data[:total], peer=peer, limit=limit)
-    return _decode_binary(body, peer, metric_names), total
-
-
-def _decode_binary(
-    body: bytes, peer: str, metric_names: Sequence[str]
-) -> Dict[str, Any]:
-    reader = _Reader(body, peer)
-    magic, kind, request_id, flags = _HEAD.unpack(reader.take(_HEAD.size))
+    if total < _FRAME_HEAD.size:
+        raise _truncated("head", total, peer)
+    _, _, kind, request_id, flags = _FRAME_HEAD.unpack_from(data)
     if kind == _KIND_REQUEST:
-        method_id = reader.u8()
-        method = _METHOD_BY_ID.get(method_id)
-        if method is None:
-            raise ProtocolError(
-                f"unknown binary method id {method_id}{_peer_suffix(peer)}"
-            )
-        payload: Dict[str, Any] = {
-            "id": request_id, "method": method, "params": {},
-        }
-        if flags & _RQ_TRACE:
-            payload["trace"] = _unpack_trace(reader)
-        if flags & _RQ_NOW:
-            payload["params"]["now"] = reader.f64()
-        if flags & _RQ_MAXW:
-            payload["params"]["max_windows"] = reader.u16()
-        reader.done()
-        return payload
-    if kind == _KIND_ERROR:
-        payload = {"id": request_id}
-        if flags & _RS_TRACE:
-            payload["trace"] = _unpack_trace(reader)
-        msg_len = reader.u16()
-        payload["error"] = reader.take(msg_len).decode("utf-8", "replace")
-        reader.done()
-        return payload
+        return _unpack_request(data, total, request_id, flags, peer), total
     if kind == _KIND_SERIES:
-        return _unpack_series(body, peer, len(metric_names))
-    if kind != _KIND_RESPONSE:
+        return _unpack_series(
+            data, total, request_id, flags, peer, len(metric_names)
+        ), total
+    if kind == _KIND_RESPONSE:
+        if type(metric_names) is not tuple:
+            metric_names = tuple(metric_names)
+        return _unpack_response(
+            data, total, request_id, flags, peer, metric_names
+        ), total
+    if kind != _KIND_ERROR:
         raise ProtocolError(
             f"unknown binary message kind {kind}{_peer_suffix(peer)}"
         )
-    payload = {"id": request_id}
-    trace = _unpack_trace(reader) if flags & _RS_TRACE else None
+    reader = _Reader(data, peer, _FRAME_HEAD.size, total)
+    payload: Dict[str, Any] = {"id": request_id}
+    if flags & _RS_TRACE:
+        payload["trace"] = _unpack_trace(reader)
+    payload["error"] = reader.take(reader.u16()).decode("utf-8", "replace")
+    reader.done()
+    return payload, total
+
+
+def _unpack_request(
+    data: bytes, total: int, request_id: int, flags: int, peer: str
+) -> Dict[str, Any]:
+    layout = _REQUEST.get(flags)  # None for a traced request
+    if layout is not None and layout.size == total:
+        fields = layout.unpack_from(data)
+        method_id, values, trace = fields[5], fields[6:], None
+    else:
+        reader = _Reader(data, peer, _FRAME_HEAD.size, total)
+        method_id = reader.u8()
+        trace = _unpack_trace(reader) if flags & _RQ_TRACE else None
+        tail = _REQUEST_TAIL[flags & (_RQ_NOW | _RQ_MAXW)]
+        values = tail.unpack_from(data, reader.skip(tail.size))
+        reader.done()
+    method = _METHOD_BY_ID.get(method_id)
+    if method is None:
+        raise ProtocolError(
+            f"unknown binary method id {method_id}{_peer_suffix(peer)}"
+        )
+    params: Dict[str, Any] = {}
+    if flags & _RQ_NOW:
+        params["now"] = values[0]
+    if flags & _RQ_MAXW:
+        params["max_windows"] = values[-1]
+    payload = {"id": request_id, "method": method, "params": params}
     if trace is not None:
         payload["trace"] = trace
+    return payload
+
+
+def _window(
+    timestamp: float, emit_wall: float, name: str,
+    data: bytes, row_at: int, metric_names: Tuple[str, ...],
+) -> Dict[str, Any]:
+    """A decoded sample window over the wire row at ``data[row_at:]``."""
+    row = np.frombuffer(data, _WIRE_F64, len(metric_names), row_at)
+    return {
+        "timestamp": timestamp,
+        "node_name": name,
+        "node": MetricRow(metric_names, row.astype(np.float64)),
+        "emit_wall": emit_wall,
+    }
+
+
+def _unpack_response(
+    data: bytes, total: int, request_id: int, flags: int, peer: str,
+    metric_names: Tuple[str, ...],
+) -> Dict[str, Any]:
+    width = len(metric_names)
+    if flags == _RS_SINGLE and total > _FRAME_HEAD.size:
+        # Untraced, so the node name's length sits right behind the head.
+        layout = _sample_struct(data[_FRAME_HEAD.size])
+        if total == layout.size + 8 * width and width:
+            fields = layout.unpack_from(data)
+            if fields[7] == 1:
+                return {"id": request_id, "result": _window(
+                    fields[8], fields[9], fields[6].decode("utf-8", "replace"),
+                    data, layout.size, metric_names,
+                )}
+    reader = _Reader(data, peer, _FRAME_HEAD.size, total)
+    payload: Dict[str, Any] = {"id": request_id}
+    if flags & _RS_TRACE:
+        payload["trace"] = _unpack_trace(reader)
     name = reader.take(reader.u8()).decode("utf-8", "replace")
     n_windows = reader.u16()
-    catalog = list(metric_names)
-    if n_windows and not catalog:
+    if n_windows and not width:
         raise ProtocolError(
             f"binary sample frame but no interned metric catalog "
             f"negotiated{_peer_suffix(peer)}"
         )
     windows = []
     for _ in range(n_windows):
-        timestamp = reader.f64()
-        emit_wall = reader.f64()
-        row = struct.unpack(
-            f">{len(catalog)}d", reader.take(8 * len(catalog))
-        )
-        windows.append({
-            "timestamp": timestamp,
-            "node_name": name,
-            "node": dict(zip(catalog, row)),
-            "emit_wall": emit_wall,
-        })
+        timestamp, emit_wall = _STAMPS.unpack_from(data, reader.skip(16))
+        windows.append(_window(
+            timestamp, emit_wall, name, data, reader.skip(8 * width),
+            metric_names,
+        ))
     reader.done()
     if flags & _RS_SINGLE:
         if flags & _RS_NONE or not windows:

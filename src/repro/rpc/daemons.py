@@ -21,6 +21,7 @@ from ..hadoop.logs import DaemonLog
 from ..hadoop.states import WHITEBOX_STATES
 from ..sysstat.metrics import NIC_METRICS, NODE_METRICS, PROCESS_METRICS
 from ..sysstat.sadc import node_sampler
+from .protocol import MetricRow, intern_catalog
 
 #: Seconds the log parser lags behind real time: Hadoop buffers log
 #: writes, and some statistics resolve only one or two iterations later
@@ -49,12 +50,18 @@ class _CpuMeter:
         self.calls += 1
 
 
+#: The node-metric catalog both sampling daemons advertise and lay
+#: their rows out against.
+_NODE_CATALOG = intern_catalog(NODE_METRICS)
+
+
 def _node_window(node: str, timestamp: float, row) -> Dict[str, Any]:
-    """One sample in the shape codec v2 packs as a single f64 row."""
+    """One sample around the sampler's row, as it is: codec v2 ships
+    the array, nobody builds the 64-key dict it stands for."""
     return {
         "timestamp": timestamp,
         "node_name": node,
-        "node": dict(zip(NODE_METRICS, row.tolist())),
+        "node": MetricRow(_NODE_CATALOG, row),
     }
 
 
@@ -69,7 +76,7 @@ class SadcDaemon:
     """
 
     #: Interned metric catalog for binary sample framing (codec v2).
-    metric_names = tuple(NODE_METRICS)
+    metric_names = _NODE_CATALOG
 
     def __init__(self, node: str, procfs: Any) -> None:
         self.node = node
@@ -236,7 +243,7 @@ class ClusterNodeDaemon:
     """
 
     #: Interned metric catalog for binary sample framing (codec v2).
-    metric_names = tuple(NODE_METRICS)
+    metric_names = _NODE_CATALOG
 
     def __init__(self, node: str, load: Any, buffered: bool = False) -> None:
         self.node = node

@@ -27,13 +27,14 @@ from .codec import (
 )
 from .protocol import (
     ByteCounter,
-    RemoteError,
     TraceContext,
     decode_frame,
     encode_frame,
     frame_trace,
     make_hello,
     max_frame_bytes,
+    response_result,
+    wire_bytes,
 )
 from .server import dispatch, negotiate
 
@@ -82,38 +83,39 @@ class InprocChannel:
     def call(self, method: str, trace: Optional[TraceContext] = None,
              **params: Any) -> Any:
         limit = self._limit
-        counter = self.counter
         telemetry = self.telemetry
         if telemetry is not None and not telemetry.enabled:
             telemetry = None
-        if telemetry is not None:
-            tx_before, rx_before = counter.tx_wire, counter.rx_wire
+        request_id = next(self._ids)
         frame = encode_request_frame(
-            next(self._ids), method, params,
+            request_id, method, params,
             trace.to_wire() if trace is not None else None,
-            codec=self.codec, limit=limit,
+            self.codec, "", limit,
         )
-        counter.count_tx(len(frame))
-        request, _ = decode_message(frame, limit=limit)
-        # Only a traced call pays for a serving span and its clock reads.
-        serve_trace = None
-        if "trace" in request:
-            incoming = frame_trace(request)
-            if incoming is not None:
-                serve_trace = incoming.child(origin=f"{self.service}@inproc")
-                started = time.perf_counter()
-        response_frame = encode_response_frame(
-            dispatch(self.handler, request, trace=serve_trace),
-            method=request.get("method"),
-            metric_names=self.metric_names,
-            codec=self.codec, limit=limit,
-        )
-        if serve_trace is not None:
-            duration = time.perf_counter() - started
-        response, consumed = decode_message(
-            response_frame, metric_names=self.metric_names, limit=limit
-        )
-        counter.count_rx(consumed)
+        try:
+            request, _ = decode_message(frame, "", (), limit)
+            # Only a traced call pays for a serving span and its clock reads.
+            serve_trace = None
+            if "trace" in request:
+                incoming = frame_trace(request)
+                if incoming is not None:
+                    serve_trace = incoming.child(origin=f"{self.service}@inproc")
+                    started = time.perf_counter()
+            response_frame = encode_response_frame(
+                dispatch(self.handler, request, serve_trace),
+                request.get("method"), self.metric_names, self.codec,
+                "", limit,
+            )
+            if serve_trace is not None:
+                duration = time.perf_counter() - started
+            response, consumed = decode_message(
+                response_frame, "", self.metric_names, limit
+            )
+        except BaseException:
+            # The request left, as on a socket, whatever became of it.
+            self.counter.count_tx(len(frame))
+            raise
+        self.counter.count_round_trip(len(frame), consumed)
         if telemetry is not None:
             if telemetry.tracer.enabled and serve_trace is not None:
                 telemetry.tracer.complete(
@@ -122,14 +124,10 @@ class InprocChannel:
                     **serve_trace.span_args(),
                 )
             telemetry.record_rpc(
-                self.service,
-                counter.tx_wire - tx_before,
-                counter.rx_wire - rx_before,
+                self.service, wire_bytes(len(frame)), wire_bytes(consumed)
             )
-            telemetry.record_rpc_endpoint(f"inproc:{self.service}", counter)
-        if "error" in response:
-            raise RemoteError(response["error"])
-        return response.get("result")
+            telemetry.record_rpc_endpoint(f"inproc:{self.service}", self.counter)
+        return response_result(response, request_id)
 
     def close(self) -> None:
         """No-op, for interface parity with :class:`RpcClient`."""

@@ -24,8 +24,12 @@ import math
 import os
 import struct
 import threading
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from functools import lru_cache
+from typing import Any, Dict, Iterator, List, Optional, Tuple
+
+import numpy as np
 
 PROTOCOL_VERSION = 2
 
@@ -92,6 +96,69 @@ def _peer_suffix(peer: str) -> str:
     return f" (peer {peer})" if peer else ""
 
 
+@lru_cache(maxsize=64)
+def intern_catalog(names: Tuple[str, ...]) -> Tuple[str, ...]:
+    """The process's one tuple object for a metric catalog.
+
+    Every equal catalog maps to the tuple seen first, so "this row is
+    laid out against this connection's catalog" is an identity test.
+    """
+    return names
+
+
+@lru_cache(maxsize=64)
+def _positions(names: Tuple[str, ...]) -> Dict[str, int]:
+    return {name: at for at, name in enumerate(names)}
+
+
+class MetricRow(Mapping):
+    """One sample's metrics: a read-only mapping over a float64 row.
+
+    ``names`` is the (interned) catalog and ``row`` the values in catalog
+    order.  It reads, compares and JSON-encodes as the ``{name: value}``
+    dict it stands for; codec v2 ships ``row`` as it is when ``names`` is
+    the connection's catalog, and a consumer that wants the vector takes
+    ``row`` instead of looking up every name.
+    """
+
+    __slots__ = ("names", "row")
+
+    def __init__(self, names: Tuple[str, ...], row: np.ndarray) -> None:
+        if row.shape != (len(names),):
+            raise ValueError(
+                f"row of shape {row.shape} against {len(names)} metric names"
+            )
+        self.names = names
+        self.row = row
+
+    def __getitem__(self, name: str) -> float:
+        return float(self.row[_positions(self.names)[name]])
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.names)
+
+    def __len__(self) -> int:
+        return len(self.names)
+
+    def values(self) -> List[float]:  # type: ignore[override]
+        return self.row.tolist()
+
+    def items(self):  # type: ignore[override]
+        return zip(self.names, self.row.tolist())
+
+
+def _json_default(value: Any) -> Any:
+    if isinstance(value, MetricRow):
+        return dict(value.items())
+    raise TypeError(
+        f"Object of type {type(value).__name__} is not JSON serializable"
+    )
+
+
+#: ``json.dumps`` builds an encoder per call once it is given arguments.
+_JSON = json.JSONEncoder(separators=(",", ":"), default=_json_default)
+
+
 def encode_frame(
     payload: Dict[str, Any], peer: str = "", limit: Optional[int] = None
 ) -> bytes:
@@ -103,7 +170,7 @@ def encode_frame(
     (:func:`max_frame_bytes` reads the environment, which is too dear
     per frame); without one the process-wide limit is looked up now.
     """
-    body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
+    body = _JSON.encode(payload).encode("utf-8")
     if limit is None:
         limit = max_frame_bytes()
     if len(body) > limit:
@@ -159,7 +226,9 @@ def wire_bytes(application_bytes: int) -> int:
     """Estimated on-the-wire bytes for an application payload."""
     if application_bytes <= 0:
         return 0
-    segments = max(1, math.ceil(application_bytes / SEGMENT_PAYLOAD_BYTES))
+    if application_bytes <= SEGMENT_PAYLOAD_BYTES:
+        return application_bytes + WIRE_HEADER_BYTES
+    segments = math.ceil(application_bytes / SEGMENT_PAYLOAD_BYTES)
     return application_bytes + segments * WIRE_HEADER_BYTES
 
 
@@ -271,6 +340,24 @@ def make_error(
     return frame
 
 
+def response_result(
+    response: Dict[str, Any], request_id: int, peer: str = ""
+) -> Any:
+    """The result a decoded response carries for request ``request_id``.
+
+    Raises :class:`ProtocolError` when it answers another request and
+    :class:`RemoteError` when the remote handler failed.
+    """
+    if response.get("id") != request_id:
+        raise ProtocolError(
+            f"response id {response.get('id')} != request id "
+            f"{request_id}{_peer_suffix(peer)}"
+        )
+    if "error" in response:
+        raise RemoteError(response["error"])
+    return response.get("result")
+
+
 def make_hello(
     client_name: str, codecs: Optional["list[str]"] = None
 ) -> Dict[str, Any]:
@@ -346,6 +433,18 @@ class ByteCounter:
             self.messages_received += 1
             if static:
                 self.static_wire += wire
+
+    def count_round_trip(self, tx_bytes: int, rx_bytes: int) -> None:
+        """``count_tx(tx_bytes)`` and ``count_rx(rx_bytes)`` under one lock."""
+        tx_wire = wire_bytes(tx_bytes)
+        rx_wire = wire_bytes(rx_bytes)
+        with self._lock:
+            self.tx_payload += tx_bytes
+            self.tx_wire += tx_wire
+            self.messages_sent += 1
+            self.rx_payload += rx_bytes
+            self.rx_wire += rx_wire
+            self.messages_received += 1
 
     def count_handshake(self) -> None:
         with self._lock:

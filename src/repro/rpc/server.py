@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import socket
 import socketserver
-import struct
 import threading
 import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -30,8 +29,8 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from .codec import (
     CODEC_BINARY,
     CODEC_JSON,
-    decode_message,
     encode_response_frame,
+    read_frame,
     welcome_codec,
 )
 from .protocol import (
@@ -46,8 +45,6 @@ from .protocol import (
     max_frame_bytes,
     wire_bytes,
 )
-
-_LENGTH = struct.Struct(">I")
 
 
 def handler_metric_names(handler: Any) -> Sequence[str]:
@@ -127,32 +124,6 @@ def dispatch(handler: Any, payload: Dict[str, Any],
     return make_response(request_id, result, trace=trace)
 
 
-def _read_frame(
-    sock: socket.socket, peer: str = "",
-    metric_names: Sequence[str] = (),
-    limit: Optional[int] = None,
-) -> Optional[Tuple[Dict[str, Any], int]]:
-    """Read one full frame (either codec) from a socket; None on EOF."""
-    header = b""
-    while len(header) < _LENGTH.size:
-        chunk = sock.recv(_LENGTH.size - len(header))
-        if not chunk:
-            return None
-        header += chunk
-    (length,) = _LENGTH.unpack(header)
-    body = b""
-    while len(body) < length:
-        chunk = sock.recv(min(65536, length - len(body)))
-        if not chunk:
-            raise ProtocolError(
-                f"connection closed mid-frame{f' (peer {peer})' if peer else ''}"
-            )
-        body += chunk
-    return decode_message(
-        header + body, peer=peer, metric_names=metric_names, limit=limit
-    )
-
-
 class RpcServer:
     """A TCP server bound to localhost serving one handler object.
 
@@ -182,7 +153,7 @@ class RpcServer:
                 # holds for its lifetime (one lookup, not one per frame).
                 limit = max_frame_bytes()
                 try:
-                    first = _read_frame(sock, peer=peer, limit=limit)
+                    first = read_frame(sock, peer=peer, limit=limit)
                     if first is None:
                         return
                     hello, consumed = first
@@ -198,7 +169,7 @@ class RpcServer:
                     sock.sendall(welcome)
                     outer.counter.count_tx(len(welcome), static=True)
                     while True:
-                        frame = _read_frame(
+                        frame = read_frame(
                             sock, peer=peer, metric_names=metric_names,
                             limit=limit,
                         )

@@ -102,3 +102,51 @@ metrics = cpu_user_pct
         core = build_core(BASIC_CONFIG, make_services(channel))
         core.close()
         assert channel.closed
+
+
+class TestRowHandedThrough:
+    """On the binary path the decoded row *is* the vector written."""
+
+    CONFIG = BASIC_CONFIG.replace(
+        "interval = 1.0", "interval = 1.0\nmetrics = cpu_idle_pct"
+    ) + "\n[print]\nid = idle\ninput[a] = s.cpu_idle_pct\n"
+
+    def test_fleet_row_reaches_vector_out_without_a_dict(self, monkeypatch):
+        from repro.hadoop import ClusterConfig, HadoopCluster
+        from repro.rpc import InprocChannel, MetricRow, SadcDaemon
+
+        cluster = HadoopCluster(ClusterConfig(num_slaves=2, seed=3))
+        daemon = SadcDaemon("slave01", cluster.procfs("slave01"))
+        channel = InprocChannel(daemon, "sadc@slave01")
+        results = []
+        call = channel.call
+        monkeypatch.setattr(
+            channel, "call",
+            lambda method, **params: results.append(call(method, **params))
+            or results[-1],
+        )
+        core = build_core(self.CONFIG, make_services(channel))
+        for now in (0.0, 1.0, 2.0):
+            cluster.step()
+            core.run_until(now)
+        written = [s.value for s in core.instance("sink").received]
+        decoded = [r["node"] for r in results if r is not None]
+        assert len(written) == len(decoded) == 2
+        for vector, node in zip(written, decoded):
+            assert type(node) is MetricRow and vector is node.row
+            assert vector.shape == (64,) and vector.dtype == np.float64
+        idle = NODE_METRICS.index("cpu_idle_pct")
+        assert [s.value for s in core.instance("idle").received] == [
+            float(v[idle]) for v in written
+        ]
+
+    def test_row_in_another_order_is_read_by_name(self):
+        from repro.rpc import MetricRow
+
+        names = tuple(reversed(NODE_METRICS))
+        row = np.arange(64.0)
+        channel = FakeChannel({"sample": lambda now: {"node": MetricRow(names, row)}})
+        core = build_core(BASIC_CONFIG, make_services(channel))
+        core.run_until(0.0)
+        (sample,) = core.instance("sink").received
+        assert sample.value.tolist() == row[::-1].tolist()

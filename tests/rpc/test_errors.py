@@ -9,6 +9,7 @@ client outliving a server restart.
 import socket
 import struct
 import threading
+import time
 
 import pytest
 
@@ -131,6 +132,73 @@ class TestDeadSockets:
         host, port = _raw_server(respond)
         with pytest.raises(ProtocolError, match=f"{host}:{port}"):
             RpcClient(host, port, timeout=5.0)
+
+
+class TestOversizedLengthPrefix:
+    """A garbage length is refused when the prefix arrives, not after
+    buffering the body the peer may never send."""
+
+    HUGE = struct.pack(">I", 0x7FFFFFFF)
+
+    def test_client_rejects_it_before_reading_a_body(self):
+        release = threading.Event()
+
+        def respond(conn):
+            conn.recv(4096)  # the hello
+            conn.sendall(self.HUGE)
+            release.wait(20.0)  # keep the connection open, send no body
+
+        host, port = _raw_server(respond)
+        started = time.monotonic()
+        try:
+            with pytest.raises(
+                ProtocolError,
+                match=rf"exceeds maximum \d+ \(peer {host}:{port}\)",
+            ):
+                RpcClient(host, port, timeout=15.0)
+        finally:
+            release.set()
+        assert time.monotonic() - started < 5.0
+
+    def test_server_rejects_it_before_reading_a_body(self):
+        with RpcServer(ToyHandler(), "toy") as server:
+            with socket.create_connection(server.address, timeout=15.0) as sock:
+                sock.sendall(self.HUGE)
+                started = time.monotonic()
+                # The handler drops the connection at once; before, it
+                # sat in recv() until this side gave up.
+                assert sock.recv(16) == b""
+                assert time.monotonic() - started < 5.0
+            # The server still serves.
+            with RpcClient(*server.address) as client:
+                assert client.call("echo", value=1) == 1
+
+    def test_read_frame_names_the_peer(self):
+        from repro.rpc.codec import read_frame
+
+        ours, theirs = socket.socketpair()
+        with ours, theirs:
+            theirs.sendall(self.HUGE)
+            ours.settimeout(15.0)
+            with pytest.raises(
+                ProtocolError, match=r"exceeds maximum 64 \(peer far:1\)"
+            ):
+                read_frame(ours, peer="far:1", limit=64)
+
+    def test_read_frame_eof_before_and_inside_a_frame(self):
+        from repro.rpc.codec import read_frame
+
+        for sent, outcome in ((b"", None), (b"\x00\x00", "mid-frame"),
+                              (struct.pack(">I", 10) + b"{}", "mid-frame")):
+            ours, theirs = socket.socketpair()
+            with ours:
+                with theirs:
+                    theirs.sendall(sent)
+                if outcome is None:
+                    assert read_frame(ours) is None
+                else:
+                    with pytest.raises(ProtocolError, match=outcome):
+                        read_frame(ours)
 
 
 class TestReconnect:

@@ -291,6 +291,80 @@ class TestInprocCountsLikeTcp:
                     encode_frame({"id": 1, "result": reference})
                 )
 
+    def test_response_under_another_id_is_rejected_on_both(self, monkeypatch):
+        """``RpcClient.finish_call`` always checked; the channel never looked."""
+        import repro.rpc.inproc as inproc_module
+        import repro.rpc.server as server_module
+
+        def answer_late(handler, payload, trace=None):
+            response = dispatch(handler, payload, trace)
+            response["id"] += 1
+            return response
+
+        monkeypatch.setattr(inproc_module, "dispatch", answer_late)
+        channel = InprocChannel(ToyHandler(), "toy")
+        with pytest.raises(ProtocolError, match="response id 2 != request id 1"):
+            channel.call("echo", value=1)
+
+        monkeypatch.setattr(server_module, "dispatch", answer_late)
+        with RpcServer(ToyHandler(), "toy") as server:
+            with RpcClient(*server.address) as client:
+                with pytest.raises(
+                    ProtocolError, match="response id 2 != request id 1"
+                ):
+                    client.call("echo", value=1)
+                # Both counted the round trip before refusing its result.
+                for name in COUNTER_FIELDS:
+                    assert getattr(channel.counter, name) == getattr(
+                        client.counter, name
+                    ), name
+
+    def test_a_failed_call_counts_its_request_like_a_socket(self):
+        class BadHandler:
+            def rpc_bad(self):
+                return {1, 2, 3}
+
+        channel = InprocChannel(BadHandler(), "bad")
+        sent = channel.counter.messages_sent
+        received = channel.counter.messages_received
+        with pytest.raises(TypeError):
+            channel.call("bad")
+        assert channel.counter.messages_sent == sent + 1
+        assert channel.counter.messages_received == received
+
+    def test_the_row_is_handed_through_not_rebuilt(self, monkeypatch):
+        """Sampler row -> frame -> decoded row: no 64-key dict between."""
+        import numpy as np
+
+        import repro.rpc.daemons as daemons_module
+        from repro.rpc import MetricRow
+
+        handler, procfs = _sadc_handler()
+        served = []
+        collect = handler._sampler.collect_vector
+
+        def remember(now):
+            served.append(collect(now))
+            return served[-1]
+
+        handler._sampler.collect_vector = remember
+        windows = []
+        node_window = daemons_module._node_window
+        monkeypatch.setattr(
+            daemons_module, "_node_window",
+            lambda *args: windows.append(node_window(*args)) or windows[-1],
+        )
+        channel = InprocChannel(handler, "svc@node")
+        channel.call("sample", now=0.0)
+        procfs.cpu.idle += 4.0
+        sample = channel.call("sample", now=1.0)
+        assert windows[-1]["node"].row is served[-1]
+        node = sample["node"]
+        assert type(node) is MetricRow and node.names is channel.metric_names
+        assert node.names is handler.metric_names
+        assert node.row.dtype == np.float64 and node.row.base is None
+        assert np.array_equal(node.row, served[-1])
+
     def test_frame_limit_is_resolved_when_the_channel_opens(self):
         from repro.rpc import set_max_frame_bytes
 
