@@ -10,7 +10,7 @@ fall steeply from their maximum at parameter 0, and flatten -- the knee
 is where the paper (and this reproduction) fixes the operating point.
 """
 
-from conftest import BENCH_JOBS, EVAL_CONFIG, emit_bench
+from conftest import BENCH_JOBS, EVAL_CONFIG
 
 from repro.experiments import figure6, pick_knee
 
@@ -30,7 +30,6 @@ def test_figure6_false_positive_sweeps(benchmark, eval_model):
         rounds=1,
         iterations=1,
     )
-    emit_bench(result.engine, "fig6")
 
     print("\n" + result.render())
     bb_knee = pick_knee(result.blackbox)

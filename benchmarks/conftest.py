@@ -6,8 +6,9 @@ the expensive simulation work runs once per session.
 
 Scenario matrices go through the parallel experiment runner;
 ``ASDF_BENCH_JOBS`` sets the worker count (default 1, i.e. serial --
-results are identical at any worker count) and each bench drops a
-``BENCH_<name>.json`` timing file (``ASDF_BENCH_DIR`` overrides where).
+results are identical at any worker count).  These benches regenerate
+the paper's tables and figures; how fast the pipeline runs is measured
+by ``bench/``.
 """
 
 import os
@@ -15,23 +16,14 @@ import os
 import pytest
 
 from repro.experiments import (
-    EngineReport,
     Figure7Result,
     ScenarioConfig,
     figure7,
     shared_model,
-    write_bench_json,
 )
 
 #: Worker processes for benchmark scenario matrices.
 BENCH_JOBS = int(os.environ.get("ASDF_BENCH_JOBS", "1") or "1")
-
-
-def emit_bench(report, name: str, extra=None):
-    """Write ``BENCH_<name>.json`` for a bench's engine report, if any."""
-    if not isinstance(report, EngineReport):
-        return None
-    return write_bench_json(report, name, extra=extra)
 
 #: The evaluation-scale configuration: 10 slaves, 20 minutes of GridMix,
 #: fault injected 5 minutes in.  (The paper ran 50-node EC2 clusters;
@@ -54,8 +46,6 @@ def eval_model():
 
 @pytest.fixture(scope="session")
 def figure7_result(eval_model) -> Figure7Result:
-    result = figure7(
+    return figure7(
         EVAL_CONFIG, seeds=EVAL_SEEDS, model=eval_model, jobs=BENCH_JOBS
     )
-    emit_bench(result.engine, "fig7")
-    return result

@@ -78,7 +78,6 @@ from .experiments import (
     shared_model,
     table2,
     table2_matrix,
-    write_bench_json,
 )
 from .experiments.report import render_summary, render_timeline
 from .faults import FAULT_NAMES
@@ -301,7 +300,7 @@ def cmd_overhead(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    """Benchmark the experiment runner on a fault x trial matrix."""
+    """Run a fault x trial matrix through the experiment runner."""
     faults = [f.strip() for f in args.faults.split(",") if f.strip()]
     unknown = [f for f in faults if f not in FAULT_NAMES]
     if unknown:
@@ -325,11 +324,10 @@ def cmd_bench(args) -> int:
     report = serial
     if args.jobs != 1:
         print(f"running with jobs={args.jobs}...", flush=True)
-        report = run_tasks(tasks, jobs=args.jobs, model=model, warm=args.warm)
+        report = run_tasks(tasks, jobs=args.jobs, model=model)
         print(f"  {report.mode} wall: {report.wall_s:.2f}s ({report.jobs} workers)")
         if serial is not None:
-            report.serial_wall_s = serial.wall_s
-            print(f"  speedup vs serial: {report.speedup_vs_serial:.2f}x")
+            print(f"  speedup vs serial: {serial.wall_s / report.wall_s:.2f}x")
 
     parity_ok = True
     if serial is not None and report is not serial:
@@ -346,17 +344,7 @@ def cmd_bench(args) -> int:
             print(hint_text, file=sys.stderr)
             _races, race_text = concurrency_hints(mismatches)
             print(race_text, file=sys.stderr)
-    path = write_bench_json(report, args.name, directory=args.out)
-    print(f"wrote {path}")
-    gate_ok = True
-    if args.gate:
-        from .experiments import check_speedup_gate
-
-        gate_ok, message = check_speedup_gate(
-            report, args.gate, slack=args.gate_slack
-        )
-        print(message, file=sys.stderr if not gate_ok else sys.stdout)
-    return 0 if parity_ok and gate_ok else 1
+    return 0 if parity_ok else 1
 
 
 def cmd_table2(args) -> int:
@@ -616,14 +604,13 @@ def cmd_cluster_up(args) -> int:
         seed=args.seed,
         max_frame_bytes=args.max_frame_bytes,
         per_host=args.per_host,
-        codec=args.codec,
         sample_interval_s=args.sample_interval,
     )
     launcher.up()
     hosts = len(launcher.host_groups())
     print(
         f"starting {args.nodes} collection daemons ({hosts} host "
-        f"process(es), {args.per_host}/host, codec {args.codec}) + central "
+        f"process(es), {args.per_host}/host) + central "
         f"in {launcher.state_dir} ...",
         flush=True,
     )
@@ -672,7 +659,7 @@ def cmd_cluster_central(args) -> int:
     if args.max_frame_bytes is not None:
         set_max_frame_bytes(args.max_frame_bytes)
     return run_central(args.dir, interval_s=args.interval,
-                       ops_port=args.serve or 0, codec=args.codec)
+                       ops_port=args.serve or 0)
 
 
 def _cmd_cluster_scale_drive(args) -> int:
@@ -692,12 +679,10 @@ def _cmd_cluster_scale_drive(args) -> int:
         bench = run_scale_drive(
             args.out,
             node_counts=counts,
-            codec=args.codec,
             per_host=args.per_host,
             interval_s=args.interval,
             sustain_s=args.sustain,
             seed=args.seed,
-            compare_codecs=not args.no_codec_compare,
         )
     except DriveError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -708,20 +693,12 @@ def _cmd_cluster_scale_drive(args) -> int:
         detection = entry.get("detection_s")
         print(
             f"nodes={entry['nodes']:<4} ({entry['processes']} procs, "
-            f"codec {'/'.join(entry['negotiated'])}): "
+            f"negotiated {entry['negotiated']}): "
             f"{entry.get('samples_per_sec') or 0:.1f} samples/s  "
             f"round mean "
             f"{(f'{mean_round * 1000:.1f}ms' if mean_round else '-')}  "
             f"{(f'{bytes_node:.0f}' if bytes_node else '-')} B/node/round"
             + (f"  detection {detection:.2f}s" if detection else "")
-        )
-    codec_bytes = bench.get("codec_bytes")
-    if codec_bytes and codec_bytes.get("ratio_v2_over_v1"):
-        print(
-            f"codec bytes at {codec_bytes['nodes']} nodes: "
-            f"v1 {codec_bytes['v1_bytes_per_node_round']:.0f} vs "
-            f"v2 {codec_bytes['v2_bytes_per_node_round']:.0f} B/node/round "
-            f"({codec_bytes['ratio_v2_over_v1']:.2f}x)"
         )
     scaling = bench["round_scaling"]
     if scaling.get("ratio") is not None:
@@ -985,7 +962,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench = commands.add_parser(
         "bench",
         help="run a fault x trial matrix through the parallel experiment "
-        "runner; writes BENCH_<name>.json",
+        "runner and print its walls",
     )
     _add_scenario_args(bench)
     bench.add_argument(
@@ -1000,29 +977,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--check-parity", action="store_true",
         help="also run serially and assert the parallel results are "
         "byte-identical (exit 1 on mismatch)",
-    )
-    bench.add_argument(
-        "--warm", action="store_true", default=None,
-        help="persistent warm-worker pool: spawn + pre-import workers "
-        "before the measured window (default: $ASDF_WARM_WORKERS)",
-    )
-    bench.add_argument(
-        "--name", default="table2", help="benchmark name (BENCH_<name>.json)"
-    )
-    bench.add_argument(
-        "--out", default=None,
-        help="output directory for the BENCH file "
-        "(default: $ASDF_BENCH_DIR or the working directory)",
-    )
-    bench.add_argument(
-        "--gate", metavar="BASELINE.json", default=None,
-        help="regression gate: exit 1 if this run's speedup_vs_serial "
-        "falls below the baseline BENCH file's (times --gate-slack)",
-    )
-    bench.add_argument(
-        "--gate-slack", type=float, default=0.85, metavar="FRAC",
-        help="fraction of the baseline speedup that still passes the "
-        "gate (absorbs runner noise)",
     )
     bench.set_defaults(handler=cmd_bench)
 
@@ -1139,9 +1093,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="base RNG seed for the node loads")
     up.add_argument("--per-host", type=int, default=8,
                     help="logical node daemons packed per host process")
-    up.add_argument("--codec", default="v2", choices=["v1", "v2"],
-                    help="poll codec: v2 negotiates binary framing, "
-                    "v1 pins JSON")
     up.add_argument("--sample-interval", type=float, default=None,
                     help="node-host sampling cadence, wall seconds "
                     "(default: max(0.25, --interval))")
@@ -1169,9 +1120,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="poll interval, wall seconds")
     central.add_argument("--serve", type=int, default=None, metavar="PORT",
                          help="ops HTTP port (default: ephemeral)")
-    central.add_argument("--codec", default="v2", choices=["v1", "v2"],
-                         help="poll codec: v2 negotiates binary framing, "
-                         "v1 pins JSON")
     central.set_defaults(handler=cmd_cluster_central)
 
     drive = cluster_cmds.add_parser(
@@ -1199,8 +1147,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="scale sweep: boot+measure+tear down a fresh "
                        "self-contained cluster per node count (e.g. "
                        "3,10,25) instead of driving a running one")
-    drive.add_argument("--codec", default="v2", choices=["v1", "v2"],
-                       help="poll codec for the scale sweep")
     drive.add_argument("--per-host", type=int, default=8,
                        help="logical nodes per host process in the sweep")
     drive.add_argument("--interval", type=float, default=0.25,
@@ -1208,9 +1154,6 @@ def build_parser() -> argparse.ArgumentParser:
                        "seconds")
     drive.add_argument("--seed", type=int, default=1,
                        help="base RNG seed for the sweep's node loads")
-    drive.add_argument("--no-codec-compare", action="store_true",
-                       help="skip the v1-vs-v2 bytes comparison run at "
-                       "the smallest count")
     drive.add_argument("--gate", default=None, metavar="BASELINE.json",
                        help="regression-gate the sweep against a committed "
                        "asdf-cluster-scale trajectory")

@@ -24,7 +24,7 @@ from .driver import (
 )
 from .federation import MetricsFederator, render_snapshot_prometheus
 from .launcher import ClusterLauncher
-from .load import FleetLoad, FleetNodeLoad, SyntheticNodeLoad
+from .load import FleetLoad, FleetNodeLoad
 from .nodeproc import run_node_host
 from .state import (
     DaemonRuntime,
@@ -45,7 +45,6 @@ __all__ = [
     "FleetLoad",
     "FleetNodeLoad",
     "MetricsFederator",
-    "SyntheticNodeLoad",
     "check_cluster_scale_gate",
     "list_runtimes",
     "pid_alive",

@@ -97,18 +97,12 @@ class CentralDaemon:
         k_rounds: int = K_ROUNDS,
         ops_port: int = 0,
         name: str = "central",
-        codec: str = "v2",
     ) -> None:
-        if codec not in ("v1", "v2", "json", "bin"):
-            raise ValueError(f"unknown poll codec {codec!r}")
         self.state_dir = state_dir
         self.interval_s = interval_s
         self.deviation_pct = deviation_pct
         self.k_rounds = k_rounds
         self.name = name
-        #: Poll codec: "v2" negotiates binary framing, "v1" pins the
-        #: clients to v1-style JSON hellos (the measured comparison).
-        self.codec = "v2" if codec in ("v2", "bin") else "v1"
         self.telemetry = Telemetry(trace=True)
         self.telemetry.tracer.process_name = name
         self.observatory = Observatory(telemetry=self.telemetry)
@@ -183,7 +177,6 @@ class CentralDaemon:
                 peer.runtime.host, peer.runtime.rpc_port,
                 client_name=self.name, telemetry=self.telemetry,
                 timeout=5.0,
-                codec="auto" if self.codec == "v2" else "json",
             )
         except (OSError, ProtocolError):
             peer.errors += 1
@@ -473,7 +466,6 @@ class CentralDaemon:
             "mark_wall": self._mark_wall,
             "samples_per_sec": round(self._samples_since_mark / elapsed, 3),
             "rounds_since_mark": self._rounds_since_mark,
-            "codec": self.codec,
             "bytes_per_round_total": round(bytes_per_round_total, 1),
             "poll_errors": self.poll_errors,
             "reconnects": self.reconnects,
@@ -517,7 +509,7 @@ class CentralDaemon:
 
 
 def run_central(state_dir: str, interval_s: float = 0.5,
-                ops_port: int = 0, codec: str = "v2") -> int:
+                ops_port: int = 0) -> int:
     """The ``repro cluster central`` entrypoint: poll until stopped."""
     stop = threading.Event()
 
@@ -527,9 +519,7 @@ def run_central(state_dir: str, interval_s: float = 0.5,
     signal.signal(signal.SIGTERM, _on_signal)
     signal.signal(signal.SIGINT, _on_signal)
 
-    central = CentralDaemon(
-        state_dir, interval_s=interval_s, ops_port=ops_port, codec=codec
-    )
+    central = CentralDaemon(state_dir, interval_s=interval_s, ops_port=ops_port)
     central.ops.start()
     central.publish()
     try:

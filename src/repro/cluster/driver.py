@@ -296,7 +296,6 @@ def _ready_timeout_s(nodes: int) -> float:
 def measure_deployment(
     state_dir: str,
     nodes: int,
-    codec: str = "v2",
     per_host: int = 8,
     interval_s: float = 0.25,
     sustain_s: float = 6.0,
@@ -321,12 +320,11 @@ def measure_deployment(
         shutil.rmtree(state_dir)  # stale runtime files would be adopted
     launcher = ClusterLauncher(
         state_dir, nodes=nodes, interval_s=interval_s, seed=seed,
-        per_host=per_host, codec=codec,
+        per_host=per_host,
     )
     failures: List[str] = []
     entry: Dict[str, Any] = {
         "nodes": nodes,
-        "codec": codec,
         "per_host": launcher.per_host,
         "processes": len(launcher.host_groups()) + 1,
         "failures": failures,
@@ -383,6 +381,11 @@ def measure_deployment(
         })
         if not entry["samples_measured"]:
             failures.append(f"nodes={nodes}: no samples in sustain window")
+        if entry["negotiated"] != ["bin"]:
+            failures.append(
+                f"nodes={nodes}: polls negotiated {entry['negotiated']}, "
+                "not ['bin'] (a node daemon answered without its catalog)"
+            )
 
         if inject:
             target = sorted(expected)[0]
@@ -439,22 +442,17 @@ def measure_deployment(
 def run_scale_drive(
     out_dir: str,
     node_counts: Sequence[int] = (3, 10, 25),
-    codec: str = "v2",
     per_host: int = 8,
     interval_s: float = 0.25,
     sustain_s: float = 6.0,
     seed: int = 1,
-    compare_codecs: bool = True,
     state_root: Optional[str] = None,
 ) -> dict:
     """Sweep deployments across node counts; emit the scale trajectory.
 
     For each count a full cluster (launcher + central + packed node
-    hosts) is booted, sustained, measured and torn down.  At the
-    smallest count the sweep additionally re-runs under the *other*
-    codec so the artifact carries a measured JSON-vs-binary
-    bytes-per-node-round comparison -- the paper's Table 4 bandwidth
-    story as a live measurement instead of an estimate.
+    hosts) is booted, sustained, measured and torn down; an entry whose
+    polls did not all negotiate the binary codec is a failure.
 
     Writes ``BENCH_cluster.json`` (format ``asdf-cluster-scale/1``)
     into ``out_dir`` and returns it.
@@ -468,8 +466,8 @@ def run_scale_drive(
     sweep: List[dict] = []
     for count in counts:
         entry = measure_deployment(
-            os.path.join(state_root, f"n{count:03d}_{codec}"),
-            count, codec=codec, per_host=per_host, interval_s=interval_s,
+            os.path.join(state_root, f"n{count:03d}"),
+            count, per_host=per_host, interval_s=interval_s,
             sustain_s=sustain_s, seed=seed,
             trace_out=(
                 os.path.join(out_dir, "trace_cluster_scale.json")
@@ -478,36 +476,6 @@ def run_scale_drive(
         )
         sweep.append(entry)
         failures.extend(entry["failures"])
-
-    codec_bytes: Optional[Dict[str, Any]] = None
-    if compare_codecs:
-        other = "v1" if codec == "v2" else "v2"
-        alt = measure_deployment(
-            os.path.join(state_root, f"n{counts[0]:03d}_{other}"),
-            counts[0], codec=other, per_host=per_host,
-            interval_s=interval_s, sustain_s=sustain_s, seed=seed,
-            inject=False,
-        )
-        failures.extend(alt["failures"])
-        pairs = {codec: sweep[0], other: alt}
-        v1_bytes = pairs["v1"].get("bytes_per_node_round")
-        v2_bytes = pairs["v2"].get("bytes_per_node_round")
-        codec_bytes = {
-            "nodes": counts[0],
-            "v1_bytes_per_node_round": v1_bytes,
-            "v2_bytes_per_node_round": v2_bytes,
-            "ratio_v2_over_v1": (
-                round(v2_bytes / v1_bytes, 3)
-                if v1_bytes and v2_bytes else None
-            ),
-        }
-        if not v1_bytes or not v2_bytes:
-            failures.append("codec comparison produced no byte counts")
-        elif v2_bytes >= v1_bytes:
-            failures.append(
-                f"binary codec not smaller: v2 {v2_bytes} B/node/round "
-                f"vs v1 {v1_bytes}"
-            )
 
     smallest, largest = sweep[0], sweep[-1]
     ratio: Optional[float] = None
@@ -538,13 +506,11 @@ def run_scale_drive(
     bench = {
         "format": CLUSTER_SCALE_FORMAT,
         "generated_wall": time.time(),  # fpt: noqa[FPT201] -- report metadata stamp, not scenario state
-        "codec": codec,
         "node_counts": counts,
         "interval_s": interval_s,
         "sustain_s": sustain_s,
         "per_host": per_host,
         "sweep": sweep,
-        "codec_bytes": codec_bytes,
         "round_scaling": round_scaling,
         "failures": failures,
         "ok": not failures,
@@ -563,11 +529,13 @@ def check_cluster_scale_gate(
 ) -> Tuple[bool, str]:
     """CI gate over a scale trajectory.
 
-    Asserts the sweep's own invariants held (binary strictly smaller
-    than JSON, mean round growth within :data:`ROUND_RATIO_MAX`), and --
+    Asserts the sweep's own invariants held (every poll negotiated
+    binary, mean round growth within :data:`ROUND_RATIO_MAX`), and --
     when a committed baseline trajectory is given -- that samples/sec
     has not regressed below ``slack`` times the baseline at any node
-    count both sweeps share.
+    count both sweeps share.  A baseline that shares no measured node
+    count with the sweep fails: a gate that compared nothing has not
+    passed.
     """
     problems: List[str] = []
     if bench.get("format") != CLUSTER_SCALE_FORMAT:
@@ -575,38 +543,46 @@ def check_cluster_scale_gate(
             f"cluster scale gate: unexpected format {bench.get('format')!r}"
         )
     problems.extend(bench.get("failures") or [])
+    counts = bench.get("node_counts") or []
+    compared: List[int] = []
     if baseline_path is not None:
         try:
             with open(baseline_path, "r", encoding="utf-8") as fh:
                 baseline = json.load(fh)
         except (OSError, ValueError) as error:
-            baseline = None
-            problems.append(
-                f"cannot read baseline {baseline_path}: {error}"
+            return False, (
+                f"cluster scale gate: cannot read baseline "
+                f"{baseline_path}: {error}"
             )
-        if baseline is not None and (
-                baseline.get("format") == CLUSTER_SCALE_FORMAT):
+        base_rates = {}
+        if baseline.get("format") == CLUSTER_SCALE_FORMAT:
             base_rates = {
                 entry["nodes"]: entry.get("samples_per_sec")
                 for entry in baseline.get("sweep", [])
-                if entry.get("codec") == bench.get("codec")
             }
-            for entry in bench.get("sweep", []):
-                base = base_rates.get(entry["nodes"])
-                rate = entry.get("samples_per_sec")
-                if not base or rate is None:
-                    continue
-                floor = base * slack
-                if rate < floor:
-                    problems.append(
-                        f"samples/sec at {entry['nodes']} nodes regressed: "
-                        f"{rate} < {floor:.1f} "
-                        f"(baseline {base} x slack {slack})"
-                    )
+        for entry in bench.get("sweep", []):
+            base = base_rates.get(entry["nodes"])
+            rate = entry.get("samples_per_sec")
+            if not base or rate is None:
+                continue
+            compared.append(entry["nodes"])
+            floor = base * slack
+            if rate < floor:
+                problems.append(
+                    f"samples/sec at {entry['nodes']} nodes regressed: "
+                    f"{rate} < {floor:.1f} "
+                    f"(baseline {base} x slack {slack})"
+                )
+        if not compared:
+            problems.append(
+                f"baseline {baseline_path} shares no measured node count "
+                f"with nodes={counts}: nothing was compared"
+            )
     if problems:
         return False, "cluster scale gate: " + "; ".join(problems)
-    counts = bench.get("node_counts") or []
-    return True, (
-        f"cluster scale gate: ok at nodes={counts} "
-        f"(codec {bench.get('codec')})"
+    against = (
+        f"samples/sec held against the baseline at {len(compared)} node "
+        f"count(s) {compared}" if baseline_path is not None
+        else "no baseline given"
     )
+    return True, f"cluster scale gate: ok at nodes={counts}, {against}"

@@ -2,8 +2,8 @@
 
 The launcher starts the central analysis daemon and the collection
 daemons as real OS processes (``python -m repro cluster node/central``),
-then supervises them.  Transport v2 packs logical node daemons into
-*host* processes (``per_host`` logical nodes per process, each with its
+then supervises them.  Logical node daemons are packed into *host*
+processes (``per_host`` logical nodes per process, each with its
 own RPC server and runtime file, one shared vectorized fleet) so node
 counts in the dozens-to-hundreds stay launchable on one box: 100 nodes
 is ~13 host processes, not 100.
@@ -67,15 +67,13 @@ class ClusterLauncher:
     """Owns the daemon subprocesses of one cluster deployment.
 
     ``per_host`` packs that many logical node daemons into each host
-    process; ``codec`` pins the central's poll codec (``"v2"`` binary,
-    ``"v1"`` JSON).
+    process.
     """
 
     def __init__(self, state_dir: str, nodes: int = 3,
                  interval_s: float = 0.5, seed: int = 1,
                  max_frame_bytes: Optional[int] = None,
                  per_host: int = DEFAULT_PER_HOST,
-                 codec: str = "v2",
                  sample_interval_s: Optional[float] = None) -> None:
         self.state_dir = os.path.abspath(state_dir)
         self.nodes = nodes
@@ -83,7 +81,6 @@ class ClusterLauncher:
         self.seed = seed
         self.max_frame_bytes = max_frame_bytes
         self.per_host = max(1, int(per_host))
-        self.codec = codec
         self.sample_interval_s = (
             sample_interval_s if sample_interval_s is not None
             else max(0.25, interval_s)
@@ -132,7 +129,7 @@ class ClusterLauncher:
     def spawn_central(self) -> subprocess.Popen:
         child = _spawn(
             ["cluster", "central", "--interval", str(self.interval_s),
-             "--codec", self.codec, *self._common_flags()],
+             *self._common_flags()],
             os.path.join(self.state_dir, "central.log"),
         )
         self._children["central"] = child

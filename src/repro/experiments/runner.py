@@ -15,29 +15,19 @@ the harness, not the workload.  This module is the harness fix:
   per unique training signature (a hash of the training configuration)
   and ships the plain-JSON payload (:func:`.model.model_to_payload`) to
   the workers, so no worker ever retrains.
-* :func:`run_tasks` executes the matrix on a ``ProcessPoolExecutor``
-  (``jobs`` workers), falling back gracefully to in-process serial
-  execution when ``jobs=1`` or multiprocessing is unavailable.  Workers
-  return the :func:`.persist.result_payload` plain-data document, so a
-  parallel run is byte-comparable -- and byte-identical -- to a serial
-  one.
-* **Warm-worker mode** (``warm=True`` or ``$ASDF_WARM_WORKERS=1``)
-  keeps one process pool alive across :func:`run_tasks` calls: workers
-  are spawned once, eagerly pre-import the whole scenario stack in the
-  initializer, and cache each shipped model document by digest so the
-  matrix proper streams task chunks into already-hot interpreters.
-  Worker spawn + import cost (the fixed overhead that kept jobs=2
-  speedup below 1.0 on short matrices) is paid before the measured
-  window instead of inside it.
+* :func:`run_tasks` executes the matrix in-process when ``jobs=1`` and
+  otherwise on one per-call ``ProcessPoolExecutor`` (``jobs`` workers),
+  falling back to serial execution with a warning when a pool cannot
+  be created.  Workers return the :func:`.persist.result_payload`
+  plain-data document, so a parallel run is byte-comparable -- and
+  byte-identical -- to a serial one.
 * :class:`EngineReport` carries per-task wall/CPU timings (also surfaced
-  through :meth:`.telemetry.Telemetry.record_task`) and serializes to
-  the ``BENCH_<name>.json`` trajectory files via
-  :func:`write_bench_json`.
+  through :meth:`.telemetry.Telemetry.record_task`); how fast the
+  pipeline itself runs is ``bench/``'s question, not this module's.
 """
 
 from __future__ import annotations
 
-import atexit
 import gc
 import hashlib
 import json
@@ -45,16 +35,7 @@ import os
 import time
 import warnings
 from dataclasses import asdict, dataclass, field, replace
-from pathlib import Path
-from typing import (
-    Any,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..faults import FAULT_NAMES
 from ..hadoop.cluster import ClusterConfig
@@ -73,25 +54,13 @@ __all__ = [
     "ExperimentTask",
     "ModelCache",
     "TaskResult",
-    "bench_output_dir",
-    "check_speedup_gate",
     "derive_seed",
     "parity_mismatches",
     "run_tasks",
     "scenario_matrix",
-    "shutdown_warm_pool",
     "table2_matrix",
     "training_signature",
-    "warm_workers_enabled",
-    "write_bench_json",
 ]
-
-#: Environment override for where ``BENCH_<name>.json`` files land.
-BENCH_DIR_ENV = "ASDF_BENCH_DIR"
-#: Format tag of the emitted benchmark trajectory files.
-BENCH_FORMAT = "asdf-bench/1"
-#: Environment gate for the persistent warm-worker pool.
-WARM_WORKERS_ENV = "ASDF_WARM_WORKERS"
 
 
 # --------------------------------------------------------------------------
@@ -247,29 +216,17 @@ class ModelCache:
 # Worker protocol
 # --------------------------------------------------------------------------
 
-#: Per-worker state installed by :func:`_install_models`: raw JSON
-#: payloads, the models materialized from them (lazily, per key), and
-#: the digest of the installed document (so a warm worker re-receiving
-#: the same models with every chunk skips the re-parse).
+#: Per-process state installed by :func:`_install_models`: raw JSON
+#: payloads and the models materialized from them (lazily, per key).
 _worker_payloads: Dict[str, dict] = {}
 _worker_models: Dict[str, BlackBoxModel] = {}
-_worker_models_digest: Optional[str] = None
 
 
 def _install_models(models_json: str) -> None:
-    """(Worker side) parse and cache the parent's trained models.
-
-    Idempotent per document: warm-pool chunks each carry the models
-    JSON, so the digest check makes every chunk after the first a
-    no-op -- the "pre-load the model payload once" half of warm mode.
-    """
-    global _worker_payloads, _worker_models, _worker_models_digest
-    digest = hashlib.sha256(models_json.encode("utf-8")).hexdigest()
-    if digest == _worker_models_digest:
-        return
+    """Parse the parent's trained models for :func:`_execute_task`."""
+    global _worker_payloads, _worker_models
     _worker_payloads = json.loads(models_json)
     _worker_models = {}
-    _worker_models_digest = digest
 
 
 def _worker_init(models_json: str) -> None:
@@ -279,24 +236,9 @@ def _worker_init(models_json: str) -> None:
     # generations: workers churn through millions of short-lived sim
     # objects, and rescanning the permanent interpreter/model state on
     # every collection is pure overhead (it also keeps forked pages
-    # copy-on-write-clean on POSIX).
-    gc.freeze()
-
-
-def _warm_init() -> None:
-    """Warm-pool initializer: pre-import the scenario stack eagerly.
-
-    A cold worker pays the whole ``run_scenario`` import graph (NumPy,
-    the vectorized simulator, the model code) inside the first task's
-    measured wall time; a warm worker pays it here, once, before any
-    matrix is dispatched.
-    """
-    from ..hadoop import cluster as _cluster  # noqa: F401
-    from ..sim import vec as _vec  # noqa: F401
-    from . import model as _model  # noqa: F401
-    from . import persist as _persist  # noqa: F401
-    from . import scenario as _scenario  # noqa: F401
-
+    # copy-on-write-clean on POSIX).  Fresh workers only: the serial
+    # path runs in the caller's process, whose heap is not ours to
+    # move into the permanent generation.
     gc.freeze()
 
 
@@ -362,17 +304,14 @@ class TaskResult:
 
 @dataclass
 class EngineReport:
-    """Everything one engine invocation did, ready for ``BENCH_*`` export."""
+    """Everything one engine invocation did."""
 
     jobs: int
-    mode: str  # "process-pool", "warm-pool", "serial", or "serial-fallback"
+    mode: str  # "serial", "process-pool", or "serial-fallback"
     wall_s: float
     results: List[TaskResult]
     model_keys: Tuple[str, ...] = ()
     trainings: int = 0
-    #: Wall seconds of a reference serial execution of the same matrix,
-    #: when the caller measured one (``BENCH_*`` speedup trajectory).
-    serial_wall_s: Optional[float] = None
 
     @property
     def cpu_s(self) -> float:
@@ -383,12 +322,6 @@ class EngineReport:
         """Sum of per-task wall seconds (serial-equivalent work)."""
         return sum(r.wall_s for r in self.results)
 
-    @property
-    def speedup_vs_serial(self) -> Optional[float]:
-        if self.serial_wall_s is None or self.wall_s <= 0:
-            return None
-        return self.serial_wall_s / self.wall_s
-
     def result(self, task_id: str) -> TaskResult:
         for item in self.results:
             if item.task.task_id == task_id:
@@ -397,36 +330,6 @@ class EngineReport:
 
     def loaded_results(self) -> List[LoadedResult]:
         return [r.load() for r in self.results]
-
-    def bench_payload(
-        self, name: str, extra: Optional[Dict[str, Any]] = None
-    ) -> Dict[str, Any]:
-        payload: Dict[str, Any] = {
-            "format": BENCH_FORMAT,
-            "name": name,
-            "created_unix": int(time.time()),  # fpt: noqa[FPT201] -- metadata stamp, not scenario state
-            "jobs": self.jobs,
-            "mode": self.mode,
-            "wall_s": round(self.wall_s, 4),
-            "cpu_s": round(self.cpu_s, 4),
-            "task_wall_s": round(self.task_wall_s, 4),
-            "tasks": [
-                {
-                    "task_id": r.task.task_id,
-                    "wall_s": round(r.wall_s, 4),
-                    "cpu_s": round(r.cpu_s, 4),
-                    "worker": r.worker,
-                }
-                for r in self.results
-            ],
-            "model_trainings": self.trainings,
-        }
-        if self.serial_wall_s is not None:
-            payload["serial_wall_s"] = round(self.serial_wall_s, 4)
-            payload["speedup_vs_serial"] = round(self.speedup_vs_serial, 3)
-        if extra:
-            payload["extra"] = extra
-        return payload
 
 
 def parity_mismatches(a: EngineReport, b: EngineReport) -> List[str]:
@@ -489,96 +392,6 @@ def _execute_chunk(
     return [_execute_task(item) for item in chunk]
 
 
-def _execute_chunk_warm(
-    models_json: str,
-    chunk: List[Tuple[str, Dict[str, Any], Optional[str]]],
-) -> List[Tuple[str, Dict[str, Any], float, float, str]]:
-    """Warm-pool chunk: carry the models (digest-cached worker side).
-
-    The persistent pool outlives any single :func:`run_tasks` call, so
-    its initializer cannot receive run-specific models; each chunk
-    ships them instead and :func:`_install_models` deduplicates.
-    """
-    _install_models(models_json)
-    return [_execute_task(item) for item in chunk]
-
-
-# --------------------------------------------------------------------------
-# Persistent warm-worker pool
-# --------------------------------------------------------------------------
-
-_warm_pool: Optional[Any] = None
-_warm_pool_jobs = 0
-_warm_atexit_registered = False
-
-
-def warm_workers_enabled() -> bool:
-    """Whether ``$ASDF_WARM_WORKERS`` asks for the persistent pool."""
-    return os.environ.get(WARM_WORKERS_ENV, "").strip().lower() in (
-        "1", "true", "yes", "on",
-    )
-
-
-def shutdown_warm_pool() -> None:
-    """Tear down the persistent pool (also runs at interpreter exit)."""
-    global _warm_pool, _warm_pool_jobs
-    pool = _warm_pool
-    _warm_pool = None
-    _warm_pool_jobs = 0
-    if pool is not None:
-        pool.shutdown(wait=False, cancel_futures=True)
-
-
-def _warm_spin(delay_s: float) -> str:
-    """(Worker side) trivial task used to force worker spawn-up."""
-    time.sleep(delay_s)
-    return f"pid:{os.getpid()}"
-
-
-def _warm_pool_for(jobs: int):
-    """The persistent pool at ``jobs`` workers, spawning + priming it on
-    first use (or when the worker count changed).
-
-    Priming submits one short busy task per worker so every process is
-    forked/spawned and has finished :func:`_warm_init` *before* the
-    caller starts its measured window -- that is the entire point of
-    warm mode.
-    """
-    global _warm_pool, _warm_pool_jobs, _warm_atexit_registered
-    if _warm_pool is not None and _warm_pool_jobs != jobs:
-        shutdown_warm_pool()
-    if _warm_pool is None:
-        from concurrent.futures import ProcessPoolExecutor
-
-        pool = ProcessPoolExecutor(max_workers=jobs, initializer=_warm_init)
-        # Each spin sleeps long enough that one worker cannot drain the
-        # whole batch, so the executor actually spawns all ``jobs``
-        # processes now rather than lazily mid-matrix.
-        for future in [pool.submit(_warm_spin, 0.05) for _ in range(jobs)]:
-            future.result()
-        _warm_pool = pool
-        _warm_pool_jobs = jobs
-        if not _warm_atexit_registered:
-            atexit.register(shutdown_warm_pool)
-            _warm_atexit_registered = True
-    return _warm_pool
-
-
-def _warm_pool_results(
-    items: List[Tuple[str, Dict[str, Any], Optional[str]]],
-    jobs: int,
-    models_json: str,
-):
-    """Dispatch chunks on the persistent pool, yielding in order."""
-    pool = _warm_pool_for(jobs)
-    futures = [
-        pool.submit(_execute_chunk_warm, models_json, chunk)
-        for chunk in _chunk_items(items, jobs)
-    ]
-    for future in futures:
-        yield from future.result()
-
-
 def _pool_results(
     items: List[Tuple[str, Dict[str, Any], Optional[str]]],
     jobs: int,
@@ -605,7 +418,6 @@ def run_tasks(
     model_cache: Optional[ModelCache] = None,
     training_duration_s: Optional[float] = None,
     telemetry: Optional[Telemetry] = None,
-    warm: Optional[bool] = None,
 ) -> EngineReport:
     """Execute an experiment matrix, parallel across processes.
 
@@ -619,16 +431,8 @@ def run_tasks(
     environment where a process pool cannot be created -- executes the
     identical task path serially in-process; results are byte-identical
     either way.
-
-    ``warm`` (default: ``$ASDF_WARM_WORKERS``) runs on the persistent
-    warm pool: workers are spawned + primed before the measured wall
-    window starts and survive for the next call.  Results are the same
-    bytes as cold-pool and serial runs; only where the fixed startup
-    cost lands changes.
     """
     jobs = int(jobs) if jobs > 0 else (os.cpu_count() or 1)
-    if warm is None:
-        warm = warm_workers_enabled()
     cache = model_cache if model_cache is not None else ModelCache()
 
     items: List[Tuple[str, Dict[str, Any], Optional[str]]] = []
@@ -644,22 +448,11 @@ def run_tasks(
         payloads = cache.payloads()
     models_json = json.dumps(payloads, sort_keys=True)
 
-    mode = "serial" if jobs == 1 else ("warm-pool" if warm else "process-pool")
-    if mode == "warm-pool":
-        # Spawn + prime the persistent workers before the measured
-        # window opens; a pool that cannot start downgrades to cold.
-        try:
-            _warm_pool_for(jobs)
-        except (ImportError, OSError, PermissionError, NotImplementedError):
-            mode = "process-pool"
+    mode = "serial" if jobs == 1 else "process-pool"
     wall_started = time.perf_counter()
-    raw: List[Tuple[str, Dict[str, Any], float, float, str]] = []
     if jobs > 1:
         try:
-            dispatch = (
-                _warm_pool_results if mode == "warm-pool" else _pool_results
-            )
-            raw = list(dispatch(items, jobs, models_json))
+            raw = list(_pool_results(items, jobs, models_json))
         except (ImportError, OSError, PermissionError, NotImplementedError) as exc:
             warnings.warn(
                 f"process pool unavailable ({type(exc).__name__}: {exc}); "
@@ -668,11 +461,8 @@ def run_tasks(
                 stacklevel=2,
             )
             mode = "serial-fallback"
-            raw = []
-    if not raw and items:
-        if mode == "process-pool":
-            mode = "serial"
-        _worker_init(models_json)
+    if mode != "process-pool":
+        _install_models(models_json)
         raw = [_execute_task(item) for item in items]
     wall_s = time.perf_counter() - wall_started
 
@@ -694,91 +484,3 @@ def run_tasks(
         model_keys=tuple(sorted(payloads)),
         trainings=cache.trainings,
     )
-
-
-# --------------------------------------------------------------------------
-# BENCH_*.json trajectory files
-# --------------------------------------------------------------------------
-
-
-def bench_output_dir() -> Path:
-    """Where ``BENCH_<name>.json`` files go (override: ``$ASDF_BENCH_DIR``)."""
-    return Path(os.environ.get(BENCH_DIR_ENV, "."))
-
-
-def write_bench_json(
-    report: EngineReport,
-    name: str,
-    directory: Optional[Union[str, Path]] = None,
-    extra: Optional[Dict[str, Any]] = None,
-) -> Path:
-    """Write ``BENCH_<name>.json`` so future PRs can track the trajectory."""
-    directory = Path(directory) if directory is not None else bench_output_dir()
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / f"BENCH_{name}.json"
-    path.write_text(json.dumps(report.bench_payload(name, extra=extra), indent=2))
-    return path
-
-
-def check_speedup_gate(
-    report: EngineReport,
-    baseline_path: Union[str, Path],
-    slack: float = 0.85,
-    multicore_floor: float = 1.0,
-) -> Tuple[bool, str]:
-    """Regression-gate ``speedup_vs_serial`` against a committed baseline.
-
-    Reads the ``speedup_vs_serial`` field of the baseline BENCH file
-    (e.g. the repository's committed ``BENCH_table2.json``) and passes
-    iff the report's speedup is at least ``slack`` times it -- the slack
-    absorbs shared-runner noise while still catching a parallel engine
-    that quietly stopped scaling.  Returns ``(ok, message)``; a report
-    without a serial reference, or a baseline without a recorded
-    speedup, passes with an explanatory message (the gate needs both
-    numbers to mean anything).
-
-    On a host with >= 2 CPUs the gate additionally requires the
-    measured speedup to reach ``multicore_floor`` (default 1.0x): a
-    parallel run that is *slower than serial* on real cores is a
-    regression no baseline slack should excuse.  Single-core hosts are
-    exempt -- there, ``jobs=2`` legitimately measures below 1.0x (see
-    EXPERIMENTS.md) and only the relative baseline applies.
-    """
-    try:
-        baseline = json.loads(Path(baseline_path).read_text())
-    except (OSError, ValueError) as error:
-        return False, f"speedup gate: cannot read baseline {baseline_path}: {error}"
-    reference = baseline.get("speedup_vs_serial")
-    if reference is None:
-        return True, (
-            f"speedup gate: baseline {baseline_path} records no "
-            "speedup_vs_serial; nothing to gate against"
-        )
-    measured = report.speedup_vs_serial
-    if measured is None:
-        return True, (
-            "speedup gate: report has no serial reference "
-            "(run with --check-parity or jobs=1 first); nothing to gate"
-        )
-    cores = os.cpu_count() or 1
-    jobs = getattr(report, "jobs", 0)
-    if (
-        jobs > 1
-        and cores >= 2
-        and multicore_floor is not None
-        and measured < multicore_floor
-    ):
-        return False, (
-            f"speedup gate: measured {measured:.3f}x at jobs={jobs} "
-            f"on a {cores}-core host -- parallel execution must reach "
-            f"{multicore_floor:.2f}x there "
-            f"({getattr(report, 'mode', 'unknown')} mode) -- FAIL"
-        )
-    floor = float(reference) * slack
-    verdict = measured >= floor
-    message = (
-        f"speedup gate: measured {measured:.3f}x vs baseline "
-        f"{float(reference):.3f}x (floor {floor:.3f}x at slack {slack:.2f}) "
-        f"-- {'PASS' if verdict else 'FAIL'}"
-    )
-    return verdict, message

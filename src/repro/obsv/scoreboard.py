@@ -312,11 +312,9 @@ def write_scoreboard_json(
     directory: Optional[str] = None,
     name: str = "scoreboard",
 ) -> str:
-    """Write ``BENCH_scoreboard.json`` (same naming scheme as the bench
-    trajectory files; directory defaults to ``$ASDF_BENCH_DIR`` or cwd)."""
-    from ..experiments.runner import bench_output_dir
-
-    target_dir = str(directory) if directory else str(bench_output_dir())
+    """Write ``BENCH_<name>.json`` into ``directory`` (default: the
+    working directory)."""
+    target_dir = str(directory) if directory else "."
     os.makedirs(target_dir, exist_ok=True)
     payload = scoreboard.snapshot()
     payload["created_unix"] = int(time.time())  # fpt: noqa[FPT201] -- metadata stamp, not scenario state

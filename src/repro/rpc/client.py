@@ -13,10 +13,10 @@ counter keeps accumulating across connections), *trace propagation*
 span), and *peer-labelled* protocol errors so a malformed frame is
 attributable to a concrete remote address in cluster logs.
 
-Transport v2 adds *codec negotiation* (the hello advertises
-``["bin", "json"]``; a v2 server answers with the chosen codec plus the
-interned metric catalog, a v1 server ignores the field and the client
-falls back to JSON) and a *split call path*:
+Every hello advertises ``["bin", "json"]``: a server whose handler
+publishes a metric catalog answers with ``bin`` plus the catalog, any
+other welcome (no ``codec`` key) leaves the connection on JSON.  The
+call path is *split*:
 :meth:`RpcClient.begin_call` encodes + sends the request and returns a
 pending handle, :meth:`RpcClient.finish_call` consumes the decoded
 response -- which is what lets the cluster's selectors-based
@@ -73,26 +73,15 @@ class _PendingCall:
 
 
 class RpcClient:
-    """Synchronous request/response client over one TCP connection.
-
-    ``codec`` selects the negotiation stance: ``"auto"`` (default)
-    advertises binary + JSON and uses whatever the server picks;
-    ``"json"`` sends a v1-style hello with no codec field at all, which
-    doubles as the compatibility mode for driving v2 servers from
-    v1-era tooling.
-    """
+    """Synchronous request/response client over one TCP connection."""
 
     def __init__(self, host: str, port: int, client_name: str = "asdf",
-                 telemetry: Any = None, timeout: float = 30.0,
-                 codec: str = "auto") -> None:
-        if codec not in ("auto", CODEC_JSON):
-            raise ValueError(f"unknown client codec stance {codec!r}")
+                 telemetry: Any = None, timeout: float = 30.0) -> None:
         self.host = host
         self.port = port
         self.client_name = client_name
         self.telemetry = telemetry
         self.timeout = timeout
-        self.codec_stance = codec
         self.counter = ByteCounter()
         self.reconnects = 0
         self._ids = itertools.count(1)
@@ -116,10 +105,9 @@ class RpcClient:
         # The frame limit in force when the connection opens holds for
         # its lifetime (one lookup, not one per frame).
         self.frame_limit: int = max_frame_bytes()  # fpt: noqa[FPT401] -- single writer: only the thread that owns the client (re)connects, and it alone decodes
-        offered = [CODEC_BINARY, CODEC_JSON] if self.codec_stance == "auto" else None
         hello = encode_frame(
-            make_hello(self.client_name, codecs=offered), peer=self.peer,
-            limit=self.frame_limit,
+            make_hello(self.client_name, codecs=[CODEC_BINARY, CODEC_JSON]),
+            peer=self.peer, limit=self.frame_limit,
         )
         self._sock.sendall(hello)
         self.counter.count_tx(len(hello), static=True)
@@ -129,12 +117,7 @@ class RpcClient:
             raise ProtocolError(f"expected welcome, got {welcome!r} (peer {self.peer})")
         self.service: str = welcome["welcome"]
         self.methods: List[str] = list(welcome.get("methods", []))
-        # A client that offered nothing stays on JSON whatever comes back.
-        codec, metric_names = (
-            welcome_codec(welcome) if offered is not None else (CODEC_JSON, ())
-        )
-        self.codec: str = codec
-        self.metric_names: Tuple[str, ...] = metric_names
+        self.codec, self.metric_names = welcome_codec(welcome)
 
     def reconnect(self, retries: int = 10, delay_s: float = 0.25,
                   max_delay_s: float = RECONNECT_MAX_DELAY_S) -> None:

@@ -222,8 +222,7 @@ class ClusterNodeDaemon:
     host's logical nodes) differences the counters -- so the whole
     collect path (load -> ``/proc`` counters -> sadc rates -> RPC frame)
     runs at real speed over real sockets.  ``load`` is duck-typed (see
-    :class:`repro.cluster.load.FleetNodeLoad` /
-    :class:`repro.cluster.load.SyntheticNodeLoad`): it must expose
+    :class:`repro.cluster.load.FleetNodeLoad`): it must expose
     ``procfs``, ``advance_to(wall_s)``, ``inject(kind, intensity)``,
     ``clear()`` and ``active_fault``.
 

@@ -28,7 +28,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .codec import (
     CODEC_BINARY,
-    CODEC_JSON,
     encode_response_frame,
     read_frame,
     welcome_codec,
@@ -68,24 +67,22 @@ def handler_methods(handler: Any) -> List[str]:
 
 
 def negotiate(
-    handler: Any, service: str, hello: Dict[str, Any], stance: str = "auto"
+    handler: Any, service: str, hello: Dict[str, Any]
 ) -> Dict[str, Any]:
     """The welcome that answers ``hello`` for a connection to ``handler``.
 
-    Binary (``codec`` and the interned ``metrics`` catalog present) only
-    when the serving side allows it (``stance="auto"``), the client
-    advertised it, and the handler publishes a catalog to pack rows
-    against.  Everything else -- v1 clients (no ``codecs`` key),
-    JSON-pinned servers, catalog-less handlers -- gets the v1 welcome
-    and stays on JSON.  Shared by :class:`RpcServer` and
-    :class:`repro.rpc.inproc.InprocChannel`, so both transports put the
-    same frames on the wire.
+    Binary (``codec`` and the interned ``metrics`` catalog present) when
+    the client advertised it and the handler publishes a catalog to pack
+    rows against.  What the hello or the handler cannot support -- a
+    peer whose hello carries no ``codecs`` key, a catalog-less handler
+    -- gets the v1 welcome and that connection stays on JSON.  Shared by
+    :class:`RpcServer` and :class:`repro.rpc.inproc.InprocChannel`, so
+    both transports put the same frames on the wire.
     """
     offered = hello.get("codecs")
     metric_names = handler_metric_names(handler)
     use_binary = (
-        stance == "auto"
-        and isinstance(offered, list)
+        isinstance(offered, list)
         and CODEC_BINARY in offered
         and bool(metric_names)
     )
@@ -134,14 +131,11 @@ class RpcServer:
     """
 
     def __init__(self, handler: Any, service: str, port: int = 0,
-                 telemetry: Any = None, codec: str = "auto") -> None:
-        if codec not in ("auto", CODEC_JSON):
-            raise ValueError(f"unknown server codec stance {codec!r}")
+                 telemetry: Any = None) -> None:
         self.handler = handler
         self.service = service
         self.counter = ByteCounter()
         self.telemetry = telemetry
-        self.codec_stance = codec
         outer = self
 
         class _ConnectionHandler(socketserver.BaseRequestHandler):
@@ -160,10 +154,7 @@ class RpcServer:
                     outer.counter.count_rx(consumed, static=True)
                     if "hello" not in hello:
                         return
-                    answer = negotiate(
-                        outer.handler, outer.service, hello,
-                        stance=outer.codec_stance,
-                    )
+                    answer = negotiate(outer.handler, outer.service, hello)
                     chosen, metric_names = welcome_codec(answer)
                     welcome = encode_frame(answer, peer=peer, limit=limit)
                     sock.sendall(welcome)

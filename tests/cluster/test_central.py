@@ -11,8 +11,9 @@ import pytest
 
 from repro.cluster import DaemonRuntime, write_runtime
 from repro.cluster.central import CentralDaemon
-from repro.cluster.load import SyntheticNodeLoad
 from repro.rpc import ClusterNodeDaemon, RpcServer
+
+from .helpers import SyntheticNodeLoad
 
 NODES = ("node-01", "node-02", "node-03")
 

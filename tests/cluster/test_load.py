@@ -1,9 +1,10 @@
-"""Synthetic wall-clock load generation for live collection daemons."""
+"""The synthetic wall-clock load the test-side node daemons are built on."""
 
 import pytest
 
-from repro.cluster import SyntheticNodeLoad
 from repro.cluster.load import LOAD_FAULTS
+
+from .helpers import SyntheticNodeLoad
 
 
 class TestBaseline:

@@ -6,12 +6,12 @@ per-task seeds, a parent-trained model shipped to workers, and one
 shared execution path make that possible.
 """
 
-import json
+import gc
+import multiprocessing
 
 import pytest
 
 from repro.experiments import (
-    ExperimentTask,
     ModelCache,
     ScenarioConfig,
     derive_seed,
@@ -21,7 +21,6 @@ from repro.experiments import (
     shared_model,
     table2_matrix,
     training_signature,
-    write_bench_json,
 )
 from repro.experiments import runner as runner_mod
 from repro.faults import FAULT_NAMES
@@ -198,42 +197,14 @@ class TestSerialParallelParity:
         b.results[0].payload["jobs_completed"] += 1
         assert parity_mismatches(a, b) == ["CPUHog/t0"]
 
-
-class TestWarmPool:
-    def test_warm_results_byte_identical_and_pool_persists(self, mini_model):
+    def test_each_call_reaps_its_own_pool(self, mini_model):
+        """The pool lives for one call: two calls, no child left behind."""
         tasks = table2_matrix(MINI, faults=("CPUHog",), trials=1)
-        try:
-            serial = run_tasks(tasks, jobs=1, model=mini_model)
-            warm = run_tasks(tasks, jobs=2, model=mini_model, warm=True)
-            assert warm.mode in ("warm-pool", "serial-fallback")
-            assert parity_mismatches(serial, warm) == []
-            if warm.mode == "warm-pool":
-                pool = runner_mod._warm_pool
-                assert pool is not None
-                again = run_tasks(tasks, jobs=2, model=mini_model, warm=True)
-                # Same pool object across calls: that is the "warm".
-                assert runner_mod._warm_pool is pool
-                assert parity_mismatches(serial, again) == []
-        finally:
-            runner_mod.shutdown_warm_pool()
-        assert runner_mod._warm_pool is None
-
-    def test_env_gate_enables_warm_mode(self, monkeypatch):
-        monkeypatch.setenv(runner_mod.WARM_WORKERS_ENV, "1")
-        assert runner_mod.warm_workers_enabled()
-        monkeypatch.setenv(runner_mod.WARM_WORKERS_ENV, "0")
-        assert not runner_mod.warm_workers_enabled()
-        monkeypatch.delenv(runner_mod.WARM_WORKERS_ENV)
-        assert not runner_mod.warm_workers_enabled()
-
-    def test_worker_model_install_is_digest_cached(self):
-        payloads_a = json.dumps({"k": {"x": 1}}, sort_keys=True)
-        runner_mod._install_models(payloads_a)
-        first = runner_mod._worker_payloads
-        runner_mod._install_models(payloads_a)
-        assert runner_mod._worker_payloads is first  # cache hit: no re-parse
-        runner_mod._install_models(json.dumps({"k": {"x": 2}}))
-        assert runner_mod._worker_payloads is not first
+        before = set(multiprocessing.active_children())
+        first = run_tasks(tasks, jobs=2, model=mini_model)
+        second = run_tasks(tasks, jobs=2, model=mini_model)
+        assert parity_mismatches(first, second) == []
+        assert set(multiprocessing.active_children()) <= before
 
 
 class TestSerialFallback:
@@ -252,6 +223,24 @@ class TestSerialFallback:
         assert fallback.mode == "serial-fallback"
         assert parity_mismatches(serial, fallback) == []
 
+    def test_in_process_runs_do_not_freeze_the_callers_heap(
+        self, mini_model, monkeypatch
+    ):
+        """``gc.freeze()`` is for a fresh worker; run in the caller it
+        would park every live object (garbage included) for good."""
+        (task,) = table2_matrix(MINI, faults=("CPUHog",), trials=1)
+        frozen = gc.get_freeze_count()
+        run_tasks([task], jobs=1, model=mini_model)
+        assert gc.get_freeze_count() == frozen
+
+        def broken_pool(items, jobs, models_json):
+            raise OSError("no process spawning here")
+
+        monkeypatch.setattr(runner_mod, "_pool_results", broken_pool)
+        with pytest.warns(RuntimeWarning):
+            run_tasks([task], jobs=2, model=mini_model)
+        assert gc.get_freeze_count() == frozen
+
     def test_jobs_zero_means_cpu_count(self, mini_model):
         (task,) = table2_matrix(MINI, faults=("CPUHog",), trials=1)
         report = run_tasks([task], jobs=0, model=mini_model)
@@ -269,34 +258,9 @@ class TestTimingsAndBench:
         assert report.task_wall_s > 0 and report.cpu_s >= 0
         assert telemetry.metrics.total("asdf_experiment_tasks_total") == len(tasks)
 
-    def test_bench_json_contents_and_dir_override(
-        self, mini_model, tmp_path, monkeypatch
-    ):
-        monkeypatch.setenv("ASDF_BENCH_DIR", str(tmp_path / "env-dir"))
-        (task,) = table2_matrix(MINI, faults=("CPUHog",), trials=1)
-        report = run_tasks([task], jobs=1, model=mini_model)
-        report.serial_wall_s = 2 * report.wall_s
-
-        env_path = write_bench_json(report, "envtest")
-        assert env_path.parent == tmp_path / "env-dir"
-        explicit_path = write_bench_json(
-            report, "unit", directory=tmp_path, extra={"note": "x"}
-        )
-        assert explicit_path == tmp_path / "BENCH_unit.json"
-
-        payload = json.loads(explicit_path.read_text())
-        assert payload["format"] == "asdf-bench/1"
-        assert payload["name"] == "unit"
-        assert payload["jobs"] == 1 and payload["mode"] == "serial"
-        assert payload["wall_s"] > 0
-        assert payload["tasks"][0]["task_id"] == "CPUHog/t0"
-        assert payload["speedup_vs_serial"] == pytest.approx(2.0, abs=0.01)
-        assert payload["extra"] == {"note": "x"}
-
     def test_report_lookup(self, mini_model):
         (task,) = table2_matrix(MINI, faults=("CPUHog",), trials=1)
         report = run_tasks([task], jobs=1, model=mini_model)
         assert report.result("CPUHog/t0") is report.results[0]
         with pytest.raises(KeyError):
             report.result("nope")
-        assert report.speedup_vs_serial is None

@@ -143,8 +143,9 @@ class TestSnapshotAndEmission:
         assert doc["faults"]["CPUHog"]["true_alarms"] == 1
         assert isinstance(doc["created_unix"], int)
 
-    def test_write_scoreboard_respects_bench_dir_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("ASDF_BENCH_DIR", str(tmp_path / "bench"))
+    def test_write_scoreboard_defaults_to_working_directory(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
         path = write_scoreboard_json(self.make_board())
-        assert path == str(tmp_path / "bench" / "BENCH_scoreboard.json")
-        assert (tmp_path / "bench" / "BENCH_scoreboard.json").exists()
+        assert (tmp_path / path).samefile(tmp_path / "BENCH_scoreboard.json")

@@ -27,6 +27,8 @@ from repro.rpc.codec import (
 )
 from repro.rpc.protocol import _LENGTH, decode_frame, encode_frame
 
+from .helpers import JsonPeer
+
 CATALOG = ("cpu_idle_pct", "loadavg_1", "disk_sectors_written_per_s")
 
 
@@ -769,12 +771,12 @@ class _NodeHandler:
 
 
 class TestLiveInterop:
-    """v1 <-> v2 interoperability over real sockets."""
+    """Binary and JSON-only peers interoperate over real sockets."""
 
     def test_v2_client_v2_server_negotiates_binary(self):
         with RpcServer(_NodeHandler(), "sadc") as server:
             host, port = server.address
-            with RpcClient(host, port, codec="auto") as client:
+            with RpcClient(host, port) as client:
                 assert client.codec == CODEC_BINARY
                 assert client.metric_names == CATALOG
                 assert client.call("sample", now=1.0) is None  # priming
@@ -787,27 +789,18 @@ class TestLiveInterop:
     def test_v1_client_on_v2_server_stays_json(self):
         with RpcServer(_NodeHandler(), "sadc") as server:
             host, port = server.address
-            with RpcClient(host, port, codec="json") as client:
-                assert client.codec == CODEC_JSON
-                assert client.metric_names == ()
-                client.call("sample", now=1.0)
-                sample = client.call("sample", now=2.0)
-                assert sample["node"]["cpu_idle_pct"] == 42.0
-
-    def test_v2_client_on_v1_server_stays_json(self):
-        with RpcServer(_NodeHandler(), "sadc", codec="json") as server:
-            host, port = server.address
-            with RpcClient(host, port, codec="auto") as client:
-                assert client.codec == CODEC_JSON
-                client.call("sample", now=1.0)
-                sample = client.call("sample", now=2.0)
+            with JsonPeer(host, port) as peer:
+                assert "codec" not in peer.welcome
+                assert "metrics" not in peer.welcome
+                peer.call("sample", now=1.0)
+                sample = peer.call("sample", now=2.0)
                 assert sample["node"]["cpu_idle_pct"] == 42.0
 
     def test_both_codecs_return_identical_values(self):
         with RpcServer(_NodeHandler(), "sadc") as server:
             host, port = server.address
-            with RpcClient(host, port, codec="auto") as v2:
-                with RpcClient(host, port, codec="json") as v1:
+            with RpcClient(host, port) as v2:
+                with JsonPeer(host, port) as v1:
                     v2.call("sample", now=1.0)
                     v1.call("sample", now=1.0)
                     a = v2.call("poll_many", now=5.0)
@@ -817,18 +810,17 @@ class TestLiveInterop:
     def test_binary_connection_moves_fewer_bytes(self):
         with RpcServer(_NodeHandler(), "sadc") as server:
             host, port = server.address
-            with RpcClient(host, port, codec="auto") as v2:
-                with RpcClient(host, port, codec="json") as v1:
+            with RpcClient(host, port) as v2:
+                with JsonPeer(host, port) as v1:
                     for client in (v2, v1):
                         for i in range(5):
                             client.call("poll_many", now=float(i))
-                    assert (v2.counter.rx_payload
-                            < 0.5 * v1.counter.rx_payload)
+                    assert v2.counter.rx_payload < 0.5 * v1.rx_payload
 
     def test_non_poll_methods_work_over_binary_connection(self):
         with RpcServer(_NodeHandler(), "sadc") as server:
             host, port = server.address
-            with RpcClient(host, port, codec="auto") as client:
+            with RpcClient(host, port) as client:
                 assert client.codec == CODEC_BINARY
                 result = client.call("inject", kind="cpuhog", intensity=0.5)
                 assert result == {"node": "node-01", "fault": "cpuhog"}
@@ -840,6 +832,6 @@ class TestLiveInterop:
 
         with RpcServer(Bare(), "bare") as server:
             host, port = server.address
-            with RpcClient(host, port, codec="auto") as client:
+            with RpcClient(host, port) as client:
                 assert client.codec == CODEC_JSON
                 assert client.call("echo", value="x") == "x"

@@ -46,7 +46,7 @@ def _cluster(delays):
         server.start()
         servers.append(server)
         host, port = server.address
-        clients.append(RpcClient(host, port, codec="auto"))
+        clients.append(RpcClient(host, port))
     return servers, clients
 
 

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.cluster.load import SyntheticNodeLoad
 from repro.hadoop import TASKTRACKER_CLASS, WHITEBOX_STATES, DaemonLog
 from repro.rpc import (
     ClusterNodeDaemon,
@@ -18,6 +17,10 @@ from repro.rpc import (
 )
 from repro.rpc.protocol import encode_frame, make_request
 from repro.sysstat import NODE_METRICS, SimProcFS
+
+from cluster.helpers import SyntheticNodeLoad  # tests/cluster: the one test-side load
+
+from .helpers import JsonPeer
 
 
 class ToyHandler:
@@ -283,11 +286,11 @@ class TestInprocCountsLikeTcp:
         handler, _ = _log_handler()
         reference = _log_handler()[0].rpc_collect(now=30.0)
         with RpcServer(handler, "svc@node") as server:
-            with RpcClient(*server.address, codec="json") as client:
-                assert client.codec == "json" and client.metric_names == ()
-                before = client.counter.rx_payload
-                assert client.call("collect", now=30.0) == reference
-                assert client.counter.rx_payload - before == len(
+            with JsonPeer(*server.address) as peer:
+                assert "codec" not in peer.welcome
+                assert "metrics" not in peer.welcome
+                assert peer.call("collect", now=30.0) == reference
+                assert peer.rx_payload == len(
                     encode_frame({"id": 1, "result": reference})
                 )
 
