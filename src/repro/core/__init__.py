@@ -20,6 +20,7 @@ from .channel import (
     Origin,
     Output,
     Sample,
+    WriteHookChain,
 )
 from .clock import Clock, SimClock, WallClock
 from .config import InputSpec, InstanceSpec, parse_config, render_config
@@ -28,7 +29,7 @@ from .errors import ConfigError, FptError, ModuleError, SchedulerError
 from .fptcore import FptCore
 from .module import Module, ModuleContext, RunReason
 from .registry import ModuleRegistry
-from .scheduler import Scheduler, WriteHookChain
+from .scheduler import Scheduler
 
 __all__ = [
     "DEFAULT_QUEUE_CAPACITY",

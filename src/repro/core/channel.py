@@ -126,6 +126,31 @@ class Connection:
         return self._queue.maxlen or 0
 
 
+class WriteHookChain:
+    """An explicit ``on_write`` hook chain, fired in attachment order.
+
+    The scheduler's trigger bookkeeping must fire exactly once per write
+    no matter how many probes (telemetry taps, test spies, recorders)
+    watch the same output.  Closure-based chaining cannot be introspected
+    -- once a probe wraps ``on_write``, a re-attach has no way to tell
+    whether the scheduler hook is still buried inside, so it either
+    silently stacks a second one or silently drops bookkeeping.  Keeping
+    the hooks in a list makes membership checkable
+    (:meth:`Scheduler.attach_output <repro.core.scheduler.Scheduler.attach_output>`
+    looks for its own hook) and costs one loop per write however many
+    probes are attached.  Built by :meth:`Output.add_write_hook`.
+    """
+
+    __slots__ = ("hooks",)
+
+    def __init__(self, hooks) -> None:
+        self.hooks = list(hooks)
+
+    def __call__(self, output: "Output", sample: Sample) -> None:
+        for hook in self.hooks:
+            hook(output, sample)
+
+
 class InputGroup:
     """All connections bound to one named input of a module instance."""
 
@@ -175,13 +200,32 @@ class Output:
     name: str
     origin: Optional[Origin] = None
     subscribers: List[Connection] = field(default_factory=list)
-    #: Hook installed by the core: called as ``on_write(output, sample)``.
+    #: Called as ``on_write(output, sample)`` after every write: ``None``,
+    #: one hook, or a :class:`WriteHookChain` (see :meth:`add_write_hook`).
     on_write: Optional[Callable[["Output", Sample], None]] = None
     total_written: int = 0
+    #: ``"<owner_id>.<name>"``, the key every observer files this output
+    #: under; built once because taps read it on every write.
+    full_name: str = field(init=False, repr=False, compare=False)
 
-    @property
-    def full_name(self) -> str:
-        return f"{self.owner_id}.{self.name}"
+    def __post_init__(self) -> None:
+        self.full_name = f"{self.owner_id}.{self.name}"
+
+    def add_write_hook(self, hook: Callable[["Output", Sample], None]) -> None:
+        """Append ``hook`` to the hooks fired after every write.
+
+        The first hook is installed as it is, so an output watched only
+        by the scheduler keeps calling its bound method directly; a
+        second one turns ``on_write`` into a :class:`WriteHookChain`
+        (whatever was installed before fires first).
+        """
+        existing = self.on_write
+        if existing is None:
+            self.on_write = hook
+        elif isinstance(existing, WriteHookChain):
+            existing.hooks.append(hook)
+        else:
+            self.on_write = WriteHookChain([existing, hook])
 
     def subscribe(self, capacity: int = DEFAULT_QUEUE_CAPACITY) -> Connection:
         """Create and register a new connection fed by this output."""

@@ -19,7 +19,7 @@ Typical use::
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from ..telemetry import NULL_TELEMETRY, Telemetry
 from .channel import DEFAULT_QUEUE_CAPACITY
@@ -95,6 +95,11 @@ class FptCore:
         #: recorder's own ``attach``).  ``None`` keeps the write hot path
         #: at the existing ``on_write`` null check.
         self.flight_recorder = None
+        #: Called with the context of every instance attached at run
+        #: time (:meth:`attach`): observers that tapped the core's
+        #: outputs when they attached (flight recorder, observatory)
+        #: register here so late instances are tapped like the rest.
+        self.context_observers: List[Callable[[ModuleContext], None]] = []
 
         self.dag: Dag = build_dag(
             specs,
@@ -231,17 +236,15 @@ class FptCore:
             self.scheduler.add_instance(self.dag.instances[instance_id])
             for output in self.dag.contexts[instance_id].outputs.values():
                 self.scheduler.attach_output(output)
-            if self.flight_recorder is not None:
-                self.flight_recorder.attach_context(
-                    self.dag.contexts[instance_id]
-                )
+            for observe in self.context_observers:
+                observe(self.dag.contexts[instance_id])
         return added
 
     def set_flight_recorder(self, recorder) -> None:
         """Tap every current and future output with ``recorder``.
 
-        Call after construction: the recorder chains itself onto the
-        scheduler's ``on_write`` hooks and registers itself as the
+        Call after construction: the recorder adds its tap to every
+        output's write hooks and registers itself as the
         ``flight_recorder`` service so alarm sinks can freeze incident
         bundles.  Instances attached later are tapped automatically.
         """

@@ -26,7 +26,7 @@ from collections import deque
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..telemetry import NULL_TELEMETRY, Telemetry
-from .channel import Output, Sample
+from .channel import Output, Sample, WriteHookChain
 from .clock import Clock
 from .errors import SchedulerError
 from .module import Module, RunReason
@@ -35,33 +35,6 @@ from .module import Module, RunReason
 #: The DAG is acyclic so propagation terminates; this guards against a
 #: buggy module writing to its own inputs through out-of-band channels.
 MAX_DRAIN_RUNS = 100_000
-
-
-class WriteHookChain:
-    """An explicit ``on_write`` hook chain: foreign hooks, then the core's.
-
-    The scheduler's trigger bookkeeping must fire exactly once per write
-    no matter how many probes (telemetry taps, test spies, recorders)
-    wrap the same output.  Closure-based chaining cannot be introspected
-    -- once a foreign framework replaces ``on_write``, a re-attach has no
-    way to tell whether the scheduler hook is still buried inside, so it
-    either silently stacks a second one or silently drops bookkeeping.
-    Keeping the hooks in a list makes membership checkable and lets
-    :meth:`Scheduler.attach_output` *rebuild* the chain instead.
-    """
-
-    __slots__ = ("hooks",)
-
-    #: Backwards-compatible marker: older probes (the flight recorder)
-    #: propagate this attribute when they wrap an existing hook.
-    _includes_scheduler_hook = True
-
-    def __init__(self, hooks) -> None:
-        self.hooks = list(hooks)
-
-    def __call__(self, output: Output, sample: Sample) -> None:
-        for hook in self.hooks:
-            hook(output, sample)
 
 
 class Scheduler:
@@ -161,33 +134,22 @@ class Scheduler:
     def attach_output(self, output: Output) -> None:
         """Install the write hook that feeds input-trigger bookkeeping.
 
-        If the output already carries a foreign ``on_write`` hook (a
-        telemetry probe, a test spy), it is *chained*, not overwritten:
-        the existing hooks fire first, then the scheduler's bookkeeping.
-        The chain is an explicit :class:`WriteHookChain`, so re-attaching
-        is detectable: attaching the same output twice is a no-op, and if
-        a foreign framework replaced ``on_write`` wholesale (discarding a
-        previous chain), the chain is *rebuilt* around the new hook
-        instead of silently stacking a second scheduler hook.
+        Hooks already on the output (a telemetry probe, a test spy, the
+        flight recorder) are kept and fire first; ours is appended
+        through :meth:`Output.add_write_hook`.  Because a multi-hook
+        ``on_write`` is an explicit :class:`WriteHookChain`, membership
+        is checkable: attaching the same output twice is a no-op, and if
+        a foreign framework replaced ``on_write`` wholesale (discarding
+        a previous chain), a re-attach chains the bookkeeping behind the
+        new hook instead of silently stacking a second one.
         """
         existing = output.on_write
-        if existing is None:
-            output.on_write = self._on_output_write
-            return
-        if self._is_own_hook(existing):
-            return
-        if isinstance(existing, WriteHookChain):
-            if any(self._is_own_hook(hook) for hook in existing.hooks):
-                return  # already attached; never double-register
-            # A chain built by another scheduler (or one whose scheduler
-            # hook was stripped): append ours, keep the foreign hooks.
-            existing.hooks.append(self._on_output_write)
-            return
-        if getattr(existing, "_includes_scheduler_hook", False):
-            # A foreign wrapper (e.g. the flight recorder's tap) chained
-            # itself around a hook that included our bookkeeping.
-            return
-        output.on_write = WriteHookChain([existing, self._on_output_write])
+        hooks = (
+            existing.hooks if isinstance(existing, WriteHookChain)
+            else (existing,)
+        )
+        if not any(self._is_own_hook(hook) for hook in hooks):
+            output.add_write_hook(self._on_output_write)
 
     # -- write notification ---------------------------------------------------
 

@@ -4,11 +4,28 @@ Production fingerpointing needs more than an alarm log: when the
 ``print`` sink indicts a node, the operator wants the *evidence* -- the
 metric windows, peer comparisons and DAG path that produced the verdict.
 The :class:`FlightRecorder` taps every :class:`~repro.core.Output` of a
-running core through the existing ``on_write`` hook chain and keeps the
-recent past of every channel in a bounded ring buffer (bounded both by
-sample count and by wall-window, sadc-archive style).  Optionally every
-sample is also streamed to an on-disk JSONL archive that
-:mod:`repro.flightrec.replay` can feed back through any DAG config.
+running core through :meth:`Output.add_write_hook
+<repro.core.channel.Output.add_write_hook>` and keeps the recent past of
+every channel in a bounded ring buffer (bounded both by sample count and
+by wall-window, sadc-archive style).  Optionally every sample is also
+streamed to an on-disk JSONL archive that :mod:`repro.flightrec.replay`
+can feed back through any DAG config.
+
+Watching one write costs the same however many channels exist and
+however wide the sample is: the recorder-wide totals (buffered samples
+and bytes, evictions, records) are running ints moved by the deltas of
+the one ring just pushed to, the telemetry gauges read those ints when
+scraped (:class:`~repro.telemetry.metrics.ReadGauge`) instead of being
+set per write, and an archived array is written as its bytes, not as
+decimals (:mod:`repro.flightrec.codec`).  Nothing on the write path
+enumerates ``rings``.
+
+The recorder never breaks the pipeline it watches: an ``OSError`` from
+the archive (disk full, directory gone) or a write after ``close()``
+stops the archive, not the module that wrote the sample.  The failure is
+logged once on logger ``repro.flightrec`` and shows as ``archive_error``
+in :meth:`FlightRecorder.stats`; rings, totals and incident bundles in
+memory carry on.
 
 When an :class:`~repro.analysis.metrics.Alarm` reaches a sink, the sink
 calls :meth:`FlightRecorder.record_incident`, which freezes an *incident
@@ -23,15 +40,20 @@ an output still costs only the existing ``on_write`` null check.
 from __future__ import annotations
 
 import json
+import logging
 import os
 import sys
 from collections import deque
+from functools import partial
+from math import isfinite
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..core.channel import Origin, Output, Sample
-from .codec import encode_value
+from .codec import array_row_json, encode_value
+
+_log = logging.getLogger("repro.flightrec")
 
 __all__ = ["ChannelRing", "ArchiveWriter", "FlightRecorder"]
 
@@ -43,7 +65,10 @@ DEFAULT_RING_WINDOW_S = 300.0
 ARCHIVE_SAMPLES_FILE = "samples.jsonl"
 ARCHIVE_OUTPUTS_FILE = "outputs.json"
 ARCHIVE_MANIFEST_FILE = "manifest.json"
-ARCHIVE_FORMAT = "asdf-flight-archive/1"
+ARCHIVE_FORMAT = "asdf-flight-archive/2"
+#: Manifest tags :class:`~repro.flightrec.replay.ReplayArchive` reads:
+#: ``/1`` wrote arrays as decimal lists, ``/2`` writes their bytes.
+READABLE_ARCHIVE_FORMATS = ("asdf-flight-archive/1", ARCHIVE_FORMAT)
 INCIDENT_FORMAT = "asdf-incident-bundle/1"
 
 
@@ -115,6 +140,13 @@ class ChannelRing:
         return [s for s, _ in self._entries if lo <= s.timestamp <= hi]
 
 
+def _json_number(value: Any) -> str:
+    """``json.dumps(value)`` for a timestamp, without the encoder set-up."""
+    if type(value) is float and isfinite(value):
+        return float.__repr__(value)
+    return json.dumps(value)
+
+
 class ArchiveWriter:
     """Streams every recorded sample to a JSONL archive directory.
 
@@ -124,6 +156,19 @@ class ArchiveWriter:
     origin -- what replay needs to recreate the channels), and
     ``manifest.json`` (format tag, counters, plus whatever the embedding
     application notes, e.g. the configuration text).
+
+    Format ``asdf-flight-archive/2``: a numeric ndarray anywhere in ``v``
+    is its little-endian C-order bytes in base64 with dtype and shape
+    (:mod:`repro.flightrec.codec`), bit-exact and an order of magnitude
+    cheaper to write than the decimal lists of ``/1``; everything else
+    in the three files is as ``/1`` had it.  Incident bundles
+    (``incident-NNNN.json``) keep decimal lists: people read those.
+
+    ``write_sample`` and ``write_incident`` are called from inside
+    ``Output.write`` and a sink's ``run()``, so they do not raise
+    ``OSError``: the first one stops the archive (``error`` says why,
+    logged once) and later calls return without writing, as they do
+    after ``close()``.
     """
 
     def __init__(self, directory: str) -> None:
@@ -134,38 +179,83 @@ class ArchiveWriter:
             encoding="utf-8",
         )
         self._outputs: Dict[str, dict] = {}
+        self._closed = False
         self.records_written = 0
+        #: Why the archive stopped before ``close()``; ``None`` if healthy.
+        self.error: Optional[str] = None
 
-    def note_output(self, output: Output) -> None:
+    def note_output(self, output: Output) -> str:
+        """Register ``output``'s metadata; returns its record head.
+
+        The head is the ``"o": "<full name>"`` member of every record of
+        this output, JSON-escaped here once; hand it to
+        :meth:`write_sample`.
+        """
         if output.full_name not in self._outputs:
             self._outputs[output.full_name] = {
                 "owner": output.owner_id,
                 "name": output.name,
                 "origin": _origin_obj(output.origin),
             }
+        return '"o": ' + json.dumps(output.full_name)
 
-    def write_sample(self, output: Output, sample: Sample,
+    def write_sample(self, head: str, sample: Sample,
                      emitted_at: float) -> None:
-        record = {
-            "t": sample.timestamp,
-            "at": emitted_at,
-            "o": output.full_name,
-            "v": encode_value(sample.value),
-        }
-        self._fh.write(json.dumps(record) + "\n")
+        fh = self._fh
+        if fh is None:
+            return
+        value = sample.value
+        body = array_row_json(value) if isinstance(value, np.ndarray) else None
+        if body is None:
+            body = json.dumps(encode_value(value, binary=True))
+        try:
+            fh.write(
+                '{"t": %s, "at": %s, %s, "v": %s}\n'
+                % (_json_number(sample.timestamp), _json_number(emitted_at),
+                   head, body)
+            )
+        except OSError as exc:
+            self._fail(exc)
+            return
         self.records_written += 1
 
-    def write_incident(self, bundle: dict, index: int) -> str:
+    def write_incident(self, bundle: dict, index: int) -> Optional[str]:
+        """Write one bundle file; ``None`` when the archive has stopped."""
+        if self._fh is None:
+            return None
         path = os.path.join(self.directory, f"incident-{index:04d}.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(bundle, fh, indent=2, sort_keys=True)
+        # ``dumps`` without ``indent`` is the C encoder; ``indent`` or
+        # ``json.dump`` walk tens of thousands of floats in Python (3x
+        # the time, and indenting doubles the bytes).  People read
+        # bundles through ``repro incident``, which re-indents.
+        text = json.dumps(bundle, sort_keys=True)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            self._fail(exc)
+            return None
         return path
 
+    def _fail(self, exc: OSError) -> None:
+        self.error = f"{type(exc).__name__}: {exc}"
+        _log.error(
+            "flight archive %s stopped, recording continues in memory: %s",
+            self.directory, self.error,
+        )
+        fh, self._fh = self._fh, None
+        try:
+            fh.close()
+        except OSError:
+            pass  # the same fault again; already reported
+
     def close(self, manifest: Optional[dict] = None) -> None:
-        if self._fh is None:
+        if self._closed:
             return
-        self._fh.close()
-        self._fh = None
+        self._closed = True
+        if self._fh is not None:
+            fh, self._fh = self._fh, None
+            fh.close()
         with open(
             os.path.join(self.directory, ARCHIVE_OUTPUTS_FILE), "w",
             encoding="utf-8",
@@ -206,21 +296,24 @@ class FlightRecorder:
         self._last_incident: Dict[Tuple[str, str], float] = {}
         self._manifest_notes: dict = {}
         self._core = None
-        self._gauges = None
         self._closed = False
+        # Totals over all rings, kept as the rings change (see _record).
+        self._buffered_samples = 0
+        self._buffered_bytes = 0
+        self._evictions = 0
+        self._recorded = 0
 
     # -- attachment ----------------------------------------------------------
 
     def attach(self, core) -> None:
         """Tap every output of ``core`` and register as its recorder.
 
-        Must be called after the core is constructed (so the scheduler's
-        write hooks are already installed and can be chained).  Newly
-        attached instances (``core.attach``) are tapped by the core
-        itself through ``core.flight_recorder``.
+        Call after the core is constructed.  Instances attached later
+        (``core.attach``) are tapped through ``core.context_observers``.
         """
         self._core = core
         core.flight_recorder = self
+        core.context_observers.append(self.attach_context)
         if core.telemetry.enabled:
             self._register_gauges(core.telemetry.metrics)
         for ctx in core.dag.contexts.values():
@@ -233,24 +326,16 @@ class FlightRecorder:
             self.attach_output(output)
 
     def attach_output(self, output: Output) -> None:
-        ring = self._ring(output)
-        existing = output.on_write
-        record = self._record
+        """Append this recorder's tap to ``output``'s write hooks.
 
-        def tap(out: Output, sample: Sample, _ring=ring) -> None:
-            if existing is not None:
-                existing(out, sample)
-            record(_ring, out, sample)
-
-        if existing is not None:
-            # Preserve the scheduler's already-attached marker so a
-            # repeated Scheduler.attach_output stays a no-op.
-            tap._includes_scheduler_hook = getattr(  # type: ignore[attr-defined]
-                existing, "_includes_scheduler_hook", True
-            )
-        output.on_write = tap
-        if self.archive is not None:
-            self.archive.note_output(output)
+        The tap is ``_record`` with the output's ring and archive record
+        head bound in, so a write costs one call and no lookup.
+        """
+        head = (
+            self.archive.note_output(output) if self.archive is not None
+            else None
+        )
+        output.add_write_hook(partial(self._record, self._ring(output), head))
 
     def _ring(self, output: Output) -> ChannelRing:
         ring = self.rings.get(output.full_name)
@@ -264,52 +349,43 @@ class FlightRecorder:
 
     # -- recording -----------------------------------------------------------
 
-    def _record(self, ring: ChannelRing, output: Output,
-                sample: Sample) -> None:
+    def _record(self, ring: ChannelRing, head: Optional[str],
+                output: Output, sample: Sample) -> None:
+        evictions, ring_bytes = ring.evictions, ring.bytes
         ring.push(sample, _estimate_bytes(sample.value))
-        if self.archive is not None:
-            emitted_at = (
-                self._core.clock.now() if self._core is not None
-                else sample.timestamp
+        evicted = ring.evictions - evictions
+        self._recorded += 1
+        self._evictions += evicted
+        self._buffered_samples += 1 - evicted
+        self._buffered_bytes += ring.bytes - ring_bytes
+        if head is not None:
+            core = self._core
+            self.archive.write_sample(
+                head, sample,
+                core.clock.now() if core is not None else sample.timestamp,
             )
-            self.archive.write_sample(output, sample, emitted_at)
-        if self._gauges is not None:
-            self._update_gauges()
 
     def _register_gauges(self, metrics) -> None:
-        self._gauges = (
-            metrics.gauge(
-                "fpt_flightrec_buffered_samples",
-                "Samples currently held across all flight-recorder rings.",
-            ),
-            metrics.gauge(
-                "fpt_flightrec_buffered_bytes",
-                "Estimated bytes currently held in flight-recorder rings.",
-            ),
-            metrics.gauge(
-                "fpt_flightrec_evictions_total",
-                "Samples evicted from flight-recorder rings (capacity or "
-                "wall-window pressure).",
-            ),
-            metrics.gauge(
-                "fpt_flightrec_records_total",
-                "Samples ever recorded by the flight recorder.",
-            ),
-            metrics.gauge(
-                "fpt_flightrec_incidents_total",
-                "Incident bundles frozen by the flight recorder.",
-            ),
-        )
-        self._update_gauges()
-
-    def _update_gauges(self) -> None:
-        buffered, buffered_bytes, evictions, records, incidents = self._gauges
-        rings = self.rings.values()
-        buffered.set(sum(len(r) for r in rings))
-        buffered_bytes.set(sum(r.bytes for r in rings))
-        evictions.set(sum(r.evictions for r in rings))
-        records.set(sum(r.total_recorded for r in rings))
-        incidents.set(len(self.incidents))
+        """Publish the totals as gauges read on scrape, never pushed."""
+        for name, help_text, read in (
+            ("fpt_flightrec_buffered_samples",
+             "Samples currently held across all flight-recorder rings.",
+             lambda: self._buffered_samples),
+            ("fpt_flightrec_buffered_bytes",
+             "Estimated bytes currently held in flight-recorder rings.",
+             lambda: self._buffered_bytes),
+            ("fpt_flightrec_evictions_total",
+             "Samples evicted from flight-recorder rings (capacity or "
+             "wall-window pressure).",
+             lambda: self._evictions),
+            ("fpt_flightrec_records_total",
+             "Samples ever recorded by the flight recorder.",
+             lambda: self._recorded),
+            ("fpt_flightrec_incidents_total",
+             "Incident bundles frozen by the flight recorder.",
+             lambda: len(self.incidents)),
+        ):
+            metrics.read_gauge(name, help_text, read)
 
     # -- incidents -----------------------------------------------------------
 
@@ -340,8 +416,6 @@ class FlightRecorder:
         self.incidents.append(bundle)
         if self.archive is not None:
             self.archive.write_incident(bundle, len(self.incidents))
-        if self._gauges is not None:
-            self._update_gauges()
         return bundle
 
     # -- views / lifecycle ---------------------------------------------------
@@ -353,18 +427,20 @@ class FlightRecorder:
 
     def stats(self) -> dict:
         """Recorder-level accounting snapshot."""
-        rings = self.rings.values()
         return {
             "channels": len(self.rings),
-            "buffered_samples": sum(len(r) for r in rings),
-            "buffered_bytes": sum(r.bytes for r in rings),
-            "evictions": sum(r.evictions for r in rings),
-            "recorded": sum(r.total_recorded for r in rings),
+            "buffered_samples": self._buffered_samples,
+            "buffered_bytes": self._buffered_bytes,
+            "evictions": self._evictions,
+            "recorded": self._recorded,
             "incidents": len(self.incidents),
             "incidents_suppressed": self.incidents_suppressed,
             "archived_records": (
                 self.archive.records_written if self.archive else 0
             ),
+            # None both without an archive and with a healthy one; a
+            # message means records stopped reaching the disk.
+            "archive_error": self.archive.error if self.archive else None,
         }
 
     def note_manifest(self, **entries) -> None:
@@ -372,7 +448,11 @@ class FlightRecorder:
         self._manifest_notes.update(entries)
 
     def close(self) -> None:
-        """Flush and close the on-disk archive; idempotent."""
+        """Flush and close the on-disk archive; idempotent.
+
+        The taps stay on the outputs: rings and totals keep recording,
+        only the archive stops taking records.
+        """
         if self._closed:
             return
         self._closed = True

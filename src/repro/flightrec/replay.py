@@ -46,6 +46,7 @@ from .recorder import (
     ARCHIVE_MANIFEST_FILE,
     ARCHIVE_OUTPUTS_FILE,
     ARCHIVE_SAMPLES_FILE,
+    READABLE_ARCHIVE_FORMATS,
 )
 
 __all__ = [
@@ -82,11 +83,30 @@ class ReplayArchive:
 
     @classmethod
     def load(cls, directory: str) -> "ReplayArchive":
+        """Read an archive directory of any format this code has written.
+
+        ``asdf-flight-archive/2`` (arrays as bytes), ``/1`` (arrays as
+        decimal lists) and archives without a manifest or a tag load
+        alike -- :func:`~repro.flightrec.codec.decode_value` tells the
+        two array forms apart per value.  Any other tag is a newer or
+        foreign layout and raises ``ValueError`` instead of being guessed.
+        """
         samples_path = os.path.join(directory, ARCHIVE_SAMPLES_FILE)
         if not os.path.exists(samples_path):
             raise FileNotFoundError(
                 f"no flight archive at {directory!r} (missing "
                 f"{ARCHIVE_SAMPLES_FILE})"
+            )
+        manifest: dict = {}
+        manifest_path = os.path.join(directory, ARCHIVE_MANIFEST_FILE)
+        if os.path.exists(manifest_path):
+            with open(manifest_path, encoding="utf-8") as fh:
+                manifest = json.load(fh)
+        tag = manifest.get("format")
+        if tag is not None and tag not in READABLE_ARCHIVE_FORMATS:
+            raise ValueError(
+                f"flight archive at {directory!r} has format {tag!r}; this "
+                f"reader knows {', '.join(READABLE_ARCHIVE_FORMATS)}"
             )
         records: List[ReplayRecord] = []
         with open(samples_path, encoding="utf-8") as fh:
@@ -108,11 +128,6 @@ class ReplayArchive:
         if os.path.exists(outputs_path):
             with open(outputs_path, encoding="utf-8") as fh:
                 outputs = json.load(fh)
-        manifest: dict = {}
-        manifest_path = os.path.join(directory, ARCHIVE_MANIFEST_FILE)
-        if os.path.exists(manifest_path):
-            with open(manifest_path, encoding="utf-8") as fh:
-                manifest = json.load(fh)
         return cls(directory, records, outputs, manifest)
 
     def instances(self) -> Set[str]:

@@ -13,10 +13,11 @@ Two clocks are threaded through every channel write:
 * the **wall stamp** -- ``time.perf_counter()`` at the instant the write
   happened, i.e. real elapsed processing time.
 
-The tracer taps every :class:`~repro.core.channel.Output` through the
-same ``on_write`` hook chain the flight recorder uses, so an untraced
-core pays nothing.  On each write it records the pair of stamps for that
-output and propagates an **ingest watermark**: outputs of source
+The tracer taps every :class:`~repro.core.channel.Output` through
+:meth:`~repro.core.channel.Output.add_write_hook`, as the flight
+recorder does, so an untraced core pays nothing.  On each write it
+records the pair of stamps for that output and propagates an **ingest
+watermark**: outputs of source
 instances (no wired inputs -- sadc, hadoop_log, replay sources) stamp
 their own write as the ingest instant; outputs of downstream instances
 inherit the newest ingest watermark among their upstream outputs.  The
@@ -139,7 +140,7 @@ class LatencyTracer:
     # -- attachment ----------------------------------------------------------
 
     def attach(self, core) -> None:
-        """Tap every output of a constructed core (hook-chain style)."""
+        """Tap every output of a constructed core."""
         for ctx in core.dag.contexts.values():
             self.attach_context(ctx)
 
@@ -154,21 +155,7 @@ class LatencyTracer:
             self.attach_output(output)
 
     def attach_output(self, output: Output) -> None:
-        existing = output.on_write
-        on_write = self.on_write
-
-        def tap(out: Output, sample: Sample) -> None:
-            if existing is not None:
-                existing(out, sample)
-            on_write(out, sample)
-
-        if existing is not None:
-            # Preserve the scheduler's already-attached marker so a
-            # repeated Scheduler.attach_output stays a no-op.
-            tap._includes_scheduler_hook = getattr(  # type: ignore[attr-defined]
-                existing, "_includes_scheduler_hook", True
-            )
-        output.on_write = tap
+        output.add_write_hook(self.on_write)
 
     # -- write path ----------------------------------------------------------
 

@@ -62,13 +62,19 @@ class Observatory:
     def attach(self, core) -> None:
         """Tap every output of ``core`` and register as its observatory.
 
-        Call after construction, like the flight recorder: the scheduler
-        write hooks must already be installed so they can be chained.
+        Call after construction, like the flight recorder.  Instances
+        attached later (``core.attach``) are tapped through
+        ``core.context_observers``.
         """
         self._core = core  # fpt: noqa[FPT401] -- attach() runs before the ops server thread starts
-        self.tracer.attach(core)
+        core.context_observers.append(self.attach_context)
         for ctx in core.dag.contexts.values():
-            ctx.services.setdefault(OBSERVATORY_SERVICE, self)
+            self.attach_context(ctx)
+
+    def attach_context(self, ctx) -> None:
+        """Tap one module context: its outputs plus the sink service."""
+        self.tracer.attach_context(ctx)
+        ctx.services.setdefault(OBSERVATORY_SERVICE, self)
 
     @property
     def core(self):

@@ -9,7 +9,7 @@ this).  Public surface:
 * :data:`NULL_TELEMETRY` -- the disabled default (one attribute check
   on the hot path).
 * :class:`MetricsRegistry`, :class:`Counter`, :class:`Gauge`,
-  :class:`Histogram` -- dependency-free metrics with Prometheus text
+  :class:`ReadGauge`, :class:`Histogram` -- dependency-free metrics with Prometheus text
   and JSON expositions.
 * :class:`Tracer`, :class:`TraceEvent` -- span/event recording with
   JSONL and Chrome ``chrome://tracing`` exports.
@@ -25,6 +25,7 @@ from .metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
+    ReadGauge,
 )
 from .tracing import (
     NULL_TRACER,
@@ -44,6 +45,7 @@ __all__ = [
     "MetricsRegistry",
     "NULL_TELEMETRY",
     "NULL_TRACER",
+    "ReadGauge",
     "RunStats",
     "Telemetry",
     "TraceEvent",

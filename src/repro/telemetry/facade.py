@@ -22,8 +22,8 @@ family                                    type       labels
 ``fpt_periodic_lag_seconds``              histogram  --
 ``fpt_output_writes_total``               counter    ``output``
 ``fpt_output_queue_depth``                gauge      ``output`` (high-watermark)
-``fpt_output_dropped_total``              gauge      ``output``
-``fpt_output_skipped_total``              gauge      ``output``
+``fpt_output_dropped_total``              gauge      ``output`` (read on scrape)
+``fpt_output_skipped_total``              gauge      ``output`` (read on scrape)
 ``asdf_rpc_wire_bytes_total``             counter    ``service``, ``direction``
 ``asdf_rpc_messages_total``               counter    ``service``, ``direction``
 ``asdf_rpc_bytes_sent_total``             gauge      ``role``
@@ -41,8 +41,13 @@ provenance chain, per attributed fault and per pipeline stage (with the
 reserved stage ``total`` for end-to-end ingest->sink latency), on both
 the simulated clock and the wall clock.
 
+"Read on scrape" marks a :class:`~repro.telemetry.metrics.ReadGauge`:
+the value is the sum of the output's own connection counters at the
+moment of the scrape, nothing is pushed on the write path.
+
 The flight recorder (:mod:`repro.flightrec`) registers its own gauge
-families when attached to a telemetry-enabled core:
+families when attached to a telemetry-enabled core, all read on scrape
+from the totals the recorder keeps as it records:
 ``fpt_flightrec_buffered_samples``, ``fpt_flightrec_buffered_bytes``,
 ``fpt_flightrec_evictions_total``, ``fpt_flightrec_records_total`` and
 ``fpt_flightrec_incidents_total``.
@@ -173,40 +178,53 @@ class Telemetry:
 
     def record_write(self, output) -> None:
         """Account one ``Output.write``: write count + queue high-watermark."""
-        name = output.full_name
-        cached = self._output_cache.get(name)
-        if cached is None:
-            labels = {"output": name}
-            cached = (
-                self.metrics.counter(
-                    "fpt_output_writes_total",
-                    "Samples written per output port.", labels,
-                ),
-                self.metrics.gauge(
-                    "fpt_output_queue_depth",
-                    "High-watermark of subscriber queue depth per output.",
-                    labels,
-                ),
-                self.metrics.gauge(
-                    "fpt_output_dropped_total",
-                    "Samples dropped from full subscriber queues per output.",
-                    labels,
-                ),
-                self.metrics.gauge(
-                    "fpt_output_skipped_total",
-                    "Buffered samples discarded unread by latest()-style "
-                    "consumers per output.",
-                    labels,
-                ),
-            )
-            self._output_cache[name] = cached
-        writes, depth, dropped, skipped = cached
+        cached = self._output_cache.get(output.full_name)
+        if cached is None or cached[0] is not output:
+            # First write, or a new output under a known name (a second
+            # core sharing this telemetry): bind the series to it.
+            cached = self._output_metrics(output)
+        _, writes, depth = cached
         writes.inc()
         subscribers = output.subscribers
         if subscribers:
-            depth.set_max(max(len(c) for c in subscribers))
-            dropped.set(sum(c.total_dropped for c in subscribers))
-            skipped.set(sum(c.total_skipped for c in subscribers))
+            depth.set_max(
+                len(subscribers[0]) if len(subscribers) == 1
+                else max(len(c) for c in subscribers)
+            )
+
+    def _output_metrics(self, output) -> tuple:
+        """Bind one output's series; returns it with the two pushed on writes.
+
+        Drops and skips are counters the output's connections keep
+        anyway, so they are published as read-on-scrape gauges over the
+        ``subscribers`` list instead of being re-summed on every write.
+        """
+        labels = {"output": output.full_name}
+        subscribers = output.subscribers
+        self.metrics.read_gauge(
+            "fpt_output_dropped_total",
+            "Samples dropped from full subscriber queues per output.",
+            lambda: sum(c.total_dropped for c in subscribers), labels,
+        )
+        self.metrics.read_gauge(
+            "fpt_output_skipped_total",
+            "Buffered samples discarded unread by latest()-style "
+            "consumers per output.",
+            lambda: sum(c.total_skipped for c in subscribers), labels,
+        )
+        cached = self._output_cache[output.full_name] = (
+            output,
+            self.metrics.counter(
+                "fpt_output_writes_total",
+                "Samples written per output port.", labels,
+            ),
+            self.metrics.gauge(
+                "fpt_output_queue_depth",
+                "High-watermark of subscriber queue depth per output.",
+                labels,
+            ),
+        )
+        return cached
 
     # -- experiment-runner hooks ---------------------------------------------
 

@@ -13,6 +13,16 @@ Design points:
   reason="periodic"}``).  Children are created on first use and cached,
   so hot paths hold a direct reference and pay one attribute access per
   update.
+* **Three child kinds that read as a number.**  A :class:`Counter` and
+  a :class:`Gauge` are *pushed*: the owner of the number calls ``inc`` /
+  ``set`` when it changes.  A :class:`ReadGauge` is *pulled*: it holds a
+  callable and evaluates it when somebody asks (``value()``,
+  ``total()``, ``snapshot()``, ``render_prometheus()``).  It is for
+  numbers their owner keeps anyway (the flight recorder's running
+  totals, a connection's drop counter): publishing them costs nothing
+  on the hot path and the scrape sees the current value, not the value
+  at the last push.  Its family kind is ``gauge`` and it renders
+  exactly as a pushed gauge does.
 * **Fixed-bucket histograms.**  Buckets are chosen at creation time and
   never resize; observation is a linear scan over a short tuple, which
   beats ``bisect`` for the ~10-bucket latency histograms used here.
@@ -26,11 +36,12 @@ from __future__ import annotations
 
 import json
 import threading
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 __all__ = [
     "Counter",
     "Gauge",
+    "ReadGauge",
     "Histogram",
     "MetricsRegistry",
     "DEFAULT_LATENCY_BUCKETS_S",
@@ -121,6 +132,23 @@ class Gauge:
         with _VALUES_LOCK:
             if value > self.value:
                 self.value = float(value)
+
+
+class ReadGauge:
+    """A gauge read from its owner when scraped, never pushed.
+
+    ``read`` is called on the scraping thread; it should be a plain read
+    of numbers the owner maintains (no compound update, no lock).
+    """
+
+    __slots__ = ("read",)
+
+    def __init__(self, read: Callable[[], float]) -> None:
+        self.read = read
+
+    @property
+    def value(self) -> float:
+        return float(self.read())
 
 
 class Histogram:
@@ -232,6 +260,18 @@ class MetricsRegistry:
     def gauge(self, name: str, help_text: str = "",
               labels: Optional[Mapping[str, str]] = None) -> Gauge:
         return self._family(name, "gauge", help_text).child(_label_key(labels))
+
+    def read_gauge(self, name: str, help_text: str,
+                   read: Callable[[], float],
+                   labels: Optional[Mapping[str, str]] = None) -> ReadGauge:
+        """Bind a gauge child to ``read``, evaluated on every scrape.
+
+        Replaces whatever child the label set had, so the latest owner
+        of a series is the one that is read.
+        """
+        child = ReadGauge(read)
+        self._family(name, "gauge", help_text).children[_label_key(labels)] = child
+        return child
 
     def histogram(self, name: str, help_text: str = "",
                   labels: Optional[Mapping[str, str]] = None,

@@ -132,7 +132,7 @@ class TestFlightRecorder:
         outputs = json.loads((tmp_path / "outputs.json").read_text())
         assert outputs["src.value"]["origin"]["node"] == "slave01"
         manifest = json.loads((tmp_path / "manifest.json").read_text())
-        assert manifest["format"] == "asdf-flight-archive/1"
+        assert manifest["format"] == "asdf-flight-archive/2"
         assert manifest["config_text"] == ALARM_PIPELINE_CONFIG
         assert manifest["stats"]["incidents"] == len(recorder.incidents)
 

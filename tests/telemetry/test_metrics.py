@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.telemetry import Counter, Gauge, Histogram, MetricsRegistry
+from repro.telemetry import Counter, Gauge, Histogram, MetricsRegistry, ReadGauge
 
 
 class TestCounter:
@@ -33,6 +33,50 @@ class TestGauge:
         g.set_max(3)
         g.set_max(1)
         assert g.value == 3.0
+
+
+class TestReadGauge:
+    def test_value_is_read_when_asked_not_when_set(self):
+        state = {"n": 0}
+        reads = []
+
+        def read():
+            reads.append(1)
+            return state["n"]
+
+        reg = MetricsRegistry()
+        child = reg.read_gauge("held", "Held.", read, {"ring": "a"})
+        assert isinstance(child, ReadGauge)
+        assert reads == []  # registering evaluates nothing
+        state["n"] = 3
+        assert reg.value("held", {"ring": "a"}) == 3.0
+        state["n"] = 5
+        assert reg.total("held") == 5.0
+        assert reg.snapshot()["held"]["series"] == [
+            {"labels": {"ring": "a"}, "value": 5.0}
+        ]
+        assert 'held{ring="a"} 5\n' in reg.render_prometheus()
+        assert len(reads) == 4  # once per exposition
+
+    def test_exposes_exactly_as_a_pushed_gauge(self):
+        pushed, pulled = MetricsRegistry(), MetricsRegistry()
+        pushed.gauge("depth", "Queue depth.", {"o": "x"}).set(7)
+        pulled.read_gauge("depth", "Queue depth.", lambda: 7, {"o": "x"})
+        assert pulled.render_prometheus() == pushed.render_prometheus()
+        assert pulled.render_json() == pushed.render_json()
+
+    def test_rebinding_a_series_reads_the_latest_owner(self):
+        reg = MetricsRegistry()
+        reg.read_gauge("held", "", lambda: 1)
+        reg.read_gauge("held", "", lambda: 2)
+        assert reg.value("held") == 2.0
+        assert len(list(reg.iter_children("held"))) == 1
+
+    def test_kind_conflict_raises(self):
+        reg = MetricsRegistry()
+        reg.counter("thing")
+        with pytest.raises(ValueError, match="already registered"):
+            reg.read_gauge("thing", "", lambda: 0)
 
 
 class TestHistogram:
