@@ -1,21 +1,20 @@
 """Fleet-batched analysis kernels: whole-cluster math in one call.
 
-The per-node analysis helpers (:func:`repro.analysis.peer.state_histogram`,
-per-window ``matrix.mean(axis=0)``) are exact but cost one numpy dispatch
-per node per window round -- at fleet scale the dispatch overhead
-dominates.  These batched twins take the whole fleet's windows stacked
-along axis 0 and produce identical results in a single call:
+Exact twins of the per-node helpers, whose one numpy dispatch per node
+per window round is what dominates at fleet scale:
 
 - :func:`state_histogram_batch` counts state occupancies for all nodes
   at once with one offset ``bincount`` (integer counting -- exact);
-- :func:`window_moments_batch` reduces an ``(n_nodes, window, metrics)``
-  tensor along the window axis; numpy applies the same pairwise
-  reduction per row as it does per matrix, so means and standard
-  deviations match the per-node loop bit for bit (a property pinned by
-  the parity tests, not assumed).
+- :func:`window_moments_batch` reduces a **time-major**
+  ``(window, n_nodes, metrics)`` block along axis 0; numpy adds up a
+  non-innermost axis sample after sample, the order of
+  ``matrix.mean(axis=0)`` on one node's matrix, so means and sigmas
+  match the per-node loop bit for bit (pinned by the parity tests on
+  non-integer data, not assumed).
 
-Callers keep the per-node loop as a fallback for ragged rounds (nodes
-with mismatched window shapes cannot be stacked).
+The block is what :class:`repro.modules._window_sync.FleetWindow`
+releases: one shape for every node, so no round is ragged and there is
+no per-node path beside these.
 """
 
 from __future__ import annotations
@@ -51,20 +50,21 @@ def state_histogram_batch(assignments: np.ndarray, k: int) -> np.ndarray:
 
 
 def window_moments_batch(
-    tensor: np.ndarray,
+    block: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Window mean and standard deviation for every node at once.
 
-    ``tensor`` has shape (n_nodes, window, n_metrics).  Returns
+    ``block`` has shape (window, n_nodes, n_metrics).  Returns
     ``(means, stds)`` of shape (n_nodes, n_metrics), bit-identical to
-    ``matrix.mean(axis=0)`` / ``matrix.std(axis=0)`` per node.
+    ``matrix.mean(axis=0)`` / ``matrix.std(axis=0)`` of each node's
+    ``block[:, node]``.
     """
-    tensor = np.asarray(tensor, dtype=float)
-    if tensor.ndim != 3:
+    block = np.asarray(block, dtype=float)
+    if block.ndim != 3:
         raise ValueError(
-            f"expected (n_nodes, window, n_metrics), got shape {tensor.shape}"
+            f"expected (window, n_nodes, n_metrics), got shape {block.shape}"
         )
-    return tensor.mean(axis=1), tensor.std(axis=1)
+    return block.mean(axis=0), block.std(axis=0)
 
 
 __all__ = ["state_histogram_batch", "window_moments_batch"]

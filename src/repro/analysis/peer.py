@@ -107,10 +107,11 @@ def whitebox_anomalies(
     """Full white-box window comparison across all nodes."""
     deviations = whitebox_deviations(window_means)
     thresholds = whitebox_thresholds(window_stds, k)
-    anomalous: List[List[int]] = []
-    for node_devs in deviations:
-        over = np.nonzero(node_devs > thresholds)[0]
-        anomalous.append([int(i) for i in over])
+    # One mask for the fleet; a list is filled only for a flagged node.
+    anomalous: List[List[int]] = [[] for _ in range(len(deviations))]
+    rows, columns = np.nonzero(deviations > thresholds)
+    for node, metric in zip(rows.tolist(), columns.tolist()):
+        anomalous[node].append(metric)
     return WhiteboxVerdict(
         deviations=deviations, thresholds=thresholds, anomalous_metrics=anomalous
     )

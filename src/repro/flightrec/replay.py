@@ -25,8 +25,12 @@ from __future__ import annotations
 
 import json
 import os
+import sys
+from array import array
+from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Union
+from itertools import chain
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Union
 
 from ..analysis.metrics import Alarm
 from ..core import (
@@ -71,8 +75,43 @@ class ReplayRecord:
     value: object      # decoded payload
 
 
+class _ArchiveIndex:
+    """One pass over an archive's records: which output wrote where."""
+
+    def __init__(self, records: List[ReplayRecord], outputs: Dict[str, dict]) -> None:
+        self.records = records
+        self.size = len(records)
+        #: output full name -> positions of its records (packed ints).
+        self.positions: Dict[str, array] = defaultdict(lambda: array("q"))
+        for position, record in enumerate(records):
+            self.positions[record.output].append(position)
+        #: owner -> its outputs' full names; an output missing from
+        #: ``outputs.json`` belongs to the instance its name starts with.
+        self.names: Dict[str, List[str]] = {}
+        for name in dict.fromkeys(chain(outputs, self.positions)):
+            meta = outputs.get(name)
+            owner = meta["owner"] if meta else name.partition(".")[0]
+            self.names.setdefault(owner, []).append(name)
+        #: owner -> its records in file order; shared by all who ask.
+        self.by_owner = {
+            owner: self.select(names) for owner, names in self.names.items()
+        }
+
+    def select(self, full_names: Iterable[str]) -> List[ReplayRecord]:
+        """The records of these outputs, merged in file order."""
+        found = [self.positions[n] for n in full_names if n in self.positions]
+        merged = found[0] if len(found) == 1 else sorted(chain.from_iterable(found))
+        return [self.records[position] for position in merged]
+
+
 class ReplayArchive:
-    """A loaded flight-recorder archive directory."""
+    """A loaded flight-recorder archive directory.
+
+    ``records`` is the archive in file order; per-instance and
+    per-output questions are answered from an index built lazily in one
+    pass (rebuilt if ``records`` was appended to or replaced).
+    ``records_for_instance`` hands every caller the same list: read it.
+    """
 
     def __init__(self, directory: str, records: List[ReplayRecord],
                  outputs: Dict[str, dict], manifest: dict) -> None:
@@ -80,6 +119,7 @@ class ReplayArchive:
         self.records = records          # file order == emission order
         self.outputs = outputs          # full_name -> {owner, name, origin}
         self.manifest = manifest
+        self._indexed: Optional[_ArchiveIndex] = None
 
     @classmethod
     def load(cls, directory: str) -> "ReplayArchive":
@@ -119,7 +159,8 @@ class ReplayArchive:
                     ReplayRecord(
                         at=float(obj["at"]),
                         timestamp=float(obj["t"]),
-                        output=obj["o"],
+                        # One str per output, not per record.
+                        output=sys.intern(obj["o"]),
                         value=decode_value(obj["v"]),
                     )
                 )
@@ -130,26 +171,34 @@ class ReplayArchive:
                 outputs = json.load(fh)
         return cls(directory, records, outputs, manifest)
 
+    def _index(self) -> _ArchiveIndex:
+        index = self._indexed
+        records = self.records
+        if (index is None or index.records is not records
+                or index.size != len(records)):
+            index = self._indexed = _ArchiveIndex(records, self.outputs)
+        return index
+
     def instances(self) -> Set[str]:
         """Instance ids that own at least one archived output."""
-        owners = {meta["owner"] for meta in self.outputs.values()}
-        owners.update(record.output.partition(".")[0] for record in self.records)
-        return owners
+        return set(self._index().names)
 
     def outputs_of(self, instance_id: str) -> Dict[str, dict]:
         """Output name -> metadata for one instance's archived outputs."""
-        return {
-            meta["name"]: meta
-            for full_name, meta in self.outputs.items()
-            if meta["owner"] == instance_id
-        }
+        names = self._index().names.get(instance_id, ())
+        metas = (self.outputs[name] for name in names if name in self.outputs)
+        return {meta["name"]: meta for meta in metas}
 
     def records_for_instance(self, instance_id: str) -> List[ReplayRecord]:
-        prefix = instance_id + "."
-        return [r for r in self.records if r.output.startswith(prefix)]
+        """Every record of the instance's outputs, in file order."""
+        return self._index().by_owner.get(instance_id, [])
+
+    def records_for_outputs(self, full_names: Iterable[str]) -> List[ReplayRecord]:
+        """The records of these outputs, merged in file order."""
+        return self._index().select(set(full_names))
 
     def samples_for_output(self, full_name: str) -> List[ReplayRecord]:
-        return [r for r in self.records if r.output == full_name]
+        return self._index().select((full_name,))
 
     def end_time(self) -> float:
         return max((r.at for r in self.records), default=0.0)
@@ -188,14 +237,15 @@ class ReplaySourceModule(Module):
                 f"replay_source '{ctx.instance_id}': archive has no outputs "
                 f"for instance '{self.source_id}'"
             )
-        self.outputs = {}
+        #: A record's output full name -> that output's bound ``write``.
+        self._writes = {}
         for name in sorted(metas):
-            meta = metas[name]
-            origin_obj = meta.get("origin")
-            origin = (
-                Origin(**origin_obj) if isinstance(origin_obj, dict) else None
+            origin = metas[name].get("origin")
+            output = ctx.create_output(
+                name, Origin(**origin) if isinstance(origin, dict) else None
             )
-            self.outputs[name] = ctx.create_output(name, origin)
+            self._writes[f"{self.source_id}.{name}"] = output.write
+        # Shared with every other core replaying this archive.
         self._records = archive.records_for_instance(self.source_id)
         self._pos = 0
         self.samples_replayed = 0
@@ -207,14 +257,17 @@ class ReplaySourceModule(Module):
     def run(self, reason: RunReason) -> None:
         now = self.ctx.clock.now() + 1e-9
         records = self._records
-        pos = self._pos
-        while pos < len(records) and records[pos].at <= now:
+        writes = self._writes
+        start = pos = self._pos
+        end = len(records)
+        while pos < end:
             record = records[pos]
-            name = record.output.partition(".")[2]
-            self.outputs[name].write(record.value, record.timestamp)
-            self.samples_replayed += 1
+            if record.at > now:
+                break
+            writes[record.output](record.value, record.timestamp)
             pos += 1
         self._pos = pos
+        self.samples_replayed += pos - start
 
 
 def make_replay_registry(base: Optional[ModuleRegistry] = None) -> ModuleRegistry:
@@ -346,15 +399,13 @@ def run_replay(
         if not isinstance(module, PrintModule):
             continue
         result.alarms[instance_id] = module.alarms
-        feeding = {
+        feeding = archive.records_for_outputs(
             f"{edge.src_instance}.{edge.output_name}"
             for edge in core.edges
             if edge.dst_instance == instance_id
-        }
+        )
         result.expected[instance_id] = [
-            r.value
-            for r in archive.records
-            if r.output in feeding and isinstance(r.value, Alarm)
+            r.value for r in feeding if isinstance(r.value, Alarm)
         ]
     return result
 

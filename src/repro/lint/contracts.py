@@ -308,6 +308,29 @@ def _interval_params() -> Tuple[ParamSpec, ...]:
     )
 
 
+def _peer_comparison_contract(
+    type_name: str, own_params: Tuple[ParamSpec, ...], consecutive: str,
+    terms: Tuple[CostTerm, ...],
+) -> ModuleContract:
+    """What ``PeerComparisonModule`` fixes for both detectors."""
+    return ModuleContract(
+        type_name=type_name,
+        params=own_params + (
+            ParamSpec("window", "int", default="60", min_value=1),
+            ParamSpec("slide", "int", default="window", min_value=1),
+            ParamSpec("consecutive", "int", default=consecutive, min_value=1),
+        ),
+        accepts_any_inputs=True,
+        requires_inputs=True,
+        outputs=("alarms", "decisions", "stats"),
+        trigger=TriggerSpec.per_connection(),
+        min_peers=3,
+        cost=CostFact(
+            terms=terms, hot=True, batched=True, window_recompute=True
+        ),
+    )
+
+
 def standard_contracts() -> ContractRegistry:
     """Contracts for every module in the standard registry."""
     registry = ContractRegistry()
@@ -531,64 +554,37 @@ def standard_contracts() -> ContractRegistry:
             ),
         )
     )
+    # bench/ stage table, PR 18 traced passes (seed 3) at 200 us/cu,
+    # tracing's ~10 % off.  fleet50 (50 peers, a round a minute) is all
+    # appends: analysis_bb 1.36 / _wb 1.89 us/sample at 310 us/cu = 0.9 /
+    # 1.2.  replay25_sliding (25 peers, a round a second, 75 "samples" a
+    # tick) at 262 us/cu: bb 2.89 us x 75 = 149 us a tick, 115 the round;
+    # wb 3.02 x 75 = 156, 125 the round; one round timed at 25 and 100
+    # peers splits both about half fixed, half per-peer.
     registry.register(
-        ModuleContract(
-            type_name="analysis_bb",
-            params=(
+        _peer_comparison_contract(
+            "analysis_bb",
+            (
                 ParamSpec("threshold", "float", required=True, min_value=0.0),
-                ParamSpec("window", "int", default="60", min_value=1),
-                ParamSpec("slide", "int", default="window", min_value=1),
-                ParamSpec("consecutive", "int", default="3", min_value=1),
                 ParamSpec("num_states", "int", required=True, min_value=1),
             ),
-            accepts_any_inputs=True,
-            requires_inputs=True,
-            outputs=("alarms", "decisions", "stats"),
-            trigger=TriggerSpec.per_connection(),
-            min_peers=3,
-            cost=CostFact(
-                terms=(
-                    CostTerm(2.0, "sample", note="per-peer sample append"),
-                    CostTerm(
-                        20.0, "window", ("n_inputs",),
-                        "per-peer histogram + pairwise vote",
-                    ),
-                    CostTerm(
-                        0.02, "window", ("n_inputs", "num_states"),
-                        "state-count normalization",
-                    ),
-                ),
-                hot=True,
-                batched=True,
-                window_recompute=True,
+            consecutive="3",
+            terms=(
+                CostTerm(0.9, "sample", note="ring write: fleet50 stage table"),
+                CostTerm(60.0, "window", note="round, fixed: replay25_sliding"),
+                CostTerm(2.2, "window", ("n_inputs",), "round, per peer: same"),
             ),
         )
     )
     registry.register(
-        ModuleContract(
-            type_name="analysis_wb",
-            params=(
-                ParamSpec("k", "float", default="3.0", positive=True),
-                ParamSpec("window", "int", default="60", min_value=1),
-                ParamSpec("slide", "int", default="window", min_value=1),
-                ParamSpec("consecutive", "int", default="2", min_value=1),
-            ),
-            accepts_any_inputs=True,
-            requires_inputs=True,
-            outputs=("alarms", "decisions", "stats"),
-            trigger=TriggerSpec.per_connection(),
-            min_peers=3,
-            cost=CostFact(
-                terms=(
-                    CostTerm(2.0, "sample", note="per-peer sample append"),
-                    CostTerm(
-                        15.0, "window", ("n_inputs",),
-                        "per-peer mean/sigma + outlier vote",
-                    ),
-                ),
-                hot=True,
-                batched=True,
-                window_recompute=True,
+        _peer_comparison_contract(
+            "analysis_wb",
+            (ParamSpec("k", "float", default="3.0", positive=True),),
+            consecutive="2",
+            terms=(
+                CostTerm(1.2, "sample", note="ring write: fleet50 stage table"),
+                CostTerm(60.0, "window", note="round, fixed: replay25_sliding"),
+                CostTerm(2.6, "window", ("n_inputs",), "round, per peer: same"),
             ),
         )
     )

@@ -42,8 +42,6 @@ per-node Python loops (FPT310), per-sample allocations inside loops
 from __future__ import annotations
 
 import ast
-import inspect
-import textwrap
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -52,6 +50,7 @@ from ..core.registry import ModuleRegistry
 from ..sysstat.metrics import NODE_METRICS
 from .contracts import ContractRegistry, CostFact, ModuleContract
 from .diagnostics import Diagnostic, apply_noqa, sort_diagnostics
+from .implcheck import effective_class_bodies
 
 #: Default tick budget: one simulated second of analysis must fit in one
 #: wall-clock second, or the online pipeline falls behind its sources.
@@ -705,32 +704,29 @@ def scan_hot_modules(
         contract = contracts.get(type_name)
         if contract is None or contract.cost is None or not contract.cost.hot:
             continue
-        module_class = registry.resolve(type_name)
         try:
-            source, start = inspect.getsourcelines(module_class)
-            file = inspect.getsourcefile(module_class) or "<source>"
+            bodies = list(effective_class_bodies(registry.resolve(type_name)))
         except (OSError, TypeError):
             continue
-        tree = ast.parse(textwrap.dedent("".join(source)))
-        visitor = _HotLoopVisitor(type_name, file, start - 1)
-        # Only steady-state code is hot: ``init()``/``__init__`` run once
-        # per deployment, so their setup loops are exempt by design.
-        for class_node in ast.walk(tree):
-            if not isinstance(class_node, ast.ClassDef):
-                continue
-            for item in class_node.body:
+        # An inherited ``run`` is hot all the same: every class below
+        # ``Module`` is scanned, against its own file's lines and noqa.
+        for body, file, offset in bodies:
+            visitor = _HotLoopVisitor(type_name, file, offset)
+            # Only steady-state code is hot: ``init()``/``__init__`` run
+            # once per deployment, so their setup loops are exempt.
+            for item in body:
                 if isinstance(
                     item, (ast.FunctionDef, ast.AsyncFunctionDef)
                 ) and item.name not in ("init", "__init__"):
                     visitor.visit(item)
-        findings = visitor.findings
-        if noqa and findings:
-            try:
-                with open(file, "r", encoding="utf-8") as handle:
-                    findings = apply_noqa(findings, handle.read())
-            except OSError:
-                pass
-        diagnostics.extend(findings)
+            findings = visitor.findings
+            if noqa and findings:
+                try:
+                    with open(file, "r", encoding="utf-8") as handle:
+                        findings = apply_noqa(findings, handle.read())
+                except OSError:
+                    pass
+            diagnostics.extend(findings)
     return sort_diagnostics(diagnostics)
 
 

@@ -70,11 +70,14 @@ class ApiScan:
 
 
 class _ApiVisitor(ast.NodeVisitor):
-    def __init__(self, scan: ApiScan, line_offset: int) -> None:
+    def __init__(self, scan: ApiScan, line_offset: Optional[int]) -> None:
         self.scan = scan
+        #: ``None`` for a base class outside ``scan.file``: its lines read 0.
         self.offset = line_offset
 
     def _line(self, node: ast.AST) -> int:
+        if self.offset is None:
+            return 0
         return getattr(node, "lineno", 1) + self.offset
 
     @staticmethod
@@ -138,21 +141,49 @@ class _ApiVisitor(ast.NodeVisitor):
         self.generic_visit(node)
 
 
+def effective_class_bodies(module_class: Type[Module]):
+    """The code a module class runs with, own and inherited: per class
+    of the MRO up to (not including) :class:`Module`, ``(body statements,
+    source file, line offset)``, a method that a nearer class defines
+    left out.  Raises ``OSError`` / ``TypeError`` when a class on the way
+    has no retrievable source (REPL class, C extension).
+    """
+    defined: Set[str] = set()
+    for klass in module_class.__mro__:
+        if klass is Module or klass is object:
+            return
+        source, start_line = inspect.getsourcelines(klass)
+        file = inspect.getsourcefile(klass) or "<source>"
+        class_node = ast.parse(textwrap.dedent("".join(source))).body[0]
+        body: List[ast.stmt] = []
+        for statement in class_node.body:
+            if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if statement.name in defined:
+                    continue
+                defined.add(statement.name)
+            body.append(statement)
+        yield body, file, start_line - 1
+
+
 def scan_module_class(module_class: Type[Module]) -> ApiScan:
-    """Parse the class source and collect its plug-in API usage."""
+    """Parse the class source -- inherited ``init``/``run`` included, see
+    :func:`effective_class_bodies` -- and collect its plug-in API usage."""
     scan = ApiScan(class_name=module_class.__name__)
     try:
-        source, start_line = inspect.getsourcelines(module_class)
-        scan.file = inspect.getsourcefile(module_class) or "<source>"
+        bodies = list(effective_class_bodies(module_class))
     except (OSError, TypeError):
-        # No retrievable source (REPL class, C extension): scan nothing
-        # and treat every facet as dynamic so no false mismatch fires.
+        # No retrievable source: scan nothing and treat every facet as
+        # dynamic so no false mismatch fires.
         scan.dynamic_outputs = True
         scan.dynamic_params = True
         scan.dynamic_inputs = True
         return scan
-    tree = ast.parse(textwrap.dedent("".join(source)))
-    _ApiVisitor(scan, line_offset=start_line - 1).visit(tree)
+    if bodies:
+        scan.file = bodies[0][1]
+    for body, file, offset in bodies:
+        visitor = _ApiVisitor(scan, offset if file == scan.file else None)
+        for statement in body:
+            visitor.visit(statement)
     return scan
 
 

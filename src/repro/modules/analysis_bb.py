@@ -9,6 +9,10 @@ vector across nodes, and flags node ``j`` anomalous when the L1 distance
 fingerpointed after ``consecutive`` anomalous windows in a row ("it took
 at least 3 consecutive windows to gain confidence in our detection").
 
+Windowing, streak counting and the outputs are
+:class:`~repro.modules._window_sync.PeerComparisonModule`; this file is
+the statistic, one offset ``bincount`` over a round's time-major block.
+
 Configuration::
 
     [analysis_bb]
@@ -31,146 +35,40 @@ Outputs:
 
 from __future__ import annotations
 
-from typing import Dict, List
-
 import numpy as np
 
 from ..analysis.fleet import state_histogram_batch
-from ..analysis.metrics import Alarm, WindowDecision
-from ..analysis.peer import state_histogram, state_vector_l1_deviation
-from ..core import Module, RunReason
-from ..core.errors import ConfigError
-from ._window_sync import ConsecutiveCounter, TimedWindow, WindowAligner
+from ..analysis.peer import state_vector_l1_deviation
+from ._window_sync import PeerComparisonModule
 
 
-class BlackBoxAnalysisModule(Module):
+class BlackBoxAnalysisModule(PeerComparisonModule):
     type_name = "analysis_bb"
+    alarm_source = "blackbox"
+    default_consecutive = 3
 
-    def init(self) -> None:
-        ctx = self.ctx
-        self.threshold = ctx.param_float("threshold")
-        window = ctx.param_int("window", 60)
-        slide = ctx.param_int("slide", window)
-        self.consecutive = ctx.param_int("consecutive", 3)
-        self.num_states = ctx.param_int("num_states")
+    def configure(self) -> None:
+        self.threshold = self.ctx.param_float("threshold")
+        self.num_states = self.ctx.param_int("num_states")
 
-        self.connections: Dict[str, object] = {}
-        for group in ctx.inputs.values():
-            for connection in group:
-                origin = connection.origin
-                node = origin.node if origin is not None else ""
-                if not node:
-                    raise ConfigError(
-                        f"analysis_bb '{ctx.instance_id}': input connection "
-                        "without node origin (wire it from sadc/knn outputs)"
-                    )
-                if node in self.connections:
-                    raise ConfigError(
-                        f"analysis_bb '{ctx.instance_id}': two inputs for "
-                        f"node '{node}'"
-                    )
-                self.connections[node] = connection
-        if len(self.connections) < 3:
-            raise ConfigError(
-                f"analysis_bb '{ctx.instance_id}': peer comparison needs at "
-                f"least 3 nodes, got {len(self.connections)}"
-            )
-        self.nodes = sorted(self.connections)
-        self._windows = {node: TimedWindow(window, slide) for node in self.nodes}
-        self._aligner = WindowAligner(self.nodes)
-        self._counter = ConsecutiveCounter(self.nodes, self.consecutive)
-        self.alarms_out = ctx.create_output("alarms")
-        self.decisions_out = ctx.create_output("decisions")
-        # Raw per-round statistics, for offline threshold sweeps: a dict
-        # with the node list, each node's L1 deviation and window bounds.
-        self.stats_out = ctx.create_output("stats")
-        self.rounds_processed = 0
-        ctx.trigger_after_updates(len(self.connections))
+    def feed(self, column: int, sample) -> None:
+        values = sample.value if isinstance(sample.value, list) else [sample.value]
+        # A batched sample (from ibuffer) carries the timestamp of its
+        # *last* element; earlier elements are one collection interval
+        # apart.
+        base = sample.timestamp - (len(values) - 1)
+        push = self._window.push
+        for offset, value in enumerate(values):
+            push(column, base + offset, float(value))
 
-    def run(self, reason: RunReason) -> None:
-        rounds = []
-        for node in self.nodes:  # fpt: noqa[FPT310] -- drains per-node queues; the math below is batched
-            completed = []
-            for sample in self.connections[node].pop_all():
-                values = sample.value if isinstance(sample.value, list) else [sample.value]
-                # A batched sample (from ibuffer) carries the timestamp of
-                # its *last* element; earlier elements are one collection
-                # interval apart.
-                base = sample.timestamp - (len(values) - 1)
-                for offset, value in enumerate(values):
-                    completed.extend(
-                        self._windows[node].push(base + offset, float(value))
-                    )
-            rounds.extend(self._aligner.push(node, completed))
-        for window_round in rounds:
-            self._process_round(window_round)
-
-    def _process_round(self, window_round) -> None:
-        matrices = [window_round[node][2] for node in self.nodes]  # fpt: noqa[FPT312] -- gathers one matrix per node to stack for the vectorized path
-        if len({m.shape for m in matrices}) == 1:
-            # Aligned rounds have one window shape fleet-wide: count all
-            # nodes' state occupancies in a single offset-bincount pass
-            # (bit-identical to the per-node loop -- integer counting).
-            assignments = np.clip(
-                np.stack(matrices).reshape(len(self.nodes), -1).astype(int),
-                0,
-                self.num_states - 1,
-            )
-            histograms = state_histogram_batch(assignments, self.num_states)
-        else:
-            # Ragged round (mismatched window shapes): per-node fallback.
-            histograms = np.array(
-                [
-                    state_histogram(
-                        np.clip(
-                            matrix.ravel().astype(int),
-                            0,
-                            self.num_states - 1,
-                        ),
-                        self.num_states,
-                    )
-                    for matrix in matrices
-                ]
-            )
-        deviations = state_vector_l1_deviation(histograms)
-        anomalous = {
-            node: bool(dev > self.threshold)
-            for node, dev in zip(self.nodes, deviations)
-        }
-        fired = set(self._counter.update(anomalous))
-        now = self.ctx.clock.now()
-        decisions: List[WindowDecision] = []
-        for node, deviation in zip(self.nodes, deviations):  # fpt: noqa[FPT310] -- one decision object per node per window round, not per sample
-            start, end, _ = window_round[node]
-            decisions.append(
-                WindowDecision(
-                    node=node,
-                    window_start=start,
-                    window_end=end + 1.0,
-                    alarmed=node in fired,
-                )
-            )
-            if node in fired:
-                self.alarms_out.write(
-                    Alarm(
-                        time=now,
-                        node=node,
-                        source="blackbox",
-                        detail=f"L1 deviation {deviation:.1f} > {self.threshold:.1f}",
-                    ),
-                    now,
-                )
-        self.decisions_out.write(decisions, now)
-        self.stats_out.write(
-            {
-                "nodes": list(self.nodes),
-                "deviations": [float(d) for d in deviations],
-                "histograms": histograms,
-                "windows": {
-                    node: (window_round[node][0], window_round[node][1] + 1.0)
-                    for node in self.nodes
-                },
-            },
-            now,
+    def compare(self, block: np.ndarray):
+        assignments = np.clip(
+            block[:, :, 0].T.astype(int), 0, self.num_states - 1
         )
-        self.rounds_processed += 1
+        histograms = state_histogram_batch(assignments, self.num_states)
+        deviations = state_vector_l1_deviation(histograms)
+        return (
+            (deviations > self.threshold).tolist(),
+            lambda i: f"L1 deviation {deviations[i]:.1f} > {self.threshold:.1f}",
+            {"deviations": deviations.tolist(), "histograms": histograms},
+        )

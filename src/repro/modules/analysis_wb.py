@@ -20,131 +20,36 @@ Configuration::
     input[n1] = hl.slave02
     ...
 
-Outputs mirror ``analysis_bb``: ``alarms`` and ``decisions``.
+Outputs mirror ``analysis_bb``: ``alarms``, ``decisions`` and ``stats``.
+
+Windowing, streak counting and the outputs are
+:class:`~repro.modules._window_sync.PeerComparisonModule`; this file is
+the statistic: mean and sigma of a round's time-major ``(window, nodes,
+metrics)`` block over axis 0, then the median rule.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
-
 import numpy as np
 
 from ..analysis.fleet import window_moments_batch
-from ..analysis.metrics import Alarm, WindowDecision
 from ..analysis.peer import whitebox_anomalies
-from ..core import Module, RunReason
-from ..core.errors import ConfigError
-from ._window_sync import ConsecutiveCounter, TimedWindow, WindowAligner
+from ._window_sync import PeerComparisonModule
 
 
-class WhiteBoxAnalysisModule(Module):
+class WhiteBoxAnalysisModule(PeerComparisonModule):
     type_name = "analysis_wb"
+    alarm_source = "whitebox"
+    default_consecutive = 2
 
-    def init(self) -> None:
-        ctx = self.ctx
-        self.k = ctx.param_float("k", 3.0)
-        window = ctx.param_int("window", 60)
-        slide = ctx.param_int("slide", window)
-        self.consecutive = ctx.param_int("consecutive", 2)
+    def configure(self) -> None:
+        self.k = self.ctx.param_float("k", 3.0)
 
-        self.connections: Dict[str, object] = {}
-        for group in ctx.inputs.values():
-            for connection in group:
-                origin = connection.origin
-                node = origin.node if origin is not None else ""
-                if not node:
-                    raise ConfigError(
-                        f"analysis_wb '{ctx.instance_id}': input connection "
-                        "without node origin (wire it from hadoop_log outputs)"
-                    )
-                if node in self.connections:
-                    raise ConfigError(
-                        f"analysis_wb '{ctx.instance_id}': two inputs for "
-                        f"node '{node}'"
-                    )
-                self.connections[node] = connection
-        if len(self.connections) < 3:
-            raise ConfigError(
-                f"analysis_wb '{ctx.instance_id}': peer comparison needs at "
-                f"least 3 nodes, got {len(self.connections)}"
-            )
-        self.nodes = sorted(self.connections)
-        self._windows = {node: TimedWindow(window, slide) for node in self.nodes}
-        self._aligner = WindowAligner(self.nodes)
-        self._counter = ConsecutiveCounter(self.nodes, self.consecutive)
-        self.alarms_out = ctx.create_output("alarms")
-        self.decisions_out = ctx.create_output("decisions")
-        # Raw per-round statistics, for offline k sweeps: the node list
-        # plus each node's window means and stds per metric.
-        self.stats_out = ctx.create_output("stats")
-        self.rounds_processed = 0
-        ctx.trigger_after_updates(len(self.connections))
-
-    def run(self, reason: RunReason) -> None:
-        rounds = []
-        for node in self.nodes:  # fpt: noqa[FPT310] -- drains per-node queues; the math below is batched
-            completed = []
-            for sample in self.connections[node].pop_all():
-                completed.extend(
-                    self._windows[node].push(sample.timestamp, sample.value)
-                )
-            rounds.extend(self._aligner.push(node, completed))
-        for window_round in rounds:
-            self._process_round(window_round)
-
-    def _process_round(self, window_round) -> None:
-        matrices = [window_round[node][2] for node in self.nodes]  # fpt: noqa[FPT312] -- gathers one matrix per node to stack for the vectorized path
-        if len({m.shape for m in matrices}) == 1 and matrices[0].ndim == 2:
-            # Aligned rounds have one window shape fleet-wide: reduce the
-            # whole (n_nodes, window, metrics) tensor in one call.  Numpy
-            # applies the same pairwise reduction per row as per matrix,
-            # so this is bit-identical to the per-node loop (pinned by
-            # the parity tests).
-            means, stds = window_moments_batch(np.stack(matrices))
-        else:
-            # Ragged round (mismatched window shapes): per-node fallback.
-            means = np.array([m.mean(axis=0) for m in matrices])
-            stds = np.array([m.std(axis=0) for m in matrices])
-        verdict = whitebox_anomalies(means, stds, self.k)
-        anomalous = {
-            node: bool(flag)
-            for node, flag in zip(self.nodes, verdict.anomalous_nodes)
-        }
-        fired = set(self._counter.update(anomalous))
-        now = self.ctx.clock.now()
-        decisions: List[WindowDecision] = []
-        for index, node in enumerate(self.nodes):  # fpt: noqa[FPT310] -- one decision object per node per window round, not per sample
-            start, end, _ = window_round[node]
-            decisions.append(
-                WindowDecision(
-                    node=node,
-                    window_start=start,
-                    window_end=end + 1.0,
-                    alarmed=node in fired,
-                )
-            )
-            if node in fired:
-                metric_indices = verdict.anomalous_metrics[index]
-                self.alarms_out.write(
-                    Alarm(
-                        time=now,
-                        node=node,
-                        source="whitebox",
-                        detail=f"metrics over threshold: {metric_indices}",
-                    ),
-                    now,
-                )
-        self.decisions_out.write(decisions, now)
-        self.stats_out.write(
-            {
-                "nodes": list(self.nodes),
-                "means": means,
-                "stds": stds,
-                "windows": {
-                    node: (window_round[node][0], window_round[node][1] + 1.0)
-                    for node in self.nodes
-                },
-            },
-            now,
+    def compare(self, block: np.ndarray):
+        means, stds = window_moments_batch(block)
+        offending = whitebox_anomalies(means, stds, self.k).anomalous_metrics
+        return (
+            [bool(metrics) for metrics in offending],
+            lambda i: f"metrics over threshold: {offending[i]}",
+            {"means": means, "stds": stds},
         )
-        self.rounds_processed += 1

@@ -128,6 +128,46 @@ class TestWindowRecompute:
         assert "FPT303" not in codes(report)
 
 
+class TestAnalysisFactsFromTheStageTable:
+    """The two analyses' cost facts against the runs they were read from.
+
+    ``bench/run.py --trace 1`` at PR 18, seed 3, in microseconds per
+    simulated second at 200 us/cu with tracing's ~10 % taken off (how
+    the facts' notes state them): ``fleet50`` prices the sample appends
+    (50 peers, a round a minute), ``replay25_sliding`` the round (25
+    peers, window 60, a round every second).  The estimate has to stay
+    within a quarter of both, and FPT303 has to keep firing for the
+    sliding deployment -- every window is still rescanned.
+    """
+
+    MEASURED_US_PER_S = {
+        ("fleet50", "analysis_bb"): 44.0,
+        ("fleet50", "analysis_wb"): 61.0,
+        ("sliding25", "analysis_bb"): 149.0,
+        ("sliding25", "analysis_wb"): 156.0,
+    }
+    DEPLOYMENTS = {
+        "fleet50": dict(slaves=50),
+        "sliding25": dict(slaves=25, window=60, slide=1, ibuffer_size=1),
+    }
+
+    @pytest.mark.parametrize("deployment", sorted(DEPLOYMENTS))
+    def test_estimates_within_a_quarter_of_the_traced_rows(self, deployment):
+        report = estimate_config(generated(**self.DEPLOYMENTS[deployment]))
+        estimated = {name: ms * 1000.0 for name, _, _, ms in report.by_type()}
+        for module in ("analysis_bb", "analysis_wb"):
+            measured = self.MEASURED_US_PER_S[deployment, module]
+            assert 0.75 * measured <= estimated[module] <= 1.25 * measured, (
+                module, estimated[module], measured,
+            )
+
+    def test_sliding_deployment_is_flagged_but_fits_the_budget(self):
+        report = estimate_config(generated(**self.DEPLOYMENTS["sliding25"]))
+        flagged = {d.instance for d in report.diagnostics if d.code == "FPT303"}
+        assert flagged == {"analysis_bb", "analysis_wb"}
+        assert "FPT301" not in codes(report)
+
+
 class TestGoldenCostReports:
     """The generated deployment's estimate vs the committed bench."""
 

@@ -80,7 +80,59 @@ class DynamicEverything(Module):
         return ["a", "b"]
 
 
+class Base(Module):
+    """A skeleton two module types share: the API calls live here."""
+
+    def init(self) -> None:
+        self.alarms = self.ctx.create_output("alarms")
+        self.k = self.ctx.param_float("k", 3.0)
+        self.configure()
+        self.ctx.trigger_after_updates(1)
+
+    def configure(self) -> None:
+        self.ctx.create_output("never")  # every subclass overrides this
+
+    def run(self, reason: RunReason) -> None:
+        for node in self.nodes:  # a fleet loop on the inherited hot path
+            pass
+
+
+class Sub(Base):
+    type_name = "sub"
+
+    def configure(self) -> None:
+        self.depth = self.ctx.param_int("depth")
+
+
 class TestScan:
+    def test_inherited_init_and_run_are_scanned(self):
+        """``Sub`` defines neither ``init`` nor ``run``; what ``Base``
+        does in them is what a ``[sub]`` instance does."""
+        scan = scan_module_class(Sub)
+        assert set(scan.outputs) == {"alarms"}  # not the shadowed "never"
+        assert set(scan.params) == {"k", "depth"}
+        assert scan.trigger_updates == 1
+        assert scan.params["depth"][1] > 1 and scan.file.endswith(
+            "test_implcheck.py"
+        )
+        contract = infer_contract(Sub)
+        assert contract.outputs == ("alarms",)
+        assert contract.param("depth").required
+        assert not contract.param("k").required
+
+    def test_inherited_run_is_on_the_hot_path_scan(self):
+        from repro.lint import CostFact, ContractRegistry, scan_hot_modules
+
+        registry = ModuleRegistry()
+        registry.register(Sub)
+        contracts = ContractRegistry()
+        contracts.register(
+            ModuleContract(type_name="sub", cost=CostFact(hot=True))
+        )
+        findings = scan_hot_modules(registry, contracts)
+        assert [d.code for d in findings] == ["FPT310"]
+        assert findings[0].instance == "sub"
+
     def test_scan_collects_literal_api_usage(self):
         scan = scan_module_class(WellBehaved)
         assert set(scan.outputs) == {"result"}

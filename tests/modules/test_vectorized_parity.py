@@ -14,6 +14,7 @@ from repro.analysis.kmeans import nearest_k, nearest_k_batch
 from repro.modules._window_sync import TimedWindow
 
 from .helpers import build_core, collected, vector_series
+from .window_oracle import ReferenceTimedWindow
 
 
 class TestNearestKBatch:
@@ -107,29 +108,6 @@ class TestKnnBatchedBacklog:
             pass  # the malformed sample may legitimately raise downstream
         # The well-formed first sample classified before the bad one hit.
         assert collected(core, "sink")[:1] == [0]
-
-
-class ReferenceTimedWindow:
-    """The original list-based TimedWindow, kept as the parity oracle."""
-
-    def __init__(self, size, slide):
-        self.size = size
-        self.slide = slide
-        self._times = []
-        self._values = []
-
-    def push(self, timestamp, value):
-        self._times.append(float(timestamp))
-        self._values.append(np.atleast_1d(np.asarray(value, dtype=float)))
-        completed = []
-        while len(self._values) >= self.size:
-            matrix = np.array(self._values[: self.size])
-            completed.append(
-                (self._times[0], self._times[self.size - 1], matrix)
-            )
-            del self._times[: self.slide]
-            del self._values[: self.slide]
-        return completed
 
 
 class TestTimedWindowRing:

@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.modules._window_sync import (
-    ConsecutiveCounter,
-    TimedWindow,
-    WindowAligner,
-)
+from repro.modules._window_sync import ConsecutiveCounter, TimedWindow
+
+from .window_oracle import WindowAligner
 
 
 class TestTimedWindow:
