@@ -27,7 +27,6 @@ from .peer import (
     whitebox_thresholds,
 )
 from .scaling import MIN_SIGMA, LogScaler
-from .windows import StreamingWindow, WindowSpec
 
 __all__ = [
     "Alarm",
@@ -36,10 +35,8 @@ __all__ = [
     "KMeansModel",
     "LogScaler",
     "MIN_SIGMA",
-    "StreamingWindow",
     "WhiteboxVerdict",
     "WindowDecision",
-    "WindowSpec",
     "alarms_by_node",
     "assign_nearest",
     "fingerpointing_latency",

@@ -94,6 +94,13 @@ from .telemetry import Telemetry
 ARCHIVE_MODEL_FILE = "model.json"
 
 
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
+
+
 def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--slaves", type=int, default=10, help="slave node count")
     parser.add_argument("--duration", type=float, default=900.0, help="run seconds")
@@ -375,7 +382,6 @@ def cmd_lint(args) -> int:
         lint_determinism,
         render_json,
         render_text,
-        scan_hot_modules,
         sort_diagnostics,
     )
     from .lint.diagnostics import Severity
@@ -421,7 +427,6 @@ def cmd_lint(args) -> int:
             report = estimate_config(text, file=file, budget_ms=args.budget_ms)
             cost_reports.append(report)
             diagnostics.extend(report.diagnostics)
-        diagnostics.extend(scan_hot_modules())
 
     if args.concurrency or lint_all:
         diagnostics.extend(lint_concurrency())
@@ -1011,16 +1016,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     lint.add_argument(
         "--cost", action="store_true",
-        help="fold the config DAG through the contracts' cost facts into "
-        "a per-tick CPU estimate (FPT30x) and scan hot modules for "
-        "vectorization hazards (FPT31x); with no CONFIG, estimates the "
-        "generated deployment",
+        help="fold the config DAG through the contracts' cost facts "
+        "(read from bench/'s traced stage table) into a per-tick CPU "
+        "estimate: FPT301 over budget, FPT303 window rescanned; with no "
+        "CONFIG, estimates the generated deployment",
     )
     lint.add_argument(
-        "--budget-ms", type=float, default=None, metavar="MS",
-        help="per-tick CPU budget for --cost (overrides the config's "
-        "[scale] tick_budget_ms; default 1000ms = keeping up with "
-        "real time)",
+        "--budget-ms", type=_positive_float, default=None, metavar="MS",
+        help="per-tick CPU budget for --cost, positive (default 1000ms = "
+        "keeping up with real time)",
     )
     lint.add_argument(
         "--concurrency", action="store_true",

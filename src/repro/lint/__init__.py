@@ -1,6 +1,6 @@
 """fpt-lint: static analysis for fpt-core configs and modules.
 
-Three layers, each usable on its own:
+Five layers, each usable on its own:
 
 * :mod:`repro.lint.analyzer` -- parses a configuration *without
   instantiating any module* and checks it against the declared module
@@ -14,9 +14,8 @@ Three layers, each usable on its own:
   break replay and serial/parallel parity.
 * :mod:`repro.lint.costmodel` -- folds a parsed configuration's DAG
   into a static per-tick CPU estimate from the contracts' declared
-  cost facts (``FPT30x``: budget overruns, per-node modules at fleet
-  scale, windows recomputed from scratch) and AST-scans hot modules
-  for vectorization hazards (``FPT31x``).
+  cost facts (``FPT301``: the estimate exceeds the tick budget;
+  ``FPT303``: windows recomputed from scratch).
 * :mod:`repro.lint.concurrency` -- builds a thread-entry-point graph
   over the deployment packages and flags cross-thread shared-state
   races (``FPT4xx``: unlocked writes, leak-prone ``acquire()``,
@@ -41,7 +40,6 @@ from .contracts import (
     ModuleContract,
     ParamSpec,
     TriggerSpec,
-    contract_table,
     standard_contracts,
 )
 from .costmodel import (
@@ -49,7 +47,6 @@ from .costmodel import (
     CostReport,
     estimate_config,
     estimate_specs,
-    scan_hot_modules,
 )
 from .determinism import (
     DEFAULT_PACKAGES,
@@ -96,7 +93,6 @@ __all__ = [
     "check_implementation",
     "check_registry",
     "concurrency_hints",
-    "contract_table",
     "contracts_for_registry",
     "determinism_hints",
     "estimate_config",
@@ -110,7 +106,6 @@ __all__ = [
     "render_text",
     "scan_concurrency_source",
     "scan_concurrency_sources",
-    "scan_hot_modules",
     "scan_module_class",
     "scan_source",
     "sort_diagnostics",

@@ -113,10 +113,10 @@ class CostTerm:
     """One work term of a module's declarative cost fact.
 
     ``us`` is the estimated CPU microseconds charged once per ``per``
-    unit, multiplied by every symbol in ``scales``.  The coefficients
-    are calibrated against the committed ``BENCH_scale.json`` pipeline
-    measurements (see DESIGN.md); the cost model only promises
-    order-of-magnitude accuracy (CI asserts within 3x of measured).
+    unit, multiplied by every symbol in ``scales``.  A term whose note
+    names a ``bench/`` workload was read from that workload's traced
+    stage table; the others are order-of-magnitude estimates (see
+    :mod:`repro.lint.costmodel` for what the tests hold them to).
 
     * ``per="trigger"`` -- charged every time the instance fires;
     * ``per="sample"``  -- charged per incoming sample *element*
@@ -148,14 +148,8 @@ class CostFact:
     """Declarative cost facts for one module type (FPT3xx inputs).
 
     * ``terms`` -- the work terms summed into the per-tick estimate;
-    * ``hot`` -- the module sits on the per-sample fleet data path, so
-      the FPT310-312 vectorization lints scan its ``run()``;
     * ``per_node`` -- deployments instantiate one instance per
-      monitored node (instance count tracks fleet size N);
-    * ``batched`` -- a single instance serves the whole fleet;
-    * ``fleet_equivalent`` -- name of a fleet-batched module type that
-      replaces N per-node instances of this one (knn -> knnfleet);
-      feeds FPT302;
+      monitored node; the cost model reads fleet size N off the count;
     * ``batch_param`` -- int parameter naming the output batch factor
       (ibuffer ``size``): outputs carry ``batch_param`` elements each
       and emit at ``1/batch_param`` of the input update rate;
@@ -165,10 +159,7 @@ class CostFact:
     """
 
     terms: Tuple[CostTerm, ...] = ()
-    hot: bool = False
     per_node: bool = False
-    batched: bool = False
-    fleet_equivalent: Optional[str] = None
     batch_param: Optional[str] = None
     window_recompute: bool = False
 
@@ -325,9 +316,7 @@ def _peer_comparison_contract(
         outputs=("alarms", "decisions", "stats"),
         trigger=TriggerSpec.per_connection(),
         min_peers=3,
-        cost=CostFact(
-            terms=terms, hot=True, batched=True, window_recompute=True
-        ),
+        cost=CostFact(terms=terms, window_recompute=True),
     )
 
 
@@ -392,7 +381,6 @@ def standard_contracts() -> ContractRegistry:
                         "per-node tt+dn collect: stage table, 200 us/cu",
                     ),
                 ),
-                batched=True,
             ),
         )
     )
@@ -428,9 +416,7 @@ def standard_contracts() -> ContractRegistry:
                     ),
                     CostTerm(0.2, "sample", ("dim",), "distance arithmetic"),
                 ),
-                hot=True,
                 per_node=True,
-                fleet_equivalent="knnfleet",
             ),
         )
     )
@@ -454,8 +440,6 @@ def standard_contracts() -> ContractRegistry:
                     CostTerm(0.02, "sample", ("dim",), "matrix arithmetic"),
                     CostTerm(3.0, "trigger", ("n_inputs",), "backlog gather"),
                 ),
-                hot=True,
-                batched=True,
             ),
         )
     )
@@ -472,7 +456,6 @@ def standard_contracts() -> ContractRegistry:
             check=_check_ibuffer,
             cost=CostFact(
                 terms=(CostTerm(4.0, "sample", note="buffer append + emit"),),
-                hot=True,
                 per_node=True,
                 batch_param="size",
             ),
@@ -497,7 +480,6 @@ def standard_contracts() -> ContractRegistry:
                         "full-window rescan",
                     ),
                 ),
-                hot=True,
                 window_recompute=True,
             ),
         )
@@ -666,57 +648,7 @@ def standard_contracts() -> ContractRegistry:
             ),
         )
     )
-    # Lint-only pseudo-section.  ``[scale]`` never reaches the runtime;
-    # it lets hand-written config *templates* (not yet expanded per
-    # node) declare the fleet size the cost model should assume, plus an
-    # optional per-config tick budget override.  Expanded deployments do
-    # not need it: the cost model infers N from per-node instance counts.
-    registry.register(
-        ModuleContract(
-            type_name="scale",
-            params=(
-                ParamSpec("n", "int", required=True, min_value=1),
-                ParamSpec("tick_budget_ms", "float", positive=True),
-            ),
-            allows_inputs=False,
-            sink=True,
-        )
-    )
     return registry
-
-
-def contract_table(registry: Optional[ContractRegistry] = None) -> str:
-    """Render the registry as an aligned text table (CLI/describe aid)."""
-    registry = registry if registry is not None else standard_contracts()
-    rows = []
-    for type_name in registry:
-        contract = registry.get(type_name)
-        params = ", ".join(
-            f"{p.name}:{p.type}" + ("*" if p.required else "")
-            for p in contract.params
-        )
-        if contract.accepts_any_inputs:
-            inputs = "<any>"
-        elif not contract.allows_inputs:
-            inputs = "-"
-        else:
-            inputs = ", ".join(p.name for p in contract.inputs)
-        outputs = "<dynamic>" if contract.output_resolver else (
-            ", ".join(contract.outputs) or "-"
-        )
-        rows.append((type_name, inputs, outputs, params or "-"))
-    widths = [
-        max(len(row[i]) for row in rows + [("type", "inputs", "outputs", "params")])
-        for i in range(4)
-    ]
-    header = ("type", "inputs", "outputs", "params")
-    lines = [
-        "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(header)),
-        "  ".join("-" * widths[i] for i in range(4)),
-    ]
-    for row in rows:
-        lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)))
-    return "\n".join(lines)
 
 
 def parse_param_value(spec: ParamSpec, raw: str):
@@ -748,7 +680,6 @@ __all__ = [
     "PARAM_TYPES",
     "ParamSpec",
     "TriggerSpec",
-    "contract_table",
     "parse_param_value",
     "standard_contracts",
 ]

@@ -1,4 +1,4 @@
-"""Static DAG cost model for fpt-core configurations (FPT30x/31x).
+"""Static DAG cost model for fpt-core configurations (FPT301/303).
 
 :func:`estimate_config` folds a parsed configuration's DAG into a
 predicted per-tick CPU cost **without running a single module**.  Each
@@ -12,45 +12,35 @@ each term's scale symbols (``window``, ``k``, ``dim``, ``n_inputs``,
 ...) from the instance parameters, and sums microseconds per simulated
 second.
 
-The coefficients are calibrated against the committed
-``BENCH_scale.json`` pipeline measurements and promise only
-order-of-magnitude accuracy; CI asserts the N=1000 estimate lands
-within 3x of the measured rate.
+The ``sadc``, ``hadoop_log``, ``analysis_bb`` and ``analysis_wb``
+coefficients are read from ``bench/``'s traced stage table
+(``bench/run.py --trace 1``; each fact's note names the workload).  The
+tests hold the two analyses' estimates within a quarter of those rows
+and the N=1000 total within 3x of the committed ``BENCH_scale.json``
+pipeline rate; the other terms are order-of-magnitude estimates.
 
 Diagnostics:
 
 * **FPT301** (error) -- the summed estimate exceeds the tick budget:
   the deployment cannot keep up with real time.
-* **FPT302** (warning) -- a per-node hot module (``knn``) is
-  instantiated at fleet scale although a fleet-batched equivalent
-  (``knnfleet``) exists.
 * **FPT303** (warning) -- a window_recompute module slides by less than
   its window, so the overlap is re-scanned from scratch every round.
 
-Fleet size ``N`` is read from an optional lint-only ``[scale]`` section
-(``n = 1000``) -- useful for config *templates* that show one
-representative per-node chain -- or inferred from per-node instance
-counts in fully expanded deployments.  In template mode every per-node
-instance (and the rates it feeds downstream) is multiplied by ``N``.
-
-:func:`scan_hot_modules` is the companion vectorization lint: it walks
-the source of every module whose cost fact marks it ``hot`` and flags
-per-node Python loops (FPT310), per-sample allocations inside loops
-(FPT311), and O(N) fleet scans per trigger (FPT312).
+Fleet size ``N`` is inferred from per-node instance counts (the most
+numerous type whose cost fact is ``per_node``); the tick budget is
+:data:`DEFAULT_TICK_BUDGET_MS` unless the caller passes ``budget_ms``.
 """
 
 from __future__ import annotations
 
-import ast
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.config import ConfigError, InstanceSpec, parse_config
 from ..core.registry import ModuleRegistry
 from ..sysstat.metrics import NODE_METRICS
-from .contracts import ContractRegistry, CostFact, ModuleContract
+from .contracts import ContractRegistry, ModuleContract
 from .diagnostics import Diagnostic, apply_noqa, sort_diagnostics
-from .implcheck import effective_class_bodies
 
 #: Default tick budget: one simulated second of analysis must fit in one
 #: wall-clock second, or the online pipeline falls behind its sources.
@@ -60,10 +50,6 @@ DEFAULT_TICK_BUDGET_MS = 1000.0
 #: its own ``metrics`` list (the full sadc catalog).
 DEFAULT_DIM = len(NODE_METRICS)
 
-#: Instance count (after template expansion) at which a per-node hot
-#: module counts as "fleet scale" for FPT302.
-FLEET_THRESHOLD = 100
-
 
 @dataclass
 class InstanceCost:
@@ -71,14 +57,8 @@ class InstanceCost:
 
     instance_id: str
     module_type: str
-    #: Template-mode expansion factor (1 in expanded deployments).
-    factor: float = 1.0
     trigger_hz: float = 0.0
-    #: Incoming sample elements per second (batches unpacked).
-    sample_hz: float = 0.0
-    #: Completed window rounds per second.
-    window_hz: float = 0.0
-    #: Estimated CPU microseconds per simulated second, including factor.
+    #: Estimated CPU microseconds per simulated second.
     us_per_s: float = 0.0
 
 
@@ -88,8 +68,6 @@ class CostReport:
 
     file: str = "<config>"
     fleet_size: int = 0
-    #: True when N came from a ``[scale]`` section (template mode).
-    template: bool = False
     budget_ms: float = DEFAULT_TICK_BUDGET_MS
     instances: List[InstanceCost] = field(default_factory=list)
     diagnostics: List[Diagnostic] = field(default_factory=list)
@@ -110,8 +88,8 @@ class CostReport:
         rows: Dict[str, List[float]] = {}
         for cost in self.instances:
             row = rows.setdefault(cost.module_type, [0.0, 0.0, 0.0])
-            row[0] += cost.factor
-            row[1] += cost.trigger_hz * cost.factor
+            row[0] += 1.0
+            row[1] += cost.trigger_hz
             row[2] += cost.us_per_s / 1000.0
         return sorted(
             ((name, r[0], r[1], r[2]) for name, r in rows.items()),
@@ -122,12 +100,9 @@ class CostReport:
         return {
             "file": self.file,
             "fleet_size": self.fleet_size,
-            "template": self.template,
             "budget_ms": self.budget_ms,
             "total_ms_per_s": round(self.total_ms_per_s, 3),
-            "budget_used": round(
-                self.total_ms_per_s / self.budget_ms, 4
-            ) if self.budget_ms else None,
+            "budget_used": round(self.total_ms_per_s / self.budget_ms, 4),
             "types": [
                 {
                     "type": name,
@@ -141,10 +116,9 @@ class CostReport:
         }
 
     def render(self) -> str:
-        origin = "[scale] section" if self.template else "per-node instances"
         lines = [
             f"cost report: {self.file}",
-            f"  fleet size N={self.fleet_size} (from {origin}); "
+            f"  fleet size N={self.fleet_size} (from per-node instances); "
             f"budget {self.budget_ms:g} ms per 1 s tick",
             "  type             inst   trig/s      ms/s   share",
         ]
@@ -214,53 +188,27 @@ class _Estimator:
     ) -> None:
         self.contracts = contracts
         self.file = file
-        self.scale_spec = next(
-            (s for s in specs if s.module_type == "scale"), None
-        )
-        self.specs = [s for s in specs if s.module_type != "scale"]
+        self.specs = list(specs)
         self.spec_by_id = {s.instance_id: s for s in self.specs}
-        self.budget_ms = self._resolve_budget(budget_ms)
-        self.template = False
+        if budget_ms is None:
+            budget_ms = DEFAULT_TICK_BUDGET_MS
+        if not budget_ms > 0:
+            raise ValueError(f"tick budget must be positive, got {budget_ms}")
+        self.budget_ms = budget_ms
         self.fleet_size = self._resolve_fleet_size()
         # Per-instance propagated state.
         self.emit_hz: Dict[str, float] = {}
         self.batch: Dict[str, float] = {}
         self.conn_total: Dict[str, float] = {}
 
-    def _resolve_budget(self, cli_budget: Optional[float]) -> float:
-        if cli_budget is not None:
-            return cli_budget
-        if self.scale_spec is not None:
-            return _float_param(
-                self.scale_spec, self.contracts.get("scale"),
-                "tick_budget_ms", DEFAULT_TICK_BUDGET_MS,
-            )
-        return DEFAULT_TICK_BUDGET_MS
-
-    def _fact(self, spec: InstanceSpec) -> Optional[CostFact]:
-        contract = self.contracts.get(spec.module_type)
-        return contract.cost if contract is not None else None
-
     def _resolve_fleet_size(self) -> int:
-        if self.scale_spec is not None:
-            n = _int_param(
-                self.scale_spec, self.contracts.get("scale"), "n"
-            )
-            if n is not None and n > 0:
-                self.template = True
-                return n
+        """The instance count of the most numerous ``per_node`` type."""
         counts: Dict[str, int] = {}
         for spec in self.specs:
-            fact = self._fact(spec)
-            if fact is not None and fact.per_node:
+            contract = self.contracts.get(spec.module_type)
+            if contract and contract.cost and contract.cost.per_node:
                 counts[spec.module_type] = counts.get(spec.module_type, 0) + 1
         return max(counts.values(), default=1)
-
-    def _factor(self, spec: InstanceSpec) -> float:
-        if not self.template:
-            return 1.0
-        fact = self._fact(spec)
-        return float(self.fleet_size) if fact and fact.per_node else 1.0
 
     def _topo_order(self) -> Optional[List[InstanceSpec]]:
         indegree = {s.instance_id: 0 for s in self.specs}
@@ -314,15 +262,6 @@ class _Estimator:
             connections.append((upstream.instance_id, count))
         return connections
 
-    def _term_rate(
-        self, per: str, trigger_hz: float, sample_hz: float, window_hz: float
-    ) -> float:
-        if per == "sample":
-            return sample_hz
-        if per == "window":
-            return window_hz
-        return trigger_hz
-
     def _scale_product(
         self,
         spec: InstanceSpec,
@@ -352,7 +291,6 @@ class _Estimator:
         report = CostReport(
             file=self.file,
             fleet_size=self.fleet_size,
-            template=self.template,
             budget_ms=self.budget_ms,
         )
         order = self._topo_order()
@@ -364,7 +302,6 @@ class _Estimator:
         for spec in order:
             contract = self.contracts.get(spec.module_type)
             fact = contract.cost if contract is not None else None
-            factor = self._factor(spec)
             connections = self._connections(spec)
 
             update_in = 0.0
@@ -372,14 +309,10 @@ class _Estimator:
             conn_total = 0.0
             slowest = float("inf")
             for upstream_id, count in connections:
-                upstream_factor = self._factor(self.spec_by_id[upstream_id])
                 hz = self.emit_hz.get(upstream_id, 0.0)
-                update_in += count * hz * upstream_factor / factor
-                sample_in += (
-                    count * hz * self.batch.get(upstream_id, 1.0)
-                    * upstream_factor / factor
-                )
-                conn_total += count * upstream_factor / factor
+                update_in += count * hz
+                sample_in += count * hz * self.batch.get(upstream_id, 1.0)
+                conn_total += count
                 if hz > 0:
                     slowest = min(slowest, hz)
             self.conn_total[spec.instance_id] = conn_total
@@ -438,28 +371,21 @@ class _Estimator:
             cost = InstanceCost(
                 instance_id=spec.instance_id,
                 module_type=spec.module_type,
-                factor=factor,
                 trigger_hz=trigger_hz,
-                sample_hz=sample_in,
-                window_hz=window_hz,
             )
             if fact is not None:
+                rates = {
+                    "trigger": trigger_hz, "sample": sample_in, "window": window_hz,
+                }
                 for term in fact.terms:
-                    rate = self._term_rate(
-                        term.per, trigger_hz, sample_in, window_hz
-                    )
-                    cost.us_per_s += (
-                        factor * term.us * rate
-                        * self._scale_product(
-                            spec, contract, term.scales, conn_total
-                        )
+                    cost.us_per_s += term.us * rates[term.per] * (
+                        self._scale_product(spec, contract, term.scales, conn_total)
                     )
                 if fact.window_recompute:
                     self._check_window_recompute(report, spec, contract)
             report.instances.append(cost)
 
         self._check_budget(report)
-        self._check_fleet_equivalents(report)
         report.diagnostics = sort_diagnostics(report.diagnostics)
         return report
 
@@ -506,41 +432,6 @@ class _Estimator:
             )
         )
 
-    def _check_fleet_equivalents(self, report: CostReport) -> None:
-        first: Dict[str, InstanceSpec] = {}
-        effective: Dict[str, float] = {}
-        for spec in self.specs:
-            fact = self._fact(spec)
-            if (
-                fact is None or not fact.per_node or not fact.hot
-                or not fact.fleet_equivalent
-                or fact.fleet_equivalent not in self.contracts
-            ):
-                continue
-            first.setdefault(spec.module_type, spec)
-            effective[spec.module_type] = (
-                effective.get(spec.module_type, 0.0) + self._factor(spec)
-            )
-        for module_type, count in effective.items():
-            if count < FLEET_THRESHOLD:
-                continue
-            spec = first[module_type]
-            equivalent = self._fact(spec).fleet_equivalent
-            report.diagnostics.append(
-                Diagnostic(
-                    code="FPT302",
-                    message=(
-                        f"{count:g} per-node [{module_type}] instances on "
-                        f"the hot path at fleet size N={report.fleet_size}; "
-                        f"a single fleet-batched [{equivalent}] replaces "
-                        "them with one vectorized instance"
-                    ),
-                    line=spec.header_line,
-                    file=self.file,
-                    instance=spec.instance_id,
-                )
-            )
-
 
 def estimate_specs(
     specs: Sequence[InstanceSpec],
@@ -562,8 +453,8 @@ def estimate_config(
 ) -> CostReport:
     """Cost-estimate configuration text against its contracts.
 
-    ``budget_ms`` overrides the tick budget (default: a ``[scale]``
-    section's ``tick_budget_ms``, else :data:`DEFAULT_TICK_BUDGET_MS`).
+    ``budget_ms`` is the tick budget (default
+    :data:`DEFAULT_TICK_BUDGET_MS`); a non-positive one is a ``ValueError``.
     Syntax errors are not re-reported here -- run
     :func:`~repro.lint.analyzer.analyze_config` for the FPT0xx layer.
     """
@@ -579,164 +470,11 @@ def estimate_config(
     return report
 
 
-# -- FPT31x: vectorization lint over hot module sources ---------------------
-
-#: Identifier substrings that mark an iterable as per-node / per-fleet.
-_PER_NODE_NAMES = ("nodes", "backlog", "peers", "conns", "inputs")
-
-#: Allocation calls that should not run once per sample inside a loop.
-_ALLOC_ATTRS = {
-    "asarray", "array", "zeros", "ones", "empty", "full",
-    "concatenate", "stack", "vstack", "copy",
-}
-_ALLOC_NAMES = {"list", "dict", "set", "bytearray"}
-
-
-def _identifier_leaves(node: ast.AST) -> Set[str]:
-    names: Set[str] = set()
-    for child in ast.walk(node):
-        if isinstance(child, ast.Name):
-            names.add(child.id)
-        elif isinstance(child, ast.Attribute):
-            names.add(child.attr)
-    return names
-
-
-def _is_per_node_iterable(node: ast.AST) -> bool:
-    return any(
-        marker in name.lower()
-        for name in _identifier_leaves(node)
-        for marker in _PER_NODE_NAMES
-    )
-
-
-class _HotLoopVisitor(ast.NodeVisitor):
-    """Collects FPT310/311/312 findings inside one hot module class."""
-
-    def __init__(self, type_name: str, file: str, offset: int) -> None:
-        self.type_name = type_name
-        self.file = file
-        self.offset = offset
-        self.findings: List[Diagnostic] = []
-        self._loop_depth = 0
-
-    def _emit(self, code: str, message: str, node: ast.AST) -> None:
-        self.findings.append(
-            Diagnostic(
-                code=code,
-                message=message,
-                line=getattr(node, "lineno", 1) + self.offset,
-                file=self.file,
-                instance=self.type_name,
-            )
-        )
-
-    def visit_For(self, node: ast.For) -> None:
-        if _is_per_node_iterable(node.iter):
-            self._emit(
-                "FPT310",
-                "hot module iterates the fleet in a Python for-loop; "
-                "batch the per-node work into array ops",
-                node,
-            )
-        self._loop_depth += 1
-        self.generic_visit(node)
-        self._loop_depth -= 1
-
-    def visit_While(self, node: ast.While) -> None:
-        self._loop_depth += 1
-        self.generic_visit(node)
-        self._loop_depth -= 1
-
-    def visit_Call(self, node: ast.Call) -> None:
-        if self._loop_depth > 0:
-            func = node.func
-            name = None
-            if isinstance(func, ast.Attribute) and func.attr in _ALLOC_ATTRS:
-                name = func.attr
-            elif isinstance(func, ast.Name) and func.id in _ALLOC_NAMES:
-                name = func.id
-            if name is not None:
-                self._emit(
-                    "FPT311",
-                    f"allocation ({name}) inside a hot loop -- one "
-                    "allocation per sample; hoist or batch it",
-                    node,
-                )
-        self.generic_visit(node)
-
-    def _check_scan(self, node: ast.AST, iterable: ast.AST) -> None:
-        if self._loop_depth == 0 and _is_per_node_iterable(iterable):
-            self._emit(
-                "FPT312",
-                "whole-fleet scan (O(N)) on every trigger; precompute "
-                "or vectorize the scan",
-                node,
-            )
-
-    def visit_ListComp(self, node: ast.ListComp) -> None:
-        for comp in node.generators:
-            self._check_scan(node, comp.iter)
-        self.generic_visit(node)
-
-    def visit_GeneratorExp(self, node: ast.GeneratorExp) -> None:
-        for comp in node.generators:
-            self._check_scan(node, comp.iter)
-        self.generic_visit(node)
-
-
-def scan_hot_modules(
-    registry: Optional[ModuleRegistry] = None,
-    contracts: Optional[ContractRegistry] = None,
-    noqa: bool = True,
-) -> List[Diagnostic]:
-    """FPT310-312 over every module whose cost fact marks it hot."""
-    if registry is None:
-        from ..modules import standard_registry
-
-        registry = standard_registry()
-    if contracts is None:
-        from .contracts import standard_contracts
-
-        contracts = standard_contracts()
-    diagnostics: List[Diagnostic] = []
-    for type_name in registry:
-        contract = contracts.get(type_name)
-        if contract is None or contract.cost is None or not contract.cost.hot:
-            continue
-        try:
-            bodies = list(effective_class_bodies(registry.resolve(type_name)))
-        except (OSError, TypeError):
-            continue
-        # An inherited ``run`` is hot all the same: every class below
-        # ``Module`` is scanned, against its own file's lines and noqa.
-        for body, file, offset in bodies:
-            visitor = _HotLoopVisitor(type_name, file, offset)
-            # Only steady-state code is hot: ``init()``/``__init__`` run
-            # once per deployment, so their setup loops are exempt.
-            for item in body:
-                if isinstance(
-                    item, (ast.FunctionDef, ast.AsyncFunctionDef)
-                ) and item.name not in ("init", "__init__"):
-                    visitor.visit(item)
-            findings = visitor.findings
-            if noqa and findings:
-                try:
-                    with open(file, "r", encoding="utf-8") as handle:
-                        findings = apply_noqa(findings, handle.read())
-                except OSError:
-                    pass
-            diagnostics.extend(findings)
-    return sort_diagnostics(diagnostics)
-
-
 __all__ = [
     "CostReport",
     "DEFAULT_DIM",
     "DEFAULT_TICK_BUDGET_MS",
-    "FLEET_THRESHOLD",
     "InstanceCost",
     "estimate_config",
     "estimate_specs",
-    "scan_hot_modules",
 ]

@@ -7,8 +7,7 @@ code.  Codes are grouped by layer:
 * ``FPT1xx`` -- module contract vs. implementation
   (:mod:`repro.lint.implcheck`);
 * ``FPT2xx`` -- determinism (:mod:`repro.lint.determinism`);
-* ``FPT3xx`` -- static cost model and vectorization
-  (:mod:`repro.lint.costmodel`);
+* ``FPT3xx`` -- static cost model (:mod:`repro.lint.costmodel`);
 * ``FPT4xx`` -- concurrency / data races
   (:mod:`repro.lint.concurrency`).
 
@@ -19,13 +18,14 @@ marker::
     t = time.time()     # fpt: noqa[FPT201] -- benchmark metadata stamp
     whatever = 1        # fpt: noqa           (suppresses every code)
 
-Each bracketed entry is either a full code (``FPT201``) or a *code
-prefix* of one to two digits (``FPT2``, ``FPT20``), which suppresses
-every code it prefixes -- ``# fpt: noqa[FPT3]`` silences the whole cost
-model on that line.  Anything else inside the brackets (``E501``,
-``FPT30x``, ``FPT2011``) is a malformed entry: it suppresses nothing and
-is itself reported as **FPT090** so a typo'd suppression cannot silently
-stop suppressing.
+Each bracketed entry is either a full code of the :data:`CODES` table
+(``FPT201``) or a *code prefix* of one to two digits (``FPT2``,
+``FPT20``), which suppresses every code it prefixes -- ``# fpt:
+noqa[FPT3]`` silences the whole cost model on that line.  Anything else
+inside the brackets (``E501``, ``FPT30x``, ``FPT2011``, or ``FPT999`` and
+``FPT5``, which name no code) suppresses nothing and is itself reported
+as **FPT090**, so neither a typo nor a suppression left behind by a
+retired rule can sit in the source suppressing nothing.
 
 :func:`apply_noqa` filters a diagnostic list against the marker lines of
 the source text the diagnostics point into; :func:`marker_errors`
@@ -44,10 +44,6 @@ from typing import Dict, Iterable, List, Optional, Set
 _NOQA_RE = re.compile(
     r"#\s*fpt:\s*noqa(?:\[(?P<codes>[A-Za-z0-9_,\s]+)\])?", re.IGNORECASE
 )
-
-#: A valid noqa entry: a full ``FPTnnn`` code or a 1-2 digit prefix
-#: (``FPT2`` / ``FPT20``) that suppresses every code it prefixes.
-_CODE_OR_PREFIX_RE = re.compile(r"^FPT\d{1,3}$")
 
 
 class Severity(enum.Enum):
@@ -88,21 +84,14 @@ CODES: Dict[str, "tuple[Severity, str]"] = {
     "FPT104": (Severity.WARNING, "declared output never created"),
     "FPT105": (Severity.ERROR, "implementation reads an undeclared input"),
     "FPT106": (Severity.ERROR, "parameter accessor type conflicts with contract"),
-    "FPT090": (Severity.ERROR, "malformed noqa suppression entry"),
+    "FPT090": (Severity.ERROR, "noqa suppression entry names no code"),
     "FPT201": (Severity.ERROR, "wall-clock read (breaks replay/parity)"),
     "FPT202": (Severity.ERROR, "unseeded random source (breaks parity)"),
     "FPT301": (Severity.ERROR, "config cannot sustain its tick budget"),
-    "FPT302": (
-        Severity.WARNING,
-        "per-node module on a fleet-scale hot path (batched equivalent exists)",
-    ),
     "FPT303": (
         Severity.WARNING,
         "window recomputed from scratch each trigger (slide < window)",
     ),
-    "FPT310": (Severity.WARNING, "per-node Python loop on the fleet hot path"),
-    "FPT311": (Severity.WARNING, "per-sample allocation inside a hot loop"),
-    "FPT312": (Severity.WARNING, "O(N) fleet scan per trigger in a hot module"),
     "FPT401": (
         Severity.WARNING,
         "cross-thread attribute write without a held lock",
@@ -152,12 +141,20 @@ class Diagnostic:
         }
 
 
+def _names_a_code(entry: str) -> bool:
+    """True for an upper-cased noqa entry that is a code of
+    :data:`CODES` or a one- or two-digit prefix of at least one."""
+    return len(entry) > len("FPT") and any(
+        code.startswith(entry) for code in CODES
+    )
+
+
 def noqa_lines(text: str) -> Dict[int, Optional[Set[str]]]:
     """Map 1-based line numbers to their suppressed codes/prefixes.
 
     ``None`` means a bare ``# fpt: noqa`` that suppresses everything on
-    that line.  Only well-formed entries (full codes or ``FPT2``-style
-    prefixes) are returned; malformed entries suppress nothing and are
+    that line.  Only entries that name a code (full codes or ``FPT2``-
+    style prefixes) are returned; the others suppress nothing and are
     surfaced by :func:`marker_errors` instead.
     """
     markers: Dict[int, Optional[Set[str]]] = {}
@@ -172,7 +169,7 @@ def noqa_lines(text: str) -> Dict[int, Optional[Set[str]]]:
             parsed = {
                 c.strip().upper()
                 for c in codes.split(",")
-                if c.strip() and _CODE_OR_PREFIX_RE.match(c.strip().upper())
+                if _names_a_code(c.strip().upper())
             }
             previous = markers.get(line_no)
             if previous is None and line_no in markers:
@@ -182,11 +179,12 @@ def noqa_lines(text: str) -> Dict[int, Optional[Set[str]]]:
 
 
 def marker_errors(text: str, file: str = "<config>") -> List[Diagnostic]:
-    """FPT090 diagnostics for malformed noqa entries in ``text``.
+    """FPT090 diagnostics for noqa entries in ``text`` that name no code.
 
-    A suppression entry must be a full ``FPTnnn`` code or a ``FPT2`` /
-    ``FPT20`` prefix.  Anything else (``E501``, ``FPT30x``, ``FPT2011``)
-    is reported here so a typo cannot silently stop suppressing.
+    A suppression entry must be a full code of :data:`CODES` or a
+    ``FPT2`` / ``FPT20`` prefix of one.  Anything else (``E501``,
+    ``FPT30x``, ``FPT2011``, ``FPT999``) is reported here so a typo, or
+    the code of a rule since retired, cannot silently suppress nothing.
     """
     findings: List[Diagnostic] = []
     for line_no, line in enumerate(text.splitlines(), start=1):
@@ -195,14 +193,14 @@ def marker_errors(text: str, file: str = "<config>") -> List[Diagnostic]:
             continue
         for entry in match.group("codes").split(","):
             entry = entry.strip()
-            if entry and not _CODE_OR_PREFIX_RE.match(entry.upper()):
+            if entry and not _names_a_code(entry.upper()):
                 findings.append(
                     Diagnostic(
                         code="FPT090",
                         message=(
-                            f"noqa entry {entry!r} is neither a full FPTnnn "
-                            "code nor a FPT2-style prefix; it suppresses "
-                            "nothing"
+                            f"noqa entry {entry!r} is neither an fpt-lint "
+                            "code nor a FPT2-style prefix of one; it "
+                            "suppresses nothing"
                         ),
                         line=line_no,
                         file=file,
@@ -223,7 +221,7 @@ def apply_noqa(
     """Drop diagnostics whose source line carries a matching noqa marker.
 
     Matching honours prefixes: ``# fpt: noqa[FPT3]`` suppresses every
-    FPT3xx code on its line.  FPT090 (malformed noqa entry) is never
+    FPT3xx code on its line.  FPT090 (a noqa entry naming no code) is never
     suppressed by the marker that carries it -- that would defeat the
     report.
     """

@@ -2,9 +2,9 @@
 
 Data collection: ``sadc`` (black-box /proc metrics), ``hadoop_log``
 (white-box state vectors with cross-node synchronization).
-Analysis: ``mavgvec``, ``knn``, ``knnfleet`` (one instance classifying
-the whole fleet in batched numpy passes), ``analysis_bb``,
-``analysis_wb``.
+Analysis: ``mavgvec``, ``knnfleet`` (one instance classifying the whole
+fleet in batched numpy passes) and ``knn`` (the same class bound to one
+input), ``analysis_bb``, ``analysis_wb``.
 Plumbing/sinks: ``ibuffer``, ``print``, ``alarm_union``, ``csv_writer``,
 ``scoreboard`` (online ground-truth scoring into the observatory).
 

@@ -224,7 +224,7 @@ class PeerComparisonModule(Module):
 
     def run(self, reason: RunReason) -> None:
         feed = self.feed
-        for column, node in enumerate(self.nodes):  # fpt: noqa[FPT310] -- the paper's Figure-3 wiring is one channel per node; each is drained here, the math is one pass per round
+        for column, node in enumerate(self.nodes):
             for sample in self.connections[node].pop_all():
                 feed(column, sample)
         for starts, ends, block in self._window.rounds():
@@ -239,7 +239,7 @@ class PeerComparisonModule(Module):
         now = self.ctx.clock.now()
         decisions: List[WindowDecision] = []
         windows = {}
-        for index, node in enumerate(nodes):  # fpt: noqa[FPT310] -- one decision object per node per window round, not per sample
+        for index, node in enumerate(nodes):
             bounds = windows[node] = (starts[index], ends[index] + 1.0)
             decisions.append(WindowDecision(node, *bounds, node in fired))
             if node in fired:

@@ -55,7 +55,7 @@ class IBufferModule(Module):
         for sample in self.connection.pop_all():
             self._buffer.append(sample.value)
             while len(self._buffer) >= self.size:
-                batch = list(self._buffer[: self.size])  # fpt: noqa[FPT311] -- the emitted batch itself; one list per window, not per sample
+                batch = list(self._buffer[: self.size])
                 self.out.write(batch, self.ctx.clock.now())
                 del self._buffer[: self.slide]
                 self.batches_emitted += 1

@@ -8,12 +8,10 @@ deviation vector ... For each input sample s, a vector s' is computed as
 and each centroid is computed.  The indices of the k nearest centroids
 to s' in the configuration are output."
 
-The centroids and sigma vector come from offline k-means training on
-fault-free data; they are resolved through a service named by the
-``model`` parameter, which must provide ``centroids`` (k x d array) and
-``sigma`` (length-d array).  With the default ``k = 1`` the output is
-the single nearest state index (the 1-NN workload classification of the
-black-box fingerpointer).
+This type is :class:`~repro.modules.knnfleet.KnnFleetModule` (the
+algorithm, ``k``, ``model``, the errors) bound to the one connection
+wired to ``input``, writing ``output0``.  A fleet-sized deployment uses
+one ``knnfleet`` instead: same values, one run per tick instead of N.
 
 Configuration::
 
@@ -26,71 +24,18 @@ Configuration::
 
 from __future__ import annotations
 
-import numpy as np
+from typing import Dict, Tuple
 
-from ..core import Module, RunReason
-from ..core.errors import ConfigError
-from ..analysis.kmeans import nearest_k, nearest_k_batch
+from ..core import Connection, Output
+from .knnfleet import KnnFleetModule
 
 
-class KnnModule(Module):
+class KnnModule(KnnFleetModule):
     type_name = "knn"
 
-    def init(self) -> None:
-        ctx = self.ctx
-        self.connection = ctx.input("input").single()
-        self.k = ctx.param_int("k", 1)
-        model = ctx.service(ctx.param_str("model", "bb_model"))
-        self.centroids = np.asarray(model.centroids, dtype=float)
-        self.sigma = np.asarray(model.sigma, dtype=float)
-        if self.centroids.ndim != 2:
-            raise ConfigError(
-                f"knn '{ctx.instance_id}': centroids must be 2-D, got shape "
-                f"{self.centroids.shape}"
-            )
-        if self.sigma.shape != (self.centroids.shape[1],):
-            raise ConfigError(
-                f"knn '{ctx.instance_id}': sigma shape {self.sigma.shape} does "
-                f"not match centroid dimension {self.centroids.shape[1]}"
-            )
-        if not 1 <= self.k <= self.centroids.shape[0]:
-            raise ConfigError(
-                f"knn '{ctx.instance_id}': k={self.k} out of range "
-                f"[1, {self.centroids.shape[0]}]"
-            )
-        self.out = ctx.create_output("output0", self.connection.origin)
-        self.samples_classified = 0
-        ctx.trigger_after_updates(1)
-
-    def run(self, reason: RunReason) -> None:
-        samples = self.connection.pop_all()
-        if not samples:
-            return
-        # Batch the math over the whole backlog: one scale + one distance
-        # matrix instead of a Python loop of per-sample numpy calls.  The
-        # outputs are still written sample by sample so downstream
-        # trigger counting is unchanged.  Ragged input (a malformed
-        # producer mixing vector lengths) falls back to the per-sample
-        # path, which classifies what it can and fails where it did
-        # before.
-        try:
-            raw = np.array([s.value for s in samples], dtype=float)
-        except ValueError:
-            raw = None
-        if raw is not None and raw.ndim == 2 and raw.shape[1] == self.sigma.shape[0]:
-            scaled = np.log1p(np.maximum(raw, 0.0)) / self.sigma
-            order = nearest_k_batch(scaled, self.centroids, self.k)
-            k = self.k
-            out_write = self.out.write
-            for sample, indices in zip(samples, order):
-                value = int(indices[0]) if k == 1 else [int(i) for i in indices]
-                out_write(value, sample.timestamp)
-            self.samples_classified += len(samples)
-            return
-        for sample in samples:
-            raw_one = np.asarray(sample.value, dtype=float)  # fpt: noqa[FPT311] -- ragged fallback path; the aligned path is the fleet module
-            scaled = np.log1p(np.maximum(raw_one, 0.0)) / self.sigma
-            indices = nearest_k(scaled, self.centroids, self.k)
-            value = int(indices[0]) if self.k == 1 else [int(i) for i in indices]
-            self.out.write(value, sample.timestamp)
-            self.samples_classified += 1
+    def bind(self) -> Tuple[Dict[str, Connection], Dict[str, Output]]:
+        connection = self.ctx.input("input").single()
+        origin = connection.origin  # may be None: any vector source will do
+        node = origin.node if origin is not None else ""
+        output = self.ctx.create_output("output0", origin)
+        return {node: connection}, {node: output}

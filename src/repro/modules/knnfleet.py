@@ -1,17 +1,20 @@
-"""The ``knnfleet`` module: fleet-batched 1-NN state classification.
+"""The ``knnfleet`` module: the state classifier (paper section 3.6).
 
-A *single* instance classifies the black-box metric vectors of every
-monitored node, replacing N per-node ``knn`` instances with one module
-that stacks all nodes' backlogs into one matrix and runs one scale +
-distance pass (:func:`repro.analysis.kmeans.nearest_k_batch`) for the
-whole fleet.  Every step of that math is row-independent, so the per
-sample outputs are bit-identical to what per-node ``knn`` instances
-produce -- only the channel names change (``onenn.slave01`` instead of
-``onenn_slave01.output0``).
+The one implementation of the paper's ``knn`` algorithm: each sample
+``s`` is scaled to ``s'_i = log(1 + s_i) / sigma_i`` and the indices of
+the ``k`` centroids nearest to ``s'`` are output (with the default
+``k = 1``, the single nearest state index).  A *single* instance
+classifies the black-box metric vectors of every monitored node: it
+stacks all nodes' backlogs into one matrix and runs one scale + distance
+pass (:func:`repro.analysis.kmeans.nearest_k_batch`).  The ``knn`` type
+(:mod:`repro.modules.knn`) is this class bound to one input.
 
 Inputs are one connection per node (resolved by origin, like
 ``analysis_bb``); outputs are one channel per node, named after the
 node, each carrying the classified state index at the sample timestamp.
+Centroids and sigma come from offline k-means training on fault-free
+data, through the service named by ``model``, which must provide
+``centroids`` (k x d array) and ``sigma`` (length-d array).
 
 Configuration::
 
@@ -26,13 +29,13 @@ Configuration::
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Tuple
 
 import numpy as np
 
-from ..analysis.kmeans import nearest_k, nearest_k_batch
-from ..core import Module, RunReason
-from ..core.errors import ConfigError
+from ..analysis.kmeans import nearest_k_batch
+from ..core import Connection, Module, Output, RunReason
+from ..core.errors import ConfigError, ModuleError
 
 
 class KnnFleetModule(Module):
@@ -40,59 +43,63 @@ class KnnFleetModule(Module):
 
     def init(self) -> None:
         ctx = self.ctx
+        self._owner = f"{self.type_name} '{ctx.instance_id}'"
         self.k = ctx.param_int("k", 1)
         model = ctx.service(ctx.param_str("model", "bb_model"))
         self.centroids = np.asarray(model.centroids, dtype=float)
         self.sigma = np.asarray(model.sigma, dtype=float)
         if self.centroids.ndim != 2:
             raise ConfigError(
-                f"knnfleet '{ctx.instance_id}': centroids must be 2-D, got "
-                f"shape {self.centroids.shape}"
+                f"{self._owner}: centroids must be 2-D, got shape "
+                f"{self.centroids.shape}"
             )
         if self.sigma.shape != (self.centroids.shape[1],):
             raise ConfigError(
-                f"knnfleet '{ctx.instance_id}': sigma shape {self.sigma.shape}"
-                f" does not match centroid dimension {self.centroids.shape[1]}"
+                f"{self._owner}: sigma shape {self.sigma.shape} does not "
+                f"match centroid dimension {self.centroids.shape[1]}"
             )
         if not 1 <= self.k <= self.centroids.shape[0]:
             raise ConfigError(
-                f"knnfleet '{ctx.instance_id}': k={self.k} out of range "
+                f"{self._owner}: k={self.k} out of range "
                 f"[1, {self.centroids.shape[0]}]"
             )
+        self.connections, self.outputs = self.bind()
+        self.nodes = sorted(self.connections)
+        self.samples_classified = 0
+        ctx.trigger_after_updates(len(self.connections))
 
-        self.connections: Dict[str, object] = {}
+    def bind(self) -> Tuple[Dict[str, Connection], Dict[str, Output]]:
+        """Each node's input connection and its output, both by node
+        name: one connection per node origin, the output named after it."""
+        ctx = self.ctx
+        connections: Dict[str, Connection] = {}
         for group in ctx.inputs.values():
             for connection in group:
                 origin = connection.origin
                 node = origin.node if origin is not None else ""
                 if not node:
                     raise ConfigError(
-                        f"knnfleet '{ctx.instance_id}': input connection "
-                        "without node origin (wire it from sadc outputs)"
+                        f"{self._owner}: input connection without node "
+                        "origin (wire it from sadc outputs)"
                     )
-                if node in self.connections:
+                if node in connections:
                     raise ConfigError(
-                        f"knnfleet '{ctx.instance_id}': two inputs for node "
-                        f"'{node}'"
+                        f"{self._owner}: two inputs for node '{node}'"
                     )
-                self.connections[node] = connection
-        if not self.connections:
-            raise ConfigError(
-                f"knnfleet '{ctx.instance_id}': needs at least one input"
-            )
-        self.nodes = sorted(self.connections)
-        self.outputs = {
-            node: ctx.create_output(node, self.connections[node].origin)
-            for node in self.nodes
+                connections[node] = connection
+        if not connections:
+            raise ConfigError(f"{self._owner}: needs at least one input")
+        outputs = {
+            node: ctx.create_output(node, connections[node].origin)
+            for node in sorted(connections)
         }
-        self.samples_classified = 0
-        ctx.trigger_after_updates(len(self.connections))
+        return connections, outputs
 
     def run(self, reason: RunReason) -> None:
-        backlogs = [  # fpt: noqa[FPT312] -- gather step feeding one batched classify pass
+        backlogs = [
             (node, self.connections[node].pop_all()) for node in self.nodes
         ]
-        backlogs = [(node, samples) for node, samples in backlogs if samples]  # fpt: noqa[FPT312] -- gather step feeding one batched classify pass
+        backlogs = [(node, samples) for node, samples in backlogs if samples]
         if not backlogs:
             return
         # One scale + one distance matrix for the entire fleet's backlog.
@@ -100,38 +107,33 @@ class KnnFleetModule(Module):
         # so each row's result is bit-identical to classifying it alone.
         try:
             raw = np.array(
-                [s.value for _, samples in backlogs for s in samples],  # fpt: noqa[FPT312] -- builds the single fleet-wide batch the whole point is to classify at once
+                [s.value for _, samples in backlogs for s in samples],
                 dtype=float,
             )
         except ValueError:
             raw = None
-        if raw is not None and raw.ndim == 2 and raw.shape[1] == self.sigma.shape[0]:
-            scaled = np.log1p(np.maximum(raw, 0.0)) / self.sigma
-            order = nearest_k_batch(scaled, self.centroids, self.k)
-            k = self.k
-            position = 0
-            for node, samples in backlogs:  # fpt: noqa[FPT310] -- scatter step routing batched results back to per-node outputs
-                out_write = self.outputs[node].write
+        if raw is None or raw.ndim != 2 or raw.shape[1] != self.sigma.shape[0]:
+            # A malformed producer; the steady path never looks at shapes.
+            for node, samples in backlogs:
                 for sample in samples:
-                    indices = order[position]
-                    position += 1
-                    value = (
-                        int(indices[0]) if k == 1 else [int(i) for i in indices]
-                    )
-                    out_write(value, sample.timestamp)
-                self.samples_classified += len(samples)
-            return
-        # Ragged backlog (a malformed producer mixing vector lengths):
-        # classify per sample, failing exactly where per-node knn would.
-        for node, samples in backlogs:  # fpt: noqa[FPT310] -- ragged fallback path, hit only by malformed producers
+                    shape = np.shape(sample.value)
+                    if shape != self.sigma.shape:
+                        raise ModuleError(
+                            f"{self._owner}: node '{node}' sent a vector of "
+                            f"shape {shape}; sigma has shape {self.sigma.shape}"
+                        )
+            raise ModuleError(f"{self._owner}: input vectors are not numeric")
+        scaled = np.log1p(np.maximum(raw, 0.0)) / self.sigma
+        order = nearest_k_batch(scaled, self.centroids, self.k)
+        k = self.k
+        position = 0
+        for node, samples in backlogs:
+            out_write = self.outputs[node].write
             for sample in samples:
-                raw_one = np.asarray(sample.value, dtype=float)  # fpt: noqa[FPT311] -- ragged fallback path, hit only by malformed producers
-                scaled = np.log1p(np.maximum(raw_one, 0.0)) / self.sigma
-                indices = nearest_k(scaled, self.centroids, self.k)
+                indices = order[position]
+                position += 1
                 value = (
-                    int(indices[0])
-                    if self.k == 1
-                    else [int(i) for i in indices]
+                    int(indices[0]) if k == 1 else [int(i) for i in indices]
                 )
-                self.outputs[node].write(value, sample.timestamp)
-                self.samples_classified += 1
+                out_write(value, sample.timestamp)
+            self.samples_classified += len(samples)

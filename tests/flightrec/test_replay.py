@@ -2,7 +2,10 @@
 
 import pytest
 
+from lint.helpers import per_node_knn_deployment  # tests/lint: the pre-knnfleet text
+
 from repro.core import ConfigError
+from repro.experiments import ScenarioConfig, run_scenario, scenario, shared_model
 from repro.flightrec import (
     FlightRecorder,
     ReplayArchive,
@@ -93,3 +96,49 @@ class TestReplayDeterminism:
         registry = make_replay_registry()
         assert "replay_source" in registry
         assert make_replay_registry(registry) is registry
+
+
+class TestPerNodeKnnArchives:
+    """DESIGN.md: ``knn`` and ``knnfleet`` are one implementation with
+    two bindings, so a deployment (or an archive) that still carries one
+    ``[knn]`` per node alarms as the generated one does, and replays."""
+
+    CONFIG = ScenarioConfig(
+        num_slaves=6, duration_s=480.0, seed=7,
+        fault_name="CPUHog", inject_time=120.0,
+    )
+
+    @staticmethod
+    def alarm_rows(result):
+        return [
+            [(a.time, a.node, a.source, a.detail) for a in alarms]
+            for alarms in (result.alarms_bb, result.alarms_wb, result.alarms_all)
+        ]
+
+    def test_records_the_same_alarms_and_replays(self, tmp_path, monkeypatch):
+        model = shared_model(self.CONFIG, training_duration_s=300.0)
+        generated = run_scenario(self.CONFIG, model=model)
+        assert generated.alarms_bb, "the scenario has to alarm to prove anything"
+
+        monkeypatch.setattr(
+            scenario, "build_asdf_config_text",
+            lambda nodes, config, scoreboard=False: per_node_knn_deployment(
+                nodes, config
+            ),
+        )
+        recorder = FlightRecorder(archive_dir=str(tmp_path))
+        per_node = run_scenario(self.CONFIG, model=model, recorder=recorder)
+        recorder.close()
+        assert self.alarm_rows(per_node) == self.alarm_rows(generated)
+
+        archive = ReplayArchive.load(str(tmp_path))
+        config_text = archive.manifest["config_text"]
+        assert config_text.count("[knn]") == self.CONFIG.num_slaves
+        assert "knnfleet" not in config_text
+        result = run_replay(archive, config_text, services={"bb_model": model})
+        assert set(result.matches) == {
+            "BlackBoxAlarm", "WhiteBoxAlarm", "CombinedAlarm"
+        }
+        assert result.all_match, result.matches
+        assert result.alarms["BlackBoxAlarm"] == per_node.alarms_bb
+        result.core.close()

@@ -1,9 +1,10 @@
-"""The per-node ``[knn]`` deployment text, for the lints that price it.
+"""The per-node ``[knn]`` deployment text.
 
 ``build_asdf_config_text`` renders one ``knnfleet``; hand-written
 configs and flight archives recorded before that still carry one
-``sadc -> knn -> ibuffer`` chain per node, which FPT302 flags at fleet
-scale.  This renders that older text around the generated analysis tail.
+``sadc -> knn -> ibuffer`` chain per node.  This renders that older
+text around the generated analysis tail, for the lints that price it
+and for the replay test that holds DESIGN.md to "old archives replay".
 """
 
 from repro.experiments import ScenarioConfig, build_asdf_config_text
@@ -15,7 +16,12 @@ def slave_names(slaves):
 
 def per_node_knn_text(slaves, **kwargs):
     config = ScenarioConfig(num_slaves=slaves, **kwargs)
-    nodes = slave_names(slaves)
+    return per_node_knn_deployment(slave_names(slaves), config)
+
+
+def per_node_knn_deployment(nodes, config):
+    """``build_asdf_config_text(nodes, config)`` as it read before the
+    generator emitted ``knnfleet``."""
     generated = build_asdf_config_text(nodes, config)
     lines = []
     for node in nodes:

@@ -111,6 +111,32 @@ class TestLintCommand:
         assert main(["lint", "--slaves", "4"]) == 0
         assert "no diagnostics" in capsys.readouterr().out
 
+    def test_cost_budget_flag_gates_the_generated_deployment(self, capsys):
+        assert main(["lint", "--cost", "--slaves", "50"]) == 0
+        assert "FPT301" not in capsys.readouterr().out
+        assert main(["lint", "--cost", "--slaves", "50", "--budget-ms", "1"]) == 1
+        out = capsys.readouterr().out
+        assert "FPT301" in out and "budget 1 ms" in out
+
+    @pytest.mark.parametrize("budget", ["0", "-5", "nan"])
+    def test_non_positive_budget_is_a_usage_error(self, budget, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["lint", "--cost", "--budget-ms", budget])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert "--budget-ms: must be positive" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
+    def test_scale_section_gets_the_runtimes_verdict(self, tmp_path, capsys):
+        """``[scale]`` was a lint-only section the runtime never knew."""
+        text = "[scale]\nid = fleet\nn = 1000\n\n" + GOOD
+        path = tmp_path / "scale.conf"
+        path.write_text(text)
+        assert main(["lint", "--cost", str(path)]) == 1
+        assert "FPT001" in capsys.readouterr().out
+        with pytest.raises(ConfigError, match="unknown module type 'scale'"):
+            FptCore.from_config(text, standard_registry(), SimClock())
+
 
 class TestConfigErrorLineInfo:
     def test_parse_error_carries_line_and_text(self):

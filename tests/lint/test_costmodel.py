@@ -1,7 +1,8 @@
-"""Static cost model: DAG folding, budget gates, vectorization lints.
+"""Static cost model: DAG folding, the budget gate, window recompute.
 
-The golden assertions double as the calibration contract: the estimate
-for the generated deployment must stay within 3x of the pipeline rate
+The golden assertions double as the calibration contract: the two
+analyses' estimates against ``bench/``'s traced stage-table rows, and
+the generated deployment's total within 3x of the pipeline rate
 measured in the committed ``BENCH_scale.json``.
 """
 
@@ -11,9 +12,8 @@ import os
 import pytest
 
 from repro.experiments import ScenarioConfig, build_asdf_config_text
-from repro.lint import CostFact, CostTerm, estimate_config, scan_hot_modules
-from repro.lint.contracts import ContractRegistry, ModuleContract
-from repro.lint.costmodel import DEFAULT_TICK_BUDGET_MS, FLEET_THRESHOLD
+from repro.lint import estimate_config, estimate_specs, standard_contracts
+from repro.lint.costmodel import DEFAULT_TICK_BUDGET_MS
 
 from .helpers import per_node_knn_text, slave_names
 
@@ -31,86 +31,45 @@ def codes(report):
     return [d.code for d in report.diagnostics]
 
 
-TEMPLATE = """\
-[scale]
-n = {n}
-tick_budget_ms = {budget}
-
-[sadc]
-id = sadc_m01
-node = m01
-interval = 1.0
-
-[knn]
-id = onenn_m01
-input[input] = sadc_m01.vector
-model = bb_model
-k = 1
-
-[print]
-id = print_alarms
-input[input] = onenn_m01.output0
-"""
-
-
 class TestBudgetGate:
     def test_fpt301_fires_when_the_estimate_exceeds_the_budget(self):
-        report = estimate_config(TEMPLATE.format(n=1000, budget=50))
+        report = estimate_config(per_node_knn_text(1000), budget_ms=50)
         assert "FPT301" in codes(report)
         assert report.total_ms_per_s > 50
         assert report.budget_ms == 50
 
     def test_fpt301_silent_within_budget(self):
-        report = estimate_config(TEMPLATE.format(n=10, budget=1000))
+        report = estimate_config(per_node_knn_text(10), budget_ms=1000)
         assert "FPT301" not in codes(report)
-
-    def test_cli_budget_overrides_the_scale_section(self):
-        text = TEMPLATE.format(n=10, budget=1000)
-        report = estimate_config(text, budget_ms=0.1)
-        assert report.budget_ms == 0.1
-        assert "FPT301" in codes(report)
 
     def test_default_budget_is_one_tick_second(self):
         report = estimate_config(generated(3))
         assert report.budget_ms == DEFAULT_TICK_BUDGET_MS
 
-    def test_scale_section_sets_the_template_fleet_size(self):
-        report = estimate_config(TEMPLATE.format(n=500, budget=1000))
-        assert report.template
-        assert report.fleet_size == 500
+    @pytest.mark.parametrize("budget", [0, -5.0, float("nan")])
+    def test_non_positive_budget_is_rejected(self, budget):
+        with pytest.raises(ValueError, match="budget"):
+            estimate_config(generated(3), budget_ms=budget)
+        with pytest.raises(ValueError, match="budget"):
+            estimate_specs([], standard_contracts(), budget_ms=budget)
 
     def test_expanded_deployment_infers_fleet_size(self):
-        report = estimate_config(generated(25))
-        assert not report.template
-        assert report.fleet_size == 25
+        assert estimate_config(generated(25)).fleet_size == 25
+        assert estimate_config(per_node_knn_text(25)).fleet_size == 25
 
-
-class TestFleetEquivalent:
-    def test_fpt302_fires_on_per_node_knn_at_fleet_scale(self):
-        report = estimate_config(TEMPLATE.format(n=1000, budget=1000))
-        hits = [d for d in report.diagnostics if d.code == "FPT302"]
-        assert len(hits) == 1
-        assert "knnfleet" in hits[0].message
-
-    def test_fpt302_fires_on_the_expanded_per_node_deployment(self):
-        """...which nevertheless fits the 1 s budget at N=1000."""
-        report = estimate_config(per_node_knn_text(1000))
-        assert "FPT302" in codes(report)
-        assert "FPT301" not in codes(report)
-        assert report.total_ms_per_s < DEFAULT_TICK_BUDGET_MS
-
-    def test_fpt302_silent_on_the_fleet_batched_variant(self):
-        """The generated N=1000 deployment is ``--strict``-clean as is."""
+    def test_generated_n1000_deployment_is_strict_clean(self):
         assert codes(estimate_config(generated(1000))) == []
 
-    def test_fpt302_silent_below_the_fleet_threshold(self):
-        report = estimate_config(per_node_knn_text(FLEET_THRESHOLD - 1))
-        assert "FPT302" not in codes(report)
-
-    def test_knnfleet_cost_dominates_per_node_knn_at_scale(self):
-        plain = estimate_config(per_node_knn_text(200))
-        fleet = estimate_config(generated(200))
-        assert fleet.total_ms_per_s < plain.total_ms_per_s / 2
+    def test_per_node_knn_deployment_fits_the_budget_at_n1000(self):
+        """N ``[knn]`` instances pay N scheduler runs and N small-array
+        numpy calls: the report's ``knn`` row is where a hand-written
+        per-node config sees that, and it still fits the 1 s tick."""
+        report = estimate_config(per_node_knn_text(1000))
+        assert codes(report) == []
+        rows = {name: (count, ms) for name, count, _, ms in report.by_type()}
+        assert rows["knn"][0] == 1000
+        assert rows["knn"][1] == max(ms for _, ms in rows.values())
+        assert report.total_ms_per_s < DEFAULT_TICK_BUDGET_MS
 
 
 class TestWindowRecompute:
@@ -182,17 +141,6 @@ class TestGoldenCostReports:
     def measured_ms_per_s(self, row):
         return row["pipeline_wall_s"] / row["pipeline_seconds"] * 1000.0
 
-    @pytest.mark.parametrize("slaves", [50, 1000])
-    def test_per_node_estimate_within_3x_of_scalar_pipeline(
-        self, bench_rows, slaves
-    ):
-        row = bench_rows.get((slaves, "scalar"))
-        if row is None:
-            pytest.skip(f"no scalar bench row at N={slaves}")
-        measured = self.measured_ms_per_s(row)
-        report = estimate_config(per_node_knn_text(slaves))
-        assert measured / 3 <= report.total_ms_per_s <= measured * 3
-
     def test_fleet_estimate_within_3x_of_vec_pipeline(self, bench_rows):
         row = bench_rows.get((1000, "vec"))
         if row is None:
@@ -223,72 +171,3 @@ class TestGoldenCostReports:
         text = estimate_config(generated(10)).render()
         assert "N=10" in text
         assert "budget" in text
-
-
-class _HotFixture:
-    """Hot module with every FPT31x hazard (scanned via its source)."""
-
-    type_name = "hotfixture"
-
-    def init(self):
-        for node in self.nodes:
-            self.setup(node)  # init() is exempt: runs once per deployment
-
-    def run(self, reason):
-        for node in self.nodes:
-            values = list(self.backlog[node])
-            self.emit(node, values)
-        rows = [self.window[node] for node in self.nodes]
-        return rows
-
-
-class _ColdFixture:
-    """Same shape, but its contract carries no hot cost fact."""
-
-    type_name = "coldfixture"
-
-    def run(self, reason):
-        for node in self.nodes:
-            self.emit(node, list(self.backlog[node]))
-
-
-def _fixture_setup(hot):
-    class _Registry:
-        def __init__(self, classes):
-            self._classes = {c.type_name: c for c in classes}
-
-        def __iter__(self):
-            return iter(sorted(self._classes))
-
-        def resolve(self, name):
-            return self._classes[name]
-
-    contracts = ContractRegistry()
-    fact = CostFact(terms=(CostTerm(1.0, per="sample"),), hot=hot)
-    for cls in (_HotFixture, _ColdFixture):
-        contracts.register(ModuleContract(type_name=cls.type_name, cost=fact))
-    return _Registry([_HotFixture, _ColdFixture]), contracts
-
-
-class TestHotModuleScan:
-    def test_all_three_codes_fire_on_the_hot_fixture(self):
-        registry, contracts = _fixture_setup(hot=True)
-        found = scan_hot_modules(registry=registry, contracts=contracts)
-        assert {d.code for d in found} == {"FPT310", "FPT311", "FPT312"}
-
-    def test_init_loops_are_exempt(self):
-        registry, contracts = _fixture_setup(hot=True)
-        found = scan_hot_modules(registry=registry, contracts=contracts)
-        init_line = _HotFixture.init.__code__.co_firstlineno
-        run_line = _HotFixture.run.__code__.co_firstlineno
-        assert all(d.line >= run_line for d in found), found
-        assert all(d.line > init_line for d in found)
-
-    def test_cold_modules_are_not_scanned(self):
-        registry, contracts = _fixture_setup(hot=False)
-        assert scan_hot_modules(registry=registry, contracts=contracts) == []
-
-    def test_standard_registry_scan_is_fully_justified(self):
-        # Every remaining hazard in the shipped hot modules carries an
-        # inline noqa justification (gather/scatter and fallback paths).
-        assert scan_hot_modules() == []

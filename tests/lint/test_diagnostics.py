@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.lint.diagnostics import (
     CODES,
     Diagnostic,
@@ -123,8 +125,8 @@ class TestNoqaPrefixes:
         text = "a = 1  # fpt: noqa[FPT3]\n"
         kept = apply_noqa(
             [
-                Diagnostic("FPT302", "x", line=1),
-                Diagnostic("FPT310", "y", line=1),
+                Diagnostic("FPT301", "x", line=1),
+                Diagnostic("FPT303", "y", line=1),
                 Diagnostic("FPT201", "z", line=1),
             ],
             text,
@@ -132,26 +134,26 @@ class TestNoqaPrefixes:
         assert [d.code for d in kept] == ["FPT201"]
 
     def test_two_digit_prefix_narrows_to_a_decade(self):
-        text = "a = 1  # fpt: noqa[FPT31]\n"
+        text = "a = 1  # fpt: noqa[FPT01]\n"
         kept = apply_noqa(
             [
-                Diagnostic("FPT310", "x", line=1),
-                Diagnostic("FPT302", "y", line=1),
+                Diagnostic("FPT012", "x", line=1),
+                Diagnostic("FPT002", "y", line=1),
             ],
             text,
         )
-        assert [d.code for d in kept] == ["FPT302"]
+        assert [d.code for d in kept] == ["FPT002"]
 
     def test_full_code_still_matches_exactly(self):
-        text = "a = 1  # fpt: noqa[FPT310]\n"
+        text = "a = 1  # fpt: noqa[FPT301]\n"
         kept = apply_noqa(
             [
-                Diagnostic("FPT310", "x", line=1),
-                Diagnostic("FPT311", "y", line=1),
+                Diagnostic("FPT301", "x", line=1),
+                Diagnostic("FPT303", "y", line=1),
             ],
             text,
         )
-        assert [d.code for d in kept] == ["FPT311"]
+        assert [d.code for d in kept] == ["FPT303"]
 
     def test_prefixes_parse_alongside_full_codes(self):
         markers = noqa_lines("x  # fpt: noqa[FPT2, FPT401]\n")
@@ -171,8 +173,8 @@ class TestMalformedNoqa:
 
     def test_malformed_entry_suppresses_nothing(self):
         text = "t = 1  # fpt: noqa[FPT30x]\n"
-        kept = apply_noqa([Diagnostic("FPT302", "x", line=1)], text)
-        assert [d.code for d in kept] == ["FPT302"]
+        kept = apply_noqa([Diagnostic("FPT303", "x", line=1)], text)
+        assert [d.code for d in kept] == ["FPT303"]
 
     def test_fpt090_is_never_self_suppressed(self):
         # The malformed marker cannot silence its own report, even when
@@ -191,3 +193,26 @@ class TestMalformedNoqa:
     def test_clean_markers_report_nothing(self):
         assert marker_errors("a = 1  # fpt: noqa[FPT201]\nb = 2\n") == []
         assert marker_errors("a = 1  # fpt: noqa\n") == []
+        assert marker_errors("a = 1  # fpt: noqa[FPT3, FPT30, fpt401]\n") == []
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            "FPT999",  # well-formed, names nothing
+            "FPT210",  # a typo of FPT201
+            "FPT310",  # a rule that was retired
+            "FPT5",    # prefixes nothing
+            "FPT31",
+        ],
+    )
+    def test_entry_naming_no_code_reports_fpt090(self, entry):
+        text = f"x = 1  # fpt: noqa[{entry}]\n"
+        findings = marker_errors(text)
+        assert [d.code for d in findings] == ["FPT090"]
+        assert entry in findings[0].message
+        assert noqa_lines(text) == {1: set()}
+
+    def test_every_code_and_its_prefixes_are_accepted(self):
+        for code in CODES:
+            for entry in (code, code[:5], code[:4]):
+                assert marker_errors(f"x = 1  # fpt: noqa[{entry}]\n") == []

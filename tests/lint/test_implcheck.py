@@ -120,19 +120,6 @@ class TestScan:
         assert contract.param("depth").required
         assert not contract.param("k").required
 
-    def test_inherited_run_is_on_the_hot_path_scan(self):
-        from repro.lint import CostFact, ContractRegistry, scan_hot_modules
-
-        registry = ModuleRegistry()
-        registry.register(Sub)
-        contracts = ContractRegistry()
-        contracts.register(
-            ModuleContract(type_name="sub", cost=CostFact(hot=True))
-        )
-        findings = scan_hot_modules(registry, contracts)
-        assert [d.code for d in findings] == ["FPT310"]
-        assert findings[0].instance == "sub"
-
     def test_scan_collects_literal_api_usage(self):
         scan = scan_module_class(WellBehaved)
         assert set(scan.outputs) == {"result"}

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core import ConfigError
+from repro.analysis.kmeans import nearest_k
+from repro.core import ConfigError, ModuleError
 
 from .helpers import build_core, collected, vector_series
 
@@ -88,6 +89,46 @@ class TestFleetClassification:
             assert values == collected(pernode, f"sink_{node}")
             assert all(len(v) == 3 for v in values)
 
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_matches_the_documented_formula_sample_by_sample(self, k):
+        """``knn`` is this class bound to one input, so the oracle here
+        is the paper's formula, one sample at a time: ``s' = log(1 + s) /
+        sigma``, then ``nearest_k``.  Nodes skip ticks so the backlogs a
+        run stacks are of uneven length (and sometimes empty)."""
+        rng = np.random.default_rng(41)
+        shared = Model(
+            rng.gamma(2.0, 1.0, size=(5, 4)), rng.uniform(0.5, 2.0, size=4)
+        )
+        ticks = 12
+        writes = {  # 12 + 6 + 3 = 21 writes: seven runs of three updates
+            "slave01": range(0, ticks),
+            "slave02": range(0, ticks, 2),
+            "slave03": range(1, ticks, 4),
+        }
+        data = {
+            node: [
+                rng.gamma(2.0, 50.0, size=4) if t in at else None
+                for t in range(ticks)
+            ]
+            for node, at in writes.items()
+        }
+        core = make_fleet_core(data, shared, k=k)
+        core.run_until(float(ticks - 1))
+        assert core.scheduler.runs_by_instance["nn"] == 7
+        for node in NODES:
+            expected = []
+            for t, raw in enumerate(data[node]):
+                if raw is None:
+                    continue
+                scaled = np.log1p(np.maximum(raw, 0.0)) / shared.sigma
+                nearest = [int(i) for i in nearest_k(scaled, shared.centroids, k)]
+                expected.append((float(t), nearest[0] if k == 1 else nearest))
+            got = [
+                (s.timestamp, s.value)
+                for s in core.instance(f"sink_{node}").received
+            ]
+            assert got == expected
+
     def test_counts_samples_across_fleet(self):
         core = make_fleet_core(series(), model())
         core.run_until(5.0)
@@ -133,3 +174,29 @@ class TestConfigErrors:
         bad = Model([[0.0, 1.0]], [1.0])
         with pytest.raises(ConfigError, match="sigma"):
             make_fleet_core(series(), bad)
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize(
+        "make_core, culprit",
+        [(make_fleet_core, "nn"), (make_pernode_core, "nn_slave02")],
+        ids=["knnfleet", "knn"],
+    )
+    def test_wrong_width_names_sender(self, make_core, culprit):
+        """A vector of another width than sigma's is the producer's bug
+        (for the fleet, the stack of widths 2, 3, 2 does not even build):
+        nothing of that backlog is classified, and the error says which
+        instance got it from which node."""
+        shared = Model([[0.0, 0.0], [5.0, 5.0]], [1.0, 1.0])
+        data = {
+            "slave01": [np.ones(2)], "slave02": [np.ones(3)], "slave03": [np.ones(2)],
+        }
+        core = make_core(data, shared)
+        with pytest.raises(ModuleError) as raised:
+            core.run_until(0.0)
+        message = str(raised.value)
+        type_name = core.instance(culprit).type_name
+        assert f"{type_name} '{culprit}'" in message
+        assert "node 'slave02'" in message
+        assert "(3,)" in message and "(2,)" in message
+        assert core.instance(culprit).samples_classified == 0

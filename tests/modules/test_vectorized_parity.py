@@ -51,7 +51,7 @@ class TestNearestKBatch:
 
 
 class TestKnnBatchedBacklog:
-    """The knn module's batched run() vs the per-sample formula."""
+    """The classifier's batched run() vs the per-sample formula."""
 
     class Model:
         def __init__(self, centroids, sigma):
@@ -87,27 +87,6 @@ class TestKnnBatchedBacklog:
             scaled = np.log1p(np.maximum(row, 0.0)) / sigma
             expected.append(int(nearest_k(scaled, centroids, 1)[0]))
         assert got == expected
-
-    def test_ragged_backlog_falls_back_per_sample(self):
-        model = self.Model([[0.0], [5.0]], [1.0])
-        values = [
-            np.array([1.0]),
-            np.array([1.0, 2.0]),  # wrong width: forces the fallback
-            np.array([200.0]),
-        ]
-        core = build_core(
-            "[scripted]\nid = src\nnode = slave01\n\n"
-            "[knn]\nid = nn\ninput[input] = src.value\nmodel = bb_model\n"
-            "k = 1\ntrigger = 3\n\n"
-            "[print]\nid = sink\ninput[a] = nn.output0\n",
-            {"script": {"src": values}, "bb_model": model},
-        )
-        try:
-            core.run_until(3.0)
-        except Exception:
-            pass  # the malformed sample may legitimately raise downstream
-        # The well-formed first sample classified before the bad one hit.
-        assert collected(core, "sink")[:1] == [0]
 
 
 class TestTimedWindowRing:
