@@ -15,7 +15,7 @@ is *problem-free*.  From the per-node-window alarm decisions we compute:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 
 @dataclass(frozen=True)
@@ -106,9 +106,8 @@ class ConfusionCounts:
         self.false_negatives += other.false_negatives
 
 
-@dataclass(frozen=True)
-class WindowDecision:
-    """One node-window alarm decision."""
+class WindowDecision(NamedTuple):
+    """One node-window alarm decision (one per node per round)."""
 
     node: str
     window_start: float

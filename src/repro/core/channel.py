@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Iterator, List, Optional
+from typing import Any, Callable, Deque, Iterator, List, NamedTuple, Optional
 
 from .errors import ModuleError
 
@@ -46,12 +46,16 @@ class Origin:
         return "/".join(parts) if parts else "<unknown>"
 
 
-@dataclass(frozen=True)
-class Sample:
+class Sample(NamedTuple):
     """A single timestamped value flowing along a connection."""
 
     timestamp: float
     value: Any
+
+
+#: What ``Sample(timestamp, value)`` ends in; ``Output.write`` calls it
+#: directly, a sample per write being the core's commonest object.
+_new_sample = tuple.__new__
 
 
 class Connection:
@@ -74,12 +78,6 @@ class Connection:
     @property
     def origin(self) -> Optional[Origin]:
         return self.output.origin
-
-    def _push(self, sample: Sample) -> None:
-        if len(self._queue) == self._queue.maxlen:
-            self.total_dropped += 1
-        self._queue.append(sample)
-        self.total_received += 1
 
     def __len__(self) -> int:
         return len(self._queue)
@@ -129,16 +127,11 @@ class Connection:
 class WriteHookChain:
     """An explicit ``on_write`` hook chain, fired in attachment order.
 
-    The scheduler's trigger bookkeeping must fire exactly once per write
-    no matter how many probes (telemetry taps, test spies, recorders)
-    watch the same output.  Closure-based chaining cannot be introspected
-    -- once a probe wraps ``on_write``, a re-attach has no way to tell
-    whether the scheduler hook is still buried inside, so it either
-    silently stacks a second one or silently drops bookkeeping.  Keeping
-    the hooks in a list makes membership checkable
-    (:meth:`Scheduler.attach_output <repro.core.scheduler.Scheduler.attach_output>`
-    looks for its own hook) and costs one loop per write however many
-    probes are attached.  Built by :meth:`Output.add_write_hook`.
+    Observers of an output (telemetry tap, flight recorder, latency
+    tracer, test spies) are entries of one list, so a write costs one
+    loop however many are attached and the chain stays introspectable.
+    Built by :meth:`Output.add_write_hook`.  Trigger counting is not
+    among them (see :meth:`Output.write`).
     """
 
     __slots__ = ("hooks",)
@@ -191,33 +184,41 @@ class Output:
 
     Outputs are created by modules during ``init()`` via
     :meth:`repro.core.module.ModuleContext.create_output`.  Writing to an
-    output timestamps the value (using the core's clock) and fans it out
-    to every subscribed connection; the core is notified through
-    ``on_write`` so that input-triggered modules can be scheduled.
+    output timestamps the value (using the core's clock), fans it out to
+    every subscribed connection, counts it towards the consumers'
+    input triggers and then notifies the observers on ``on_write``.
     """
 
     owner_id: str
     name: str
     origin: Optional[Origin] = None
     subscribers: List[Connection] = field(default_factory=list)
-    #: Called as ``on_write(output, sample)`` after every write: ``None``,
-    #: one hook, or a :class:`WriteHookChain` (see :meth:`add_write_hook`).
+    #: Observers, called as ``on_write(output, sample)`` after every
+    #: write: ``None``, one hook, or a :class:`WriteHookChain` (see
+    #: :meth:`add_write_hook`).  Scheduling does not depend on it.
     on_write: Optional[Callable[["Output", Sample], None]] = None
     total_written: int = 0
     #: ``"<owner_id>.<name>"``, the key every observer files this output
     #: under; built once because taps read it on every write.
     full_name: str = field(init=False, repr=False, compare=False)
+    #: The trigger plan: the scheduler's cell of each consumer a write
+    #: counts towards (empty while no scheduler attached the output).
+    #: ``None`` means stale: the next write asks ``_planner``, installed
+    #: by ``Scheduler.attach_output``, for a new one.
+    _plan: Optional[tuple] = field(
+        default=(), init=False, repr=False, compare=False)
+    _planner: Optional[Callable[["Output"], tuple]] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.full_name = f"{self.owner_id}.{self.name}"
 
     def add_write_hook(self, hook: Callable[["Output", Sample], None]) -> None:
-        """Append ``hook`` to the hooks fired after every write.
+        """Append ``hook`` to the observers fired after every write.
 
-        The first hook is installed as it is, so an output watched only
-        by the scheduler keeps calling its bound method directly; a
-        second one turns ``on_write`` into a :class:`WriteHookChain`
-        (whatever was installed before fires first).
+        The first hook is installed as it is; a second one turns
+        ``on_write`` into a :class:`WriteHookChain` (whatever was
+        installed before fires first).
         """
         existing = self.on_write
         if existing is None:
@@ -231,18 +232,25 @@ class Output:
         """Create and register a new connection fed by this output."""
         connection = Connection(self, capacity=capacity)
         self.subscribers.append(connection)
+        self._plan = None
         return connection
+
+    def unsubscribe(self, connection: Connection) -> None:
+        """Stop feeding ``connection``; unknown connections are ignored."""
+        if connection in self.subscribers:
+            self.subscribers.remove(connection)
+            self._plan = None
 
     def write(self, value: Any, timestamp: float) -> None:
         """Publish ``value`` at ``timestamp`` to all subscribers.
 
-        This is the hottest call in the core (every collected metric
-        vector, classification and window statistic passes through it),
-        so the per-subscriber push is inlined rather than dispatched
-        through :meth:`Connection._push`, and hook-free writes return
-        without touching ``on_write`` at all.
+        The hottest call in the core (every metric vector, classification
+        and window statistic passes through it), so one flat pass with
+        nothing looked up by name: build the sample, push it to the
+        queues, bump the plan's trigger cells (queueing a consumer that
+        reached its threshold, once), call the observers.
         """
-        sample = Sample(timestamp=timestamp, value=value)
+        sample = _new_sample(Sample, (timestamp, value))
         self.total_written += 1
         for connection in self.subscribers:
             queue = connection._queue
@@ -250,10 +258,18 @@ class Output:
                 connection.total_dropped += 1
             queue.append(sample)
             connection.total_received += 1
+        plan = self._plan
+        if plan is None:
+            planner = self._planner
+            plan = self._plan = planner(self) if planner is not None else ()
+        for cell in plan:
+            count = cell.count = cell.count + 1
+            if count >= cell.threshold and not cell.queued:
+                cell.queued = True
+                cell.enqueue(cell)
         hook = self.on_write
-        if hook is None:
-            return  # fast path: nothing to notify
-        hook(self, sample)
+        if hook is not None:
+            hook(self, sample)
 
     def subscriber_depths(self) -> List[int]:
         """Current buffered-sample count of each subscriber queue."""

@@ -108,6 +108,72 @@ class Dag:
         return "\n".join(lines)
 
 
+def _check_upstreams(specs: Sequence[InstanceSpec], known: Mapping[str, object]) -> None:
+    """Before any work: every input names a ``known`` instance, not its own."""
+    for spec in specs:
+        for input_spec in spec.inputs:
+            if input_spec.instance_id not in known:
+                raise ConfigError(
+                    f"instance '{spec.instance_id}' input "
+                    f"'{input_spec.input_name}' references unknown instance "
+                    f"'{input_spec.instance_id}'",
+                    line_no=input_spec.line or None,
+                    line_text=input_spec.render(),
+                )
+            if input_spec.instance_id == spec.instance_id:
+                raise ConfigError(
+                    f"instance '{spec.instance_id}' cannot consume its own "
+                    f"outputs (input '{input_spec.input_name}')",
+                    line_no=input_spec.line or None,
+                    line_text=input_spec.render(),
+                )
+
+
+def _wire_inputs(dag: Dag, spec: InstanceSpec, queue_capacity: int) -> None:
+    """Subscribe ``spec``'s inputs to the upstream outputs they name: the
+    one place edges are made.  ``subscribe`` marks the output's trigger
+    plan stale; the owner is set before the next write compiles it."""
+    ctx = dag.contexts[spec.instance_id]
+    for input_spec in spec.inputs:
+        upstream_ctx = dag.contexts[input_spec.instance_id]
+        group = ctx.inputs.setdefault(
+            input_spec.input_name, InputGroup(input_spec.input_name)
+        )
+        if input_spec.output_name is None:
+            outputs = list(upstream_ctx.outputs.values())
+            if not outputs:
+                raise ConfigError(
+                    f"instance '{spec.instance_id}' wires "
+                    f"'@{input_spec.instance_id}' but that instance "
+                    "declared no outputs",
+                    line_no=input_spec.line or None,
+                    line_text=input_spec.render(),
+                )
+        else:
+            if input_spec.output_name not in upstream_ctx.outputs:
+                raise ConfigError(
+                    f"instance '{spec.instance_id}' wires "
+                    f"'{input_spec.instance_id}.{input_spec.output_name}' "
+                    "but that output does not exist (available: "
+                    f"{sorted(upstream_ctx.outputs)})",
+                    line_no=input_spec.line or None,
+                    line_text=input_spec.render(),
+                )
+            outputs = [upstream_ctx.outputs[input_spec.output_name]]
+        for output in outputs:
+            connection = output.subscribe(capacity=queue_capacity)
+            connection.owner_instance = spec.instance_id
+            group.connections.append(connection)
+            dag.edges.append(
+                Edge(
+                    src_instance=input_spec.instance_id,
+                    output_name=output.name,
+                    dst_instance=spec.instance_id,
+                    input_name=input_spec.input_name,
+                )
+            )
+
+
 def build_dag(
     specs: Sequence[InstanceSpec],
     registry: ModuleRegistry,
@@ -129,24 +195,7 @@ def build_dag(
             raise ConfigError(f"duplicate instance id '{spec.instance_id}'")
         spec_by_id[spec.instance_id] = spec
 
-    # Validate upstream references before doing any work.
-    for spec in specs:
-        for input_spec in spec.inputs:
-            if input_spec.instance_id not in spec_by_id:
-                raise ConfigError(
-                    f"instance '{spec.instance_id}' input "
-                    f"'{input_spec.input_name}' references unknown instance "
-                    f"'{input_spec.instance_id}'",
-                    line_no=input_spec.line or None,
-                    line_text=input_spec.render(),
-                )
-            if input_spec.instance_id == spec.instance_id:
-                raise ConfigError(
-                    f"instance '{spec.instance_id}' cannot consume its own "
-                    f"outputs (input '{input_spec.input_name}')",
-                    line_no=input_spec.line or None,
-                    line_text=input_spec.render(),
-                )
+    _check_upstreams(specs, spec_by_id)
 
     # Step 1: a vertex (context + module object) per instance.
     modules: Dict[str, Module] = {}
@@ -166,53 +215,12 @@ def build_dag(
     )
     initialized: set = set()
 
-    def wire_inputs(spec: InstanceSpec) -> None:
-        ctx = dag.contexts[spec.instance_id]
-        for input_spec in spec.inputs:
-            upstream_ctx = dag.contexts[input_spec.instance_id]
-            group = ctx.inputs.setdefault(
-                input_spec.input_name, InputGroup(input_spec.input_name)
-            )
-            if input_spec.output_name is None:
-                outputs = list(upstream_ctx.outputs.values())
-                if not outputs:
-                    raise ConfigError(
-                        f"instance '{spec.instance_id}' wires "
-                        f"'@{input_spec.instance_id}' but that instance "
-                        "declared no outputs",
-                        line_no=input_spec.line or None,
-                        line_text=input_spec.render(),
-                    )
-            else:
-                if input_spec.output_name not in upstream_ctx.outputs:
-                    raise ConfigError(
-                        f"instance '{spec.instance_id}' wires "
-                        f"'{input_spec.instance_id}.{input_spec.output_name}' "
-                        "but that output does not exist (available: "
-                        f"{sorted(upstream_ctx.outputs)})",
-                        line_no=input_spec.line or None,
-                        line_text=input_spec.render(),
-                    )
-                outputs = [upstream_ctx.outputs[input_spec.output_name]]
-            for output in outputs:
-                connection = output.subscribe(capacity=queue_capacity)
-                connection.owner_instance = spec.instance_id
-                group.connections.append(connection)
-                dag.edges.append(
-                    Edge(
-                        src_instance=input_spec.instance_id,
-                        output_name=output.name,
-                        dst_instance=spec.instance_id,
-                        input_name=input_spec.input_name,
-                    )
-                )
-
     # Steps 3-4: initialize in waves, satisfying inputs as outputs appear.
     while ready:
         instance_id = ready.popleft()
         spec = spec_by_id[instance_id]
         ctx = dag.contexts[instance_id]
-        wire_inputs(spec)
+        _wire_inputs(dag, spec, queue_capacity)
         if install_hooks is not None:
             install_hooks(ctx)
         module = modules[instance_id]
@@ -263,27 +271,7 @@ def extend_dag(
             )
         spec_by_id[spec.instance_id] = spec
 
-    for spec in specs:
-        for input_spec in spec.inputs:
-            known = (
-                input_spec.instance_id in spec_by_id
-                or input_spec.instance_id in dag.contexts
-            )
-            if not known:
-                raise ConfigError(
-                    f"instance '{spec.instance_id}' input "
-                    f"'{input_spec.input_name}' references unknown instance "
-                    f"'{input_spec.instance_id}'",
-                    line_no=input_spec.line or None,
-                    line_text=input_spec.render(),
-                )
-            if input_spec.instance_id == spec.instance_id:
-                raise ConfigError(
-                    f"instance '{spec.instance_id}' cannot consume its own "
-                    f"outputs (input '{input_spec.input_name}')",
-                    line_no=input_spec.line or None,
-                    line_text=input_spec.render(),
-                )
+    _check_upstreams(specs, {**dag.contexts, **spec_by_id})
 
     modules: Dict[str, Module] = {}
     for spec in specs:
@@ -306,51 +294,10 @@ def extend_dag(
     initialized: set = set()
     added: List[str] = []
 
-    def wire_inputs(spec: InstanceSpec) -> None:
-        ctx = dag.contexts[spec.instance_id]
-        for input_spec in spec.inputs:
-            upstream_ctx = dag.contexts[input_spec.instance_id]
-            group = ctx.inputs.setdefault(
-                input_spec.input_name, InputGroup(input_spec.input_name)
-            )
-            if input_spec.output_name is None:
-                outputs = list(upstream_ctx.outputs.values())
-                if not outputs:
-                    raise ConfigError(
-                        f"instance '{spec.instance_id}' wires "
-                        f"'@{input_spec.instance_id}' but that instance "
-                        "declared no outputs",
-                        line_no=input_spec.line or None,
-                        line_text=input_spec.render(),
-                    )
-            else:
-                if input_spec.output_name not in upstream_ctx.outputs:
-                    raise ConfigError(
-                        f"instance '{spec.instance_id}' wires "
-                        f"'{input_spec.instance_id}.{input_spec.output_name}' "
-                        "but that output does not exist (available: "
-                        f"{sorted(upstream_ctx.outputs)})",
-                        line_no=input_spec.line or None,
-                        line_text=input_spec.render(),
-                    )
-                outputs = [upstream_ctx.outputs[input_spec.output_name]]
-            for output in outputs:
-                connection = output.subscribe(capacity=queue_capacity)
-                connection.owner_instance = spec.instance_id
-                group.connections.append(connection)
-                dag.edges.append(
-                    Edge(
-                        src_instance=input_spec.instance_id,
-                        output_name=output.name,
-                        dst_instance=spec.instance_id,
-                        input_name=input_spec.input_name,
-                    )
-                )
-
     while ready:
         instance_id = ready.popleft()
         spec = spec_by_id[instance_id]
-        wire_inputs(spec)
+        _wire_inputs(dag, spec, queue_capacity)
         if install_hooks is not None:
             install_hooks(dag.contexts[instance_id])
         modules[instance_id].init()
@@ -399,9 +346,7 @@ def detach_instance(dag: Dag, instance_id: str) -> Module:
     ctx = dag.contexts[instance_id]
     for group in ctx.inputs.values():
         for connection in group:
-            subscribers = connection.output.subscribers
-            if connection in subscribers:
-                subscribers.remove(connection)
+            connection.output.unsubscribe(connection)
     dag.edges = [e for e in dag.edges if e.dst_instance != instance_id]
     module = dag.instances.pop(instance_id)
     dag.contexts.pop(instance_id, None)

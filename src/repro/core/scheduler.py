@@ -23,10 +23,10 @@ import heapq
 import itertools
 import time
 from collections import deque
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..telemetry import NULL_TELEMETRY, Telemetry
-from .channel import Output, Sample, WriteHookChain
+from .channel import Output
 from .clock import Clock
 from .errors import SchedulerError
 from .module import Module, RunReason
@@ -35,6 +35,26 @@ from .module import Module, RunReason
 #: The DAG is acyclic so propagation terminates; this guards against a
 #: buggy module writing to its own inputs through out-of-band channels.
 MAX_DRAIN_RUNS = 100_000
+
+
+class TriggerCell:
+    """One registered instance's scheduling state.
+
+    ``Output.write`` works on its consumers' cells directly: ``count``
+    input writes since the last input-triggered run; at ``threshold`` the
+    cell goes on the run queue (``enqueue`` is the queue's ``append``),
+    once, which ``queued`` remembers.
+    """
+
+    __slots__ = ("module", "count", "threshold", "queued", "runs", "enqueue")
+
+    def __init__(self, module: Module, enqueue: Callable) -> None:
+        self.module = module
+        self.count = 0
+        self.threshold = 1
+        self.queued = False
+        self.runs = 0
+        self.enqueue = enqueue
 
 
 class Scheduler:
@@ -46,65 +66,78 @@ class Scheduler:
         self._heap: List[Tuple[float, int, str]] = []
         self._sequence = itertools.count()
         self._intervals: Dict[str, float] = {}
-        self._instances: Dict[str, Module] = {}
+        self._cells: Dict[str, TriggerCell] = {}
         self._triggers: Dict[str, int] = {}
-        self._update_counts: Dict[str, int] = {}
-        #: Resolved consumer -> trigger-threshold cache.  ``Output.write``
-        #: is the hottest call site in the core; recomputing
-        #: ``connection_count()`` (a sum over all input groups) per write
-        #: dominated scenario profiles.  Entries are filled lazily by
-        #: ``_on_output_write`` and invalidated whenever registration
-        #: state changes (``add_instance``, ``remove_instance``,
-        #: ``set_trigger``).
-        self._threshold_cache: Dict[str, int] = {}
+        #: The run queue of cells.  Never rebound: every cell holds its
+        #: ``append``.
         self._pending: deque = deque()
-        self._pending_set: Set[str] = set()
+        #: Outputs holding a compiled plan.  ``add_instance``,
+        #: ``remove_instance`` and ``set_trigger`` make every plan stale
+        #: (``Output.subscribe`` / ``unsubscribe`` their own output's);
+        #: the output's next write compiles it again.
+        self._planned: List[Output] = []
         self._stopped = False
-        #: Always-on run accounting, split by why each run happened and
-        #: by which instance ran (plain ints: cheap enough to keep even
-        #: with telemetry disabled).
-        self.runs_by_reason: Dict[RunReason, int] = {r: 0 for r in RunReason}
-        self.runs_by_instance: Dict[str, int] = {}
+        #: Always-on run accounting in plain ints, read through
+        #: ``runs_by_reason`` / ``runs_by_instance`` / ``total_runs``.
+        self._periodic_runs = 0
+        self._input_runs = 0
+        self._manual_runs = 0
+        self._retired_runs: Dict[str, int] = {}
         #: Optional callback invoked as ``on_error(instance_id, exc)``;
         #: returning ``True`` suppresses the exception.
         self.on_error: Optional[Callable[[str, BaseException], bool]] = None
 
     @property
+    def runs_by_reason(self) -> Dict[RunReason, int]:
+        """run() dispatches split by why each happened."""
+        return {
+            RunReason.PERIODIC: self._periodic_runs,
+            RunReason.INPUTS: self._input_runs,
+            RunReason.MANUAL: self._manual_runs,
+        }
+
+    @property
+    def runs_by_instance(self) -> Dict[str, int]:
+        """run() dispatches per instance that ever ran, removed ones too."""
+        runs = dict(self._retired_runs)
+        runs.update((i, cell.runs) for i, cell in self._cells.items() if cell.runs)
+        return runs
+
+    @property
     def total_runs(self) -> int:
-        """All run() dispatches, any reason (kept for backward compatibility)."""
-        return sum(self.runs_by_reason.values())
+        """All run() dispatches, any reason."""
+        return self._periodic_runs + self._input_runs + self._manual_runs
 
     # -- registration --------------------------------------------------------
 
     def add_instance(self, module: Module) -> None:
         instance_id = module.instance_id
-        if instance_id in self._instances:
+        if instance_id in self._cells:
             raise SchedulerError(f"instance '{instance_id}' already registered")
-        self._instances[instance_id] = module
-        self._update_counts[instance_id] = 0
-        self._threshold_cache.pop(instance_id, None)
+        cell = TriggerCell(module, self._pending.append)
+        cell.runs = self._retired_runs.pop(instance_id, 0)
+        self._cells[instance_id] = cell
+        self._invalidate_plans()
 
     def remove_instance(self, instance_id: str) -> None:
         """Detach an instance from scheduling (paper section 2.1).
 
         Pending heap entries for the instance are discarded lazily when
-        they surface; queued input-triggered runs are dropped now.  A
+        they surface; a queued input-triggered run is dropped now.  A
         periodic instance may remove itself (or a peer) from inside its
         own ``run()``: dropping the interval here also cancels the
         re-arm that ``run_until`` would otherwise attempt.
         """
-        if instance_id not in self._instances:
+        cell = self._cells.pop(instance_id, None)
+        if cell is None:
             raise SchedulerError(f"no such instance '{instance_id}'")
-        del self._instances[instance_id]
-        self._update_counts.pop(instance_id, None)
         self._triggers.pop(instance_id, None)
         self._intervals.pop(instance_id, None)
-        self._threshold_cache.pop(instance_id, None)
-        if instance_id in self._pending_set:
-            self._pending_set.discard(instance_id)
-            self._pending = deque(
-                pending for pending in self._pending if pending != instance_id
-            )
+        if cell.queued:
+            self._pending.remove(cell)
+        if cell.runs:
+            self._retired_runs[instance_id] = cell.runs
+        self._invalidate_plans()
 
     def schedule_periodic(self, instance_id: str, interval: float, phase: float) -> None:
         if interval <= 0:
@@ -117,130 +150,95 @@ class Scheduler:
 
     def set_trigger(self, instance_id: str, updates: int) -> None:
         self._triggers[instance_id] = updates
-        self._threshold_cache.pop(instance_id, None)
-
-    def _is_own_hook(self, hook) -> bool:
-        """True when ``hook`` is this scheduler's write hook.
-
-        Bound-method objects are created afresh on every attribute
-        access, so ``hook is self._on_output_write`` is always False;
-        the underlying function and receiver must be compared instead.
-        """
-        return (
-            getattr(hook, "__func__", None) is Scheduler._on_output_write
-            and getattr(hook, "__self__", None) is self
-        )
+        self._invalidate_plans()
 
     def attach_output(self, output: Output) -> None:
-        """Install the write hook that feeds input-trigger bookkeeping.
+        """Count ``output``'s writes towards its consumers' triggers.
 
-        Hooks already on the output (a telemetry probe, a test spy, the
-        flight recorder) are kept and fire first; ours is appended
-        through :meth:`Output.add_write_hook`.  Because a multi-hook
-        ``on_write`` is an explicit :class:`WriteHookChain`, membership
-        is checkable: attaching the same output twice is a no-op, and if
-        a foreign framework replaced ``on_write`` wholesale (discarding
-        a previous chain), a re-attach chains the bookkeeping behind the
-        new hook instead of silently stacking a second one.
+        A second call is a no-op.  Counting is not an ``on_write`` hook,
+        so nothing done to ``on_write`` drops or doubles it; telemetry's
+        write counter, when enabled, is one and is installed here.
         """
-        existing = output.on_write
-        hooks = (
-            existing.hooks if isinstance(existing, WriteHookChain)
-            else (existing,)
-        )
-        if not any(self._is_own_hook(hook) for hook in hooks):
-            output.add_write_hook(self._on_output_write)
-
-    # -- write notification ---------------------------------------------------
-
-    def _trigger_threshold(self, instance_id: str) -> int:
-        explicit = self._triggers.get(instance_id)
-        if explicit is not None:
-            return explicit
-        module = self._instances.get(instance_id)
-        if module is None:
-            return 1
-        return max(1, module.ctx.connection_count())
-
-    def _on_output_write(self, output: Output, sample: Sample) -> None:
+        if output._planner == self._compile_plan:
+            return
+        output._planner = self._compile_plan
+        output._plan = None
         if self.telemetry.enabled:
-            self.telemetry.record_write(output)
-        update_counts = self._update_counts
-        thresholds = self._threshold_cache
-        instances = self._instances
-        for connection in output.subscribers:
-            consumer = connection.owner_instance
-            if consumer is None or consumer not in instances:
-                continue
-            count = update_counts[consumer] + 1
-            update_counts[consumer] = count
-            threshold = thresholds.get(consumer)
-            if threshold is None:
-                threshold = self._trigger_threshold(consumer)
-                thresholds[consumer] = threshold
-            if count >= threshold:
-                self._enqueue(consumer)
+            output.add_write_hook(self.telemetry.record_write)
 
-    def _enqueue(self, instance_id: str) -> None:
-        if instance_id not in self._pending_set:
-            self._pending.append(instance_id)
-            self._pending_set.add(instance_id)
+    # -- trigger plans --------------------------------------------------------
+
+    def _compile_plan(self, output: Output) -> tuple:
+        """The cells a write to ``output`` counts towards: one entry per
+        connection of a registered instance, in subscriber order (the
+        order consumers are queued in), thresholds resolved -- the
+        explicit trigger, else one write per upstream connection."""
+        cells = []
+        for connection in output.subscribers:
+            cell = self._cells.get(connection.owner_instance)
+            if cell is None:
+                continue
+            explicit = self._triggers.get(connection.owner_instance)
+            cell.threshold = (
+                explicit if explicit is not None
+                else max(1, cell.module.ctx.connection_count())
+            )
+            cells.append(cell)
+        self._planned.append(output)
+        return tuple(cells)
+
+    def _invalidate_plans(self) -> None:
+        for output in self._planned:
+            output._plan = None
+        self._planned.clear()
 
     # -- execution ------------------------------------------------------------
 
-    def _run_instance(self, instance_id: str, reason: RunReason) -> None:
-        module = self._instances[instance_id]
-        self.runs_by_reason[reason] += 1
-        self.runs_by_instance[instance_id] = (
-            self.runs_by_instance.get(instance_id, 0) + 1
-        )
+    def _run_cell(self, cell: TriggerCell, reason: RunReason) -> None:
+        cell.runs += 1
+        module = cell.module
         telemetry = self.telemetry
-        if not telemetry.enabled:
-            try:
-                module.run(reason)
-            except Exception as exc:  # noqa: BLE001 - reported via hook
-                if self.on_error is None or not self.on_error(instance_id, exc):
-                    raise
-            return
-        started = time.perf_counter()
+        started = time.perf_counter() if telemetry.enabled else None
         error: Optional[str] = None
         try:
             module.run(reason)
         except Exception as exc:  # noqa: BLE001 - reported via hook
             error = f"{type(exc).__name__}: {exc}"
-            if self.on_error is None or not self.on_error(instance_id, exc):
+            if self.on_error is None or not self.on_error(module.instance_id, exc):
                 raise
         finally:
-            telemetry.record_run(
-                instance_id,
-                reason.value,
-                started,
-                time.perf_counter() - started,
-                self.clock.now(),
-                error=error,
-            )
+            if started is not None:
+                telemetry.record_run(
+                    module.instance_id, reason.value, started,
+                    time.perf_counter() - started, self.clock.now(),
+                    error=error,
+                )
 
     def _drain_input_triggered(self) -> None:
-        if self.telemetry.enabled and self._pending:
-            self.telemetry.record_drain_depth(len(self._pending))
+        pending = self._pending
+        if self.telemetry.enabled and pending:
+            self.telemetry.record_drain_depth(len(pending))
         drained = 0
-        while self._pending:
+        while pending:
             drained += 1
             if drained > MAX_DRAIN_RUNS:
                 raise SchedulerError(
                     "input-triggered run queue failed to quiesce; a module "
                     "is probably feeding its own inputs"
                 )
-            instance_id = self._pending.popleft()
-            self._pending_set.discard(instance_id)
-            self._update_counts[instance_id] = 0
-            self._run_instance(instance_id, RunReason.INPUTS)
+            cell = pending.popleft()
+            cell.queued = False
+            cell.count = 0
+            self._input_runs += 1
+            self._run_cell(cell, RunReason.INPUTS)
 
     def run_manual(self, instance_id: str) -> None:
         """Run one instance immediately, then propagate through the DAG."""
-        if instance_id not in self._instances:
+        cell = self._cells.get(instance_id)
+        if cell is None:
             raise SchedulerError(f"no such instance '{instance_id}'")
-        self._run_instance(instance_id, RunReason.MANUAL)
+        self._manual_runs += 1
+        self._run_cell(cell, RunReason.MANUAL)
         self._drain_input_triggered()
 
     def next_deadline(self) -> Optional[float]:
@@ -268,20 +266,22 @@ class Scheduler:
             if deadline > end_time:
                 break
             heapq.heappop(self._heap)
-            if instance_id not in self._instances:
+            cell = self._cells.get(instance_id)
+            if cell is None:
                 continue  # detached while a heap entry was pending
             self.clock.sleep_until(deadline)
             if self.telemetry.enabled:
                 # Under a simulated clock the lag is 0 by construction;
                 # under a wall clock it measures scheduler jitter.
                 self.telemetry.record_periodic_lag(self.clock.now() - deadline)
-            self._run_instance(instance_id, RunReason.PERIODIC)
+            self._periodic_runs += 1
+            self._run_cell(cell, RunReason.PERIODIC)
             self._drain_input_triggered()
             # The run (or anything it triggered) may have removed this
             # very instance; re-arming then would resurrect it and the
             # old lookup raised KeyError on the dropped interval.
             interval = self._intervals.get(instance_id)
-            if interval is not None and instance_id in self._instances:
+            if interval is not None and instance_id in self._cells:
                 heapq.heappush(
                     self._heap,
                     (deadline + interval, next(self._sequence), instance_id),

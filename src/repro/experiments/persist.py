@@ -55,6 +55,11 @@ def _load_alarm(obj: Dict[str, Any]) -> Alarm:
     return Alarm(**data)
 
 
+#: A decision's keys in the document, read by name whatever the class is
+#: built on (``asdict`` wants a dataclass, ``_asdict`` a named tuple).
+_DECISION_KEYS = ("node", "window_start", "window_end", "alarmed")
+
+
 def result_payload(result) -> Dict[str, Any]:
     """A :class:`ScenarioResult` as a plain-data JSON document.
 
@@ -77,7 +82,7 @@ def result_payload(result) -> Dict[str, Any]:
             )
         },
         "decisions": {
-            name: [asdict(d) for d in decisions]
+            name: [{k: getattr(d, k) for k in _DECISION_KEYS} for d in decisions]
             for name, decisions in (
                 ("blackbox", result.decisions_bb),
                 ("whitebox", result.decisions_wb),

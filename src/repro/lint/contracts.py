@@ -438,7 +438,9 @@ def standard_contracts() -> ContractRegistry:
                 terms=(
                     CostTerm(1.5, "sample", note="amortized batched classify"),
                     CostTerm(0.02, "sample", ("dim",), "matrix arithmetic"),
-                    CostTerm(3.0, "trigger", ("n_inputs",), "backlog gather"),
+                    # fleet50 stage table, PR 20 (seed 3, three traced runs):
+                    # 4.46 us/sample at 200 us/cu less the terms above; was 3.0.
+                    CostTerm(1.7, "trigger", ("n_inputs",), "backlog gather"),
                 ),
             ),
         )
@@ -455,7 +457,9 @@ def standard_contracts() -> ContractRegistry:
             trigger=TriggerSpec.fixed(1),
             check=_check_ibuffer,
             cost=CostFact(
-                terms=(CostTerm(4.0, "sample", note="buffer append + emit"),),
+                # Same runs: 1.7 us emitting every sample (replay25_sliding),
+                # 0.95 in batches of 5 (fleet50); the dearer one.  Was 4.0.
+                terms=(CostTerm(1.7, "sample", note="buffer append + emit"),),
                 per_node=True,
                 batch_param="size",
             ),
@@ -542,7 +546,8 @@ def standard_contracts() -> ContractRegistry:
     # 1.2.  replay25_sliding (25 peers, a round a second, 75 "samples" a
     # tick) at 262 us/cu: bb 2.89 us x 75 = 149 us a tick, 115 the round;
     # wb 3.02 x 75 = 156, 125 the round; one round timed at 25 and 100
-    # peers splits both about half fixed, half per-peer.
+    # peers splits both about half fixed, half per-peer.  PR 20 (cheaper
+    # writes) reads 43 / 61 and 128 / 137 us a tick: the terms stay.
     registry.register(
         _peer_comparison_contract(
             "analysis_bb",

@@ -176,8 +176,9 @@ class Telemetry:
 
     # -- channel hooks -------------------------------------------------------
 
-    def record_write(self, output) -> None:
-        """Account one ``Output.write``: write count + queue high-watermark."""
+    def record_write(self, output, sample=None) -> None:
+        """Account one ``Output.write``: write count + queue high-watermark
+        (an ``on_write`` observer, installed when telemetry is enabled)."""
         cached = self._output_cache.get(output.full_name)
         if cached is None or cached[0] is not output:
             # First write, or a new output under a known name (a second

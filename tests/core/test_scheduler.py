@@ -206,15 +206,21 @@ class TestRemoveInstance:
         core = make_core(
             "[source]\nid = s\n\n[sink]\nid = k\ninput[a] = s.value\n"
         )
-        scheduler = core.scheduler
-        # Queue an input-triggered run by hand, then remove the instance
-        # before it drains.
-        scheduler._enqueue("k")
-        scheduler.remove_instance("k")
-        assert "k" not in scheduler._pending
-        assert "k" not in scheduler._pending_set
-        scheduler._drain_input_triggered()  # must not KeyError
-        assert scheduler.runs_by_instance.get("k", 0) == 0
+        source, sink = core.instance("s"), core.instance("k")
+        write = source.run
+
+        def write_then_remove(reason):
+            write(reason)  # queues k's input-triggered run ...
+            core.scheduler.remove_instance("k")  # ... which must never fire
+
+        source.run = write_then_remove
+        core.run_until(0.0)
+        assert sink.run_reasons == []
+        assert core.scheduler.runs_by_instance == {"s": 1}
+        source.run = write
+        core.run_until(2.0)  # nor do later writes bring it back
+        assert sink.run_reasons == []
+        assert core.scheduler.runs_by_instance == {"s": 3}
 
     def test_remove_unknown_instance_raises(self):
         core = make_core("[source]\nid = s\n")
@@ -236,8 +242,9 @@ class TestAttachOutput:
         core = make_core("[source]\nid = s\n\n[sink]\nid = k\ninput[a] = s.value\n")
         output = core.instance("s").ctx.outputs["value"]
         seen = []
-        output.on_write = lambda out, sample: seen.append(sample.value)
+        hook = output.on_write = lambda out, sample: seen.append(sample.value)
         core.scheduler.attach_output(output)
+        assert output.on_write is hook
         core.run_until(2.0)
         # The foreign hook fired on every write...
         assert seen == [0, 1, 2]

@@ -1,23 +1,18 @@
-"""Scheduler hot-path regressions: threshold caching, hook chains,
+"""Scheduler hot-path regressions: resolved thresholds, attachment,
 and the periodic re-arm race.
 
 ``Output.write`` is the hottest call site in the core; these tests pin
-down that (a) the trigger threshold is cached instead of recomputed via
-``connection_count()`` on every write, (b) the cache is invalidated on
-every registration change, (c) attaching an output twice never
-double-counts updates, and (d) an instance may remove itself from its
-own periodic ``run()`` without resurrecting via the re-arm.
+down that (a) the trigger threshold is resolved when the DAG changes
+instead of recomputed via ``connection_count()`` on every write, (b) it
+is resolved again after every registration change, (c) every consumer is
+counted exactly once per write whatever is done to the output's
+attachment or its ``on_write``, and (d) an instance may remove itself
+from its own periodic ``run()`` without resurrecting via the re-arm.
 """
 
 import pytest
 
-from repro.core import (
-    FptCore,
-    RunReason,
-    Scheduler,
-    SimClock,
-    WriteHookChain,
-)
+from repro.core import FptCore, RunReason, Scheduler, SchedulerError, SimClock
 
 from .helpers import build_registry
 
@@ -70,12 +65,14 @@ class TestThresholdCache:
             "[sink]\nid = k\ninput[a] = s.value\n"
         )
         core.run_until(1.0)
-        assert "k" in core.scheduler._threshold_cache
         core.scheduler.remove_instance("k")
-        assert "k" not in core.scheduler._threshold_cache
-        # Further writes to the detached consumer must not run it.
+        # Further writes to the removed consumer must not run it; they
+        # still reach its connection, which only ``detach`` unsubscribes.
         core.run_until(3.0)
         assert core.scheduler.runs_by_instance["k"] == 2
+        assert len(core.instance("k").run_reasons) == 2
+        (connection,) = core.instance("s").out.subscribers
+        assert connection.total_received == 4
 
 
 class TestAttachOutputIdempotence:
@@ -95,24 +92,21 @@ class TestAttachOutputIdempotence:
     def test_foreign_hook_chained_once_and_preserved(self):
         core = make_core(
             "[source]\nid = s\ninterval = 1.0\n\n"
-            "[sink]\nid = k\ninput[a] = s.value\n"
+            "[sink]\nid = k\ninput[a] = s.value\ntrigger = 2\n"
         )
         out = core.instance("s").out
         seen = []
-        # A foreign probe replaces the hook wholesale (discarding the
-        # scheduler's): re-attach must rebuild the chain around it, not
-        # stack blindly or drop bookkeeping.
-        out.on_write = lambda output, sample: seen.append(sample.value)
-        core.scheduler.attach_output(out)
-        assert isinstance(out.on_write, WriteHookChain)
-        core.scheduler.attach_output(out)  # second attach: no-op
-        assert [
-            h for h in out.on_write.hooks
-            if getattr(h, "__self__", None) is core.scheduler
-        ] == [out.on_write.hooks[-1]]
+        # A foreign probe takes ``on_write`` wholesale.  Trigger counting
+        # is not on it, so the consumers keep running with nothing
+        # re-attached.
+        spy = out.on_write = lambda output, sample: seen.append(sample.value)
+        core.run_until(1.0)
+        assert core.scheduler.runs_by_instance == {"s": 2, "k": 1}
+        core.scheduler.attach_output(out)  # a no-op, before or after
+        assert out.on_write is spy
         core.run_until(3.0)
         assert seen == [0, 1, 2, 3]
-        assert core.scheduler.runs_by_instance["k"] == 4
+        assert core.scheduler.runs_by_instance == {"s": 4, "k": 2}
 
 
 class _SelfRemovingModule:
@@ -145,16 +139,21 @@ class TestPeriodicRearmRace:
 
         class Remover:
             instance_id = "remover"
+            done = False
 
             def run(self, reason):
-                if "victim" in scheduler._instances:
+                if not self.done:
                     scheduler.remove_instance("victim")
+                    self.done = True
 
         victim = _SelfRemovingModule("victim", scheduler)
-        victim.run = lambda reason: None  # plain periodic peer
+        fired = []
+        victim.run = lambda reason: fired.append(scheduler.clock.now())
         scheduler.add_instance(Remover())
         scheduler.add_instance(victim)
         scheduler.schedule_periodic("remover", 1.0, 0.0)
         scheduler.schedule_periodic("victim", 1.0, 0.5)
         scheduler.run_until(5.0)
-        assert "victim" not in scheduler._instances
+        assert fired == []  # first due at 0.5, removed at 0.0
+        with pytest.raises(SchedulerError, match="no such instance"):
+            scheduler.remove_instance("victim")
