@@ -43,10 +43,13 @@ class TriggerCell:
     ``Output.write`` works on its consumers' cells directly: ``count``
     input writes since the last input-triggered run; at ``threshold`` the
     cell goes on the run queue (``enqueue`` is the queue's ``append``),
-    once, which ``queued`` remembers.
+    once, which ``queued`` remembers.  ``probe`` is telemetry's
+    :class:`~repro.telemetry.facade.RunProbe` for the instance, ``None``
+    while telemetry is off.
     """
 
-    __slots__ = ("module", "count", "threshold", "queued", "runs", "enqueue")
+    __slots__ = ("module", "count", "threshold", "queued", "runs", "enqueue",
+                 "probe")
 
     def __init__(self, module: Module, enqueue: Callable) -> None:
         self.module = module
@@ -55,6 +58,7 @@ class TriggerCell:
         self.queued = False
         self.runs = 0
         self.enqueue = enqueue
+        self.probe = None
 
 
 class Scheduler:
@@ -83,6 +87,12 @@ class Scheduler:
         self._input_runs = 0
         self._manual_runs = 0
         self._retired_runs: Dict[str, int] = {}
+        #: Telemetry's two scheduler-wide histograms, their ``observe``
+        #: bound once (``None`` while telemetry is off).
+        self._observe_drain = self._observe_lag = None
+        if self.telemetry.enabled:
+            self._observe_drain = self.telemetry.drain_depth_histogram().observe
+            self._observe_lag = self.telemetry.periodic_lag_histogram().observe
         #: Optional callback invoked as ``on_error(instance_id, exc)``;
         #: returning ``True`` suppresses the exception.
         self.on_error: Optional[Callable[[str, BaseException], bool]] = None
@@ -115,6 +125,8 @@ class Scheduler:
         if instance_id in self._cells:
             raise SchedulerError(f"instance '{instance_id}' already registered")
         cell = TriggerCell(module, self._pending.append)
+        if self.telemetry.enabled:
+            cell.probe = self.telemetry.run_probe(instance_id)
         cell.runs = self._retired_runs.pop(instance_id, 0)
         self._cells[instance_id] = cell
         self._invalidate_plans()
@@ -156,15 +168,16 @@ class Scheduler:
         """Count ``output``'s writes towards its consumers' triggers.
 
         A second call is a no-op.  Counting is not an ``on_write`` hook,
-        so nothing done to ``on_write`` drops or doubles it; telemetry's
-        write counter, when enabled, is one and is installed here.
+        so nothing done to ``on_write`` drops or doubles it; telemetry,
+        when enabled, binds the output's series here (they export 0
+        until the first write) and installs its one tap.
         """
         if output._planner == self._compile_plan:
             return
         output._planner = self._compile_plan
         output._plan = None
         if self.telemetry.enabled:
-            output.add_write_hook(self.telemetry.record_write)
+            output.add_write_hook(self.telemetry.watch_output(output))
 
     # -- trigger plans --------------------------------------------------------
 
@@ -197,8 +210,8 @@ class Scheduler:
     def _run_cell(self, cell: TriggerCell, reason: RunReason) -> None:
         cell.runs += 1
         module = cell.module
-        telemetry = self.telemetry
-        started = time.perf_counter() if telemetry.enabled else None
+        probe = cell.probe
+        started = time.perf_counter() if probe is not None else None
         error: Optional[str] = None
         try:
             module.run(reason)
@@ -207,17 +220,14 @@ class Scheduler:
             if self.on_error is None or not self.on_error(module.instance_id, exc):
                 raise
         finally:
-            if started is not None:
-                telemetry.record_run(
-                    module.instance_id, reason.value, started,
-                    time.perf_counter() - started, self.clock.now(),
-                    error=error,
-                )
+            if probe is not None:
+                probe(reason.value, started, time.perf_counter() - started,
+                      self.clock.now(), error)
 
     def _drain_input_triggered(self) -> None:
         pending = self._pending
-        if self.telemetry.enabled and pending:
-            self.telemetry.record_drain_depth(len(pending))
+        if pending and self._observe_drain is not None:
+            self._observe_drain(len(pending))
         drained = 0
         while pending:
             drained += 1
@@ -261,6 +271,7 @@ class Scheduler:
             )
         processed = 0
         self._stopped = False
+        observe_lag = self._observe_lag
         while self._heap and not self._stopped:
             deadline, _, instance_id = self._heap[0]
             if deadline > end_time:
@@ -270,10 +281,10 @@ class Scheduler:
             if cell is None:
                 continue  # detached while a heap entry was pending
             self.clock.sleep_until(deadline)
-            if self.telemetry.enabled:
+            if observe_lag is not None:
                 # Under a simulated clock the lag is 0 by construction;
                 # under a wall clock it measures scheduler jitter.
-                self.telemetry.record_periodic_lag(self.clock.now() - deadline)
+                observe_lag(max(0.0, self.clock.now() - deadline))
             self._periodic_runs += 1
             self._run_cell(cell, RunReason.PERIODIC)
             self._drain_input_triggered()

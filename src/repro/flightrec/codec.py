@@ -85,6 +85,24 @@ def _array_fields(array: np.ndarray) -> Optional[Tuple[str, list, str]]:
     )
 
 
+@lru_cache(maxsize=256)
+def _row_plan(dtype: np.dtype, shape: tuple) -> Optional[Tuple[str, np.dtype]]:
+    """``(everything before a row's base64, dtype of its bytes)``.
+
+    A channel carries one dtype and shape for its lifetime, so the
+    constant part of its rows is formatted once (bounded all the same:
+    a channel of ragged arrays must not grow it for ever).
+    """
+    plan = _byte_plan(dtype)
+    if plan is None:
+        return None
+    return (
+        '{"__kind__": "ndarray", "dtype": "%s", "shape": %s, "b64": "'
+        % (plan[0], list(shape)),
+        plan[1],
+    )
+
+
 def array_row_json(array: np.ndarray) -> Optional[str]:
     """JSON text of ``array``'s bytes encoding, ``None`` if it has none.
 
@@ -92,13 +110,13 @@ def array_row_json(array: np.ndarray) -> Optional[str]:
     binary=True))`` gives; the archive writer calls this for a sample
     that *is* an array (most of them), skipping the dict and the encoder.
     """
-    fields = _array_fields(array)
-    if fields is None:
+    plan = _row_plan(array.dtype, array.shape)
+    if plan is None:
         return None
-    return (
-        '{"__kind__": "ndarray", "dtype": "%s", "shape": %s, "b64": "%s"}'
-        % fields
-    )
+    prefix, little = plan
+    if little is not array.dtype:
+        array = array.astype(little)
+    return prefix + b2a_base64(array.tobytes(), newline=False).decode("ascii") + '"}'
 
 
 def encode_value(value: Any, binary: bool = False) -> Any:

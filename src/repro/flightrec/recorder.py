@@ -12,13 +12,13 @@ streamed to an on-disk JSONL archive that :mod:`repro.flightrec.replay`
 can feed back through any DAG config.
 
 Watching one write costs the same however many channels exist and
-however wide the sample is: the recorder-wide totals (buffered samples
-and bytes, evictions, records) are running ints moved by the deltas of
-the one ring just pushed to, the telemetry gauges read those ints when
-scraped (:class:`~repro.telemetry.metrics.ReadGauge`) instead of being
-set per write, and an archived array is written as its bytes, not as
-decimals (:mod:`repro.flightrec.codec`).  Nothing on the write path
-enumerates ``rings``.
+however wide the sample is: a ring holds the samples themselves, the
+two counts only the write path can keep (records, evictions) are running
+ints, what is *buffered* (samples, estimated bytes) is counted when
+somebody asks -- ``stats()``, a scrape of the telemetry gauges
+(:class:`~repro.telemetry.metrics.ReadGauge`) -- and an archived array
+is written as its bytes, not as decimals (:mod:`repro.flightrec.codec`).
+A write never enumerates ``rings``; a scrape does.
 
 The recorder never breaks the pipeline it watches: an ``OSError`` from
 the archive (disk full, directory gone) or a write after ``close()``
@@ -66,6 +66,8 @@ ARCHIVE_SAMPLES_FILE = "samples.jsonl"
 ARCHIVE_OUTPUTS_FILE = "outputs.json"
 ARCHIVE_MANIFEST_FILE = "manifest.json"
 ARCHIVE_FORMAT = "asdf-flight-archive/2"
+#: Buffer of ``samples.jsonl`` (about 6 s of records at 10 slaves).
+ARCHIVE_BUFFER_BYTES = 1 << 16
 #: Manifest tags :class:`~repro.flightrec.replay.ReplayArchive` reads:
 #: ``/1`` wrote arrays as decimal lists, ``/2`` writes their bytes.
 READABLE_ARCHIVE_FORMATS = ("asdf-flight-archive/1", ARCHIVE_FORMAT)
@@ -102,49 +104,48 @@ class ChannelRing:
     """
 
     __slots__ = ("name", "origin", "max_samples", "window_s", "_entries",
-                 "bytes", "evictions", "total_recorded")
+                 "evictions", "total_recorded")
 
     def __init__(self, name: str, origin: Optional[Origin],
                  max_samples: int, window_s: float) -> None:
         self.name = name
         self.origin = origin
         self.max_samples = max(1, int(max_samples))
-        self.window_s = float(window_s)
-        #: (sample, estimated_bytes) pairs, oldest first.
-        self._entries: Deque[Tuple[Sample, int]] = deque()
-        self.bytes = 0
+        self.window_s = max(0.0, float(window_s))
+        #: The buffered samples, oldest first.
+        self._entries: Deque[Sample] = deque()
         self.evictions = 0
         self.total_recorded = 0
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def push(self, sample: Sample, est_bytes: int) -> None:
-        self._entries.append((sample, est_bytes))
-        self.bytes += est_bytes
+    @property
+    def bytes(self) -> int:
+        """Estimated size of what is buffered, counted now."""
+        # A snapshot first: the scheduler's thread may be pushing.
+        return sum(_estimate_bytes(s.value) for s in tuple(self._entries))
+
+    def push(self, sample: Sample) -> int:
+        """Buffer ``sample``; returns how many samples that evicted."""
+        entries = self._entries
+        entries.append(sample)
         self.total_recorded += 1
         horizon = sample.timestamp - self.window_s
-        entries = self._entries
-        while len(entries) > self.max_samples or (
-            entries and entries[0][0].timestamp < horizon
-        ):
-            _, evicted_bytes = entries.popleft()
-            self.bytes -= evicted_bytes
-            self.evictions += 1
+        evicted = 0  # never the sample just pushed: max >= 1, window >= 0
+        while (len(entries) > self.max_samples
+               or entries[0].timestamp < horizon):
+            entries.popleft()
+            evicted += 1
+        self.evictions += evicted
+        return evicted
 
     def window(self, start: Optional[float] = None,
                end: Optional[float] = None) -> List[Sample]:
         """Buffered samples with ``start <= timestamp <= end``, oldest first."""
         lo = float("-inf") if start is None else start
         hi = float("inf") if end is None else end
-        return [s for s, _ in self._entries if lo <= s.timestamp <= hi]
-
-
-def _json_number(value: Any) -> str:
-    """``json.dumps(value)`` for a timestamp, without the encoder set-up."""
-    if type(value) is float and isfinite(value):
-        return float.__repr__(value)
-    return json.dumps(value)
+        return [s for s in self._entries if lo <= s.timestamp <= hi]
 
 
 class ArchiveWriter:
@@ -164,11 +165,17 @@ class ArchiveWriter:
     in the three files is as ``/1`` had it.  Incident bundles
     (``incident-NNNN.json``) keep decimal lists: people read those.
 
+    ``samples.jsonl`` is written through a buffer of
+    ``ARCHIVE_BUFFER_BYTES``, flushed when it fills, before every
+    incident bundle (the evidence for an alarm is on disk when
+    ``record_incident`` returns) and at ``close()``; a crash loses at
+    most the records since the last of those.
+
     ``write_sample`` and ``write_incident`` are called from inside
     ``Output.write`` and a sink's ``run()``, so they do not raise
-    ``OSError``: the first one stops the archive (``error`` says why,
-    logged once) and later calls return without writing, as they do
-    after ``close()``.
+    ``OSError``: the first one (a write, a flush) stops the archive
+    (``error`` says why, logged once) and later calls return without
+    writing, as they do after ``close()``.
     """
 
     def __init__(self, directory: str) -> None:
@@ -176,9 +183,13 @@ class ArchiveWriter:
         os.makedirs(directory, exist_ok=True)
         self._fh = open(
             os.path.join(directory, ARCHIVE_SAMPLES_FILE), "w",
-            encoding="utf-8",
+            encoding="utf-8", buffering=ARCHIVE_BUFFER_BYTES,
         )
         self._outputs: Dict[str, dict] = {}
+        #: The last timestamp formatted and its text: every write of a
+        #: tick carries the same one.
+        self._stamp: Optional[float] = None
+        self._stamp_text = ""
         self._closed = False
         self.records_written = 0
         #: Why the archive stopped before ``close()``; ``None`` if healthy.
@@ -199,21 +210,39 @@ class ArchiveWriter:
             }
         return '"o": ' + json.dumps(output.full_name)
 
+    def _format_stamp(self, value: Any) -> str:
+        """``json.dumps(value)`` for a timestamp, without the encoder
+        set-up; a plain finite float is remembered for the next record."""
+        if type(value) is float and isfinite(value):
+            text = float.__repr__(value)
+            if value:  # 0.0 == -0.0, and they do not read the same
+                self._stamp, self._stamp_text = value, text
+            return text
+        return json.dumps(value)
+
     def write_sample(self, head: str, sample: Sample,
                      emitted_at: float) -> None:
         fh = self._fh
         if fh is None:
             return
-        value = sample.value
-        body = array_row_json(value) if isinstance(value, np.ndarray) else None
-        if body is None:
-            body = json.dumps(encode_value(value, binary=True))
+        timestamp, value = sample
+        if type(value) is int:
+            body = int.__repr__(value)
+        else:
+            body = array_row_json(value) if isinstance(value, np.ndarray) else None
+            if body is None:
+                body = json.dumps(encode_value(value, binary=True))
+        if timestamp == self._stamp and type(timestamp) is float:
+            t_text = self._stamp_text
+        else:
+            t_text = self._format_stamp(timestamp)
+        if emitted_at == self._stamp and type(emitted_at) is float:
+            at_text = self._stamp_text  # the simulated clock: at == t
+        else:
+            at_text = self._format_stamp(emitted_at)
         try:
-            fh.write(
-                '{"t": %s, "at": %s, %s, "v": %s}\n'
-                % (_json_number(sample.timestamp), _json_number(emitted_at),
-                   head, body)
-            )
+            fh.write('{"t": %s, "at": %s, %s, "v": %s}\n'
+                     % (t_text, at_text, head, body))
         except OSError as exc:
             self._fail(exc)
             return
@@ -230,6 +259,7 @@ class ArchiveWriter:
         # bundles through ``repro incident``, which re-indents.
         text = json.dumps(bundle, sort_keys=True)
         try:
+            self._fh.flush()  # the records the alarm was raised from
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
@@ -297,9 +327,7 @@ class FlightRecorder:
         self._manifest_notes: dict = {}
         self._core = None
         self._closed = False
-        # Totals over all rings, kept as the rings change (see _record).
-        self._buffered_samples = 0
-        self._buffered_bytes = 0
+        # What only the write path can count, kept as it records.
         self._evictions = 0
         self._recorded = 0
 
@@ -351,13 +379,8 @@ class FlightRecorder:
 
     def _record(self, ring: ChannelRing, head: Optional[str],
                 output: Output, sample: Sample) -> None:
-        evictions, ring_bytes = ring.evictions, ring.bytes
-        ring.push(sample, _estimate_bytes(sample.value))
-        evicted = ring.evictions - evictions
         self._recorded += 1
-        self._evictions += evicted
-        self._buffered_samples += 1 - evicted
-        self._buffered_bytes += ring.bytes - ring_bytes
+        self._evictions += ring.push(sample)
         if head is not None:
             core = self._core
             self.archive.write_sample(
@@ -365,15 +388,23 @@ class FlightRecorder:
                 core.clock.now() if core is not None else sample.timestamp,
             )
 
+    def buffered_samples(self) -> int:
+        """Samples held across all rings, counted now."""
+        return sum(map(len, list(self.rings.values())))
+
+    def buffered_bytes(self) -> int:
+        """Estimated bytes held across all rings, counted now."""
+        return sum(ring.bytes for ring in list(self.rings.values()))
+
     def _register_gauges(self, metrics) -> None:
         """Publish the totals as gauges read on scrape, never pushed."""
         for name, help_text, read in (
             ("fpt_flightrec_buffered_samples",
              "Samples currently held across all flight-recorder rings.",
-             lambda: self._buffered_samples),
+             self.buffered_samples),
             ("fpt_flightrec_buffered_bytes",
              "Estimated bytes currently held in flight-recorder rings.",
-             lambda: self._buffered_bytes),
+             self.buffered_bytes),
             ("fpt_flightrec_evictions_total",
              "Samples evicted from flight-recorder rings (capacity or "
              "wall-window pressure).",
@@ -429,8 +460,8 @@ class FlightRecorder:
         """Recorder-level accounting snapshot."""
         return {
             "channels": len(self.rings),
-            "buffered_samples": self._buffered_samples,
-            "buffered_bytes": self._buffered_bytes,
+            "buffered_samples": self.buffered_samples(),
+            "buffered_bytes": self.buffered_bytes(),
             "evictions": self._evictions,
             "recorded": self._recorded,
             "incidents": len(self.incidents),

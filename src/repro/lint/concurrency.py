@@ -158,7 +158,7 @@ class _MethodVisitor(ast.NodeVisitor):
 
     # -- attribute accesses -------------------------------------------------
 
-    def _record_write(self, target: ast.AST) -> None:
+    def _note_write(self, target: ast.AST) -> None:
         attr = _self_attr(target)
         if attr is not None:
             self.method.writes.append(
@@ -167,20 +167,20 @@ class _MethodVisitor(ast.NodeVisitor):
             self.method.touches.add(attr)
         elif isinstance(target, (ast.Tuple, ast.List)):
             for element in target.elts:
-                self._record_write(element)
+                self._note_write(element)
 
     def visit_Assign(self, node: ast.Assign) -> None:
         for target in node.targets:
-            self._record_write(target)
+            self._note_write(target)
         self.generic_visit(node)
 
     def visit_AugAssign(self, node: ast.AugAssign) -> None:
-        self._record_write(node.target)
+        self._note_write(node.target)
         self.generic_visit(node)
 
     def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
         if node.value is not None:
-            self._record_write(node.target)
+            self._note_write(node.target)
         self.generic_visit(node)
 
     def visit_Attribute(self, node: ast.Attribute) -> None:

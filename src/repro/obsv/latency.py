@@ -139,11 +139,6 @@ class LatencyTracer:
 
     # -- attachment ----------------------------------------------------------
 
-    def attach(self, core) -> None:
-        """Tap every output of a constructed core."""
-        for ctx in core.dag.contexts.values():
-            self.attach_context(ctx)
-
     def attach_context(self, ctx) -> None:
         upstreams = tuple(
             connection.output.full_name

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, List, Optional, Tuple
 
 from ..analysis.metrics import Alarm, GroundTruth, WindowDecision
 from ..telemetry import Telemetry
@@ -54,8 +54,6 @@ class Observatory:
         self.recent: Deque[AlarmLatencyRecord] = deque(maxlen=RECENT_RECORDS)
         self._core = None
         self._started_monotonic = time.monotonic()
-        #: (fault, stage) -> cached histogram pair, hot-path style.
-        self._latency_hists: Dict[Tuple[str, str], tuple] = {}
 
     # -- attachment ----------------------------------------------------------
 

@@ -50,7 +50,6 @@ from .protocol import (
     make_hello,
     max_frame_bytes,
     response_result,
-    wire_bytes,
 )
 
 #: Cap on the exponential reconnect backoff delay, seconds.
@@ -60,16 +59,14 @@ RECONNECT_MAX_DELAY_S = 5.0
 class _PendingCall:
     """One request in flight: everything :meth:`finish_call` needs."""
 
-    __slots__ = ("request_id", "method", "trace", "started", "tx_bytes")
+    __slots__ = ("request_id", "method", "trace", "started")
 
     def __init__(self, request_id: int, method: str,
-                 trace: Optional[TraceContext], started: float,
-                 tx_bytes: int) -> None:
+                 trace: Optional[TraceContext], started: float) -> None:
         self.request_id = request_id
         self.method = method
         self.trace = trace
         self.started = started
-        self.tx_bytes = tx_bytes
 
 
 class RpcClient:
@@ -87,6 +84,11 @@ class RpcClient:
         self._ids = itertools.count(1)
         self._sock: Optional[socket.socket] = None
         self._connect()
+        if telemetry is not None and telemetry.enabled:
+            # Read on scrape; the counter outlives reconnects.
+            telemetry.watch_rpc(
+                self.service, f"client:{self.service}", self.counter
+            )
 
     @property
     def peer(self) -> str:
@@ -195,7 +197,7 @@ class RpcClient:
         started = time.perf_counter()
         self._sock.sendall(frame)
         self.counter.count_tx(len(frame))
-        return _PendingCall(request_id, method, trace, started, len(frame))
+        return _PendingCall(request_id, method, trace, started)
 
     def finish_call(self, pending: _PendingCall, response: Dict[str, Any],
                     consumed: int) -> Any:
@@ -207,24 +209,18 @@ class RpcClient:
         duration = time.perf_counter() - pending.started
         self.counter.count_rx(consumed)
         telemetry = self.telemetry
-        if telemetry is not None and telemetry.enabled:
-            telemetry.record_rpc(
-                self.service, wire_bytes(pending.tx_bytes), wire_bytes(consumed)
+        if (telemetry is not None and telemetry.enabled
+                and telemetry.tracer.enabled):
+            args: Dict[str, Any] = {
+                "method": pending.method, "peer": self.peer,
+                "codec": self.codec,
+            }
+            if pending.trace is not None:
+                args.update(pending.trace.span_args())
+            telemetry.tracer.complete(
+                f"rpc.call:{pending.method}", "rpc", pending.started,
+                duration, track=f"rpc:{self.service}", **args,
             )
-            telemetry.record_rpc_endpoint(
-                f"client:{self.service}", self.counter
-            )
-            if telemetry.tracer.enabled:
-                args: Dict[str, Any] = {
-                    "method": pending.method, "peer": self.peer,
-                    "codec": self.codec,
-                }
-                if pending.trace is not None:
-                    args.update(pending.trace.span_args())
-                telemetry.tracer.complete(
-                    f"rpc.call:{pending.method}", "rpc", pending.started,
-                    duration, track=f"rpc:{self.service}", **args,
-                )
         return response_result(response, pending.request_id, self.peer)
 
     def call(self, method: str, trace: Optional[TraceContext] = None,

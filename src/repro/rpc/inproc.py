@@ -34,7 +34,6 @@ from .protocol import (
     make_hello,
     max_frame_bytes,
     response_result,
-    wire_bytes,
 )
 from .server import dispatch, negotiate
 
@@ -42,9 +41,10 @@ from .server import dispatch, negotiate
 class InprocChannel:
     """Client-side facade calling a handler object through full codec.
 
-    ``telemetry``, if given and enabled, receives per-call wire-byte
-    counts labelled by service -- the same numbers Table 4 aggregates,
-    surfaced as ``asdf_rpc_wire_bytes_total`` metrics.
+    ``telemetry``, if given and enabled, reads this channel's
+    :class:`ByteCounter` on scrape -- the numbers Table 4 aggregates,
+    surfaced as the ``asdf_rpc_*`` metrics under ``service`` -- and
+    gets a serving span for every traced call.
     """
 
     def __init__(self, handler: Any, service: str, client_name: str = "asdf",
@@ -52,7 +52,12 @@ class InprocChannel:
         self.handler = handler
         self.service = service
         self.counter = ByteCounter()
-        self.telemetry = telemetry
+        #: Where a traced call's serving span goes, if anywhere.
+        self._tracer = None
+        if telemetry is not None and telemetry.enabled:
+            telemetry.watch_rpc(service, f"inproc:{service}", self.counter)
+            if telemetry.tracer.enabled:
+                self._tracer = telemetry.tracer
         self._ids = itertools.count(1)
         # The frame limit in force when the channel opens holds for its
         # lifetime, as on a TCP connection.
@@ -77,15 +82,10 @@ class InprocChannel:
         # Both ends of the channel live here, so the codec and catalog
         # the client reads off the welcome are the server's too.
         self.codec, self.metric_names = welcome_codec(welcome)
-        if telemetry is not None and telemetry.enabled:
-            telemetry.record_rpc(service, self.counter.tx_wire, self.counter.rx_wire)
 
     def call(self, method: str, trace: Optional[TraceContext] = None,
              **params: Any) -> Any:
         limit = self._limit
-        telemetry = self.telemetry
-        if telemetry is not None and not telemetry.enabled:
-            telemetry = None
         request_id = next(self._ids)
         frame = encode_request_frame(
             request_id, method, params,
@@ -116,17 +116,12 @@ class InprocChannel:
             self.counter.count_tx(len(frame))
             raise
         self.counter.count_round_trip(len(frame), consumed)
-        if telemetry is not None:
-            if telemetry.tracer.enabled and serve_trace is not None:
-                telemetry.tracer.complete(
-                    f"rpc.serve:{method}", "rpc", started, duration,
-                    track=f"rpc:{self.service}", method=method,
-                    **serve_trace.span_args(),
-                )
-            telemetry.record_rpc(
-                self.service, wire_bytes(len(frame)), wire_bytes(consumed)
+        if serve_trace is not None and self._tracer is not None:
+            self._tracer.complete(
+                f"rpc.serve:{method}", "rpc", started, duration,
+                track=f"rpc:{self.service}", method=method,
+                **serve_trace.span_args(),
             )
-            telemetry.record_rpc_endpoint(f"inproc:{self.service}", self.counter)
         return response_result(response, request_id)
 
     def close(self) -> None:

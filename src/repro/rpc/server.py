@@ -42,7 +42,6 @@ from .protocol import (
     make_response,
     make_welcome,
     max_frame_bytes,
-    wire_bytes,
 )
 
 
@@ -124,10 +123,11 @@ def dispatch(handler: Any, payload: Dict[str, Any],
 class RpcServer:
     """A TCP server bound to localhost serving one handler object.
 
-    ``telemetry``, when given and enabled, receives per-request wire
-    bytes (``asdf_rpc_wire_bytes_total``), running payload totals
-    (``asdf_rpc_bytes_{sent,received}_total`` under role
-    ``server:<service>``) and a serving-side span per request.
+    ``telemetry``, when given and enabled, reads the server's
+    :class:`ByteCounter` on scrape (``asdf_rpc_wire_bytes_total``,
+    ``asdf_rpc_messages_total``, and
+    ``asdf_rpc_bytes_{sent,received}_total`` under role
+    ``server:<service>``) and gets a serving-side span per request.
     """
 
     def __init__(self, handler: Any, service: str, port: int = 0,
@@ -136,6 +136,8 @@ class RpcServer:
         self.service = service
         self.counter = ByteCounter()
         self.telemetry = telemetry
+        if telemetry is not None and telemetry.enabled:
+            telemetry.watch_rpc(service, f"server:{service}", self.counter)
         outer = self
 
         class _ConnectionHandler(socketserver.BaseRequestHandler):
@@ -178,7 +180,6 @@ class RpcServer:
                         )
                         sock.sendall(response)
                         outer.counter.count_tx(len(response))
-                        outer._account(consumed, len(response))
                 except (ProtocolError, ConnectionError, OSError):
                     return
 
@@ -212,15 +213,6 @@ class RpcServer:
                 started, duration, track=f"rpc:{self.service}", **args,
             )
         return response
-
-    def _account(self, rx_bytes: int, tx_bytes: int) -> None:
-        telemetry = self.telemetry
-        if telemetry is None or not telemetry.enabled:
-            return
-        telemetry.record_rpc(
-            self.service, wire_bytes(tx_bytes), wire_bytes(rx_bytes)
-        )
-        telemetry.record_rpc_endpoint(f"server:{self.service}", self.counter)
 
     @property
     def address(self) -> Tuple[str, int]:

@@ -3,65 +3,62 @@
 One object bundles the three self-instrumentation surfaces --
 :class:`~repro.telemetry.metrics.MetricsRegistry`,
 :class:`~repro.telemetry.tracing.Tracer` and
-:class:`~repro.telemetry.audit.AlarmAuditTrail` -- plus the recording
-helpers the scheduler and channels call on their hot paths.  The helpers
-cache metric children per instance/output so steady state costs a couple
-of dict lookups, and every caller guards with ``telemetry.enabled``
-first, so the disabled default (:data:`NULL_TELEMETRY`) costs one
-attribute check.
+:class:`~repro.telemetry.audit.AlarmAuditTrail` -- and binds them to the
+pipeline.  The rule: **telemetry reads, it does not re-count.**  A count
+the pipeline keeps anyway is published as a child *read* from its owner
+when somebody scrapes (``watch_output``, ``watch_rpc``, ``run_probe``);
+only what nobody else keeps -- a latency, a lag, a high-watermark -- is
+*pushed* on the hot path.  The disabled default (:data:`NULL_TELEMETRY`)
+binds nothing, so it costs the scheduler one ``None`` check per run.
 
-Metric families recorded by the core:
+Metric families of the core (``read``: from which book, on scrape):
 
-========================================  =========  =============================
-family                                    type       labels
-========================================  =========  =============================
-``fpt_instance_runs_total``               counter    ``instance``, ``reason``
-``fpt_instance_run_errors_total``         counter    ``instance``
-``fpt_run_latency_seconds``               histogram  ``instance``
-``fpt_drain_queue_depth``                 histogram  --
-``fpt_periodic_lag_seconds``              histogram  --
-``fpt_output_writes_total``               counter    ``output``
-``fpt_output_queue_depth``                gauge      ``output`` (high-watermark)
-``fpt_output_dropped_total``              gauge      ``output`` (read on scrape)
-``fpt_output_skipped_total``              gauge      ``output`` (read on scrape)
-``asdf_rpc_wire_bytes_total``             counter    ``service``, ``direction``
-``asdf_rpc_messages_total``               counter    ``service``, ``direction``
-``asdf_rpc_bytes_sent_total``             gauge      ``role``
-``asdf_rpc_bytes_received_total``         gauge      ``role``
-``asdf_experiment_task_wall_seconds``     histogram  --
-``asdf_experiment_task_cpu_seconds``      histogram  --
-``asdf_experiment_tasks_total``           counter    ``worker``
-``asdf_alarm_sim_latency_seconds``        histogram  ``fault``, ``stage``
-``asdf_alarm_wall_latency_seconds``       histogram  ``fault``, ``stage``
-========================================  =========  =============================
+========================================  =========  ==================  ==============================
+family                                    type       labels              pushed / read
+========================================  =========  ==================  ==============================
+``fpt_instance_runs_total``               counter    instance, reason    read: ``RunProbe.runs``
+``fpt_instance_run_errors_total``         counter    instance            pushed (a run that raised)
+``fpt_run_latency_seconds``               histogram  instance            pushed per run
+``fpt_drain_queue_depth``                 histogram  --                  pushed per drain pass
+``fpt_periodic_lag_seconds``              histogram  --                  pushed per periodic event
+``fpt_output_writes_total``               counter    output              read: ``Output.total_written``
+``fpt_output_queue_depth``                gauge      output              pushed when the high-watermark rises
+``fpt_output_dropped_total``              gauge      output              read: ``Connection.total_dropped``
+``fpt_output_skipped_total``              gauge      output              read: ``Connection.total_skipped``
+``asdf_rpc_wire_bytes_total``             counter    service, direction  read: ``ByteCounter.tx_wire/rx_wire``
+``asdf_rpc_messages_total``               counter    service, direction  read: ``ByteCounter.messages_sent``
+``asdf_rpc_bytes_sent_total``             gauge      role                read: ``ByteCounter.tx_payload``
+``asdf_rpc_bytes_received_total``         gauge      role                read: ``ByteCounter.rx_payload``
+``asdf_experiment_task_wall_seconds``     histogram  --                  pushed per task
+``asdf_experiment_task_cpu_seconds``      histogram  --                  pushed per task
+``asdf_experiment_tasks_total``           counter    worker              pushed per task
+``asdf_alarm_sim_latency_seconds``        histogram  fault, stage        pushed per alarm
+``asdf_alarm_wall_latency_seconds``       histogram  fault, stage        pushed per alarm
+========================================  =========  ==================  ==============================
 
-The alarm-latency pair is recorded by the diagnosis observatory
-(:mod:`repro.obsv`): sample->alarm latency derived from the ``Alarm.via``
-provenance chain, per attributed fault and per pipeline stage (with the
-reserved stage ``total`` for end-to-end ingest->sink latency), on both
-the simulated clock and the wall clock.
+A read series exists from the moment its owner is bound (an output
+nobody has written to yet exports 0), shows the owner's value at the
+scrape, and follows the latest owner bound under its labels.  The
+``asdf_rpc_*`` service series sum every endpoint watched under that
+service name, so a client and a server sharing one add up.
 
-"Read on scrape" marks a :class:`~repro.telemetry.metrics.ReadGauge`:
-the value is the sum of the output's own connection counters at the
-moment of the scrape, nothing is pushed on the write path.
-
-The flight recorder (:mod:`repro.flightrec`) registers its own gauge
-families when attached to a telemetry-enabled core, all read on scrape
-from the totals the recorder keeps as it records:
-``fpt_flightrec_buffered_samples``, ``fpt_flightrec_buffered_bytes``,
-``fpt_flightrec_evictions_total``, ``fpt_flightrec_records_total`` and
-``fpt_flightrec_incidents_total``.
+The alarm-latency pair comes from the diagnosis observatory
+(:mod:`repro.obsv`): the ``Alarm.via`` walk per attributed fault and per
+stage (``total`` = ingest->sink), on the simulated and the wall clock.
+The flight recorder (:mod:`repro.flightrec`) registers five
+``fpt_flightrec_*`` gauges of its own, all read on scrape.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from functools import partial
+from typing import Callable, Dict, Optional
 
 from .audit import AlarmAuditTrail
-from .metrics import Histogram, MetricsRegistry
+from .metrics import Gauge, Histogram, MetricsRegistry
 from .tracing import Tracer
 
-__all__ = ["Telemetry", "NULL_TELEMETRY", "RunStats"]
+__all__ = ["Telemetry", "NULL_TELEMETRY", "RunStats", "RunProbe"]
 
 #: Drain-queue depths are small integers; buckets cover 1..10k pending runs.
 QUEUE_DEPTH_BUCKETS = (1.0, 2.0, 5.0, 10.0, 25.0, 50.0, 100.0, 1000.0, 10000.0)
@@ -92,6 +89,77 @@ class RunStats:
         self.errors = errors
 
 
+class RunProbe:
+    """One instance's ``run()`` accounting, called once per run.
+
+    The scheduler binds it onto the instance's trigger cell and calls it
+    positionally; everything it needs is held here.  ``runs`` is the
+    book ``fpt_instance_runs_total`` reads (one series per reason the
+    instance has run for, bound at the first such run).
+    """
+
+    __slots__ = ("instance_id", "runs", "_metrics", "_observe", "_tracer")
+
+    def __init__(self, telemetry: "Telemetry", instance_id: str) -> None:
+        self.instance_id = instance_id
+        #: reason label -> ``run()`` calls made for that reason.
+        self.runs: Dict[str, int] = {}
+        self._metrics = telemetry.metrics
+        self._observe = telemetry.metrics.histogram(
+            "fpt_run_latency_seconds",
+            "Wall-clock latency of module run() calls.",
+            {"instance": instance_id},
+        ).observe
+        self._tracer = telemetry.tracer
+
+    def __call__(self, reason: str, started_perf_s: float, duration_s: float,
+                 sim_time_s: float, error: Optional[str]) -> None:
+        """Account one ``run()``: count, latency, trace event."""
+        runs = self.runs
+        try:
+            runs[reason] += 1
+        except KeyError:
+            runs[reason] = 1
+            self._metrics.read_counter(
+                "fpt_instance_runs_total",
+                "Module run() invocations by scheduling reason.",
+                partial(runs.__getitem__, reason),
+                {"instance": self.instance_id, "reason": reason},
+            )
+        self._observe(duration_s)
+        if error is not None:
+            self._metrics.counter(
+                "fpt_instance_run_errors_total",
+                "Module run() calls that raised.",
+                {"instance": self.instance_id},
+            ).inc()
+        tracer = self._tracer
+        if tracer.enabled:
+            args = {"sim_time_s": sim_time_s}
+            if error is not None:
+                args["error"] = error
+            tracer.record_complete(
+                "run", reason, started_perf_s, duration_s, self.instance_id,
+                args,
+            )
+
+
+def _raise_watermark(depth: Gauge, subscribers: list, output, sample) -> None:
+    """The one per-write push: the deepest subscriber queue so far."""
+    if subscribers:
+        deepest = (
+            len(subscribers[0]) if len(subscribers) == 1
+            else max(map(len, subscribers))
+        )
+        if deepest > depth.value:  # unlocked peek; set_max decides
+            depth.set_max(deepest)
+
+
+def _total(books: list, field: str) -> int:
+    """One count summed over its keepers (connections, byte counters)."""
+    return sum(getattr(book, field) for book in books)
+
+
 class Telemetry:
     """Everything a core records about itself."""
 
@@ -100,134 +168,67 @@ class Telemetry:
         self.metrics = MetricsRegistry()
         self.tracer = Tracer(enabled=enabled and trace)
         self.audit = AlarmAuditTrail()
-        # Hot-path caches: instance/output name -> live metric children.
-        self._run_cache: Dict[Tuple[str, str], object] = {}
-        self._latency_cache: Dict[str, Histogram] = {}
-        self._output_cache: Dict[str, tuple] = {}
-        self._rpc_cache: Dict[str, tuple] = {}
-        self._endpoint_cache: Dict[str, tuple] = {}
-        self._drain_hist: Optional[Histogram] = None
-        self._lag_hist: Optional[Histogram] = None
-        self._task_metrics: Optional[tuple] = None
-        self._task_worker_cache: Dict[str, object] = {}
-        self._alarm_latency_cache: Dict[Tuple[str, str], tuple] = {}
+        #: instance id -> its probe (a re-added id continues its counts).
+        self._probes: Dict[str, RunProbe] = {}
+        #: service name -> the ByteCounters watched under it.
+        self._rpc_counters: Dict[str, list] = {}
 
-    # -- scheduler hooks -----------------------------------------------------
+    # -- scheduler bindings ----------------------------------------------------
 
-    def record_run(self, instance_id: str, reason: str, started_perf_s: float,
-                   duration_s: float, sim_time_s: float,
-                   error: Optional[str] = None) -> None:
-        """Account one module ``run()``: counters, latency, trace event."""
-        key = (instance_id, reason)
-        counter = self._run_cache.get(key)
-        if counter is None:
-            counter = self.metrics.counter(
-                "fpt_instance_runs_total",
-                "Module run() invocations by scheduling reason.",
-                {"instance": instance_id, "reason": reason},
-            )
-            self._run_cache[key] = counter
-        counter.inc()
-        latency = self._latency_cache.get(instance_id)
-        if latency is None:
-            latency = self.metrics.histogram(
-                "fpt_run_latency_seconds",
-                "Wall-clock latency of module run() calls.",
-                {"instance": instance_id},
-            )
-            self._latency_cache[instance_id] = latency
-        latency.observe(duration_s)
-        if error is not None:
-            self.metrics.counter(
-                "fpt_instance_run_errors_total",
-                "Module run() calls that raised.",
-                {"instance": instance_id},
-            ).inc()
-        if self.tracer.enabled:
-            args = {"sim_time_s": sim_time_s}
-            if error is not None:
-                args["error"] = error
-            self.tracer.complete(
-                "run", reason, started_perf_s, duration_s,
-                track=instance_id, **args,
-            )
+    def run_probe(self, instance_id: str) -> RunProbe:
+        """The probe the scheduler calls after every run of an instance."""
+        probe = self._probes.get(instance_id)
+        if probe is None:
+            probe = self._probes[instance_id] = RunProbe(self, instance_id)
+        return probe
 
-    def record_drain_depth(self, depth: int) -> None:
-        hist = self._drain_hist
-        if hist is None:
-            hist = self.metrics.histogram(
-                "fpt_drain_queue_depth",
-                "Pending input-triggered runs at each drain pass.",
-                buckets=QUEUE_DEPTH_BUCKETS,
-            )
-            self._drain_hist = hist
-        hist.observe(depth)
+    def drain_depth_histogram(self) -> Histogram:
+        return self.metrics.histogram(
+            "fpt_drain_queue_depth",
+            "Pending input-triggered runs at each drain pass.",
+            buckets=QUEUE_DEPTH_BUCKETS,
+        )
 
-    def record_periodic_lag(self, lag_s: float) -> None:
-        hist = self._lag_hist
-        if hist is None:
-            hist = self.metrics.histogram(
-                "fpt_periodic_lag_seconds",
-                "How late each periodic deadline actually fired.",
-                buckets=LAG_BUCKETS_S,
-            )
-            self._lag_hist = hist
-        hist.observe(max(0.0, lag_s))
+    def periodic_lag_histogram(self) -> Histogram:
+        return self.metrics.histogram(
+            "fpt_periodic_lag_seconds",
+            "How late each periodic deadline actually fired.",
+            buckets=LAG_BUCKETS_S,
+        )
 
-    # -- channel hooks -------------------------------------------------------
+    # -- channel binding -------------------------------------------------------
 
-    def record_write(self, output, sample=None) -> None:
-        """Account one ``Output.write``: write count + queue high-watermark
-        (an ``on_write`` observer, installed when telemetry is enabled)."""
-        cached = self._output_cache.get(output.full_name)
-        if cached is None or cached[0] is not output:
-            # First write, or a new output under a known name (a second
-            # core sharing this telemetry): bind the series to it.
-            cached = self._output_metrics(output)
-        _, writes, depth = cached
-        writes.inc()
-        subscribers = output.subscribers
-        if subscribers:
-            depth.set_max(
-                len(subscribers[0]) if len(subscribers) == 1
-                else max(len(c) for c in subscribers)
-            )
+    def watch_output(self, output) -> Callable:
+        """Publish one output's books; returns the tap for its writes.
 
-    def _output_metrics(self, output) -> tuple:
-        """Bind one output's series; returns it with the two pushed on writes.
-
-        Drops and skips are counters the output's connections keep
-        anyway, so they are published as read-on-scrape gauges over the
-        ``subscribers`` list instead of being re-summed on every write.
+        Writes, drops and skips are kept by the output and its
+        connections: read on scrape.  The tap (an ``on_write`` observer)
+        pushes what nobody keeps, the queue-depth high-watermark.
         """
         labels = {"output": output.full_name}
         subscribers = output.subscribers
+        self.metrics.read_counter(
+            "fpt_output_writes_total", "Samples written per output port.",
+            lambda: output.total_written, labels,
+        )
         self.metrics.read_gauge(
             "fpt_output_dropped_total",
             "Samples dropped from full subscriber queues per output.",
-            lambda: sum(c.total_dropped for c in subscribers), labels,
+            partial(_total, subscribers, "total_dropped"), labels,
         )
         self.metrics.read_gauge(
             "fpt_output_skipped_total",
             "Buffered samples discarded unread by latest()-style "
             "consumers per output.",
-            lambda: sum(c.total_skipped for c in subscribers), labels,
+            partial(_total, subscribers, "total_skipped"), labels,
         )
-        cached = self._output_cache[output.full_name] = (
-            output,
-            self.metrics.counter(
-                "fpt_output_writes_total",
-                "Samples written per output port.", labels,
-            ),
-            self.metrics.gauge(
-                "fpt_output_queue_depth",
-                "High-watermark of subscriber queue depth per output.",
-                labels,
-            ),
+        depth = self.metrics.gauge(
+            "fpt_output_queue_depth",
+            "High-watermark of subscriber queue depth per output.", labels,
         )
-        return cached
+        return partial(_raise_watermark, depth, subscribers)
 
-    # -- experiment-runner hooks ---------------------------------------------
+    # -- experiment-runner and observatory hooks (per task, per alarm) ---------
 
     def record_task(
         self, task_id: str, wall_s: float, cpu_s: float, worker: str = ""
@@ -238,35 +239,21 @@ class Telemetry:
         pool size), so a skewed process pool shows up as a skewed
         ``asdf_experiment_tasks_total`` distribution.
         """
-        metrics = self._task_metrics
-        if metrics is None:
-            metrics = (
-                self.metrics.histogram(
-                    "asdf_experiment_task_wall_seconds",
-                    "Wall seconds per experiment-runner task.",
-                    buckets=TASK_SECONDS_BUCKETS,
-                ),
-                self.metrics.histogram(
-                    "asdf_experiment_task_cpu_seconds",
-                    "CPU seconds per experiment-runner task.",
-                    buckets=TASK_SECONDS_BUCKETS,
-                ),
-            )
-            self._task_metrics = metrics
-        wall_hist, cpu_hist = metrics
-        wall_hist.observe(wall_s)
-        cpu_hist.observe(cpu_s)
-        counter = self._task_worker_cache.get(worker)
-        if counter is None:
-            counter = self.metrics.counter(
-                "asdf_experiment_tasks_total",
-                "Experiment-runner tasks executed, by worker.",
-                {"worker": worker or "in-process"},
-            )
-            self._task_worker_cache[worker] = counter
-        counter.inc()
-
-    # -- observatory hooks ---------------------------------------------------
+        self.metrics.histogram(
+            "asdf_experiment_task_wall_seconds",
+            "Wall seconds per experiment-runner task.",
+            buckets=TASK_SECONDS_BUCKETS,
+        ).observe(wall_s)
+        self.metrics.histogram(
+            "asdf_experiment_task_cpu_seconds",
+            "CPU seconds per experiment-runner task.",
+            buckets=TASK_SECONDS_BUCKETS,
+        ).observe(cpu_s)
+        self.metrics.counter(
+            "asdf_experiment_tasks_total",
+            "Experiment-runner tasks executed, by worker.",
+            {"worker": worker or "in-process"},
+        ).inc()
 
     def record_alarm_latency(
         self,
@@ -282,94 +269,65 @@ class Telemetry:
         Called by :class:`repro.obsv.Observatory` only for measured
         records, so ``None`` components are simply skipped.
         """
-        key = (fault, stage)
-        cached = self._alarm_latency_cache.get(key)
-        if cached is None:
-            labels = {"fault": fault, "stage": stage}
-            cached = (
-                self.metrics.histogram(
-                    "asdf_alarm_sim_latency_seconds",
-                    "Sample->alarm latency on the simulated clock, from "
-                    "the Alarm.via provenance walk.",
-                    labels,
-                    buckets=ALARM_SIM_LATENCY_BUCKETS_S,
-                ),
-                self.metrics.histogram(
-                    "asdf_alarm_wall_latency_seconds",
-                    "Sample->alarm latency on the wall clock (real "
-                    "processing time), from the Alarm.via provenance walk.",
-                    labels,
-                ),
-            )
-            self._alarm_latency_cache[key] = cached
-        sim_hist, wall_hist = cached
+        labels = {"fault": fault, "stage": stage}
         if sim_s is not None:
-            sim_hist.observe(sim_s)
+            self.metrics.histogram(
+                "asdf_alarm_sim_latency_seconds",
+                "Sample->alarm latency on the simulated clock, from "
+                "the Alarm.via provenance walk.",
+                labels, buckets=ALARM_SIM_LATENCY_BUCKETS_S,
+            ).observe(sim_s)
         if wall_s is not None:
-            wall_hist.observe(wall_s)
+            self.metrics.histogram(
+                "asdf_alarm_wall_latency_seconds",
+                "Sample->alarm latency on the wall clock (real "
+                "processing time), from the Alarm.via provenance walk.",
+                labels,
+            ).observe(wall_s)
 
-    # -- rpc hooks -----------------------------------------------------------
+    # -- rpc binding -----------------------------------------------------------
 
-    def record_rpc(self, service: str, tx_wire: int, rx_wire: int) -> None:
-        """Account one RPC round-trip's wire bytes (feeds Table 4)."""
-        cached = self._rpc_cache.get(service)
-        if cached is None:
-            cached = (
-                self.metrics.counter(
-                    "asdf_rpc_wire_bytes_total",
-                    "Estimated wire bytes per RPC service.",
-                    {"service": service, "direction": "tx"},
-                ),
-                self.metrics.counter(
-                    "asdf_rpc_wire_bytes_total",
-                    "Estimated wire bytes per RPC service.",
-                    {"service": service, "direction": "rx"},
-                ),
-                self.metrics.counter(
-                    "asdf_rpc_messages_total",
-                    "RPC messages per service.",
-                    {"service": service, "direction": "tx"},
-                ),
-            )
-            self._rpc_cache[service] = cached
-        tx, rx, messages = cached
-        tx.inc(tx_wire)
-        rx.inc(rx_wire)
-        messages.inc()
+    def watch_rpc(self, service: str, role: str, counter) -> None:
+        """Publish one connection endpoint's :class:`ByteCounter`.
 
-    def record_rpc_endpoint(self, role: str, counter) -> None:
-        """Publish one endpoint's :class:`ByteCounter` running totals.
-
-        ``role`` names the connection endpoint (e.g. ``client:node-03``
-        or ``server:central``); the gauges track the counter's
-        application-payload totals so ``/metrics`` shows live rpc bytes
-        in/out per connection, not just per-call wire estimates.
+        Called once per endpoint; nothing is recorded per call.  The
+        ``service`` series (wire bytes both ways, messages sent: Table
+        4's source) sum every counter watched under that name; ``role``
+        (``client:`` / ``server:`` / ``inproc:<service>``) names the
+        endpoint whose payload totals the ``asdf_rpc_bytes_*`` pair reads.
         """
-        cached = self._endpoint_cache.get(role)
-        if cached is None:
-            labels = {"role": role}
-            cached = (
-                self.metrics.gauge(
-                    "asdf_rpc_bytes_sent_total",
-                    "Application payload bytes sent per connection role.",
-                    labels,
-                ),
-                self.metrics.gauge(
-                    "asdf_rpc_bytes_received_total",
-                    "Application payload bytes received per connection role.",
-                    labels,
-                ),
-            )
-            self._endpoint_cache[role] = cached
-        sent, received = cached
-        sent.set(float(counter.tx_payload))
-        received.set(float(counter.rx_payload))
+        counters = self._rpc_counters.get(service)
+        if counters is None:
+            counters = self._rpc_counters[service] = []
+            for family, help_text, direction, field in (
+                ("asdf_rpc_wire_bytes_total",
+                 "Estimated wire bytes per RPC service.", "tx", "tx_wire"),
+                ("asdf_rpc_wire_bytes_total",
+                 "Estimated wire bytes per RPC service.", "rx", "rx_wire"),
+                ("asdf_rpc_messages_total",
+                 "RPC messages per service.", "tx", "messages_sent"),
+            ):
+                self.metrics.read_counter(
+                    family, help_text, partial(_total, counters, field),
+                    {"service": service, "direction": direction},
+                )
+        counters.append(counter)
+        self.metrics.read_gauge(
+            "asdf_rpc_bytes_sent_total",
+            "Application payload bytes sent per connection role.",
+            lambda: counter.tx_payload, {"role": role},
+        )
+        self.metrics.read_gauge(
+            "asdf_rpc_bytes_received_total",
+            "Application payload bytes received per connection role.",
+            lambda: counter.rx_payload, {"role": role},
+        )
 
     # -- derived views -------------------------------------------------------
 
     def total_run_seconds(self) -> float:
         """Total wall-clock seconds spent inside module run() calls."""
-        return sum(h.sum for h in self._latency_cache.values())
+        return self.metrics.total("fpt_run_latency_seconds")
 
     def run_stats(self) -> Dict[str, RunStats]:
         """Per-instance run count / mean latency / errors."""
@@ -430,7 +388,7 @@ class Telemetry:
         return "\n".join(lines)
 
 
-#: The disabled default every core starts with; recording helpers must
-#: never be called on it (callers guard on ``enabled``), and its tracer
-#: hands out the shared no-op span.
+#: The disabled default every core starts with; nothing is ever bound to
+#: it (binders guard on ``enabled``), and its tracer hands out the shared
+#: no-op span.
 NULL_TELEMETRY = Telemetry(enabled=False, trace=False)

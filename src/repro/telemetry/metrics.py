@@ -18,14 +18,16 @@ Design points:
   ``set`` when it changes.  A :class:`ReadGauge` is *pulled*: it holds a
   callable and evaluates it when somebody asks (``value()``,
   ``total()``, ``snapshot()``, ``render_prometheus()``).  It is for
-  numbers their owner keeps anyway (the flight recorder's running
-  totals, a connection's drop counter): publishing them costs nothing
-  on the hot path and the scrape sees the current value, not the value
-  at the last push.  Its family kind is ``gauge`` and it renders
-  exactly as a pushed gauge does.
+  numbers their owner keeps anyway (an output's ``total_written``, an
+  RPC endpoint's ``ByteCounter``, the flight recorder's totals, a
+  connection's drop counter): publishing them costs nothing on the hot
+  path and the scrape sees the current value, not the value at the last
+  push.  ``read_gauge`` files it in a ``gauge`` family, ``read_counter``
+  (for a number that only grows) in a ``counter`` family; either way it
+  renders exactly as the pushed child of that kind does.
 * **Fixed-bucket histograms.**  Buckets are chosen at creation time and
-  never resize; observation is a linear scan over a short tuple, which
-  beats ``bisect`` for the ~10-bucket latency histograms used here.
+  never resize; an observation finds its bucket by ``bisect``, so it
+  costs the same in the first bucket and past the last.
 * **Two expositions.**  ``render_prometheus`` emits the Prometheus text
   format (version 0.0.4) so dumps can be diffed, scraped or loaded into
   promtool; ``snapshot`` returns plain dicts for JSON serialization and
@@ -36,6 +38,7 @@ from __future__ import annotations
 
 import json
 import threading
+from bisect import bisect_left
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 __all__ = [
@@ -172,14 +175,15 @@ class Histogram:
         self.count = 0
 
     def observe(self, value: float) -> None:
+        counts = self.bucket_counts
+        index = bisect_left(self.upper_bounds, value)
         with _VALUES_LOCK:
             self.sum += value
             self.count += 1
-            for i, bound in enumerate(self.upper_bounds):
-                if value <= bound:
-                    self.bucket_counts[i] += 1
-                    return
-            self.overflow += 1
+            if index < len(counts):
+                counts[index] += 1
+            else:
+                self.overflow += 1
 
     @property
     def mean(self) -> float:
@@ -269,8 +273,17 @@ class MetricsRegistry:
         Replaces whatever child the label set had, so the latest owner
         of a series is the one that is read.
         """
+        return self._bind_read("gauge", name, help_text, read, labels)
+
+    def read_counter(self, name: str, help_text: str,
+                     read: Callable[[], float],
+                     labels: Optional[Mapping[str, str]] = None) -> ReadGauge:
+        """:meth:`read_gauge` for a count its owner only ever raises."""
+        return self._bind_read("counter", name, help_text, read, labels)
+
+    def _bind_read(self, kind, name, help_text, read, labels) -> ReadGauge:
         child = ReadGauge(read)
-        self._family(name, "gauge", help_text).children[_label_key(labels)] = child
+        self._family(name, kind, help_text).children[_label_key(labels)] = child
         return child
 
     def histogram(self, name: str, help_text: str = "",
@@ -289,7 +302,7 @@ class MetricsRegistry:
         family = self._families.get(name)
         if family is None:
             return ()
-        return family.children.items()
+        return list(family.children.items())  # a scrape may race a bind
 
     def value(self, name: str, labels: Optional[Mapping[str, str]] = None) -> float:
         """Current value of a counter/gauge child (0.0 if absent)."""

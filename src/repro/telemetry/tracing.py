@@ -34,8 +34,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Sequence, Set
+from typing import Any, Dict, Iterable, List, NamedTuple, Sequence, Set
 
 __all__ = [
     "TraceEvent",
@@ -51,8 +50,7 @@ __all__ = [
 DEFAULT_MAX_EVENTS = 1 << 20
 
 
-@dataclass
-class TraceEvent:
+class TraceEvent(NamedTuple):
     """One recorded event (Chrome trace-event "X" or "i" phase)."""
 
     name: str
@@ -61,7 +59,7 @@ class TraceEvent:
     start_s: float        # perf_counter seconds since tracer creation
     duration_s: float     # 0.0 for instant events
     track: str            # rendered as the event's thread (swimlane)
-    args: Dict[str, Any] = field(default_factory=dict)
+    args: Dict[str, Any]
 
     def to_chrome(self, pid: int = 1) -> dict:
         event = {
@@ -92,6 +90,11 @@ class TraceEvent:
         if self.args:
             obj["args"] = self.args
         return obj
+
+
+#: What ``TraceEvent(...)`` ends in; the tracer calls it directly, an
+#: event per module run being the commonest thing it records.
+_new_event = tuple.__new__
 
 
 class _NullSpan:
@@ -127,16 +130,10 @@ class _Span:
         return self
 
     def __exit__(self, *exc_info) -> None:
-        end = time.perf_counter()
-        self._tracer._record(TraceEvent(
-            name=self._name,
-            category=self._category,
-            phase="X",
-            start_s=self._start - self._tracer._epoch,
-            duration_s=end - self._start,
-            track=self._track,
-            args=self._args,
-        ))
+        self._tracer.record_complete(
+            self._name, self._category, self._start,
+            time.perf_counter() - self._start, self._track, self._args,
+        )
 
 
 class Tracer:
@@ -180,31 +177,27 @@ class Tracer:
         the caller (the scheduler measures latency itself so metrics and
         the trace share one pair of clock reads).
         """
-        if not self.enabled:
-            return
-        self._record(TraceEvent(
-            name=name,
-            category=category,
-            phase="X",
-            start_s=start_perf_s - self._epoch,
-            duration_s=duration_s,
-            track=track,
-            args=args,
-        ))
+        if self.enabled:
+            self.record_complete(name, category, start_perf_s, duration_s,
+                                 track, args)
+
+    def record_complete(self, name: str, category: str, start_perf_s: float,
+                        duration_s: float, track: str,
+                        args: Dict[str, Any]) -> None:
+        """:meth:`complete` for a caller that checked ``enabled`` and
+        holds the args dict: all positional, the event built as a tuple."""
+        self._record(_new_event(TraceEvent, (
+            name, category, "X", start_perf_s - self._epoch, duration_s,
+            track, args,
+        )))
 
     def instant(self, name: str, category: str = "", track: str = "core",
                 **args: Any) -> None:
-        if not self.enabled:
-            return
-        self._record(TraceEvent(
-            name=name,
-            category=category,
-            phase="i",
-            start_s=time.perf_counter() - self._epoch,
-            duration_s=0.0,
-            track=track,
-            args=args,
-        ))
+        if self.enabled:
+            self._record(TraceEvent(
+                name, category, "i", time.perf_counter() - self._epoch, 0.0,
+                track, args,
+            ))
 
     # -- export --------------------------------------------------------------
 

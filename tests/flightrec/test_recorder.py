@@ -66,26 +66,43 @@ class TestChannelRing:
 
     def test_bounded_by_sample_count(self):
         ring = self.make_ring(max_samples=3)
-        for i in range(5):
-            ring.push(Sample(float(i), i), est_bytes=10)
+        evicted = [ring.push(Sample(float(i), i)) for i in range(5)]
+        assert evicted == [0, 0, 0, 1, 1]  # push says what it cost
         assert len(ring) == 3
         assert [s.value for s in ring.window()] == [2, 3, 4]
         assert ring.evictions == 2
-        assert ring.bytes == 30
         assert ring.total_recorded == 5
 
     def test_bounded_by_wall_window(self):
         ring = self.make_ring(max_samples=100, window_s=2.0)
-        for i in range(6):
-            ring.push(Sample(float(i), i), est_bytes=1)
+        evicted = [ring.push(Sample(float(i), i)) for i in range(6)]
         # horizon = 5 - 2 = 3: samples at t=0,1,2 are gone.
         assert [s.value for s in ring.window()] == [3, 4, 5]
-        assert ring.evictions == 3
+        assert ring.evictions == sum(evicted) == 3
+
+    def test_a_late_burst_can_evict_several_at_once(self):
+        ring = self.make_ring(max_samples=100, window_s=2.0)
+        for i in range(4):
+            assert ring.push(Sample(float(i), i)) in (0, 1)
+        assert ring.push(Sample(50.0, "late")) == 3  # t=1,2,3 all too old
+        assert [s.value for s in ring.window()] == ["late"]
+
+    def test_bytes_are_those_of_what_is_buffered_now(self):
+        ring = self.make_ring(max_samples=2)
+        small, wide = np.zeros(1), np.zeros(64)
+        ring.push(Sample(0.0, small))
+        ring.push(Sample(1.0, small))
+        before = ring.bytes
+        ring.push(Sample(2.0, wide))   # evicts one small row
+        assert ring.bytes - before == wide.nbytes - small.nbytes
+        ring.push(Sample(3.0, wide))
+        ring.push(Sample(4.0, wide))
+        assert ring.bytes - before == 2 * (wide.nbytes - small.nbytes)
 
     def test_window_filters_by_timestamp(self):
         ring = self.make_ring(max_samples=10)
         for i in range(4):
-            ring.push(Sample(float(i), i), est_bytes=1)
+            ring.push(Sample(float(i), i))
         assert [s.value for s in ring.window(1.0, 2.0)] == [1, 2]
 
 

@@ -1,10 +1,10 @@
-"""The recorder's write path: running totals, O(1) cost, archive faults.
+"""The recorder's write path: totals, O(1) cost, archive faults.
 
-The recorder keeps its recorder-wide totals as it records and publishes
-them as read-on-scrape gauges.  The old per-write ``sum(...)`` over all
-rings lives on here as the oracle: whatever interleaving of writes,
-evictions and incidents happens, the totals, ``stats()`` and every
-exposition of the gauges must equal a recount.
+The recorder counts records and evictions as it records, counts what is
+buffered when somebody asks, and publishes all of it as read-on-scrape
+gauges.  A from-scratch walk over every ring is the oracle: whatever
+interleaving of writes, evictions and incidents happens, ``stats()`` and
+every exposition of the gauges must equal a recount.
 """
 
 import json
@@ -19,18 +19,21 @@ from hypothesis import strategies as st
 from repro.analysis.metrics import Alarm
 from repro.core import Output
 from repro.flightrec import FlightRecorder, ReplayArchive
+from repro.flightrec.recorder import _estimate_bytes
 from repro.telemetry import Telemetry
 
 from .helpers import ALARM_PIPELINE_CONFIG, ALARM_SCRIPT, build_core
 
 
 def recount(recorder) -> dict:
-    """What ``stats()`` computed before the totals were kept incrementally."""
+    """``stats()`` from scratch: every ring walked, every sample sized."""
     rings = recorder.rings.values()
     return {
         "channels": len(recorder.rings),
-        "buffered_samples": sum(len(r) for r in rings),
-        "buffered_bytes": sum(r.bytes for r in rings),
+        "buffered_samples": sum(len(r.window()) for r in rings),
+        "buffered_bytes": sum(
+            _estimate_bytes(s.value) for r in rings for s in r.window()
+        ),
         "evictions": sum(r.evictions for r in rings),
         "recorded": sum(r.total_recorded for r in rings),
         "incidents": len(recorder.incidents),
@@ -143,10 +146,12 @@ class TestRunningTotals:
             assert {k: stats[k] for k in expected} == expected
             for family, key in FLIGHTREC_GAUGES.items():
                 assert_expositions_equal(metrics, family, {}, expected[key])
-            for output in outputs[:3]:
-                if not output.total_written:
-                    continue  # its series appear with its first write
+            for output in outputs[:3]:  # bound at attach: 0 before a write
                 labels = {"output": output.full_name}
+                assert_expositions_equal(
+                    metrics, "fpt_output_writes_total", labels,
+                    output.total_written,
+                )
                 assert_expositions_equal(
                     metrics, "fpt_output_dropped_total", labels,
                     sum(c.total_dropped for c in output.subscribers),
@@ -158,21 +163,29 @@ class TestRunningTotals:
         core.close()
 
     def test_series_follow_the_output_that_writes(self):
-        # Two cores sharing one Telemetry reuse output names; the
-        # read-on-scrape series must not stay bound to the first core's
-        # (dead) subscriber list.
+        # Two cores sharing one Telemetry reuse output names; the series
+        # read the core bound last, not the first core's (dead) output
+        # and subscriber list.
         telemetry = Telemetry(trace=False)
         labels = {"output": "src.value"}
-        for expected_drops in (1, 3):
-            output = Output(owner_id="src", name="value")
+        for writes in (2, 4):
+            core = build_core(
+                ALARM_PIPELINE_CONFIG, {"script": {"src": []}},
+                telemetry=telemetry,
+            )
+            output = core.dag.contexts["src"].outputs["value"]
+            assert telemetry.metrics.value(
+                "fpt_output_writes_total", labels) == 0
             output.subscribe(capacity=1)
-            for i in range(expected_drops + 1):
+            for i in range(writes):
                 output.write(i, float(i))
-                telemetry.record_write(output)
+            assert telemetry.metrics.value(
+                "fpt_output_writes_total", labels
+            ) == output.total_written == writes
             assert telemetry.metrics.value(
                 "fpt_output_dropped_total", labels
-            ) == expected_drops
-        assert telemetry.metrics.value("fpt_output_writes_total", labels) == 6
+            ) == writes - 1
+            core.close()
 
     def test_skipped_gauge_follows_the_consumer_between_writes(self):
         # latest() discards backlog *after* the write that queued it; a
@@ -211,15 +224,21 @@ class TestWritePathIsConstantTime:
         )
         recorder = FlightRecorder(archive_dir=str(tmp_path), max_incidents=0)
         core.set_flight_recorder(recorder)
-        recorder.rings = _NoEnumeration(recorder.rings)
+        rings = recorder.rings
+        recorder.rings = _NoEnumeration(rings)
         # Through the pipeline, and directly through every tapped output.
         core.run_until(float(len(ALARM_SCRIPT)))
         for ctx in core.dag.contexts.values():
             for output in ctx.outputs.values():
                 output.write(0, 99.0)
-        assert recorder.stats()["recorded"] == sum(
-            ring.total_recorded for ring in dict.values(recorder.rings)
-        )
+        with pytest.raises(AssertionError, match="enumerated"):
+            recorder.stats()  # the guard was live all along
+        recorder.rings = rings  # a scrape may walk them; a write did not
+        stats = recorder.stats()
+        assert stats["recorded"] == sum(
+            ring.total_recorded for ring in rings.values()
+        ) > len(ALARM_SCRIPT)
+        assert stats["buffered_samples"] == sum(len(r) for r in rings.values())
         recorder.close()
         core.close()
 
@@ -370,6 +389,71 @@ class TestRecorderNeverBreaksThePipeline:
         core.run_until(float(len(ALARM_SCRIPT)))
         assert recorder.stats()["archive_error"] is None
         assert FlightRecorder().stats()["archive_error"] is None
+        core.close()
+
+
+class _FlushFails(_FailingHandle):
+    """Takes every write into its buffer; cannot get it to the disk."""
+
+    def __init__(self, handle) -> None:
+        super().__init__(handle, fail_on=sys.maxsize)
+
+    def flush(self) -> None:
+        raise OSError(5, "Input/output error")
+
+
+class TestArchiveDurability:
+    """``samples.jsonl`` goes through a 64 KiB buffer; it is on disk when
+    a bundle is written and at ``close()``."""
+
+    def on_disk(self, directory) -> list:
+        # A second handle on the file: what a crash now would leave.
+        return (directory / "samples.jsonl").read_text().splitlines()
+
+    def test_evidence_is_on_disk_when_record_incident_returns(self, tmp_path):
+        recorder = FlightRecorder(archive_dir=str(tmp_path), max_incidents=1)
+        core = build_core(
+            ALARM_PIPELINE_CONFIG, {"script": {"src": ALARM_SCRIPT}}
+        )
+        core.set_flight_recorder(recorder)
+        core.run_until(2.0)  # before the first alarm (t=3)
+        assert recorder.stats()["archived_records"] == 3
+        assert self.on_disk(tmp_path) == []  # buffered, a few hundred bytes
+        core.run_until(3.0)  # the sink sees the alarm and freezes a bundle
+        assert len(recorder.incidents) == 1
+        on_disk = self.on_disk(tmp_path)
+        # src t=0..3, thr.alarms and union.alarms at t=3: all six, and
+        # the last one is the alarm the sink was handed.
+        assert len(on_disk) == recorder.stats()["archived_records"] == 6
+        assert json.loads(on_disk[-1])["o"] == "union.alarms"
+        assert (tmp_path / "incident-0001.json").exists()
+        core.run_until(float(len(ALARM_SCRIPT)))  # no second bundle: cap
+        assert len(self.on_disk(tmp_path)) == 6
+        assert recorder.stats()["archived_records"] > 6
+        recorder.close()
+        assert len(self.on_disk(tmp_path)) == \
+            recorder.stats()["archived_records"]
+        core.close()
+
+    def test_oserror_on_flush_stops_the_archive_once(self, tmp_path, caplog):
+        recorder = FlightRecorder(archive_dir=str(tmp_path))
+        core = build_core(
+            ALARM_PIPELINE_CONFIG, {"script": {"src": ALARM_SCRIPT}}
+        )
+        core.set_flight_recorder(recorder)
+        recorder.archive._fh = _FlushFails(recorder.archive._fh)
+        with caplog.at_level(logging.ERROR, logger="repro.flightrec"):
+            core.run_until(float(len(ALARM_SCRIPT)))
+        assert len(core.instance("sink").alarms) == 3  # the run went on
+        assert len(recorder.incidents) == 1  # frozen in memory all the same
+        assert not list(tmp_path.glob("incident-*"))
+        stats = recorder.stats()
+        assert "Input/output error" in stats["archive_error"]
+        assert stats["archived_records"] == 6  # none after the failed flush
+        assert stats["recorded"] > 6
+        logged = [r for r in caplog.records if r.name == "repro.flightrec"]
+        assert len(logged) == 1
+        recorder.close()
         core.close()
 
 
