@@ -8,7 +8,7 @@ L1-to-median comparison; the white-box mean/median comparison with the
 (false-positive rate, balanced accuracy, fingerpointing latency).
 """
 
-from .kmeans import KMeansModel, assign_nearest, fit_kmeans, nearest_k
+from .kmeans import KMeansModel, assign_nearest, fit_kmeans
 from .metrics import (
     Alarm,
     ConfusionCounts,
@@ -20,7 +20,6 @@ from .metrics import (
 )
 from .peer import (
     WhiteboxVerdict,
-    state_histogram,
     state_vector_l1_deviation,
     whitebox_anomalies,
     whitebox_deviations,
@@ -41,9 +40,7 @@ __all__ = [
     "assign_nearest",
     "fingerpointing_latency",
     "fit_kmeans",
-    "nearest_k",
     "score_decisions",
-    "state_histogram",
     "state_vector_l1_deviation",
     "whitebox_anomalies",
     "whitebox_deviations",

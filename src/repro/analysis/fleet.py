@@ -25,11 +25,12 @@ import numpy as np
 
 
 def state_histogram_batch(assignments: np.ndarray, k: int) -> np.ndarray:
-    """Per-row :func:`~repro.analysis.peer.state_histogram`, one call.
+    """Every node's ``StateVector`` (paper section 4.5) in one call.
 
     ``assignments`` has shape (n_nodes, window): each row holds one
     node's state indices over the window.  Returns (n_nodes, k) float
-    histograms identical to calling ``state_histogram(row, k)`` per row.
+    histograms: component ``j`` of a row is the number of samples in that
+    node's window whose nearest centroid was ``j``.
     """
     assignments = np.asarray(assignments, dtype=int)
     if assignments.ndim != 2:

@@ -26,21 +26,6 @@ from typing import List
 import numpy as np
 
 
-def state_histogram(assignments: np.ndarray, k: int) -> np.ndarray:
-    """Count how often each of the ``k`` centroids was assigned.
-
-    This is the ``StateVector`` of paper section 4.5: component ``j`` is
-    the number of samples in the window whose nearest centroid was ``j``.
-    """
-    assignments = np.asarray(assignments, dtype=int)
-    if assignments.size and (assignments.min() < 0 or assignments.max() >= k):
-        raise ValueError(
-            f"assignment index out of range [0, {k}): "
-            f"[{assignments.min()}, {assignments.max()}]"
-        )
-    return np.bincount(assignments, minlength=k).astype(float)
-
-
 def state_vector_l1_deviation(histograms: np.ndarray) -> np.ndarray:
     """L1 distance of each node's state vector from the median vector.
 

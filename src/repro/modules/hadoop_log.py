@@ -36,6 +36,7 @@ import numpy as np
 
 from ..core import Module, Origin, RunReason
 from ..core.errors import ConfigError
+from ..rpc.protocol import ProtocolError, RemoteError
 
 #: Name of the service carrying node -> RPC channel mappings.
 HADOOP_LOG_CHANNEL_SERVICE = "hadoop_log_channels"
@@ -86,6 +87,8 @@ class HadoopLogModule(Module):
         self._emitted_through = -1
         self.seconds_emitted = 0
         self.seconds_dropped = 0
+        #: ``collect`` calls that failed: skipped, and asked again next poll.
+        self.poll_errors = 0
         ctx.schedule_every(
             ctx.param_float("interval", 1.0), ctx.param_float("phase", 0.0)
         )
@@ -105,7 +108,11 @@ class HadoopLogModule(Module):
     def _collect(self, channel, row: int, now: float) -> float:
         """One ``collect`` call; the newest second it brought (``inf``
         when it brought none)."""
-        result = channel.call("collect", now=now)
+        try:
+            result = channel.call("collect", now=now)
+        except (ProtocolError, RemoteError):
+            self.poll_errors += 1
+            return math.inf
         seconds = result["seconds"]
         if not seconds:
             return math.inf

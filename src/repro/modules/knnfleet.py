@@ -102,7 +102,8 @@ class KnnFleetModule(Module):
         backlogs = [(node, samples) for node, samples in backlogs if samples]
         if not backlogs:
             return
-        # One scale + one distance matrix for the entire fleet's backlog.
+        # One scale + one distance matrix for the entire fleet's backlog
+        # (the kernel takes it 256 rows at a time, whatever the fleet).
         # Scaling is elementwise and nearest_k_batch is row-independent,
         # so each row's result is bit-identical to classifying it alone.
         try:

@@ -26,7 +26,7 @@ import numpy as np
 
 from ..core import Module, Origin, RunReason
 from ..core.errors import ConfigError
-from ..rpc.protocol import MetricRow
+from ..rpc.protocol import MetricRow, ProtocolError, RemoteError
 from ..sysstat.metrics import NODE_METRICS
 
 #: Name of the service carrying node -> RPC channel mappings.
@@ -63,13 +63,19 @@ class SadcModule(Module):
             )
         self.samples_collected = 0
         self.priming_skips = 0
+        #: Polls the channel failed; each is a sample skipped, not raised.
+        self.poll_errors = 0
         ctx.schedule_every(
             ctx.param_float("interval", 1.0), ctx.param_float("phase", 0.0)
         )
 
     def run(self, reason: RunReason) -> None:
         now = self.ctx.clock.now()
-        result = self.channel.call("sample", now=now)
+        try:
+            result = self.channel.call("sample", now=now)
+        except (ProtocolError, RemoteError):
+            self.poll_errors += 1
+            return
         if result is None:
             self.priming_skips += 1
             return

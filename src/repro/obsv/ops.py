@@ -26,9 +26,7 @@ views -- per-daemon surfaces stay reachable on each daemon's own port.
 
 The server runs on a daemon thread; readers only touch grow-only or
 atomically-replaced structures, so the GIL gives the in-process demo all
-the consistency it needs.  The same :class:`Observatory` views are
-exposed over ``repro.rpc`` by
-:class:`repro.rpc.daemons.ObservatoryDaemon` for daemonized deployments.
+the consistency it needs.
 """
 
 from __future__ import annotations

@@ -22,7 +22,6 @@ from .daemons import (
     LOG_PARSER_LAG_S,
     ClusterNodeDaemon,
     HadoopLogDaemon,
-    ObservatoryDaemon,
     SadcDaemon,
 )
 from .inproc import InprocChannel
@@ -63,7 +62,6 @@ __all__ = [
     "MAX_FRAME_BYTES",
     "MetricRow",
     "MultiPoller",
-    "ObservatoryDaemon",
     "PROTOCOL_VERSION",
     "PollOutcome",
     "ProtocolError",

@@ -166,48 +166,6 @@ class HadoopLogDaemon:
         }
 
 
-class ObservatoryDaemon:
-    """``obsv_rpcd``: the diagnosis observatory's machine-readable surface.
-
-    Wraps a :class:`repro.obsv.Observatory` so daemonized deployments
-    (an :class:`~repro.rpc.server.RpcServer` on the analysis node) can
-    serve the same views the in-process HTTP ops surface exposes --
-    health, DAG status, the alarm audit tail and the online scoreboard
-    -- to remote consumers such as an adaptive-mitigation controller.
-    """
-
-    def __init__(self, observatory) -> None:
-        self.observatory = observatory
-        self.meter = _CpuMeter()
-
-    def rpc_health(self) -> Dict[str, Any]:
-        with self.meter:
-            return self.observatory.health_obj()
-
-    def rpc_status(self) -> Dict[str, Any]:
-        with self.meter:
-            return self.observatory.status_obj()
-
-    def rpc_scoreboard(self) -> Dict[str, Any]:
-        with self.meter:
-            return self.observatory.scoreboard.snapshot()
-
-    def rpc_alarms(
-        self, tail: Optional[float] = None, since: Optional[float] = None
-    ) -> Dict[str, Any]:
-        """Audit-trail tail; ``tail``/``since`` mirror the HTTP query."""
-        with self.meter:
-            return self.observatory.alarms_obj(
-                tail=int(tail) if tail is not None else None,
-                since=since,
-            )
-
-    def rpc_metrics(self) -> str:
-        """The Prometheus text exposition, for scrape-by-proxy setups."""
-        with self.meter:
-            return self.observatory.telemetry.metrics.render_prometheus()
-
-
 #: Default batch size served per ``poll_many`` call.
 DEFAULT_MAX_WINDOWS = 32
 

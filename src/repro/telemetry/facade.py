@@ -135,12 +135,9 @@ class RunProbe:
             ).inc()
         tracer = self._tracer
         if tracer.enabled:
-            args = {"sim_time_s": sim_time_s}
-            if error is not None:
-                args["error"] = error
-            tracer.record_complete(
+            tracer.record(
                 "run", reason, started_perf_s, duration_s, self.instance_id,
-                args,
+                sim_time_s, None if error is None else {"error": error},
             )
 
 

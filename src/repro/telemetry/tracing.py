@@ -33,8 +33,14 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 import time
-from typing import Any, Dict, Iterable, List, NamedTuple, Sequence, Set
+from array import array
+from collections.abc import Sequence
+from contextlib import contextmanager, nullcontext
+from math import isnan
+from sys import intern
+from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Set
 
 __all__ = [
     "TraceEvent",
@@ -45,9 +51,14 @@ __all__ = [
 ]
 
 #: Events recorded beyond this cap are counted but dropped, bounding the
-#: memory of very long traced runs.  2^20 events is ~45 minutes of a
-#: 10-slave scenario traced at full detail.
+#: memory of very long traced runs.  A 10-slave scenario records 27 953
+#: events per 1 200 simulated seconds: 2^20 events is ~12.5 hours of it
+#: (~2.8 hours at 50 slaves).  A retained run event is 51 bytes of column
+#: the collector never walks (~50 MB full); as a tuple with its own args
+#: dict it was 368 bytes, two of the five objects GC-tracked.
 DEFAULT_MAX_EVENTS = 1 << 20
+
+_NAN = float("nan")
 
 
 class TraceEvent(NamedTuple):
@@ -92,48 +103,53 @@ class TraceEvent(NamedTuple):
         return obj
 
 
-#: What ``TraceEvent(...)`` ends in; the tracer calls it directly, an
-#: event per module run being the commonest thing it records.
-_new_event = tuple.__new__
+#: What ``span()`` hands out while tracing is off: shared, does nothing.
+_NULL_SPAN = nullcontext()
 
 
-class _NullSpan:
-    """Shared no-op context manager for the disabled tracer."""
+class _Rows(Sequence):
+    """``tracer.events``: the recorded events, kept as rows of two flat
+    columns and read as a sequence of :class:`TraceEvent`, each built
+    when asked for and kept by nobody.
 
-    __slots__ = ()
+    ``times`` holds start, duration and simulated time as packed doubles
+    (NaN = an instant / none given); ``refs`` holds name, category and
+    track, references to strings the rows share; ``extra`` holds, by
+    row, the args beyond ``sim_time_s``, which few events have.
+    """
 
-    def __enter__(self) -> "_NullSpan":
-        return self
+    __slots__ = ("times", "refs", "extra")
 
-    def __exit__(self, *exc_info) -> None:
-        pass
+    def __init__(self) -> None:
+        self.times = array("d")
+        self.refs: List[str] = []
+        self.extra: Dict[int, Dict[str, Any]] = {}
 
+    def __len__(self) -> int:
+        return len(self.refs) // 3
 
-_NULL_SPAN = _NullSpan()
+    def __getitem__(self, index):
+        rows = range(len(self))[index]  # normalises, or raises IndexError
+        if isinstance(index, slice):
+            return [self._event(row) for row in rows]
+        return self._event(rows)
 
+    def __iter__(self):  # the exports' path: no per-index normalising
+        return map(self._event, range(len(self)))
 
-class _Span:
-    """Context manager measuring one complete event."""
+    def _event(self, row: int) -> TraceEvent:
+        at = 3 * row
+        start_s, duration_s, sim_time_s = self.times[at:at + 3]
+        name, category, track = self.refs[at:at + 3]
+        args = {} if isnan(sim_time_s) else {"sim_time_s": sim_time_s}
+        if row in self.extra:
+            args.update(self.extra[row])
+        if isnan(duration_s):
+            return TraceEvent(name, category, "i", start_s, 0.0, track, args)
+        return TraceEvent(name, category, "X", start_s, duration_s, track, args)
 
-    __slots__ = ("_tracer", "_name", "_category", "_track", "_args", "_start")
-
-    def __init__(self, tracer: "Tracer", name: str, category: str,
-                 track: str, args: Dict[str, Any]) -> None:
-        self._tracer = tracer
-        self._name = name
-        self._category = category
-        self._track = track
-        self._args = args
-
-    def __enter__(self) -> "_Span":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self._tracer.record_complete(
-            self._name, self._category, self._start,
-            time.perf_counter() - self._start, self._track, self._args,
-        )
+    def __eq__(self, other) -> bool:
+        return list(self) == other
 
 
 class Tracer:
@@ -144,8 +160,11 @@ class Tracer:
                  process_name: str = "") -> None:
         self.enabled = enabled
         self.max_events = max_events
-        self.events: List[TraceEvent] = []
+        self.events = _Rows()
         self.dropped = 0
+        # A row is two extends, and server threads share the scheduler's
+        # tracer: interleaved, the columns would misalign.
+        self._lock = threading.Lock()
         # The two epochs are read back-to-back so wall_epoch anchors the
         # perf_counter timeline on the shared wall clock -- this is what
         # lets stitch_chrome_traces align documents across processes.
@@ -156,18 +175,37 @@ class Tracer:
 
     # -- recording -----------------------------------------------------------
 
-    def _record(self, event: TraceEvent) -> None:
-        if len(self.events) >= self.max_events:
-            self.dropped += 1  # fpt: noqa[FPT401] -- best-effort drop counter; a lost increment only undercounts drops
-            return
-        self.events.append(event)
+    def record(self, name: str, category: str, start_perf_s: float,
+               duration_s: float, track: str, sim_time_s: float = _NAN,
+               extra: Optional[Dict[str, Any]] = None) -> None:
+        """Append a row, for a caller that checked ``enabled``: all
+        positional, ``duration_s`` NaN for an instant, ``extra`` the
+        args beyond ``sim_time_s`` (kept, not copied)."""
+        rows = self.events
+        with self._lock:
+            if len(rows) >= self.max_events:
+                self.dropped += 1
+                return
+            if extra:
+                rows.extra[len(rows)] = extra
+            rows.times.extend((start_perf_s - self._epoch, duration_s, sim_time_s))
+            rows.refs.extend((name, category, track))
 
     def span(self, name: str, category: str = "", track: str = "core",
              **args: Any):
         """Measure a block: ``with tracer.span("run", track=instance): ...``"""
-        if not self.enabled:
-            return _NULL_SPAN
-        return _Span(self, name, category, track, args)
+        if self.enabled:
+            return self._timed(name, category, track, args)
+        return _NULL_SPAN
+
+    @contextmanager
+    def _timed(self, name: str, category: str, track: str, args: dict):
+        start = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.complete(name, category, start,
+                          time.perf_counter() - start, track, **args)
 
     def complete(self, name: str, category: str, start_perf_s: float,
                  duration_s: float, track: str = "core", **args: Any) -> None:
@@ -175,29 +213,19 @@ class Tracer:
 
         ``start_perf_s`` is a raw ``time.perf_counter()`` reading taken by
         the caller (the scheduler measures latency itself so metrics and
-        the trace share one pair of clock reads).
+        the trace share one pair of clock reads).  A span's name and
+        track are often built per call (``rpc.serve:<method>``), so they
+        are interned here; :meth:`record` trusts its caller's.
         """
         if self.enabled:
-            self.record_complete(name, category, start_perf_s, duration_s,
-                                 track, args)
-
-    def record_complete(self, name: str, category: str, start_perf_s: float,
-                        duration_s: float, track: str,
-                        args: Dict[str, Any]) -> None:
-        """:meth:`complete` for a caller that checked ``enabled`` and
-        holds the args dict: all positional, the event built as a tuple."""
-        self._record(_new_event(TraceEvent, (
-            name, category, "X", start_perf_s - self._epoch, duration_s,
-            track, args,
-        )))
+            self.record(intern(name), category, start_perf_s, duration_s,
+                        intern(track), extra=args)
 
     def instant(self, name: str, category: str = "", track: str = "core",
                 **args: Any) -> None:
         if self.enabled:
-            self._record(TraceEvent(
-                name, category, "i", time.perf_counter() - self._epoch, 0.0,
-                track, args,
-            ))
+            self.complete(name, category, time.perf_counter(), _NAN, track,
+                          **args)
 
     # -- export --------------------------------------------------------------
 

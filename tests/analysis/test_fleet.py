@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from repro.analysis.fleet import state_histogram_batch, window_moments_batch
-from repro.analysis.peer import state_histogram
+
+from .oracles import state_histogram
 
 
 class TestStateHistogramBatch:

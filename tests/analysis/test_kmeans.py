@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.analysis import assign_nearest, fit_kmeans, nearest_k
+from repro.analysis import assign_nearest, fit_kmeans
+
+from .oracles import nearest_k
 
 
 def blobs(seed: int = 0, per_cluster: int = 50):

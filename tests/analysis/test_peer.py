@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.analysis import (
-    state_histogram,
     state_vector_l1_deviation,
     whitebox_anomalies,
     whitebox_deviations,
     whitebox_thresholds,
 )
+
+from .oracles import state_histogram
 
 
 class TestStateHistogram:

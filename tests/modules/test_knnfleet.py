@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis.kmeans import nearest_k
+from analysis.oracles import nearest_k
 from repro.core import ConfigError, ModuleError
 
 from .helpers import build_core, collected, vector_series

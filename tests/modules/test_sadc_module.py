@@ -58,6 +58,29 @@ class TestSadcModule:
         assert module.priming_skips == 1
         assert module.samples_collected == 2
 
+    def test_a_channel_error_is_a_skipped_sample(self):
+        from repro.rpc.protocol import RemoteError
+
+        def respond(now):
+            if now == 1.0:
+                raise RemoteError("daemon raised")
+            return sample_response()
+
+        core = build_core(BASIC_CONFIG, make_services(FakeChannel({"sample": respond})))
+        core.run_until(3.0)
+        module = core.instance("s")
+        assert module.poll_errors == 1
+        assert module.samples_collected == 3
+        assert [s.timestamp for s in core.instance("sink").received] == [0.0, 2.0, 3.0]
+
+    def test_any_other_error_still_leaves_run(self):
+        def respond(now):
+            raise KeyError("not the channel's")
+
+        core = build_core(BASIC_CONFIG, make_services(FakeChannel({"sample": respond})))
+        with pytest.raises(KeyError):
+            core.run_until(0.0)
+
     def test_named_metric_outputs(self):
         config = """
 [sadc]

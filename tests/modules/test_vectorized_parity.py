@@ -10,7 +10,8 @@ reference implementations on randomized inputs -- equality is exact
 
 import numpy as np
 
-from repro.analysis.kmeans import nearest_k, nearest_k_batch
+from analysis.oracles import nearest_k
+from repro.analysis.kmeans import nearest_k_batch
 from repro.modules._window_sync import TimedWindow
 
 from .helpers import build_core, collected, vector_series

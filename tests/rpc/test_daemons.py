@@ -154,48 +154,3 @@ class TestHadoopLogDaemon:
         result = daemon.rpc_collect(now=10.0)
         for vector in result["vectors"]:
             assert all(isinstance(x, float) for x in vector)
-
-
-class TestObservatoryDaemon:
-    def make_daemon(self):
-        from repro.analysis.metrics import Alarm, GroundTruth
-        from repro.obsv import Observatory
-        from repro.rpc import ObservatoryDaemon
-
-        observatory = Observatory()
-        observatory.register_ground_truth(
-            "CPUHog", GroundTruth(faulty_node="slave01", inject_time=10.0)
-        )
-        observatory.observe_alarm(
-            Alarm(time=30.0, node="slave01", source="blackbox"),
-            delivered=(),
-            sim_now=30.0,
-        )
-        return ObservatoryDaemon(observatory)
-
-    def test_health_and_scoreboard(self):
-        daemon = self.make_daemon()
-        assert daemon.rpc_health()["alarms_seen"] == 1
-        scoreboard = daemon.rpc_scoreboard()
-        assert scoreboard["format"] == "asdf-scoreboard/1"
-        assert scoreboard["faults"]["CPUHog"]["true_alarms"] == 1
-
-    def test_alarms_casts_wire_floats(self):
-        # RPC params arrive as JSON numbers; tail must tolerate floats.
-        daemon = self.make_daemon()
-        doc = daemon.rpc_alarms(tail=1.0)
-        assert set(doc) == {"total", "returned", "alarms"}
-
-    def test_metrics_exposition_and_meter(self):
-        daemon = self.make_daemon()
-        text = daemon.rpc_metrics()
-        assert isinstance(text, str)
-        assert daemon.meter.calls >= 1
-
-    def test_methods_are_rpc_discoverable(self):
-        from repro.rpc import handler_methods
-
-        methods = handler_methods(self.make_daemon())
-        assert {"health", "status", "scoreboard", "alarms", "metrics"} <= set(
-            methods
-        )
