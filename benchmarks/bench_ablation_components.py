@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.analysis import fit_kmeans
 from repro.core import FptCore, Module, ModuleRegistry, RunReason, SimClock
-from repro.hadoop import ClusterConfig, HadoopCluster, NodeLogParser
+from repro.hadoop import ClusterConfig, HadoopCluster, StateVectorStream
 from repro.workloads import GridMixConfig, generate_workload
 
 
@@ -77,10 +77,10 @@ def test_log_parser_throughput(benchmark):
     assert len(lines) > 500
 
     def parse_all():
-        parser = NodeLogParser("bench")
+        stream = StateVectorStream("bench")
         for line in lines:
-            parser.feed_line(line)
-        return parser.lines_parsed
+            stream.feed_line(line)
+        return stream.lines_parsed
 
     parsed = benchmark(parse_all)
     assert parsed > 0
@@ -88,12 +88,17 @@ def test_log_parser_throughput(benchmark):
 
 def test_state_vector_extraction(benchmark):
     lines = _sample_logs()
-    parser = NodeLogParser("bench")
-    for line in lines:
-        parser.feed_line(line)
 
-    matrix = benchmark(lambda: parser.state_vectors(0, 400))
-    assert matrix.shape == (400, 8)
+    def fed_stream():
+        stream = StateVectorStream("bench")
+        for line in lines:
+            stream.feed_line(line)
+        return (stream,), {}
+
+    rows = benchmark.pedantic(
+        lambda stream: stream.take(400), setup=fed_stream, rounds=20
+    )
+    assert np.array(rows).shape == (400, 8)
 
 
 def test_kmeans_training_cost(benchmark):

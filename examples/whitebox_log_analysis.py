@@ -16,7 +16,7 @@ from repro.faults import FaultSpec, make_fault
 from repro.hadoop import (
     ClusterConfig,
     HadoopCluster,
-    NodeLogParser,
+    StateVectorStream,
     WHITEBOX_STATES,
 )
 from repro.workloads import GridMixConfig, generate_workload
@@ -48,12 +48,12 @@ def main() -> None:
     # Parse every node's logs into per-second state vectors.
     vectors = {}
     for node in cluster.slave_names:
-        parser = NodeLogParser(node)
+        stream = StateVectorStream(node)
         for record in cluster.tt_logs[node].records():
-            parser.feed_line(record.line)
+            stream.feed_line(record.line)
         for record in cluster.dn_logs[node].records():
-            parser.feed_line(record.line)
-        vectors[node] = parser.state_vectors(0, int(DURATION))
+            stream.feed_line(record.line)
+        vectors[node] = np.array(stream.take(int(DURATION)))
 
     print(f"\nstates: {WHITEBOX_STATES}")
     print(f"\n{'window':>8}  anomalous nodes (|mean - median| > max(1, 2*sigma_med))")

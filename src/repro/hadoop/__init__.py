@@ -3,15 +3,14 @@
 The substrate under the paper's evaluation (section 4).  ASDF itself
 never reaches into this package's internals -- it observes the cluster
 only through the two interfaces the real system offered: per-node
-``/proc`` counters (:mod:`repro.sysstat`) and the Hadoop daemon logs
-parsed by :class:`StateVectorStream` (streaming) or
-:class:`NodeLogParser` (random access).
+``/proc`` counters (:mod:`repro.sysstat`) and the Hadoop daemon logs,
+parsed by :class:`StateVectorStream`.
 """
 
 from .cluster import ClusterConfig, ExternalLoad, HadoopCluster
 from .hdfs import Block, DataNode, NameNode
 from .job import BLOCK_SIZE, MB, JobCostModel, JobSpec, TaskKind, parse_task_id, task_id
-from .log_parser import NodeLogParser, StateVectorStream
+from .log_parser import StateVectorStream
 from .logs import (
     DATANODE_CLASS,
     LOG_EPOCH,
@@ -63,7 +62,6 @@ __all__ = [
     "MB",
     "MapAttempt",
     "NameNode",
-    "NodeLogParser",
     "ReduceAttempt",
     "ReducePhase",
     "StateVectorStream",

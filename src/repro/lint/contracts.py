@@ -340,14 +340,14 @@ def standard_contracts() -> ContractRegistry:
             trigger=TriggerSpec.periodic(),
             cost=CostFact(
                 terms=(
-                    # bench/ stage table, fleet50 traced passes at 200 us/cu:
-                    # modules.sadc + rpc.inproc_sadc + sysstat.collect read
-                    # 29-35 us with tracing's 10-14 % on top, so 26-31
-                    # untraced (53-55 us before the row crossed as one
-                    # array; the old 20 + 0.3 x 64 = 39 was a guess).  The
-                    # row is one 512-byte copy, so no per-metric term.
+                    # bench/ stage table, fleet50 traced passes of seeds
+                    # 1-3 at 200 us/cu: modules.sadc + rpc.inproc_sadc +
+                    # sysstat.collect read 18.8 / 19.2 / 18.8 us (median
+                    # 18.8) with tracing's 15-22 % on top, so 15-16
+                    # untraced (30 before the calls ran on plans, 53-55
+                    # before the row crossed as one array); no per-metric term.
                     CostTerm(
-                        30.0, "trigger",
+                        16.0, "trigger",
                         note="fleet-pass row + round trip: stage table, 200 us/cu",
                     ),
                 ),
@@ -371,13 +371,13 @@ def standard_contracts() -> ContractRegistry:
             check=_check_hadoop_log,
             cost=CostFact(
                 terms=(
-                    # bench/ stage table, fleet50 traced passes at 200 us/cu:
-                    # modules.hadoop_log + rpc.inproc_hl + hadoop.log_parse
-                    # read 46-54 us with tracing's 10-14 % on top, so
-                    # 41-47 untraced (two daemons polled per node; 87 us
-                    # before they streamed their counts over codec v2).
+                    # Same passes: modules.hadoop_log + rpc.inproc_hl +
+                    # hadoop.log_parse read 30.7 / 31.8 / 30.8 us (median
+                    # 30.8), so 25-27 untraced (two daemons polled per
+                    # node; 45 before the calls ran on plans, 87 before
+                    # they streamed their counts over codec v2).
                     CostTerm(
-                        45.0, "trigger", ("nodes",),
+                        27.0, "trigger", ("nodes",),
                         "per-node tt+dn collect: stage table, 200 us/cu",
                     ),
                 ),

@@ -13,16 +13,11 @@ counter keeps accumulating across connections), *trace propagation*
 span), and *peer-labelled* protocol errors so a malformed frame is
 attributable to a concrete remote address in cluster logs.
 
-Every hello advertises ``["bin", "json"]``: a server whose handler
-publishes a metric catalog answers with ``bin`` plus the catalog, any
-other welcome (no ``codec`` key) leaves the connection on JSON.  The
-call path is *split*:
-:meth:`RpcClient.begin_call` encodes + sends the request and returns a
-pending handle, :meth:`RpcClient.finish_call` consumes the decoded
-response -- which is what lets the cluster's selectors-based
-:class:`~repro.rpc.poller.MultiPoller` keep one request in flight to
-every node simultaneously.  :meth:`call` composes the two halves into
-the original blocking round-trip.
+The hello offers both codecs; a binary welcome compiles the
+connection's call plans (:mod:`repro.rpc.codec`).  :meth:`begin_call`
+sends a request and :meth:`finish_call` decodes its response, so the
+selectors-based :class:`~repro.rpc.poller.MultiPoller` can keep one
+request in flight to every node; :meth:`call` is the two in a row.
 """
 
 from __future__ import annotations
@@ -32,14 +27,15 @@ import random
 import socket
 import time
 import zlib
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from .codec import (
     CODEC_BINARY,
     CODEC_JSON,
+    call_plans,
     decode_message,
     encode_request_frame,
-    read_frame,
+    recv_frame,
     welcome_codec,
 )
 from .protocol import (
@@ -113,13 +109,19 @@ class RpcClient:
         )
         self._sock.sendall(hello)
         self.counter.count_tx(len(hello), static=True)
-        welcome, consumed = self._read_frame()
-        self.counter.count_rx(consumed, static=True)
+        data = self._recv()
+        welcome, _ = decode_message(data, self.peer, (), self.frame_limit)
+        self.counter.count_rx(len(data), static=True)
         if "welcome" not in welcome:
             raise ProtocolError(f"expected welcome, got {welcome!r} (peer {self.peer})")
         self.service: str = welcome["welcome"]
         self.methods: List[str] = list(welcome.get("methods", []))
         self.codec, self.metric_names = welcome_codec(welcome)
+        #: This connection's compiled steady calls (``codec.call_plans``).
+        self._plans = call_plans(
+            self.codec, self.methods, self.metric_names, self.peer,
+            self.frame_limit,
+        )
 
     def reconnect(self, retries: int = 10, delay_s: float = 0.25,
                   max_delay_s: float = RECONNECT_MAX_DELAY_S) -> None:
@@ -157,26 +159,15 @@ class RpcClient:
             f"{last_error}"
         )
 
-    def _read_frame(self) -> Tuple[Dict[str, Any], int]:
+    def _recv(self) -> bytes:
         if self._sock is None:
             raise ProtocolError(f"client not connected (peer {self.peer})")
-        frame = read_frame(
-            self._sock, peer=self.peer,
-            metric_names=getattr(self, "metric_names", ()),
-            limit=self.frame_limit,
-        )
-        if frame is None:
+        data = recv_frame(self._sock, peer=self.peer, limit=self.frame_limit)
+        if data is None:
             raise ProtocolError(
                 f"connection closed before frame (peer {self.peer})"
             )
-        return frame
-
-    def decode(self, data: bytes) -> Tuple[Dict[str, Any], int]:
-        """Decode one complete frame in this connection's codec."""
-        return decode_message(
-            data, peer=self.peer, metric_names=getattr(self, "metric_names", ()),
-            limit=self.frame_limit,
-        )
+        return data
 
     def begin_call(self, method: str, trace: Optional[TraceContext] = None,
                    **params: Any) -> _PendingCall:
@@ -189,25 +180,28 @@ class RpcClient:
         if self._sock is None:
             raise ProtocolError(f"client is closed (peer {self.peer})")
         request_id = next(self._ids)
-        frame = encode_request_frame(
-            request_id, method, params,
-            trace.to_wire() if trace is not None else None,
-            codec=self.codec, peer=self.peer, limit=self.frame_limit,
-        )
+        plan = self._plans.get(method) if trace is None else None
+        frame = plan.request(request_id, params) if plan is not None else None
+        if frame is None:
+            frame = encode_request_frame(
+                request_id, method, params,
+                trace.to_wire() if trace is not None else None,
+                codec=self.codec, peer=self.peer, limit=self.frame_limit,
+            )
         started = time.perf_counter()
         self._sock.sendall(frame)
         self.counter.count_tx(len(frame))
         return _PendingCall(request_id, method, trace, started)
 
-    def finish_call(self, pending: _PendingCall, response: Dict[str, Any],
-                    consumed: int) -> Any:
-        """Account + validate one decoded response; returns the result.
+    def finish_call(self, pending: _PendingCall, data: bytes) -> Any:
+        """Account + decode one whole response frame; returns the result.
 
         Raises :class:`RemoteError` when the response carries a remote
-        error, :class:`ProtocolError` on a request-id mismatch.
+        error, :class:`ProtocolError` on a malformed frame or a
+        request-id mismatch.
         """
         duration = time.perf_counter() - pending.started
-        self.counter.count_rx(consumed)
+        self.counter.count_rx(len(data))
         telemetry = self.telemetry
         if (telemetry is not None and telemetry.enabled
                 and telemetry.tracer.enabled):
@@ -221,6 +215,14 @@ class RpcClient:
                 f"rpc.call:{pending.method}", "rpc", pending.started,
                 duration, track=f"rpc:{self.service}", **args,
             )
+        # Whichever way the request went, a plan reads its layout's
+        # response and hands any other frame to the general decoder.
+        plan = self._plans.get(pending.method)
+        if plan is not None:
+            return plan.result(data, pending.request_id)
+        response, _ = decode_message(
+            data, self.peer, self.metric_names, self.frame_limit
+        )
         return response_result(response, pending.request_id, self.peer)
 
     def call(self, method: str, trace: Optional[TraceContext] = None,
@@ -233,8 +235,7 @@ class RpcClient:
         this client's telemetry tracer.
         """
         pending = self.begin_call(method, trace=trace, **params)
-        response, consumed = self._read_frame()
-        return self.finish_call(pending, response, consumed)
+        return self.finish_call(pending, self._recv())
 
     def close(self) -> None:
         if self._sock is None:

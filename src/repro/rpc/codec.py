@@ -1,28 +1,16 @@
 """Binary codec v2: struct-packed frames for the hot poll path.
 
-The v1 wire format serializes every message as JSON, which makes the
-per-iteration bandwidth of Table 4 dominated by repeating the 64 metric
-*names* in every single sample.  Codec v2 interns the metric-name
-catalog once, at connection setup: the server's welcome carries the
-ordered name list, and every subsequent sample frame packs only the
-float *rows* (IEEE-754 doubles, big-endian) plus a tiny fixed header.
-
-Framing is unchanged -- 4-byte big-endian payload length -- so both
-codecs share the socket read loop and the byte accounting.  Within a
-frame, the first payload byte discriminates: JSON payloads always start
-with ``{`` (0x7B); binary payloads start with :data:`MAGIC` (0xA5).
-Decoding is *transparent*: :func:`decode_message` returns exactly the
-dict shape the JSON codec would have produced, so dispatch, tracing and
-error handling upstack are codec-blind.
-
-Negotiation: a v2 client advertises ``codecs: ["bin", "json"]`` in its
-hello; a v2 server answers with the chosen ``codec`` plus the interned
-``metrics`` list in its welcome.  A v1 peer ignores the unknown fields
-(or never sends them), so either side silently falls back to JSON --
-cross-version deployments keep working during a rolling upgrade.
-
-Binary message layouts (all big-endian; ``<len:u32>``, the framing's
-payload length, comes first):
+JSON frames repeat the 64 metric *names* in every sample, which is what
+Table 4's per-iteration bandwidth would measure.  Codec v2 interns the
+catalog once, at connection setup -- a v2 client's hello offers
+``codecs: ["bin", "json"]``, the welcome answers with ``codec`` and the
+ordered ``metrics`` -- and every sample frame then carries float rows
+(IEEE-754 doubles, big-endian) behind a small header.  A v1 peer never
+sends or reads those fields and stays on JSON.  The framing (a 4-byte
+big-endian payload length) is shared; the first payload byte tells the
+codecs apart: ``{`` (0x7B) for JSON, :data:`MAGIC` (0xA5) for binary.
+:func:`decode_message` returns the dict the JSON codec would have, so
+everything upstack is codec-blind.  Layouts (after the length prefix):
 
 .. code-block:: text
 
@@ -34,46 +22,37 @@ payload length, comes first):
    error     A5 03 <id:u32> <flags:u8> [trace] <msg_len:u16> <message>
    series    A5 04 <id:u32> <flags:u8> <watermark:f64> <first:i64>
              <n_rows:u16> n_rows x (<row: n x f64>) [trace]
-
    trace     <flags:u8> <trace_id:8s> <span_id:4s> [parent_id:4s]
              <origin_len:u8> <origin>
 
-A *series* is the ``collect`` result of ``hadoop_log_rpcd``: ``seconds``
-(``first``, ``first + 1``, ...), one ``vectors`` row per second against
-the interned catalog, and ``watermark``.
+A *series* is ``hadoop_log_rpcd``'s ``collect`` result: ``seconds``
+``first, first + 1, ...``, one ``vectors`` row per second, ``watermark``.
 
-The three frames of the steady poll have one fixed layout each -- the
-same bytes as above, not a second format -- packed by one precompiled
-``Struct.pack`` (length prefix included) and read by one ``unpack_from``
-when the frame's length and flags are the layout's:
+**Call plans.**  A connection that settles on ``bin`` compiles its
+steady frames at the welcome: :func:`call_plans` builds a
+:class:`CallPlan` per binary method, holding the request ``Struct`` per
+param flags (``>IBBIBB`` + ``""``/``"d"``/``"H"``/``"dH"``), the response
+layout -- ``_sample_struct(len(name))`` for ``sample`` (one window, flags
+0x02), ``_series_struct(rows * width)`` for ``collect``, the window walk
+for ``poll_many`` -- and, serving, the handler's bound ``rpc_*`` method,
+looked up per connection so that a wrapper put on the class before the
+connection opened sees every call.  An untraced call is then pack ->
+unpack -> handler -> pack -> unpack with no payload dict between.  The
+general functions here take the rest -- traced frames, errors, the
+priming ``None``, results the layout cannot carry, JSON -- and walk
+binary frames field by field (:class:`_Reader`), which names a frame
+truncated or trailed; a plan hands them any frame that is not its
+layout, so both give the same bytes, decoded objects and errors.
 
-.. code-block:: text
-
-   request, untraced     >IBBIBB + "" | "d" | "H" | "dH" by flags 0x02
-                         (now) and 0x04 (max_windows): 12/20/14/22 bytes
-   one sample, untraced  >IBBIBB{name_len}sHdd, flags 0x02, n_windows 1,
-                         then the row: 30 + name_len + 8 n bytes
-   series                >IBBIBdqH{n_rows * n}d, then the trace if any
-
-A traced request or sample, an error, a ``None`` or batch result, and
-any frame whose length disagrees with its layout are walked field by
-field (:class:`_Reader`), which is what names a frame truncated or
-trailed.
-
-A sample's ``node`` is a :class:`~repro.rpc.protocol.MetricRow`.  When
-its catalog *is* the connection's (catalogs are interned per process in
-:func:`welcome_codec`, so an identity test) the row goes out as
-``row.astype(">f8").tobytes()`` whatever its numeric dtype or strides;
-a row against another catalog, or a plain dict, is read name by name
-into the same bytes.  Decoding wraps ``np.frombuffer`` of the wire row,
-as native float64, for single samples and batches alike.
-
-Anything a binary frame cannot represent (extra params, a node mapping
-whose keys differ from the interned catalog, a result or window with
-keys besides the ones laid out above, a node name over 255 bytes,
-seconds with a gap, a ragged or non-numeric row, non-hex trace ids)
-falls back to a JSON frame on the same connection -- per-message, not
-per-connection -- so correctness never depends on the fast path.
+A sample's ``node`` is a :class:`~repro.rpc.protocol.MetricRow`.  A row
+against the connection's own catalog (interned per process, so an
+identity test) goes out as ``row.astype(">f8").tobytes()``; another
+mapping is read name by name into the same bytes.  Decoding wraps the
+wire row as native float64.  Anything a binary frame cannot represent
+(extra params, a mapping whose keys differ from the catalog, extra
+result keys, a node name over 255 bytes, seconds with a gap, a ragged or
+non-numeric row, non-hex trace ids) goes out as JSON on the same
+connection, per message.
 """
 
 from __future__ import annotations
@@ -90,11 +69,15 @@ from .protocol import (
     ProtocolError,
     _LENGTH,
     _peer_suffix,
+    body_length,
     decode_frame,
     encode_frame,
+    frame_end,
+    frame_length,
+    handler_failure,
     intern_catalog,
     make_request,
-    max_frame_bytes,
+    response_result,
 )
 
 __all__ = [
@@ -102,12 +85,16 @@ __all__ = [
     "CODEC_JSON",
     "MAGIC",
     "BINARY_METHOD_IDS",
+    "CallPlan",
+    "call_plans",
     "decode_message",
     "encode_request_frame",
     "encode_response_frame",
     "frame_length",
     "is_binary_payload",
+    "planned_answer",
     "read_frame",
+    "recv_frame",
     "welcome_codec",
 ]
 
@@ -156,8 +143,9 @@ _U16 = struct.Struct(">H")
 _WIRE_F64 = np.dtype(">f8")
 
 #: The params behind a request's method byte, by the flags that announce
-#: them: alone they make the whole untraced frame (``_REQUEST``), behind
-#: a trace block they are the frame's tail (``_REQUEST_TAIL``).
+#: them: alone they make the whole untraced frame a plan packs
+#: (``_REQUEST``), behind a trace block the tail the walk reads
+#: (``_REQUEST_TAIL``).
 _REQUEST_PARAM_FORMATS = {
     0: "", _RQ_NOW: "d", _RQ_MAXW: "H", _RQ_NOW | _RQ_MAXW: "dH",
 }
@@ -204,40 +192,13 @@ def is_binary_payload(body: bytes) -> bool:
     return bool(body) and body[0] == MAGIC
 
 
-def frame_length(
-    data: bytes, peer: str = "", limit: Optional[int] = None
-) -> Optional[int]:
-    """Total bytes of the frame at the head of ``data``; None if the
-    length prefix itself is still incomplete.
+def recv_frame(
+    sock: Any, peer: str = "", limit: Optional[int] = None
+) -> Optional[bytes]:
+    """Read one whole frame, length prefix included, from a blocking
+    socket; ``None`` when the peer closed before the frame's first byte.
 
-    Raises :class:`ProtocolError` when the advertised length exceeds the
-    frame limit -- the connection is unrecoverable at that point, which
-    is exactly what an incremental reader needs to know *before* it
-    buffers an attacker-sized body.  ``limit`` is the connection's
-    resolved limit (see :func:`repro.rpc.protocol.encode_frame`), here
-    and in every function below that takes one.
-    """
-    if len(data) < _LENGTH.size:
-        return None
-    (length,) = _LENGTH.unpack_from(data)
-    if limit is None:
-        limit = max_frame_bytes()
-    if length > limit:
-        raise ProtocolError(
-            f"frame length {length} exceeds maximum {limit}"
-            f"{_peer_suffix(peer)}"
-        )
-    return _LENGTH.size + length
-
-
-def read_frame(
-    sock: Any, peer: str = "", metric_names: Sequence[str] = (),
-    limit: Optional[int] = None,
-) -> Optional[Tuple[Dict[str, Any], int]]:
-    """Read and decode one frame (either codec) from a blocking socket.
-
-    ``None`` when the peer closed before the frame's first byte.  The
-    advertised length is held against the limit *before* the body is
+    The advertised length is held against the limit *before* the body is
     read, so a garbage prefix fails at once instead of buffering until
     the peer closes or the socket times out.
     """
@@ -254,6 +215,17 @@ def read_frame(
         data += chunk
         if len(data) == _LENGTH.size:
             want = frame_length(data, peer=peer, limit=limit)
+    return data
+
+
+def read_frame(
+    sock: Any, peer: str = "", metric_names: Sequence[str] = (),
+    limit: Optional[int] = None,
+) -> Optional[Tuple[Dict[str, Any], int]]:
+    """:func:`recv_frame`, then :func:`decode_message` (either codec)."""
+    data = recv_frame(sock, peer, limit)
+    if data is None:
+        return None
     return decode_message(
         data, peer=peer, metric_names=metric_names, limit=limit
     )
@@ -267,32 +239,22 @@ def _pack_trace(trace_wire: Optional[Dict[str, Any]]) -> Optional[bytes]:
     if trace_wire is None:
         return b""
     try:
-        trace_id = bytes.fromhex(trace_wire["id"])
-        span_id = bytes.fromhex(trace_wire["span"])
+        ids = [bytes.fromhex(trace_wire["id"]), bytes.fromhex(trace_wire["span"])]
         parent = trace_wire.get("parent")
-        parent_id = bytes.fromhex(parent) if parent is not None else None
+        if parent is not None:
+            ids.append(bytes.fromhex(parent))
     except (KeyError, TypeError, ValueError):
         return None
-    if len(trace_id) != 8 or len(span_id) != 4:
-        return None
-    if parent_id is not None and len(parent_id) != 4:
-        return None
     origin = str(trace_wire.get("origin", "")).encode("utf-8")
-    if len(origin) > 255:
+    if [len(part) for part in ids] not in ([8, 4], [8, 4, 4]) or len(origin) > 255:
         return None
-    flags = _TR_PARENT if parent_id is not None else 0
-    parts = [bytes((flags,)), trace_id, span_id]
-    if parent_id is not None:
-        parts.append(parent_id)
-    parts.append(bytes((len(origin),)))
-    parts.append(origin)
-    return b"".join(parts)
+    flags = _TR_PARENT if parent is not None else 0
+    return bytes((flags,)) + b"".join(ids) + bytes((len(origin),)) + origin
 
 
 class _Reader:
-    """Bounds-checked cursor over one binary frame, for the shapes no
-    fixed layout covers: traced frames, errors, batches, and any frame
-    whose length disagrees with its layout (to say how)."""
+    """Bounds-checked cursor over one binary frame: the field-by-field
+    walk of the general decoder and of the ``poll_many`` plan."""
 
     __slots__ = ("data", "pos", "end", "peer")
 
@@ -347,28 +309,39 @@ def _unpack_trace(reader: _Reader) -> Dict[str, Any]:
 
 # -- encoding -----------------------------------------------------------------
 
-def _body_length(frame_bytes: int, peer: str, limit: Optional[int]) -> int:
-    """The length prefix of a frame of ``frame_bytes``, limit checked."""
-    length = frame_bytes - _LENGTH.size
-    if limit is None:
-        limit = max_frame_bytes()
-    if length > limit:
-        raise ProtocolError(
-            f"frame too large: {length} bytes > limit {limit}"
-            f"{_peer_suffix(peer)}"
-        )
-    return length
-
-
 def _frame(
     kind: int, request_id: int, flags: int, tail: bytes,
     peer: str, limit: Optional[int],
 ) -> bytes:
-    """A binary frame no fixed layout covers: the head, then ``tail``."""
+    """A binary frame: the head, then ``tail``."""
     return _FRAME_HEAD.pack(
-        _body_length(_FRAME_HEAD.size + len(tail), peer, limit),
+        body_length(_FRAME_HEAD.size + len(tail), peer, limit),
         MAGIC, kind, request_id, flags,
     ) + tail
+
+
+def _request_values(params: Dict[str, Any]) -> Optional[Tuple[int, Tuple[Any, ...]]]:
+    """A request's param flags and packed values; None when the params
+    carry more than ``now`` and ``max_windows``."""
+    if not params.keys() <= _REQUEST_PARAMS:
+        return None
+    now, maxw = params.get("now"), params.get("max_windows")
+    if maxw is None:
+        return (0, ()) if now is None else (_RQ_NOW, (float(now),))
+    maxw = min(0xFFFF, max(0, int(maxw)))
+    if now is None:
+        return _RQ_MAXW, (maxw,)
+    return _RQ_NOW | _RQ_MAXW, (float(now), maxw)
+
+
+def _request_params(flags: int, values: Sequence[Any]) -> Dict[str, Any]:
+    """The params a request's flags and unpacked values stand for."""
+    params: Dict[str, Any] = {}
+    if flags & _RQ_NOW:
+        params["now"] = values[0]
+    if flags & _RQ_MAXW:
+        params["max_windows"] = values[-1]
+    return params
 
 
 def encode_request_frame(
@@ -387,32 +360,17 @@ def encode_request_frame(
     """
     params = params or {}
     method_id = BINARY_METHOD_IDS.get(method) if codec == CODEC_BINARY else None
-    if method_id is not None and params.keys() <= _REQUEST_PARAMS:
-        packed_trace = _pack_trace(trace_wire)
-        if packed_trace is not None:
-            flags = 0
-            values: List[Any] = []
-            now = params.get("now")
-            if now is not None:
-                flags |= _RQ_NOW
-                values.append(float(now))
-            maxw = params.get("max_windows")
-            if maxw is not None:
-                flags |= _RQ_MAXW
-                values.append(min(0xFFFF, max(0, int(maxw))))
-            request_id &= 0xFFFFFFFF
-            if not packed_trace:
-                layout = _REQUEST[flags]
-                return layout.pack(
-                    _body_length(layout.size, peer, limit), MAGIC,
-                    _KIND_REQUEST, request_id, flags, method_id, *values,
-                )
-            return _frame(
-                _KIND_REQUEST, request_id, flags | _RQ_TRACE,
-                bytes((method_id,)) + packed_trace
-                + _REQUEST_TAIL[flags].pack(*values),
-                peer, limit,
-            )
+    fit = _request_values(params) if method_id is not None else None
+    packed_trace = _pack_trace(trace_wire) if fit is not None else None
+    if packed_trace is not None:
+        flags, values = fit
+        return _frame(
+            _KIND_REQUEST, request_id & 0xFFFFFFFF,
+            flags | (_RQ_TRACE if packed_trace else 0),
+            bytes((method_id,)) + packed_trace
+            + _REQUEST_TAIL[flags].pack(*values),
+            peer, limit,
+        )
     frame: Dict[str, Any] = make_request(request_id, method, params)
     if trace_wire is not None:
         frame["trace"] = trace_wire
@@ -486,13 +444,13 @@ def encode_response_frame(
 
 
 def _pack_series(
-    result: Dict[str, Any], request_id: int, packed_trace: bytes,
+    result: Any, request_id: int, packed_trace: bytes,
     width: int, peer: str, limit: Optional[int],
 ) -> Optional[bytes]:
     """Pack a ``collect`` result; None unless it is exactly consecutive
     integer ``seconds``, as many ``vectors`` of ``width`` numbers each,
     and a ``watermark``."""
-    if result.keys() != _SERIES_KEYS:
+    if not isinstance(result, dict) or result.keys() != _SERIES_KEYS:
         return None
     seconds, vectors = result["seconds"], result["vectors"]
     try:
@@ -504,7 +462,7 @@ def _pack_series(
             return None
         layout = _series_struct(rows * width)
         return layout.pack(
-            _body_length(layout.size + len(packed_trace), peer, limit),
+            body_length(layout.size + len(packed_trace), peer, limit),
             MAGIC, _KIND_SERIES, request_id,
             _RS_TRACE if packed_trace else 0,
             result["watermark"], first, rows,
@@ -550,15 +508,6 @@ def _pack_result(
     packed = [_pack_window(window, metric_names) for window in windows]
     if None in packed:
         return None
-    if flags == _RS_SINGLE:
-        # The untraced single sample: one fixed layout, then the row.
-        ((timestamp, emit_wall, row),) = packed
-        layout = _sample_struct(len(name))
-        return layout.pack(
-            _body_length(layout.size + len(row), peer, limit), MAGIC,
-            _KIND_RESPONSE, request_id, flags, len(name), name, 1,
-            timestamp, emit_wall,
-        ) + row
     parts = [packed_trace, bytes((len(name),)), name, _U16.pack(len(packed))]
     for timestamp, emit_wall, row in packed:
         parts.append(_STAMPS.pack(timestamp, emit_wall))
@@ -576,37 +525,31 @@ def _truncated(what: str, total: int, peer: str) -> ProtocolError:
     )
 
 
-def _unpack_series(
-    data: bytes, total: int, request_id: int, flags: int, peer: str,
-    width: int,
-) -> Dict[str, Any]:
+def _series_at(
+    data: bytes, total: int, peer: str, width: int
+) -> Tuple[Dict[str, Any], int]:
+    """A series message's result, and where its trace block would start."""
     if total < _SERIES_ROWS_AT + _U16.size:
         raise _truncated("series", total, peer)
     (rows,) = _U16.unpack_from(data, _SERIES_ROWS_AT)
     layout = _series_struct(rows * width)
     if total < layout.size:
         raise _truncated("series", total, peer)
-    fields = layout.unpack_from(data)
-    watermark, first, values = fields[5], fields[6], fields[8:]
     if rows and not width:
         raise ProtocolError(
             f"binary series frame but no interned metric catalog "
             f"negotiated{_peer_suffix(peer)}"
         )
-    payload: Dict[str, Any] = {"id": request_id}
-    if flags & _RS_TRACE or total != layout.size:
-        reader = _Reader(data, peer, layout.size, total)
-        if flags & _RS_TRACE:
-            payload["trace"] = _unpack_trace(reader)
-        reader.done()
-    payload["result"] = {
+    fields = layout.unpack_from(data)
+    first = fields[6]
+    return {
         "seconds": list(range(first, first + rows)),
-        "vectors": [
-            list(values[at:at + width]) for at in range(0, len(values), width)
+        "vectors": [list(fields[8:])] if rows == 1 else [
+            list(fields[8 + at * width:8 + (at + 1) * width])
+            for at in range(rows)
         ],
-        "watermark": watermark,
-    }
-    return payload
+        "watermark": fields[5],
+    }, layout.size
 
 
 def decode_message(
@@ -620,76 +563,54 @@ def decode_message(
     :class:`~repro.rpc.protocol.MetricRow` over the decoded row, which
     equals the dict); raises :class:`ProtocolError` on truncated,
     oversized or garbage input, labelled with ``peer``.
-
-    The untraced request, the untraced single sample and the series are
-    read by one ``unpack_from`` when the frame's length is their
-    layout's; everything else -- and a frame whose length disagrees --
-    is walked by a :class:`_Reader`.
     """
-    total = frame_length(data, peer, limit)
-    if total is None or len(data) < total:
-        raise ProtocolError(
-            f"short frame: need {total or _LENGTH.size} bytes, have "
-            f"{len(data)}{_peer_suffix(peer)}"
-        )
+    total = frame_end(data, peer, limit)
     if total == _LENGTH.size or data[_LENGTH.size] != MAGIC:
         return decode_frame(data[:total], peer=peer, limit=limit)
     if total < _FRAME_HEAD.size:
         raise _truncated("head", total, peer)
     _, _, kind, request_id, flags = _FRAME_HEAD.unpack_from(data)
-    if kind == _KIND_REQUEST:
-        return _unpack_request(data, total, request_id, flags, peer), total
-    if kind == _KIND_SERIES:
-        return _unpack_series(
-            data, total, request_id, flags, peer, len(metric_names)
-        ), total
-    if kind == _KIND_RESPONSE:
-        if type(metric_names) is not tuple:
-            metric_names = tuple(metric_names)
-        return _unpack_response(
-            data, total, request_id, flags, peer, metric_names
-        ), total
-    if kind != _KIND_ERROR:
-        raise ProtocolError(
-            f"unknown binary message kind {kind}{_peer_suffix(peer)}"
-        )
     reader = _Reader(data, peer, _FRAME_HEAD.size, total)
     payload: Dict[str, Any] = {"id": request_id}
-    if flags & _RS_TRACE:
-        payload["trace"] = _unpack_trace(reader)
-    payload["error"] = reader.take(reader.u16()).decode("utf-8", "replace")
-    reader.done()
-    return payload, total
-
-
-def _unpack_request(
-    data: bytes, total: int, request_id: int, flags: int, peer: str
-) -> Dict[str, Any]:
-    layout = _REQUEST.get(flags)  # None for a traced request
-    if layout is not None and layout.size == total:
-        fields = layout.unpack_from(data)
-        method_id, values, trace = fields[5], fields[6:], None
-    else:
-        reader = _Reader(data, peer, _FRAME_HEAD.size, total)
+    if kind == _KIND_REQUEST:
         method_id = reader.u8()
         trace = _unpack_trace(reader) if flags & _RQ_TRACE else None
         tail = _REQUEST_TAIL[flags & (_RQ_NOW | _RQ_MAXW)]
         values = tail.unpack_from(data, reader.skip(tail.size))
         reader.done()
-    method = _METHOD_BY_ID.get(method_id)
-    if method is None:
+        payload["method"] = _METHOD_BY_ID.get(method_id)
+        if payload["method"] is None:
+            raise ProtocolError(
+                f"unknown binary method id {method_id}{_peer_suffix(peer)}"
+            )
+        payload["params"] = _request_params(flags, values)
+        if trace is not None:
+            payload["trace"] = trace
+    elif kind == _KIND_SERIES:
+        result, trace_at = _series_at(data, total, peer, len(metric_names))
+        reader = _Reader(data, peer, trace_at, total)
+        if flags & _RS_TRACE:
+            payload["trace"] = _unpack_trace(reader)
+        reader.done()
+        payload["result"] = result
+    elif kind in (_KIND_RESPONSE, _KIND_ERROR):
+        if flags & _RS_TRACE:
+            payload["trace"] = _unpack_trace(reader)
+        if kind == _KIND_ERROR:
+            payload["error"] = reader.take(reader.u16()).decode("utf-8", "replace")
+            reader.done()
+            return payload, total
+        name, windows = _walk_windows(reader, tuple(metric_names))
+        if not flags & _RS_SINGLE:
+            payload["result"] = {"node_name": name, "windows": windows}
+        else:
+            no_window = flags & _RS_NONE or not windows
+            payload["result"] = None if no_window else windows[0]
+    else:
         raise ProtocolError(
-            f"unknown binary method id {method_id}{_peer_suffix(peer)}"
+            f"unknown binary message kind {kind}{_peer_suffix(peer)}"
         )
-    params: Dict[str, Any] = {}
-    if flags & _RQ_NOW:
-        params["now"] = values[0]
-    if flags & _RQ_MAXW:
-        params["max_windows"] = values[-1]
-    payload = {"id": request_id, "method": method, "params": params}
-    if trace is not None:
-        payload["trace"] = trace
-    return payload
+    return payload, total
 
 
 def _window(
@@ -706,45 +627,202 @@ def _window(
     }
 
 
-def _unpack_response(
-    data: bytes, total: int, request_id: int, flags: int, peer: str,
-    metric_names: Tuple[str, ...],
-) -> Dict[str, Any]:
+def _walk_windows(
+    reader: _Reader, metric_names: Tuple[str, ...]
+) -> Tuple[str, List[Dict[str, Any]]]:
+    """A response's node name and windows, read to the end of the frame."""
     width = len(metric_names)
-    if flags == _RS_SINGLE and total > _FRAME_HEAD.size:
-        # Untraced, so the node name's length sits right behind the head.
-        layout = _sample_struct(data[_FRAME_HEAD.size])
-        if total == layout.size + 8 * width and width:
-            fields = layout.unpack_from(data)
-            if fields[7] == 1:
-                return {"id": request_id, "result": _window(
-                    fields[8], fields[9], fields[6].decode("utf-8", "replace"),
-                    data, layout.size, metric_names,
-                )}
-    reader = _Reader(data, peer, _FRAME_HEAD.size, total)
-    payload: Dict[str, Any] = {"id": request_id}
-    if flags & _RS_TRACE:
-        payload["trace"] = _unpack_trace(reader)
     name = reader.take(reader.u8()).decode("utf-8", "replace")
     n_windows = reader.u16()
     if n_windows and not width:
         raise ProtocolError(
             f"binary sample frame but no interned metric catalog "
-            f"negotiated{_peer_suffix(peer)}"
+            f"negotiated{_peer_suffix(reader.peer)}"
         )
     windows = []
     for _ in range(n_windows):
-        timestamp, emit_wall = _STAMPS.unpack_from(data, reader.skip(16))
+        timestamp, emit_wall = _STAMPS.unpack_from(reader.data, reader.skip(16))
         windows.append(_window(
-            timestamp, emit_wall, name, data, reader.skip(8 * width),
+            timestamp, emit_wall, name, reader.data, reader.skip(8 * width),
             metric_names,
         ))
     reader.done()
-    if flags & _RS_SINGLE:
-        if flags & _RS_NONE or not windows:
-            payload["result"] = None
+    return name, windows
+
+
+# -- call plans ---------------------------------------------------------------
+
+class CallPlan:
+    """One binary method's untraced call on one connection; as it stands,
+    ``poll_many``'s (the window walk).  :meth:`request` and :meth:`result`
+    are the client half, :meth:`answer` the serving one.  Each hands a
+    frame or result that is not its layout to the general functions, so
+    bytes, decoded objects and errors are theirs."""
+
+    __slots__ = ("method", "method_id", "names", "width", "peer", "limit",
+                 "target")
+
+    def __init__(self, method: str, names: Tuple[str, ...], peer: str,
+                 limit: int, target: Any) -> None:
+        self.method = method
+        self.method_id = BINARY_METHOD_IDS[method]
+        self.names = names
+        self.width = len(names)
+        self.peer = peer
+        self.limit = limit
+        self.target = target
+
+    def request(self, request_id: int, params: Dict[str, Any]) -> Optional[bytes]:
+        """The request frame; None when ``params`` do not fit."""
+        fit = _request_values(params)
+        if fit is None:
+            return None
+        flags, values = fit
+        layout = _REQUEST[flags]
+        return layout.pack(
+            body_length(layout.size, self.peer, self.limit), MAGIC,
+            _KIND_REQUEST, request_id & 0xFFFFFFFF, flags, self.method_id,
+            *values,
+        )
+
+    def result(self, data: bytes, request_id: int) -> Any:
+        """The result of the response frame ``data`` to call ``request_id``;
+        raises as :func:`decode_message` and :func:`response_result` do."""
+        if (len(data) > _FRAME_HEAD.size and data[10] == 0
+                and data[5] == _KIND_RESPONSE):
+            length, magic, _, answered, _ = _FRAME_HEAD.unpack_from(data)
+            if length == len(data) - _LENGTH.size <= self.limit and magic == MAGIC:
+                reader = _Reader(data, self.peer, _FRAME_HEAD.size, len(data))
+                name, windows = _walk_windows(reader, self.names)
+                return self._checked(
+                    {"node_name": name, "windows": windows}, answered, request_id
+                )
+        return self._decoded(data, request_id)
+
+    def _checked(self, result: Any, answered: int, request_id: int) -> Any:
+        if answered != request_id:
+            response_result({"id": answered}, request_id, self.peer)
+        return result
+
+    def _decoded(self, data: bytes, request_id: int) -> Any:
+        payload, _ = decode_message(data, self.peer, self.names, self.limit)
+        return response_result(payload, request_id, self.peer)
+
+    def answer(self, data: bytes) -> Optional[bytes]:
+        """The response frame to the request frame ``data``; None unless
+        it is an untraced one of this method (:func:`planned_answer`)."""
+        layout = _REQUEST.get(data[10])
+        if layout is None or len(data) != layout.size:
+            return None
+        fields = layout.unpack_from(data)
+        if fields[0] != layout.size - _LENGTH.size:
+            return None
+        request_id, flags = fields[3], fields[4]
+        try:
+            if flags == _RQ_NOW:
+                result = self.target(now=fields[6])
+            else:
+                result = self.target(**_request_params(flags, fields[6:]))
+        except Exception as exc:  # noqa: BLE001 - reported to the caller
+            payload = {"id": request_id, "error": handler_failure(self.method, exc)}
         else:
-            payload["result"] = windows[0]
-    else:
-        payload["result"] = {"node_name": name, "windows": windows}
-    return payload
+            frame = self.pack(request_id, result)
+            if frame is not None:
+                return frame
+            payload = {"id": request_id, "result": result}
+        return encode_response_frame(
+            payload, self.method, self.names, CODEC_BINARY, self.peer, self.limit
+        )
+
+    def pack(self, request_id: int, result: Any) -> Optional[bytes]:
+        """The response frame of ``result``; None to encode it generally."""
+        return _pack_result(result, request_id, b"", self.names, self.peer,
+                            self.limit)
+
+
+class _SamplePlan(CallPlan):
+    """``sample``: one window in the ``_sample_struct`` layout."""
+
+    __slots__ = ()
+
+    def result(self, data: bytes, request_id: int) -> Any:
+        if len(data) > _FRAME_HEAD.size:
+            layout = _sample_struct(data[_FRAME_HEAD.size])
+            if len(data) == layout.size + 8 * self.width:
+                (length, magic, kind, answered, flags, _, name, windows,
+                 timestamp, emit_wall) = layout.unpack_from(data)
+                if (length == len(data) - _LENGTH.size <= self.limit
+                        and magic == MAGIC and kind == _KIND_RESPONSE
+                        and flags == _RS_SINGLE and windows == 1):
+                    return self._checked(_window(
+                        timestamp, emit_wall, name.decode("utf-8", "replace"),
+                        data, layout.size, self.names,
+                    ), answered, request_id)
+        return self._decoded(data, request_id)
+
+    def pack(self, request_id: int, result: Any) -> Optional[bytes]:
+        window = _pack_window(result, self.names)
+        if window is None:
+            return None
+        name = str(result.get("node_name", "")).encode("utf-8")
+        if len(name) > 255:
+            return None
+        timestamp, emit_wall, row = window
+        layout = _sample_struct(len(name))
+        return layout.pack(
+            body_length(layout.size + len(row), self.peer, self.limit),
+            MAGIC, _KIND_RESPONSE, request_id, _RS_SINGLE, len(name), name,
+            1, timestamp, emit_wall,
+        ) + row
+
+
+class _SeriesPlan(CallPlan):
+    """``collect``: the ``_series_struct`` layout."""
+
+    __slots__ = ()
+
+    def result(self, data: bytes, request_id: int) -> Any:
+        if (len(data) > _FRAME_HEAD.size and data[10] == 0
+                and data[5] == _KIND_SERIES):
+            length, magic, _, answered, _ = _FRAME_HEAD.unpack_from(data)
+            if length == len(data) - _LENGTH.size <= self.limit and magic == MAGIC:
+                result, end = _series_at(data, len(data), self.peer, self.width)
+                if end == len(data):
+                    return self._checked(result, answered, request_id)
+        return self._decoded(data, request_id)
+
+    def pack(self, request_id: int, result: Any) -> Optional[bytes]:
+        return _pack_series(result, request_id, b"", self.width, self.peer,
+                            self.limit)
+
+
+_PLANS = {"sample": _SamplePlan, "collect": _SeriesPlan, "poll_many": CallPlan}
+
+
+def call_plans(
+    codec: str, methods: Sequence[str], metric_names: Tuple[str, ...],
+    peer: str, limit: int, handler: Any = None,
+) -> Dict[str, CallPlan]:
+    """One plan per binary method a welcome advertises, when it settled on
+    ``bin`` with a catalog.  The serving end's ``handler`` methods are
+    looked up here, per connection, so a wrapper already around them sees
+    every call."""
+    if codec != CODEC_BINARY or not metric_names:
+        return {}
+    return {
+        method: _PLANS[method](
+            method, metric_names, peer, limit,
+            None if handler is None else getattr(handler, f"rpc_{method}"),
+        )
+        for method in methods if method in _PLANS
+    }
+
+
+def planned_answer(plans: Dict[str, CallPlan], data: bytes) -> Optional[bytes]:
+    """The plan-built response to the request frame ``data``; None unless
+    it is an untraced request of a method ``plans`` holds."""
+    if len(data) > _FRAME_HEAD.size and data[4] == MAGIC and data[5] == _KIND_REQUEST:
+        plan = plans.get(_METHOD_BY_ID.get(data[_FRAME_HEAD.size]))
+        if plan is not None:
+            return plan.answer(data)
+    return None

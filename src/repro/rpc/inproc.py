@@ -3,18 +3,21 @@
 Simulated experiments collect from hundreds of virtual daemons per run;
 real TCP round-trips would add nothing but wall-clock time.  The
 in-process channel still *negotiates, encodes and decodes every frame*
-exactly as :class:`RpcClient` and :class:`RpcServer` do (the hello
-offers ``["bin", "json"]``; a handler with an interned ``metric_names``
-catalog answers with codec v2 and ships each sample as one f64 row, any
-other handler stays on JSON) and counts bytes identically to the TCP
-path, so bandwidth measurements (Table 4) are the same regardless of
-transport -- only the kernel is skipped.
+exactly as :class:`RpcClient` and :class:`RpcServer` do -- its serving
+end is the server's :class:`~repro.rpc.server.Connection` -- and counts
+bytes identically, so Table 4 is the same on either transport.
+
+On a binary channel the serving end compiles one call plan per binary
+method against the handler (:mod:`repro.rpc.codec`) and the channel
+shares it, so an untraced ``sample`` / ``collect`` / ``poll_many`` call
+is one plan: pack the request, unpack it, call the handler, pack the
+response, unpack it.  Anything else goes encode -> decode -> dispatch ->
+encode -> decode.
 """
 
 from __future__ import annotations
 
 import itertools
-import time
 from typing import Any, List, Optional
 
 from .codec import (
@@ -22,7 +25,6 @@ from .codec import (
     CODEC_JSON,
     decode_message,
     encode_request_frame,
-    encode_response_frame,
     welcome_codec,
 )
 from .protocol import (
@@ -30,12 +32,11 @@ from .protocol import (
     TraceContext,
     decode_frame,
     encode_frame,
-    frame_trace,
     make_hello,
     max_frame_bytes,
     response_result,
 )
-from .server import dispatch, negotiate
+from .server import Connection
 
 
 class InprocChannel:
@@ -73,56 +74,48 @@ class InprocChannel:
         )
         self.counter.count_tx(len(hello_frame), static=True)
         hello, _ = decode_frame(hello_frame, limit=limit)
-        welcome_frame = encode_frame(
-            negotiate(handler, service, hello), limit=limit
+        # The serving end is RpcServer's; only a traced call records a
+        # serving span.
+        self._server = Connection(
+            handler, service, hello, "inproc", "", limit, self._tracer,
+            traced_only=True,
         )
-        welcome, consumed = decode_frame(welcome_frame, limit=limit)
+        welcome, consumed = decode_frame(self._server.welcome, limit=limit)
         self.counter.count_rx(consumed, static=True)
         self.methods: List[str] = list(welcome.get("methods", []))
-        # Both ends of the channel live here, so the codec and catalog
-        # the client reads off the welcome are the server's too.
+        # Both ends of the channel live here, so the codec, catalog and
+        # plans the client reads off the welcome are the server's too.
         self.codec, self.metric_names = welcome_codec(welcome)
+        self._plans = self._server.plans
 
     def call(self, method: str, trace: Optional[TraceContext] = None,
              **params: Any) -> Any:
-        limit = self._limit
         request_id = next(self._ids)
-        frame = encode_request_frame(
-            request_id, method, params,
-            trace.to_wire() if trace is not None else None,
-            self.codec, "", limit,
-        )
+        plan = self._plans.get(method)
+        frame = None
+        if plan is not None and trace is None:
+            frame = plan.request(request_id, params)
+        # A frame the plan packed is the plan's to answer.
+        answer = plan.answer if frame is not None else self._server.answer
+        if frame is None:
+            frame = encode_request_frame(
+                request_id, method, params,
+                trace.to_wire() if trace is not None else None,
+                self.codec, "", self._limit,
+            )
         try:
-            request, _ = decode_message(frame, "", (), limit)
-            # Only a traced call pays for a serving span and its clock reads.
-            serve_trace = None
-            if "trace" in request:
-                incoming = frame_trace(request)
-                if incoming is not None:
-                    serve_trace = incoming.child(origin=f"{self.service}@inproc")
-                    started = time.perf_counter()
-            response_frame = encode_response_frame(
-                dispatch(self.handler, request, serve_trace),
-                request.get("method"), self.metric_names, self.codec,
-                "", limit,
-            )
-            if serve_trace is not None:
-                duration = time.perf_counter() - started
-            response, consumed = decode_message(
-                response_frame, "", self.metric_names, limit
-            )
+            response = answer(frame)
         except BaseException:
             # The request left, as on a socket, whatever became of it.
             self.counter.count_tx(len(frame))
             raise
-        self.counter.count_round_trip(len(frame), consumed)
-        if serve_trace is not None and self._tracer is not None:
-            self._tracer.complete(
-                f"rpc.serve:{method}", "rpc", started, duration,
-                track=f"rpc:{self.service}", method=method,
-                **serve_trace.span_args(),
-            )
-        return response_result(response, request_id)
+        # A frame the server end encoded always decodes; what it carries
+        # is checked on the way out: the request id, a remote error.
+        self.counter.count_round_trip(len(frame), len(response))
+        if plan is not None:
+            return plan.result(response, request_id)
+        payload, _ = decode_message(response, "", self.metric_names, self._limit)
+        return response_result(payload, request_id)
 
     def close(self) -> None:
         """No-op, for interface parity with :class:`RpcClient`."""

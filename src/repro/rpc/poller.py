@@ -170,8 +170,7 @@ class MultiPoller:
             )
             if total is None or len(state.buffer) < total:
                 return False  # frame still incomplete; wait for more
-            payload, consumed = client.decode(state.buffer[:total])
-            result = client.finish_call(state.pending, payload, consumed)
+            result = client.finish_call(state.pending, state.buffer[:total])
         except (ProtocolError, RemoteError, ConnectionError, OSError) as exc:
             outcomes[state.name] = PollOutcome(state.name, error=exc)
             return True

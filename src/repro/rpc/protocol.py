@@ -159,42 +159,20 @@ def _json_default(value: Any) -> Any:
 _JSON = json.JSONEncoder(separators=(",", ":"), default=_json_default)
 
 
-def encode_frame(
-    payload: Dict[str, Any], peer: str = "", limit: Optional[int] = None
-) -> bytes:
-    """Serialize one message to its framed wire form.
-
-    ``peer``, when given, names the remote endpoint in error messages so
-    oversized-frame kills are attributable in cluster logs.  ``limit`` is
-    the frame-size limit a connection resolved when it was set up
-    (:func:`max_frame_bytes` reads the environment, which is too dear
-    per frame); without one the process-wide limit is looked up now.
-    """
-    body = _JSON.encode(payload).encode("utf-8")
-    if limit is None:
-        limit = max_frame_bytes()
-    if len(body) > limit:
-        raise ProtocolError(
-            f"frame too large: {len(body)} bytes > limit {limit}"
-            f"{_peer_suffix(peer)}"
-        )
-    return _LENGTH.pack(len(body)) + body
-
-
-def decode_frame(
+def frame_length(
     data: bytes, peer: str = "", limit: Optional[int] = None
-) -> Tuple[Dict[str, Any], int]:
-    """Decode one frame from the head of ``data``.
+) -> Optional[int]:
+    """Total bytes of the frame at the head of ``data``; None if the
+    length prefix itself is still incomplete.
 
-    Returns (payload, total_bytes_consumed).  Raises
-    :class:`ProtocolError` on malformed input; raises ``IndexError``-like
-    short reads as ProtocolError too.  ``peer`` labels the remote
-    endpoint in error messages; ``limit`` is as for :func:`encode_frame`.
+    Raises :class:`ProtocolError` when the advertised length exceeds the
+    frame limit, *before* a reader buffers the body.  Here and below
+    ``peer`` names the remote end in errors, and ``limit`` is the limit a
+    connection resolved when it opened (:func:`max_frame_bytes` reads the
+    environment, too dear per frame) or, if None, the process's now.
     """
     if len(data) < _LENGTH.size:
-        raise ProtocolError(
-            f"short frame: missing length prefix{_peer_suffix(peer)}"
-        )
+        return None
     (length,) = _LENGTH.unpack_from(data)
     if limit is None:
         limit = max_frame_bytes()
@@ -203,15 +181,58 @@ def decode_frame(
             f"frame length {length} exceeds maximum {limit}"
             f"{_peer_suffix(peer)}"
         )
-    end = _LENGTH.size + length
-    if len(data) < end:
+    return _LENGTH.size + length
+
+
+def frame_end(data: bytes, peer: str = "", limit: Optional[int] = None) -> int:
+    """:func:`frame_length` of a frame ``data`` holds whole, or
+    :class:`ProtocolError`."""
+    end = frame_length(data, peer, limit)
+    if end is None or len(data) < end:
+        need = (
+            "missing length prefix" if end is None
+            else f"need {end} bytes, have {len(data)}"
+        )
+        raise ProtocolError(f"short frame: {need}{_peer_suffix(peer)}")
+    return end
+
+
+def body_length(frame_bytes: int, peer: str, limit: Optional[int]) -> int:
+    """The length prefix of a frame of ``frame_bytes``, limit checked."""
+    length = frame_bytes - _LENGTH.size
+    if limit is None:
+        limit = max_frame_bytes()
+    if length > limit:
         raise ProtocolError(
-            f"short frame: need {end} bytes, have {len(data)}"
+            f"frame too large: {length} bytes > limit {limit}"
             f"{_peer_suffix(peer)}"
         )
+    return length
+
+
+def encode_frame(
+    payload: Dict[str, Any], peer: str = "", limit: Optional[int] = None
+) -> bytes:
+    """Serialize one message to its framed wire form (JSON)."""
+    body = _JSON.encode(payload).encode("utf-8")
+    return _LENGTH.pack(body_length(_LENGTH.size + len(body), peer, limit)) + body
+
+
+def decode_frame(
+    data: bytes, peer: str = "", limit: Optional[int] = None
+) -> Tuple[Dict[str, Any], int]:
+    """Decode one JSON frame from the head of ``data``.
+
+    Returns (payload, total_bytes_consumed).  Raises
+    :class:`ProtocolError` on malformed input, short reads included.
+    """
+    end = frame_end(data, peer, limit)
     try:
         payload = json.loads(data[_LENGTH.size:end].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # UnicodeDecodeError and JSONDecodeError are ValueErrors, and so
+        # is an integer literal over the interpreter's digit limit; a
+        # document nested past the recursion limit raises RecursionError.
         raise ProtocolError(
             f"bad frame payload: {exc}{_peer_suffix(peer)}"
         ) from exc
@@ -338,6 +359,13 @@ def make_error(
     if trace is not None:
         frame["trace"] = trace.to_wire()
     return frame
+
+
+def handler_failure(method: str, exc: Exception) -> str:
+    """The error a response carries when ``rpc_<method>`` raised ``exc``."""
+    if isinstance(exc, TypeError):
+        return f"bad parameters for {method}: {exc}"
+    return f"{type(exc).__name__}: {exc}"
 
 
 def response_result(

@@ -7,8 +7,8 @@ available methods, then serves requests until the peer disconnects.
 
 Used by the production-mode deployment (``sadc_rpcd`` /
 ``hadoop_log_rpcd`` per monitored node); simulation-mode experiments use
-:class:`repro.rpc.inproc.InprocChannel` instead, which shares this
-dispatch logic without sockets.
+:class:`repro.rpc.inproc.InprocChannel`, whose serving end is this
+module's :class:`Connection` without a socket.
 
 When a request frame carries a trace context, the server derives a
 child context (same trace_id, new span parented to the caller's),
@@ -28,8 +28,12 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .codec import (
     CODEC_BINARY,
+    call_plans,
+    decode_message,
     encode_response_frame,
+    planned_answer,
     read_frame,
+    recv_frame,
     welcome_codec,
 )
 from .protocol import (
@@ -38,6 +42,7 @@ from .protocol import (
     TraceContext,
     encode_frame,
     frame_trace,
+    handler_failure,
     make_error,
     make_response,
     make_welcome,
@@ -112,12 +117,70 @@ def dispatch(handler: Any, payload: Dict[str, Any],
         return make_error(request_id, "params must be an object", trace=trace)
     try:
         result = target(**params)
-    except TypeError as exc:
-        return make_error(request_id, f"bad parameters for {method}: {exc}",
-                          trace=trace)
     except Exception as exc:  # noqa: BLE001 - reported to the caller
-        return make_error(request_id, f"{type(exc).__name__}: {exc}", trace=trace)
+        return make_error(request_id, handler_failure(method, exc), trace=trace)
     return make_response(request_id, result, trace=trace)
+
+
+class Connection:
+    """The serving end of one connection, for :class:`RpcServer` and
+    :class:`repro.rpc.inproc.InprocChannel` alike: the welcome answering
+    ``hello``, the call plans it settles, and the response frame to each
+    request frame (:meth:`answer`).
+
+    ``tracer`` gets a serving span per request, or with ``traced_only``
+    per request that carries a trace.  A span times dispatch, so a
+    connection that records one for every request has no plans.
+    """
+
+    def __init__(self, handler: Any, service: str, hello: Dict[str, Any],
+                 where: str, peer: str, limit: int, tracer: Any = None,
+                 traced_only: bool = False) -> None:
+        self.handler = handler
+        self.service = service
+        self.where = where
+        self.peer = peer
+        self.limit = limit
+        self.tracer = tracer
+        self.traced_only = traced_only
+        answer = negotiate(handler, service, hello)
+        self.welcome = encode_frame(answer, peer=peer, limit=limit)
+        self.codec, self.names = welcome_codec(answer)
+        self.plans = {} if tracer is not None and not traced_only else call_plans(
+            self.codec, answer["methods"], self.names, peer, limit, handler
+        )
+
+    def answer(self, data: bytes) -> bytes:
+        """The response frame to the request frame ``data``: its plan's,
+        or decoded, dispatched -- joining the caller's trace if it
+        carries one -- and encoded."""
+        response = planned_answer(self.plans, data)
+        if response is not None:
+            return response
+        payload, _ = decode_message(data, self.peer, self.names, self.limit)
+        incoming = frame_trace(payload)
+        trace = (
+            incoming.child(origin=f"{self.service}@{self.where}")
+            if incoming is not None else None
+        )
+        started = time.perf_counter()
+        reply = dispatch(self.handler, payload, trace=trace)
+        if self.tracer is not None and (trace is not None or not self.traced_only):
+            method = payload.get("method", "?")
+            args: Dict[str, Any] = {"method": method}
+            if self.peer:
+                args["peer"] = self.peer
+            if trace is not None:
+                args.update(trace.span_args())
+            self.tracer.complete(
+                f"rpc.serve:{method}", "rpc", started,
+                time.perf_counter() - started, track=f"rpc:{self.service}",
+                **args,
+            )
+        return encode_response_frame(
+            reply, payload.get("method"), self.names, self.codec, self.peer,
+            self.limit,
+        )
 
 
 class RpcServer:
@@ -156,28 +219,21 @@ class RpcServer:
                     outer.counter.count_rx(consumed, static=True)
                     if "hello" not in hello:
                         return
-                    answer = negotiate(outer.handler, outer.service, hello)
-                    chosen, metric_names = welcome_codec(answer)
-                    welcome = encode_frame(answer, peer=peer, limit=limit)
-                    sock.sendall(welcome)
-                    outer.counter.count_tx(len(welcome), static=True)
+                    telemetry = outer.telemetry
+                    traced = (telemetry is not None and telemetry.enabled
+                              and telemetry.tracer.enabled)
+                    connection = Connection(
+                        outer.handler, outer.service, hello, "srv", peer,
+                        limit, telemetry.tracer if traced else None,
+                    )
+                    sock.sendall(connection.welcome)
+                    outer.counter.count_tx(len(connection.welcome), static=True)
                     while True:
-                        frame = read_frame(
-                            sock, peer=peer, metric_names=metric_names,
-                            limit=limit,
-                        )
-                        if frame is None:
+                        data = recv_frame(sock, peer=peer, limit=limit)
+                        if data is None:
                             return
-                        payload, consumed = frame
-                        outer.counter.count_rx(consumed)
-                        response = encode_response_frame(
-                            outer._serve(payload, peer),
-                            method=payload.get("method"),
-                            metric_names=metric_names,
-                            codec=chosen,
-                            peer=peer,
-                            limit=limit,
-                        )
+                        outer.counter.count_rx(len(data))
+                        response = connection.answer(data)
                         sock.sendall(response)
                         outer.counter.count_tx(len(response))
                 except (ProtocolError, ConnectionError, OSError):
@@ -189,30 +245,6 @@ class RpcServer:
 
         self._server = _Server(("127.0.0.1", port), _ConnectionHandler)
         self._thread: Optional[threading.Thread] = None
-
-    def _serve(self, payload: Dict[str, Any], peer: str) -> Dict[str, Any]:
-        """Dispatch one request, joining the caller's trace if present."""
-        incoming = frame_trace(payload)
-        serve_trace = (
-            incoming.child(origin=f"{self.service}@srv")
-            if incoming is not None else None
-        )
-        started = time.perf_counter()
-        response = dispatch(self.handler, payload, trace=serve_trace)
-        duration = time.perf_counter() - started
-        telemetry = self.telemetry
-        if (telemetry is not None and telemetry.enabled
-                and telemetry.tracer.enabled):
-            args: Dict[str, Any] = {
-                "method": payload.get("method", "?"), "peer": peer,
-            }
-            if serve_trace is not None:
-                args.update(serve_trace.span_args())
-            telemetry.tracer.complete(
-                f"rpc.serve:{payload.get('method', '?')}", "rpc",
-                started, duration, track=f"rpc:{self.service}", **args,
-            )
-        return response
 
     @property
     def address(self) -> Tuple[str, int]:

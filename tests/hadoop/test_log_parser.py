@@ -10,7 +10,6 @@ from repro.hadoop import (
     HadoopCluster,
     JobSpec,
     MB,
-    NodeLogParser,
     StateVectorStream,
     WHITEBOX_STATE_INDEX,
     WHITEBOX_STATES,
@@ -18,6 +17,8 @@ from repro.hadoop import (
 )
 from repro.hadoop.logs import DATANODE_CLASS, TASKTRACKER_CLASS
 from repro.workloads.gridmix import GridMixConfig, generate_workload
+
+from .log_oracle import NodeLogParser
 
 
 def tt_line(t: float, message: str) -> str:

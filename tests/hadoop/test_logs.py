@@ -60,7 +60,9 @@ class TestTimestamps:
 
 class TestBadTimestampLines:
     def test_bad_timestamp_counts_as_skipped(self):
-        from repro.hadoop import NodeLogParser, StateVectorStream
+        from repro.hadoop import StateVectorStream
+
+        from .log_oracle import NodeLogParser
 
         good = format_line(5.0, "INFO", TASKTRACKER_CLASS,
                            "LaunchTaskAction: task_0001_m_000000_0")

@@ -1,10 +1,13 @@
-"""A JSON-only peer for interop tests: raw socket, public framing."""
+"""A JSON-only peer for interop tests, and a strict result comparison."""
 
 import itertools
 import socket
+import struct
+
+import numpy as np
 
 from repro.rpc.codec import read_frame
-from repro.rpc.protocol import encode_frame, make_hello, make_request
+from repro.rpc.protocol import MetricRow, encode_frame, make_hello, make_request
 
 
 class JsonPeer:
@@ -33,3 +36,30 @@ class JsonPeer:
 
     def __exit__(self, *exc_info):
         self.sock.close()
+
+
+def bits(value):
+    return struct.pack(">d", value)
+
+
+def assert_same(got, want, where="result"):
+    """``==`` with NaN compared bit for bit, and the same types all the
+    way down: a plan must hand back what the general path did."""
+    assert type(got) is type(want), (where, type(got), type(want))
+    if isinstance(want, dict):
+        assert list(got) == list(want), where
+        for key in want:
+            assert_same(got[key], want[key], f"{where}[{key!r}]")
+    elif isinstance(want, (list, tuple)):
+        assert len(got) == len(want), where
+        for at, (a, b) in enumerate(zip(got, want)):
+            assert_same(a, b, f"{where}[{at}]")
+    elif isinstance(want, MetricRow):
+        assert got.names is want.names, where
+        assert got.row.dtype == want.row.dtype == np.float64, where
+        assert got.row.flags.owndata == want.row.flags.owndata, where
+        assert got.row.tobytes() == want.row.tobytes(), where
+    elif isinstance(want, float):
+        assert bits(got) == bits(want), (where, got, want)
+    else:
+        assert got == want, where

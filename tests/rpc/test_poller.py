@@ -1,10 +1,22 @@
 """Tests for the selectors-based multi-peer poller."""
 
+import socket
+import struct
+import sys
+import threading
 import time
 
 import pytest
 
-from repro.rpc import MultiPoller, RpcClient, RpcServer, TraceContext
+from repro.rpc import (
+    MultiPoller,
+    ProtocolError,
+    RpcClient,
+    RpcServer,
+    TraceContext,
+    encode_frame,
+)
+from repro.rpc.protocol import decode_frame
 
 CATALOG = ("cpu_idle_pct", "loadavg_1")
 
@@ -148,3 +160,76 @@ class TestMultiPoller:
             assert not outcomes["node-1"].ok
         finally:
             _teardown(servers, clients)
+
+
+#: JSON documents ``json.loads`` refuses with something other than a
+#: ``JSONDecodeError``, each well under the 16 MiB frame limit.
+_DEEP = b'{"id":1,"result":' + b"[" * 100_000 + b"]" * 100_000 + b"}"
+_HUGE_INT = b'{"id":1,"result":' + b"7" * 5_000 + b"}"
+
+
+def _bad_json_peer(body):
+    """A one-connection JSON peer: welcomes, then answers the first
+    request with ``body`` as the frame's payload."""
+    listener = socket.socket()
+    listener.bind(("127.0.0.1", 0))
+    listener.listen(1)
+
+    def serve():
+        conn, _ = listener.accept()
+        with conn, listener:
+            conn.recv(65536)  # the hello
+            conn.sendall(encode_frame(
+                {"welcome": "bad", "version": 1, "methods": ["sample"]}
+            ))
+            conn.recv(65536)  # the request
+            conn.sendall(struct.pack(">I", len(body)) + body)
+            conn.recv(1)      # hold the connection until the client closes
+
+    threading.Thread(target=serve, daemon=True).start()
+    return listener.getsockname()
+
+
+class TestMalformedJsonPeer:
+    """A peer whose JSON ``json.loads`` refuses with ``RecursionError``
+    or ``ValueError`` used to make ``poll()`` raise and lose the round."""
+
+    @pytest.mark.parametrize("body", [
+        _DEEP,
+        pytest.param(_HUGE_INT, marks=pytest.mark.skipif(
+            not hasattr(sys, "get_int_max_str_digits"),
+            reason="no integer digit limit in this interpreter",
+        )),
+    ], ids=["nested-past-the-recursion-limit", "int-over-the-digit-limit"])
+    def test_its_outcome_is_a_protocol_error_and_the_round_survives(self, body):
+        servers, clients = _cluster([0.0])
+        bad = RpcClient(*_bad_json_peer(body))
+        try:
+            calls = {
+                "good": (clients[0], "sample", {"now": 1.0}),
+                "bad": (bad, "sample", {"now": 1.0}),
+            }
+            outcomes = MultiPoller().poll(calls, trace=None, timeout_s=5.0)
+            assert outcomes["good"].ok
+            assert outcomes["good"].result["node_name"] == "node-0"
+            error = outcomes["bad"].error
+            assert isinstance(error, ProtocolError)
+            assert f"peer {bad.peer}" in str(error)
+        finally:
+            bad.close()
+            _teardown(servers, clients)
+
+    def test_decode_frame_maps_both_to_protocol_error(self):
+        for body in (_DEEP, _HUGE_INT):
+            with pytest.raises(ProtocolError, match=r"bad frame payload.*\(peer p:1\)"):
+                decode_frame(struct.pack(">I", len(body)) + body, peer="p:1")
+
+    def test_a_server_drops_such_a_client_and_keeps_serving(self):
+        with RpcServer(SlowableHandler("node-0"), "sadc@0") as server:
+            with socket.create_connection(server.address, timeout=5.0) as sock:
+                sock.sendall(encode_frame({"hello": "x", "version": 2}))
+                sock.recv(65536)  # the welcome
+                sock.sendall(struct.pack(">I", len(_DEEP)) + _DEEP)
+                assert sock.recv(16) == b""
+            with RpcClient(*server.address) as client:
+                assert client.call("sample", now=1.0)["node_name"] == "node-0"

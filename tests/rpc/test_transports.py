@@ -203,6 +203,44 @@ def _log_calls(_log):
     ]
 
 
+def _buffered_node_handler():
+    load = SyntheticNodeLoad("node-02", seed=7)
+    daemon = ClusterNodeDaemon("node-02", load, buffered=True)
+    return daemon, daemon
+
+
+def _buffered_node_calls(daemon):
+    def buffer(*times):
+        return lambda: [daemon.buffer_sample(t) for t in times]
+
+    later = [1005.0 + i for i in range(1, 21)]
+    return [
+        ("poll_many", {"now": 1000.0}, buffer(1000.0)),      # priming: none
+        ("poll_many", {"now": 1001.0, "max_windows": 8}, buffer(1001.0)),
+        ("poll_many", {"now": 1005.0, "max_windows": 8},
+         buffer(1002.0, 1003.0, 1004.0, 1005.0)),            # four windows
+        ("poll_many", {"now": 1026.0, "max_windows": 8}, buffer(*later)),
+        ("sample", {"now": 1027.0}, None),                   # newest of 12
+        ("poll_many", {"now": 1028.0}, None),                # an empty batch
+    ]
+
+
+def _busy_log_handler():
+    log = DaemonLog("slave01", "tasktracker")
+    for task in range(14):
+        attempt = f"task_0001_m_{task:06d}_0"
+        log.append(1.0 + 3 * task, "INFO", TASKTRACKER_CLASS,
+                   f"LaunchTaskAction: {attempt}")
+        log.append(6.5 + 3 * task, "INFO", TASKTRACKER_CLASS,
+                   f"Task {attempt} is done.")
+    return HadoopLogDaemon("slave01", log), log
+
+
+def _busy_log_calls(_log):
+    # Every poll in the steady state brings five rows.
+    return [("collect", {"now": float(now)}, None) for now in range(7, 52, 5)]
+
+
 COUNTER_FIELDS = (
     "tx_payload", "rx_payload", "tx_wire", "rx_wire", "static_wire",
     "messages_sent", "messages_received",
@@ -217,6 +255,8 @@ class TestInprocCountsLikeTcp:
         (_sadc_handler, _sadc_calls, "bin"),
         (_node_handler, _node_calls, "bin"),
         (_log_handler, _log_calls, "bin"),
+        (_buffered_node_handler, _buffered_node_calls, "bin"),
+        (_busy_log_handler, _busy_log_calls, "bin"),
     ])
     def test_counter_equal_field_for_field(self, make, calls, codec):
         def drive(channel, state):
@@ -295,8 +335,9 @@ class TestInprocCountsLikeTcp:
                 )
 
     def test_response_under_another_id_is_rejected_on_both(self, monkeypatch):
-        """``RpcClient.finish_call`` always checked; the channel never looked."""
-        import repro.rpc.inproc as inproc_module
+        """``RpcClient.finish_call`` always checked; the channel never looked.
+        Both serve through ``repro.rpc.server.Connection.answer``'s
+        ``dispatch``."""
         import repro.rpc.server as server_module
 
         def answer_late(handler, payload, trace=None):
@@ -304,12 +345,11 @@ class TestInprocCountsLikeTcp:
             response["id"] += 1
             return response
 
-        monkeypatch.setattr(inproc_module, "dispatch", answer_late)
+        monkeypatch.setattr(server_module, "dispatch", answer_late)
         channel = InprocChannel(ToyHandler(), "toy")
         with pytest.raises(ProtocolError, match="response id 2 != request id 1"):
             channel.call("echo", value=1)
 
-        monkeypatch.setattr(server_module, "dispatch", answer_late)
         with RpcServer(ToyHandler(), "toy") as server:
             with RpcClient(*server.address) as client:
                 with pytest.raises(
