@@ -15,8 +15,8 @@ Everything the evaluation does, runnable from a terminal:
                    (the paper's Figure 3 at cluster scale);
 * ``lint``      -- static analysis: check configuration files (or the
                    generated one) against the module contracts, verify
-                   module implementations match their declarations, and
-                   scan scenario code paths for determinism hazards;
+                   module implementations match their declarations,
+                   price the DAG, and race-scan the deployment code;
 * ``telemetry`` -- run a monitored scenario with self-instrumentation on
                    and print the summary (per-instance run latencies,
                    queue stats, RPC bytes, the alarm audit trail,
@@ -344,13 +344,6 @@ def cmd_bench(args) -> int:
             "parity vs serial: "
             + ("IDENTICAL" if parity_ok else f"MISMATCH in {mismatches}")
         )
-        if not parity_ok:
-            from .lint import concurrency_hints, determinism_hints
-
-            _findings, hint_text = determinism_hints(mismatches)
-            print(hint_text, file=sys.stderr)
-            _races, race_text = concurrency_hints(mismatches)
-            print(race_text, file=sys.stderr)
     return 0 if parity_ok else 1
 
 
@@ -368,7 +361,7 @@ def cmd_config(args) -> int:
 
 
 def cmd_lint(args) -> int:
-    """Static analysis: configs, module contracts, determinism.
+    """Static analysis: configs, module contracts, cost, threading.
 
     Exit codes: 0 clean (warnings allowed unless ``--strict``), 1 when
     any error-severity diagnostic fires, 2 on usage or I/O problems.
@@ -379,7 +372,7 @@ def cmd_lint(args) -> int:
         estimate_config,
         has_errors,
         lint_concurrency,
-        lint_determinism,
+        lint_markers,
         render_json,
         render_text,
         sort_diagnostics,
@@ -389,11 +382,10 @@ def cmd_lint(args) -> int:
     diagnostics = []
     cost_reports = []
     # Nothing selected: lint everything (the generated config, every
-    # registered module implementation, the scenario code paths, the
-    # static cost estimate, and the deployment threading).
+    # registered module implementation, the static cost estimate, the
+    # deployment threading, and every noqa marker in the source).
     lint_all = not args.configs and not (
-        args.generated or args.impl or args.determinism
-        or args.cost or args.concurrency
+        args.generated or args.impl or args.cost or args.concurrency
     )
 
     # (text, file) pairs the config-level layers (FPT0xx, cost) run on.
@@ -419,9 +411,6 @@ def cmd_lint(args) -> int:
     if args.impl or lint_all:
         diagnostics.extend(check_registry())
 
-    if args.determinism or lint_all:
-        diagnostics.extend(lint_determinism())
-
     if args.cost or lint_all:
         for text, file in config_texts:
             report = estimate_config(text, file=file, budget_ms=args.budget_ms)
@@ -430,6 +419,9 @@ def cmd_lint(args) -> int:
 
     if args.concurrency or lint_all:
         diagnostics.extend(lint_concurrency())
+
+    if lint_all:
+        diagnostics.extend(lint_markers())
 
     if args.json:
         if cost_reports:
@@ -994,7 +986,7 @@ def build_parser() -> argparse.ArgumentParser:
     lint = commands.add_parser(
         "lint",
         help="static analysis: configs vs module contracts, contract vs "
-        "implementation, determinism hazards",
+        "implementation, DAG cost, cross-thread races",
     )
     _add_scenario_args(lint)
     lint.add_argument(
@@ -1011,10 +1003,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="check registered module implementations against contracts",
     )
     lint.add_argument(
-        "--determinism", action="store_true",
-        help="scan scenario code paths for wall-clock/unseeded-random use",
-    )
-    lint.add_argument(
         "--cost", action="store_true",
         help="fold the config DAG through the contracts' cost facts "
         "(read from bench/'s traced stage table) into a per-tick CPU "
@@ -1029,7 +1017,7 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument(
         "--concurrency", action="store_true",
         help="scan the deployment packages for cross-thread shared-state "
-        "races (FPT4xx)",
+        "races (FPT401)",
     )
     lint.add_argument(
         "--json", action="store_true",

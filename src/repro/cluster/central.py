@@ -120,7 +120,7 @@ class CentralDaemon:
         self.samples_total = 0
         self.poll_errors = 0
         self.reconnects = 0
-        self._mark_wall = time.time()  # fpt: noqa[FPT201] -- live-mode liveness mark; cluster mode runs on wall time
+        self._mark_wall = time.time()
         self._samples_since_mark = 0
         self._rounds_since_mark = 0
         self._round_durations: List[float] = []
@@ -233,7 +233,7 @@ class CentralDaemon:
                 return
             action = command.get("action")
             if action == "mark":
-                self._mark_wall = time.time()  # fpt: noqa[FPT201] -- live-mode liveness mark; cluster mode runs on wall time
+                self._mark_wall = time.time()
                 self._samples_since_mark = 0
                 self._rounds_since_mark = 0
                 self._latencies = []
@@ -268,28 +268,21 @@ class CentralDaemon:
     def round(self) -> None:
         """One pipelined collection + detection round across every peer.
 
-        Every connected peer gets one request in flight simultaneously
-        (``poll_many`` when the daemon batches windows, ``sample``
-        against v1 daemons); the selectors-based poller drains responses
-        in arrival order, so round time tracks the *slowest* node, not
-        the sum of all of them.
+        Every connected peer gets one ``poll_many`` request in flight
+        simultaneously; the selectors-based poller drains responses in
+        arrival order, so round time tracks the *slowest* node, not the
+        sum of all of them.
         """
         round_started = time.perf_counter()
         self._drain_commands()
         self._refresh_peers()
-        now = time.time()  # fpt: noqa[FPT201] -- wall-clock poll cadence is the paper's real deployment mode
+        now = time.time()
         trace = TraceContext.new_root(origin=f"{self.name}@pid{os.getpid()}")
-        calls: Dict[str, Any] = {}
-        for peer in self._peers.values():
-            if peer.client is None:
-                continue
-            if "poll_many" in peer.client.methods:
-                calls[peer.name] = (
-                    peer.client, "poll_many",
-                    {"now": now, "max_windows": MAX_WINDOWS_PER_POLL},
-                )
-            else:
-                calls[peer.name] = (peer.client, "sample", {"now": now})
+        request = {"now": now, "max_windows": MAX_WINDOWS_PER_POLL}
+        calls = {
+            peer.name: (peer.client, "poll_many", request)
+            for peer in self._peers.values() if peer.client is not None
+        }
         outcomes = self._poller.poll(
             calls, trace=trace,
             timeout_s=max(2.0, self.interval_s * 8.0),
@@ -319,20 +312,15 @@ class CentralDaemon:
         self._rounds_since_mark += 1
         self._publish_stats()
 
-    def _ingest(self, peer: _NodePeer, result: Any, now: float) -> None:
-        """Fold one poll result (a window batch or one sample) into the
-        peer's state.  ``None`` is a v1 daemon's priming sample."""
-        if result is None:
+    def _ingest(self, peer: _NodePeer, batch: Any, now: float) -> None:
+        """Fold one ``poll_many`` window batch into the peer's state;
+        a malformed batch off the wire is dropped."""
+        if not isinstance(batch, dict):
             return
-        if isinstance(result, dict) and "windows" in result:
-            windows = [w for w in result["windows"] if isinstance(w, dict)]
-        elif isinstance(result, dict):
-            windows = [result]
-        else:
-            return
+        windows = [w for w in batch.get("windows", ()) if isinstance(w, dict)]
         if not windows:
             return
-        arrival_wall = time.time()  # fpt: noqa[FPT201] -- end-to-end alarm latency is measured on the wall clock
+        arrival_wall = time.time()
         arrival_perf = time.perf_counter()
         for window in windows:
             emit_wall = window.get("emit_wall")
@@ -378,7 +366,7 @@ class CentralDaemon:
             # End-to-end wall latency: sample emitted at the remote
             # daemon -> indictment here, socket hop included.
             emit = peer.last_emit_wall
-            wall_latency = max(0.0, time.time() - emit) if emit else None  # fpt: noqa[FPT201] -- end-to-end alarm latency is measured on the wall clock
+            wall_latency = max(0.0, time.time() - emit) if emit else None
             if wall_latency is not None:
                 self._latencies.append(wall_latency)
                 if len(self._latencies) > MAX_LATENCIES:
@@ -417,7 +405,7 @@ class CentralDaemon:
                     del self._alarms[: -MAX_ALARMS // 2]
 
     def _publish_stats(self) -> None:
-        now = time.time()  # fpt: noqa[FPT201] -- stats snapshot stamps wall time for the ops surface
+        now = time.time()
         elapsed = max(1e-9, now - self._mark_wall)
         durations = self._round_durations
         rounds_marked = max(1, self._rounds_since_mark)
@@ -495,7 +483,7 @@ class CentralDaemon:
         runtime = DaemonRuntime(
             role="central", name=self.name, pid=os.getpid(),
             host=self.ops.host, rpc_port=0, ops_port=self.ops.port,
-            started_wall=time.time(),  # fpt: noqa[FPT201] -- runtime metadata stamp, not scenario state
+            started_wall=time.time(),
         )
         write_runtime(self.state_dir, runtime)
         return runtime

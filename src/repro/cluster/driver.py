@@ -66,8 +66,8 @@ class DriveError(RuntimeError):
 
 
 def _central_url(state_dir: str, timeout_s: float = READY_TIMEOUT_S) -> str:
-    deadline = time.time() + timeout_s  # fpt: noqa[FPT201] -- live process startup deadline
-    while time.time() < deadline:  # fpt: noqa[FPT201] -- live process startup deadline
+    deadline = time.time() + timeout_s
+    while time.time() < deadline:
         runtime = list_runtimes(state_dir, role="central").get("central")
         if runtime is not None and pid_alive(runtime.pid):
             return runtime.ops_url
@@ -91,8 +91,8 @@ def _stats(base: str) -> dict:
 
 
 def _wait_until(predicate, timeout_s: float, poll_s: float = 0.25) -> bool:
-    deadline = time.time() + timeout_s  # fpt: noqa[FPT201] -- live process startup deadline
-    while time.time() < deadline:  # fpt: noqa[FPT201] -- live process startup deadline
+    deadline = time.time() + timeout_s
+    while time.time() < deadline:
         if predicate():
             return True
         time.sleep(poll_s)
@@ -142,7 +142,7 @@ def run_drive(
 
     # -- phase 2: fault injection -> online alarm ---------------------------
     alarms_before = sustained.get("alarms_total", 0)
-    injected_wall = time.time()  # fpt: noqa[FPT201] -- fault-injection wall stamp for downtime accounting
+    injected_wall = time.time()
     _control(base, "inject", node=inject_node, kind=fault_kind, intensity=1.0)
 
     def _alarmed() -> bool:
@@ -175,7 +175,7 @@ def run_drive(
         failures.append(f"kill target {kill_node} not published")
     else:
         reconnect["killed_pid"] = victim.pid
-        killed_wall = time.time()  # fpt: noqa[FPT201] -- node-kill wall stamp for downtime accounting
+        killed_wall = time.time()
         try:
             os.kill(victim.pid, signal.SIGKILL)
         except OSError as exc:
@@ -197,7 +197,7 @@ def run_drive(
             reconnect.update({
                 "respawned_pid": fresh.pid,
                 "reconnected": True,
-                "downtime_s": round(time.time() - killed_wall, 3),  # fpt: noqa[FPT201] -- downtime measured against the kill wall stamp
+                "downtime_s": round(time.time() - killed_wall, 3),
             })
         else:
             reconnect.update({"reconnected": False})
@@ -230,7 +230,7 @@ def run_drive(
     final = _stats(base)
     bench = {
         "format": CLUSTER_BENCH_FORMAT,
-        "generated_wall": time.time(),  # fpt: noqa[FPT201] -- report metadata stamp, not scenario state
+        "generated_wall": time.time(),
         "nodes": len(node_names),
         "sustain_s": sustain_s,
         "samples": {
@@ -390,7 +390,7 @@ def measure_deployment(
         if inject:
             target = sorted(expected)[0]
             alarms_before = stats.get("alarms_total", 0)
-            injected_wall = time.time()  # fpt: noqa[FPT201] -- fault-injection wall stamp for latency accounting
+            injected_wall = time.time()
             _control(
                 base, "inject", node=target, kind="cpuhog", intensity=1.0
             )
@@ -505,7 +505,7 @@ def run_scale_drive(
 
     bench = {
         "format": CLUSTER_SCALE_FORMAT,
-        "generated_wall": time.time(),  # fpt: noqa[FPT201] -- report metadata stamp, not scenario state
+        "generated_wall": time.time(),
         "node_counts": counts,
         "interval_s": interval_s,
         "sustain_s": sustain_s,

@@ -153,7 +153,7 @@ class MetricsFederator:
             daemons.append(entry)
         return {
             "state_dir": self.state_dir,
-            "now_wall": time.time(),  # fpt: noqa[FPT201] -- federation snapshot stamps wall time for the ops surface
+            "now_wall": time.time(),
             "daemons": daemons,
             "rounds": stats.get("rounds", 0),
             "scrape_errors": self.scrape_errors,

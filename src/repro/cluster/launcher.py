@@ -143,10 +143,10 @@ class ClusterLauncher:
 
     def wait_ready(self, timeout_s: float = READY_TIMEOUT_S) -> bool:
         """Block until every daemon has published its runtime file."""
-        deadline = time.time() + timeout_s  # fpt: noqa[FPT201] -- live process startup deadline
+        deadline = time.time() + timeout_s
         expected = {node_name(i) for i in range(1, self.nodes + 1)}
         expected.add("central")
-        while time.time() < deadline:  # fpt: noqa[FPT201] -- live process startup deadline
+        while time.time() < deadline:
             published = set(list_runtimes(self.state_dir))
             if expected <= published:
                 return True
@@ -199,9 +199,9 @@ class ClusterLauncher:
                     child.send_signal(signal.SIGTERM)
                 except OSError:
                     pass
-        deadline = time.time() + grace_s  # fpt: noqa[FPT201] -- graceful-shutdown deadline on wall time
+        deadline = time.time() + grace_s
         for child in self._children.values():
-            remaining = max(0.1, deadline - time.time())  # fpt: noqa[FPT201] -- graceful-shutdown deadline on wall time
+            remaining = max(0.1, deadline - time.time())
             try:
                 child.wait(timeout=remaining)
             except subprocess.TimeoutExpired:

@@ -49,7 +49,7 @@ def _sampler_loop(daemons: Sequence[ClusterNodeDaemon], fleet: FleetLoad,
     """Advance the shared fleet and buffer one window per node daemon."""
     while not stop.is_set():
         started = time.perf_counter()
-        now = time.time()  # fpt: noqa[FPT201] -- sampler loop runs on the wall clock, like the paper's one-second collection cadence
+        now = time.time()
         fleet.advance_to(now)
         for daemon in daemons:
             daemon.buffer_sample(now)
@@ -97,7 +97,7 @@ def run_node_host(
         write_runtime(state_dir, DaemonRuntime(
             role="node", name=daemon.node, pid=os.getpid(),
             host="127.0.0.1", rpc_port=server.address[1], ops_port=ops.port,
-            started_wall=time.time(),  # fpt: noqa[FPT201] -- runtime metadata stamp, not scenario state
+            started_wall=time.time(),
         ))
 
     sampler = threading.Thread(

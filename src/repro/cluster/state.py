@@ -134,7 +134,7 @@ def request_stop(state_dir: str, reason: str = "") -> str:
     os.makedirs(state_dir, exist_ok=True)
     path = os.path.join(state_dir, STOP_FILE)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"reason": reason, "at_wall": time.time()}))  # fpt: noqa[FPT201] -- shutdown-reason stamp, not scenario state
+        fh.write(json.dumps({"reason": reason, "at_wall": time.time()}))
     return path
 
 

@@ -27,34 +27,8 @@ from .clock import Clock, SimClock
 from .config import InstanceSpec, parse_config
 from .dag import Dag, Edge, build_dag, detach_instance, extend_dag
 from .module import Module, ModuleContext
-from .errors import ConfigError
 from .registry import ModuleRegistry
 from .scheduler import Scheduler
-
-
-def _lint_or_raise(config, registry: ModuleRegistry) -> None:
-    """Opt-in fail-fast: static analysis before any module exists.
-
-    Accepts configuration text or pre-parsed specs.  Raises
-    :class:`ConfigError` carrying the rendered report when any
-    error-severity diagnostic fires; warnings never block construction.
-    """
-    # Imported lazily: repro.lint depends on repro.core, not vice versa.
-    from ..lint import analyze_config, analyze_specs, render_text
-    from ..lint.diagnostics import Severity
-
-    if isinstance(config, str):
-        diagnostics = analyze_config(config, registry=registry)
-    else:
-        diagnostics = analyze_specs(list(config), registry=registry)
-    errors = [d for d in diagnostics if d.severity is Severity.ERROR]
-    if errors:
-        first = errors[0]
-        raise ConfigError(
-            f"lint failed with {len(errors)} error(s):\n"
-            + render_text(diagnostics),
-            line_no=first.line or None,
-        )
 
 
 class FptCore:
@@ -68,10 +42,7 @@ class FptCore:
         queue_capacity: int = DEFAULT_QUEUE_CAPACITY,
         services=None,
         telemetry: Optional[Telemetry] = None,
-        lint: bool = False,
     ) -> None:
-        if lint:
-            _lint_or_raise(specs, registry)
         self.clock = clock if clock is not None else SimClock()
         #: Self-instrumentation facade shared by the scheduler, every
         #: module context and (through services) the RPC channels.  The
@@ -127,17 +98,8 @@ class FptCore:
         queue_capacity: int = DEFAULT_QUEUE_CAPACITY,
         services=None,
         telemetry: Optional[Telemetry] = None,
-        lint: bool = False,
     ) -> "FptCore":
-        """Build a core from configuration-file text (paper section 3.4).
-
-        ``lint=True`` statically analyzes the text first (with config
-        line numbers and ``# fpt: noqa`` support) and raises
-        :class:`ConfigError` before any module is instantiated if any
-        error-severity diagnostic fires.
-        """
-        if lint:
-            _lint_or_raise(text, registry)
+        """Build a core from configuration-file text (paper section 3.4)."""
         return cls(
             parse_config(text), registry, clock, queue_capacity, services,
             telemetry,
@@ -155,30 +117,6 @@ class FptCore:
     @property
     def edges(self) -> List[Edge]:
         return list(self.dag.edges)
-
-    def unconsumed_param_diagnostics(self) -> list:
-        """Runtime complement to the static FPT007 check.
-
-        After ``init()`` every parameter a module actually read is
-        known, including reads through computed names that the static
-        analyzer must treat as opaque.  Returns one FPT007
-        :class:`~repro.lint.diagnostics.Diagnostic` per parameter no
-        module consumed.
-        """
-        from ..lint.diagnostics import Diagnostic
-
-        diagnostics = []
-        for instance_id in sorted(self.dag.contexts):
-            ctx = self.dag.contexts[instance_id]
-            for name in ctx.unconsumed_params():
-                diagnostics.append(
-                    Diagnostic(
-                        "FPT007",
-                        f"parameter '{name}' was never read during init",
-                        instance=instance_id,
-                    )
-                )
-        return diagnostics
 
     def to_dot(self, annotate: bool = False) -> str:
         """Dot rendering; ``annotate=True`` adds telemetry run stats.

@@ -68,7 +68,6 @@ class ModuleContext:
         self.outputs: Dict[str, Output] = {}
         self._schedule_periodic: Optional[Callable[[str, float, float], None]] = None
         self._set_trigger: Optional[Callable[[str, int], None]] = None
-        self._consumed_params = {"id"}
 
     # -- services ------------------------------------------------------------
 
@@ -158,7 +157,6 @@ class ModuleContext:
     # -- parameters ---------------------------------------------------------
 
     def _raw_param(self, name: str, default: Any) -> Any:
-        self._consumed_params.add(name)
         if name in self.params:
             return self.params[name]
         if default is _REQUIRED:
@@ -216,10 +214,6 @@ class ModuleContext:
         if isinstance(value, str):
             return [item.strip() for item in value.split(",") if item.strip()]
         return list(value)
-
-    def unconsumed_params(self) -> list:
-        """Parameters present in the config but never read by the module."""
-        return sorted(set(self.params) - self._consumed_params)
 
 
 class Module(abc.ABC):

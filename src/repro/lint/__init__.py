@@ -1,6 +1,6 @@
 """fpt-lint: static analysis for fpt-core configs and modules.
 
-Five layers, each usable on its own:
+Four layers, each usable on its own:
 
 * :mod:`repro.lint.analyzer` -- parses a configuration *without
   instantiating any module* and checks it against the declared module
@@ -9,25 +9,21 @@ Five layers, each usable on its own:
 * :mod:`repro.lint.implcheck` -- AST-compares each module class's
   actual ``ctx.*`` API usage with its contract (``FPT1xx``), and infers
   contracts for custom module types that never declared one.
-* :mod:`repro.lint.determinism` -- flags wall-clock reads and unseeded
-  random sources in scenario code paths (``FPT2xx``), the calls that
-  break replay and serial/parallel parity.
 * :mod:`repro.lint.costmodel` -- folds a parsed configuration's DAG
   into a static per-tick CPU estimate from the contracts' declared
   cost facts (``FPT301``: the estimate exceeds the tick budget;
   ``FPT303``: windows recomputed from scratch).
 * :mod:`repro.lint.concurrency` -- builds a thread-entry-point graph
-  over the deployment packages and flags cross-thread shared-state
-  races (``FPT4xx``: unlocked writes, leak-prone ``acquire()``,
-  blocking calls under a lock).
+  over the deployment packages and flags unlocked cross-thread writes
+  to shared state (``FPT401``).
 
-Entry points: the ``repro lint`` CLI subcommand, the ``lint=`` opt-in
-on :class:`repro.core.FptCore`, and the functions re-exported here.
+Every layer honours ``# fpt: noqa`` markers, and :func:`lint_markers`
+reports the entries that name no code (``FPT090``).  Entry points: the
+``repro lint`` CLI subcommand and the functions re-exported here.
 """
 
 from .analyzer import analyze_config, analyze_specs
 from .concurrency import (
-    concurrency_hints,
     lint_concurrency,
     scan_concurrency_source,
     scan_concurrency_sources,
@@ -48,18 +44,13 @@ from .costmodel import (
     estimate_config,
     estimate_specs,
 )
-from .determinism import (
-    DEFAULT_PACKAGES,
-    determinism_hints,
-    lint_determinism,
-    scan_source,
-)
 from .diagnostics import (
     CODES,
     Diagnostic,
     Severity,
     apply_noqa,
     has_errors,
+    lint_markers,
     marker_errors,
     render_json,
     render_text,
@@ -75,7 +66,6 @@ from .implcheck import (
 
 __all__ = [
     "CODES",
-    "DEFAULT_PACKAGES",
     "DEFAULT_TICK_BUDGET_MS",
     "ContractRegistry",
     "CostFact",
@@ -92,22 +82,19 @@ __all__ = [
     "apply_noqa",
     "check_implementation",
     "check_registry",
-    "concurrency_hints",
     "contracts_for_registry",
-    "determinism_hints",
     "estimate_config",
     "estimate_specs",
     "has_errors",
     "infer_contract",
     "lint_concurrency",
-    "lint_determinism",
+    "lint_markers",
     "marker_errors",
     "render_json",
     "render_text",
     "scan_concurrency_source",
     "scan_concurrency_sources",
     "scan_module_class",
-    "scan_source",
     "sort_diagnostics",
     "standard_contracts",
 ]

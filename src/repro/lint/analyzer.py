@@ -481,7 +481,7 @@ def analyze_config(
 
     ``registry`` (default: the standard registry) supplies module classes
     for contract inference; ``contracts`` overrides the contract registry
-    entirely.  ``# fpt: noqa[CODE]`` markers in ``text`` suppress
+    entirely.  ``# fpt: noqa`` markers in ``text`` suppress
     diagnostics on their line unless ``noqa=False``.
     """
     if contracts is None:

@@ -1,29 +1,22 @@
-"""Concurrency lint for the threaded deployment code (FPT4xx).
+"""Concurrency lint for the threaded deployment code (FPT401).
 
 The cluster-mode daemons are deliberately thread-light -- one poll loop
 per process plus daemon threads for RPC and ops HTTP serving -- but that
 still leaves shared state touched from multiple threads.  This lint
 builds a *thread-entry-point graph* over the scanned packages and flags
-the classic hazards statically:
-
-* **FPT401** -- a ``self.<attr>`` write, outside ``__init__``, without a
-  held lock, to an attribute that is also touched from another thread
-  domain.  Thread domains per class are *owner* (the constructing
-  thread: ``__init__`` plus public methods) and *service* (handler
-  threads: ``rpc_*`` dispatch methods, ``do_GET``/``do_POST``/``handle``
-  HTTP/socket handlers, ``threading.Thread`` targets -- bound methods
-  *and* module-level functions like the node host's ``_sampler_loop``
-  -- and ``run()`` methods of Thread subclasses, plus everything
-  transitively reachable from those seeds through method calls: a
-  seeded sampler loop marks ``FleetLoad.advance_to`` and
-  ``ClusterNodeDaemon.buffer_sample`` service-reachable, so writes the
-  pipelined poller's owner thread also touches are checked).
-* **FPT402** -- a bare ``<lock>.acquire()`` whose release is not
-  guaranteed: not a ``with`` block and not immediately followed by
-  ``try/finally: <lock>.release()``.
-* **FPT403** -- a blocking call (``recv``, ``accept``, ``join``,
-  ``sleep``, ``wait``, ...) while holding a lock, which turns one slow
-  peer into a fleet-wide stall.
+**FPT401**: a ``self.<attr>`` write, outside ``__init__``, without a
+held lock, to an attribute that is also touched from another thread
+domain.  Thread domains per class are *owner* (the constructing thread:
+``__init__`` plus public methods) and *service* (handler threads:
+``rpc_*`` dispatch methods, ``do_GET``/``do_POST``/``handle`` HTTP/socket
+handlers, ``threading.Thread`` targets -- bound methods *and*
+module-level functions like the node host's ``_sampler_loop`` -- and
+``run()`` methods of Thread subclasses, plus everything transitively
+reachable from those seeds through method calls: a seeded sampler loop
+marks ``FleetLoad.advance_to`` and ``ClusterNodeDaemon.buffer_sample``
+service-reachable, so writes the pipelined poller's owner thread also
+touches are checked).  A write counts as locked inside a ``with`` block
+whose context expression names a lock.
 
 Reachability is propagated by *name*: a service-reachable method's
 ``obj.method()`` calls mark same-named methods of every scanned class,
@@ -46,8 +39,7 @@ import ast
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .determinism import _display_path, _package_files
-from .diagnostics import Diagnostic, apply_noqa, sort_diagnostics
+from .diagnostics import Diagnostic, apply_noqa, package_sources, sort_diagnostics
 
 #: Packages whose code runs threaded in cluster deployments.
 DEFAULT_PACKAGES = (
@@ -57,12 +49,6 @@ DEFAULT_PACKAGES = (
 #: Method names that run on service (non-owner) threads.
 _SEED_PREFIXES = ("rpc_", "do_")
 _SEED_NAMES = {"handle", "handle_one_request", "serve_forever"}
-
-#: Call leaf names that block the calling thread.
-_BLOCKING_CALLS = {
-    "recv", "recvfrom", "recv_into", "accept", "connect", "join",
-    "sleep", "wait", "select", "sendall", "makefile", "readline",
-}
 
 #: An identifier counts as a lock when its name says so.
 def _is_lockish(name: str) -> bool:
@@ -122,7 +108,7 @@ class _Class:
 
 
 class _MethodVisitor(ast.NodeVisitor):
-    """Scans one method body; emits FPT402/403 straight to ``findings``."""
+    """Scans one method body into its :class:`_Method` summary."""
 
     def __init__(
         self,
@@ -130,31 +116,12 @@ class _MethodVisitor(ast.NodeVisitor):
         owner: Optional[_Class],
         classes: List[_Class],
         functions: Dict[str, _Method],
-        findings: List[Diagnostic],
-        file: str,
     ) -> None:
         self.method = method
         self.owner = owner
         self.classes = classes
         self.functions = functions
-        self.findings = findings
-        self.file = file
         self._lock_depth = 0
-
-    def _emit(self, code: str, message: str, node: ast.AST) -> None:
-        self.findings.append(
-            Diagnostic(
-                code=code,
-                message=message,
-                line=getattr(node, "lineno", 0),
-                file=self.file,
-                instance=(
-                    f"{self.owner.name}.{self.method.name}"
-                    if self.owner is not None
-                    else self.method.name
-                ),
-            )
-        )
 
     # -- attribute accesses -------------------------------------------------
 
@@ -206,14 +173,6 @@ class _MethodVisitor(ast.NodeVisitor):
             if target is not None:
                 self.method.touches.add(target)
             self._check_thread_target(node, func.attr)
-            if self._lock_depth > 0 and func.attr in _BLOCKING_CALLS:
-                self._emit(
-                    "FPT403",
-                    f"blocking call '.{func.attr}()' while holding a "
-                    "lock; one slow peer stalls every thread contending "
-                    "for it",
-                    node,
-                )
         elif isinstance(func, ast.Name):
             self.method.bare_calls.add(func.id)
             self._check_thread_target(node, func.id)
@@ -256,75 +215,17 @@ class _MethodVisitor(ast.NodeVisitor):
             self.visit(item.context_expr)
         if lockish:
             self._lock_depth += 1
-        self._check_statement_list(node.body)
         for statement in node.body:
             self.visit(statement)
         if lockish:
             self._lock_depth -= 1
 
-    def _acquire_base(self, statement: ast.stmt) -> Optional[str]:
-        """The lock expression text of a bare ``<lock>.acquire()`` stmt."""
-        if not isinstance(statement, ast.Expr):
-            return None
-        call = statement.value
-        if (
-            isinstance(call, ast.Call)
-            and isinstance(call.func, ast.Attribute)
-            and call.func.attr == "acquire"
-            and any(_is_lockish(n) for n in _identifier_leaves(call.func.value))
-        ):
-            return ast.dump(call.func.value)
-        return None
-
-    def _releases(self, statements: Sequence[ast.stmt], base: str) -> bool:
-        for statement in statements:
-            for child in ast.walk(statement):
-                if (
-                    isinstance(child, ast.Call)
-                    and isinstance(child.func, ast.Attribute)
-                    and child.func.attr == "release"
-                    and ast.dump(child.func.value) == base
-                ):
-                    return True
-        return False
-
-    def _check_statement_list(self, statements: Sequence[ast.stmt]) -> None:
-        for index, statement in enumerate(statements):
-            base = self._acquire_base(statement)
-            if base is None:
-                continue
-            follower = (
-                statements[index + 1] if index + 1 < len(statements) else None
-            )
-            guarded = (
-                isinstance(follower, ast.Try)
-                and self._releases(follower.finalbody, base)
-            )
-            if not guarded:
-                self._emit(
-                    "FPT402",
-                    "bare .acquire() without a 'with' block or an "
-                    "immediate try/finally release; an exception here "
-                    "leaks the lock forever",
-                    statement,
-                )
-
-    def generic_visit(self, node: ast.AST) -> None:
-        for field_name, value in ast.iter_fields(node):
-            if (
-                isinstance(value, list)
-                and value
-                and isinstance(value[0], ast.stmt)
-            ):
-                self._check_statement_list(value)
-        super().generic_visit(node)
-
 
 def _scan_text(
     text: str, file: str
 ) -> Tuple[List[_Class], Dict[str, _Method], List[Diagnostic]]:
-    """Parse one source file into class/function summaries + inline
-    FPT402/403 findings."""
+    """Parse one source file into class/function summaries (plus FPT000
+    when it does not parse)."""
     try:
         tree = ast.parse(text)
     except SyntaxError as error:
@@ -338,7 +239,6 @@ def _scan_text(
         ]
     classes: List[_Class] = []
     functions: Dict[str, _Method] = {}
-    findings: List[Diagnostic] = []
 
     class_nodes = [
         node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
@@ -387,24 +287,20 @@ def _scan_text(
         for item in node.body:
             if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visitor = _MethodVisitor(
-                    cls.methods[item.name], cls, classes, functions,
-                    findings, file,
+                    cls.methods[item.name], cls, classes, functions
                 )
                 for statement in item.body:
                     visitor.visit(statement)
-                visitor._check_statement_list(item.body)
     for node in tree.body:
         if isinstance(
             node, (ast.FunctionDef, ast.AsyncFunctionDef)
         ) and node.name in functions:
             visitor = _MethodVisitor(
-                functions[node.name], None, classes, functions, findings,
-                file,
+                functions[node.name], None, classes, functions
             )
             for statement in node.body:
                 visitor.visit(statement)
-            visitor._check_statement_list(node.body)
-    return classes, functions, findings
+    return classes, functions, []
 
 
 def _service_reachable(
@@ -527,10 +423,10 @@ def scan_concurrency_sources(
     findings: List[Diagnostic] = []
     texts: Dict[str, str] = {}
     for text, file in sources:
-        classes, functions, inline = _scan_text(text, file)
+        classes, functions, parse_errors = _scan_text(text, file)
         all_classes.extend(classes)
         all_functions.update(functions)
-        findings.extend(inline)
+        findings.extend(parse_errors)
         texts[file] = text
     reachable = _service_reachable(all_classes, all_functions)
     _check_shared_writes(all_classes, reachable, findings)
@@ -558,45 +454,11 @@ def lint_concurrency(
     packages: Sequence[str] = DEFAULT_PACKAGES,
 ) -> List[Diagnostic]:
     """Concurrency-lint every source file of ``packages``."""
-    sources: List[Tuple[str, str]] = []
-    for package in packages:
-        for path in _package_files(package):
-            with open(path, encoding="utf-8") as handle:
-                sources.append((handle.read(), _display_path(path)))
-    return scan_concurrency_sources(sources)
-
-
-def concurrency_hints(
-    mismatched_tasks: Sequence[str],
-    packages: Sequence[str] = DEFAULT_PACKAGES,
-) -> Tuple[List[Diagnostic], str]:
-    """Lint hits formatted as culprit leads for a parity failure.
-
-    Used by ``bench --check-parity`` alongside the determinism hints:
-    when parallel results diverge and no wall-clock/random call explains
-    it, an unlocked cross-thread write is the next suspect.
-    """
-    findings = lint_concurrency(packages)
-    subject = (
-        f"{len(mismatched_tasks)} task(s)" if mismatched_tasks else "parity"
-    )
-    if not findings:
-        text = (
-            "concurrency lint found no unlocked cross-thread writes that "
-            f"would explain the {subject} mismatch."
-        )
-        return findings, text
-    lines = [
-        f"concurrency lint flags these sites as possible culprits for "
-        f"the {subject} mismatch:"
-    ]
-    lines.extend("  " + diag.render() for diag in findings)
-    return findings, "\n".join(lines)
+    return scan_concurrency_sources(package_sources(packages))
 
 
 __all__ = [
     "DEFAULT_PACKAGES",
-    "concurrency_hints",
     "lint_concurrency",
     "scan_concurrency_source",
     "scan_concurrency_sources",

@@ -6,7 +6,6 @@ code.  Codes are grouped by layer:
 * ``FPT0xx`` -- configuration analysis (:mod:`repro.lint.analyzer`);
 * ``FPT1xx`` -- module contract vs. implementation
   (:mod:`repro.lint.implcheck`);
-* ``FPT2xx`` -- determinism (:mod:`repro.lint.determinism`);
 * ``FPT3xx`` -- static cost model (:mod:`repro.lint.costmodel`);
 * ``FPT4xx`` -- concurrency / data races
   (:mod:`repro.lint.concurrency`).
@@ -15,30 +14,33 @@ A diagnostic can be suppressed at its source line with an inline
 marker::
 
     threshold = -5      # fpt: noqa[FPT009]
-    t = time.time()     # fpt: noqa[FPT201] -- benchmark metadata stamp
+    self.hits += 1      # fpt: noqa[FPT401] -- single writer: poll thread
     whatever = 1        # fpt: noqa           (suppresses every code)
 
 Each bracketed entry is either a full code of the :data:`CODES` table
-(``FPT201``) or a *code prefix* of one to two digits (``FPT2``,
-``FPT20``), which suppresses every code it prefixes -- ``# fpt:
+(``FPT401``) or a *code prefix* of one to two digits (``FPT3``,
+``FPT30``), which suppresses every code it prefixes -- ``# fpt:
 noqa[FPT3]`` silences the whole cost model on that line.  Anything else
-inside the brackets (``E501``, ``FPT30x``, ``FPT2011``, or ``FPT999`` and
+inside the brackets (``E501``, ``FPT30x``, ``FPT3011``, or ``FPT999`` and
 ``FPT5``, which name no code) suppresses nothing and is itself reported
 as **FPT090**, so neither a typo nor a suppression left behind by a
 retired rule can sit in the source suppressing nothing.
 
 :func:`apply_noqa` filters a diagnostic list against the marker lines of
 the source text the diagnostics point into; :func:`marker_errors`
-reports the malformed entries.
+reports the malformed entries, and :func:`lint_markers` runs it over
+every source file of the ``repro`` package.
 """
 
 from __future__ import annotations
 
 import enum
+import importlib
 import json
+import os
 import re
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 #: ``# fpt: noqa`` or ``# fpt: noqa[FPT001,FPT007]`` (case-insensitive).
 _NOQA_RE = re.compile(
@@ -85,8 +87,6 @@ CODES: Dict[str, "tuple[Severity, str]"] = {
     "FPT105": (Severity.ERROR, "implementation reads an undeclared input"),
     "FPT106": (Severity.ERROR, "parameter accessor type conflicts with contract"),
     "FPT090": (Severity.ERROR, "noqa suppression entry names no code"),
-    "FPT201": (Severity.ERROR, "wall-clock read (breaks replay/parity)"),
-    "FPT202": (Severity.ERROR, "unseeded random source (breaks parity)"),
     "FPT301": (Severity.ERROR, "config cannot sustain its tick budget"),
     "FPT303": (
         Severity.WARNING,
@@ -96,11 +96,6 @@ CODES: Dict[str, "tuple[Severity, str]"] = {
         Severity.WARNING,
         "cross-thread attribute write without a held lock",
     ),
-    "FPT402": (
-        Severity.WARNING,
-        "lock acquired outside a with block or try/finally",
-    ),
-    "FPT403": (Severity.WARNING, "blocking call while holding a lock"),
 }
 
 
@@ -153,7 +148,7 @@ def noqa_lines(text: str) -> Dict[int, Optional[Set[str]]]:
     """Map 1-based line numbers to their suppressed codes/prefixes.
 
     ``None`` means a bare ``# fpt: noqa`` that suppresses everything on
-    that line.  Only entries that name a code (full codes or ``FPT2``-
+    that line.  Only entries that name a code (full codes or ``FPT3``-
     style prefixes) are returned; the others suppress nothing and are
     surfaced by :func:`marker_errors` instead.
     """
@@ -182,8 +177,8 @@ def marker_errors(text: str, file: str = "<config>") -> List[Diagnostic]:
     """FPT090 diagnostics for noqa entries in ``text`` that name no code.
 
     A suppression entry must be a full code of :data:`CODES` or a
-    ``FPT2`` / ``FPT20`` prefix of one.  Anything else (``E501``,
-    ``FPT30x``, ``FPT2011``, ``FPT999``) is reported here so a typo, or
+    ``FPT3`` / ``FPT30`` prefix of one.  Anything else (``E501``,
+    ``FPT30x``, ``FPT3011``, ``FPT999``) is reported here so a typo, or
     the code of a rule since retired, cannot silently suppress nothing.
     """
     findings: List[Diagnostic] = []
@@ -199,7 +194,7 @@ def marker_errors(text: str, file: str = "<config>") -> List[Diagnostic]:
                         code="FPT090",
                         message=(
                             f"noqa entry {entry!r} is neither an fpt-lint "
-                            "code nor a FPT2-style prefix of one; it "
+                            "code nor a FPT3-style prefix of one; it "
                             "suppresses nothing"
                         ),
                         line=line_no,
@@ -207,6 +202,40 @@ def marker_errors(text: str, file: str = "<config>") -> List[Diagnostic]:
                     )
                 )
     return findings
+
+
+def package_sources(packages: Sequence[str]) -> List[Tuple[str, str]]:
+    """``(text, display path)`` for every ``.py`` file of ``packages``,
+    package by package, each package's files in path order.
+
+    Display paths start at the package root (``repro/rpc/client.py``).
+    """
+    marker = os.sep + "repro" + os.sep
+    sources: List[Tuple[str, str]] = []
+    for package in packages:
+        paths = sorted(
+            os.path.join(dirpath, name)
+            for root in importlib.import_module(package).__path__
+            for dirpath, _dirnames, filenames in os.walk(root)
+            for name in filenames
+            if name.endswith(".py")
+        )
+        for path in paths:
+            with open(path, encoding="utf-8") as handle:
+                text = handle.read()
+            index = path.rfind(marker)
+            sources.append((text, path[index + 1:] if index != -1 else path))
+    return sources
+
+
+def lint_markers(packages: Sequence[str] = ("repro",)) -> List[Diagnostic]:
+    """FPT090 for every noqa entry in ``packages``' source that names no
+    code -- typos, and the markers a retired rule left behind."""
+    return sort_diagnostics(
+        diag
+        for text, file in package_sources(packages)
+        for diag in marker_errors(text, file)
+    )
 
 
 def code_suppressed(code: str, entries: Set[str]) -> bool:

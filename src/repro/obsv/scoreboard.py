@@ -317,7 +317,7 @@ def write_scoreboard_json(
     target_dir = str(directory) if directory else "."
     os.makedirs(target_dir, exist_ok=True)
     payload = scoreboard.snapshot()
-    payload["created_unix"] = int(time.time())  # fpt: noqa[FPT201] -- metadata stamp, not scenario state
+    payload["created_unix"] = int(time.time())
     path = os.path.join(target_dir, f"BENCH_{name}.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)

@@ -102,7 +102,7 @@ class RpcClient:
         self.counter.count_handshake()
         # The frame limit in force when the connection opens holds for
         # its lifetime (one lookup, not one per frame).
-        self.frame_limit: int = max_frame_bytes()  # fpt: noqa[FPT401] -- single writer: only the thread that owns the client (re)connects, and it alone decodes
+        self.frame_limit: int = max_frame_bytes()
         hello = encode_frame(
             make_hello(self.client_name, codecs=[CODEC_BINARY, CODEC_JSON]),
             peer=self.peer, limit=self.frame_limit,

@@ -229,7 +229,7 @@ class ClusterNodeDaemon:
         if row is None:
             return None
         window = _node_window(self.node, ts, row)
-        window["emit_wall"] = time.time()  # fpt: noqa[FPT201] -- emit stamp feeding wall-latency measurement
+        window["emit_wall"] = time.time()
         return window
 
     def buffer_sample(self, now: Optional[float] = None) -> bool:
@@ -238,7 +238,7 @@ class ClusterNodeDaemon:
         Returns True when a window was buffered (False while priming).
         Called only from the host process's sampler thread.
         """
-        ts = float(now) if now is not None else time.time()  # fpt: noqa[FPT201] -- sampler loop runs on the wall clock
+        ts = float(now) if now is not None else time.time()
         with self.meter:
             window = self._collect_window(ts)
             if window is None:
@@ -267,7 +267,7 @@ class ClusterNodeDaemon:
                     return None
                 self.samples_served += 1  # fpt: noqa[FPT401] -- single writer: one poller connection serializes rpc_sample
                 return window
-            ts = float(now) if now is not None else time.time()  # fpt: noqa[FPT201] -- live-mode fallback when the poller sends no nominal clock
+            ts = float(now) if now is not None else time.time()
             window = self._collect_window(ts)
             if window is None:
                 return None
@@ -294,7 +294,7 @@ class ClusterNodeDaemon:
                     windows.append(self._windows.popleft())
             else:
                 window = self._collect_window(
-                    float(now) if now is not None else time.time()  # fpt: noqa[FPT201] -- live-mode fallback when the poller sends no nominal clock
+                    float(now) if now is not None else time.time()
                 )
                 if window is not None:
                     windows.append(window)

@@ -169,7 +169,7 @@ class Tracer:
         # perf_counter timeline on the shared wall clock -- this is what
         # lets stitch_chrome_traces align documents across processes.
         self._epoch = time.perf_counter()
-        self.wall_epoch = time.time()  # fpt: noqa[FPT201] -- epoch anchor aligning per-process traces on the shared wall clock
+        self.wall_epoch = time.time()
         self.pid = os.getpid()
         self.process_name = process_name or f"pid{self.pid}"
 

@@ -58,11 +58,6 @@ class TestParams:
         assert make_context().param_bool("q", True) is True
         assert make_context().param_list("l", []) == []
 
-    def test_unconsumed_params_reported(self):
-        ctx = make_context({"used": "1", "stray": "2", "id": "x"})
-        ctx.param_int("used")
-        assert ctx.unconsumed_params() == ["stray"]
-
 
 class TestServices:
     def test_service_lookup(self):

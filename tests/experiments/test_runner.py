@@ -264,3 +264,45 @@ class TestTimingsAndBench:
         assert report.result("CPUHog/t0") is report.results[0]
         with pytest.raises(KeyError):
             report.result("nope")
+
+
+class TestCheckParityCommand:
+    """``repro bench --check-parity``: name the differing tasks, exit 1."""
+
+    @staticmethod
+    def _bench(monkeypatch, differ):
+        from repro import cli
+
+        submitted = []
+
+        def fake_run_tasks(tasks, jobs, model):
+            submitted[:] = tasks
+            results = [
+                runner_mod.TaskResult(
+                    task, {"alarms": [jobs if differ and i == 1 else 0]},
+                    wall_s=0.1, cpu_s=0.1, worker="w",
+                )
+                for i, task in enumerate(tasks)
+            ]
+            mode = "serial" if jobs == 1 else "process-pool"
+            return runner_mod.EngineReport(jobs, mode, 1.0, results)
+
+        monkeypatch.setattr(cli, "shared_model", lambda *a, **k: None)
+        monkeypatch.setattr(cli, "run_tasks", fake_run_tasks)
+        code = cli.main([
+            "bench", "--faults", "CPUHog", "--trials", "2",
+            "--jobs", "2", "--check-parity",
+        ])
+        return code, submitted
+
+    def test_mismatch_names_the_tasks_and_exits_one(self, monkeypatch, capsys):
+        code, tasks = self._bench(monkeypatch, differ=True)
+        assert code == 1
+        captured = capsys.readouterr()
+        assert f"parity vs serial: MISMATCH in ['{tasks[1].task_id}']" in captured.out
+        assert captured.err == ""
+
+    def test_identical_runs_exit_zero(self, monkeypatch, capsys):
+        code, _tasks = self._bench(monkeypatch, differ=False)
+        assert code == 0
+        assert "parity vs serial: IDENTICAL" in capsys.readouterr().out

@@ -1,5 +1,5 @@
 """The user-facing entry points: ``repro lint``, ConfigError line info,
-and the FptCore opt-in fail-fast hook."""
+and linting a config before building it."""
 
 import json
 
@@ -9,6 +9,7 @@ from repro.cli import main
 from repro.core import FptCore, Module, RunReason, SimClock
 from repro.core.config import parse_config
 from repro.core.errors import ConfigError
+from repro.lint import analyze_config, analyze_specs, has_errors, lint_markers
 from repro.modules import standard_registry
 
 
@@ -32,7 +33,7 @@ def tick_registry():
     return registry
 
 
-#: A buildable, service-free pipeline for the FptCore hook tests.
+#: A buildable, service-free pipeline for the lint-then-build tests.
 BUILDABLE = """\
 [tick_source]
 id = src
@@ -107,9 +108,15 @@ class TestLintCommand:
         assert main(["lint", str(path)]) == 0
         assert main(["lint", "--strict", str(path)]) == 1
 
-    def test_generated_impl_determinism_all_clean(self, capsys):
+    def test_everything_lints_clean(self, capsys):
         assert main(["lint", "--slaves", "4"]) == 0
         assert "no diagnostics" in capsys.readouterr().out
+
+    def test_determinism_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["lint", "--determinism"])
+        assert exit_info.value.code == 2
+        assert "--determinism" in capsys.readouterr().err
 
     def test_cost_budget_flag_gates_the_generated_deployment(self, capsys):
         assert main(["lint", "--cost", "--slaves", "50"]) == 0
@@ -176,55 +183,69 @@ class TestConfigErrorLineInfo:
         assert "repro lint" in err  # points at the analyzer
 
 
-class TestFptCoreLintHook:
-    def test_lint_true_rejects_bad_config_before_instantiation(self):
-        with pytest.raises(ConfigError, match="FPT001"):
-            FptCore.from_config(
-                "[no_such]\nid = x\n", standard_registry(), SimClock(),
-                lint=True,
-            )
+#: Markers the retired FPT2xx/FPT402/FPT403 rules left behind.
+STALE = """\
+import time
+t = time.time()  # fpt: noqa[FPT201] -- metadata stamp
+lock.acquire()  # fpt: noqa[FPT402]
+ok = 1  # fpt: noqa[FPT401] -- single writer
+"""
 
-    def test_lint_true_accepts_clean_config(self):
-        core = FptCore.from_config(
-            BUILDABLE, tick_registry(), SimClock(), lint=True
+
+class TestStaleMarkers:
+    def test_retired_codes_are_reported_as_fpt090(self, tmp_path, monkeypatch):
+        package = tmp_path / "stalepkg"
+        package.mkdir()
+        (package / "__init__.py").write_text("")
+        (package / "mod.py").write_text(STALE)
+        monkeypatch.syspath_prepend(str(tmp_path))
+        findings = lint_markers(("stalepkg",))
+        assert [(d.code, d.line) for d in findings] == [
+            ("FPT090", 2), ("FPT090", 3),
+        ]
+        assert "FPT201" in findings[0].message
+        assert "FPT402" in findings[1].message
+
+    def test_repro_lint_scans_the_source_for_them(self, monkeypatch, capsys):
+        from repro.lint import diagnostics
+
+        monkeypatch.setattr(
+            diagnostics, "package_sources",
+            lambda packages: [(STALE, "repro/cluster/stale.py")],
         )
+        assert main(["lint", "--slaves", "4"]) == 1
+        out = capsys.readouterr().out
+        assert "repro/cluster/stale.py:2: FPT090" in out
+        assert "repro/cluster/stale.py:3: FPT090" in out
+
+
+class TestLintBeforeBuild:
+    """README's programmatic gate: ``analyze_config`` + ``has_errors``
+    before ``FptCore.from_config``, so a bad config never builds."""
+
+    def test_errors_block_before_any_module_is_built(self):
+        diagnostics = analyze_config(
+            "[no_such]\nid = x\n", registry=standard_registry()
+        )
+        assert has_errors(diagnostics)
+        assert [d.code for d in diagnostics] == ["FPT001"]
+
+    def test_clean_config_passes_and_builds(self):
+        registry = tick_registry()
+        assert analyze_config(BUILDABLE, registry=registry) == []
+        core = FptCore.from_config(BUILDABLE, registry, SimClock())
         assert sorted(core.instances) == ["out", "smooth", "src"]
         core.close()
 
     def test_warnings_do_not_block_construction(self):
         text = BUILDABLE.replace("id = src", "id = src\nbanana = 1")
-        core = FptCore.from_config(
-            text, tick_registry(), SimClock(), lint=True
-        )
-        core.close()
-
-    def test_default_is_off(self):
-        # Identical bad config constructs (then fails at build) only
-        # through the *wiring* error path, proving lint didn't run.
-        with pytest.raises(ConfigError, match="unknown module type"):
-            FptCore.from_config(
-                "[no_such]\nid = x\n", standard_registry(), SimClock()
-            )
+        diagnostics = analyze_config(text, registry=tick_registry())
+        assert [d.code for d in diagnostics] == ["FPT007"]
+        assert not has_errors(diagnostics)
+        FptCore.from_config(text, tick_registry(), SimClock()).close()
 
     def test_specs_path_lints_too(self):
         specs = parse_config("[knn]\nid = k\nmodel = bb_model\n")
-        with pytest.raises(ConfigError, match="FPT011"):
-            FptCore(specs, standard_registry(), SimClock(), lint=True)
-
-
-class TestRuntimeUnconsumedParams:
-    def test_clean_pipeline_consumes_everything(self):
-        core = FptCore.from_config(BUILDABLE, tick_registry(), SimClock())
-        assert core.unconsumed_param_diagnostics() == []
-        core.close()
-
-    def test_stray_param_reported_after_init(self):
-        # Static lint would warn too; the runtime check proves the
-        # module really never read it, computed names included.
-        text = BUILDABLE.replace("id = src", "id = src\nstray = 1")
-        core = FptCore.from_config(text, tick_registry(), SimClock())
-        diags = core.unconsumed_param_diagnostics()
-        assert [d.code for d in diags] == ["FPT007"]
-        assert "stray" in diags[0].message
-        assert diags[0].instance == "src"
-        core.close()
+        diagnostics = analyze_specs(specs, registry=standard_registry())
+        assert "FPT011" in {d.code for d in diagnostics}
+        assert has_errors(diagnostics)

@@ -1,10 +1,6 @@
-"""Concurrency lint: cross-thread writes, lock hygiene, blocking calls."""
+"""Concurrency lint: unlocked cross-thread writes (FPT401)."""
 
-from repro.lint import (
-    concurrency_hints,
-    lint_concurrency,
-    scan_concurrency_source,
-)
+from repro.lint import lint_concurrency, scan_concurrency_source
 from repro.lint.concurrency import DEFAULT_PACKAGES
 
 
@@ -150,20 +146,8 @@ class Server:
 
 
 class TestLockHygiene:
-    def test_fpt402_fires_on_bare_acquire(self):
-        text = """\
-import threading
-
-class S:
-    def __init__(self):
-        self._lock = threading.Lock()
-
-    def rpc_poke(self):
-        self._lock.acquire()
-        self.work()
-        self._lock.release()
-"""
-        assert "FPT402" in codes(text)
+    """Lock and blocking-call idioms are not findings by themselves:
+    only a shared unlocked write is."""
 
     def test_acquire_with_try_finally_is_clean(self):
         text = """\
@@ -181,27 +165,6 @@ class S:
             self._lock.release()
 """
         assert codes(text) == []
-
-    def test_fpt403_fires_on_blocking_call_under_lock(self):
-        text = """\
-import threading
-
-class S:
-    def __init__(self):
-        self._lock = threading.Lock()
-        self.x = 0
-
-    def rpc_poke(self, sock):
-        with self._lock:
-            data = sock.recv(4096)
-            self.x = len(data)
-
-    def read(self):
-        return self.x
-"""
-        findings = scan_concurrency_source(text)
-        assert [d.code for d in findings] == ["FPT403"]
-        assert "recv" in findings[0].message
 
     def test_blocking_call_outside_lock_is_clean(self):
         text = """\
@@ -225,15 +188,3 @@ class TestGoldenPackages:
             "repro.cluster", "repro.rpc", "repro.obsv", "repro.telemetry"
         }
 
-
-class TestParityHints:
-    def test_clean_scan_reports_no_culprits(self):
-        findings, text = concurrency_hints(["CPUHog-0"])
-        assert findings == []
-        assert "no unlocked cross-thread writes" in text
-
-    def test_findings_format_as_culprit_leads(self):
-        # Route the hint through a synthetic single-module package view
-        # by checking the formatter contract on the source scanner.
-        findings = scan_concurrency_source(UNLOCKED)
-        assert findings and findings[0].render()

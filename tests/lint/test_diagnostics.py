@@ -43,8 +43,8 @@ class TestRendering:
         )
 
     def test_render_without_line_or_instance(self):
-        assert Diagnostic("FPT201", "tick").render() == (
-            "<config>: FPT201 error: tick"
+        assert Diagnostic("FPT301", "tick").render() == (
+            "<config>: FPT301 error: tick"
         )
 
     def test_render_text_summarises_counts(self):
@@ -127,11 +127,11 @@ class TestNoqaPrefixes:
             [
                 Diagnostic("FPT301", "x", line=1),
                 Diagnostic("FPT303", "y", line=1),
-                Diagnostic("FPT201", "z", line=1),
+                Diagnostic("FPT401", "z", line=1),
             ],
             text,
         )
-        assert [d.code for d in kept] == ["FPT201"]
+        assert [d.code for d in kept] == ["FPT401"]
 
     def test_two_digit_prefix_narrows_to_a_decade(self):
         text = "a = 1  # fpt: noqa[FPT01]\n"
@@ -156,8 +156,8 @@ class TestNoqaPrefixes:
         assert [d.code for d in kept] == ["FPT303"]
 
     def test_prefixes_parse_alongside_full_codes(self):
-        markers = noqa_lines("x  # fpt: noqa[FPT2, FPT401]\n")
-        assert markers == {1: {"FPT2", "FPT401"}}
+        markers = noqa_lines("x  # fpt: noqa[FPT3, FPT401]\n")
+        assert markers == {1: {"FPT3", "FPT401"}}
 
 
 class TestMalformedNoqa:
@@ -168,7 +168,7 @@ class TestMalformedNoqa:
         assert findings[0].line == 1
 
     def test_too_long_prefix_is_malformed(self):
-        findings = marker_errors("t = 1  # fpt: noqa[FPT2011]\n")
+        findings = marker_errors("t = 1  # fpt: noqa[FPT3011]\n")
         assert [d.code for d in findings] == ["FPT090"]
 
     def test_malformed_entry_suppresses_nothing(self):
@@ -185,13 +185,13 @@ class TestMalformedNoqa:
         assert apply_noqa(findings, text) == findings
 
     def test_valid_entries_on_a_mixed_line_still_work(self):
-        text = "t = 1  # fpt: noqa[FPT201, E501]\n"
-        kept = apply_noqa([Diagnostic("FPT201", "x", line=1)], text)
+        text = "t = 1  # fpt: noqa[FPT301, E501]\n"
+        kept = apply_noqa([Diagnostic("FPT301", "x", line=1)], text)
         assert kept == []
         assert [d.code for d in marker_errors(text)] == ["FPT090"]
 
     def test_clean_markers_report_nothing(self):
-        assert marker_errors("a = 1  # fpt: noqa[FPT201]\nb = 2\n") == []
+        assert marker_errors("a = 1  # fpt: noqa[FPT301]\nb = 2\n") == []
         assert marker_errors("a = 1  # fpt: noqa\n") == []
         assert marker_errors("a = 1  # fpt: noqa[FPT3, FPT30, fpt401]\n") == []
 
@@ -199,8 +199,11 @@ class TestMalformedNoqa:
         "entry",
         [
             "FPT999",  # well-formed, names nothing
-            "FPT210",  # a typo of FPT201
-            "FPT310",  # a rule that was retired
+            "FPT210",  # a typo of the retired FPT201
+            "FPT310",  # retired rules
+            "FPT201",
+            "FPT402",
+            "FPT2",    # a retired layer
             "FPT5",    # prefixes nothing
             "FPT31",
         ],

@@ -37,7 +37,7 @@ class SlowableHandler:
             "timestamp": float(now or 0.0),
             "node_name": self.name,
             "node": {"cpu_idle_pct": 60.0, "loadavg_1": 0.5},
-            "emit_wall": time.time(),  # fpt: noqa[FPT201] -- live-socket test fixture
+            "emit_wall": time.time(),
         }
 
     def rpc_poll_many(self, now=None, max_windows=32):
