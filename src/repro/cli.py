@@ -1,56 +1,34 @@
-"""Command-line interface: ``python -m repro <command>``.
+"""Command-line interface: ``python -m repro <command>``, one command per job.
 
-Everything the evaluation does, runnable from a terminal:
-
-* ``demo``      -- one monitored run with an injected fault, with an
-                   ASCII alarm timeline;
-* ``calibrate`` -- the Figure 6 fault-free threshold sweeps;
-* ``figure7``   -- the full per-fault accuracy/latency sweep;
-* ``overhead``  -- Tables 3 and 4;
-* ``table2``    -- the fault catalog;
-* ``bench``     -- the parallel experiment runner over a fault x trial
-                   matrix, emitting a ``BENCH_<name>.json`` timing file
-                   (optionally asserting parallel/serial parity);
-* ``config``    -- print the generated fpt-core configuration file
-                   (the paper's Figure 3 at cluster scale);
-* ``lint``      -- static analysis: check configuration files (or the
-                   generated one) against the module contracts, verify
-                   module implementations match their declarations,
-                   price the DAG, and race-scan the deployment code;
-* ``telemetry`` -- run a monitored scenario with self-instrumentation on
-                   and print the summary (per-instance run latencies,
-                   queue stats, RPC bytes, the alarm audit trail,
-                   filterable with ``--tail``/``--since``);
-* ``top``       -- live ANSI dashboard over a running scenario: node
-                   health, sample-to-alarm latencies, hottest modules;
-* ``incident``  -- inspect the incident bundles a recorded run froze;
-* ``replay``    -- feed a recorded flight archive back through a DAG
-                   config, faster than real time, and check the replayed
-                   alarms against the recording;
-* ``cluster``   -- the live multi-daemon deployment: ``cluster up``
-                   spawns one collection daemon per node as a real OS
-                   process plus the central analysis daemon (federated
-                   ``/metrics``, ``/status``, ``/cluster`` on the
-                   central's ops port), ``cluster drive`` runs the
-                   measured fault+kill scenario and writes
-                   ``BENCH_cluster.json``, and ``cluster top`` renders a
-                   terminal dashboard over the federated stats
-                   (``cluster node`` / ``cluster central`` are the
-                   daemon entrypoints the launcher spawns).
-
-``demo`` and ``telemetry`` accept ``--trace FILE`` (Chrome
-``chrome://tracing`` trace of every module run) and ``--metrics FILE``
-(Prometheus text exposition of the core's self-metrics).  ``demo
---record DIR`` attaches a flight recorder: every channel is archived to
-``DIR`` together with the trained model, the generated configuration and
-one incident bundle per alarm, ready for ``incident`` and ``replay``.
-
-``demo --serve PORT`` attaches the diagnosis observatory and serves the
-live ops surface (``/health``, ``/metrics``, ``/status``, ``/alarms``,
-``/scoreboard``) over HTTP while the run executes; ``--linger S`` keeps
-the endpoint up after the run so external scrapers can collect, and
-``--scoreboard DIR`` writes the online ground-truth scoreboard as
-``BENCH_scoreboard.json``.
+* ``demo``     -- the one command that runs a monitored scenario: an
+                  injected fault, the run summary and an ASCII alarm
+                  timeline.  Each optional flag attaches one layer:
+                  ``--trace/--metrics/--audit`` telemetry (whose summary
+                  the run then prints), ``--serve/--linger/--scoreboard``
+                  the diagnosis observatory and its ops surface,
+                  ``--top`` a live dashboard over the observatory, and
+                  ``--record`` a flight recorder for ``incident`` and
+                  ``replay``; ``--dot`` writes the annotated DAG;
+* ``paper``    -- the paper's artifacts: ``paper table2`` (the fault
+                  catalog), ``paper figure6`` (the fault-free threshold
+                  sweeps), ``paper figure7`` (per-fault accuracy and
+                  latency) and ``paper overhead`` (Tables 3 and 4);
+* ``bench``    -- a fault x trial matrix through the parallel experiment
+                  runner, printing its walls (``--check-parity`` also
+                  runs it serially and asserts byte-identical results);
+* ``config``   -- print the generated fpt-core configuration file (the
+                  paper's Figure 3 at cluster scale);
+* ``lint``     -- static analysis of configuration files (or the
+                  generated one), module implementations, DAG cost and
+                  the deployment code's threading;
+* ``incident`` -- inspect the incident bundles a recorded run froze;
+* ``replay``   -- feed a flight archive back through a DAG config and
+                  check the replayed alarms against the recording;
+* ``cluster``  -- the live multi-process deployment: ``up`` spawns the
+                  node daemons and the central (``node`` / ``central``
+                  are the entrypoints it spawns), ``drive`` runs the
+                  measured fault+kill scenario, ``top`` is a terminal
+                  dashboard over the central's federated stats.
 """
 
 from __future__ import annotations
@@ -63,7 +41,6 @@ from typing import List, Optional
 
 from .core.errors import ConfigError
 from .experiments import (
-    ExperimentTask,
     ScenarioConfig,
     build_asdf_config_text,
     figure6,
@@ -93,6 +70,12 @@ from .telemetry import Telemetry
 #: File name of the trained model saved alongside a flight archive.
 ARCHIVE_MODEL_FILE = "model.json"
 
+#: Simulated seconds between ``demo --top`` dashboard repaints.
+TOP_REFRESH_S = 15.0
+
+#: Audit records ``demo`` prints under the telemetry summary.
+AUDIT_LINES = 20
+
 
 def _positive_float(text: str) -> float:
     value = float(text)
@@ -101,57 +84,33 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--slaves", type=int, default=10, help="slave node count")
-    parser.add_argument("--duration", type=float, default=900.0, help="run seconds")
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--inject", type=float, default=300.0, help="fault time")
-    parser.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes for scenario execution (0 = one per CPU; "
+#: The scenario flags: each command takes the ones it reads.
+_SCENARIO_FLAGS = {
+    "slaves": {"type": int, "default": 10, "help": "slave node count"},
+    "duration": {"type": float, "default": 900.0, "help": "run seconds"},
+    "seed": {"type": int, "default": 7},
+    "inject": {"type": float, "default": 300.0, "help": "fault time"},
+    "jobs": {
+        "type": int, "default": 1,
+        "help": "worker processes for the run matrix (0 = one per CPU; "
         "results are identical at any worker count)",
+    },
+}
+
+
+def _add_scenario_flags(parser: argparse.ArgumentParser, *names: str) -> None:
+    for name in names:
+        parser.add_argument(f"--{name}", **_SCENARIO_FLAGS[name])
+
+
+def _scenario_config(args, **fields) -> ScenarioConfig:
+    return ScenarioConfig(
+        num_slaves=args.slaves, duration_s=args.duration, seed=args.seed,
+        **fields,
     )
 
 
-def _add_telemetry_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--trace", metavar="FILE", default=None,
-        help="write a Chrome trace-event file (load in chrome://tracing)",
-    )
-    parser.add_argument(
-        "--metrics", metavar="FILE", default=None,
-        help="write the core's self-metrics in Prometheus text format",
-    )
-    parser.add_argument(
-        "--audit", metavar="FILE", default=None,
-        help="write the alarm audit trail as JSONL",
-    )
-
-
-def _add_observatory_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--serve", metavar="PORT", type=int, nargs="?", const=0, default=None,
-        help="serve the live ops surface (/health /metrics /status "
-        "/alarms /scoreboard) on this port while the run executes "
-        "(0 or no value = ephemeral port)",
-    )
-    parser.add_argument(
-        "--linger", type=float, default=0.0, metavar="S",
-        help="keep the ops surface up S wall seconds after the run "
-        "(GET /shutdown ends the wait early)",
-    )
-
-
-def _make_telemetry(args) -> Optional[Telemetry]:
-    """An enabled Telemetry when any telemetry flag was given, else None."""
-    if args.trace or args.metrics or args.audit:
-        return Telemetry(trace=bool(args.trace))
-    return None
-
-
-def _dump_telemetry(telemetry: Optional[Telemetry], args) -> None:
-    if telemetry is None:
-        return
+def _write_telemetry(telemetry: Telemetry, args) -> None:
     if args.trace:
         telemetry.tracer.write_chrome_trace(args.trace)
         print(f"wrote {len(telemetry.tracer.events)} trace events to {args.trace}")
@@ -183,31 +142,39 @@ def _linger(server, linger_s: float) -> None:
             return
 
 
-def _scenario_config(args, fault: Optional[str]) -> ScenarioConfig:
-    return ScenarioConfig(
-        num_slaves=args.slaves,
-        duration_s=args.duration,
-        seed=args.seed,
-        fault_name=fault,
-        inject_time=args.inject,
-    )
+def _top_repainter(observatory):
+    """A tick callback repainting the ANSI dashboard every
+    :data:`TOP_REFRESH_S` simulated seconds."""
+    from .obsv import CLEAR_SCREEN, render_top
+
+    last_frame = [float("-inf")]
+
+    def repaint(sim_now: float) -> None:
+        if sim_now - last_frame[0] < TOP_REFRESH_S:
+            return
+        last_frame[0] = sim_now
+        sys.stdout.write(CLEAR_SCREEN + render_top(observatory) + "\n")
+        sys.stdout.flush()
+
+    return repaint
 
 
 def cmd_demo(args) -> int:
-    config = _scenario_config(args, args.fault)
-    telemetry = _make_telemetry(args)
+    config = _scenario_config(args, fault_name=args.fault, inject_time=args.inject)
+    telemetry_on = bool(args.trace or args.metrics or args.audit)
+    telemetry = Telemetry(trace=bool(args.trace)) if telemetry_on else None
+    serving = args.serve is not None or args.scoreboard is not None
     observatory = None
     server = None
-    if args.serve is not None or args.scoreboard is not None:
+    if serving or args.top:
         from .obsv import Observatory, OpsServer
 
         observatory = Observatory(telemetry=telemetry)
-        telemetry = observatory.telemetry
         if args.serve is not None:
             server = OpsServer(observatory, port=args.serve).start()
             print(f"ops surface listening on {server.url}", flush=True)
     print(f"training black-box model ({args.slaves} slaves)...", flush=True)
-    model = shared_model(config, training_duration_s=min(300.0, args.duration))
+    model = shared_model(config)
     recorder = None
     if args.record:
         recorder = FlightRecorder(archive_dir=args.record)
@@ -226,31 +193,40 @@ def cmd_demo(args) -> int:
         f"{args.fault or 'no fault'}...",
         flush=True,
     )
-    in_process = (
-        telemetry is not None or recorder is not None or observatory is not None
+    # Colour and live repaints only on a terminal: a log or a pipe gets
+    # one plain final frame.
+    tty = sys.stdout.isatty()
+    result = run_scenario(
+        config,
+        model=model,
+        keep_handles=bool(args.dot),
+        telemetry=telemetry,
+        recorder=recorder,
+        observatory=observatory,
+        tick_callback=_top_repainter(observatory) if args.top and tty else None,
     )
-    if args.jobs != 1 and not in_process:
-        # Telemetry, flight recording and the observatory need the run
-        # in-process; plain demos may go through the experiment runner
-        # (same results).
-        report = run_tasks(
-            [ExperimentTask("demo", config)], jobs=args.jobs, model=model
-        )
-        result = report.results[0].load()
-    else:
-        result = run_scenario(
-            config,
-            model=model,
-            telemetry=telemetry,
-            recorder=recorder,
-            observatory=observatory,
-        )
+    if args.top:
+        from .obsv import CLEAR_SCREEN, render_top
+
+        print((CLEAR_SCREEN if tty else "") + render_top(observatory, color=tty))
     print()
     print(render_summary(result))
     print()
     print(render_timeline(result))
-    _dump_telemetry(telemetry, args)
-    if observatory is not None:
+    if telemetry_on:
+        print()
+        print(telemetry.summary_text())
+        if len(telemetry.audit):
+            print("\nalarm audit trail:")
+            print(telemetry.audit.render_text(limit=AUDIT_LINES))
+        _write_telemetry(telemetry, args)
+    if args.dot:
+        os.makedirs(os.path.dirname(args.dot) or ".", exist_ok=True)
+        with open(args.dot, "w", encoding="utf-8") as fh:
+            fh.write(result.handles.core.to_dot(annotate=True))
+        print(f"wrote annotated DAG to {args.dot}")
+        result.handles.core.close()
+    if serving:
         path = observatory.write_scoreboard(directory=args.scoreboard)
         print(f"\nwrote scoreboard to {path}")
     if server is not None:
@@ -276,10 +252,16 @@ def cmd_demo(args) -> int:
     return 0
 
 
-def cmd_calibrate(args) -> int:
-    config = _scenario_config(args, None)
-    model = shared_model(config, training_duration_s=min(300.0, args.duration))
-    result = figure6(config, model=model, jobs=args.jobs)
+def cmd_table2(args) -> int:
+    for row in table2():
+        print(f"{row.fault_name:<12} {row.reported_failure}")
+        print(f"{'':<12} injected: {row.injected}")
+    return 0
+
+
+def cmd_figure6(args) -> int:
+    config = _scenario_config(args)
+    result = figure6(config, model=shared_model(config))
     print(result.render())
     print(
         "\nsuggested operating points: bb threshold "
@@ -290,9 +272,10 @@ def cmd_calibrate(args) -> int:
 
 def cmd_figure7(args) -> int:
     seeds = tuple(int(s) for s in args.seeds.split(","))
-    config = _scenario_config(args, None)
-    model = shared_model(config, training_duration_s=min(300.0, args.duration))
-    result = figure7(config, seeds=seeds, model=model, jobs=args.jobs)
+    config = _scenario_config(args, inject_time=args.inject)
+    result = figure7(
+        config, seeds=seeds, model=shared_model(config), jobs=args.jobs
+    )
     print(result.render())
     return 0
 
@@ -313,14 +296,14 @@ def cmd_bench(args) -> int:
     if unknown:
         print(f"error: unknown fault(s): {', '.join(unknown)}", file=sys.stderr)
         return 2
-    base = _scenario_config(args, None)
+    base = _scenario_config(args, inject_time=args.inject)
     tasks = table2_matrix(base, faults=faults, trials=args.trials)
     print(
         f"bench matrix: {len(tasks)} tasks "
         f"({len(faults)} fault(s) x {args.trials} trial(s))"
     )
     print(f"training shared black-box model ({args.slaves} slaves)...", flush=True)
-    model = shared_model(base, training_duration_s=min(300.0, args.duration))
+    model = shared_model(base)
 
     serial = None
     if args.check_parity or args.jobs == 1:
@@ -347,16 +330,13 @@ def cmd_bench(args) -> int:
     return 0 if parity_ok else 1
 
 
-def cmd_table2(args) -> int:
-    for row in table2():
-        print(f"{row.fault_name:<12} {row.reported_failure}")
-        print(f"{'':<12} injected: {row.injected}")
-    return 0
+def _generated_config_text(slaves: int) -> str:
+    nodes = [f"slave{i + 1:02d}" for i in range(slaves)]
+    return build_asdf_config_text(nodes, ScenarioConfig(num_slaves=slaves))
 
 
 def cmd_config(args) -> int:
-    nodes = [f"slave{i + 1:02d}" for i in range(args.slaves)]
-    print(build_asdf_config_text(nodes, _scenario_config(args, None)))
+    print(_generated_config_text(args.slaves))
     return 0
 
 
@@ -401,9 +381,9 @@ def cmd_lint(args) -> int:
 
     # --cost with no explicit config estimates the generated deployment.
     if args.generated or lint_all or (args.cost and not args.configs):
-        nodes = [f"slave{i + 1:02d}" for i in range(args.slaves)]
-        text = build_asdf_config_text(nodes, _scenario_config(args, None))
-        config_texts.append((text, "<generated>"))
+        config_texts.append(
+            (_generated_config_text(args.slaves), "<generated>")
+        )
 
     for text, file in config_texts:
         diagnostics.extend(analyze_config(text, file=file))
@@ -449,84 +429,6 @@ def cmd_lint(args) -> int:
     return 0
 
 
-def cmd_telemetry(args) -> int:
-    """Run a monitored scenario with self-instrumentation and summarize."""
-    config = _scenario_config(args, args.fault)
-    telemetry = Telemetry(trace=args.trace is not None or not args.no_spans)
-    print(f"training black-box model ({args.slaves} slaves)...", flush=True)
-    model = shared_model(config, training_duration_s=min(300.0, args.duration))
-    print(
-        f"running instrumented {args.duration:.0f}s with "
-        f"{args.fault or 'no fault'}...\n",
-        flush=True,
-    )
-    result = run_scenario(
-        config, model=model, keep_handles=True, telemetry=telemetry
-    )
-    print(telemetry.summary_text())
-    if len(telemetry.audit):
-        print("\nalarm audit trail:")
-        print(
-            telemetry.audit.render_text(
-                limit=None if (args.tail or args.since is not None) else 20,
-                tail=args.tail,
-                since=args.since,
-            )
-        )
-    if args.dot:
-        os.makedirs(os.path.dirname(args.dot) or ".", exist_ok=True)
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(result.handles.core.to_dot(annotate=True))
-        print(f"\nwrote annotated DAG to {args.dot}")
-    _dump_telemetry(telemetry, args)
-    result.handles.core.close()
-    return 0
-
-
-def cmd_top(args) -> int:
-    """Live ANSI dashboard over a monitored scenario as it runs."""
-    from .obsv import CLEAR_SCREEN, Observatory, OpsServer, render_top
-
-    config = _scenario_config(args, args.fault)
-    observatory = Observatory()
-    server = None
-    if args.serve is not None:
-        server = OpsServer(observatory, port=args.serve).start()
-    # Non-TTY stdout (CI logs, pipes): no ANSI escapes, and repainting a
-    # log file is noise -- degrade to a single final snapshot.
-    tty = sys.stdout.isatty()
-    color = not args.no_color and tty
-    once = args.once or not tty
-    print(f"training black-box model ({args.slaves} slaves)...", flush=True)
-    model = shared_model(config, training_duration_s=min(300.0, args.duration))
-
-    last_frame = [float("-inf")]
-
-    def repaint(sim_now: float) -> None:
-        if sim_now - last_frame[0] < args.refresh:
-            return
-        last_frame[0] = sim_now
-        frame = render_top(observatory, color=color)
-        sys.stdout.write((CLEAR_SCREEN if color else "\n") + frame + "\n")
-        sys.stdout.flush()
-
-    run_scenario(
-        config,
-        model=model,
-        observatory=observatory,
-        tick_callback=None if once else repaint,
-    )
-    final = render_top(observatory, color=color)
-    if color and not once:
-        sys.stdout.write(CLEAR_SCREEN)
-    print(final)
-    if server is not None:
-        print(f"\nops surface on {server.url}")
-        _linger(server, args.linger)
-        server.stop()
-    return 0
-
-
 def cmd_incident(args) -> int:
     """Inspect the incident bundles in a flight-archive directory."""
     bundles = load_bundles(args.directory)
@@ -549,10 +451,18 @@ def cmd_incident(args) -> int:
 
 def cmd_replay(args) -> int:
     """Replay a flight archive through a DAG config and score fidelity."""
-    archive = ReplayArchive.load(args.directory)
+    try:
+        archive = ReplayArchive.load(args.directory)
+    except (OSError, ValueError) as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            config_text = fh.read()
+        try:
+            with open(args.config, encoding="utf-8") as fh:
+                config_text = fh.read()
+        except OSError as error:
+            print(f"error: cannot read {args.config}: {error}", file=sys.stderr)
+            return 2
     else:
         config_text = archive.manifest.get("config_text")
         if not config_text:
@@ -635,13 +545,7 @@ def cmd_cluster_node(args) -> int:
 
     if args.max_frame_bytes is not None:
         set_max_frame_bytes(args.max_frame_bytes)
-    if args.names:
-        names = [n.strip() for n in args.names.split(",") if n.strip()]
-    elif args.name:
-        names = [args.name]
-    else:
-        print("error: cluster node needs --names or --name", file=sys.stderr)
-        return 2
+    names = [n.strip() for n in args.names.split(",") if n.strip()]
     return run_node_host(
         names, args.dir, seed=args.seed,
         sample_interval_s=args.sample_interval,
@@ -852,116 +756,107 @@ def cmd_cluster_top(args) -> int:
         _time.sleep(args.refresh)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Flags are spelled out: no prefix abbreviations, so a removed
+    flag (``--name``) cannot live on as a prefix of a kept one
+    (``--names``).  Subparsers inherit the class."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="python -m repro",
         description="ASDF (DSN 2009) reproduction: online fingerpointing "
         "of performance problems in a simulated Hadoop cluster.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    demo = commands.add_parser("demo", help="one monitored fault-injection run")
-    _add_scenario_args(demo)
-    _add_telemetry_args(demo)
+    demo = commands.add_parser(
+        "demo",
+        help="one monitored fault-injection run; flags attach telemetry, "
+        "the observatory, the dashboard and the flight recorder",
+    )
+    _add_scenario_flags(demo, "slaves", "duration", "seed", "inject")
     demo.add_argument(
         "--fault",
         choices=list(FAULT_NAMES),
         default="CPUHog",
         help="fault to inject (Table 2 name)",
+    )
+    demo.add_argument(
+        "--trace", metavar="FILE", default=None,
+        help="write a Chrome trace-event file (load in chrome://tracing)",
+    )
+    demo.add_argument(
+        "--metrics", metavar="FILE", default=None,
+        help="write the core's self-metrics in Prometheus text format",
+    )
+    demo.add_argument(
+        "--audit", metavar="FILE", default=None,
+        help="write the alarm audit trail as JSONL",
+    )
+    demo.add_argument(
+        "--dot", metavar="FILE", default=None,
+        help="write the DAG annotated with run counts and mean latencies",
     )
     demo.add_argument(
         "--record", metavar="DIR", default=None,
         help="attach a flight recorder and archive the run (channels, "
         "model, config, incident bundles) into DIR",
     )
-    _add_observatory_args(demo)
+    demo.add_argument(
+        "--serve", metavar="PORT", type=int, nargs="?", const=0, default=None,
+        help="serve the live ops surface (/health /metrics /status "
+        "/alarms /scoreboard) on this port while the run executes "
+        "(0 or no value = ephemeral port)",
+    )
+    demo.add_argument(
+        "--linger", type=float, default=0.0, metavar="S",
+        help="keep the ops surface up S wall seconds after the run "
+        "(GET /shutdown ends the wait early)",
+    )
     demo.add_argument(
         "--scoreboard", metavar="DIR", nargs="?", const=".", default=None,
         help="attach the observatory and write BENCH_scoreboard.json "
         "into DIR (default: the working directory)",
     )
+    demo.add_argument(
+        "--top", action="store_true",
+        help="repaint a live dashboard (node health, sample-to-alarm "
+        f"latencies, hottest modules) every {TOP_REFRESH_S:.0f} sim-s; "
+        "one plain final frame when stdout is not a terminal",
+    )
     demo.set_defaults(handler=cmd_demo)
 
-    top = commands.add_parser(
-        "top",
-        help="live ANSI dashboard over a monitored fault-injection run",
+    paper = commands.add_parser(
+        "paper", help="regenerate one of the paper's tables or figures",
     )
-    _add_scenario_args(top)
-    top.add_argument(
-        "--fault",
-        choices=list(FAULT_NAMES),
-        default="CPUHog",
-        help="fault to inject (Table 2 name)",
+    artifacts = paper.add_subparsers(dest="artifact", required=True)
+    catalog = artifacts.add_parser("table2", help="the fault catalog")
+    catalog.set_defaults(handler=cmd_table2)
+    fig6 = artifacts.add_parser(
+        "figure6", help="fault-free threshold sweeps (one run)"
     )
-    top.add_argument(
-        "--refresh", type=float, default=15.0,
-        help="simulated seconds between dashboard repaints",
+    _add_scenario_flags(fig6, "slaves", "duration", "seed")
+    fig6.set_defaults(handler=cmd_figure6)
+    fig7 = artifacts.add_parser(
+        "figure7", help="per-fault accuracy and latency"
     )
-    top.add_argument(
-        "--once", action="store_true",
-        help="skip live repaints; print one final frame after the run",
-    )
-    top.add_argument(
-        "--no-color", action="store_true",
-        help="plain text frames (also implied when stdout is not a tty)",
-    )
-    _add_observatory_args(top)
-    top.set_defaults(handler=cmd_top)
-
-    telemetry = commands.add_parser(
-        "telemetry",
-        help="instrumented run: self-metrics summary, trace, alarm audit",
-    )
-    _add_scenario_args(telemetry)
-    _add_telemetry_args(telemetry)
-    telemetry.add_argument(
-        "--fault",
-        choices=list(FAULT_NAMES),
-        default="CPUHog",
-        help="fault to inject (Table 2 name); alarms feed the audit trail",
-    )
-    telemetry.add_argument(
-        "--no-spans", action="store_true",
-        help="skip span recording (metrics and audit only)",
-    )
-    telemetry.add_argument(
-        "--dot", metavar="FILE", default=None,
-        help="write the DAG annotated with run counts and mean latencies",
-    )
-    telemetry.add_argument(
-        "--tail", type=int, default=None, metavar="N",
-        help="show only the last N alarm audit records",
-    )
-    telemetry.add_argument(
-        "--since", type=float, default=None, metavar="TS",
-        help="show only audit records at simulated time >= TS",
-    )
-    telemetry.set_defaults(handler=cmd_telemetry)
-
-    calibrate = commands.add_parser(
-        "calibrate", help="Figure 6 fault-free threshold sweeps"
-    )
-    _add_scenario_args(calibrate)
-    calibrate.set_defaults(handler=cmd_calibrate)
-
-    fig7 = commands.add_parser("figure7", help="per-fault accuracy and latency")
-    _add_scenario_args(fig7)
+    _add_scenario_flags(fig7, "slaves", "duration", "seed", "inject", "jobs")
     fig7.add_argument("--seeds", default="7,19", help="comma-separated seeds")
     fig7.set_defaults(handler=cmd_figure7)
-
-    overhead = commands.add_parser("overhead", help="Tables 3 and 4")
-    _add_scenario_args(overhead)
+    overhead = artifacts.add_parser("overhead", help="Tables 3 and 4")
+    _add_scenario_flags(overhead, "slaves", "duration")
     overhead.set_defaults(handler=cmd_overhead)
-
-    catalog = commands.add_parser("table2", help="the fault catalog")
-    catalog.set_defaults(handler=cmd_table2)
 
     bench = commands.add_parser(
         "bench",
         help="run a fault x trial matrix through the parallel experiment "
         "runner and print its walls",
     )
-    _add_scenario_args(bench)
+    _add_scenario_flags(bench, "slaves", "duration", "seed", "inject", "jobs")
     bench.add_argument(
         "--faults", default=",".join(FAULT_NAMES),
         help="comma-separated Table 2 fault names",
@@ -980,7 +875,7 @@ def build_parser() -> argparse.ArgumentParser:
     config = commands.add_parser(
         "config", help="print the generated fpt-core configuration file"
     )
-    _add_scenario_args(config)
+    _add_scenario_flags(config, "slaves")
     config.set_defaults(handler=cmd_config)
 
     lint = commands.add_parser(
@@ -988,7 +883,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="static analysis: configs vs module contracts, contract vs "
         "implementation, DAG cost, cross-thread races",
     )
-    _add_scenario_args(lint)
+    _add_scenario_flags(lint, "slaves")
     lint.add_argument(
         "configs", nargs="*", metavar="CONFIG",
         help="fpt-core configuration file(s) to check; with no file and "
@@ -1062,21 +957,25 @@ def build_parser() -> argparse.ArgumentParser:
     cluster_cmds = cluster.add_subparsers(dest="cluster_command",
                                           required=True)
 
-    def _cluster_common(sub: argparse.ArgumentParser) -> None:
+    def _cluster_parser(name: str, help_text: str,
+                        frame_limit: bool = False) -> argparse.ArgumentParser:
+        sub = cluster_cmds.add_parser(name, help=help_text)
         sub.add_argument(
             "--dir", default="out/cluster",
             help="shared state directory (runtime files, logs, stop marker)",
         )
-        sub.add_argument(
-            "--max-frame-bytes", type=int, default=None,
-            help="override the RPC frame-size limit for every daemon "
-            "(also settable via ASDF_MAX_FRAME_BYTES)",
-        )
+        if frame_limit:
+            sub.add_argument(
+                "--max-frame-bytes", type=int, default=None,
+                help="override the RPC frame-size limit for every daemon "
+                "(also settable via ASDF_MAX_FRAME_BYTES)",
+            )
+        return sub
 
-    up = cluster_cmds.add_parser(
-        "up", help="spawn central + N collection daemons, then supervise",
+    up = _cluster_parser(
+        "up", "spawn central + N collection daemons, then supervise",
+        frame_limit=True,
     )
-    _cluster_common(up)
     up.add_argument("--nodes", type=int, default=3,
                     help="number of logical collection daemons")
     up.add_argument("--interval", type=float, default=0.5,
@@ -1090,12 +989,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "(default: max(0.25, --interval))")
     up.set_defaults(handler=cmd_cluster_up)
 
-    node = cluster_cmds.add_parser(
-        "node", help="one node host process (spawned by 'cluster up')",
+    node = _cluster_parser(
+        "node", "one node host process (spawned by 'cluster up')",
+        frame_limit=True,
     )
-    _cluster_common(node)
-    node.add_argument("--name", default=None, help="single daemon name")
-    node.add_argument("--names", default=None,
+    node.add_argument("--names", required=True,
                       help="comma-separated logical node names this host "
                       "process serves")
     node.add_argument("--seed", type=int, default=0,
@@ -1104,22 +1002,20 @@ def build_parser() -> argparse.ArgumentParser:
                       help="sampler-thread cadence, wall seconds")
     node.set_defaults(handler=cmd_cluster_node)
 
-    central = cluster_cmds.add_parser(
-        "central", help="the central analysis daemon",
+    central = _cluster_parser(
+        "central", "the central analysis daemon", frame_limit=True,
     )
-    _cluster_common(central)
     central.add_argument("--interval", type=float, default=0.5,
                          help="poll interval, wall seconds")
     central.add_argument("--serve", type=int, default=None, metavar="PORT",
                          help="ops HTTP port (default: ephemeral)")
     central.set_defaults(handler=cmd_cluster_central)
 
-    drive = cluster_cmds.add_parser(
+    drive = _cluster_parser(
         "drive",
-        help="measured scenario: sustain, inject, kill + respawn, "
+        "measured scenario: sustain, inject, kill + respawn, "
         "write BENCH_cluster.json",
     )
-    _cluster_common(drive)
     drive.add_argument("--out", default=".",
                        help="directory for BENCH_cluster.json and the "
                        "stitched trace")
@@ -1154,10 +1050,9 @@ def build_parser() -> argparse.ArgumentParser:
                        "must retain")
     drive.set_defaults(handler=cmd_cluster_drive)
 
-    cluster_top = cluster_cmds.add_parser(
-        "top", help="terminal dashboard over the federated cluster stats",
+    cluster_top = _cluster_parser(
+        "top", "terminal dashboard over the federated cluster stats",
     )
-    _cluster_common(cluster_top)
     cluster_top.add_argument("--refresh", type=float, default=1.0,
                              help="wall seconds between repaints")
     cluster_top.add_argument("--once", action="store_true",

@@ -22,7 +22,7 @@ from .driver import (
     run_drive,
     run_scale_drive,
 )
-from .federation import MetricsFederator, render_snapshot_prometheus
+from .federation import MetricsFederator
 from .launcher import ClusterLauncher
 from .load import FleetLoad, FleetNodeLoad
 from .nodeproc import run_node_host
@@ -49,7 +49,6 @@ __all__ = [
     "list_runtimes",
     "pid_alive",
     "read_runtime",
-    "render_snapshot_prometheus",
     "request_stop",
     "run_central",
     "run_drive",

@@ -5,9 +5,10 @@ serves it on its own ops port (``/metrics`` Prometheus text,
 ``/metrics.json`` structured snapshot).  The federator -- attached to
 the central daemon's :class:`~repro.obsv.OpsServer` as its *cluster
 surface* -- scrapes every published daemon's ``/metrics.json``, tags
-each series with a ``daemon`` label, and re-renders the merged registry
-as one Prometheus exposition, DCDB-style: per-node agents, one holistic
-scrape point.  It also serves ``/cluster`` (topology + per-daemon
+each series with a ``daemon`` label, and renders the merged registries
+as one Prometheus exposition with the registry's own renderer
+(:func:`~repro.telemetry.metrics.render_snapshot_prometheus`),
+DCDB-style: per-node agents, one holistic scrape point.  It also serves ``/cluster`` (topology + per-daemon
 liveness from runtime files and pid probes) and ``/control/<action>``
 (the drive protocol: commands are queued for the central poll loop;
 read-only queries return atomically-replaced snapshots, so the HTTP
@@ -19,11 +20,12 @@ from __future__ import annotations
 import json
 import time
 import urllib.request
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
+from ..telemetry.metrics import render_snapshot_prometheus
 from .state import list_runtimes, pid_alive
 
-__all__ = ["MetricsFederator", "render_snapshot_prometheus", "http_get_json"]
+__all__ = ["MetricsFederator", "http_get_json"]
 
 #: Per-daemon scrape timeout; a hung daemon must not stall /metrics.
 SCRAPE_TIMEOUT_S = 2.0
@@ -33,58 +35,6 @@ def http_get_json(url: str, timeout: float = SCRAPE_TIMEOUT_S) -> Any:
     """GET a JSON document; raises OSError/ValueError on failure."""
     with urllib.request.urlopen(url, timeout=timeout) as response:
         return json.loads(response.read().decode("utf-8"))
-
-
-def _format_labels(labels: Dict[str, str]) -> str:
-    if not labels:
-        return ""
-    body = ",".join(
-        f'{key}="{str(value)}"' for key, value in sorted(labels.items())
-    )
-    return "{" + body + "}"
-
-
-def render_snapshot_prometheus(
-    snapshot: Dict[str, Any], extra_labels: Optional[Dict[str, str]] = None
-) -> str:
-    """Re-render a ``MetricsRegistry.snapshot()`` as Prometheus text.
-
-    ``extra_labels`` (the federator passes ``{"daemon": name}``) are
-    merged into every series, which is what makes scraped-and-merged
-    registries distinguishable in the cluster-wide exposition.
-    """
-    extra = extra_labels or {}
-    lines: List[str] = []
-    for name in sorted(snapshot):
-        family = snapshot[name]
-        if not isinstance(family, dict):
-            continue
-        help_text = family.get("help") or ""
-        if help_text:
-            lines.append(f"# HELP {name} {help_text}")
-        lines.append(f"# TYPE {name} {family.get('type', 'gauge')}")
-        for entry in family.get("series", []):
-            labels = dict(entry.get("labels", {}))
-            labels.update(extra)
-            if "buckets" in entry:
-                for bucket in entry["buckets"]:
-                    bucket_labels = dict(labels)
-                    bucket_labels["le"] = str(bucket.get("le"))
-                    lines.append(
-                        f"{name}_bucket{_format_labels(bucket_labels)} "
-                        f"{bucket.get('cumulative')}"
-                    )
-                lines.append(
-                    f"{name}_sum{_format_labels(labels)} {entry.get('sum')}"
-                )
-                lines.append(
-                    f"{name}_count{_format_labels(labels)} {entry.get('count')}"
-                )
-            else:
-                lines.append(
-                    f"{name}{_format_labels(labels)} {entry.get('value')}"
-                )
-    return "\n".join(lines) + ("\n" if lines else "")
 
 
 class MetricsFederator:

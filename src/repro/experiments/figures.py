@@ -20,24 +20,17 @@ from typing import List, Optional, Sequence, Tuple
 
 from ..faults import FAULT_CATALOG, FAULT_NAMES, make_fault
 from ..telemetry import Telemetry
-from .model import BlackBoxModel, train_blackbox_model
+from .model import BlackBoxModel, train_blackbox_model, training_inputs
 from .runner import EngineReport, ExperimentTask, run_tasks
 from .scenario import ScenarioConfig
 from .sweep import blackbox_fp_sweep, whitebox_fp_sweep
-from ..hadoop.cluster import ClusterConfig
 
 
-def shared_model(config: ScenarioConfig, training_duration_s: float = 300.0,
-                 ) -> BlackBoxModel:
-    """Train the black-box model once for a batch of runs."""
-    return train_blackbox_model(
-        cluster_config=ClusterConfig(
-            num_slaves=config.num_slaves, seed=config.seed + 1000
-        ),
-        duration_s=training_duration_s,
-        num_states=config.num_states,
-        seed=config.seed,
-    )
+def shared_model(config: ScenarioConfig,
+                 training_duration_s: Optional[float] = None) -> BlackBoxModel:
+    """Train the black-box model once for a batch of runs
+    (:func:`.model.training_inputs`)."""
+    return train_blackbox_model(**training_inputs(config, training_duration_s))
 
 
 # --------------------------------------------------------------------------

@@ -20,11 +20,13 @@ import numpy as np
 from ..analysis.kmeans import fit_kmeans
 from ..analysis.scaling import LogScaler
 from ..hadoop.cluster import ClusterConfig, HadoopCluster
-from ..sysstat.sadc import node_sampler
 from ..workloads.gridmix import GridMixConfig, generate_workload
 
 #: Number of workload states (k-means centroids) for 1-NN classification.
 DEFAULT_NUM_STATES = 10
+
+#: Longest fault-free run a scenario's model trains on, simulated seconds.
+TRAINING_DURATION_S = 300.0
 
 
 @dataclass
@@ -97,7 +99,7 @@ def collect_training_matrix(
     cluster = HadoopCluster(cluster_config)
     for spec in generate_workload(workload_config).jobs:
         cluster.schedule_job(spec)
-    samplers = [node_sampler(cluster.procfs(node)) for node in cluster.slave_names]
+    samplers = [cluster.procfs(node).sampler() for node in cluster.slave_names]
     rows: List[np.ndarray] = []
 
     def on_tick(c: HadoopCluster) -> None:
@@ -108,6 +110,27 @@ def collect_training_matrix(
 
     cluster.run_until(duration_s, on_tick=on_tick)
     return np.array(rows)
+
+
+def training_inputs(config, training_duration_s: Optional[float] = None) -> dict:
+    """The training recipe for a scenario: :func:`train_blackbox_model`
+    keyword arguments for a :class:`~.scenario.ScenarioConfig`.
+
+    A fault-free cluster of the scenario's size on the shifted seed
+    ``seed + 1000``, ``min(TRAINING_DURATION_S, duration_s)`` seconds of
+    it unless ``training_duration_s`` is given, the scenario's state
+    count, and k-means seeded with the scenario seed.
+    """
+    if training_duration_s is None:
+        training_duration_s = min(TRAINING_DURATION_S, config.duration_s)
+    return {
+        "cluster_config": ClusterConfig(
+            num_slaves=config.num_slaves, seed=config.seed + 1000
+        ),
+        "duration_s": training_duration_s,
+        "num_states": config.num_states,
+        "seed": config.seed,
+    }
 
 
 def train_blackbox_model(

@@ -24,11 +24,9 @@ import sys
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional
 
-from .model import train_blackbox_model
-from .scenario import AsdfHandles, ScenarioConfig, deploy_asdf
-from ..hadoop.cluster import ClusterConfig, HadoopCluster
+from .model import train_blackbox_model, training_inputs
+from .scenario import AsdfHandles, ScenarioConfig, run_scenario
 from ..telemetry import Telemetry
-from ..workloads.gridmix import generate_workload
 
 
 def deep_sizeof(obj, _seen: Optional[set] = None) -> int:
@@ -134,21 +132,10 @@ def measure_overheads(
     config = ScenarioConfig(
         num_slaves=num_slaves, duration_s=duration_s, seed=seed
     )
-    model = train_blackbox_model(
-        cluster_config=ClusterConfig(num_slaves=num_slaves, seed=seed + 1000),
-        duration_s=training_duration_s,
-        num_states=config.num_states,
-        seed=seed,
-    )
-    cluster = HadoopCluster(config.cluster_config())
-    for spec in generate_workload(config.workload_config()).jobs:
-        cluster.schedule_job(spec)
-    handles = deploy_asdf(cluster, model, config, telemetry=telemetry)
-
-    while cluster.time < duration_s - 1e-9:
-        cluster.step(1.0)
-        handles.core.run_until(cluster.time)
-
+    model = train_blackbox_model(**training_inputs(config, training_duration_s))
+    handles = run_scenario(
+        config, model=model, keep_handles=True, telemetry=telemetry
+    ).handles
     core_cpu = telemetry.total_run_seconds()
     report = compute_overhead_report(handles, duration_s, num_slaves, core_cpu)
     report.telemetry = telemetry

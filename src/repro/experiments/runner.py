@@ -38,13 +38,13 @@ from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..faults import FAULT_NAMES
-from ..hadoop.cluster import ClusterConfig
 from ..telemetry import Telemetry
 from .model import (
     BlackBoxModel,
     model_from_payload,
     model_to_payload,
     train_blackbox_model,
+    training_inputs,
 )
 from .persist import LoadedResult, result_payload
 from .scenario import ScenarioConfig, run_scenario
@@ -148,27 +148,15 @@ def table2_matrix(
 def training_signature(
     config: ScenarioConfig, training_duration_s: Optional[float] = None
 ) -> str:
-    """Hash of everything that determines the trained black-box model.
+    """Hash of the training inputs (:func:`.model.training_inputs`).
 
-    Mirrors the default-training path of :func:`.scenario.run_scenario`:
-    cluster size, the shifted training seed, training duration, k-means
-    state count and k-means seed.  Two configurations with the same
-    signature train byte-identical models, so the cache may serve both.
+    Two configurations with the same signature train byte-identical
+    models, so the cache may serve both.
     """
-    duration = (
-        training_duration_s
-        if training_duration_s is not None
-        else min(300.0, config.duration_s)
-    )
-    key = {
-        "num_slaves": config.num_slaves,
-        "cluster_seed": config.seed + 1000,
-        "duration_s": float(duration),
-        "num_states": config.num_states,
-        "kmeans_seed": config.seed,
-    }
+    inputs = training_inputs(config, training_duration_s)
+    inputs["duration_s"] = float(inputs["duration_s"])
     return hashlib.sha256(
-        json.dumps(key, sort_keys=True).encode("utf-8")
+        json.dumps(inputs, sort_keys=True, default=asdict).encode("utf-8")
     ).hexdigest()[:16]
 
 
@@ -191,18 +179,8 @@ class ModelCache:
         key = training_signature(config, training_duration_s)
         model = self._models.get(key)
         if model is None:
-            duration = (
-                training_duration_s
-                if training_duration_s is not None
-                else min(300.0, config.duration_s)
-            )
             model = train_blackbox_model(
-                cluster_config=ClusterConfig(
-                    num_slaves=config.num_slaves, seed=config.seed + 1000
-                ),
-                duration_s=duration,
-                num_states=config.num_states,
-                seed=config.seed,
+                **training_inputs(config, training_duration_s)
             )
             self._models[key] = model
             self.trainings += 1

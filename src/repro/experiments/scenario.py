@@ -38,7 +38,12 @@ from ..modules import (
 from ..rpc.daemons import HadoopLogDaemon, SadcDaemon
 from ..rpc.inproc import InprocChannel
 from ..workloads.gridmix import GridMixConfig, generate_workload
-from .model import DEFAULT_NUM_STATES, BlackBoxModel, train_blackbox_model
+from .model import (
+    DEFAULT_NUM_STATES,
+    BlackBoxModel,
+    train_blackbox_model,
+    training_inputs,
+)
 
 
 @dataclass
@@ -365,17 +370,10 @@ def run_scenario(
     ground-truth window with the online scoreboard before the run
     starts, and the deployment gains the ``scoreboard`` scoring sink.
     ``tick_callback(cluster_time_s)``, if given, is invoked after every
-    lock-step second -- the hook ``repro top`` repaints from.
+    lock-step second -- the hook ``repro demo --top`` repaints from.
     """
     if model is None:
-        model = train_blackbox_model(
-            cluster_config=ClusterConfig(
-                num_slaves=config.num_slaves, seed=config.seed + 1000
-            ),
-            duration_s=min(300.0, config.duration_s),
-            num_states=config.num_states,
-            seed=config.seed,
-        )
+        model = train_blackbox_model(**training_inputs(config))
 
     cluster = HadoopCluster(config.cluster_config())
     for spec in generate_workload(config.workload_config()).jobs:

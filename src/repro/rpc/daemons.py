@@ -20,7 +20,6 @@ from ..hadoop.log_parser import StateVectorStream
 from ..hadoop.logs import DaemonLog
 from ..hadoop.states import WHITEBOX_STATES
 from ..sysstat.metrics import NIC_METRICS, NODE_METRICS, PROCESS_METRICS
-from ..sysstat.sadc import node_sampler
 from .protocol import MetricRow, intern_catalog
 
 #: Seconds the log parser lags behind real time: Hadoop buffers log
@@ -69,10 +68,9 @@ class SadcDaemon:
     """``sadc_rpcd``: expose libsadc samples of one node's ``/proc``.
 
     A sample is the 64-metric node vector (``timestamp``, ``node_name``,
-    ``node``); the per-NIC and per-process metrics no module reads stay
-    a :meth:`repro.sysstat.sadc.Sadc.collect` library feature.  The
-    procfs decides the sampler: an array-backed one joins its fleet's
-    one-pass ``sadc``, a dataclass ``SimProcFS`` gets a per-node one.
+    ``node``).  ``procfs.sampler()`` supplies the sampler: a slot in
+    the fleet's one-pass ``sadc`` for the simulator's array-backed
+    procfs.
     """
 
     #: Interned metric catalog for binary sample framing (codec v2).
@@ -80,7 +78,7 @@ class SadcDaemon:
 
     def __init__(self, node: str, procfs: Any) -> None:
         self.node = node
-        self._sampler = node_sampler(procfs)
+        self._sampler = procfs.sampler()
         self.meter = _CpuMeter()
 
     def rpc_list_metrics(self) -> Dict[str, List[str]]:
@@ -175,9 +173,9 @@ class ClusterNodeDaemon:
 
     One logical node of the live cluster (``repro cluster up``): a load
     source advances the node's ``/proc`` counters to *wall-clock* time,
-    and the node's sampler (:func:`repro.sysstat.sadc.node_sampler`:
-    over a ``FleetLoad`` view, one fleet pass per tick for all the
-    host's logical nodes) differences the counters -- so the whole
+    and the node's sampler (``procfs.sampler()``: over a ``FleetLoad``
+    view, one fleet pass per tick for all the host's logical nodes)
+    differences the counters -- so the whole
     collect path (load -> ``/proc`` counters -> sadc rates -> RPC frame)
     runs at real speed over real sockets.  ``load`` is duck-typed (see
     :class:`repro.cluster.load.FleetNodeLoad`): it must expose
@@ -206,7 +204,7 @@ class ClusterNodeDaemon:
         self.node = node
         self.load = load
         self.buffered = buffered
-        self._sampler = node_sampler(load.procfs)
+        self._sampler = load.procfs.sampler()
         # deque append/popleft are atomic; single producer (sampler
         # loop) + single consumer (the node's one poller connection).
         self._windows: "deque[Dict[str, Any]]" = deque(

@@ -11,7 +11,7 @@ arrays and advances the whole fleet in one vectorized pass per tick:
   per tick accumulator, plus the per-node load-average matrix;
 - :class:`VecProcFS` / the generated view classes expose the exact
   ``SimProcFS`` attribute surface as thin views over the arrays, so
-  fault hooks, tests and a per-node ``Sadc`` work unchanged, while
+  fault hooks and tests work unchanged, while
   :meth:`VecProcFS.sampler` joins the fleet's one-pass ``sadc``
   (:mod:`repro.sysstat.fleet_sadc`), which reads the arrays directly;
 - :class:`VecSimNode` is a :class:`~repro.sim.node.SimNode` whose
@@ -39,7 +39,6 @@ buffers, so the random streams are identical by construction.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import fields as dataclass_fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -55,7 +54,6 @@ from ..sysstat.procfs import (
     MemInfo,
     NicCounters,
     ProcessStat,
-    SimProcFS,
     SockStat,
     TcpCounters,
     VmCounters,
@@ -447,41 +445,8 @@ class VecProcFS:
         return proc
 
     def sampler(self):
-        """This node's sampler over the fleet's one-pass ``sadc``.
-
-        :func:`repro.sysstat.sadc.node_sampler` looks for this method:
-        a procfs that has it is array-backed and joins the fleet pass.
-        """
+        """This node's sampler over the fleet's one-pass ``sadc``."""
         return self._fleet.sadc.sampler(self._i)
-
-    def _materialize(self, cls: type, prefix: str):
-        a = self._fleet.a
-        i = self._i
-        return cls(**{
-            f.name: float(a[f"{prefix}_{f.name}"][i])
-            for f in dataclass_fields(cls)
-        })
-
-    def snapshot(self) -> SimProcFS:
-        """A plain, detached ``SimProcFS`` copy for rate differencing."""
-        nics = {"eth0": self._materialize(NicCounters, "nic")}
-        for name, nic in self.nics.items():
-            if name != "eth0":
-                nics[name] = copy.deepcopy(nic)
-        return SimProcFS(
-            num_cpus=self.num_cpus,
-            cpu=self._materialize(CpuTicks, "cpu"),
-            disk=self._materialize(DiskCounters, "disk"),
-            vm=self._materialize(VmCounters, "vm"),
-            stat=self._materialize(KernelStat, "stat"),
-            mem=self._materialize(MemInfo, "mem"),
-            loadavg=self._materialize(LoadAvg, "loadavg"),
-            sockstat=self._materialize(SockStat, "sockstat"),
-            tcp=self._materialize(TcpCounters, "tcp"),
-            tables=self._materialize(KernelTables, "tables"),
-            nics=nics,
-            processes={pid: copy.copy(p) for pid, p in self.processes.items()},
-        )
 
 
 class VecSimNode(SimNode):

@@ -1,7 +1,7 @@
 """One ``sadc`` pass for a whole fleet of array-backed ``/proc`` nodes.
 
-:class:`repro.sysstat.sadc.Sadc` samples one node: it materialises a
-dataclass snapshot (~70 fields), differences it against the previous one
+The per-node ``Sadc`` (``tests/sysstat/sadc_oracle.py``, the parity
+oracle) samples one node: it materialises a dataclass snapshot (~70 fields), differences it against the previous one
 and computes the 64 node metrics in Python.  When the counters already
 live in struct-of-arrays form (:class:`repro.sim.vec.FleetState`), the
 same arithmetic runs once for every node: :class:`FleetSadc` copies the
@@ -231,8 +231,8 @@ class FleetSadc:
     def _build(self, now: float) -> None:
         """One pass: every slot's node metrics against its own previous.
 
-        Mirrors :meth:`repro.sysstat.sadc.Sadc._node_metrics` expression
-        for expression; any edit there must be replicated here.
+        Mirrors the oracle's ``Sadc._node_metrics`` expression for
+        expression; any edit there must be replicated here.
         """
         if self._prev.shape[1] != len(self._nodes):
             self._grow()

@@ -5,14 +5,13 @@ Real sysstat derives its statistics from cumulative kernel counters in
 ``/proc/vmstat``, ...) plus instantaneous gauges (``/proc/meminfo``,
 ``/proc/loadavg``).  :class:`SimProcFS` holds exactly that shape for a
 simulated node: the cluster simulator *increments counters* as activity
-happens, and :class:`repro.sysstat.sadc.Sadc` differences successive
-snapshots into rates -- the same code path sysstat uses against a real
-kernel.
+happens, and ``sadc`` (:mod:`repro.sysstat.fleet_sadc`) differences
+successive counters into rates -- the same arithmetic sysstat runs
+against a real kernel.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import Dict
 
@@ -203,10 +202,6 @@ class SimProcFS:
     def __post_init__(self) -> None:
         if not self.nics:
             self.nics["eth0"] = NicCounters()
-
-    def snapshot(self) -> "SimProcFS":
-        """Deep copy of the current state, for rate differencing."""
-        return copy.deepcopy(self)
 
     def nic(self, name: str = "eth0") -> NicCounters:
         return self.nics.setdefault(name, NicCounters())

@@ -50,7 +50,7 @@ _IO_BYTES_PER_CALL = 64.0 * 1024.0
 class SyscallTracer:
     """Synthesizes per-second syscall counts for one node's processes.
 
-    Stateful like :class:`repro.sysstat.Sadc`: each :meth:`trace` call
+    Stateful like ``sadc``: each :meth:`trace` call
     differences the previous ``/proc`` snapshot into activity deltas and
     maps them onto syscall category counts.  Deterministic given the
     seed.

@@ -94,8 +94,8 @@ class AlarmAuditTrail:
         """Records with ``time >= since``, then only the last ``tail``.
 
         Both filters are optional; with neither, the full trail is
-        returned.  This backs the CLI's ``--tail``/``--since`` options
-        and the ops surface's ``/alarms`` query parameters.
+        returned.  This backs the JSONL export's filters and the ops
+        surface's ``/alarms`` query parameters.
         """
         records = self._records
         if since is not None:
@@ -104,21 +104,11 @@ class AlarmAuditTrail:
             records = records[len(records) - tail:] if tail else []
         return list(records)
 
-    def render_text(
-        self,
-        limit: Optional[int] = None,
-        tail: Optional[int] = None,
-        since: Optional[float] = None,
-    ) -> str:
-        selected = self.filtered(tail=tail, since=since)
-        records = selected if limit is None else selected[:limit]
+    def render_text(self, limit: Optional[int] = None) -> str:
+        records = self._records if limit is None else self._records[:limit]
         lines = [record.describe() for record in records]
-        if len(selected) > len(records):
-            lines.append(f"... and {len(selected) - len(records)} more")
-        if len(self._records) > len(selected):
-            lines.append(
-                f"({len(self._records) - len(selected)} records filtered out)"
-            )
+        if len(self._records) > len(records):
+            lines.append(f"... and {len(self._records) - len(records)} more")
         return "\n".join(lines)
 
     def render_jsonl(

@@ -28,10 +28,12 @@ Design points:
 * **Fixed-bucket histograms.**  Buckets are chosen at creation time and
   never resize; an observation finds its bucket by ``bisect``, so it
   costs the same in the first bucket and past the last.
-* **Two expositions.**  ``render_prometheus`` emits the Prometheus text
-  format (version 0.0.4) so dumps can be diffed, scraped or loaded into
-  promtool; ``snapshot`` returns plain dicts for JSON serialization and
-  programmatic consumption (the Table 3 benchmark reads it).
+* **Two expositions.**  ``snapshot`` returns plain dicts for JSON
+  serialization and programmatic consumption (the Table 3 benchmark
+  reads it); ``render_prometheus`` renders that snapshot in the
+  Prometheus text format (version 0.0.4) so dumps can be diffed,
+  scraped or loaded into promtool.  The cluster federator renders the
+  snapshots it scrapes with the same function.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "DEFAULT_LATENCY_BUCKETS_S",
+    "render_snapshot_prometheus",
 ]
 
 #: Default histogram buckets for run latencies, in seconds.  Module runs
@@ -71,12 +74,9 @@ def _escape_label_value(value: str) -> str:
     return value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
 
 
-def _format_labels(pairs: LabelPairs, extra: Sequence[Tuple[str, str]] = ()) -> str:
-    items = list(pairs) + list(extra)
-    if not items:
-        return ""
-    body = ",".join(f'{k}="{_escape_label_value(v)}"' for k, v in items)
-    return "{" + body + "}"
+def _format_labels(pairs: Iterable[Tuple[str, str]]) -> str:
+    body = ",".join(f'{k}="{_escape_label_value(v)}"' for k, v in pairs)
+    return "{" + body + "}" if body else ""
 
 
 def _format_value(value: float) -> str:
@@ -85,6 +85,40 @@ def _format_value(value: float) -> str:
     if isinstance(value, float) and value.is_integer():
         return str(int(value))
     return repr(value)
+
+
+def render_snapshot_prometheus(
+    snapshot: Mapping[str, dict],
+    extra_labels: Optional[Mapping[str, str]] = None,
+) -> str:
+    """Prometheus text exposition format 0.0.4 of a
+    :meth:`MetricsRegistry.snapshot` (its own, or one scraped as JSON).
+
+    ``extra_labels`` (the cluster federator passes ``{"daemon": name}``)
+    join every series.  Labels render in sorted order, a histogram's
+    ``le`` last.
+    """
+    extra = dict(extra_labels or {})
+    lines: List[str] = []
+    for name in sorted(snapshot):
+        family = snapshot[name]
+        if family["help"]:
+            lines.append(f"# HELP {name} {family['help']}")
+        lines.append(f"# TYPE {name} {family['type']}")
+        for entry in family["series"]:
+            pairs = sorted({**entry["labels"], **extra}.items())
+            labels = _format_labels(pairs)
+            if "buckets" not in entry:
+                lines.append(f"{name}{labels} {_format_value(entry['value'])}")
+                continue
+            for bucket in entry["buckets"]:
+                le_labels = _format_labels(pairs + [("le", bucket["le"])])
+                lines.append(
+                    f"{name}_bucket{le_labels} {_format_value(bucket['cumulative'])}"
+                )
+            lines.append(f"{name}_sum{labels} {entry['sum']!r}")
+            lines.append(f"{name}_count{labels} {entry['count']}")
+    return "\n".join(lines) + ("\n" if lines else "")
 
 
 #: One process-wide lock serializes every metric child's compound update:
@@ -330,24 +364,7 @@ class MetricsRegistry:
 
     def render_prometheus(self) -> str:
         """Prometheus text exposition format 0.0.4 of every family."""
-        lines: List[str] = []
-        for name in sorted(self._families):
-            family = self._families[name]
-            if family.help:
-                lines.append(f"# HELP {name} {family.help}")
-            lines.append(f"# TYPE {name} {family.kind}")
-            for key in sorted(family.children):
-                child = family.children[key]
-                if isinstance(child, Histogram):
-                    for bound, cumulative in child.cumulative_buckets():
-                        labels = _format_labels(key, [("le", _format_value(bound))])
-                        lines.append(f"{name}_bucket{labels} {cumulative}")
-                    lines.append(f"{name}_sum{_format_labels(key)} {repr(child.sum)}")
-                    lines.append(f"{name}_count{_format_labels(key)} {child.count}")
-                else:
-                    value = child.value  # type: ignore[union-attr]
-                    lines.append(f"{name}{_format_labels(key)} {_format_value(value)}")
-        return "\n".join(lines) + "\n"
+        return render_snapshot_prometheus(self.snapshot())
 
     def snapshot(self) -> dict:
         """JSON-serializable dump of every family and child."""

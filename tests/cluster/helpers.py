@@ -5,7 +5,8 @@ import zlib
 from typing import Optional
 
 from repro.cluster.load import LOAD_FAULTS
-from repro.sysstat.procfs import SimProcFS
+
+from sysstat.sadc_oracle import SampledProcFS  # tests/sysstat: the per-node sampler
 
 #: Baseline busy fraction of the node's CPUs (plus seeded jitter).
 BASELINE_BUSY = 0.12
@@ -28,7 +29,7 @@ class SyntheticNodeLoad:
 
     def __init__(self, node: str, seed: int = 0, num_cpus: int = 4) -> None:
         self.node = node
-        self.procfs = SimProcFS(num_cpus=num_cpus)
+        self.procfs = SampledProcFS(num_cpus=num_cpus)
         self.active_fault: Optional[str] = None
         self.intensity = 0.0
         self._rng = random.Random(seed if seed else zlib.crc32(node.encode()))

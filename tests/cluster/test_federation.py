@@ -1,14 +1,10 @@
 """Metrics federation: re-rendering scraped snapshots, cluster views."""
 
+import json
 import os
 
-from repro.cluster import (
-    DaemonRuntime,
-    MetricsFederator,
-    render_snapshot_prometheus,
-    write_runtime,
-)
-from repro.telemetry.metrics import MetricsRegistry
+from repro.cluster import DaemonRuntime, MetricsFederator, write_runtime
+from repro.telemetry.metrics import MetricsRegistry, render_snapshot_prometheus
 
 
 def make_snapshot():
@@ -28,7 +24,7 @@ class TestRenderSnapshot:
             make_snapshot(), {"daemon": "node-01"}
         )
         assert (
-            'asdf_things_total{daemon="node-01",kind="a"} 3.0' in text
+            'asdf_things_total{daemon="node-01",kind="a"} 3\n' in text
         )
 
     def test_help_and_type_lines(self):
@@ -39,13 +35,34 @@ class TestRenderSnapshot:
 
     def test_histograms_expand_to_buckets(self):
         text = render_snapshot_prometheus(make_snapshot(), {"daemon": "n"})
-        assert 'asdf_lat_seconds_bucket{daemon="n",le="+Inf",svc="x"} 1' \
+        assert 'asdf_lat_seconds_bucket{daemon="n",svc="x",le="+Inf"} 1' \
             in text
         assert 'asdf_lat_seconds_sum{daemon="n",svc="x"} 0.2' in text
         assert 'asdf_lat_seconds_count{daemon="n",svc="x"} 1' in text
 
     def test_empty_snapshot_renders_empty(self):
         assert render_snapshot_prometheus({}) == ""
+
+    def test_federated_form_is_the_registrys_own(self):
+        registry = MetricsRegistry()
+        registry.counter("asdf_things_total", "Things.").inc(3)
+        registry.histogram("asdf_lat_seconds", "Latency.").observe(0.2)
+        federated = render_snapshot_prometheus(
+            json.loads(json.dumps(registry.snapshot()))
+        )
+        assert federated == registry.render_prometheus()
+        assert "asdf_things_total 3\n" in federated
+
+    def test_label_values_are_escaped(self):
+        registry = MetricsRegistry()
+        registry.counter("asdf_things_total", labels={"kind": 'a"b\nc'}).inc()
+        text = render_snapshot_prometheus(
+            registry.snapshot(), {"daemon": 'node"01'}
+        )
+        assert (
+            'asdf_things_total{daemon="node\\"01",kind="a\\"b\\nc"} 1\n'
+            in text
+        )
 
 
 class StubCentral:

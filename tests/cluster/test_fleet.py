@@ -6,7 +6,8 @@ from repro.cluster import FleetLoad
 from repro.cluster.load import FLEET_TICK_S
 from repro.rpc import ClusterNodeDaemon
 from repro.sysstat.metrics import NODE_METRICS
-from repro.sysstat.sadc import Sadc
+
+from sysstat.sadc_oracle import Sadc  # tests/sysstat: the per-node sampler
 
 NAMES = ["node-01", "node-02", "node-03"]
 

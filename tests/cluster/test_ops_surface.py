@@ -64,7 +64,7 @@ class TestClusterRoutes:
         with urllib.request.urlopen(server.url + "/metrics",
                                     timeout=5.0) as response:
             body = response.read().decode()
-        assert 'asdf_rounds_total{daemon="central"} 4.0' in body
+        assert 'asdf_rounds_total{daemon="central"} 4\n' in body
 
     def test_status_is_cluster_wide(self, served):
         server, _central = served

@@ -1,5 +1,7 @@
 """Tests for the ASCII report renderer and the CLI."""
 
+import argparse
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -72,17 +74,78 @@ class TestSummary:
         assert "fault: none" in render_summary(result)
 
 
+def _leaves(parser, path=()):
+    """Every leaf parser under ``parser``, by command path."""
+    subparsers = [a for a in parser._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+    if not subparsers:
+        yield path, parser
+        return
+    for name, sub in subparsers[0].choices.items():
+        yield from _leaves(sub, path + (name,))
+
+
+#: A small scenario every demo test shares: seconds, not minutes.
+SMALL_DEMO = ["--slaves", "4", "--duration", "180", "--inject", "60"]
+
+
 class TestCli:
     def test_parser_knows_all_commands(self):
         parser = build_parser()
-        for command in ("demo", "calibrate", "figure7", "overhead", "table2", "config"):
-            args = parser.parse_args(
-                [command] + (["--fault", "CPUHog"] if command == "demo" else [])
-            )
-            assert callable(args.handler)
+        (commands,) = [a for a in parser._actions
+                       if isinstance(a, argparse._SubParsersAction)]
+        assert set(commands.choices) == {
+            "demo", "paper", "bench", "config", "lint", "incident",
+            "replay", "cluster",
+        }
+        for argv in (["demo"], ["paper", "table2"], ["paper", "figure6"],
+                     ["paper", "figure7"], ["paper", "overhead"],
+                     ["bench"], ["config"], ["lint"]):
+            assert callable(parser.parse_args(argv).handler)
+
+    def test_the_cli_has_at_most_eighty_options(self):
+        count = sum(
+            1
+            for _path, leaf in _leaves(build_parser())
+            for action in leaf._actions
+            if not isinstance(action, argparse._HelpAction)
+        )
+        assert count <= 80
+
+    @pytest.mark.parametrize(
+        "command", ["telemetry", "top", "calibrate", "figure7", "overhead",
+                    "table2"],
+    )
+    def test_folded_commands_are_gone(self, command):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command])
+        assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["config", "--jobs", "2"],
+        ["config", "--seed", "3"],
+        ["lint", "--seed", "3"],
+        ["lint", "--duration", "1"],
+        ["demo", "--jobs", "2"],
+        ["demo", "--no-spans"],
+        ["demo", "--tail", "3"],
+        ["demo", "--refresh", "5"],
+        ["paper", "figure6", "--jobs", "2"],
+        ["paper", "figure6", "--inject", "60"],
+        ["paper", "overhead", "--seed", "1"],
+        ["paper", "overhead", "--jobs", "2"],
+        ["paper", "table2", "--slaves", "3"],
+        ["cluster", "node", "--name", "n1"],
+        ["cluster", "top", "--max-frame-bytes", "1"],
+        ["cluster", "drive", "--max-frame-bytes", "1"],
+    ])
+    def test_removed_flags_are_usage_errors(self, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
 
     def test_table2_command(self, capsys):
-        assert main(["table2"]) == 0
+        assert main(["paper", "table2"]) == 0
         out = capsys.readouterr().out
         assert "HADOOP-1036" in out
         assert "CPUHog" in out
@@ -98,6 +161,29 @@ class TestCli:
     def test_demo_rejects_unknown_fault(self):
         with pytest.raises(SystemExit):
             main(["demo", "--fault", "Gremlins"])
+
+    def test_demo_telemetry_flags_write_files_and_summary(
+        self, tmp_path, capsys
+    ):
+        paths = {flag: tmp_path / name for flag, name in (
+            ("--trace", "t.json"), ("--metrics", "t.prom"),
+            ("--audit", "t.jsonl"), ("--dot", "t.dot"),
+        )}
+        main(["demo", *SMALL_DEMO,
+              *[arg for flag, path in paths.items() for arg in (flag, str(path))]])
+        out = capsys.readouterr().out
+        assert "telemetry summary" in out
+        # A run this short raises no alarm: the audit file is empty.
+        assert all(path.exists() for path in paths.values())
+        assert "fpt_instance_runs_total" in paths["--metrics"].read_text()
+        assert paths["--dot"].read_text().startswith("digraph")
+
+    def test_demo_top_off_a_terminal_prints_one_final_frame(self, capsys):
+        main(["demo", *SMALL_DEMO, "--top"])
+        out = capsys.readouterr().out
+        assert out.count("asdf top") == 1
+        assert "\x1b[" not in out
+        assert out.index("asdf top") < out.index("fault: CPUHog")
 
     @pytest.mark.slow
     def test_demo_end_to_end(self, capsys):

@@ -142,3 +142,32 @@ class TestPerNodeKnnArchives:
         assert result.all_match, result.matches
         assert result.alarms["BlackBoxAlarm"] == per_node.alarms_bb
         result.core.close()
+
+
+class TestReplayCommandErrors:
+    """``repro replay`` reports a bad archive or config in one line on
+    stderr and exits 2, as ``repro lint`` does for an unreadable file."""
+
+    @staticmethod
+    def missing(tmp_path):
+        return ["replay", str(tmp_path / "nothing-here")]
+
+    @staticmethod
+    def foreign(tmp_path):
+        (tmp_path / "samples.jsonl").write_text("")
+        (tmp_path / "manifest.json").write_text('{"format": "other/9"}')
+        return ["replay", str(tmp_path)]
+
+    @staticmethod
+    def config(tmp_path):
+        _, directory = record_run(tmp_path)
+        return ["replay", directory, "--config", str(tmp_path / "none.cfg")]
+
+    @pytest.mark.parametrize("case", ["missing", "foreign", "config"])
+    def test_one_line_and_exit_two(self, case, tmp_path, capsys):
+        from repro.cli import main
+
+        assert main(getattr(self, case)(tmp_path)) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")

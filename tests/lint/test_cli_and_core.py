@@ -171,11 +171,11 @@ class TestConfigErrorLineInfo:
 
         monkeypatch.setattr(cli, "cmd_table2", boom)
         parser = cli.build_parser()
-        args = parser.parse_args(["table2"])
+        args = parser.parse_args(["paper", "table2"])
         monkeypatch.setattr(args, "handler", boom)
         # Route through main() by reproducing its dispatch with the
         # patched handler raising.
-        assert cli.main(["table2"]) == 2
+        assert cli.main(["paper", "table2"]) == 2
         err = capsys.readouterr().err
         assert "configuration error" in err
         assert "line 7" in err

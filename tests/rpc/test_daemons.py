@@ -4,16 +4,18 @@ import pytest
 
 from repro.hadoop import DaemonLog, TASKTRACKER_CLASS
 from repro.rpc import LOG_PARSER_LAG_S, HadoopLogDaemon, SadcDaemon
-from repro.sysstat import NODE_METRICS, SimProcFS
+from repro.sysstat import NODE_METRICS
+
+from sysstat.sadc_oracle import SampledProcFS  # tests/sysstat: the per-node sampler
 
 
 class TestSadcDaemon:
     def test_priming_call_returns_none(self):
-        daemon = SadcDaemon("slave01", SimProcFS())
+        daemon = SadcDaemon("slave01", SampledProcFS())
         assert daemon.rpc_sample(now=0.0) is None
 
     def test_sample_contains_catalog(self):
-        procfs = SimProcFS()
+        procfs = SampledProcFS()
         daemon = SadcDaemon("slave01", procfs)
         daemon.rpc_sample(now=0.0)
         procfs.cpu.idle += 4.0
@@ -24,7 +26,7 @@ class TestSadcDaemon:
     def test_sample_carries_exactly_the_interned_catalog(self):
         """Per-NIC and per-process metrics stay out of the hot RPC: the
         sample is the node window codec v2 packs as one f64 row."""
-        procfs = SimProcFS()
+        procfs = SampledProcFS()
         procfs.process(42, "java")
         procfs.nic("eth1")
         daemon = SadcDaemon("slave01", procfs)
@@ -37,14 +39,14 @@ class TestSadcDaemon:
         assert all(type(v) is float for v in sample["node"].values())
 
     def test_list_metrics(self):
-        daemon = SadcDaemon("slave01", SimProcFS())
+        daemon = SadcDaemon("slave01", SampledProcFS())
         catalog = daemon.rpc_list_metrics()
         assert len(catalog["node"]) == 64
         assert len(catalog["nic"]) == 18
         assert len(catalog["process"]) == 19
 
     def test_cpu_meter_accumulates(self):
-        procfs = SimProcFS()
+        procfs = SampledProcFS()
         daemon = SadcDaemon("slave01", procfs)
         for t in range(5):
             procfs.cpu.idle += 4.0

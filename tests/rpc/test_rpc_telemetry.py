@@ -21,8 +21,9 @@ from repro.rpc import (
     SadcDaemon,
 )
 from repro.rpc.protocol import set_max_frame_bytes
-from repro.sysstat import SimProcFS
 from repro.telemetry import Telemetry
+
+from sysstat.sadc_oracle import SampledProcFS  # tests/sysstat: the per-node sampler
 
 SERVICE = "sadc_rpcd@node-a"
 
@@ -38,7 +39,7 @@ class FlakyDaemon(SadcDaemon):
 
 
 def make_daemon() -> FlakyDaemon:
-    return FlakyDaemon("node-a", SimProcFS())
+    return FlakyDaemon("node-a", SampledProcFS())
 
 
 def drive(channel) -> None:

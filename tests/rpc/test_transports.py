@@ -16,9 +16,10 @@ from repro.rpc import (
     handler_methods,
 )
 from repro.rpc.protocol import encode_frame, make_request
-from repro.sysstat import NODE_METRICS, SimProcFS
+from repro.sysstat import NODE_METRICS
 
 from cluster.helpers import SyntheticNodeLoad  # tests/cluster: the one test-side load
+from sysstat.sadc_oracle import SampledProcFS  # tests/sysstat: the per-node sampler
 
 from .helpers import JsonPeer
 
@@ -149,7 +150,7 @@ class TestInprocTransport:
 
 
 def _sadc_handler():
-    procfs = SimProcFS()
+    procfs = SampledProcFS()
     return SadcDaemon("slave01", procfs), procfs
 
 

@@ -18,6 +18,8 @@ from repro.hadoop.mapreduce import HEARTBEAT_BYTES, TaskTracker
 from repro.sim.engine import TickContext
 from repro.sim.node import SimNode
 
+from sysstat.sadc_oracle import snapshot  # tests/sysstat: detached /proc copies
+
 
 class ReferenceCluster(HadoopCluster):
     """``HadoopCluster`` on per-node ``SimNode`` objects and scalar math."""
@@ -117,8 +119,8 @@ def tick_parity_mismatches(
         reference.step(1.0)
         cluster.step(1.0)
         for node in reference.nodes:
-            a = dataclasses.asdict(reference.procfs(node).snapshot())
-            b = dataclasses.asdict(cluster.procfs(node).snapshot())
+            a = dataclasses.asdict(snapshot(reference.procfs(node)))
+            b = dataclasses.asdict(snapshot(cluster.procfs(node)))
             if a != b:
                 mismatches.append(f"tick {tick} node {node}")
     return mismatches

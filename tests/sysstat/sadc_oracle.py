@@ -1,22 +1,76 @@
-"""``libsadc``: turn successive ``/proc`` snapshots into metric samples.
+"""The per-node ``sadc``: the oracle the fleet pass is held to.
 
-Mirrors the system activity data collector from the sysstat package: a
-sampler keeps the previous snapshot and, on each collection, differences
-cumulative counters into per-second rates while reading gauges directly.
-The result is a :class:`NodeSample` containing the full 64-metric
-node-level vector, one 18-metric vector per NIC, and one 19-metric vector
-per monitored process (see :mod:`repro.sysstat.metrics`).
+:class:`Sadc` turns successive ``/proc`` snapshots of one node into a
+:class:`NodeSample` the way the sysstat package's collector does: it
+keeps the previous snapshot and, on each collection, differences
+cumulative counters into per-second rates while reading gauges directly
+-- the 64-metric node vector, one 18-metric vector per NIC and one
+19-metric vector per process (see :mod:`repro.sysstat.metrics`).
+
+Every deployment samples through the one-pass fleet ``sadc``
+(:mod:`repro.sysstat.fleet_sadc`), which mirrors ``Sadc._node_metrics``
+term for term; ``test_fleet_sadc.py`` compares the two element for
+element.  Test loads built on a dataclass :class:`SimProcFS` get their
+sampler here: :class:`SampledProcFS` is a ``SimProcFS`` whose
+``sampler()`` is a private ``Sadc``.
 """
 
-from __future__ import annotations
-
+import copy
 from dataclasses import dataclass, field
+from dataclasses import fields as dataclass_fields
 from typing import Dict, Optional
 
 import numpy as np
 
-from .metrics import NIC_METRICS, NODE_METRICS, PROCESS_METRICS
-from .procfs import SimProcFS
+from repro.sim.vec import VecProcFS
+from repro.sysstat.metrics import NIC_METRICS, NODE_METRICS, PROCESS_METRICS
+from repro.sysstat.procfs import (
+    CpuTicks,
+    DiskCounters,
+    KernelStat,
+    KernelTables,
+    LoadAvg,
+    MemInfo,
+    NicCounters,
+    SimProcFS,
+    SockStat,
+    TcpCounters,
+    VmCounters,
+)
+
+
+def snapshot(procfs) -> SimProcFS:
+    """A plain, detached ``SimProcFS`` copy of ``procfs``'s current
+    state, for rate differencing; an array-backed :class:`VecProcFS`
+    is materialised out of its fleet's columns."""
+    if not isinstance(procfs, VecProcFS):
+        return copy.deepcopy(procfs)
+    arrays, i = procfs._fleet.a, procfs._i
+
+    def materialize(cls: type, prefix: str):
+        return cls(**{
+            f.name: float(arrays[f"{prefix}_{f.name}"][i])
+            for f in dataclass_fields(cls)
+        })
+
+    nics = {"eth0": materialize(NicCounters, "nic")}
+    for name, nic in procfs.nics.items():
+        if name != "eth0":
+            nics[name] = copy.deepcopy(nic)
+    return SimProcFS(
+        num_cpus=procfs.num_cpus,
+        cpu=materialize(CpuTicks, "cpu"),
+        disk=materialize(DiskCounters, "disk"),
+        vm=materialize(VmCounters, "vm"),
+        stat=materialize(KernelStat, "stat"),
+        mem=materialize(MemInfo, "mem"),
+        loadavg=materialize(LoadAvg, "loadavg"),
+        sockstat=materialize(SockStat, "sockstat"),
+        tcp=materialize(TcpCounters, "tcp"),
+        tables=materialize(KernelTables, "tables"),
+        nics=nics,
+        processes={pid: copy.copy(p) for pid, p in procfs.processes.items()},
+    )
 
 
 @dataclass
@@ -40,21 +94,8 @@ def _rate(current: float, previous: float, elapsed: float) -> float:
     return max(0.0, current - previous) / elapsed
 
 
-def node_sampler(procfs):
-    """The node-vector sampler ``procfs`` calls for.
-
-    An array-backed procfs (:class:`repro.sim.vec.VecProcFS`) hands out
-    its slot in the fleet's one-pass collector
-    (:mod:`repro.sysstat.fleet_sadc`); a dataclass :class:`SimProcFS`
-    gets its own :class:`Sadc`.  Either way the result has
-    ``collect_vector(now)``, and the two agree element for element.
-    """
-    fleet_sampler = getattr(procfs, "sampler", None)
-    return fleet_sampler() if fleet_sampler is not None else Sadc(procfs)
-
-
 class Sadc:
-    """Stateful sampler for one node's :class:`SimProcFS`.
+    """Stateful sampler for one node's ``/proc`` (either procfs form).
 
     The first call to :meth:`collect` only primes the previous snapshot
     and returns ``None`` -- rates need two observations, exactly like the
@@ -69,7 +110,7 @@ class Sadc:
     def _step(self, now: float):
         """Snapshot ``/proc``; ``(current, previous, elapsed)`` once two
         observations a positive time apart exist, else ``None``."""
-        current = self._procfs.snapshot()
+        current = snapshot(self._procfs)
         previous, prev_time = self._prev, self._prev_time
         self._prev, self._prev_time = current, now
         if previous is None:
@@ -290,3 +331,13 @@ class Sadc:
             assert not missing, f"process metric catalog drift: {missing}"
             result[pid] = values
         return result
+
+
+@dataclass
+class SampledProcFS(SimProcFS):
+    """A dataclass ``/proc`` that samples through a private :class:`Sadc`
+    (the ``procfs.sampler()`` an array-backed procfs serves from its
+    fleet pass)."""
+
+    def sampler(self) -> Sadc:
+        return Sadc(self)

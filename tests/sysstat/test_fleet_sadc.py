@@ -1,4 +1,5 @@
-"""The one-pass fleet ``sadc`` against its oracle, the per-node ``Sadc``.
+"""The one-pass fleet ``sadc`` against its oracle, the per-node ``Sadc``
+(``sadc_oracle.py``).
 
 Parity is ``==`` element for element, never ``approx``: the fleet pass
 mirrors ``Sadc._node_metrics`` term for term, and every test here polls
@@ -15,9 +16,11 @@ import pytest
 from repro.experiments import ScenarioConfig, run_scenario, train_blackbox_model
 from repro.faults import FAULT_NAMES, FaultSpec, make_fault
 from repro.hadoop import ClusterConfig, HadoopCluster
-from repro.sysstat import NODE_METRICS, Sadc, SimProcFS, node_sampler
+from repro.sysstat import NODE_METRICS, SimProcFS
 from repro.sysstat.fleet_sadc import FleetNodeSampler
 from repro.workloads.gridmix import GridMixConfig, generate_workload
+
+from .sadc_oracle import Sadc, SampledProcFS, snapshot
 
 
 def busy_cluster(num_slaves, seed=3, duration_s=300.0):
@@ -33,7 +36,7 @@ class Pair:
     procfs; :meth:`poll` feeds both and counts what differs."""
 
     def __init__(self, procfs):
-        self.fleet = node_sampler(procfs)
+        self.fleet = procfs.sampler()
         self.oracle = Sadc(procfs)
         self.samples = 0
         self.mismatches = 0
@@ -61,15 +64,18 @@ def assert_parity(pairs, at_least):
 class TestSamplerChoice:
     def test_array_backed_procfs_joins_the_fleet_pass(self):
         cluster = busy_cluster(2)
-        sampler = node_sampler(cluster.procfs("slave01"))
+        sampler = cluster.procfs("slave01").sampler()
         assert isinstance(sampler, FleetNodeSampler)
 
     def test_dataclass_procfs_gets_a_per_node_sadc(self):
-        assert isinstance(node_sampler(SimProcFS()), Sadc)
+        # src/ samples only through the fleet pass; a dataclass procfs
+        # gets its sampler from the oracle.
+        assert not hasattr(SimProcFS(), "sampler")
+        assert isinstance(SampledProcFS().sampler(), Sadc)
 
     def test_per_node_vector_is_the_catalog_ordered_sample(self):
-        procfs = SimProcFS()
-        sampler, oracle = node_sampler(procfs), Sadc(procfs)
+        procfs = SampledProcFS()
+        sampler, oracle = procfs.sampler(), Sadc(procfs)
         assert sampler.collect_vector(0.0) is None
         oracle.collect(0.0)
         procfs.cpu.user += 1.0
@@ -248,7 +254,7 @@ class TestCounterEdges:
             rows = [pair.poll(cluster.time) for pair in pairs]
         assert_parity(pairs, at_least=2 * 2)
         assert rows[1][NODE_METRICS.index("file_nr")] == 4321.0
-        assert cluster.procfs("slave02").snapshot().tables.file_nr == 4321.0
+        assert snapshot(cluster.procfs("slave02")).tables.file_nr == 4321.0
 
 
 def test_concurrent_pollers_share_one_pass_per_round():
@@ -256,7 +262,7 @@ def test_concurrent_pollers_share_one_pass_per_round():
     per connection: rows stay exact and a round still costs one pass."""
     cluster = busy_cluster(12, seed=9)
     nodes = cluster.slave_names
-    samplers = [node_sampler(cluster.procfs(node)) for node in nodes]
+    samplers = [cluster.procfs(node).sampler() for node in nodes]
     oracles = [Sadc(cluster.procfs(node)) for node in nodes]
     rounds, workers = 25, 6
     got = [[None] * len(nodes) for _ in range(rounds)]

@@ -2,6 +2,8 @@
 
 from repro.sysstat import SimProcFS
 
+from .sadc_oracle import snapshot
+
 
 class TestSimProcFS:
     def test_default_has_eth0(self):
@@ -10,7 +12,7 @@ class TestSimProcFS:
 
     def test_snapshot_is_deep_copy(self):
         fs = SimProcFS()
-        snap = fs.snapshot()
+        snap = snapshot(fs)
         fs.cpu.user += 10.0
         fs.nic("eth0").rx_bytes += 1000.0
         fs.process(1, "init").utime += 1.0

@@ -1,8 +1,10 @@
-"""Tests for the libsadc-style sampler."""
+"""Tests for the per-node ``sadc`` oracle."""
 
 import pytest
 
-from repro.sysstat import NODE_METRICS, Sadc, SimProcFS
+from repro.sysstat import NODE_METRICS, SimProcFS
+
+from .sadc_oracle import Sadc
 
 
 @pytest.fixture

@@ -80,13 +80,6 @@ class TestFiltering:
         trail = make_trail()
         assert len(trail.filtered()) == 3
 
-    def test_render_text_reports_filtered_out(self):
-        trail = make_trail()
-        text = trail.render_text(tail=1)
-        assert "culprit=slave02" in text
-        assert "2 records filtered out" in text
-        assert "culprit=slave05" not in text
-
     def test_render_jsonl_filters(self):
         trail = make_trail()
         lines = trail.render_jsonl(since=400.0).splitlines()

@@ -1,8 +1,8 @@
 """The docs cite what exists: paths, ``repro.*`` names and CLI flags.
 
-README.md, DESIGN.md and EXPERIMENTS.md are what a reader runs commands
-from; a renamed file, module or flag should fail here rather than in
-their terminal.
+README.md, DESIGN.md, EXPERIMENTS.md and the verify recipe are what a
+reader runs commands from; a renamed file, module or flag should fail
+here rather than in their terminal.
 """
 
 import importlib
@@ -14,7 +14,10 @@ import pytest
 from repro.cli import build_parser
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md")
+DOCS = (
+    "README.md", "DESIGN.md", "EXPERIMENTS.md",
+    os.path.join(".claude", "skills", "verify", "SKILL.md"),
+)
 
 _PATH_RE = re.compile(
     r"(?<![\w./-])((?:src|tests|bench|benchmarks|examples)/[\w./-]*)"
