@@ -132,7 +132,7 @@ class FleetNodeLoad:
     """One logical node's window onto the shared :class:`FleetLoad`.
 
     Satisfies the node-daemon load contract: ``procfs`` is the slave's
-    :class:`~repro.sim.vec.VecProcFS` (array-backed, so the daemon's
+    :class:`~repro.sim.node.ProcFS` (array-backed, so the daemon's
     sampler joins the fleet's one-pass ``sadc``), ``advance_to``
     delegates to the shared fleet,
     and ``inject``/``clear`` run the simulator's real

@@ -34,9 +34,22 @@ class Fault(abc.ABC):
     #: The reported failure this fault simulates (Table 2, middle column).
     reported_failure: str = ""
 
-    @abc.abstractmethod
     def arm(self, cluster: HadoopCluster, spec: FaultSpec) -> None:
-        """Register the fault with the cluster; takes effect at inject_time."""
+        """Register the fault with the cluster; takes effect at inject_time.
+
+        Raises ``ValueError`` when ``spec.node`` is not one of the
+        cluster's slaves.
+        """
+        if spec.node not in cluster.slave_names:
+            raise ValueError(
+                f"{self.name}: the cluster has no slave {spec.node!r} "
+                f"(slaves: {', '.join(cluster.slave_names)})"
+            )
+        self._arm(cluster, spec)
+
+    @abc.abstractmethod
+    def _arm(self, cluster: HadoopCluster, spec: FaultSpec) -> None:
+        """Register the fault against ``spec.node``, a slave of ``cluster``."""
 
     def ground_truth(self, spec: FaultSpec) -> GroundTruth:
         return GroundTruth(

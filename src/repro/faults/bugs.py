@@ -35,7 +35,7 @@ class _BugFault(Fault):
 
     kind: BugKind = BugKind.MAP_HANG_1036
 
-    def arm(self, cluster: HadoopCluster, spec: FaultSpec) -> None:
+    def _arm(self, cluster: HadoopCluster, spec: FaultSpec) -> None:
         cluster.set_bug(spec.node, self.kind, spec.inject_time, spec.clear_time)
 
 

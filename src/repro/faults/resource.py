@@ -31,7 +31,7 @@ class CpuHog(Fault):
         "CPU bottleneck from running master and slave daemons on same node"
     )
 
-    def arm(self, cluster: HadoopCluster, spec: FaultSpec) -> None:
+    def _arm(self, cluster: HadoopCluster, spec: FaultSpec) -> None:
         # A spinner achieving ~70% utilization under fair-share
         # arbitration must *demand* more than 70% of the cores: if the
         # hog demands H and co-located tasks demand T, it receives
@@ -65,7 +65,7 @@ class DiskHog(Fault):
     name = "DiskHog"
     reported_failure = "Excessive messages logged to file"
 
-    def arm(self, cluster: HadoopCluster, spec: FaultSpec) -> None:
+    def _arm(self, cluster: HadoopCluster, spec: FaultSpec) -> None:
         rate = (
             cluster.config.node_spec.disk_write_bytes_s * self.demand_factor
         )
@@ -106,7 +106,7 @@ class PacketLoss(Fault):
         "block transfer times (HADOOP-2956)"
     )
 
-    def arm(self, cluster: HadoopCluster, spec: FaultSpec) -> None:
+    def _arm(self, cluster: HadoopCluster, spec: FaultSpec) -> None:
         node = spec.node
         rate = self.loss_rate
         cluster.at(

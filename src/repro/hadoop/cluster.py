@@ -34,7 +34,7 @@ from ..sim.engine import TickContext
 from ..sim.network import NetworkModel
 from ..sim.node import SimNode
 from ..sim.resources import NodeSpec
-from ..sim.vec import FleetState, VecSimNode, VecTickContext
+from ..sim.vec import FleetState
 from .hdfs import DataNode, NameNode
 from .job import JobSpec
 from .logs import DaemonLog
@@ -134,9 +134,7 @@ class HadoopCluster:
         self.nodes: Dict[str, SimNode] = self._build_nodes(
             [self.MASTER] + self.slave_names
         )
-        self.network = NetworkModel(
-            {name: cfg.node_spec.nic_bytes_s for name in self.nodes}
-        )
+        self.network = NetworkModel()
 
         # Logs: one tasktracker and one datanode log per slave.
         self.tt_logs: Dict[str, DaemonLog] = {
@@ -194,7 +192,7 @@ class HadoopCluster:
             dtype=np.intp,
         )
         return {
-            name: VecSimNode(
+            name: SimNode(
                 name, cfg.node_spec, cfg.seed * 1000 + i, self.fleet, i
             )
             for i, name in enumerate(node_names)
@@ -262,8 +260,8 @@ class HadoopCluster:
         rotated order, then per node [tasktracker daemon, running
         attempts, datanode daemon], then external loads -- so the
         bincount-based arbitration sees the per-node operand sequences
-        the reference tick (``tests/sim/helpers.py``) declares one call
-        at a time (see repro.sim.vec).
+        the scalar reference tick (``tests/sim/reference.py``) declares
+        one call at a time (see :class:`repro.sim.engine.TickContext`).
         """
         self._run_due_actions()
         self._submit_due_jobs()
@@ -271,7 +269,7 @@ class HadoopCluster:
         fleet = self.fleet
         fleet.begin_tick_all()
 
-        ctx = VecTickContext(self.nodes, self.network, dt, fleet)
+        ctx = TickContext(fleet, self.network, dt)
         # Rotate heartbeat order each tick: real trackers contact the
         # JobTracker out of phase, so no node systematically gets first
         # pick of pending tasks.

@@ -15,11 +15,16 @@ that node, slowing them down exactly as the paper's injected fault does.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import TYPE_CHECKING, Callable, Dict, List, Sequence, Tuple
+
+import numpy as np
 
 from .network import NetworkModel, Transfer
 from .node import SimNode
-from .resources import share_proportionally
+from .resources import tcp_goodput_factor
+
+if TYPE_CHECKING:
+    from .vec import FleetState
 
 
 @dataclass
@@ -65,32 +70,94 @@ class DiskDemand:
     write_granted: float = 0.0
 
 
-class TickContext:
-    """Collects all demands of one tick, then arbitrates them."""
+def _flatten(stream: Sequence[object], row: Callable[[object], Tuple]):
+    """An ordered demand stream as column arrays plus object positions.
 
-    def __init__(self, nodes: Dict[str, SimNode], network: NetworkModel, dt: float) -> None:
-        self.nodes = nodes
+    A bulk segment is a tuple of arrays (node index columns, then
+    ``wanted``); ``row(obj)`` gives a demand object's (node indices...,
+    wanted).  Returns ``(None, [])`` for an empty stream, else the
+    concatenated columns and each object's ``(obj, position)``.
+    """
+    blocks: List[List[np.ndarray]] = []
+    positions: List[Tuple[object, int]] = []
+    pending: List[object] = []
+    size = 0
+
+    def flush() -> None:
+        nonlocal size
+        if pending:
+            *index, wanted = zip(*(row(obj) for obj in pending))
+            blocks.append(
+                [np.array(col, dtype=np.intp) for col in index]
+                + [np.array(wanted)]
+            )
+            positions.extend((obj, size + j) for j, obj in enumerate(pending))
+            size += len(pending)
+            pending.clear()
+
+    for seg in stream:
+        if isinstance(seg, tuple):
+            flush()
+            blocks.append(list(seg))
+            size += len(seg[0])
+        else:
+            pending.append(seg)
+    flush()
+    if not blocks:
+        return None, positions
+    return [np.concatenate(col) for col in zip(*blocks)], positions
+
+
+class TickContext:
+    """Collects one tick's demands against a fleet, then arbitrates them.
+
+    CPU and network demand each arrive as one ordered stream: bulk blocks
+    (``demand_cpu_bulk`` / ``demand_transfer_bulk`` -- one array per
+    fleet-wide declaration such as "every tasktracker daemon wants 0.02
+    cores") interleaved with per-activity :class:`CpuDemand` /
+    :class:`Transfer` objects from task attempts and external loads.
+    Arbitration flattens each stream in declaration order and takes
+    per-node totals with ``np.bincount``, which adds each bin's weights
+    in input order -- the left-to-right sums of declaring one demand at
+    a time.
+    """
+
+    def __init__(self, fleet: "FleetState", network: NetworkModel, dt: float) -> None:
+        self.fleet = fleet
         self.network = network
         self.dt = dt
-        self._cpu: List[CpuDemand] = []
+        self._cpu: List[object] = []
         self._disk: List[DiskDemand] = []
-        self._transfers: List[Transfer] = []
+        self._net: List[object] = []
+
+    def _node(self, name: str) -> SimNode:
+        return self.fleet.nodes[self.fleet.index[name]]
 
     # -- declaration (first pass) ----------------------------------------------
 
     def demand_cpu(
         self, node: str, pid: int, cores: float, sys_fraction: float = 0.15
     ) -> CpuDemand:
+        sim_node = self._node(node)
         demand = CpuDemand(
             node=node,
             pid=pid,
             wanted=max(0.0, cores) * self.dt,
             sys_fraction=sys_fraction,
-            _sim_node=self.nodes[node],
+            _sim_node=sim_node,
         )
         self._cpu.append(demand)
-        self.nodes[node].note_cpu_demand(max(0.0, cores))
+        sim_node.note_cpu_demand(cores)
         return demand
+
+    def demand_cpu_bulk(self, idx: np.ndarray, cores: float) -> None:
+        """Declare ``cores`` on every node in ``idx`` (zero-booking daemons).
+
+        These demands only shape arbitration totals and the run queue; the
+        daemons behind them book no CPU of their own.
+        """
+        self._cpu.append((idx, np.full(len(idx), max(0.0, cores) * self.dt)))
+        self.fleet.acc_cpu_demand[idx] += max(0.0, cores)
 
     def demand_disk(
         self, node: str, pid: int, read_bytes: float = 0.0, write_bytes: float = 0.0
@@ -108,58 +175,112 @@ class TickContext:
         self, src: str, dst: str, wanted_bytes: float, tag: str = ""
     ) -> Transfer:
         transfer = Transfer(src=src, dst=dst, wanted_bytes=max(0.0, wanted_bytes), tag=tag)
-        self._transfers.append(transfer)
+        self._net.append(transfer)
         return transfer
+
+    def demand_transfer_bulk(
+        self, src_idx: np.ndarray, dst_idx: np.ndarray, wanted_bytes: float
+    ) -> None:
+        """Declare one ``wanted_bytes`` transfer per (src, dst) pair."""
+        self._net.append(
+            (src_idx, dst_idx, np.full(len(src_idx), max(0.0, wanted_bytes)))
+        )
 
     # -- arbitration (second pass) -----------------------------------------------
 
     def arbitrate(self) -> None:
         """Resolve all declared demands into grants, and book node counters."""
+        fleet = self.fleet
+        index = fleet.index
+        n = fleet.n
+        dt = self.dt
+
         # CPU: proportional share of each node's core capacity.
-        by_node: Dict[str, List[CpuDemand]] = {}
-        for demand in self._cpu:
-            by_node.setdefault(demand.node, []).append(demand)
-        for node_name, demands in by_node.items():
-            capacity = self.nodes[node_name].spec.cpu_cores * self.dt
-            grants = share_proportionally([d.wanted for d in demands], capacity)
-            for demand, granted in zip(demands, grants):
-                demand.granted = granted
+        columns, positions = _flatten(
+            self._cpu, lambda d: (index[d.node], d.wanted)
+        )
+        if columns is not None:
+            idx, wanted = columns
+            cleaned = np.maximum(0.0, wanted)
+            totals = np.bincount(idx, weights=cleaned, minlength=n)
+            capacity = fleet.cpu_cores * dt
+            over = (totals > capacity) & (totals > 0.0)
+            factor = np.ones(n)
+            np.divide(capacity, totals, out=factor, where=over)
+            grants = cleaned * factor[idx]
+            for demand, pos in positions:
+                demand.granted = float(grants[pos])
 
         # Disk: reads and writes jointly saturate the device.  The busy
         # fraction they'd require is computed against each bandwidth, and
         # all demands are scaled by the same factor when oversubscribed.
+        # Only attempts and hogs touch disk, so this stays an object loop.
         disk_by_node: Dict[str, List[DiskDemand]] = {}
         for demand in self._disk:
             disk_by_node.setdefault(demand.node, []).append(demand)
         for node_name, demands in disk_by_node.items():
-            spec = self.nodes[node_name].spec
+            sim_node = self._node(node_name)
+            spec = sim_node.spec
             busy = sum(
                 d.read_wanted / spec.disk_read_bytes_s
                 + d.write_wanted / spec.disk_write_bytes_s
                 for d in demands
             )
-            factor = 1.0 if busy <= self.dt or busy <= 0 else self.dt / busy
+            disk_factor = 1.0 if busy <= dt or busy <= 0 else dt / busy
             for demand in demands:
-                demand.read_granted = demand.read_wanted * factor
-                demand.write_granted = demand.write_wanted * factor
-                self.nodes[node_name].account_disk(
+                demand.read_granted = demand.read_wanted * disk_factor
+                demand.write_granted = demand.write_wanted * disk_factor
+                sim_node.account_disk(
                     demand.pid, demand.read_granted, demand.write_granted
                 )
 
-        # Network: min of endpoint shares, degraded by packet loss.
-        self.network.arbitrate(self._transfers, self.dt)
-        for transfer in self._transfers:
-            if transfer.src == transfer.dst:
-                continue
-            src_node = self.nodes.get(transfer.src)
-            dst_node = self.nodes.get(transfer.dst)
-            if src_node is not None:
-                src_node.account_net(
-                    tx_bytes=transfer.granted_bytes,
-                    tx_dropped=transfer.dropped_bytes,
-                )
-            if dst_node is not None:
-                dst_node.account_net(
-                    rx_bytes=transfer.granted_bytes,
-                    rx_dropped=transfer.dropped_bytes,
-                )
+        # Network: min of endpoint shares, degraded by packet loss;
+        # local transfers bypass the NIC.
+        columns, net_positions = _flatten(
+            self._net, lambda t: (index[t.src], index[t.dst], t.wanted_bytes)
+        )
+        if columns is None:
+            return
+        src, dst, wanted = columns
+        local = src == dst
+        remote = ~local
+        w_nonneg = np.maximum(0.0, wanted)
+        src_nl = src[remote]
+        dst_nl = dst[remote]
+        w_nl = w_nonneg[remote]
+        nic_capacity = fleet.nic_bps * dt
+
+        def share(endpoints: np.ndarray) -> np.ndarray:
+            total = np.bincount(endpoints, weights=w_nl, minlength=n)
+            out = np.ones(n)
+            over = (total > nic_capacity) & (total > 0.0)
+            np.divide(nic_capacity, total, out=out, where=over)
+            return out
+
+        tx_share = share(src_nl)
+        rx_share = share(dst_nl)
+        loss = np.zeros(n)
+        for name, rate in self.network.loss_rates().items():
+            if name in index:
+                loss[index[name]] = rate
+
+        factor = np.minimum(tx_share[src], rx_share[dst])
+        combined_loss = 1.0 - (1.0 - loss[src]) * (1.0 - loss[dst])
+        goodput = tcp_goodput_factor(combined_loss)
+        wire = w_nonneg * factor
+        granted = np.where(local, w_nonneg, wire * goodput)
+        dropped = np.where(local, 0.0, wire * goodput * combined_loss)
+
+        for transfer, pos in net_positions:
+            transfer.granted_bytes = float(granted[pos])
+            transfer.dropped_bytes = float(dropped[pos])
+
+        g_nl = np.maximum(0.0, granted[remote])
+        d_nl = np.maximum(0.0, dropped[remote])
+        fleet.acc_net_tx += np.bincount(src_nl, weights=g_nl, minlength=n)
+        fleet.acc_net_tx_drop += np.bincount(src_nl, weights=d_nl, minlength=n)
+        fleet.acc_net_rx += np.bincount(dst_nl, weights=g_nl, minlength=n)
+        fleet.acc_net_rx_drop += np.bincount(dst_nl, weights=d_nl, minlength=n)
+        streams = (granted[remote] > 0.0).astype(float)
+        fleet.acc_streams += np.bincount(src_nl, weights=streams, minlength=n)
+        fleet.acc_streams += np.bincount(dst_nl, weights=streams, minlength=n)

@@ -1,11 +1,12 @@
-"""Network model: per-node NIC arbitration with injectable packet loss.
+"""Network state: transfer demands and injectable packet loss.
 
 Transfers (shuffle copies, HDFS block reads/writes, heartbeats) are
-declared each tick; the model grants each transfer the minimum of its
-sender's transmit share and its receiver's receive share, further scaled
-by :func:`repro.sim.resources.tcp_goodput_factor` when either endpoint
-suffers packet loss.  Loss also shows up in NIC error/drop counters so
-that black-box analysis sees it.
+declared each tick; :meth:`repro.sim.engine.TickContext.arbitrate`
+grants each transfer the minimum of its sender's transmit share and its
+receiver's receive share, further scaled by
+:func:`repro.sim.resources.tcp_goodput_factor` when either endpoint
+suffers the packet loss recorded here.  Loss also shows up in NIC
+error/drop counters so that black-box analysis sees it.
 
 Intra-node "transfers" (reading a local HDFS block) bypass the network
 entirely, matching Hadoop's short-circuit local reads through the
@@ -15,9 +16,7 @@ loopback path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
-
-from .resources import tcp_goodput_factor
+from typing import Dict
 
 #: Approximate wire MTU payload per packet, bytes.
 PACKET_BYTES = 1448.0
@@ -37,14 +36,13 @@ class Transfer:
 
 
 class NetworkModel:
-    """Arbitrates all inter-node transfers of one simulation tick."""
+    """Packet loss injected per node (the PacketLoss fault's hook)."""
 
-    def __init__(self, nic_bytes_s: Dict[str, float]) -> None:
-        self._nic_bytes_s = dict(nic_bytes_s)
+    def __init__(self) -> None:
         self._loss: Dict[str, float] = {}
 
     def set_loss_rate(self, node: str, loss_rate: float) -> None:
-        """Inject packet loss on ``node`` (the PacketLoss fault hook)."""
+        """Inject packet loss on ``node``, clamped to ``[0, 1]``."""
         self._loss[node] = min(1.0, max(0.0, loss_rate))
 
     def clear_loss_rate(self, node: str) -> None:
@@ -54,60 +52,5 @@ class NetworkModel:
         return self._loss.get(node, 0.0)
 
     def loss_rates(self) -> Dict[str, float]:
-        """All nodes with injected loss (for vectorized arbitration)."""
+        """All nodes with injected loss."""
         return dict(self._loss)
-
-    def nic_capacity(self, node: str) -> float:
-        return self._nic_bytes_s.get(node, 125e6)
-
-    def path_goodput_factor(self, src: str, dst: str) -> float:
-        """Combined goodput multiplier for the src->dst path."""
-        combined_loss = 1.0 - (1.0 - self.loss_rate(src)) * (
-            1.0 - self.loss_rate(dst)
-        )
-        return tcp_goodput_factor(combined_loss)
-
-    def arbitrate(self, transfers: List[Transfer], dt: float) -> None:
-        """Fill in ``granted_bytes``/``dropped_bytes`` on each transfer.
-
-        Two-pass proportional share: first compute each node's aggregate
-        transmit and receive demand, then grant each transfer
-        ``wanted * min(tx_share(src), rx_share(dst)) * goodput``.
-        """
-        tx_demand: Dict[str, float] = {}
-        rx_demand: Dict[str, float] = {}
-        for transfer in transfers:
-            if transfer.src == transfer.dst:
-                continue
-            wanted = max(0.0, transfer.wanted_bytes)
-            tx_demand[transfer.src] = tx_demand.get(transfer.src, 0.0) + wanted
-            rx_demand[transfer.dst] = rx_demand.get(transfer.dst, 0.0) + wanted
-
-        def share(node: str, demand: Dict[str, float]) -> float:
-            total = demand.get(node, 0.0)
-            capacity = self.nic_capacity(node) * dt
-            if total <= capacity or total <= 0.0:
-                return 1.0
-            return capacity / total
-
-        for transfer in transfers:
-            if transfer.src == transfer.dst:
-                # Local path: not constrained by (or visible to) the NIC.
-                transfer.granted_bytes = max(0.0, transfer.wanted_bytes)
-                transfer.dropped_bytes = 0.0
-                continue
-            factor = min(
-                share(transfer.src, tx_demand), share(transfer.dst, rx_demand)
-            )
-            goodput = self.path_goodput_factor(transfer.src, transfer.dst)
-            wire_bytes = max(0.0, transfer.wanted_bytes) * factor
-            transfer.granted_bytes = wire_bytes * goodput
-            combined_loss = 1.0 - (1.0 - self.loss_rate(transfer.src)) * (
-                1.0 - self.loss_rate(transfer.dst)
-            )
-            transfer.dropped_bytes = wire_bytes * goodput * combined_loss
-
-    @staticmethod
-    def packets(byte_count: float) -> float:
-        """Packet count corresponding to ``byte_count`` of payload."""
-        return byte_count / PACKET_BYTES

@@ -1,7 +1,7 @@
 """Draw-ahead background-noise sampling for simulated nodes.
 
-Every tick, :meth:`repro.sim.node.SimNode.end_tick` folds a fixed set of
-eight seeded background-OS noise draws into the node's ``/proc``
+Every tick, :meth:`repro.sim.vec.FleetState.end_tick_all` folds a fixed
+set of eight seeded background-OS noise draws into each node's ``/proc``
 counters: two gamma-distributed CPU noise terms, three Poisson event
 counts (multicast frames, forks, major faults) and three normal jitter
 terms (context switches, interrupts, minor faults).  Issuing eight
@@ -17,8 +17,8 @@ buffer.  The buffer is keyed to the ``dt`` it was drawn for: a tick with
 a different ``dt`` flushes and redraws, so runs remain deterministic
 functions of ``(seed, dt sequence)``.
 
-The per-node :meth:`SimNode.end_tick` and the fleet-wide
-``FleetState.end_tick_all`` consume the same per-node buffers, which is
+``FleetState.end_tick_all`` and the scalar reference tick in
+``tests/sim/reference.py`` consume the same per-node buffers, which is
 what makes their outputs bit-identical by construction (see
 :mod:`repro.sim.vec`).
 """

@@ -1,10 +1,10 @@
-"""Resource specifications and proportional-share arbitration.
+"""Resource specifications and the TCP response to packet loss.
 
 The cluster simulator models each node as four contended resources --
 CPU cores, one disk, one NIC, and memory.  Every simulation tick,
 activities (task phases, daemons, injected resource hogs) declare demands
-against their node; the arbiter grants each demand its proportional share
-of the capacity.  Contention therefore slows *everything* on an
+against their node; :class:`repro.sim.engine.TickContext` grants each
+demand its proportional share of the capacity.  Contention therefore slows *everything* on an
 oversubscribed node, which is exactly the failure manifestation the
 paper's resource-contention faults (CPUHog, DiskHog) rely on.
 """
@@ -12,7 +12,8 @@ paper's resource-contention faults (CPUHog, DiskHog) rely on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -42,22 +43,7 @@ class NodeSpec:
         return self.disk_write_mb_s * 1024.0 * 1024.0
 
 
-def share_proportionally(wanted: Sequence[float], capacity: float) -> List[float]:
-    """Grant each demand its proportional share of ``capacity``.
-
-    If total demand fits within capacity every demand is granted in full;
-    otherwise all demands are scaled by the same factor.  Zero and
-    negative demands receive zero.
-    """
-    cleaned = [max(0.0, w) for w in wanted]
-    total = sum(cleaned)
-    if total <= capacity or total <= 0.0:
-        return cleaned
-    factor = capacity / total
-    return [w * factor for w in cleaned]
-
-
-def tcp_goodput_factor(loss_rate: float) -> float:
+def tcp_goodput_factor(loss_rate):
     """Multiplier on achievable TCP throughput under packet loss.
 
     TCP throughput collapses super-linearly with loss (the Mathis model
@@ -65,7 +51,8 @@ def tcp_goodput_factor(loss_rate: float) -> float:
     timeouts dominate).  We use a simple rational approximation that is
     exact at the endpoints (1.0 at no loss, ~0 at total loss) and yields
     roughly a 20x slowdown at the paper's injected 50% loss -- enough to
-    reproduce the "long block transfer times" of HADOOP-2956.
+    reproduce the "long block transfer times" of HADOOP-2956.  Applies
+    elementwise to an array of per-transfer loss rates.
     """
-    p = min(1.0, max(0.0, loss_rate))
+    p = np.minimum(1.0, np.maximum(0.0, loss_rate))
     return (1.0 - p) ** 2 / (1.0 + 10.0 * p)

@@ -2,8 +2,8 @@
 
 The paper's black-box data source is the sysstat package's ``sadc``
 collector reading ``/proc``.  Here the cluster simulator keeps every
-node's ``/proc`` counters (the :class:`SimProcFS` shape) in fleet
-arrays, and the one-pass :class:`FleetSadc` turns successive counters
+node's ``/proc`` counters (the :mod:`repro.sysstat.procfs` shape) in
+fleet arrays, and the one-pass :class:`FleetSadc` turns successive counters
 into the 64 node-level metrics the paper reports (section 3.5, with
 the 18 per-NIC / 19 per-process catalogs alongside).  A collector gets
 its node's sampler from ``procfs.sampler()``.
@@ -27,7 +27,6 @@ from .procfs import (
     MemInfo,
     NicCounters,
     ProcessStat,
-    SimProcFS,
     SockStat,
     TcpCounters,
     VmCounters,
@@ -54,7 +53,6 @@ __all__ = [
     "ProcessStat",
     "SYSCALL_CATEGORIES",
     "SYSCALL_INDEX",
-    "SimProcFS",
     "SyscallTracer",
     "SockStat",
     "TcpCounters",

@@ -31,7 +31,7 @@ the two element for element with ``==``).
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 import numpy as np
 
@@ -125,20 +125,6 @@ _DERIVED = (
     "net_rxkb_per_s", "net_txkb_per_s",
 )
 
-#: ``NicCounters`` fields the node vector aggregates over interfaces,
-#: with the counter row of the array-backed ``eth0`` for each.
-_NET_FIELDS = (
-    "rx_bytes", "tx_bytes", "rx_packets", "tx_packets", "rx_errs", "tx_errs"
-)
-_NET_ROWS = tuple(_ROW[f"nic_{field}"] for field in _NET_FIELDS)
-_NET_OUT = np.array(
-    [_OUT[name] for name in (
-        "net_rxpck_per_s", "net_txpck_per_s", "net_rxkb_per_s",
-        "net_txkb_per_s", "net_rxerr_per_s", "net_txerr_per_s",
-    )],
-    dtype=np.intp,
-)
-
 if NODE_METRICS[:8] != tuple(f"cpu_{mode}_pct" for mode in _CPU_MODES):
     raise AssertionError("node metric catalog drift: cpu_*_pct order")
 _covered = (
@@ -164,8 +150,8 @@ def _cpu_total(counters: np.ndarray) -> np.ndarray:
 class FleetSadc:
     """The shared collector of one :class:`~repro.sim.vec.FleetState`.
 
-    ``fleet`` is duck-typed: ``a`` (array per ``<group>_<field>``),
-    ``ticks`` (completed tick passes) and ``nodes[i].procfs.nics``.
+    ``fleet`` is duck-typed: ``a`` (array per ``<group>_<field>``) and
+    ``ticks`` (completed tick passes).
     """
 
     def __init__(self, fleet: Any) -> None:
@@ -179,12 +165,8 @@ class FleetSadc:
         self._primed: List[bool] = []
         self._prev = np.zeros((len(COUNTERS), 0))
         self._prev_time = np.zeros(0)
-        #: slot -> {nic name: counters} of a node's non-array interfaces
-        #: at its previous poll (only slots that ever saw one).
-        self._prev_extra: Dict[int, Dict[str, Tuple[float, ...]]] = {}
         self._key: Optional[Tuple[float, int, int]] = None
         self._cur = self._prev
-        self._pos = self._prev
         self._matrix = np.zeros((0, len(NODE_METRICS)))
         #: Matrix passes computed (lock-step polling: one per fleet tick).
         self.passes = 0
@@ -211,9 +193,6 @@ class FleetSadc:
             elapsed = now - self._prev_time[slot]
             serve = primed and elapsed > 0
             row = self._matrix[slot] if serve else None
-            nics = self._fleet.nodes[self._nodes[slot]].procfs.nics
-            if len(nics) > 1 or slot in self._prev_extra:
-                row = self._with_extra_nics(slot, nics, row, elapsed)
             self._prev[:, slot] = self._cur[:, slot]
             self._prev_time[slot] = now
             self._primed[slot] = True
@@ -291,47 +270,8 @@ class FleetSadc:
         out[_OUT["net_txkb_per_s"]] = pos[_ROW["nic_tx_bytes"]] / 1024.0 / elapsed
 
         self._cur = cur
-        self._pos = pos
         self._matrix = np.ascontiguousarray(out.T)
         self.passes += 1
-
-    def _with_extra_nics(
-        self, slot: int, nics: Dict[str, Any], row: Optional[np.ndarray],
-        elapsed: float,
-    ) -> Optional[np.ndarray]:
-        """Fold a node's non-array interfaces into its network metrics.
-
-        Only ``eth0`` is array-backed; an interface added through
-        ``procfs.nic(name)`` is a plain ``NicCounters``.  The scalar
-        sampler sums every interface present in both snapshots in dict
-        order, so the sums are redone here the same way, ``eth0``
-        contributing its clamped deltas from the pass.
-        """
-        previous = self._prev_extra.get(slot, {})
-        self._prev_extra[slot] = {
-            name: tuple(getattr(nic, field) for field in _NET_FIELDS)
-            for name, nic in nics.items() if name != "eth0"
-        }
-        if row is None:
-            return None
-        totals = [0.0] * len(_NET_FIELDS)
-        for name in nics:
-            if name == "eth0":
-                deltas = [self._pos[r, slot] for r in _NET_ROWS]
-            elif name in previous:
-                before, after = previous[name], self._prev_extra[slot][name]
-                deltas = [max(0.0, c - p) for c, p in zip(after, before)]
-            else:
-                continue
-            totals = [total + delta for total, delta in zip(totals, deltas)]
-        rx_bytes, tx_bytes, rx_pkts, tx_pkts, rx_errs, tx_errs = totals
-        row = row.copy()
-        row[_NET_OUT] = (
-            rx_pkts / elapsed, tx_pkts / elapsed,
-            rx_bytes / 1024.0 / elapsed, tx_bytes / 1024.0 / elapsed,
-            rx_errs / elapsed, tx_errs / elapsed,
-        )
-        return row
 
 
 class FleetNodeSampler:

@@ -1,19 +1,19 @@
-"""A simulated ``/proc`` pseudo-filesystem for one node.
+"""The simulated ``/proc`` counter groups of one node.
 
 Real sysstat derives its statistics from cumulative kernel counters in
 ``/proc`` (``/proc/stat``, ``/proc/diskstats``, ``/proc/net/dev``,
 ``/proc/vmstat``, ...) plus instantaneous gauges (``/proc/meminfo``,
-``/proc/loadavg``).  :class:`SimProcFS` holds exactly that shape for a
-simulated node: the cluster simulator *increments counters* as activity
-happens, and ``sadc`` (:mod:`repro.sysstat.fleet_sadc`) differences
+``/proc/loadavg``).  The dataclasses here name exactly that shape; the
+simulator keeps one array column per field for the whole fleet
+(:class:`repro.sim.node.ProcFS` is a node's view), *increments counters*
+as activity happens, and ``sadc`` (:mod:`repro.sysstat.fleet_sadc`) differences
 successive counters into rates -- the same arithmetic sysstat runs
 against a real kernel.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict
+from dataclasses import dataclass
 
 
 @dataclass
@@ -180,35 +180,3 @@ class ProcessStat:
     threads: float = 1.0
     fds: float = 8.0
     prio: float = 20.0
-
-
-@dataclass
-class SimProcFS:
-    """The complete simulated ``/proc`` state of one node."""
-
-    num_cpus: int = 4
-    cpu: CpuTicks = field(default_factory=CpuTicks)
-    disk: DiskCounters = field(default_factory=DiskCounters)
-    vm: VmCounters = field(default_factory=VmCounters)
-    stat: KernelStat = field(default_factory=KernelStat)
-    mem: MemInfo = field(default_factory=MemInfo)
-    loadavg: LoadAvg = field(default_factory=LoadAvg)
-    sockstat: SockStat = field(default_factory=SockStat)
-    tcp: TcpCounters = field(default_factory=TcpCounters)
-    tables: KernelTables = field(default_factory=KernelTables)
-    nics: Dict[str, NicCounters] = field(default_factory=dict)
-    processes: Dict[int, ProcessStat] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if not self.nics:
-            self.nics["eth0"] = NicCounters()
-
-    def nic(self, name: str = "eth0") -> NicCounters:
-        return self.nics.setdefault(name, NicCounters())
-
-    def process(self, pid: int, name: str = "") -> ProcessStat:
-        proc = self.processes.get(pid)
-        if proc is None:
-            proc = ProcessStat(pid=pid, name=name)
-            self.processes[pid] = proc
-        return proc

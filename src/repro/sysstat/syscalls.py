@@ -21,11 +21,14 @@ anomaly model consumes.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 import numpy as np
 
-from .procfs import ProcessStat, SimProcFS
+from .procfs import ProcessStat
+
+if TYPE_CHECKING:
+    from ..sim.node import ProcFS
 
 #: The syscall categories the tracer reports, in canonical order.
 SYSCALL_CATEGORIES: Tuple[str, ...] = (
@@ -56,7 +59,7 @@ class SyscallTracer:
     seed.
     """
 
-    def __init__(self, procfs: SimProcFS, seed: int = 0) -> None:
+    def __init__(self, procfs: "ProcFS", seed: int = 0) -> None:
         self._procfs = procfs
         self._rng = np.random.default_rng(seed)
         self._prev: Optional[Dict[int, ProcessStat]] = None

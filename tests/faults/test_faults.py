@@ -180,3 +180,14 @@ class TestBugFaults:
         )
         assert sick_dones == 0
         assert healthy_dones > 0
+
+
+@pytest.mark.parametrize("name", FAULT_NAMES)
+def test_arming_a_node_the_cluster_lacks_is_an_error(name):
+    cluster = make_cluster(num_slaves=3)
+    with pytest.raises(ValueError, match=r"'slave99'.*slave01, slave02, slave03"):
+        make_fault(name).arm(cluster, FaultSpec(node="slave99", inject_time=1.0))
+    cluster.run_until(3.0)
+    assert cluster.external_loads == []
+    assert cluster.network.loss_rates() == {}
+    assert cluster.bug_for("slave99", 3.0) is None

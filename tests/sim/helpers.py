@@ -1,12 +1,10 @@
-"""The per-node reference tick and the parity helpers built on it.
+"""Parity helpers: :class:`HadoopCluster` against the per-node reference.
 
-:class:`ReferenceCluster` steps a Hadoop cluster one node at a time:
-plain :class:`SimNode` nodes, one ``TickContext`` demand call per daemon
-and heartbeat, one ``SimNode.end_tick`` per node.  It is the oracle
-:func:`tick_parity_mismatches` compares :class:`HadoopCluster` against,
-every node's full procfs snapshot, every tick -- an edit to one term of
-``FleetState.end_tick_all`` or ``VecTickContext.arbitrate`` fails here.
-Nothing in ``src/`` can select it.
+:func:`tick_parity_mismatches` steps both through the same busy
+workload and compares every node's full procfs snapshot, every tick --
+an edit to one term of ``FleetState.end_tick_all`` or
+``TickContext.arbitrate`` that the reference (``reference.py``) does
+not share fails here.
 """
 
 import dataclasses
@@ -14,68 +12,10 @@ from typing import List
 
 from repro.faults import FaultSpec, make_fault
 from repro.hadoop import MB, ClusterConfig, HadoopCluster, JobSpec
-from repro.hadoop.mapreduce import HEARTBEAT_BYTES, TaskTracker
-from repro.sim.engine import TickContext
-from repro.sim.node import SimNode
 
 from sysstat.sadc_oracle import snapshot  # tests/sysstat: detached /proc copies
 
-
-class ReferenceCluster(HadoopCluster):
-    """``HadoopCluster`` on per-node ``SimNode`` objects and scalar math."""
-
-    def _build_nodes(self, node_names):
-        cfg = self.config
-        self.fleet = None
-        return {
-            name: SimNode(name, cfg.node_spec, seed=cfg.seed * 1000 + i)
-            for i, name in enumerate(node_names)
-        }
-
-    def _heartbeat(self, tracker: TaskTracker, ctx: TickContext, now: float):
-        if not tracker.heartbeat_due(now):
-            return
-        ctx.demand_transfer(
-            tracker.node_name, self.MASTER, HEARTBEAT_BYTES, tag="heartbeat"
-        )
-        ctx.demand_transfer(
-            self.MASTER, tracker.node_name, HEARTBEAT_BYTES, tag="heartbeat"
-        )
-        tracker.heartbeat_pull(now)
-
-    def step(self, dt: float = 1.0) -> None:
-        self._run_due_actions()
-        self._submit_due_jobs()
-        now = self.time
-        for node in self.nodes.values():
-            node.begin_tick()
-
-        ctx = TickContext(self.nodes, self.network, dt)
-        tracker_list = [self.trackers[name] for name in self.slave_names]
-        offset = int(now) % max(1, len(tracker_list))
-        for tracker in tracker_list[offset:] + tracker_list[:offset]:
-            self._heartbeat(tracker, ctx, now)
-        for tracker in tracker_list:
-            ctx.demand_cpu(
-                tracker.node_name, tracker.pid, TaskTracker.DAEMON_CORES
-            ).book_all()
-            tracker.demand_tasks(ctx, now)
-            ctx.demand_cpu(
-                tracker.node_name, tracker.pid + 1, self.DATANODE_DAEMON_CORES
-            ).book_all()
-        for load in self.external_loads:
-            load.demand(ctx, now)
-
-        ctx.arbitrate()
-
-        for tracker in tracker_list:
-            tracker.advance(now, dt)
-        for load in self.external_loads:
-            load.advance(now, dt)
-
-        for node in self.nodes.values():
-            node.end_tick(dt)
-        self.time = now + dt
+from .reference import ReferenceCluster
 
 
 def exercise(cluster: HadoopCluster) -> None:

@@ -2,18 +2,14 @@
 
 import pytest
 
-from repro.sim import NetworkModel, NodeSpec, SimNode, TickContext
+from repro.sim import NodeSpec
+
+from .fleet import OneFleet
 
 
 def make_context(dt: float = 1.0, cores: float = 4.0):
-    nodes = {
-        name: SimNode(name, NodeSpec(cpu_cores=cores), seed=i)
-        for i, name in enumerate(("a", "b"))
-    }
-    network = NetworkModel({name: 125e6 for name in nodes})
-    for node in nodes.values():
-        node.begin_tick()
-    return TickContext(nodes, network, dt), nodes
+    fleet = OneFleet(("a", "b"), NodeSpec(cpu_cores=cores))
+    return fleet.context(dt), fleet
 
 
 class TestCpuArbitration:
@@ -40,44 +36,45 @@ class TestCpuArbitration:
         assert d2.granted == pytest.approx(4.0)
 
     def test_book_records_consumed_cpu_on_node(self):
-        ctx, nodes = make_context()
+        ctx, fleet = make_context()
         demand = ctx.demand_cpu("a", pid=1, cores=2.0)
         ctx.arbitrate()
         demand.book(1.5, iowait=0.5)
-        nodes["a"].end_tick(1.0)
-        assert nodes["a"].procfs.cpu.user + nodes["a"].procfs.cpu.system >= 1.4
-        assert nodes["a"].procfs.cpu.iowait > 0.0
+        fleet.end_tick()
+        cpu = fleet.nodes["a"].procfs.cpu
+        assert cpu.user + cpu.system >= 1.4
+        assert cpu.iowait > 0.0
 
     def test_book_clamps_to_grant(self):
-        ctx, nodes = make_context()
+        ctx, fleet = make_context()
         demand = ctx.demand_cpu("a", pid=1, cores=1.0)
         ctx.arbitrate()
         demand.book(100.0)
-        nodes["a"].end_tick(1.0)
-        total_busy = nodes["a"].procfs.cpu.user + nodes["a"].procfs.cpu.system
-        assert total_busy <= 1.1
+        fleet.end_tick()
+        cpu = fleet.nodes["a"].procfs.cpu
+        assert cpu.user + cpu.system <= 1.1
 
     def test_book_all_consumes_full_grant(self):
-        ctx, nodes = make_context()
+        ctx, fleet = make_context()
         demand = ctx.demand_cpu("a", pid=1, cores=2.0)
         ctx.arbitrate()
         demand.book_all()
-        nodes["a"].end_tick(1.0)
-        total_busy = nodes["a"].procfs.cpu.user + nodes["a"].procfs.cpu.system
-        assert total_busy == pytest.approx(2.0, rel=0.05)
+        fleet.end_tick()
+        cpu = fleet.nodes["a"].procfs.cpu
+        assert cpu.user + cpu.system == pytest.approx(2.0, rel=0.05)
 
     def test_demand_notes_runq_pressure(self):
-        ctx, nodes = make_context(cores=4.0)
+        ctx, fleet = make_context(cores=4.0)
         ctx.demand_cpu("a", pid=1, cores=10.0)
         ctx.arbitrate()
-        nodes["a"].end_tick(1.0)
-        assert nodes["a"].procfs.loadavg.runq_sz > 0
+        fleet.end_tick()
+        assert fleet.nodes["a"].procfs.loadavg.runq_sz > 0
 
 
 class TestDiskArbitration:
     def test_reads_and_writes_share_device(self):
-        ctx, nodes = make_context()
-        spec = nodes["a"].spec
+        ctx, fleet = make_context()
+        spec = fleet.nodes["a"].spec
         # Demand 2x the device's one-second capability in each direction.
         demand = ctx.demand_disk(
             "a",
@@ -100,26 +97,25 @@ class TestDiskArbitration:
         assert demand.write_granted == pytest.approx(500.0)
 
     def test_disk_grants_booked_on_node(self):
-        ctx, nodes = make_context()
+        ctx, fleet = make_context()
         ctx.demand_disk("a", pid=1, read_bytes=1024.0 * 512)
         ctx.arbitrate()
-        nodes["a"].end_tick(1.0)
-        assert nodes["a"].procfs.disk.sectors_read == pytest.approx(1024.0)
+        fleet.end_tick()
+        assert fleet.nodes["a"].procfs.disk.sectors_read == pytest.approx(1024.0)
 
 
 class TestNetworkThroughEngine:
     def test_transfer_books_both_endpoints(self):
-        ctx, nodes = make_context()
+        ctx, fleet = make_context()
         ctx.demand_transfer("a", "b", 1448.0 * 10)
         ctx.arbitrate()
-        for node in nodes.values():
-            node.end_tick(1.0)
-        assert nodes["a"].procfs.nic("eth0").tx_bytes == pytest.approx(14480.0)
-        assert nodes["b"].procfs.nic("eth0").rx_bytes == pytest.approx(14480.0)
+        fleet.end_tick()
+        assert fleet.nodes["a"].procfs.nic("eth0").tx_bytes == pytest.approx(14480.0)
+        assert fleet.nodes["b"].procfs.nic("eth0").rx_bytes == pytest.approx(14480.0)
 
     def test_local_transfer_books_nothing(self):
-        ctx, nodes = make_context()
+        ctx, fleet = make_context()
         ctx.demand_transfer("a", "a", 1e6)
         ctx.arbitrate()
-        nodes["a"].end_tick(1.0)
-        assert nodes["a"].procfs.nic("eth0").tx_bytes == 0.0
+        fleet.end_tick()
+        assert fleet.nodes["a"].procfs.nic("eth0").tx_bytes == 0.0

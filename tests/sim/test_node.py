@@ -2,176 +2,158 @@
 
 import pytest
 
-from repro.sim import DISK_IO_BYTES, NodeSpec, SimNode
+from repro.sim import DISK_IO_BYTES, NodeSpec
+
+from .fleet import OneFleet
 
 
-def make_node(**spec_kwargs) -> SimNode:
-    return SimNode("n1", NodeSpec(**spec_kwargs), seed=7)
-
-
-def tick(node: SimNode, dt: float = 1.0) -> None:
-    node.end_tick(dt)
+def make_node(**spec_kwargs):
+    """A one-node fleet and its node."""
+    fleet = OneFleet(("n1",), NodeSpec(**spec_kwargs), seed=7)
+    return fleet, fleet.nodes["n1"]
 
 
 class TestCpuAccounting:
     def test_cpu_time_lands_in_counters(self):
-        node = make_node()
-        node.begin_tick()
+        fleet, node = make_node()
         node.account_cpu(pid=1, user_s=1.0, sys_s=0.5)
-        tick(node)
+        fleet.end_tick()
         assert node.procfs.cpu.user >= 1.0
         assert node.procfs.cpu.system >= 0.5
 
     def test_cpu_totals_bounded_by_capacity(self):
-        node = make_node(cpu_cores=2.0)
-        node.begin_tick()
+        fleet, node = make_node(cpu_cores=2.0)
         node.account_cpu(pid=1, user_s=10.0)
-        tick(node)
+        fleet.end_tick()
         assert node.procfs.cpu.total() == pytest.approx(2.0, rel=0.05)
 
     def test_idle_fills_unused_capacity(self):
-        node = make_node(cpu_cores=4.0)
-        node.begin_tick()
+        fleet, node = make_node(cpu_cores=4.0)
         node.account_cpu(pid=1, user_s=1.0)
-        tick(node)
+        fleet.end_tick()
         assert node.procfs.cpu.idle > 2.0
 
     def test_iowait_recorded(self):
-        node = make_node()
-        node.begin_tick()
+        fleet, node = make_node()
         node.account_iowait(0.5)
-        tick(node)
+        fleet.end_tick()
         assert node.procfs.cpu.iowait > 0.0
 
 
 class TestDiskAccounting:
     def test_bytes_become_sectors_and_requests(self):
-        node = make_node()
-        node.begin_tick()
+        fleet, node = make_node()
         node.account_disk(pid=1, read_bytes=DISK_IO_BYTES * 2, write_bytes=DISK_IO_BYTES)
-        tick(node)
+        fleet.end_tick()
         assert node.procfs.disk.reads_completed == pytest.approx(2.0)
         assert node.procfs.disk.writes_completed == pytest.approx(1.0)
         assert node.procfs.disk.sectors_read == pytest.approx(DISK_IO_BYTES * 2 / 512)
 
     def test_busy_time_tracks_bandwidth_fraction(self):
-        node = make_node(disk_write_mb_s=10.0)
-        node.begin_tick()
+        fleet, node = make_node(disk_write_mb_s=10.0)
         node.account_disk(pid=1, read_bytes=0.0, write_bytes=5.0 * 1024 * 1024)
-        tick(node)
+        fleet.end_tick()
         assert node.procfs.disk.io_time_ms == pytest.approx(500.0, rel=0.05)
 
 
 class TestNetworkAccounting:
     def test_bytes_and_packets_counted(self):
-        node = make_node()
-        node.begin_tick()
+        fleet, node = make_node()
         node.account_net(tx_bytes=14480.0, rx_bytes=7240.0)
-        tick(node)
+        fleet.end_tick()
         nic = node.procfs.nic("eth0")
         assert nic.tx_bytes == pytest.approx(14480.0)
         assert nic.rx_bytes == pytest.approx(7240.0)
         assert nic.tx_packets == pytest.approx(10.0)
 
     def test_drops_recorded_separately(self):
-        node = make_node()
-        node.begin_tick()
+        fleet, node = make_node()
         node.account_net(rx_bytes=1000.0, rx_dropped=1448.0)
-        tick(node)
+        fleet.end_tick()
         assert node.procfs.nic("eth0").rx_drop == pytest.approx(1.0)
 
 
 class TestDerivedCounters:
     def test_context_switches_scale_with_activity(self):
-        idle_node = make_node()
-        idle_node.begin_tick()
-        tick(idle_node)
-        busy_node = make_node()
-        busy_node.begin_tick()
+        idle_fleet, idle_node = make_node()
+        idle_fleet.end_tick()
+        busy_fleet, busy_node = make_node()
         busy_node.account_cpu(pid=1, user_s=3.0)
-        tick(busy_node)
+        busy_fleet.end_tick()
         assert busy_node.procfs.stat.ctxt > idle_node.procfs.stat.ctxt
 
     def test_loadavg_rises_under_sustained_demand(self):
-        node = make_node(cpu_cores=4.0)
+        fleet, node = make_node(cpu_cores=4.0)
         for _ in range(120):
-            node.begin_tick()
             node.note_cpu_demand(6.0)
             node.account_cpu(pid=1, user_s=4.0)
-            tick(node)
+            fleet.end_tick()
         assert node.procfs.loadavg.one > 4.0
 
     def test_loadavg_decays_when_idle(self):
-        node = make_node()
+        fleet, node = make_node()
         for _ in range(60):
-            node.begin_tick()
             node.note_cpu_demand(8.0)
-            tick(node)
+            fleet.end_tick()
         peak = node.procfs.loadavg.one
         for _ in range(120):
-            node.begin_tick()
-            tick(node)
+            fleet.end_tick()
         assert node.procfs.loadavg.one < peak / 2
 
     def test_runq_counts_unmet_demand(self):
-        node = make_node(cpu_cores=4.0)
-        node.begin_tick()
+        fleet, node = make_node(cpu_cores=4.0)
         node.note_cpu_demand(7.0)
-        tick(node)
+        fleet.end_tick()
         assert node.procfs.loadavg.runq_sz == pytest.approx(4.0)
 
     def test_page_cache_grows_with_io(self):
-        node = make_node()
-        node.begin_tick()
+        fleet, node = make_node()
         node.account_disk(pid=1, read_bytes=50e6, write_bytes=0.0)
-        tick(node)
+        fleet.end_tick()
         assert node.procfs.mem.cached_kb > 10e3
 
 
 class TestProcessTable:
     def test_ensure_and_remove(self):
-        node = make_node()
+        _, node = make_node()
         node.ensure_process(5, "java", rss_kb=1000.0)
         assert node.procfs.processes[5].rss_kb == 1000.0
         node.remove_process(5)
         assert 5 not in node.procfs.processes
 
     def test_remove_missing_is_noop(self):
-        make_node().remove_process(12345)
+        make_node()[1].remove_process(12345)
 
     def test_per_process_cpu_attribution(self):
-        node = make_node()
+        fleet, node = make_node()
         node.ensure_process(5, "java", rss_kb=1000.0)
-        node.begin_tick()
         node.account_cpu(pid=5, user_s=1.0, sys_s=0.2)
-        tick(node)
+        fleet.end_tick()
         proc = node.procfs.processes[5]
         assert proc.utime == pytest.approx(1.0)
         assert proc.stime == pytest.approx(0.2)
 
     def test_memory_reflects_resident_sets(self):
-        node = make_node()
+        fleet, node = make_node()
         node.ensure_process(5, "big", rss_kb=1_000_000.0)
-        node.begin_tick()
-        tick(node)
+        fleet.end_tick()
         assert node.procfs.mem.used_kb > 1_000_000.0
 
     def test_plist_tracks_process_count(self):
-        node = make_node()
+        fleet, node = make_node()
         for pid in range(10, 15):
             node.ensure_process(pid, "p", rss_kb=10.0)
-        node.begin_tick()
-        tick(node)
+        fleet.end_tick()
         assert node.procfs.loadavg.plist_sz == 80.0 + 5
 
 
 def test_determinism_same_seed_same_counters():
     def run():
-        node = SimNode("n", NodeSpec(), seed=11)
+        fleet = OneFleet(("n",), seed=11)
+        node = fleet.nodes["n"]
         for _ in range(50):
-            node.begin_tick()
             node.account_cpu(1, user_s=0.5)
-            node.end_tick(1.0)
+            fleet.end_tick()
         return node.procfs.cpu.user, node.procfs.stat.ctxt
 
     assert run() == run()

@@ -3,19 +3,19 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sim import NetworkModel, NodeSpec, SimNode, TickContext, Transfer
+from .fleet import OneFleet
 
 NODES = ("a", "b", "c", "d")
 
 
-def make_context(dt: float = 1.0):
-    nodes = {
-        name: SimNode(name, NodeSpec(), seed=i) for i, name in enumerate(NODES)
-    }
-    for node in nodes.values():
-        node.begin_tick()
-    network = NetworkModel({name: 125e6 for name in NODES})
-    return TickContext(nodes, network, dt), nodes
+def arbitrate_transfers(raw_transfers, loss_on_a: float = 0.0):
+    """Declare ``(src, dst, bytes)`` transfers on a fresh fleet, arbitrate."""
+    fleet = OneFleet(NODES)
+    fleet.network.set_loss_rate("a", loss_on_a)
+    ctx = fleet.context()
+    transfers = [ctx.demand_transfer(s, d, w) for s, d, w in raw_transfers]
+    ctx.arbitrate()
+    return transfers
 
 
 transfer_strategy = st.tuples(
@@ -29,11 +29,7 @@ class TestNetworkConservation:
     @given(st.lists(transfer_strategy, min_size=1, max_size=12))
     @settings(max_examples=30)
     def test_per_node_tx_and_rx_within_capacity(self, raw_transfers):
-        network = NetworkModel({name: 125e6 for name in NODES})
-        transfers = [
-            Transfer(src=s, dst=d, wanted_bytes=w) for s, d, w in raw_transfers
-        ]
-        network.arbitrate(transfers, dt=1.0)
+        transfers = arbitrate_transfers(raw_transfers)
         for node in NODES:
             tx = sum(
                 t.granted_bytes + t.dropped_bytes
@@ -51,12 +47,7 @@ class TestNetworkConservation:
     @given(st.lists(transfer_strategy, min_size=1, max_size=12))
     @settings(max_examples=30)
     def test_grants_never_exceed_demand(self, raw_transfers):
-        network = NetworkModel({name: 125e6 for name in NODES})
-        transfers = [
-            Transfer(src=s, dst=d, wanted_bytes=w) for s, d, w in raw_transfers
-        ]
-        network.arbitrate(transfers, dt=1.0)
-        for transfer in transfers:
+        for transfer in arbitrate_transfers(raw_transfers):
             assert transfer.granted_bytes <= transfer.wanted_bytes + 1e-6
             assert transfer.granted_bytes >= 0.0
 
@@ -66,31 +57,22 @@ class TestNetworkConservation:
     )
     @settings(max_examples=30)
     def test_loss_only_reduces_goodput(self, raw_transfers, loss):
-        def run(loss_rate):
-            network = NetworkModel({name: 125e6 for name in NODES})
-            network.set_loss_rate("a", loss_rate)
-            transfers = [
-                Transfer(src=s, dst=d, wanted_bytes=w)
-                for s, d, w in raw_transfers
-            ]
-            network.arbitrate(transfers, dt=1.0)
-            return [t.granted_bytes for t in transfers]
-
-        clean = run(0.0)
-        lossy = run(loss)
+        clean = arbitrate_transfers(raw_transfers)
+        lossy = arbitrate_transfers(raw_transfers, loss_on_a=loss)
         for before, after in zip(clean, lossy):
-            assert after <= before + 1e-6
+            assert after.granted_bytes <= before.granted_bytes + 1e-6
 
 
 class TestCpuDiskConservation:
     @given(st.lists(st.floats(0.0, 32.0), min_size=1, max_size=10))
     @settings(max_examples=30)
     def test_cpu_grants_bounded_by_capacity(self, demands):
-        ctx, nodes = make_context()
+        fleet = OneFleet(NODES)
+        ctx = fleet.context()
         handles = [ctx.demand_cpu("a", pid=i, cores=d) for i, d in enumerate(demands)]
         ctx.arbitrate()
         total = sum(h.granted for h in handles)
-        assert total <= nodes["a"].spec.cpu_cores * 1.001
+        assert total <= fleet.nodes["a"].spec.cpu_cores * 1.001
         for handle, demand in zip(handles, demands):
             assert handle.granted <= demand + 1e-9
 
@@ -103,13 +85,14 @@ class TestCpuDiskConservation:
     )
     @settings(max_examples=30)
     def test_disk_busy_fraction_bounded(self, demands):
-        ctx, nodes = make_context()
+        fleet = OneFleet(NODES)
+        ctx = fleet.context()
         handles = [
             ctx.demand_disk("a", pid=i, read_bytes=r, write_bytes=w)
             for i, (r, w) in enumerate(demands)
         ]
         ctx.arbitrate()
-        spec = nodes["a"].spec
+        spec = fleet.nodes["a"].spec
         busy = sum(
             h.read_granted / spec.disk_read_bytes_s
             + h.write_granted / spec.disk_write_bytes_s
@@ -133,15 +116,15 @@ class TestNodeCounterInvariants:
     )
     @settings(max_examples=20)
     def test_counters_are_monotonic_and_cpu_conserves(self, ticks):
-        node = SimNode("n", NodeSpec(), seed=1)
+        fleet = OneFleet(("n",), seed=1)
+        node = fleet.nodes["n"]
         previous_total = 0.0
         previous_ctxt = 0.0
         for cpu, read, write, tx in ticks:
-            node.begin_tick()
             node.account_cpu(1, user_s=cpu)
             node.account_disk(1, read_bytes=read, write_bytes=write)
             node.account_net(tx_bytes=tx)
-            node.end_tick(1.0)
+            fleet.end_tick()
             total = node.procfs.cpu.total()
             # Each tick adds exactly the node's core-seconds of CPU time.
             assert total == pytest.approx(previous_total + node.spec.cpu_cores, rel=1e-6)

@@ -3,7 +3,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.sim import NodeSpec, share_proportionally, tcp_goodput_factor
+from repro.sim import NodeSpec, tcp_goodput_factor
+
+from .reference import share_proportionally
 
 
 class TestNodeSpec:
@@ -20,6 +22,8 @@ class TestNodeSpec:
 
 
 class TestShareProportionally:
+    """The reference simulator's CPU share rule (the fleet's oracle)."""
+
     def test_under_capacity_grants_everything(self):
         assert share_proportionally([1.0, 2.0], capacity=10.0) == [1.0, 2.0]
 

@@ -1,7 +1,7 @@
 """Parity and behavior tests for the struct-of-arrays simulator core.
 
 The fleet's contract is *bit parity* with the per-node reference tick
-(``ReferenceCluster`` in ``helpers.py``): stepped through the same jobs,
+(``ReferenceCluster`` in ``reference.py``): stepped through the same jobs,
 faults and packet loss, both must expose identical procfs state on every
 node, every tick.
 """
@@ -11,12 +11,13 @@ import dataclasses
 import pytest
 
 from repro.hadoop import ClusterConfig, HadoopCluster
-from repro.sim.vec import FleetState, VecProcFS, VecSimNode
-from repro.sysstat.procfs import CpuTicks, ProcessStat, SimProcFS
+from repro.sim import FleetState, ProcFS, SimNode
+from repro.sysstat.procfs import CpuTicks, ProcessStat
 
-from sysstat.sadc_oracle import snapshot  # tests/sysstat: detached /proc copies
+from sysstat.sadc_oracle import SimProcFS, snapshot  # tests/sysstat: detached /proc copies
 
-from .helpers import ReferenceCluster, tick_parity_mismatches
+from .helpers import tick_parity_mismatches
+from .reference import ReferenceCluster
 
 
 def vec_cluster(num_slaves=4, seed=11):
@@ -31,8 +32,8 @@ class TestEngineSelection:
             assert isinstance(cluster.fleet, FleetState)
             assert cluster.fleet.names == ["master", *cluster.slave_names]
             for node in cluster.nodes.values():
-                assert isinstance(node, VecSimNode)
-                assert isinstance(node.procfs, VecProcFS)
+                assert isinstance(node, SimNode)
+                assert isinstance(node.procfs, ProcFS)
 
     def test_unknown_engine_rejected(self):
         assert "engine" not in {
@@ -72,10 +73,17 @@ class TestViews:
             assert type(proc) is ProcessStat
 
     def test_node_end_tick_is_fleet_only(self):
-        """Per-node end_tick is replaced by FleetState.end_tick_all."""
-        cluster = vec_cluster()
-        with pytest.raises(NotImplementedError):
-            cluster.nodes["slave01"].end_tick(1.0)
+        """A node has no tick of its own: FleetState.end_tick_all folds
+        every node at once."""
+        node = vec_cluster().nodes["slave01"]
+        assert not hasattr(node, "begin_tick")
+        assert not hasattr(node, "end_tick")
+
+    def test_a_node_has_one_nic(self):
+        procfs = vec_cluster().procfs("slave01")
+        assert procfs.nic() is procfs.nic("eth0")
+        with pytest.raises(KeyError, match="eth1"):
+            procfs.nic("eth1")
 
 
 class TestTickParity:

@@ -10,7 +10,9 @@ cumulative counters into per-second rates while reading gauges directly
 Every deployment samples through the one-pass fleet ``sadc``
 (:mod:`repro.sysstat.fleet_sadc`), which mirrors ``Sadc._node_metrics``
 term for term; ``test_fleet_sadc.py`` compares the two element for
-element.  Test loads built on a dataclass :class:`SimProcFS` get their
+element.  :class:`SimProcFS` is the dataclass ``/proc`` the oracle
+differences (and the per-node reference simulator in
+``tests/sim/reference.py`` writes); test loads built on it get their
 sampler here: :class:`SampledProcFS` is a ``SimProcFS`` whose
 ``sampler()`` is a private ``Sadc``.
 """
@@ -22,7 +24,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.sim.vec import VecProcFS
+from repro.sim.node import ProcFS
 from repro.sysstat.metrics import NIC_METRICS, NODE_METRICS, PROCESS_METRICS
 from repro.sysstat.procfs import (
     CpuTicks,
@@ -32,18 +34,50 @@ from repro.sysstat.procfs import (
     LoadAvg,
     MemInfo,
     NicCounters,
-    SimProcFS,
+    ProcessStat,
     SockStat,
     TcpCounters,
     VmCounters,
 )
 
 
+@dataclass
+class SimProcFS:
+    """The complete ``/proc`` state of one node, as plain dataclasses."""
+
+    num_cpus: int = 4
+    cpu: CpuTicks = field(default_factory=CpuTicks)
+    disk: DiskCounters = field(default_factory=DiskCounters)
+    vm: VmCounters = field(default_factory=VmCounters)
+    stat: KernelStat = field(default_factory=KernelStat)
+    mem: MemInfo = field(default_factory=MemInfo)
+    loadavg: LoadAvg = field(default_factory=LoadAvg)
+    sockstat: SockStat = field(default_factory=SockStat)
+    tcp: TcpCounters = field(default_factory=TcpCounters)
+    tables: KernelTables = field(default_factory=KernelTables)
+    nics: Dict[str, NicCounters] = field(default_factory=dict)
+    processes: Dict[int, ProcessStat] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        if not self.nics:
+            self.nics["eth0"] = NicCounters()
+
+    def nic(self, name: str = "eth0") -> NicCounters:
+        return self.nics.setdefault(name, NicCounters())
+
+    def process(self, pid: int, name: str = "") -> ProcessStat:
+        proc = self.processes.get(pid)
+        if proc is None:
+            proc = ProcessStat(pid=pid, name=name)
+            self.processes[pid] = proc
+        return proc
+
+
 def snapshot(procfs) -> SimProcFS:
     """A plain, detached ``SimProcFS`` copy of ``procfs``'s current
-    state, for rate differencing; an array-backed :class:`VecProcFS`
+    state, for rate differencing; an array-backed :class:`ProcFS`
     is materialised out of its fleet's columns."""
-    if not isinstance(procfs, VecProcFS):
+    if not isinstance(procfs, ProcFS):
         return copy.deepcopy(procfs)
     arrays, i = procfs._fleet.a, procfs._i
 
@@ -53,10 +87,6 @@ def snapshot(procfs) -> SimProcFS:
             for f in dataclass_fields(cls)
         })
 
-    nics = {"eth0": materialize(NicCounters, "nic")}
-    for name, nic in procfs.nics.items():
-        if name != "eth0":
-            nics[name] = copy.deepcopy(nic)
     return SimProcFS(
         num_cpus=procfs.num_cpus,
         cpu=materialize(CpuTicks, "cpu"),
@@ -68,7 +98,7 @@ def snapshot(procfs) -> SimProcFS:
         sockstat=materialize(SockStat, "sockstat"),
         tcp=materialize(TcpCounters, "tcp"),
         tables=materialize(KernelTables, "tables"),
-        nics=nics,
+        nics={"eth0": materialize(NicCounters, "nic")},
         processes={pid: copy.copy(p) for pid, p in procfs.processes.items()},
     )
 

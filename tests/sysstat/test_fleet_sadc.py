@@ -16,11 +16,11 @@ import pytest
 from repro.experiments import ScenarioConfig, run_scenario, train_blackbox_model
 from repro.faults import FAULT_NAMES, FaultSpec, make_fault
 from repro.hadoop import ClusterConfig, HadoopCluster
-from repro.sysstat import NODE_METRICS, SimProcFS
+from repro.sysstat import NODE_METRICS
 from repro.sysstat.fleet_sadc import FleetNodeSampler
 from repro.workloads.gridmix import GridMixConfig, generate_workload
 
-from .sadc_oracle import Sadc, SampledProcFS, snapshot
+from .sadc_oracle import Sadc, SampledProcFS, SimProcFS, snapshot
 
 
 def busy_cluster(num_slaves, seed=3, duration_s=300.0):
@@ -219,31 +219,6 @@ class TestCounterEdges:
                 seen.append(rows[2][plist])
         assert_parity(pairs, at_least=4 * 29)
         assert max(seen) - min(seen) >= 3.0
-
-    def test_extra_nic_joins_the_network_sums(self):
-        """Only eth0 is array-backed; an interface added through
-        ``procfs.nic(name)`` is summed exactly as ``Sadc`` sums it: not
-        in the sample it first appears in, then on top of eth0."""
-        cluster = busy_cluster(3, seed=7)
-        pairs = pairs_of(cluster)
-        procfs = cluster.procfs("slave02")
-        rxkb = NODE_METRICS.index("net_rxkb_per_s")
-        plain = with_eth1 = None
-        for tick in range(24):
-            cluster.step(1.0)
-            if 6 <= tick < 16:
-                eth1 = procfs.nic("eth1")
-                eth1.rx_bytes += 2048.0 * 1024.0
-                eth1.tx_packets += 10.0
-            if tick == 16:
-                del procfs.nics["eth1"]
-            rows = [pair.poll(cluster.time) for pair in pairs]
-            if tick == 6:
-                plain = rows[1][rxkb]
-            if tick == 10:
-                with_eth1 = rows[1][rxkb]
-        assert_parity(pairs, at_least=3 * 23)
-        assert with_eth1 >= 2048.0 and plain < 2048.0
 
     def test_kernel_tables_are_fleet_columns(self):
         cluster = busy_cluster(2, seed=7)

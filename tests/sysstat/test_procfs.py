@@ -1,8 +1,6 @@
 """Tests for the simulated /proc state."""
 
-from repro.sysstat import SimProcFS
-
-from .sadc_oracle import snapshot
+from .sadc_oracle import SimProcFS, snapshot
 
 
 class TestSimProcFS:

@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.sysstat import NODE_METRICS, SimProcFS
+from repro.sysstat import NODE_METRICS
 
-from .sadc_oracle import Sadc
+from .sadc_oracle import Sadc, SimProcFS
 
 
 @pytest.fixture

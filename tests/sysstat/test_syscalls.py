@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.sysstat import SYSCALL_CATEGORIES, SYSCALL_INDEX, SimProcFS, SyscallTracer
+from repro.sysstat import SYSCALL_CATEGORIES, SYSCALL_INDEX, SyscallTracer
+
+from .sadc_oracle import SimProcFS
 
 
 @pytest.fixture
