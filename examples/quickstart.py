@@ -12,7 +12,7 @@ Run:  python examples/quickstart.py
 
 import numpy as np
 
-from repro.core import FptCore, Module, Origin, RunReason, SimClock
+from repro.core import SCHEDULE_PARAMS, FptCore, Module, Origin, ParamSpec, RunReason, SimClock
 from repro.modules import standard_registry
 
 
@@ -24,14 +24,16 @@ class LatencyProbe(Module):
     """
 
     type_name = "latency_probe"
+    params = (ParamSpec("seed", "int", default="0"),) + SCHEDULE_PARAMS
+    output_names = ("latency_ms",)
 
     def init(self) -> None:
         self.ctx.require_no_inputs()
         self.out = self.ctx.create_output(
             "latency_ms", Origin(node="svc01", source="probe", metric="latency")
         )
-        self.rng = np.random.default_rng(self.ctx.param_int("seed", 0))
-        self.ctx.schedule_every(self.ctx.param_float("interval", 1.0))
+        self.rng = np.random.default_rng(self.ctx.param_int("seed"))
+        self.ctx.schedule_every(self.ctx.param_float("interval"))
 
     def run(self, reason: RunReason) -> None:
         now = self.ctx.clock.now()
@@ -43,6 +45,8 @@ class ThresholdDetector(Module):
     """An analysis module: alarm when the windowed mean crosses a bound."""
 
     type_name = "threshold_detector"
+    params = (ParamSpec("bound", "float", required=True),)
+    output_names = ()
 
     def init(self) -> None:
         self.conn = self.ctx.input("input").single()

@@ -341,14 +341,13 @@ def cmd_config(args) -> int:
 
 
 def cmd_lint(args) -> int:
-    """Static analysis: configs, module contracts, cost, threading.
+    """Static analysis: configs against module declarations, cost, threading.
 
     Exit codes: 0 clean (warnings allowed unless ``--strict``), 1 when
     any error-severity diagnostic fires, 2 on usage or I/O problems.
     """
     from .lint import (
         analyze_config,
-        check_registry,
         estimate_config,
         has_errors,
         lint_concurrency,
@@ -361,11 +360,11 @@ def cmd_lint(args) -> int:
 
     diagnostics = []
     cost_reports = []
-    # Nothing selected: lint everything (the generated config, every
-    # registered module implementation, the static cost estimate, the
-    # deployment threading, and every noqa marker in the source).
+    # Nothing selected: lint everything (the generated config, the
+    # static cost estimate, the deployment threading, and every noqa
+    # marker in the source).
     lint_all = not args.configs and not (
-        args.generated or args.impl or args.cost or args.concurrency
+        args.generated or args.cost or args.concurrency
     )
 
     # (text, file) pairs the config-level layers (FPT0xx, cost) run on.
@@ -387,9 +386,6 @@ def cmd_lint(args) -> int:
 
     for text, file in config_texts:
         diagnostics.extend(analyze_config(text, file=file))
-
-    if args.impl or lint_all:
-        diagnostics.extend(check_registry())
 
     if args.cost or lint_all:
         for text, file in config_texts:
@@ -880,8 +876,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint = commands.add_parser(
         "lint",
-        help="static analysis: configs vs module contracts, contract vs "
-        "implementation, DAG cost, cross-thread races",
+        help="static analysis: configs vs module declarations, DAG cost, "
+        "cross-thread races",
     )
     _add_scenario_flags(lint, "slaves")
     lint.add_argument(
@@ -894,12 +890,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="lint the generated deployment config (respects --slaves)",
     )
     lint.add_argument(
-        "--impl", action="store_true",
-        help="check registered module implementations against contracts",
-    )
-    lint.add_argument(
         "--cost", action="store_true",
-        help="fold the config DAG through the contracts' cost facts "
+        help="fold the config DAG through the per-type cost facts "
         "(read from bench/'s traced stage table) into a per-tick CPU "
         "estimate: FPT301 over budget, FPT303 window rescanned; with no "
         "CONFIG, estimates the generated deployment",

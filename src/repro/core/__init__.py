@@ -5,7 +5,10 @@ a DAG described by a configuration file.  Public surface:
 
 * :class:`FptCore` -- build and run a diagnosis DAG.
 * :class:`Module`, :class:`ModuleContext`, :class:`RunReason` -- the
-  plug-in API for writing new modules.
+  plug-in API for writing new modules; :class:`ParamSpec`,
+  :class:`InputPortSpec`, :class:`TriggerSpec` -- what a module class
+  declares about itself, and :func:`check_params`, the check fpt-core
+  makes against it.
 * :class:`ModuleRegistry` -- name -> module-class resolution.
 * :func:`parse_config`, :func:`render_config` -- the configuration format.
 * :class:`WallClock` / :class:`SimClock` -- online vs. simulated time.
@@ -25,6 +28,14 @@ from .channel import (
 from .clock import Clock, SimClock, WallClock
 from .config import InputSpec, InstanceSpec, parse_config, render_config
 from .dag import Dag, Edge, build_dag
+from .declaration import (
+    SCHEDULE_PARAMS,
+    InputPortSpec,
+    ParamSpec,
+    TriggerSpec,
+    check_params,
+    param_value,
+)
 from .errors import ConfigError, FptError, ModuleError, SchedulerError
 from .fptcore import FptCore
 from .module import Module, ModuleContext, RunReason
@@ -33,6 +44,7 @@ from .scheduler import Scheduler
 
 __all__ = [
     "DEFAULT_QUEUE_CAPACITY",
+    "SCHEDULE_PARAMS",
     "Clock",
     "ConfigError",
     "Connection",
@@ -41,6 +53,7 @@ __all__ = [
     "FptCore",
     "FptError",
     "InputGroup",
+    "InputPortSpec",
     "InputSpec",
     "InstanceSpec",
     "Module",
@@ -49,14 +62,18 @@ __all__ = [
     "ModuleRegistry",
     "Origin",
     "Output",
+    "ParamSpec",
     "RunReason",
     "Sample",
     "Scheduler",
     "SchedulerError",
     "SimClock",
+    "TriggerSpec",
     "WallClock",
     "WriteHookChain",
     "build_dag",
+    "check_params",
+    "param_value",
     "parse_config",
     "render_config",
 ]

@@ -2,7 +2,8 @@
 
 Implements the four-step initialization the paper gives in section 3.3:
 
-1. every module instance in the configuration becomes a vertex;
+1. every module instance in the configuration becomes a vertex, once
+   its params pass its class's declaration (a ``ConfigError`` otherwise);
 2. each instance is annotated with its number of unsatisfied inputs, and
    instances with no inputs enter the initialization queue;
 3. dequeued instances are initialized -- their ``init()`` creates their
@@ -26,6 +27,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Type
 from .channel import DEFAULT_QUEUE_CAPACITY, InputGroup
 from .clock import Clock
 from .config import InstanceSpec
+from .declaration import check_params
 from .errors import ConfigError
 from .module import Module, ModuleContext
 from .registry import ModuleRegistry
@@ -174,6 +176,35 @@ def _wire_inputs(dag: Dag, spec: InstanceSpec, queue_capacity: int) -> None:
             )
 
 
+def _make_vertices(
+    dag: Dag, specs: Sequence[InstanceSpec], registry: ModuleRegistry,
+    clock: Clock, services,
+) -> Dict[str, Module]:
+    """A context and a module object per instance, once every instance's
+    params pass its class's declaration; none is initialized yet."""
+    classes: Dict[str, Type[Module]] = {}
+    for spec in specs:
+        module_class = classes[spec.instance_id] = registry.resolve(
+            spec.module_type
+        )
+        for problem in check_params(module_class, spec.params):
+            line = spec.param_lines.get(problem.param)
+            raise ConfigError(
+                f"instance '{spec.instance_id}': {problem.message}",
+                line_no=line or spec.header_line or None,
+                line_text=(
+                    f"{problem.param} = {spec.params[problem.param]}"
+                    if line else f"[{spec.module_type}]"
+                ),
+            )
+    modules: Dict[str, Module] = {}
+    for spec in specs:
+        ctx = ModuleContext(spec.instance_id, spec.params, clock, services)
+        modules[spec.instance_id] = classes[spec.instance_id](ctx)
+        dag.contexts[spec.instance_id] = ctx
+    return modules
+
+
 def build_dag(
     specs: Sequence[InstanceSpec],
     registry: ModuleRegistry,
@@ -198,12 +229,7 @@ def build_dag(
     _check_upstreams(specs, spec_by_id)
 
     # Step 1: a vertex (context + module object) per instance.
-    modules: Dict[str, Module] = {}
-    for spec in specs:
-        module_class: Type[Module] = registry.resolve(spec.module_type)
-        ctx = ModuleContext(spec.instance_id, spec.params, clock, services)
-        modules[spec.instance_id] = module_class(ctx)
-        dag.contexts[spec.instance_id] = ctx
+    modules = _make_vertices(dag, specs, registry, clock, services)
 
     # Step 2: count unsatisfied upstream instances; queue the sources.
     waiting: Dict[str, set] = {
@@ -273,12 +299,7 @@ def extend_dag(
 
     _check_upstreams(specs, {**dag.contexts, **spec_by_id})
 
-    modules: Dict[str, Module] = {}
-    for spec in specs:
-        module_class: Type[Module] = registry.resolve(spec.module_type)
-        ctx = ModuleContext(spec.instance_id, spec.params, clock, services)
-        modules[spec.instance_id] = module_class(ctx)
-        dag.contexts[spec.instance_id] = ctx
+    modules = _make_vertices(dag, specs, registry, clock, services)
 
     waiting: Dict[str, set] = {
         spec.instance_id: {

@@ -4,7 +4,9 @@ Every data-collection and analysis module implements the same two-method
 contract the paper describes in section 3.2:
 
 * ``init()`` is called once when the instance becomes a DAG vertex.  The
-  module reads its configuration parameters, verifies its input wiring,
+  module reads its configuration parameters (typed, defaulted and
+  already range-checked by its class's declaration, see
+  :mod:`repro.core.declaration`), verifies its input wiring,
   creates its outputs, and registers scheduling hooks (periodic execution
   for pollers, input-triggered execution for analyses).
 * ``run(reason)`` is called by the scheduler, with ``reason`` saying why
@@ -19,11 +21,12 @@ from __future__ import annotations
 
 import abc
 import enum
-from typing import Any, Callable, ClassVar, Dict, Mapping, Optional
+from typing import Any, Callable, ClassVar, Dict, List, Mapping, Optional, Tuple
 
 from ..telemetry import NULL_TELEMETRY, Telemetry
 from .channel import InputGroup, Origin, Output
 from .clock import Clock
+from .declaration import InputPortSpec, ParamSpec, TriggerSpec, param_value
 from .errors import ConfigError, ModuleError
 
 
@@ -33,10 +36,6 @@ class RunReason(enum.Enum):
     PERIODIC = "periodic"
     INPUTS = "inputs"
     MANUAL = "manual"
-
-
-#: Sentinel distinguishing "no default supplied" from "default is None".
-_REQUIRED = object()
 
 
 class ModuleContext:
@@ -58,6 +57,8 @@ class ModuleContext:
     ) -> None:
         self.instance_id = instance_id
         self.params: Dict[str, str] = dict(params)
+        #: The module class's declared params; :class:`Module` sets it.
+        self.declared: Tuple[ParamSpec, ...] = ()
         self.clock = clock
         #: The core's self-instrumentation facade; replaced by the real
         #: :class:`~repro.telemetry.Telemetry` when the owning core has
@@ -129,11 +130,17 @@ class ModuleContext:
     # -- scheduling --------------------------------------------------------
 
     def schedule_every(self, interval: float, phase: float = 0.0) -> None:
-        """Request periodic execution every ``interval`` seconds."""
+        """Request periodic execution every ``interval`` seconds, the
+        first ``phase`` seconds in."""
         if interval <= 0:
             raise ModuleError(
                 f"instance '{self.instance_id}' requested a non-positive "
                 f"scheduling interval: {interval}"
+            )
+        if phase < 0:
+            raise ModuleError(
+                f"instance '{self.instance_id}' requested a negative "
+                f"scheduling phase: {phase}"
             )
         if self._schedule_periodic is None:
             raise ModuleError("scheduling hooks are not installed yet")
@@ -156,78 +163,86 @@ class ModuleContext:
 
     # -- parameters ---------------------------------------------------------
 
-    def _raw_param(self, name: str, default: Any) -> Any:
-        if name in self.params:
-            return self.params[name]
-        if default is _REQUIRED:
+    def _param(self, name: str, type_name: str) -> Any:
+        """``name``'s value, typed and defaulted by the declaration."""
+        spec = next((p for p in self.declared if p.name == name), None)
+        if spec is None or spec.type != type_name:
+            raise ModuleError(
+                f"instance '{self.instance_id}' reads parameter '{name}' as "
+                f"{type_name}, but its class declares "
+                + (f"it {spec.type}" if spec else "no such parameter")
+            )
+        try:
+            value = param_value(self.declared, self.params, name)
+        except ValueError:
+            raise ConfigError(
+                f"instance '{self.instance_id}': parameter '{name}' must "
+                f"be {type_name}, got {self.params[name]!r}"
+            ) from None
+        if value is None and spec.required:
             raise ConfigError(
                 f"instance '{self.instance_id}' is missing required "
                 f"parameter '{name}'"
             )
-        return default
-
-    def param_str(self, name: str, default: Any = _REQUIRED) -> str:
-        value = self._raw_param(name, default)
-        return value if isinstance(value, str) else value
-
-    def param_int(self, name: str, default: Any = _REQUIRED) -> int:
-        value = self._raw_param(name, default)
-        if isinstance(value, str):
-            try:
-                return int(value)
-            except ValueError:
-                raise ConfigError(
-                    f"instance '{self.instance_id}': parameter '{name}' must "
-                    f"be an integer, got {value!r}"
-                ) from None
         return value
 
-    def param_float(self, name: str, default: Any = _REQUIRED) -> float:
-        value = self._raw_param(name, default)
-        if isinstance(value, str):
-            try:
-                return float(value)
-            except ValueError:
-                raise ConfigError(
-                    f"instance '{self.instance_id}': parameter '{name}' must "
-                    f"be a number, got {value!r}"
-                ) from None
-        return value
+    def param_str(self, name: str) -> Optional[str]:
+        return self._param(name, "str")
 
-    def param_bool(self, name: str, default: Any = _REQUIRED) -> bool:
-        value = self._raw_param(name, default)
-        if isinstance(value, str):
-            lowered = value.strip().lower()
-            if lowered in ("1", "true", "yes", "on"):
-                return True
-            if lowered in ("0", "false", "no", "off"):
-                return False
-            raise ConfigError(
-                f"instance '{self.instance_id}': parameter '{name}' must be "
-                f"a boolean, got {value!r}"
-            )
-        return bool(value)
+    def param_int(self, name: str) -> Optional[int]:
+        return self._param(name, "int")
 
-    def param_list(self, name: str, default: Any = _REQUIRED) -> list:
-        """Parse a comma-separated parameter into a list of strings."""
-        value = self._raw_param(name, default)
-        if isinstance(value, str):
-            return [item.strip() for item in value.split(",") if item.strip()]
-        return list(value)
+    def param_float(self, name: str) -> Optional[float]:
+        return self._param(name, "float")
+
+    def param_bool(self, name: str) -> Optional[bool]:
+        return self._param(name, "bool")
+
+    def param_list(self, name: str) -> Optional[list]:
+        """A comma-separated parameter as a list of stripped strings."""
+        return self._param(name, "list")
 
 
 class Module(abc.ABC):
     """Base class for all fpt-core modules (data collection and analysis).
 
     Subclasses set :attr:`type_name` (the name used in configuration-file
-    section headers) and implement :meth:`init` and :meth:`run`.
+    section headers), declare their interface in the class attributes
+    below (:mod:`repro.core.declaration`), and implement :meth:`init`
+    and :meth:`run`.  fpt-core checks every instance's params against
+    the declaration before ``init()``; ``repro lint`` reads all of it.
     """
 
     #: Name used in ``[section]`` headers of the configuration file.
     type_name: ClassVar[str] = ""
+    #: Every parameter ``init()`` reads; any other is a config error.
+    params: ClassVar[Tuple[ParamSpec, ...]] = ()
+    #: Named input ports; ``()`` for a data source that takes no inputs;
+    #: None for inputs under any name.
+    ports: ClassVar[Optional[Tuple[InputPortSpec, ...]]] = None
+    #: At least one input must be wired (with ``ports = None``).
+    requires_inputs: ClassVar[bool] = False
+    #: Output names; None when only ``init()`` knows them (see
+    #: :meth:`outputs_for`).
+    output_names: ClassVar[Optional[Tuple[str, ...]]] = None
+    trigger: ClassVar[Optional[TriggerSpec]] = None
+    #: Peer analyses: the fewest wired connections they can compare.
+    min_peers: ClassVar[Optional[int]] = None
+    #: A terminal consumer (what the dead-instance lint walks back from).
+    sink: ClassVar[bool] = False
+    #: Cross-param rule: the resolved param values in, ``(param,
+    #: message)`` pairs out; wrap it in ``staticmethod``.
+    param_check: ClassVar[Optional[Callable[[Dict[str, Any]], List[Tuple[str, str]]]]] = None
+
+    @classmethod
+    def outputs_for(cls, params: Mapping[str, str]) -> Optional[List[str]]:
+        """The outputs an instance with these raw params will create;
+        None if unknowable.  Override when they depend on params."""
+        return None if cls.output_names is None else list(cls.output_names)
 
     def __init__(self, ctx: ModuleContext) -> None:
         self.ctx = ctx
+        ctx.declared = self.params
 
     @property
     def instance_id(self) -> str:

@@ -35,13 +35,16 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Union
 from ..analysis.metrics import Alarm
 from ..core import (
     DEFAULT_QUEUE_CAPACITY,
+    SCHEDULE_PARAMS,
     FptCore,
     InstanceSpec,
     Module,
     ModuleRegistry,
     Origin,
+    ParamSpec,
     RunReason,
     SimClock,
+    TriggerSpec,
     parse_config,
 )
 from ..core.errors import ConfigError
@@ -225,12 +228,19 @@ class ReplaySourceModule(Module):
     """
 
     type_name = "replay_source"
+    params = (
+        ParamSpec("instance", "str"),  # absent: the instance's own id
+        ParamSpec("tick", "float", default="0.0"),  # <= 0: inferred
+        SCHEDULE_PARAMS[1],  # phase
+    )
+    ports = ()
+    trigger = TriggerSpec.periodic()
 
     def init(self) -> None:
         ctx = self.ctx
         ctx.require_no_inputs()
         archive: ReplayArchive = ctx.service("replay_archive")
-        self.source_id = ctx.param_str("instance", ctx.instance_id)
+        self.source_id = ctx.param_str("instance") or ctx.instance_id
         metas = archive.outputs_of(self.source_id)
         if not metas:
             raise ConfigError(
@@ -249,10 +259,10 @@ class ReplaySourceModule(Module):
         self._records = archive.records_for_instance(self.source_id)
         self._pos = 0
         self.samples_replayed = 0
-        tick = ctx.param_float("tick", 0.0)
+        tick = ctx.param_float("tick")
         if tick <= 0.0:
             tick = _infer_tick(self._records)
-        ctx.schedule_every(tick, ctx.param_float("phase", 0.0))
+        ctx.schedule_every(tick, ctx.param_float("phase"))
 
     def run(self, reason: RunReason) -> None:
         now = self.ctx.clock.now() + 1e-9

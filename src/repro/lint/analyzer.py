@@ -3,19 +3,22 @@
 :func:`analyze_config` parses a configuration the same way
 :func:`repro.core.config.parse_config` does -- but leniently, collecting
 every problem instead of stopping at the first -- and then validates the
-parsed instance graph against a :class:`~repro.lint.contracts.ContractRegistry`
-**without instantiating a single module**.  A config that analyzes clean
-will construct a DAG; a config with FPT-error diagnostics would fail (or
-silently misbehave) minutes into a 900 s scenario.
+parsed instance graph against the declarations of the registered module
+classes (:mod:`repro.core.declaration`) **without instantiating a single
+module**.  A config that analyzes clean will construct a DAG; a config
+with FPT-error diagnostics would fail (or silently misbehave) minutes
+into a 900 s scenario.
 
 Checks, in evaluation order:
 
 * syntax / duplicate ids (FPT000, FPT002) -- from the lenient parser;
 * unknown module types (FPT001);
 * parameters: unknown (FPT007), missing required (FPT010), bad type
-  (FPT008), out of range or failing a cross-param rule (FPT009);
+  (FPT008), out of range or failing a cross-param rule (FPT009) -- the
+  problems of :func:`~repro.core.declaration.check_params`, the same
+  check that makes ``FptCore.from_config`` raise ``ConfigError``;
 * wiring: unknown upstream instance (FPT003), nonexistent output
-  (FPT004), contract violations -- unknown port, missing required port,
+  (FPT004), port violations -- unknown port, missing required port,
   multiplicity, inputs on a source (FPT011);
 * graph: cycles including self-loops (FPT005), instances that cannot
   reach any sink (FPT006);
@@ -25,15 +28,12 @@ Checks, in evaluation order:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Type
 
 from ..core.config import ConfigError, InstanceSpec, parse_config
+from ..core.declaration import check_params
+from ..core.module import Module
 from ..core.registry import ModuleRegistry
-from .contracts import (
-    ContractRegistry,
-    ModuleContract,
-    parse_param_value,
-)
 from .diagnostics import (
     Diagnostic,
     apply_noqa,
@@ -41,31 +41,31 @@ from .diagnostics import (
     sort_diagnostics,
 )
 
-#: Minimum peers the paper's analyses need; contracts may override.
-DEFAULT_MIN_PEERS = 3
+
+def declared_class(
+    registry: ModuleRegistry, type_name: str
+) -> Optional[Type[Module]]:
+    """The class registered under ``type_name``; None if there is none."""
+    return registry.resolve(type_name) if type_name in registry else None
 
 
-def _default_contracts(
-    registry: Optional[ModuleRegistry],
-) -> ContractRegistry:
-    from .implcheck import contracts_for_registry  # circular-free at call time
-
+def _default_registry(registry: Optional[ModuleRegistry]) -> ModuleRegistry:
     if registry is None:
         from ..modules import standard_registry
 
         registry = standard_registry()
-    return contracts_for_registry(registry)
+    return registry
 
 
 class _Analyzer:
     def __init__(
         self,
         specs: Sequence[InstanceSpec],
-        contracts: ContractRegistry,
+        registry: ModuleRegistry,
         file: str,
     ) -> None:
         self.specs = list(specs)
-        self.contracts = contracts
+        self.registry = registry
         self.file = file
         self.diagnostics: List[Diagnostic] = []
         self.spec_by_id: Dict[str, InstanceSpec] = {
@@ -93,135 +93,47 @@ class _Analyzer:
             )
         )
 
-    def contract(self, spec: InstanceSpec) -> Optional[ModuleContract]:
-        return self.contracts.get(spec.module_type)
+    def declared(self, spec: InstanceSpec) -> Optional[Type[Module]]:
+        return declared_class(self.registry, spec.module_type)
 
     # -- passes -------------------------------------------------------------
 
     def run(self) -> List[Diagnostic]:
         for spec in self.specs:
-            contract = self.contract(spec)
-            if contract is None:
+            module_class = self.declared(spec)
+            if module_class is None:
                 self.emit(
                     "FPT001",
                     f"unknown module type '{spec.module_type}' "
-                    f"(known: {sorted(self.contracts)})",
+                    f"(known: {sorted(self.registry)})",
                     line=spec.header_line,
                     instance=spec.instance_id,
                 )
                 self.outputs[spec.instance_id] = None
                 continue
-            self.outputs[spec.instance_id] = contract.outputs_for(spec)
-            self.check_params(spec, contract)
+            self.outputs[spec.instance_id] = module_class.outputs_for(spec.params)
+            # The check fpt-core makes before any init(), as diagnostics.
+            for problem in check_params(module_class, spec.params):
+                self.emit(
+                    problem.code,
+                    problem.message,
+                    line=spec.param_line(problem.param),
+                    instance=spec.instance_id,
+                )
         for spec in self.specs:
-            self.check_wiring(spec, self.contract(spec))
+            self.check_wiring(spec, self.declared(spec))
         self.check_cycles()
         self.check_reachability()
         for spec in self.specs:
-            contract = self.contract(spec)
-            if contract is not None:
-                self.check_scheduling(spec, contract)
+            module_class = self.declared(spec)
+            if module_class is not None:
+                self.check_scheduling(spec, module_class)
         return self.diagnostics
-
-    # -- parameters ---------------------------------------------------------
-
-    def check_params(self, spec: InstanceSpec, contract: ModuleContract) -> None:
-        parsed: Dict[str, object] = {}
-        if not contract.opaque_params:
-            for name in spec.params:
-                if contract.param(name) is None:
-                    self.emit(
-                        "FPT007",
-                        f"parameter '{name}' is not consumed by "
-                        f"[{spec.module_type}] (declared params: "
-                        f"{sorted(p.name for p in contract.params)})",
-                        line=spec.param_line(name),
-                        instance=spec.instance_id,
-                    )
-            for param in contract.params:
-                if param.name not in spec.params:
-                    if param.required:
-                        self.emit(
-                            "FPT010",
-                            f"required parameter '{param.name}' "
-                            f"({param.type}) is missing",
-                            line=spec.header_line,
-                            instance=spec.instance_id,
-                        )
-                    continue
-                raw = spec.params[param.name]
-                try:
-                    value = parse_param_value(param, raw)
-                except ValueError:
-                    self.emit(
-                        "FPT008",
-                        f"parameter '{param.name}' must be {param.type}, "
-                        f"got {raw!r}",
-                        line=spec.param_line(param.name),
-                        instance=spec.instance_id,
-                    )
-                    continue
-                parsed[param.name] = value
-                self.check_param_range(spec, param, value)
-        if contract.check is not None:
-            for param_name, message in contract.check(spec, parsed):
-                self.emit(
-                    "FPT009",
-                    message,
-                    line=spec.param_line(param_name),
-                    instance=spec.instance_id,
-                )
-
-    def check_param_range(self, spec, param, value) -> None:
-        line = spec.param_line(param.name)
-        if param.type in ("int", "float"):
-            if param.positive and value <= 0:
-                self.emit(
-                    "FPT009",
-                    f"parameter '{param.name}' must be > 0, got {value}",
-                    line=line,
-                    instance=spec.instance_id,
-                )
-                return
-            if param.min_value is not None and value < param.min_value:
-                self.emit(
-                    "FPT009",
-                    f"parameter '{param.name}' must be >= "
-                    f"{param.min_value:g}, got {value}",
-                    line=line,
-                    instance=spec.instance_id,
-                )
-            if param.max_value is not None and value > param.max_value:
-                self.emit(
-                    "FPT009",
-                    f"parameter '{param.name}' must be <= "
-                    f"{param.max_value:g}, got {value}",
-                    line=line,
-                    instance=spec.instance_id,
-                )
-        elif param.type == "str" and param.choices is not None:
-            if value not in param.choices:
-                self.emit(
-                    "FPT009",
-                    f"parameter '{param.name}' must be one of "
-                    f"{sorted(param.choices)}, got {value!r}",
-                    line=line,
-                    instance=spec.instance_id,
-                )
-        elif param.type == "list" and param.choices is not None:
-            bad = [item for item in value if item not in param.choices]
-            if bad:
-                self.emit(
-                    "FPT009",
-                    f"parameter '{param.name}' has unknown item(s) {bad}",
-                    line=line,
-                    instance=spec.instance_id,
-                )
 
     # -- wiring -------------------------------------------------------------
 
     def check_wiring(
-        self, spec: InstanceSpec, contract: Optional[ModuleContract]
+        self, spec: InstanceSpec, module_class: Optional[Type[Module]]
     ) -> None:
         per_port: Dict[str, int] = {}
         total = 0
@@ -282,10 +194,11 @@ class _Analyzer:
             self.edges.append((target, spec.instance_id))
 
         self.connection_counts[spec.instance_id] = total
-        if contract is None:
+        if module_class is None:
             return
 
-        if not contract.allows_inputs:
+        ports = module_class.ports
+        if ports == ():
             if per_port:
                 self.emit(
                     "FPT011",
@@ -295,8 +208,8 @@ class _Analyzer:
                     instance=spec.instance_id,
                 )
             return
-        if contract.accepts_any_inputs:
-            if contract.requires_inputs and total == 0:
+        if ports is None:
+            if module_class.requires_inputs and total == 0:
                 self.emit(
                     "FPT011",
                     f"[{spec.module_type}] requires at least one wired "
@@ -305,13 +218,14 @@ class _Analyzer:
                     instance=spec.instance_id,
                 )
             return
+        by_name = {port.name: port for port in ports}
         for name, count in per_port.items():
-            port = contract.port(name)
+            port = by_name.get(name)
             if port is None:
                 self.emit(
                     "FPT011",
                     f"[{spec.module_type}] has no input port '{name}' "
-                    f"(ports: {sorted(p.name for p in contract.inputs)})",
+                    f"(ports: {sorted(by_name)})",
                     line=next(
                         (i.line for i in spec.inputs if i.input_name == name),
                         spec.header_line,
@@ -329,7 +243,7 @@ class _Analyzer:
                     ),
                     instance=spec.instance_id,
                 )
-        for port in contract.inputs:
+        for port in ports:
             if port.required and port.name not in per_port:
                 self.emit(
                     "FPT011",
@@ -371,12 +285,12 @@ class _Analyzer:
         """Warn for instances whose data can never reach a sink."""
         sinks: Set[str] = set()
         for spec in self.specs:
-            contract = self.contract(spec)
-            if contract is None:
+            module_class = self.declared(spec)
+            if module_class is None:
                 # Unknown type: assume it consumes usefully; its own
                 # diagnostics already cover it.
                 sinks.add(spec.instance_id)
-            elif contract.sink or self.outputs.get(spec.instance_id) == []:
+            elif module_class.sink or self.outputs.get(spec.instance_id) == []:
                 sinks.add(spec.instance_id)
         live: Set[str] = set(sinks)
         upstreams: Dict[str, List[str]] = {i: [] for i in self.spec_by_id}
@@ -402,10 +316,10 @@ class _Analyzer:
     # -- scheduling ---------------------------------------------------------
 
     def check_scheduling(
-        self, spec: InstanceSpec, contract: ModuleContract
+        self, spec: InstanceSpec, module_class: Type[Module]
     ) -> None:
         total = self.connection_counts.get(spec.instance_id, 0)
-        trigger = contract.trigger
+        trigger = module_class.trigger
         if trigger is not None:
             threshold: Optional[int] = None
             line = spec.header_line
@@ -428,7 +342,7 @@ class _Analyzer:
                     line=line,
                     instance=spec.instance_id,
                 )
-        min_peers = contract.min_peers
+        min_peers = module_class.min_peers
         if min_peers is not None and total < min_peers:
             self.emit(
                 "FPT013",
@@ -461,35 +375,31 @@ def _parse_error_diagnostics(
 def analyze_specs(
     specs: Sequence[InstanceSpec],
     registry: Optional[ModuleRegistry] = None,
-    contracts: Optional[ContractRegistry] = None,
     file: str = "<config>",
 ) -> List[Diagnostic]:
     """Analyze pre-parsed instance specs (no syntax layer, no noqa)."""
-    if contracts is None:
-        contracts = _default_contracts(registry)
-    return sort_diagnostics(_Analyzer(specs, contracts, file).run())
+    registry = _default_registry(registry)
+    return sort_diagnostics(_Analyzer(specs, registry, file).run())
 
 
 def analyze_config(
     text: str,
     registry: Optional[ModuleRegistry] = None,
-    contracts: Optional[ContractRegistry] = None,
     file: str = "<config>",
     noqa: bool = True,
 ) -> List[Diagnostic]:
     """Analyze configuration-file text; returns every diagnostic found.
 
-    ``registry`` (default: the standard registry) supplies module classes
-    for contract inference; ``contracts`` overrides the contract registry
-    entirely.  ``# fpt: noqa`` markers in ``text`` suppress
-    diagnostics on their line unless ``noqa=False``.
+    ``registry`` (default: the standard registry) supplies the module
+    classes whose declarations the config is checked against.  ``# fpt:
+    noqa`` markers in ``text`` suppress diagnostics on their line unless
+    ``noqa=False``.
     """
-    if contracts is None:
-        contracts = _default_contracts(registry)
+    registry = _default_registry(registry)
     errors: List[ConfigError] = []
     specs = parse_config(text, collect=errors)
     diagnostics = _parse_error_diagnostics(errors, file)
-    diagnostics.extend(_Analyzer(specs, contracts, file).run())
+    diagnostics.extend(_Analyzer(specs, registry, file).run())
     diagnostics.extend(marker_errors(text, file))
     if noqa:
         diagnostics = apply_noqa(diagnostics, text)

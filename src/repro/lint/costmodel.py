@@ -1,16 +1,17 @@
 """Static DAG cost model for fpt-core configurations (FPT301/303).
 
 :func:`estimate_config` folds a parsed configuration's DAG into a
-predicted per-tick CPU cost **without running a single module**.  Each
-module contract carries a :class:`~repro.lint.contracts.CostFact` -- a
-set of calibrated work terms charged per trigger, per sample element,
-or per completed window round.  The model propagates data rates through
-the DAG (periodic sources at ``1/interval``; ``fixed(u)`` triggers at
-``in_rate/u``; per-connection triggers at the slowest connection;
-ibuffers batching ``size`` elements every ``slide`` updates), resolves
-each term's scale symbols (``window``, ``k``, ``dim``, ``n_inputs``,
-...) from the instance parameters, and sums microseconds per simulated
-second.
+predicted per-tick CPU cost **without running a single module**.
+:data:`COST_FACTS` gives each module type a :class:`CostFact` -- a set
+of calibrated work terms charged per trigger, per sample element, or per
+completed window round.  The model propagates data rates through the DAG
+along each module class's declared trigger (periodic sources at
+``1/interval``; ``fixed(u)`` triggers at ``in_rate/u``; per-connection
+triggers at the slowest connection; ibuffers batching ``size`` elements
+every ``slide`` updates), resolves each term's scale symbols
+(``window``, ``k``, ``dim``, ``n_inputs``, ...) from the instance
+parameters and their declared defaults, and sums microseconds per
+simulated second.
 
 The ``sadc``, ``hadoop_log``, ``analysis_bb`` and ``analysis_wb``
 coefficients are read from ``bench/``'s traced stage table
@@ -34,12 +35,14 @@ numerous type whose cost fact is ``per_node``); the tick budget is
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Type
 
 from ..core.config import ConfigError, InstanceSpec, parse_config
+from ..core.declaration import param_value
+from ..core.module import Module
 from ..core.registry import ModuleRegistry
 from ..sysstat.metrics import NODE_METRICS
-from .contracts import ContractRegistry, ModuleContract
+from .analyzer import _default_registry, declared_class
 from .diagnostics import Diagnostic, apply_noqa, sort_diagnostics
 
 #: Default tick budget: one simulated second of analysis must fit in one
@@ -49,6 +52,200 @@ DEFAULT_TICK_BUDGET_MS = 1000.0
 #: Metric-vector dimensionality assumed when an instance does not pin
 #: its own ``metrics`` list (the full sadc catalog).
 DEFAULT_DIM = len(NODE_METRICS)
+
+#: Units a cost term can be charged per.
+COST_UNITS = ("trigger", "sample", "window")
+
+#: Symbols a cost term may scale with.  Resolved per instance:
+#: ``window``/``slide``/``k``/``num_states``/``size`` from the instance's
+#: parameters, ``n_inputs`` from its wired connections, ``nodes`` from a
+#: ``nodes`` list parameter (hadoop_log), ``dim`` from the metric-vector
+#: dimension (the sadc catalog size by default).
+COST_SYMBOLS = (
+    "window", "slide", "k", "num_states", "size", "n_inputs", "nodes", "dim",
+)
+
+
+@dataclass(frozen=True)
+class CostTerm:
+    """One work term of a module type's cost fact.
+
+    ``us`` is the estimated CPU microseconds charged once per ``per``
+    unit, multiplied by every symbol in ``scales``.  A term whose note
+    names a ``bench/`` workload was read from that workload's traced
+    stage table; the others are order-of-magnitude estimates.
+
+    * ``per="trigger"`` -- charged every time the instance fires;
+    * ``per="sample"``  -- charged per incoming sample *element*
+      (ibuffer batches are unpacked to their element rate);
+    * ``per="window"``  -- charged per completed window round
+      (element rate / slide).
+    """
+
+    us: float
+    per: str = "trigger"
+    scales: Tuple[str, ...] = ()
+    note: str = ""
+
+    def __post_init__(self) -> None:
+        if self.per not in COST_UNITS:
+            raise ValueError(
+                f"cost term: bad unit {self.per!r} (choose from {COST_UNITS})"
+            )
+        for symbol in self.scales:
+            if symbol not in COST_SYMBOLS:
+                raise ValueError(
+                    f"cost term: unknown scale symbol {symbol!r} "
+                    f"(choose from {COST_SYMBOLS})"
+                )
+
+
+@dataclass(frozen=True)
+class CostFact:
+    """The cost of one module type (FPT3xx inputs).
+
+    * ``terms`` -- the work terms summed into the per-tick estimate;
+    * ``per_node`` -- deployments instantiate one instance per
+      monitored node; the cost model reads fleet size N off the count;
+    * ``batch_param`` -- int parameter naming the output batch factor
+      (ibuffer ``size``): outputs carry ``batch_param`` elements each
+      and emit at ``1/batch_param`` of the input update rate;
+    * ``window_recompute`` -- each completed window is recomputed from
+      scratch (no incremental update); with ``slide < window`` the
+      overlap is re-scanned every round, which FPT303 flags.
+    """
+
+    terms: Tuple[CostTerm, ...] = ()
+    per_node: bool = False
+    batch_param: Optional[str] = None
+    window_recompute: bool = False
+
+
+#: Module type -> its cost; a type not listed is free as far as the
+#: budget estimate is concerned.
+COST_FACTS: Dict[str, CostFact] = {
+    "sadc": CostFact(
+        terms=(
+            # bench/ stage table, fleet50 traced passes of seeds 1-3 at
+            # 200 us/cu: modules.sadc + rpc.inproc_sadc + sysstat.collect
+            # read 18.8 / 19.2 / 18.8 us (median 18.8) with tracing's
+            # 15-22 % on top, so 15-16 untraced (30 before the calls ran
+            # on plans, 53-55 before the row crossed as one array); no
+            # per-metric term.
+            CostTerm(
+                16.0, "trigger",
+                note="fleet-pass row + round trip: stage table, 200 us/cu",
+            ),
+        ),
+        per_node=True,
+    ),
+    "hadoop_log": CostFact(
+        terms=(
+            # Same passes: modules.hadoop_log + rpc.inproc_hl +
+            # hadoop.log_parse read 30.7 / 31.8 / 30.8 us (median 30.8),
+            # so 25-27 untraced (two daemons polled per node; 45 before
+            # the calls ran on plans, 87 before they streamed their
+            # counts over codec v2).
+            CostTerm(
+                27.0, "trigger", ("nodes",),
+                "per-node tt+dn collect: stage table, 200 us/cu",
+            ),
+        ),
+    ),
+    "strace": CostFact(
+        terms=(CostTerm(25.0, "trigger", note="syscall count scrape"),),
+        per_node=True,
+    ),
+    "knn": CostFact(
+        terms=(
+            CostTerm(
+                100.0, "sample",
+                note="small-array numpy call overhead per sample",
+            ),
+            CostTerm(0.2, "sample", ("dim",), "distance arithmetic"),
+        ),
+        per_node=True,
+    ),
+    "knnfleet": CostFact(
+        terms=(
+            CostTerm(1.5, "sample", note="amortized batched classify"),
+            CostTerm(0.02, "sample", ("dim",), "matrix arithmetic"),
+            # fleet50 stage table, PR 20 (seed 3, three traced runs):
+            # 4.46 us/sample at 200 us/cu less the terms above; was 3.0.
+            CostTerm(1.7, "trigger", ("n_inputs",), "backlog gather"),
+        ),
+    ),
+    "ibuffer": CostFact(
+        # Same runs: 1.7 us emitting every sample (replay25_sliding),
+        # 0.95 in batches of 5 (fleet50); the dearer one.  Was 4.0.
+        terms=(CostTerm(1.7, "sample", note="buffer append + emit"),),
+        per_node=True,
+        batch_param="size",
+    ),
+    "mavgvec": CostFact(
+        terms=(
+            CostTerm(5.0, "trigger", note="ring-buffer append"),
+            CostTerm(10.0, "window", note="mean/var reduction setup"),
+            CostTerm(0.02, "window", ("window", "dim"), "full-window rescan"),
+        ),
+        window_recompute=True,
+    ),
+    "threshold_alarm": CostFact(
+        terms=(CostTerm(6.0, "sample", note="bound compare + streak"),),
+    ),
+    "syscall_anomaly": CostFact(
+        terms=(
+            CostTerm(4.0, "sample", note="count accumulation"),
+            CostTerm(
+                0.5, "window", ("window",),
+                "histogram divergence over the window",
+            ),
+            CostTerm(30.0, "window", note="baseline comparison"),
+        ),
+        window_recompute=True,
+    ),
+    # bench/ stage table, PR 18 traced passes (seed 3) at 200 us/cu,
+    # tracing's ~10 % off.  fleet50 (50 peers, a round a minute) is all
+    # appends: analysis_bb 1.36 / _wb 1.89 us/sample at 310 us/cu = 0.9 /
+    # 1.2.  replay25_sliding (25 peers, a round a second, 75 "samples" a
+    # tick) at 262 us/cu: bb 2.89 us x 75 = 149 us a tick, 115 the round;
+    # wb 3.02 x 75 = 156, 125 the round; one round timed at 25 and 100
+    # peers splits both about half fixed, half per-peer.  PR 20 (cheaper
+    # writes) reads 43 / 61 and 128 / 137 us a tick: the terms stay.
+    "analysis_bb": CostFact(
+        terms=(
+            CostTerm(0.9, "sample", note="ring write: fleet50 stage table"),
+            CostTerm(60.0, "window", note="round, fixed: replay25_sliding"),
+            CostTerm(2.2, "window", ("n_inputs",), "round, per peer: same"),
+        ),
+        window_recompute=True,
+    ),
+    "analysis_wb": CostFact(
+        terms=(
+            CostTerm(1.2, "sample", note="ring write: fleet50 stage table"),
+            CostTerm(60.0, "window", note="round, fixed: replay25_sliding"),
+            CostTerm(2.6, "window", ("n_inputs",), "round, per peer: same"),
+        ),
+        window_recompute=True,
+    ),
+    "alarm_union": CostFact(
+        terms=(
+            CostTerm(3.0, "trigger", note="merge dispatch"),
+            CostTerm(0.5, "trigger", ("n_inputs",), "per-source scan"),
+        ),
+    ),
+    "print": CostFact(terms=(CostTerm(1.0, "sample", note="format + swallow"),)),
+    "scoreboard": CostFact(
+        terms=(CostTerm(3.0, "sample", note="scoreboard ingest"),),
+    ),
+    "csv_writer": CostFact(
+        terms=(CostTerm(4.0, "sample", note="row format + write"),),
+    ),
+    "mitigate": CostFact(
+        terms=(CostTerm(3.0, "sample", note="alarm triage + action"),),
+    ),
+}
+
 
 
 @dataclass
@@ -135,58 +332,36 @@ class CostReport:
         return "\n".join(lines)
 
 
+def _number(
+    spec: InstanceSpec, module_class: Optional[Type[Module]], name: str
+) -> Optional[float]:
+    """A numeric parameter's value, else its declared default; None when
+    neither is a number (the analyzer reports why)."""
+    if module_class is None:
+        return None
+    try:
+        value = param_value(module_class.params, spec.params, name)
+    except ValueError:
+        return None
+    return value if isinstance(value, (int, float)) else None
+
+
 def _int_param(
-    spec: InstanceSpec,
-    contract: Optional[ModuleContract],
-    name: str,
-    _depth: int = 0,
+    spec: InstanceSpec, module_class: Optional[Type[Module]], name: str
 ) -> Optional[int]:
-    """Resolve an int parameter, following contract defaults -- which may
-    name another parameter (ibuffer ``slide`` defaults to ``size``)."""
-    raw = spec.params.get(name)
-    if raw is not None:
-        try:
-            return int(float(raw))
-        except ValueError:
-            return None
-    if contract is None or _depth > 2:
-        return None
-    declared = contract.param(name)
-    if declared is None or declared.default is None:
-        return None
-    try:
-        return int(float(declared.default))
-    except ValueError:
-        if declared.default != name:
-            return _int_param(spec, contract, declared.default, _depth + 1)
-        return None
-
-
-def _float_param(
-    spec: InstanceSpec,
-    contract: Optional[ModuleContract],
-    name: str,
-    fallback: float,
-) -> float:
-    raw = spec.params.get(name)
-    if raw is None and contract is not None:
-        declared = contract.param(name)
-        raw = declared.default if declared is not None else None
-    try:
-        return float(raw) if raw is not None else fallback
-    except ValueError:
-        return fallback
+    value = _number(spec, module_class, name)
+    return None if value is None else int(value)
 
 
 class _Estimator:
     def __init__(
         self,
         specs: Sequence[InstanceSpec],
-        contracts: ContractRegistry,
+        registry: ModuleRegistry,
         file: str,
         budget_ms: Optional[float],
     ) -> None:
-        self.contracts = contracts
+        self.registry = registry
         self.file = file
         self.specs = list(specs)
         self.spec_by_id = {s.instance_id: s for s in self.specs}
@@ -205,8 +380,8 @@ class _Estimator:
         """The instance count of the most numerous ``per_node`` type."""
         counts: Dict[str, int] = {}
         for spec in self.specs:
-            contract = self.contracts.get(spec.module_type)
-            if contract and contract.cost and contract.cost.per_node:
+            fact = COST_FACTS.get(spec.module_type)
+            if fact is not None and fact.per_node:
                 counts[spec.module_type] = counts.get(spec.module_type, 0) + 1
         return max(counts.values(), default=1)
 
@@ -246,10 +421,10 @@ class _Estimator:
                 continue
             count = 1.0
             if wire.output_name is None:
-                contract = self.contracts.get(upstream.module_type)
+                upstream_class = declared_class(self.registry, upstream.module_type)
                 outputs = (
-                    contract.outputs_for(upstream)
-                    if contract is not None else None
+                    upstream_class.outputs_for(upstream.params)
+                    if upstream_class is not None else None
                 )
                 if outputs is not None:
                     count = float(max(len(outputs), 1))
@@ -265,7 +440,7 @@ class _Estimator:
     def _scale_product(
         self,
         spec: InstanceSpec,
-        contract: Optional[ModuleContract],
+        module_class: Optional[Type[Module]],
         symbols: Tuple[str, ...],
         conn_total: float,
     ) -> float:
@@ -283,7 +458,7 @@ class _Estimator:
                 names = [m for m in metrics.split(",") if m.strip()]
                 product *= len(names) if names else DEFAULT_DIM
             else:
-                value = _int_param(spec, contract, symbol)
+                value = _int_param(spec, module_class, symbol)
                 product *= value if value is not None and value > 0 else 1
         return product
 
@@ -300,8 +475,8 @@ class _Estimator:
             return report
 
         for spec in order:
-            contract = self.contracts.get(spec.module_type)
-            fact = contract.cost if contract is not None else None
+            module_class = declared_class(self.registry, spec.module_type)
+            fact = COST_FACTS.get(spec.module_type)
             connections = self._connections(spec)
 
             update_in = 0.0
@@ -317,16 +492,17 @@ class _Estimator:
                     slowest = min(slowest, hz)
             self.conn_total[spec.instance_id] = conn_total
 
-            trigger = contract.trigger if contract is not None else None
+            trigger = module_class.trigger if module_class is not None else None
             kind = trigger.kind if trigger is not None else ""
             if kind == "periodic":
+                interval = _number(spec, module_class, "interval")
                 trigger_hz = 1.0 / max(
-                    _float_param(spec, contract, "interval", 1.0), 1e-9
+                    1.0 if interval is None else interval, 1e-9
                 )
             elif kind == "fixed":
                 trigger_hz = update_in / max(trigger.updates, 1)
             elif kind == "param":
-                updates = _int_param(spec, contract, trigger.param) or 1
+                updates = _int_param(spec, module_class, trigger.param) or 1
                 trigger_hz = update_in / max(updates, 1)
             elif kind == "per_connection":
                 trigger_hz = slowest if slowest != float("inf") else 0.0
@@ -336,8 +512,8 @@ class _Estimator:
             # Emission: elements are conserved through the instance,
             # except batchers (ibuffer) re-window them by slide/size.
             if fact is not None and fact.batch_param:
-                size = _int_param(spec, contract, fact.batch_param) or 1
-                slide = _int_param(spec, contract, "slide") or size
+                size = _int_param(spec, module_class, fact.batch_param) or 1
+                slide = _int_param(spec, module_class, "slide") or size
                 emit_hz = sample_in / max(slide, 1)
                 batch_out = float(size)
             elif not connections:
@@ -347,11 +523,11 @@ class _Estimator:
                 # Fan-out modules (opaque outputs, e.g. knnfleet) split
                 # the conserved element stream across one output per
                 # upstream connection; others emit it on each output.
-                streams = (
-                    conn_total
-                    if contract is not None and contract.opaque_outputs
-                    else 1.0
+                opaque = (
+                    module_class is not None
+                    and module_class.outputs_for(spec.params) is None
                 )
+                streams = conn_total if opaque else 1.0
                 batch_out = (
                     sample_in / trigger_hz / max(streams, 1.0)
                     if trigger_hz > 0
@@ -360,7 +536,7 @@ class _Estimator:
             self.emit_hz[spec.instance_id] = emit_hz
             self.batch[spec.instance_id] = batch_out
 
-            slide = _int_param(spec, contract, "slide")
+            slide = _int_param(spec, module_class, "slide")
             per_conn_sample_hz = (
                 sample_in / conn_total if conn_total > 0 else sample_in
             )
@@ -379,10 +555,10 @@ class _Estimator:
                 }
                 for term in fact.terms:
                     cost.us_per_s += term.us * rates[term.per] * (
-                        self._scale_product(spec, contract, term.scales, conn_total)
+                        self._scale_product(spec, module_class, term.scales, conn_total)
                     )
                 if fact.window_recompute:
-                    self._check_window_recompute(report, spec, contract)
+                    self._check_window_recompute(report, spec, module_class)
             report.instances.append(cost)
 
         self._check_budget(report)
@@ -395,10 +571,10 @@ class _Estimator:
         self,
         report: CostReport,
         spec: InstanceSpec,
-        contract: Optional[ModuleContract],
+        module_class: Optional[Type[Module]],
     ) -> None:
-        window = _int_param(spec, contract, "window")
-        slide = _int_param(spec, contract, "slide")
+        window = _int_param(spec, module_class, "window")
+        slide = _int_param(spec, module_class, "slide")
         if window is None or slide is None or slide >= window:
             return
         report.diagnostics.append(
@@ -435,43 +611,44 @@ class _Estimator:
 
 def estimate_specs(
     specs: Sequence[InstanceSpec],
-    contracts: ContractRegistry,
+    registry: Optional[ModuleRegistry] = None,
     file: str = "<config>",
     budget_ms: Optional[float] = None,
 ) -> CostReport:
     """Cost-estimate pre-parsed instance specs (no syntax layer, no noqa)."""
-    return _Estimator(specs, contracts, file, budget_ms).run()
+    return _Estimator(specs, _default_registry(registry), file, budget_ms).run()
 
 
 def estimate_config(
     text: str,
     registry: Optional[ModuleRegistry] = None,
-    contracts: Optional[ContractRegistry] = None,
     file: str = "<config>",
     budget_ms: Optional[float] = None,
     noqa: bool = True,
 ) -> CostReport:
-    """Cost-estimate configuration text against its contracts.
+    """Cost-estimate configuration text; ``registry`` (default: the
+    standard registry) supplies the module classes' declarations.
 
     ``budget_ms`` is the tick budget (default
     :data:`DEFAULT_TICK_BUDGET_MS`); a non-positive one is a ``ValueError``.
     Syntax errors are not re-reported here -- run
     :func:`~repro.lint.analyzer.analyze_config` for the FPT0xx layer.
     """
-    if contracts is None:
-        from .analyzer import _default_contracts
-
-        contracts = _default_contracts(registry)
     errors: List[ConfigError] = []
     specs = parse_config(text, collect=errors)
-    report = estimate_specs(specs, contracts, file, budget_ms)
+    report = estimate_specs(specs, registry, file, budget_ms)
     if noqa:
         report.diagnostics = apply_noqa(report.diagnostics, text)
     return report
 
 
 __all__ = [
+    "COST_FACTS",
+    "COST_SYMBOLS",
+    "COST_UNITS",
+    "CostFact",
     "CostReport",
+    "CostTerm",
     "DEFAULT_DIM",
     "DEFAULT_TICK_BUDGET_MS",
     "InstanceCost",

@@ -4,8 +4,6 @@ Every fpt-lint check emits :class:`Diagnostic` records with a stable
 code.  Codes are grouped by layer:
 
 * ``FPT0xx`` -- configuration analysis (:mod:`repro.lint.analyzer`);
-* ``FPT1xx`` -- module contract vs. implementation
-  (:mod:`repro.lint.implcheck`);
 * ``FPT3xx`` -- static cost model (:mod:`repro.lint.costmodel`);
 * ``FPT4xx`` -- concurrency / data races
   (:mod:`repro.lint.concurrency`).
@@ -73,19 +71,13 @@ CODES: Dict[str, "tuple[Severity, str]"] = {
     "FPT004": (Severity.ERROR, "wiring references a nonexistent output"),
     "FPT005": (Severity.ERROR, "wiring cycle (DAG construction would fail)"),
     "FPT006": (Severity.WARNING, "instance unreachable from any sink (dead)"),
-    "FPT007": (Severity.WARNING, "unknown parameter (never consumed)"),
+    "FPT007": (Severity.ERROR, "unknown parameter (not declared by the module)"),
     "FPT008": (Severity.ERROR, "parameter has the wrong type"),
     "FPT009": (Severity.ERROR, "parameter out of range"),
     "FPT010": (Severity.ERROR, "required parameter missing"),
     "FPT011": (Severity.ERROR, "input wiring violates the module contract"),
     "FPT012": (Severity.ERROR, "trigger threshold exceeds wired connections"),
     "FPT013": (Severity.ERROR, "peer-comparison group smaller than 3 peers"),
-    "FPT101": (Severity.ERROR, "implementation reads an undeclared parameter"),
-    "FPT102": (Severity.WARNING, "declared parameter never read"),
-    "FPT103": (Severity.ERROR, "implementation creates an undeclared output"),
-    "FPT104": (Severity.WARNING, "declared output never created"),
-    "FPT105": (Severity.ERROR, "implementation reads an undeclared input"),
-    "FPT106": (Severity.ERROR, "parameter accessor type conflicts with contract"),
     "FPT090": (Severity.ERROR, "noqa suppression entry names no code"),
     "FPT301": (Severity.ERROR, "config cannot sustain its tick budget"),
     "FPT303": (

@@ -19,8 +19,28 @@ from typing import ClassVar, Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..analysis.metrics import Alarm, WindowDecision
-from ..core import Module, RunReason
+from ..core import Module, ParamSpec, RunReason, TriggerSpec
 from ..core.errors import ConfigError, ModuleError
+
+
+def window_check(size_param: str):
+    """The cross-param rule of a window ``size_param`` wide sliding by
+    ``slide``: the slide may not skip samples."""
+
+    def check(values):
+        size, slide = values[size_param], values["slide"]
+        if slide > size:
+            return [("slide", f"slide ({slide}) must be <= {size_param} ({size})")]
+        return []
+
+    return staticmethod(check)
+
+
+#: The ``window`` / ``slide`` pair every windowed module declares.
+WINDOW_PARAMS = (
+    ParamSpec("window", "int", default="60", min_value=1),
+    ParamSpec("slide", "int", default="window", min_value=1),
+)
 
 
 class FleetWindow:
@@ -168,15 +188,21 @@ class PeerComparisonModule(Module):
     """
 
     alarm_source: ClassVar[str] = ""  # ``Alarm.source`` of the detector
-    default_consecutive: ClassVar[int] = 1
+    #: Subclasses add ``consecutive`` (their default) and their own params.
+    params = WINDOW_PARAMS
+    requires_inputs = True
+    output_names = ("alarms", "decisions", "stats")
+    trigger = TriggerSpec.per_connection()
+    min_peers = 3
+    param_check = window_check("window")
 
     def init(self) -> None:
         ctx = self.ctx
         owner = f"{self.type_name} '{ctx.instance_id}'"
         self.configure()
-        window = ctx.param_int("window", 60)
-        slide = ctx.param_int("slide", window)
-        self.consecutive = ctx.param_int("consecutive", self.default_consecutive)
+        window = ctx.param_int("window")
+        slide = ctx.param_int("slide")
+        self.consecutive = ctx.param_int("consecutive")
 
         self.connections: Dict[str, object] = {}
         for group in ctx.inputs.values():

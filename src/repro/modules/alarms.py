@@ -33,7 +33,7 @@ from dataclasses import replace
 from typing import List
 
 from ..analysis.metrics import Alarm
-from ..core import Module, RunReason, Sample
+from ..core import Module, ParamSpec, RunReason, Sample, TriggerSpec
 
 #: Logger carrying non-quiet ``print``-sink echo lines.
 ALARM_LOGGER_NAME = "repro.alarms"
@@ -73,6 +73,14 @@ class PrintModule(Module):
     """Terminal sink: collect (and optionally echo) incoming samples."""
 
     type_name = "print"
+    params = (
+        ParamSpec("quiet", "bool", default="true"),
+        ParamSpec("prefix", "str"),  # absent: the instance id
+    )
+    requires_inputs = True
+    output_names = ()
+    trigger = TriggerSpec.fixed(1)
+    sink = True
 
     def init(self) -> None:
         ctx = self.ctx
@@ -80,8 +88,9 @@ class PrintModule(Module):
             from ..core.errors import ConfigError
 
             raise ConfigError(f"print '{ctx.instance_id}': no inputs wired")
-        self.quiet = ctx.param_bool("quiet", True)
-        self.prefix = ctx.param_str("prefix", ctx.instance_id)
+        self.quiet = ctx.param_bool("quiet")
+        prefix = ctx.param_str("prefix")
+        self.prefix = ctx.instance_id if prefix is None else prefix
         self.received: List[Sample] = []
         ctx.trigger_after_updates(1)
 
@@ -129,6 +138,9 @@ class AlarmUnionModule(Module):
     """Forward alarms from any input onto one combined output."""
 
     type_name = "alarm_union"
+    requires_inputs = True
+    output_names = ("alarms",)
+    trigger = TriggerSpec.fixed(1)
 
     def init(self) -> None:
         ctx = self.ctx

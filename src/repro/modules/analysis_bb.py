@@ -39,13 +39,18 @@ import numpy as np
 
 from ..analysis.fleet import state_histogram_batch
 from ..analysis.peer import state_vector_l1_deviation
+from ..core import ParamSpec
 from ._window_sync import PeerComparisonModule
 
 
 class BlackBoxAnalysisModule(PeerComparisonModule):
     type_name = "analysis_bb"
     alarm_source = "blackbox"
-    default_consecutive = 3
+    params = PeerComparisonModule.params + (
+        ParamSpec("consecutive", "int", default="3", min_value=1),
+        ParamSpec("threshold", "float", required=True, min_value=0.0),
+        ParamSpec("num_states", "int", required=True, min_value=1),
+    )
 
     def configure(self) -> None:
         self.threshold = self.ctx.param_float("threshold")

@@ -34,16 +34,20 @@ import numpy as np
 
 from ..analysis.fleet import window_moments_batch
 from ..analysis.peer import whitebox_anomalies
+from ..core import ParamSpec
 from ._window_sync import PeerComparisonModule
 
 
 class WhiteBoxAnalysisModule(PeerComparisonModule):
     type_name = "analysis_wb"
     alarm_source = "whitebox"
-    default_consecutive = 2
+    params = PeerComparisonModule.params + (
+        ParamSpec("consecutive", "int", default="2", min_value=1),
+        ParamSpec("k", "float", default="3.0", min_value=0.0),  # 0: the floor of 1
+    )
 
     def configure(self) -> None:
-        self.k = self.ctx.param_float("k", 3.0)
+        self.k = self.ctx.param_float("k")
 
     def compare(self, block: np.ndarray):
         means, stds = window_moments_batch(block)

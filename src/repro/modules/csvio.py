@@ -20,7 +20,7 @@ import csv
 
 import numpy as np
 
-from ..core import Module, RunReason
+from ..core import Module, ParamSpec, RunReason, TriggerSpec
 
 
 def _flatten(value) -> list:
@@ -34,6 +34,11 @@ def _flatten(value) -> list:
 
 class CsvWriterModule(Module):
     type_name = "csv_writer"
+    params = (ParamSpec("path", "str", required=True),)
+    requires_inputs = True
+    output_names = ()
+    trigger = TriggerSpec.fixed(1)
+    sink = True
 
     def init(self) -> None:
         ctx = self.ctx

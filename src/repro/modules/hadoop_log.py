@@ -34,7 +34,15 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from ..core import Module, Origin, RunReason
+from ..core import (
+    SCHEDULE_PARAMS,
+    Module,
+    Origin,
+    ParamSpec,
+    RunReason,
+    TriggerSpec,
+    param_value,
+)
 from ..core.errors import ConfigError
 from ..rpc.protocol import ProtocolError, RemoteError
 
@@ -42,17 +50,28 @@ from ..rpc.protocol import ProtocolError, RemoteError
 HADOOP_LOG_CHANNEL_SERVICE = "hadoop_log_channels"
 
 
+def _check_nodes(values):
+    return [] if values["nodes"] else [("nodes", "'nodes' is empty: name at least one node")]
+
+
 class HadoopLogModule(Module):
     type_name = "hadoop_log"
+    params = (
+        ParamSpec("nodes", "list", required=True),
+        ParamSpec("max_skew", "float", default="15.0", positive=True),
+    ) + SCHEDULE_PARAMS
+    ports = ()
+    trigger = TriggerSpec.periodic()
+    param_check = staticmethod(_check_nodes)
+
+    @classmethod
+    def outputs_for(cls, params):
+        return param_value(cls.params, params, "nodes") or []
 
     def init(self) -> None:
         ctx = self.ctx
         ctx.require_no_inputs()
         self.nodes: List[str] = ctx.param_list("nodes")
-        if not self.nodes:
-            raise ConfigError(
-                f"hadoop_log instance '{ctx.instance_id}': 'nodes' is empty"
-            )
         channels: Dict[str, object] = ctx.service(HADOOP_LOG_CHANNEL_SERVICE)
         missing = [node for node in self.nodes if node not in channels]
         if missing:
@@ -74,7 +93,7 @@ class HadoopLogModule(Module):
             )
             for node in self.nodes
         }
-        self.max_skew = ctx.param_float("max_skew", 15.0)
+        self.max_skew = ctx.param_float("max_skew")
         #: (channel, row of its node) in poll order; a second is complete
         #: once every one of them has reported it.
         self._sources = [
@@ -89,9 +108,7 @@ class HadoopLogModule(Module):
         self.seconds_dropped = 0
         #: ``collect`` calls that failed: skipped, and asked again next poll.
         self.poll_errors = 0
-        ctx.schedule_every(
-            ctx.param_float("interval", 1.0), ctx.param_float("phase", 0.0)
-        )
+        ctx.schedule_every(ctx.param_float("interval"), ctx.param_float("phase"))
 
     def run(self, reason: RunReason) -> None:
         now = self.ctx.clock.now()

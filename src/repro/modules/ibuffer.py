@@ -22,29 +22,26 @@ from __future__ import annotations
 
 from typing import Any, List
 
-from ..core import Module, RunReason
+from ..core import InputPortSpec, Module, ParamSpec, RunReason, TriggerSpec
+from ._window_sync import window_check
 
 
 class IBufferModule(Module):
     type_name = "ibuffer"
+    params = (
+        ParamSpec("size", "int", default="10", min_value=1),
+        ParamSpec("slide", "int", default="size", min_value=1),
+    )
+    ports = (InputPortSpec("input", max_connections=1),)
+    output_names = ("output0",)
+    trigger = TriggerSpec.fixed(1)
+    param_check = window_check("size")
 
     def init(self) -> None:
         ctx = self.ctx
         self.connection = ctx.input("input").single()
-        self.size = ctx.param_int("size", 10)
-        self.slide = ctx.param_int("slide", self.size)
-        if self.size <= 0:
-            from ..core.errors import ConfigError
-
-            raise ConfigError(
-                f"ibuffer '{ctx.instance_id}': size must be positive"
-            )
-        if self.slide <= 0 or self.slide > self.size:
-            from ..core.errors import ConfigError
-
-            raise ConfigError(
-                f"ibuffer '{ctx.instance_id}': slide must be in [1, size]"
-            )
+        self.size = ctx.param_int("size")
+        self.slide = ctx.param_int("slide")
         self.out = ctx.create_output("output0", self.connection.origin)
         self._buffer: List[Any] = []
         self.batches_emitted = 0

@@ -26,12 +26,15 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
-from ..core import Connection, Output
+from ..core import Connection, InputPortSpec, Output, TriggerSpec
 from .knnfleet import KnnFleetModule
 
 
 class KnnModule(KnnFleetModule):
     type_name = "knn"
+    ports = (InputPortSpec("input", max_connections=1),)
+    output_names = ("output0",)
+    trigger = TriggerSpec.fixed(1)
 
     def bind(self) -> Tuple[Dict[str, Connection], Dict[str, Output]]:
         connection = self.ctx.input("input").single()

@@ -34,18 +34,26 @@ from typing import Dict, Tuple
 import numpy as np
 
 from ..analysis.kmeans import nearest_k_batch
-from ..core import Connection, Module, Output, RunReason
+from ..core import Connection, Module, Output, ParamSpec, RunReason, TriggerSpec
 from ..core.errors import ConfigError, ModuleError
 
 
 class KnnFleetModule(Module):
     type_name = "knnfleet"
+    params = (
+        ParamSpec("k", "int", default="1", min_value=1),
+        ParamSpec("model", "str", default="bb_model"),
+    )
+    # No output_names: one output per wired node, named after its
+    # upstream origin, which no reading of the config can resolve.
+    requires_inputs = True
+    trigger = TriggerSpec.per_connection()
 
     def init(self) -> None:
         ctx = self.ctx
         self._owner = f"{self.type_name} '{ctx.instance_id}'"
-        self.k = ctx.param_int("k", 1)
-        model = ctx.service(ctx.param_str("model", "bb_model"))
+        self.k = ctx.param_int("k")
+        model = ctx.service(ctx.param_str("model"))
         self.centroids = np.asarray(model.centroids, dtype=float)
         self.sigma = np.asarray(model.sigma, dtype=float)
         if self.centroids.ndim != 2:

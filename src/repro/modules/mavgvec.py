@@ -23,19 +23,22 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core import Module, RunReason
-from ._window_sync import TimedWindow
+from ..core import InputPortSpec, Module, RunReason, TriggerSpec
+from ._window_sync import WINDOW_PARAMS, TimedWindow, window_check
 
 
 class MavgVecModule(Module):
     type_name = "mavgvec"
+    params = WINDOW_PARAMS
+    ports = (InputPortSpec("input"),)
+    output_names = ("mean", "var")
+    trigger = TriggerSpec.per_connection()
+    param_check = window_check("window")
 
     def init(self) -> None:
         ctx = self.ctx
         self.group = ctx.input("input")
-        window = ctx.param_int("window", 60)
-        slide = ctx.param_int("slide", window)
-        self._window = TimedWindow(window, slide)
+        self._window = TimedWindow(ctx.param_int("window"), ctx.param_int("slide"))
         origin = self.group[0].origin
         self.mean_out = ctx.create_output("mean", origin)
         self.var_out = ctx.create_output("var", origin)

@@ -27,11 +27,19 @@ from __future__ import annotations
 from typing import Dict, List
 
 from ..analysis.metrics import Alarm
-from ..core import Module, RunReason
+from ..core import Module, ParamSpec, RunReason, TriggerSpec
 
 
 class MitigationModule(Module):
     type_name = "mitigate"
+    params = (
+        ParamSpec("controller", "str", default="mitigation_controller"),
+        ParamSpec("min_alarms", "int", default="2", min_value=1),
+    )
+    requires_inputs = True
+    output_names = ("actions",)
+    trigger = TriggerSpec.fixed(1)
+    sink = True
 
     def init(self) -> None:
         ctx = self.ctx
@@ -39,10 +47,8 @@ class MitigationModule(Module):
             from ..core.errors import ConfigError
 
             raise ConfigError(f"mitigate '{ctx.instance_id}': no inputs wired")
-        self.controller = ctx.service(
-            ctx.param_str("controller", "mitigation_controller")
-        )
-        self.min_alarms = ctx.param_int("min_alarms", 2)
+        self.controller = ctx.service(ctx.param_str("controller"))
+        self.min_alarms = ctx.param_int("min_alarms")
         self._alarm_counts: Dict[str, int] = {}
         #: (time, node) pairs of actions actually taken.
         self.actions: List[tuple] = []

@@ -24,7 +24,15 @@ from typing import Dict
 
 import numpy as np
 
-from ..core import Module, Origin, RunReason
+from ..core import (
+    SCHEDULE_PARAMS,
+    Module,
+    Origin,
+    ParamSpec,
+    RunReason,
+    TriggerSpec,
+    param_value,
+)
 from ..core.errors import ConfigError
 from ..rpc.protocol import MetricRow, ProtocolError, RemoteError
 from ..sysstat.metrics import NODE_METRICS
@@ -35,6 +43,16 @@ SADC_CHANNEL_SERVICE = "sadc_channels"
 
 class SadcModule(Module):
     type_name = "sadc"
+    params = (
+        ParamSpec("node", "str", required=True),
+        ParamSpec("metrics", "list", default="", choices=NODE_METRICS),
+    ) + SCHEDULE_PARAMS
+    ports = ()
+    trigger = TriggerSpec.periodic()
+
+    @classmethod
+    def outputs_for(cls, params):
+        return ["vector"] + param_value(cls.params, params, "metrics")
 
     def init(self) -> None:
         ctx = self.ctx
@@ -52,12 +70,7 @@ class SadcModule(Module):
             "vector", Origin(node=self.node, source="sadc", metric="node_vector")
         )
         self.metric_outputs = {}
-        for name in ctx.param_list("metrics", default=[]):
-            if name not in NODE_METRICS:
-                raise ConfigError(
-                    f"sadc instance '{ctx.instance_id}': unknown metric "
-                    f"'{name}'"
-                )
+        for name in ctx.param_list("metrics"):
             self.metric_outputs[name] = ctx.create_output(
                 name, Origin(node=self.node, source="sadc", metric=name)
             )
@@ -65,9 +78,7 @@ class SadcModule(Module):
         self.priming_skips = 0
         #: Polls the channel failed; each is a sample skipped, not raised.
         self.poll_errors = 0
-        ctx.schedule_every(
-            ctx.param_float("interval", 1.0), ctx.param_float("phase", 0.0)
-        )
+        ctx.schedule_every(ctx.param_float("interval"), ctx.param_float("phase"))
 
     def run(self, reason: RunReason) -> None:
         now = self.ctx.clock.now()

@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import List
 
 from ..analysis.metrics import Alarm, WindowDecision
-from ..core import Module, RunReason
+from ..core import Module, ParamSpec, RunReason, TriggerSpec
 
 #: Default service name the sink resolves its observatory from.
 DEFAULT_OBSERVATORY_SERVICE = "observatory"
@@ -30,6 +30,11 @@ class ScoreboardModule(Module):
     """Online scoring sink: alarms and decisions -> the observatory."""
 
     type_name = "scoreboard"
+    params = (ParamSpec("service", "str", default=DEFAULT_OBSERVATORY_SERVICE),)
+    requires_inputs = True
+    output_names = ()
+    trigger = TriggerSpec.fixed(1)
+    sink = True
 
     def init(self) -> None:
         ctx = self.ctx
@@ -39,9 +44,7 @@ class ScoreboardModule(Module):
             raise ConfigError(
                 f"scoreboard '{ctx.instance_id}': no inputs wired"
             )
-        self.service_name = ctx.param_str(
-            "service", DEFAULT_OBSERVATORY_SERVICE
-        )
+        self.service_name = ctx.param_str("service")
         self.alarms_routed = 0
         self.decision_batches_routed = 0
         ctx.trigger_after_updates(1)

@@ -40,9 +40,17 @@ from typing import Dict
 import numpy as np
 
 from ..analysis.metrics import Alarm
-from ..core import Module, Origin, RunReason
+from ..core import (
+    SCHEDULE_PARAMS,
+    InputPortSpec,
+    Module,
+    Origin,
+    ParamSpec,
+    RunReason,
+    TriggerSpec,
+)
 from ..core.errors import ConfigError
-from ._window_sync import TimedWindow
+from ._window_sync import WINDOW_PARAMS, TimedWindow, window_check
 
 #: Name of the service carrying node -> strace channel mappings.
 STRACE_CHANNEL_SERVICE = "strace_channels"
@@ -78,6 +86,10 @@ class StraceModule(Module):
     """Poll ``strace_rpcd`` and emit per-second syscall count vectors."""
 
     type_name = "strace"
+    params = (ParamSpec("node", "str", required=True),) + SCHEDULE_PARAMS
+    ports = ()
+    output_names = ("counts",)
+    trigger = TriggerSpec.periodic()
 
     def init(self) -> None:
         ctx = self.ctx
@@ -95,9 +107,7 @@ class StraceModule(Module):
         )
         self.samples_collected = 0
         self.priming_skips = 0
-        ctx.schedule_every(
-            ctx.param_float("interval", 1.0), ctx.param_float("phase", 0.0)
-        )
+        ctx.schedule_every(ctx.param_float("interval"), ctx.param_float("phase"))
 
     def run(self, reason: RunReason) -> None:
         now = self.ctx.clock.now()
@@ -118,17 +128,23 @@ class SyscallAnomalyModule(Module):
     """Probabilistic syscall-pattern anomaly detection."""
 
     type_name = "syscall_anomaly"
+    params = WINDOW_PARAMS + (
+        ParamSpec("baseline_windows", "int", default="3", min_value=1),
+        ParamSpec("threshold", "float", default="0.15", min_value=0.0),
+    )
+    ports = (InputPortSpec("s", max_connections=1),)
+    output_names = ("alarms", "divergence")
+    trigger = TriggerSpec.fixed(1)
+    param_check = window_check("window")
 
     def init(self) -> None:
         ctx = self.ctx
         self.connection = ctx.input("s").single()
         origin = self.connection.origin
         self.node = origin.node if origin is not None else ""
-        window = ctx.param_int("window", 60)
-        slide = ctx.param_int("slide", window)
-        self.baseline_windows = ctx.param_int("baseline_windows", 3)
-        self.threshold = ctx.param_float("threshold", 0.15)
-        self._window = TimedWindow(window, slide)
+        self.baseline_windows = ctx.param_int("baseline_windows")
+        self.threshold = ctx.param_float("threshold")
+        self._window = TimedWindow(ctx.param_int("window"), ctx.param_int("slide"))
         self._baseline_sum: np.ndarray = None
         self._baseline_count = 0
         self.alarms_out = ctx.create_output("alarms")

@@ -24,14 +24,22 @@ from __future__ import annotations
 import numpy as np
 
 from ..analysis.metrics import Alarm
-from ..core import Module, RunReason
-from ..core.errors import ConfigError
+from ..core import InputPortSpec, Module, ParamSpec, RunReason, TriggerSpec
 
 _REDUCERS = {"max": np.max, "min": np.min, "mean": np.mean}
 
 
 class ThresholdAlarmModule(Module):
     type_name = "threshold_alarm"
+    params = (
+        ParamSpec("bound", "float", required=True),
+        ParamSpec("direction", "str", default="above", choices=("above", "below")),
+        ParamSpec("consecutive", "int", default="1", min_value=1),
+        ParamSpec("reduce", "str", default="max", choices=tuple(_REDUCERS)),
+    )
+    ports = (InputPortSpec("m", max_connections=1),)
+    output_names = ("alarms",)
+    trigger = TriggerSpec.fixed(1)
 
     def init(self) -> None:
         ctx = self.ctx
@@ -40,26 +48,9 @@ class ThresholdAlarmModule(Module):
         self.node = origin.node if origin is not None else ""
         self.metric = origin.describe() if origin is not None else "<input>"
         self.bound = ctx.param_float("bound")
-        direction = ctx.param_str("direction", "above")
-        if direction not in ("above", "below"):
-            raise ConfigError(
-                f"threshold_alarm '{ctx.instance_id}': direction must be "
-                f"'above' or 'below', got {direction!r}"
-            )
-        self.direction = direction
-        self.consecutive = ctx.param_int("consecutive", 1)
-        if self.consecutive < 1:
-            raise ConfigError(
-                f"threshold_alarm '{ctx.instance_id}': consecutive must be >= 1"
-            )
-        reducer_name = ctx.param_str("reduce", "max")
-        try:
-            self._reduce = _REDUCERS[reducer_name]
-        except KeyError:
-            raise ConfigError(
-                f"threshold_alarm '{ctx.instance_id}': unknown reduce "
-                f"{reducer_name!r} (choose from {sorted(_REDUCERS)})"
-            ) from None
+        self.direction = ctx.param_str("direction")
+        self.consecutive = ctx.param_int("consecutive")
+        self._reduce = _REDUCERS[ctx.param_str("reduce")]
         self._streak = 0
         self.alarms_out = ctx.create_output("alarms")
         self.samples_checked = 0

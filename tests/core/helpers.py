@@ -1,20 +1,20 @@
 """Small test modules shared by the core framework tests."""
 
-from repro.core import Module, ModuleRegistry, RunReason
+from repro.core import SCHEDULE_PARAMS, Module, ModuleRegistry, ParamSpec, RunReason
 
 
 class SourceModule(Module):
     """Emits an incrementing counter on a periodic schedule."""
 
     type_name = "source"
+    params = SCHEDULE_PARAMS
 
     def init(self) -> None:
         self.ctx.require_no_inputs()
         self.out = self.ctx.create_output("value")
         self.counter = 0
         self.ctx.schedule_every(
-            self.ctx.param_float("interval", 1.0),
-            self.ctx.param_float("phase", 0.0),
+            self.ctx.param_float("interval"), self.ctx.param_float("phase")
         )
 
     def run(self, reason: RunReason) -> None:
@@ -40,12 +40,13 @@ class SinkModule(Module):
     """Records everything arriving on any input."""
 
     type_name = "sink"
+    params = (ParamSpec("trigger", "int", min_value=1),)  # absent: every input
 
     def init(self) -> None:
         self.seen = []
         self.run_reasons = []
         self.ctx.trigger_after_updates(
-            self.ctx.param_int("trigger", self.ctx.connection_count() or 1)
+            self.ctx.param_int("trigger") or self.ctx.connection_count() or 1
         )
 
     def run(self, reason: RunReason) -> None:

@@ -5,14 +5,36 @@ import pytest
 from repro.core import (
     ConfigError,
     InputGroup,
+    Module,
     ModuleContext,
     ModuleError,
+    ParamSpec,
     SimClock,
 )
 
 
+class Declared(Module):
+    """One param of each type; every accessor reads through this."""
+
+    type_name = "declared"
+    params = (
+        ParamSpec("node", "str", required=True),
+        ParamSpec("size", "int", default="5"),
+        ParamSpec("slide", "int", default="size"),
+        ParamSpec("t", "float", default="1.5"),
+        ParamSpec("q", "bool", default="true"),
+        ParamSpec("nodes", "list", default=""),
+        ParamSpec("prefix", "str"),
+    )
+
+    def run(self, reason) -> None:
+        pass
+
+
 def make_context(params=None, services=None) -> ModuleContext:
-    return ModuleContext("inst0", params or {}, SimClock(), services)
+    ctx = ModuleContext("inst0", params or {}, SimClock(), services)
+    Declared(ctx)  # a module installs its class's declaration
+    return ctx
 
 
 class TestParams:
@@ -23,14 +45,14 @@ class TestParams:
         assert make_context({"size": "10"}).param_int("size") == 10
 
     def test_int_param_bad_value(self):
-        with pytest.raises(ConfigError, match="integer"):
+        with pytest.raises(ConfigError, match="'size' must be int"):
             make_context({"size": "ten"}).param_int("size")
 
     def test_float_param_parses(self):
         assert make_context({"t": "2.5"}).param_float("t") == 2.5
 
     def test_float_param_bad_value(self):
-        with pytest.raises(ConfigError, match="number"):
+        with pytest.raises(ConfigError, match="'t' must be float"):
             make_context({"t": "x"}).param_float("t")
 
     @pytest.mark.parametrize("text,expected", [
@@ -41,7 +63,7 @@ class TestParams:
         assert make_context({"q": text}).param_bool("q") is expected
 
     def test_bool_param_bad_value(self):
-        with pytest.raises(ConfigError, match="boolean"):
+        with pytest.raises(ConfigError, match="'q' must be bool"):
             make_context({"q": "maybe"}).param_bool("q")
 
     def test_list_param_splits_and_strips(self):
@@ -53,10 +75,27 @@ class TestParams:
             make_context().param_str("node")
 
     def test_default_is_returned_when_absent(self):
-        assert make_context().param_int("size", 5) == 5
-        assert make_context().param_float("t", 1.5) == 1.5
-        assert make_context().param_bool("q", True) is True
-        assert make_context().param_list("l", []) == []
+        """The declaration's default, typed; no accessor takes one."""
+        ctx = make_context()
+        assert ctx.param_int("size") == 5
+        assert ctx.param_float("t") == 1.5
+        assert ctx.param_bool("q") is True
+        assert ctx.param_list("nodes") == []
+        assert ctx.param_str("prefix") is None
+
+    def test_default_may_name_another_param(self):
+        assert make_context().param_int("slide") == 5
+        assert make_context({"size": "8"}).param_int("slide") == 8
+        assert make_context({"size": "8", "slide": "2"}).param_int("slide") == 2
+
+    def test_undeclared_param_read_raises(self):
+        ctx = make_context({"banana": "1"})
+        with pytest.raises(ModuleError, match="declares no such parameter"):
+            ctx.param_str("banana")
+
+    def test_accessor_must_match_the_declared_type(self):
+        with pytest.raises(ModuleError, match="declares it int"):
+            make_context({"size": "3"}).param_float("size")
 
 
 class TestServices:
@@ -121,6 +160,15 @@ class TestSchedulingHooks:
         ctx._schedule_periodic = lambda *a: None
         with pytest.raises(ModuleError, match="non-positive"):
             ctx.schedule_every(0.0)
+
+    def test_negative_phase_rejected(self):
+        """Every poller is covered: a phase before t=0 would stamp the
+        first samples all at t=0."""
+        ctx = make_context()
+        ctx._schedule_periodic = lambda *a: None
+        with pytest.raises(ModuleError, match="negative scheduling phase: -5"):
+            ctx.schedule_every(1.0, phase=-5.0)
+        ctx.schedule_every(1.0, phase=0.0)
 
     def test_non_positive_trigger_rejected(self):
         ctx = make_context()

@@ -14,7 +14,15 @@ import random
 
 import pytest
 
-from repro.core import FptCore, Module, ModuleRegistry, RunReason, SimClock
+from repro.core import (
+    SCHEDULE_PARAMS,
+    FptCore,
+    Module,
+    ModuleRegistry,
+    ParamSpec,
+    RunReason,
+    SimClock,
+)
 
 from .scheduler_oracle import ReferenceCore
 
@@ -36,16 +44,15 @@ class Emitter(_Logged):
     each output whose index divides it (so the outputs' rates differ)."""
 
     type_name = "emitter"
+    params = (ParamSpec("ports", "int", default="1"),) + SCHEDULE_PARAMS
 
     def init(self) -> None:
         ctx = self.ctx
         self.outs = [
-            ctx.create_output(f"out{i}") for i in range(ctx.param_int("ports", 1))
+            ctx.create_output(f"out{i}") for i in range(ctx.param_int("ports"))
         ]
         self.count = 0
-        ctx.schedule_every(
-            ctx.param_float("interval", 1.0), ctx.param_float("phase", 0.0)
-        )
+        ctx.schedule_every(ctx.param_float("interval"), ctx.param_float("phase"))
 
     def work(self) -> None:
         self.count += 1
@@ -61,12 +68,16 @@ class Relay(_Logged):
     each connection (``mode = latest``, which skips)."""
 
     type_name = "relay"
+    params = (
+        ParamSpec("mode", "str", default="all", choices=("all", "latest")),
+        ParamSpec("trigger", "int", default="0"),  # 0: every connection
+    )
 
     def init(self) -> None:
         ctx = self.ctx
         self.out = ctx.create_output("out0")
-        self.latest = ctx.param_str("mode", "all") == "latest"
-        trigger = ctx.param_int("trigger", 0)
+        self.latest = ctx.param_str("mode") == "latest"
+        trigger = ctx.param_int("trigger")
         if trigger:
             ctx.trigger_after_updates(trigger)
 

@@ -12,7 +12,7 @@ and observatory, is
 ``test_write_hooks.py::test_runtime_attached_instance_is_tapped_by_both``.
 """
 
-from repro.core import FptCore, Module, Output, RunReason, SimClock
+from repro.core import FptCore, Module, Output, ParamSpec, RunReason, SimClock
 
 from .helpers import build_registry
 
@@ -90,6 +90,7 @@ class FirstSeenRemoves(Module):
     """Input-triggered; its first run removes ``victim`` from the scheduler."""
 
     type_name = "remover"
+    params = (ParamSpec("victim", "str", required=True),)
 
     def init(self) -> None:
         self.victim = self.ctx.param_str("victim")

@@ -1,6 +1,6 @@
 """Shared helpers for the flight-recorder tests."""
 
-from repro.core import FptCore, Module, Origin, RunReason, SimClock
+from repro.core import FptCore, Module, Origin, ParamSpec, RunReason, SimClock
 from repro.modules import standard_registry
 
 
@@ -12,9 +12,11 @@ class ScriptedSource(Module):
     """
 
     type_name = "scripted"
+    params = (ParamSpec("node", "str", default=""),)
+    output_names = ("value",)
 
     def init(self) -> None:
-        node = self.ctx.param_str("node", "")
+        node = self.ctx.param_str("node")
         self.out = self.ctx.create_output(
             "value", Origin(node=node, source="scripted")
         )

@@ -7,16 +7,17 @@ a single module.
 
 import pytest
 
-from repro.lint import (
-    ContractRegistry,
+from repro.core import (
     InputPortSpec,
-    ModuleContract,
+    Module,
+    ModuleRegistry,
     ParamSpec,
+    RunReason,
     TriggerSpec,
-    analyze_config,
-    standard_contracts,
 )
+from repro.lint import analyze_config
 from repro.lint.diagnostics import Severity
+from repro.modules import standard_registry
 
 
 def codes(diagnostics):
@@ -179,10 +180,11 @@ input[x] = k.output0
 
 
 class TestParams:
-    def test_fpt007_unknown_param_is_warning(self):
+    def test_fpt007_unknown_param_is_error(self):
+        """fpt-core refuses to build it, so the lint calls it an error."""
         text = HEALTHY.replace("node = n1", "node = n1\nbanana = 7")
         diag = only(analyze_config(text), "FPT007")
-        assert diag.severity is Severity.WARNING
+        assert diag.severity is Severity.ERROR
         assert "banana" in diag.message
         assert diag.line == 4
 
@@ -238,20 +240,25 @@ input[x] = buf.output0
         assert "'node'" in diag.message
 
 
+class Batcher(Module):
+    """Runs once ``need`` updates have arrived."""
+
+    type_name = "batcher"
+    params = (ParamSpec("need", "int", min_value=1),)
+    ports = (InputPortSpec("input", required=False),)
+    output_names = ("batch",)
+    trigger = TriggerSpec.from_param("need")
+    sink = True
+
+    def run(self, reason: RunReason) -> None:
+        pass
+
+
 class TestScheduling:
-    def _contracts_with_trigger_param(self):
-        contracts = standard_contracts()
-        contracts.register(
-            ModuleContract(
-                type_name="batcher",
-                params=(ParamSpec("need", "int", min_value=1),),
-                inputs=(InputPortSpec("input", required=False),),
-                outputs=("batch",),
-                trigger=TriggerSpec.from_param("need"),
-                sink=True,
-            )
-        )
-        return contracts
+    def _registry_with_trigger_param(self):
+        registry = standard_registry()
+        registry.register(Batcher)
+        return registry
 
     def test_fpt012_param_trigger_exceeds_connections(self):
         text = """\
@@ -265,7 +272,7 @@ input[input] = src.vector
 need = 5
 """
         diags = analyze_config(
-            text, contracts=self._contracts_with_trigger_param()
+            text, registry=self._registry_with_trigger_param()
         )
         diag = only(diags, "FPT012")
         assert "threshold 5 exceeds the 1" in diag.message
@@ -283,7 +290,7 @@ input[input] = src.vector
 need = 1
 """
         diags = analyze_config(
-            text, contracts=self._contracts_with_trigger_param()
+            text, registry=self._registry_with_trigger_param()
         )
         assert "FPT012" not in codes(diags)
 
@@ -361,9 +368,9 @@ class TestNoqaInConfigs:
 
 class TestCustomContracts:
     def test_unknown_type_with_custom_registry(self):
-        contracts = ContractRegistry()
-        contracts.register(ModuleContract(type_name="only_this", sink=True))
-        diags = analyze_config("[other]\nid = x\n", contracts=contracts)
+        registry = ModuleRegistry()
+        registry.register(Batcher)
+        diags = analyze_config("[other]\nid = x\n", registry=registry)
         assert codes(diags) == ["FPT001"]
 
     @pytest.mark.parametrize("code", ["FPT001", "FPT003", "FPT005"])

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.core import FptCore, Module, RunReason, SimClock
+from repro.core import SCHEDULE_PARAMS, FptCore, Module, RunReason, SimClock
 from repro.core.config import parse_config
 from repro.core.errors import ConfigError
 from repro.lint import analyze_config, analyze_specs, has_errors, lint_markers
@@ -17,11 +17,14 @@ class TickSource(Module):
     """A service-free data source for construction tests."""
 
     type_name = "tick_source"
+    params = SCHEDULE_PARAMS
+    ports = ()
+    output_names = ("value",)
 
     def init(self) -> None:
         self.ctx.require_no_inputs()
         self.out = self.ctx.create_output("value")
-        self.ctx.schedule_every(self.ctx.param_float("interval", 1.0))
+        self.ctx.schedule_every(self.ctx.param_float("interval"))
 
     def run(self, reason: RunReason) -> None:
         self.out.write(1.0, self.ctx.clock.now())
@@ -104,7 +107,7 @@ class TestLintCommand:
 
     def test_warnings_pass_unless_strict(self, tmp_path, capsys):
         path = tmp_path / "warn.conf"
-        path.write_text(GOOD.replace("node = n1", "node = n1\nbanana = 1"))
+        path.write_text(GOOD + "\n[sadc]\nid = orphan\nnode = n2\n")  # FPT006
         assert main(["lint", str(path)]) == 0
         assert main(["lint", "--strict", str(path)]) == 1
 
@@ -238,9 +241,9 @@ class TestLintBeforeBuild:
         core.close()
 
     def test_warnings_do_not_block_construction(self):
-        text = BUILDABLE.replace("id = src", "id = src\nbanana = 1")
+        text = BUILDABLE + "\n[tick_source]\nid = orphan\n"
         diagnostics = analyze_config(text, registry=tick_registry())
-        assert [d.code for d in diagnostics] == ["FPT007"]
+        assert [d.code for d in diagnostics] == ["FPT006"]
         assert not has_errors(diagnostics)
         FptCore.from_config(text, tick_registry(), SimClock()).close()
 

@@ -12,7 +12,7 @@ import os
 import pytest
 
 from repro.experiments import ScenarioConfig, build_asdf_config_text
-from repro.lint import estimate_config, estimate_specs, standard_contracts
+from repro.lint import estimate_config, estimate_specs
 from repro.lint.costmodel import DEFAULT_TICK_BUDGET_MS
 
 from .helpers import per_node_knn_text, slave_names
@@ -51,7 +51,7 @@ class TestBudgetGate:
         with pytest.raises(ValueError, match="budget"):
             estimate_config(generated(3), budget_ms=budget)
         with pytest.raises(ValueError, match="budget"):
-            estimate_specs([], standard_contracts(), budget_ms=budget)
+            estimate_specs([], budget_ms=budget)
 
     def test_expanded_deployment_infers_fleet_size(self):
         assert estimate_config(generated(25)).fleet_size == 25

@@ -1,0 +1,111 @@
+"""One declaration, two readers: ``repro lint`` and fpt-core agree.
+
+Every module class declares its params once.  ``analyze_config`` reports
+a config that breaks the declaration (FPT007-010), and
+``FptCore.from_config`` refuses to build the same config with a
+``ConfigError`` carrying the same message and naming the instance --
+before any module's ``init()`` runs, so no services are needed here.
+"""
+
+import pytest
+
+from repro.core import ConfigError, FptCore, SimClock
+from repro.experiments import ScenarioConfig, run_scenario
+from repro.lint import analyze_config
+from repro.modules import standard_registry
+
+#: (section, code, message): the section is one instance ``x``.
+PARITY = [
+    # FPT007: a param the class does not declare.
+    ("[sadc]\nnode = n1\nbanana = 7", "FPT007",
+     "parameter 'banana' is not declared by [sadc]"),
+    ("[alarm_union]\nwindow = 60", "FPT007",
+     "parameter 'window' is not declared by [alarm_union]"),
+    # FPT008: text that does not parse as the declared type.
+    ("[sadc]\nnode = n1\ninterval = fast", "FPT008",
+     "parameter 'interval' must be float, got 'fast'"),
+    ("[mavgvec]\nwindow = sixty", "FPT008",
+     "parameter 'window' must be int, got 'sixty'"),
+    ("[print]\nquiet = maybe", "FPT008",
+     "parameter 'quiet' must be bool, got 'maybe'"),
+    # FPT009: below a minimum, not positive, not a choice.
+    ("[ibuffer]\nsize = 0", "FPT009", "parameter 'size' must be >= 1, got 0"),
+    ("[knn]\nk = 0", "FPT009", "parameter 'k' must be >= 1, got 0"),
+    ("[sadc]\nnode = n1\ninterval = 0", "FPT009",
+     "parameter 'interval' must be > 0, got 0.0"),
+    ("[sadc]\nnode = n1\nphase = -5", "FPT009",
+     "parameter 'phase' must be >= 0, got -5.0"),
+    ("[analysis_wb]\nk = -1", "FPT009", "parameter 'k' must be >= 0, got -1.0"),
+    ("[analysis_wb]\nk = 0", None, None),
+    ("[syscall_anomaly]\nbaseline_windows = 0", "FPT009",
+     "parameter 'baseline_windows' must be >= 1, got 0"),
+    ("[syscall_anomaly]\nthreshold = -1", "FPT009",
+     "parameter 'threshold' must be >= 0, got -1.0"),
+    ("[threshold_alarm]\nbound = 1\ndirection = sideways", "FPT009",
+     "parameter 'direction' must be one of ['above', 'below'], got 'sideways'"),
+    ("[sadc]\nnode = n1\nmetrics = ldavg_1, bogus", "FPT009",
+     "parameter 'metrics' has unknown item(s) ['bogus']"),
+    # FPT009: each cross-param rule.
+    ("[ibuffer]\nsize = 5\nslide = 9", "FPT009", "slide (9) must be <= size (5)"),
+    ("[ibuffer]\nsize = 5\nslide = 5", None, None),
+    ("[mavgvec]\nwindow = 60\nslide = 90", "FPT009",
+     "slide (90) must be <= window (60)"),
+    ("[syscall_anomaly]\nwindow = 60\nslide = 90", "FPT009",
+     "slide (90) must be <= window (60)"),
+    ("[analysis_bb]\nthreshold = 40\nnum_states = 5\nslide = 90", "FPT009",
+     "slide (90) must be <= window (60)"),
+    ("[analysis_wb]\nwindow = 30\nslide = 31", "FPT009",
+     "slide (31) must be <= window (30)"),
+    ("[hadoop_log]\nnodes =", "FPT009", "'nodes' is empty: name at least one node"),
+    # FPT010: a required param left out.
+    ("[sadc]\ninterval = 1", "FPT010", "required parameter 'node' (str) is missing"),
+    ("[analysis_bb]\nnum_states = 5", "FPT010",
+     "required parameter 'threshold' (float) is missing"),
+    ("[csv_writer]", "FPT010", "required parameter 'path' (str) is missing"),
+]
+
+
+def config(section):
+    header, _, body = section.partition("\n")
+    return f"{header}\nid = x\n{body}\n"
+
+
+@pytest.mark.parametrize(
+    "section,code,message", PARITY, ids=[row[0].split("\n", 1)[0] + " " + str(row[1])
+                                         for row in PARITY],
+)
+def test_lint_and_core_reject_with_the_same_message(section, code, message):
+    text = config(section)
+    found = [
+        (d.code, d.message) for d in analyze_config(text)
+        if d.code in ("FPT007", "FPT008", "FPT009", "FPT010")
+    ]
+    if code is None:
+        assert found == []
+        return
+    assert any(c == code and message in m for c, m in found), found
+    with pytest.raises(ConfigError) as raised:
+        FptCore.from_config(text, standard_registry(), SimClock())
+    assert message in str(raised.value)
+    assert "instance 'x'" in str(raised.value)
+    assert raised.value.line_no is not None
+
+
+@pytest.mark.parametrize(
+    "module_type", ["ibuffer", "mavgvec", "syscall_anomaly", "analysis_bb", "analysis_wb"],
+)
+def test_every_window_rejects_a_slide_past_its_window(module_type):
+    size = "size" if module_type == "ibuffer" else "window"
+    extra = "threshold = 40\nnum_states = 5\n" if module_type == "analysis_bb" else ""
+    text = f"[{module_type}]\nid = w\n{extra}{size} = 60\nslide = 90\n"
+    message = f"slide (90) must be <= {size} (60)"
+    assert [d.code for d in analyze_config(text) if message in d.message] == ["FPT009"]
+    with pytest.raises(ConfigError, match=r"instance 'w': slide \(90\)"):
+        FptCore.from_config(text, standard_registry(), SimClock())
+
+
+def test_a_scenario_with_a_slide_past_its_window_fails_at_build():
+    """It used to die inside the window ring with a bare ValueError that
+    named no instance, after the lint had passed it."""
+    with pytest.raises(ConfigError, match=r"slide \(90\) must be <= window \(60\)"):
+        run_scenario(ScenarioConfig(num_slaves=5, window=60, slide=90, duration_s=30))

@@ -12,7 +12,7 @@ import pytest
 
 from repro.experiments import ScenarioConfig, build_asdf_config_text
 from repro.faults import FAULT_NAMES
-from repro.lint import analyze_config, contracts_for_registry
+from repro.lint import analyze_config
 from repro.modules import standard_registry
 
 from .helpers import per_node_knn_text
@@ -32,8 +32,8 @@ def load_example(name):
     return module
 
 
-def assert_clean(text, registry=None, contracts=None):
-    diagnostics = analyze_config(text, registry=registry, contracts=contracts)
+def assert_clean(text, registry=None):
+    diagnostics = analyze_config(text, registry=registry)
     assert diagnostics == [], "\n".join(d.render() for d in diagnostics)
 
 
@@ -86,11 +86,7 @@ class TestExampleConfigs:
         registry = standard_registry()
         registry.register(quickstart.LatencyProbe)
         registry.register(quickstart.ThresholdDetector)
-        assert_clean(
-            quickstart.CONFIG,
-            registry=registry,
-            contracts=contracts_for_registry(registry),
-        )
+        assert_clean(quickstart.CONFIG, registry=registry)
 
     def test_offline_collection_config(self):
         offline = load_example("offline_collection")

@@ -4,7 +4,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.core import FptCore, Module, RunReason, SimClock
+from repro.core import FptCore, Module, ParamSpec, RunReason, SimClock
 from repro.modules import standard_registry
 
 
@@ -37,11 +37,13 @@ class ScriptedSource(Module):
     """
 
     type_name = "scripted"
+    params = (ParamSpec("node", "str", default=""),)
+    output_names = ("value",)
 
     def init(self) -> None:
         from repro.core import Origin
 
-        node = self.ctx.param_str("node", "")
+        node = self.ctx.param_str("node")
         self.out = self.ctx.create_output(
             "value", Origin(node=node, source="scripted")
         )

@@ -112,7 +112,7 @@ metrics = cpu_user_pct
 
     def test_unknown_metric_rejected_at_init(self):
         config = "[sadc]\nid = s\nnode = slave01\nmetrics = bogus_metric\n"
-        with pytest.raises(ConfigError, match="unknown metric"):
+        with pytest.raises(ConfigError, match=r"unknown item\(s\) \['bogus_metric'\]"):
             build_core(config, make_services(FakeChannel()))
 
     def test_unregistered_node_rejected_at_init(self):

@@ -76,7 +76,7 @@ class TestValidation:
             make_core([1.0], direction="sideways")
 
     def test_bad_reducer(self):
-        with pytest.raises(ConfigError, match="unknown reduce"):
+        with pytest.raises(ConfigError, match="'reduce' must be one of"):
             make_core([1.0], reduce_="median")
 
     def test_bad_consecutive(self):

@@ -59,15 +59,21 @@ class TestKnnBatchedBacklog:
             self.centroids = np.asarray(centroids, dtype=float)
             self.sigma = np.asarray(sigma, dtype=float)
 
-    def _run(self, values, model, k=1, trigger=None):
-        trigger_line = f"trigger = {trigger}\n" if trigger else ""
+    def _run(self, values, model, k=1, backlog=0):
         config = (
             "[scripted]\nid = src\nnode = slave01\n\n"
             f"[knn]\nid = nn\ninput[input] = src.value\nmodel = bb_model\n"
-            f"k = {k}\n{trigger_line}\n"
+            f"k = {k}\n\n"
             "[print]\nid = sink\ninput[a] = nn.output0\n"
         )
         core = build_core(config, {"script": {"src": values}, "bb_model": model})
+        if backlog:
+            # Off the schedule while the source writes, the classifier's
+            # next run() pops every sample queued meanwhile.
+            classifier = core.instance("nn")
+            core.scheduler.remove_instance("nn")
+            core.run_until(float(backlog - 1))
+            core.scheduler.add_instance(classifier)
         core.run_until(float(len(values)))
         return collected(core, "sink")
 
@@ -79,10 +85,10 @@ class TestKnnBatchedBacklog:
         raw = rng.uniform(-5.0, 500.0, size=(30, d))
         model = self.Model(centroids, sigma)
 
-        # trigger=5 makes each run() consume a 5-sample backlog, taking
-        # the batched path; the reference applies the documented formula
-        # one sample at a time.
-        got = self._run(vector_series(raw), model, k=1, trigger=5)
+        # The first run() consumes a 26-sample backlog, taking the
+        # batched path; the reference applies the documented formula one
+        # sample at a time.
+        got = self._run(vector_series(raw), model, k=1, backlog=25)
         expected = []
         for row in raw:
             scaled = np.log1p(np.maximum(row, 0.0)) / sigma
