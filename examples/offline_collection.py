@@ -5,7 +5,7 @@ ASDF should support offline analyses (for those users wishing to
 post-process the gathered data), effectively turning itself into a
 data-collection and data-logging engine."
 
-This example wires sadc collectors for three nodes straight into the
+This example wires one sadc collector for three nodes straight into the
 ``csv_writer`` sink, runs the monitored cluster, then post-processes the
 CSV offline to find the busiest node -- no analysis modules involved.
 
@@ -28,24 +28,20 @@ DURATION = 240.0
 
 
 def build_config_text(nodes, csv_path) -> str:
-    """The collection-only wiring: sadc per node straight into the CSV
-    sink, no analysis modules.  Module-level so ``repro lint`` golden
-    tests can check it without running the example."""
-    config_lines = []
-    for node in nodes:
-        config_lines += [
-            "[sadc]",
-            f"id = sadc_{node}",
-            f"node = {node}",
-            "metrics = cpu_idle_pct,net_txkb_per_s",
-            "",
-        ]
-    config_lines += [
+    """The collection-only wiring: one sadc for every node straight into
+    the CSV sink, no analysis modules.  Module-level so ``repro lint``
+    golden tests can check it without running the example."""
+    config_lines = [
+        "[sadc]",
+        "id = sadc",
+        f"nodes = {','.join(nodes)}",
+        "metrics = cpu_idle_pct,net_txkb_per_s",
+        "",
         "[csv_writer]",
         "id = logger",
         f"path = {csv_path}",
+        "input[all] = @sadc",
     ]
-    config_lines += [f"input[{node}] = @sadc_{node}" for node in nodes]
     return "\n".join(config_lines) + "\n"
 
 

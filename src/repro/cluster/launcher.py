@@ -122,10 +122,6 @@ class ClusterLauncher:
         self._host_groups[key] = list(indices)
         return child
 
-    def spawn_node(self, index: int) -> subprocess.Popen:
-        """Spawn a single-node host (used for respawns of v1 layouts)."""
-        return self.spawn_host([index])
-
     def spawn_central(self) -> subprocess.Popen:
         child = _spawn(
             ["cluster", "central", "--interval", str(self.interval_s),

@@ -306,9 +306,6 @@ class EngineReport:
                 return item
         raise KeyError(f"no task {task_id!r} in report")
 
-    def loaded_results(self) -> List[LoadedResult]:
-        return [r.load() for r in self.results]
-
 
 def parity_mismatches(a: EngineReport, b: EngineReport) -> List[str]:
     """Task ids whose result documents differ between two reports.

@@ -123,31 +123,15 @@ def build_asdf_config_text(
     generated text byte-identical to pre-observatory deployments, which
     the archive-replay and parity guarantees rest on.
     """
-    lines: List[str] = []
-    for node in nodes:
-        lines += [
-            "[sadc]",
-            f"id = sadc_{node}",
-            f"node = {node}",
-            "interval = 1.0",
-            "",
-        ]
-    # One knnfleet instance classifies every node in a single batched
-    # numpy pass per round; ibuffers read the per-node channels it
-    # exposes.
-    lines += ["[knnfleet]", "id = onenn", "model = bb_model", "k = 1"]
-    lines += [
-        f"input[v{i}] = sadc_{node}.vector" for i, node in enumerate(nodes)
+    # One instance per stage whatever the fleet size, wired node by node.
+    lines: List[str] = [
+        "[sadc]", "id = sadc", f"nodes = {','.join(nodes)}", "interval = 1.0", "",
+        "[knnfleet]", "id = onenn", "model = bb_model", "k = 1",
     ]
-    lines += [""]
-    for node in nodes:
-        lines += [
-            "[ibuffer]",
-            f"id = buf_{node}",
-            f"input[input] = onenn.{node}",
-            f"size = {config.ibuffer_size}",
-            "",
-        ]
+    lines += [f"input[v{i}] = sadc.{node}" for i, node in enumerate(nodes)]
+    lines += ["", "[ibuffer]", "id = buf"]
+    lines += [f"input[input] = onenn.{node}" for node in nodes]
+    lines += [f"size = {config.ibuffer_size}", ""]
     lines += ["[analysis_bb]", "id = analysis_bb"]
     lines += [
         f"threshold = {config.bb_threshold}",
@@ -156,7 +140,7 @@ def build_asdf_config_text(
         f"consecutive = {config.bb_consecutive}",
         f"num_states = {config.num_states}",
     ]
-    lines += [f"input[l{i}] = @buf_{node}" for i, node in enumerate(nodes)]
+    lines += [f"input[l{i}] = buf.{node}" for i, node in enumerate(nodes)]
     lines += [
         "",
         "[hadoop_log]",

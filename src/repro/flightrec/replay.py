@@ -220,8 +220,8 @@ class ReplaySourceModule(Module):
     Configuration::
 
         [replay_source]
-        id = sadc_slave01          ; assumes the original instance id
-        instance = sadc_slave01    ; optional override
+        id = sadc                  ; assumes the original instance id
+        instance = sadc            ; optional override
         tick = 1.0                 ; optional; inferred from the archive
 
     The archive is resolved through the ``replay_archive`` service.

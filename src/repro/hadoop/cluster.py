@@ -331,9 +331,6 @@ class HadoopCluster:
     def procfs(self, node: str):
         return self.nodes[node].procfs
 
-    def running_attempts(self, node: str) -> int:
-        return len(self.trackers[node].running)
-
     def jobs_completed(self) -> int:
         return len(self.jobtracker.completed_jobs)
 

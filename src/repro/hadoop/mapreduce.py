@@ -755,9 +755,6 @@ class JobTracker:
         """
         self.blacklisted.add(node)
 
-    def unblacklist(self, node: str) -> None:
-        self.blacklisted.discard(node)
-
     def register_tracker(self, tracker: TaskTracker) -> None:
         self.trackers[tracker.node_name] = tracker
 

@@ -27,8 +27,8 @@ Diagnostics:
 * **FPT303** (warning) -- a window_recompute module slides by less than
   its window, so the overlap is re-scanned from scratch every round.
 
-Fleet size ``N`` is inferred from per-node instance counts (the most
-numerous type whose cost fact is ``per_node``); the tick budget is
+Fleet size ``N`` is the number of distinct nodes the collectors name
+(``nodes`` lists, a ``node`` param); the tick budget is
 :data:`DEFAULT_TICK_BUDGET_MS` unless the caller passes ``budget_ms``.
 """
 
@@ -59,7 +59,7 @@ COST_UNITS = ("trigger", "sample", "window")
 #: Symbols a cost term may scale with.  Resolved per instance:
 #: ``window``/``slide``/``k``/``num_states``/``size`` from the instance's
 #: parameters, ``n_inputs`` from its wired connections, ``nodes`` from a
-#: ``nodes`` list parameter (hadoop_log), ``dim`` from the metric-vector
+#: ``nodes`` list parameter (sadc, hadoop_log), ``dim`` from the metric-vector
 #: dimension (the sadc catalog size by default).
 COST_SYMBOLS = (
     "window", "slide", "k", "num_states", "size", "n_inputs", "nodes", "dim",
@@ -105,8 +105,6 @@ class CostFact:
     """The cost of one module type (FPT3xx inputs).
 
     * ``terms`` -- the work terms summed into the per-tick estimate;
-    * ``per_node`` -- deployments instantiate one instance per
-      monitored node; the cost model reads fleet size N off the count;
     * ``batch_param`` -- int parameter naming the output batch factor
       (ibuffer ``size``): outputs carry ``batch_param`` elements each
       and emit at ``1/batch_param`` of the input update rate;
@@ -116,7 +114,6 @@ class CostFact:
     """
 
     terms: Tuple[CostTerm, ...] = ()
-    per_node: bool = False
     batch_param: Optional[str] = None
     window_recompute: bool = False
 
@@ -133,11 +130,10 @@ COST_FACTS: Dict[str, CostFact] = {
             # on plans, 53-55 before the row crossed as one array); no
             # per-metric term.
             CostTerm(
-                16.0, "trigger",
-                note="fleet-pass row + round trip: stage table, 200 us/cu",
+                16.0, "trigger", ("nodes",),
+                "per-node row + round trip: stage table, 200 us/cu",
             ),
         ),
-        per_node=True,
     ),
     "hadoop_log": CostFact(
         terms=(
@@ -154,7 +150,6 @@ COST_FACTS: Dict[str, CostFact] = {
     ),
     "strace": CostFact(
         terms=(CostTerm(25.0, "trigger", note="syscall count scrape"),),
-        per_node=True,
     ),
     "knn": CostFact(
         terms=(
@@ -164,7 +159,6 @@ COST_FACTS: Dict[str, CostFact] = {
             ),
             CostTerm(0.2, "sample", ("dim",), "distance arithmetic"),
         ),
-        per_node=True,
     ),
     "knnfleet": CostFact(
         terms=(
@@ -178,8 +172,8 @@ COST_FACTS: Dict[str, CostFact] = {
     "ibuffer": CostFact(
         # Same runs: 1.7 us emitting every sample (replay25_sliding),
         # 0.95 in batches of 5 (fleet50); the dearer one.  Was 4.0.
+        # Per sample, so it scales with the wired connections.
         terms=(CostTerm(1.7, "sample", note="buffer append + emit"),),
-        per_node=True,
         batch_param="size",
     ),
     "mavgvec": CostFact(
@@ -315,7 +309,7 @@ class CostReport:
     def render(self) -> str:
         lines = [
             f"cost report: {self.file}",
-            f"  fleet size N={self.fleet_size} (from per-node instances); "
+            f"  fleet size N={self.fleet_size} (nodes the collectors name); "
             f"budget {self.budget_ms:g} ms per 1 s tick",
             "  type             inst   trig/s      ms/s   share",
         ]
@@ -330,6 +324,12 @@ class CostReport:
             f"({100.0 * self.total_ms_per_s / self.budget_ms:.1f}% of budget)"
         )
         return "\n".join(lines)
+
+
+def _node_names(spec: InstanceSpec) -> List[str]:
+    """The nodes an instance's ``nodes`` list or ``node`` param names."""
+    names = spec.params.get("nodes", spec.params.get("node", ""))
+    return [name.strip() for name in names.split(",") if name.strip()]
 
 
 def _number(
@@ -377,13 +377,11 @@ class _Estimator:
         self.conn_total: Dict[str, float] = {}
 
     def _resolve_fleet_size(self) -> int:
-        """The instance count of the most numerous ``per_node`` type."""
-        counts: Dict[str, int] = {}
+        """The number of distinct nodes the collectors name (at least 1)."""
+        nodes = set()
         for spec in self.specs:
-            fact = COST_FACTS.get(spec.module_type)
-            if fact is not None and fact.per_node:
-                counts[spec.module_type] = counts.get(spec.module_type, 0) + 1
-        return max(counts.values(), default=1)
+            nodes.update(_node_names(spec))
+        return max(len(nodes), 1)
 
     def _topo_order(self) -> Optional[List[InstanceSpec]]:
         indegree = {s.instance_id: 0 for s in self.specs}
@@ -449,10 +447,7 @@ class _Estimator:
             if symbol == "n_inputs":
                 product *= max(conn_total, 1.0)
             elif symbol == "nodes":
-                nodes = spec.params.get("nodes", "")
-                product *= max(
-                    len([n for n in nodes.split(",") if n.strip()]), 1
-                )
+                product *= max(len(_node_names(spec)), 1)
             elif symbol == "dim":
                 metrics = spec.params.get("metrics", "")
                 names = [m for m in metrics.split(",") if m.strip()]
@@ -510,11 +505,12 @@ class _Estimator:
                 trigger_hz = update_in
 
             # Emission: elements are conserved through the instance,
-            # except batchers (ibuffer) re-window them by slide/size.
+            # except batchers (ibuffer) re-window each connection's
+            # stream, onto an output of its own, by slide/size.
             if fact is not None and fact.batch_param:
                 size = _int_param(spec, module_class, fact.batch_param) or 1
                 slide = _int_param(spec, module_class, "slide") or size
-                emit_hz = sample_in / max(slide, 1)
+                emit_hz = sample_in / max(conn_total, 1.0) / max(slide, 1)
                 batch_out = float(size)
             elif not connections:
                 emit_hz, batch_out = trigger_hz, 1.0

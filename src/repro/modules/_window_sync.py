@@ -19,7 +19,7 @@ from typing import ClassVar, Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..analysis.metrics import Alarm, WindowDecision
-from ..core import Module, ParamSpec, RunReason, TriggerSpec
+from ..core import Connection, Module, ParamSpec, RunReason, TriggerSpec
 from ..core.errors import ConfigError, ModuleError
 
 
@@ -34,6 +34,25 @@ def window_check(size_param: str):
         return []
 
     return staticmethod(check)
+
+
+def connections_by_node(ctx, owner: str) -> Dict[str, Connection]:
+    """Every connection wired to ``ctx``'s inputs, keyed by its origin's
+    node: how ``knnfleet``, ``ibuffer`` and the peer comparisons bind."""
+    connections: Dict[str, Connection] = {}
+    for group in ctx.inputs.values():
+        for connection in group:
+            origin = connection.origin
+            node = origin.node if origin is not None else ""
+            if not node:
+                raise ConfigError(
+                    f"{owner}: input connection without node origin "
+                    "(wire it from sadc, knnfleet or hadoop_log outputs)"
+                )
+            if node in connections:
+                raise ConfigError(f"{owner}: two inputs for node '{node}'")
+            connections[node] = connection
+    return connections
 
 
 #: The ``window`` / ``slide`` pair every windowed module declares.
@@ -204,19 +223,7 @@ class PeerComparisonModule(Module):
         slide = ctx.param_int("slide")
         self.consecutive = ctx.param_int("consecutive")
 
-        self.connections: Dict[str, object] = {}
-        for group in ctx.inputs.values():
-            for connection in group:
-                origin = connection.origin
-                node = origin.node if origin is not None else ""
-                if not node:
-                    raise ConfigError(
-                        f"{owner}: input connection without node origin "
-                        "(wire it from sadc, knn or hadoop_log outputs)"
-                    )
-                if node in self.connections:
-                    raise ConfigError(f"{owner}: two inputs for node '{node}'")
-                self.connections[node] = connection
+        self.connections = connections_by_node(ctx, owner)
         if len(self.connections) < 3:
             raise ConfigError(
                 f"{owner}: peer comparison needs at least 3 nodes, got "

@@ -1,7 +1,7 @@
 """The ``analysis_bb`` black-box peer-comparison module (paper section 4.5).
 
 Consumes per-second 1-NN state indices for every monitored node (one
-input connection per node, usually via ``ibuffer`` batches).  Over each
+input connection per node, usually one ``ibuffer``'s per-node batches).  Over each
 window of ``window`` samples it builds a per-node **StateVector** -- the
 histogram of state occupancies -- computes the component-wise median
 vector across nodes, and flags node ``j`` anomalous when the L1 distance
@@ -22,8 +22,8 @@ Configuration::
     slide = 60
     consecutive = 3
     num_states = 7
-    input[l0] = @buf0
-    input[l1] = @buf1
+    input[l0] = buf.slave01
+    input[l1] = buf.slave02
     ...
 
 Outputs:

@@ -11,7 +11,7 @@ Configuration::
     [csv_writer]
     id = logger
     path = /tmp/asdf-metrics.csv
-    input[a] = @sadc_slave01
+    input[a] = @sadc
 """
 
 from __future__ import annotations

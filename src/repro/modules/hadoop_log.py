@@ -30,6 +30,7 @@ Outputs: one per node, named after the node, each carrying an
 from __future__ import annotations
 
 import math
+from collections import Counter
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -50,8 +51,13 @@ from ..rpc.protocol import ProtocolError, RemoteError
 HADOOP_LOG_CHANNEL_SERVICE = "hadoop_log_channels"
 
 
-def _check_nodes(values):
-    return [] if values["nodes"] else [("nodes", "'nodes' is empty: name at least one node")]
+def check_nodes(values):
+    """The fleet collectors' ``nodes``: some node, none twice."""
+    nodes = values["nodes"]
+    if not nodes:
+        return [("nodes", "'nodes' is empty: name at least one node")]
+    twice = sorted(node for node, count in Counter(nodes).items() if count > 1)
+    return [("nodes", f"'nodes' names {twice} more than once")] if twice else []
 
 
 class HadoopLogModule(Module):
@@ -62,7 +68,7 @@ class HadoopLogModule(Module):
     ) + SCHEDULE_PARAMS
     ports = ()
     trigger = TriggerSpec.periodic()
-    param_check = staticmethod(_check_nodes)
+    param_check = staticmethod(check_nodes)
 
     @classmethod
     def outputs_for(cls, params):
@@ -108,6 +114,8 @@ class HadoopLogModule(Module):
         self.seconds_dropped = 0
         #: ``collect`` calls that failed: skipped, and asked again next poll.
         self.poll_errors = 0
+        #: Catch-ups cut short: a daemon's newest second stopped advancing.
+        self.stalled_catchups = 0
         ctx.schedule_every(ctx.param_float("interval"), ctx.param_float("phase"))
 
     def run(self, reason: RunReason) -> None:
@@ -116,9 +124,14 @@ class HadoopLogModule(Module):
         for channel, row in self._sources:
             # A daemon serves a bounded batch per call: after a poll gap
             # ask again until it has caught up to within the skew bound,
-            # or the rest would be dropped as stale before it arrives.
-            while self._collect(channel, row, now) < stale_cutoff:
-                pass
+            # or the rest would be dropped as stale before it arrives --
+            # but only while each answer brings a newer second.
+            previous = -math.inf
+            latest = self._collect(channel, row, now)
+            while previous < latest < stale_cutoff:
+                previous, latest = latest, self._collect(channel, row, now)
+            if latest <= previous:
+                self.stalled_catchups += 1
         self._emit_synchronized()
         self._drop_stale(stale_cutoff)
 

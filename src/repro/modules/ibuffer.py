@@ -6,24 +6,27 @@ points from a data collection module output, and present the data as an
 array of data points to an analysis module, which can then process a
 larger data set more slowly."
 
+One instance buffers every node: each connection wired to ``input`` is
+a lane keyed by its origin node (``knnfleet``'s binding), whose output,
+named after the node, carries a list of the lane's sample values each
+time ``size`` of them have accumulated.
+
 Configuration::
 
     [ibuffer]
-    id = buf1
-    input[input] = onenn0.output0
+    id = buf
+    input[input] = onenn.slave01
+    input[input] = onenn.slave02
     size = 10          ; samples per emitted batch
     slide = 10         ; optional; < size gives overlapping batches
-
-Output ``output0`` carries a list of the buffered sample values each
-time ``size`` samples have accumulated.
 """
 
 from __future__ import annotations
 
-from typing import Any, List
+from typing import Any, List, Tuple
 
-from ..core import InputPortSpec, Module, ParamSpec, RunReason, TriggerSpec
-from ._window_sync import window_check
+from ..core import Connection, InputPortSpec, Module, ParamSpec, RunReason, TriggerSpec
+from ._window_sync import connections_by_node, window_check
 
 
 class IBufferModule(Module):
@@ -32,27 +35,33 @@ class IBufferModule(Module):
         ParamSpec("size", "int", default="10", min_value=1),
         ParamSpec("slide", "int", default="size", min_value=1),
     )
-    ports = (InputPortSpec("input", max_connections=1),)
-    output_names = ("output0",)
+    ports = (InputPortSpec("input"),)
+    # No output_names: they are the wired nodes, known only at init().
     trigger = TriggerSpec.fixed(1)
     param_check = window_check("size")
 
     def init(self) -> None:
         ctx = self.ctx
-        self.connection = ctx.input("input").single()
+        ctx.input("input")  # raises unless wired
+        connections = connections_by_node(ctx, f"ibuffer '{ctx.instance_id}'")
         self.size = ctx.param_int("size")
         self.slide = ctx.param_int("slide")
-        self.out = ctx.create_output("output0", self.connection.origin)
-        self._buffer: List[Any] = []
+        #: (connection, its output's write, its buffer) per node, sorted.
+        self._lanes: List[Tuple[Connection, Any, List[Any]]] = [
+            (connections[node], ctx.create_output(node, connections[node].origin).write, [])
+            for node in sorted(connections)
+        ]
         self.batches_emitted = 0
-        # Run on every single upstream write.
+        # Run after any upstream write: a lane emits as soon as it fills.
         ctx.trigger_after_updates(1)
 
     def run(self, reason: RunReason) -> None:
-        for sample in self.connection.pop_all():
-            self._buffer.append(sample.value)
-            while len(self._buffer) >= self.size:
-                batch = list(self._buffer[: self.size])
-                self.out.write(batch, self.ctx.clock.now())
-                del self._buffer[: self.slide]
-                self.batches_emitted += 1
+        size, slide = self.size, self.slide
+        now = self.ctx.clock.now()
+        for connection, write, buffer in self._lanes:
+            for sample in connection.pop_all():
+                buffer.append(sample.value)
+                while len(buffer) >= size:
+                    write(buffer[:size], now)
+                    del buffer[:slide]
+                    self.batches_emitted += 1

@@ -17,7 +17,7 @@ Configuration::
 
     [knn]
     id = onenn0
-    input[input] = sadc_slave01.vector
+    input[input] = sadc.slave01
     model = bb_model
     k = 1
 """

@@ -9,9 +9,9 @@ stacks all nodes' backlogs into one matrix and runs one scale + distance
 pass (:func:`repro.analysis.kmeans.nearest_k_batch`).  The ``knn`` type
 (:mod:`repro.modules.knn`) is this class bound to one input.
 
-Inputs are one connection per node (resolved by origin, like
-``analysis_bb``); outputs are one channel per node, named after the
-node, each carrying the classified state index at the sample timestamp.
+Inputs are one connection per node, keyed by origin node (the binding
+``ibuffer`` and ``analysis_bb`` share); outputs are one channel per
+node, named after it, carrying the state index at the sample timestamp.
 Centroids and sigma come from offline k-means training on fault-free
 data, through the service named by ``model``, which must provide
 ``centroids`` (k x d array) and ``sigma`` (length-d array).
@@ -22,8 +22,8 @@ Configuration::
     id = onenn
     model = bb_model
     k = 1
-    input[v0] = sadc_slave01.vector
-    input[v1] = sadc_slave02.vector
+    input[v0] = sadc.slave01
+    input[v1] = sadc.slave02
     ...
 """
 
@@ -36,6 +36,7 @@ import numpy as np
 from ..analysis.kmeans import nearest_k_batch
 from ..core import Connection, Module, Output, ParamSpec, RunReason, TriggerSpec
 from ..core.errors import ConfigError, ModuleError
+from ._window_sync import connections_by_node
 
 
 class KnnFleetModule(Module):
@@ -80,21 +81,7 @@ class KnnFleetModule(Module):
         """Each node's input connection and its output, both by node
         name: one connection per node origin, the output named after it."""
         ctx = self.ctx
-        connections: Dict[str, Connection] = {}
-        for group in ctx.inputs.values():
-            for connection in group:
-                origin = connection.origin
-                node = origin.node if origin is not None else ""
-                if not node:
-                    raise ConfigError(
-                        f"{self._owner}: input connection without node "
-                        "origin (wire it from sadc outputs)"
-                    )
-                if node in connections:
-                    raise ConfigError(
-                        f"{self._owner}: two inputs for node '{node}'"
-                    )
-                connections[node] = connection
+        connections = connections_by_node(ctx, self._owner)
         if not connections:
             raise ConfigError(f"{self._owner}: needs at least one input")
         outputs = {

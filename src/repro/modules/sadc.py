@@ -1,20 +1,19 @@
 """The ``sadc`` data-collection module (paper section 3.5).
 
-Polls one node's ``sadc_rpcd`` daemon once per sampling interval and
-exposes the black-box metrics as fpt-core outputs: a ``vector`` output
-carrying the full 64-metric node-level vector, plus (optionally) one
-scalar output per metric named in the ``metrics`` parameter.
+One instance calls every node's ``sadc_rpcd`` daemon once per sampling
+interval (the paper's traffic) and writes, per node, the 64-metric
+node-level vector on an output named after the node, plus one scalar
+output ``<node>.<metric>`` per metric named in ``metrics``.
 
 Configuration::
 
     [sadc]
-    id = sadc_slave01
-    node = slave01          ; which daemon to poll
-    interval = 1.0          ; seconds between samples
+    id = sadc
+    nodes = slave01,slave02,slave03   ; which daemons to poll
+    interval = 1.0                    ; seconds between samples
     metrics = cpu_user_pct,net_rxkb_per_s   ; optional scalar outputs
 
-The connection to the remote daemon is resolved through the
-``sadc_channels`` service: a mapping from node name to an RPC channel
+The ``sadc_channels`` service maps each node to its RPC channel
 (:class:`repro.rpc.RpcClient` or :class:`repro.rpc.InprocChannel`).
 """
 
@@ -36,6 +35,7 @@ from ..core import (
 from ..core.errors import ConfigError
 from ..rpc.protocol import MetricRow, ProtocolError, RemoteError
 from ..sysstat.metrics import NODE_METRICS
+from .hadoop_log import check_nodes
 
 #: Name of the service carrying node -> RPC channel mappings.
 SADC_CHANNEL_SERVICE = "sadc_channels"
@@ -44,65 +44,79 @@ SADC_CHANNEL_SERVICE = "sadc_channels"
 class SadcModule(Module):
     type_name = "sadc"
     params = (
-        ParamSpec("node", "str", required=True),
+        ParamSpec("nodes", "list", required=True),
         ParamSpec("metrics", "list", default="", choices=NODE_METRICS),
     ) + SCHEDULE_PARAMS
     ports = ()
     trigger = TriggerSpec.periodic()
+    param_check = staticmethod(check_nodes)
 
     @classmethod
     def outputs_for(cls, params):
-        return ["vector"] + param_value(cls.params, params, "metrics")
+        metrics = param_value(cls.params, params, "metrics")
+        return [
+            name
+            for node in param_value(cls.params, params, "nodes") or []
+            for name in [node] + [f"{node}.{metric}" for metric in metrics]
+        ]
 
     def init(self) -> None:
         ctx = self.ctx
         ctx.require_no_inputs()
-        self.node = ctx.param_str("node")
+        self.nodes = ctx.param_list("nodes")
         channels: Dict[str, object] = ctx.service(SADC_CHANNEL_SERVICE)
-        if self.node not in channels:
+        missing = [node for node in self.nodes if node not in channels]
+        if missing:
             raise ConfigError(
                 f"sadc instance '{ctx.instance_id}': no channel registered "
-                f"for node '{self.node}'"
+                f"for nodes {missing}"
             )
-        self.channel = channels[self.node]
-
-        self.vector_out = ctx.create_output(
-            "vector", Origin(node=self.node, source="sadc", metric="node_vector")
-        )
-        self.metric_outputs = {}
-        for name in ctx.param_list("metrics"):
-            self.metric_outputs[name] = ctx.create_output(
-                name, Origin(node=self.node, source="sadc", metric=name)
-            )
-        self.samples_collected = 0
+        metrics = ctx.param_list("metrics")
+        #: (node, channel, vector write, [(metric, scalar write)]) per node.
+        self._polls = []
+        for node in self.nodes:
+            vector = ctx.create_output(node, Origin(node, "sadc", "node_vector"))
+            scalars = [
+                (name, ctx.create_output(f"{node}.{name}", Origin(node, "sadc", name)).write)
+                for name in metrics
+            ]
+            self._polls.append((node, channels[node], vector.write, scalars))
+        #: Samples written and polls failed, per node; a failed poll is a
+        #: sample skipped, not raised.
+        self.node_samples = dict.fromkeys(self.nodes, 0)
+        self.node_poll_errors = dict.fromkeys(self.nodes, 0)
         self.priming_skips = 0
-        #: Polls the channel failed; each is a sample skipped, not raised.
-        self.poll_errors = 0
         ctx.schedule_every(ctx.param_float("interval"), ctx.param_float("phase"))
+
+    samples_collected = property(lambda self: sum(self.node_samples.values()))
+    poll_errors = property(lambda self: sum(self.node_poll_errors.values()))
 
     def run(self, reason: RunReason) -> None:
         now = self.ctx.clock.now()
-        try:
-            result = self.channel.call("sample", now=now)
-        except (ProtocolError, RemoteError):
-            self.poll_errors += 1
-            return
-        if result is None:
-            self.priming_skips += 1
-            return
-        node_metrics = result["node"]
-        if (isinstance(node_metrics, MetricRow)
-                and node_metrics.names == NODE_METRICS):
-            # Off the binary path: the decoded row is the vector.
-            vector = node_metrics.row
-        else:
-            vector = np.array([node_metrics[name] for name in NODE_METRICS])
-        self.vector_out.write(vector, now)
-        for name, output in self.metric_outputs.items():
-            output.write(float(node_metrics[name]), now)
-        self.samples_collected += 1
+        node_samples = self.node_samples
+        for node, channel, write, metric_writes in self._polls:
+            try:
+                result = channel.call("sample", now=now)
+            except (ProtocolError, RemoteError):
+                self.node_poll_errors[node] += 1
+                continue
+            if result is None:
+                self.priming_skips += 1
+                continue
+            node_metrics = result["node"]
+            if (isinstance(node_metrics, MetricRow)
+                    and node_metrics.names == NODE_METRICS):
+                # Off the binary path: the decoded row is the vector.
+                vector = node_metrics.row
+            else:
+                vector = np.array([node_metrics[name] for name in NODE_METRICS])
+            write(vector, now)
+            for name, metric_write in metric_writes:
+                metric_write(float(node_metrics[name]), now)
+            node_samples[node] += 1
 
     def close(self) -> None:
-        close = getattr(self.channel, "close", None)
-        if callable(close):
-            close()
+        for _, channel, _, _ in self._polls:
+            close = getattr(channel, "close", None)
+            if callable(close):
+                close()

@@ -10,7 +10,7 @@ Configuration::
 
     [threshold_alarm]
     id = cpu_rule
-    input[m] = sadc_slave01.cpu_user_pct
+    input[m] = sadc.slave01.cpu_user_pct
     bound = 90.0
     direction = above       ; or "below"
     consecutive = 3         ; samples in a row before alarming

@@ -9,7 +9,7 @@ Design points:
 
 * **Families and children.**  A metric *family* is a name, a type and a
   help string; a *child* is one labelled time series within the family
-  (e.g. ``fpt_instance_runs_total{instance="sadc_slave01",
+  (e.g. ``fpt_instance_runs_total{instance="sadc",
   reason="periodic"}``).  Children are created on first use and cached,
   so hot paths hold a direct reference and pay one attribute access per
   update.

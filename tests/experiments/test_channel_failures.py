@@ -56,10 +56,11 @@ def run(model, start_s=None, stop_s=None):
 
 
 def collected(handles) -> dict:
-    return {
-        node: handles.core.instance(f"sadc_{node}").samples_collected
-        for node in handles.sadc_channels
-    }
+    return dict(handles.core.instance("sadc").node_samples)
+
+
+def poll_errors(handles) -> dict:
+    return handles.core.instance("sadc").node_poll_errors
 
 
 def alarmed_nodes(handles) -> set:
@@ -78,10 +79,7 @@ class TestNoErrorPath:
     def test_counts_nothing_and_alarms_nobody(self, healthy):
         assert alarmed_nodes(healthy) == set()
         assert healthy.core.instance("hl").poll_errors == 0
-        assert all(
-            healthy.core.instance(f"sadc_{node}").poll_errors == 0
-            for node in healthy.sadc_channels
-        )
+        assert poll_errors(healthy) == dict.fromkeys(healthy.sadc_channels, 0)
 
 
 class TestThreeFailedPolls:
@@ -95,10 +93,8 @@ class TestThreeFailedPolls:
         baseline = collected(healthy)
         expected = dict(baseline, **{VICTIM: baseline[VICTIM] - 3})
         assert collected(flapped) == expected
-        assert flapped.core.instance(f"sadc_{VICTIM}").poll_errors == 3
-        assert all(
-            flapped.core.instance(f"sadc_{node}").poll_errors == 0
-            for node in baseline if node != VICTIM
+        assert poll_errors(flapped) == dict(
+            dict.fromkeys(baseline, 0), **{VICTIM: 3}
         )
 
     def test_the_log_daemons_backlog_arrives_with_the_next_poll(
@@ -124,7 +120,7 @@ class TestChannelsDeadForTheRestOfTheRun:
         assert {n: got[n] for n in got if n != VICTIM} == {
             n: baseline[n] for n in baseline if n != VICTIM
         }
-        assert dead.core.instance(f"sadc_{VICTIM}").poll_errors == 281  # t = 200 .. 480
+        assert poll_errors(dead)[VICTIM] == 281  # t = 200 .. 480
 
     def test_unsynchronised_seconds_are_dropped_not_raised(self, dead):
         module = dead.core.instance("hl")

@@ -59,8 +59,8 @@ class TestWallClockOverTcp:
             host, port = server.address
             client = RpcClient(host, port)
             core = FptCore.from_config(
-                f"[sadc]\nid = s\nnode = {node}\ninterval = 0.05\n\n"
-                "[print]\nid = sink\ninput[a] = s.vector\n",
+                f"[sadc]\nid = s\nnodes = {node}\ninterval = 0.05\n\n"
+                f"[print]\nid = sink\ninput[a] = s.{node}\n",
                 standard_registry(),
                 WallClock(),
                 services={SADC_CHANNEL_SERVICE: {node: client}},

@@ -27,7 +27,7 @@ def small_config(**kwargs) -> ScenarioConfig:
 
 
 class TestConfigGeneration:
-    """One rendered shape: N ``sadc`` -> one ``knnfleet`` -> N ``ibuffer``."""
+    """One rendered shape: one instance per stage, one output per node."""
 
     def test_generated_config_parses(self):
         text = build_asdf_config_text(["slave01", "slave02"], ScenarioConfig())
@@ -45,28 +45,37 @@ class TestConfigGeneration:
         } <= types
         assert "knn" not in types
 
-    def test_one_blackbox_chain_per_node(self):
+    def test_one_blackbox_instance_per_stage(self):
         specs = parse_config(
             build_asdf_config_text(["a", "b", "c"], ScenarioConfig())
         )
-        for module_type, prefix in (("sadc", "sadc"), ("ibuffer", "buf")):
+        for module_type, instance_id in (
+            ("sadc", "sadc"), ("knnfleet", "onenn"), ("ibuffer", "buf"),
+        ):
             assert [
                 s.instance_id for s in specs if s.module_type == module_type
-            ] == [f"{prefix}_a", f"{prefix}_b", f"{prefix}_c"]
+            ] == [instance_id]
+        (sadc,) = [s for s in specs if s.module_type == "sadc"]
+        assert sadc.params["nodes"] == "a,b,c"
+
+    @pytest.mark.parametrize("slaves", [3, 25, 1000])
+    def test_instance_count_does_not_grow_with_the_fleet(self, slaves):
+        nodes = [f"slave{i:04d}" for i in range(slaves)]
+        specs = parse_config(build_asdf_config_text(nodes, ScenarioConfig()))
+        assert len(specs) == 10
 
     def test_fleet_knn_swaps_per_node_chains_for_one_instance(self):
         nodes = ["a", "b", "c"]
-        specs = parse_config(build_asdf_config_text(nodes, ScenarioConfig()))
-        (fleet,) = [s for s in specs if s.module_type == "knnfleet"]
-        assert fleet.instance_id == "onenn"
-        assert [(i.instance_id, i.output_name) for i in fleet.inputs] == [
-            (f"sadc_{node}", "vector") for node in nodes
-        ]
-        assert [
-            (s.inputs[0].instance_id, s.inputs[0].output_name)
-            for s in specs
-            if s.module_type == "ibuffer"
-        ] == [("onenn", node) for node in nodes]
+        specs = {
+            s.instance_id: s
+            for s in parse_config(build_asdf_config_text(nodes, ScenarioConfig()))
+        }
+        for consumer, upstream in (
+            ("onenn", "sadc"), ("buf", "onenn"), ("analysis_bb", "buf"),
+        ):
+            assert [
+                (i.instance_id, i.output_name) for i in specs[consumer].inputs
+            ] == [(upstream, node) for node in nodes]
 
     def test_generated_config_lints_clean(self):
         text = build_asdf_config_text(

@@ -2,7 +2,7 @@
 
 import pytest
 
-from lint.helpers import per_node_knn_deployment  # tests/lint: the pre-knnfleet text
+from lint.helpers import per_node_knn_deployment  # tests/lint: the per-node text
 
 from repro.core import ConfigError
 from repro.experiments import ScenarioConfig, run_scenario, scenario, shared_model
@@ -96,6 +96,72 @@ class TestReplayDeterminism:
         registry = make_replay_registry()
         assert "replay_source" in registry
         assert make_replay_registry(registry) is registry
+
+
+class TestFleetSadcArchives:
+    """One ``sadc`` for the fleet names its scalar outputs
+    ``<node>.<metric>``; the archive keys them ``sadc.<node>.<metric>``
+    and the replay source recreates them under the same names."""
+
+    CONFIG = """
+[sadc]
+id = sadc
+nodes = a,b,c
+metrics = cpu_user_pct
+
+[threshold_alarm]
+id = thr
+input[m] = sadc.b.cpu_user_pct
+bound = 50.0
+consecutive = 2
+
+[print]
+id = sink
+input[a] = thr.alarms
+"""
+
+    @staticmethod
+    def channels():
+        from repro.sysstat import NODE_METRICS
+
+        class Channel:
+            def __init__(self, node):
+                self.node, self.calls = node, 0
+
+            def call(self, method, now):
+                self.calls += 1
+                busy = 90.0 if self.node == "b" and now >= 3 else 10.0
+                metrics = dict.fromkeys(NODE_METRICS, 0.0)
+                metrics["cpu_user_pct"] = busy
+                return {"node": metrics}
+
+        return {node: Channel(node) for node in "abc"}
+
+    def test_node_metric_outputs_record_and_replay(self, tmp_path):
+        from repro.modules import SADC_CHANNEL_SERVICE
+
+        core = build_core(self.CONFIG, {SADC_CHANNEL_SERVICE: self.channels()})
+        recorder = FlightRecorder(archive_dir=str(tmp_path))
+        core.set_flight_recorder(recorder)
+        core.run_until(8.0)
+        recorder.note_manifest(config_text=self.CONFIG)
+        recorder.close()
+        recorded = core.instance("sink").alarms
+        assert [a.time for a in recorded] == [4.0, 5.0, 6.0, 7.0, 8.0]
+
+        archive = ReplayArchive.load(str(tmp_path))
+        assert set(archive.outputs_of("sadc")) == {
+            name for node in "abc" for name in (node, f"{node}.cpu_user_pct")
+        }
+        assert archive.outputs_of("sadc")["b.cpu_user_pct"]["origin"] == {
+            "node": "b", "source": "sadc", "metric": "cpu_user_pct",
+        }
+        assert len(archive.samples_for_output("sadc.b.cpu_user_pct")) == 9
+        result = run_replay(archive, self.CONFIG)
+        assert type(result.core.instance("sadc")).type_name == "replay_source"
+        assert result.alarms["sink"] == recorded
+        assert result.all_match
+        result.core.close()
 
 
 class TestPerNodeKnnArchives:

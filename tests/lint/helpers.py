@@ -1,10 +1,11 @@
-"""The per-node ``[knn]`` deployment text.
+"""The per-node deployment text: one ``sadc -> knn -> ibuffer`` chain
+per node.
 
-``build_asdf_config_text`` renders one ``knnfleet``; hand-written
-configs and flight archives recorded before that still carry one
-``sadc -> knn -> ibuffer`` chain per node.  This renders that older
-text around the generated analysis tail, for the lints that price it
-and for the replay test that holds DESIGN.md to "old archives replay".
+``build_asdf_config_text`` renders one instance per stage; hand-written
+configs and flight archives recorded before that still carry one chain
+per node.  This renders that shape around the generated analysis tail,
+for the lints that price it and for the replay test that holds DESIGN.md
+to "old archives replay".
 """
 
 from repro.experiments import ScenarioConfig, build_asdf_config_text
@@ -20,20 +21,20 @@ def per_node_knn_text(slaves, **kwargs):
 
 
 def per_node_knn_deployment(nodes, config):
-    """``build_asdf_config_text(nodes, config)`` as it read before the
-    generator emitted ``knnfleet``."""
+    """``build_asdf_config_text(nodes, config)`` with one ``sadc``, one
+    ``knn`` and one ``ibuffer`` per node in place of the fleet stages."""
     generated = build_asdf_config_text(nodes, config)
     lines = []
     for node in nodes:
         lines += [
             "[sadc]",
             f"id = sadc_{node}",
-            f"node = {node}",
+            f"nodes = {node}",
             "interval = 1.0",
             "",
             "[knn]",
             f"id = onenn_{node}",
-            f"input[input] = sadc_{node}.vector",
+            f"input[input] = sadc_{node}.{node}",
             "model = bb_model",
             "k = 1",
             "",
@@ -44,4 +45,6 @@ def per_node_knn_deployment(nodes, config):
             "",
         ]
     tail = generated[generated.index("[analysis_bb]"):]
+    for node in nodes:
+        tail = tail.replace(f"= buf.{node}\n", f"= @buf_{node}\n")
     return "\n".join(lines) + "\n" + tail

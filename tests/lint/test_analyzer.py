@@ -34,12 +34,12 @@ def only(diagnostics, code):
 HEALTHY = """\
 [sadc]
 id = src
-node = n1
+nodes = n1
 metrics = ldavg_1
 
 [mavgvec]
 id = smooth
-input[input] = src.ldavg_1
+input[input] = src.n1.ldavg_1
 
 [print]
 id = out
@@ -60,7 +60,7 @@ class TestSyntaxAndIds:
         assert diag.severity is Severity.ERROR
 
     def test_fpt000_collects_multiple_errors(self):
-        text = "junk line\n[sadc]\nid = s\nnode = n1\nalso junk\n"
+        text = "junk line\n[sadc]\nid = s\nnodes = n1\nalso junk\n"
         assert codes(analyze_config(text)).count("FPT000") == 2
 
     def test_fpt002_duplicate_instance_id(self):
@@ -77,13 +77,13 @@ class TestSyntaxAndIds:
 
 class TestWiring:
     def test_fpt003_unknown_instance(self):
-        text = HEALTHY.replace("src.ldavg_1", "ghost.ldavg_1")
+        text = HEALTHY.replace("src.n1.ldavg_1", "ghost.ldavg_1")
         diag = only(analyze_config(text), "FPT003")
         assert "ghost" in diag.message
         assert diag.line == 8
 
     def test_fpt004_nonexistent_output(self):
-        text = HEALTHY.replace("src.ldavg_1", "src.nope")
+        text = HEALTHY.replace("src.n1.ldavg_1", "src.nope")
         diag = only(analyze_config(text), "FPT004")
         assert "src.nope" in diag.message
         assert "ldavg_1" in diag.message  # suggests what does exist
@@ -120,7 +120,7 @@ input[input] = a.mean
         assert "'a'" in diag.message and "'b'" in diag.message
 
     def test_fpt006_dead_instance_is_warning(self):
-        text = HEALTHY + "\n[sadc]\nid = orphan\nnode = n2\n"
+        text = HEALTHY + "\n[sadc]\nid = orphan\nnodes = n2\n"
         diag = only(analyze_config(text), "FPT006")
         assert diag.severity is Severity.WARNING
         assert diag.instance == "orphan"
@@ -129,11 +129,11 @@ input[input] = a.mean
         text = """\
 [sadc]
 id = src
-node = n1
+nodes = n1
 
 [knn]
 id = k
-input[bogus_port] = src.vector
+input[bogus_port] = src.n1
 model = bb_model
 
 [print]
@@ -154,16 +154,16 @@ input[x] = k.output0
         text = """\
 [sadc]
 id = s1
-node = n1
+nodes = n1
 
 [sadc]
 id = s2
-node = n2
+nodes = n2
 
 [knn]
 id = k
-input[input] = s1.vector
-input[input] = s2.vector
+input[input] = s1.n1
+input[input] = s2.n2
 model = bb_model
 
 [print]
@@ -174,7 +174,7 @@ input[x] = k.output0
         assert "at most 1" in diag.message
 
     def test_fpt011_inputs_on_a_source(self):
-        text = HEALTHY + "\n[sadc]\nid = s2\nnode = n2\ninput[x] = smooth.mean\n"
+        text = HEALTHY + "\n[sadc]\nid = s2\nnodes = n2\ninput[x] = smooth.mean\n"
         diag = only(analyze_config(text), "FPT011")
         assert "data source" in diag.message
 
@@ -182,7 +182,7 @@ input[x] = k.output0
 class TestParams:
     def test_fpt007_unknown_param_is_error(self):
         """fpt-core refuses to build it, so the lint calls it an error."""
-        text = HEALTHY.replace("node = n1", "node = n1\nbanana = 7")
+        text = HEALTHY.replace("nodes = n1", "nodes = n1\nbanana = 7")
         diag = only(analyze_config(text), "FPT007")
         assert diag.severity is Severity.ERROR
         assert "banana" in diag.message
@@ -190,16 +190,16 @@ class TestParams:
 
     def test_fpt008_bad_type(self):
         text = HEALTHY.replace(
-            "input[input] = src.ldavg_1",
-            "input[input] = src.ldavg_1\nwindow = sixty",
+            "input[input] = src.n1.ldavg_1",
+            "input[input] = src.n1.ldavg_1\nwindow = sixty",
         )
         diag = only(analyze_config(text), "FPT008")
         assert "'window' must be int" in diag.message
 
     def test_fpt009_below_minimum(self):
         text = HEALTHY.replace(
-            "input[input] = src.ldavg_1",
-            "input[input] = src.ldavg_1\nwindow = 0",
+            "input[input] = src.n1.ldavg_1",
+            "input[input] = src.n1.ldavg_1\nwindow = 0",
         )
         diag = only(analyze_config(text), "FPT009")
         assert ">= 1" in diag.message
@@ -215,11 +215,11 @@ class TestParams:
         text = """\
 [sadc]
 id = src
-node = n1
+nodes = n1
 
 [knn]
 id = k
-input[input] = src.vector
+input[input] = src.n1
 model = bb_model
 
 [ibuffer]
@@ -237,7 +237,7 @@ input[x] = buf.output0
 
     def test_fpt010_missing_required(self):
         diag = only(analyze_config("[sadc]\nid = s\n"), "FPT010")
-        assert "'node'" in diag.message
+        assert "'nodes'" in diag.message
 
 
 class Batcher(Module):
@@ -264,11 +264,11 @@ class TestScheduling:
         text = """\
 [sadc]
 id = src
-node = n1
+nodes = n1
 
 [batcher]
 id = b
-input[input] = src.vector
+input[input] = src.n1
 need = 5
 """
         diags = analyze_config(
@@ -282,11 +282,11 @@ need = 5
         text = """\
 [sadc]
 id = src
-node = n1
+nodes = n1
 
 [batcher]
 id = b
-input[input] = src.vector
+input[input] = src.n1
 need = 1
 """
         diags = analyze_config(
@@ -302,16 +302,16 @@ need = 1
         text = """\
 [sadc]
 id = s1
-node = n1
+nodes = n1
 
 [sadc]
 id = s2
-node = n2
+nodes = n2
 
 [analysis_bb]
 id = bb
-input[a] = s1.vector
-input[b] = s2.vector
+input[a] = s1.n1
+input[b] = s2.n2
 threshold = 40
 num_states = 5
 
@@ -327,21 +327,21 @@ input[x] = bb.alarms
         text = """\
 [sadc]
 id = s1
-node = n1
+nodes = n1
 
 [sadc]
 id = s2
-node = n2
+nodes = n2
 
 [sadc]
 id = s3
-node = n3
+nodes = n3
 
 [analysis_bb]
 id = bb
-input[a] = s1.vector
-input[b] = s2.vector
-input[c] = s3.vector
+input[a] = s1.n1
+input[b] = s2.n2
+input[c] = s3.n3
 threshold = 40
 num_states = 5
 
@@ -355,13 +355,13 @@ input[x] = bb.alarms
 class TestNoqaInConfigs:
     def test_marker_suppresses_on_its_line(self):
         text = HEALTHY.replace(
-            "node = n1", "node = n1\nbanana = 7  # fpt: noqa[FPT007]"
+            "nodes = n1", "nodes = n1\nbanana = 7  # fpt: noqa[FPT007]"
         )
         assert analyze_config(text) == []
 
     def test_marker_can_be_disabled(self):
         text = HEALTHY.replace(
-            "node = n1", "node = n1\nbanana = 7  # fpt: noqa[FPT007]"
+            "nodes = n1", "nodes = n1\nbanana = 7  # fpt: noqa[FPT007]"
         )
         assert "FPT007" in codes(analyze_config(text, noqa=False))
 

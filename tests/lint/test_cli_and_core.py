@@ -53,12 +53,12 @@ input[x] = smooth.mean
 GOOD = """\
 [sadc]
 id = src
-node = n1
+nodes = n1
 metrics = ldavg_1
 
 [mavgvec]
 id = smooth
-input[input] = src.ldavg_1
+input[input] = src.n1.ldavg_1
 
 [print]
 id = out
@@ -107,7 +107,7 @@ class TestLintCommand:
 
     def test_warnings_pass_unless_strict(self, tmp_path, capsys):
         path = tmp_path / "warn.conf"
-        path.write_text(GOOD + "\n[sadc]\nid = orphan\nnode = n2\n")  # FPT006
+        path.write_text(GOOD + "\n[sadc]\nid = orphan\nnodes = n2\n")  # FPT006
         assert main(["lint", str(path)]) == 0
         assert main(["lint", "--strict", str(path)]) == 1
 
@@ -161,7 +161,7 @@ class TestConfigErrorLineInfo:
 
     def test_lenient_mode_collects_instead_of_raising(self):
         errors = []
-        specs = parse_config("[sadc]\nid = a\nnode = n\nwat\n", collect=errors)
+        specs = parse_config("[sadc]\nid = a\nnodes = n\nwat\n", collect=errors)
         assert len(errors) == 1
         assert errors[0].line_no == 4
         assert [s.instance_id for s in specs] == ["a"]

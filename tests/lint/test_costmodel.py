@@ -72,6 +72,46 @@ class TestBudgetGate:
         assert report.total_ms_per_s < DEFAULT_TICK_BUDGET_MS
 
 
+def per_node_collection(slaves):
+    """The generated deployment with one ``sadc`` and one ``ibuffer`` per
+    node, as a hand-written config spells it."""
+    nodes = slave_names(slaves)
+    text = generated(slaves)
+    head, tail = text[: text.index("[knnfleet]")], text[text.index("[knnfleet]"):]
+    fleet, rest = tail[: tail.index("[ibuffer]")], tail[tail.index("[analysis_bb]"):]
+    assert head.startswith("[sadc]") and fleet.startswith("[knnfleet]")
+    lines = []
+    for node in nodes:
+        lines += ["[sadc]", f"id = sadc_{node}", f"nodes = {node}", ""]
+        lines += ["[ibuffer]", f"id = buf_{node}",
+                  f"input[input] = onenn.{node}", "size = 5", ""]
+        fleet = fleet.replace(f"= sadc.{node}\n", f"= sadc_{node}.{node}\n")
+        rest = rest.replace(f"= buf.{node}\n", f"= buf_{node}.{node}\n")
+    return "\n".join(lines) + "\n" + fleet + rest
+
+
+class TestFleetShapedCollection:
+    def test_n1000_report(self):
+        report = estimate_config(generated(1000))
+        rows = {name: (count, ms) for name, count, _, ms in report.by_type()}
+        assert report.fleet_size == 1000
+        assert rows["sadc"] == (1, pytest.approx(16.0))
+        assert rows["ibuffer"] == (1, pytest.approx(1.7))
+        assert round(report.total_ms_per_s, 1) == 59.4
+
+    @pytest.mark.parametrize("slaves", [3, 25, 1000])
+    def test_one_instance_per_node_prices_the_same(self, slaves):
+        fleet = estimate_config(generated(slaves))
+        per_node = estimate_config(per_node_collection(slaves))
+        assert codes(per_node) == codes(fleet)
+        assert per_node.fleet_size == fleet.fleet_size == slaves
+        fleet_rows = {name: ms for name, _, _, ms in fleet.by_type()}
+        per_node_rows = {name: ms for name, count, _, ms in per_node.by_type()}
+        assert per_node_rows == pytest.approx(fleet_rows)
+        counts = {name: count for name, count, _, _ in per_node.by_type()}
+        assert counts["sadc"] == counts["ibuffer"] == slaves
+
+
 class TestWindowRecompute:
     def test_fpt303_fires_when_slide_is_smaller_than_window(self):
         text = generated(3, window=60, slide=10)

@@ -17,12 +17,12 @@ from repro.modules import standard_registry
 #: (section, code, message): the section is one instance ``x``.
 PARITY = [
     # FPT007: a param the class does not declare.
-    ("[sadc]\nnode = n1\nbanana = 7", "FPT007",
+    ("[sadc]\nnodes = n1\nbanana = 7", "FPT007",
      "parameter 'banana' is not declared by [sadc]"),
     ("[alarm_union]\nwindow = 60", "FPT007",
      "parameter 'window' is not declared by [alarm_union]"),
     # FPT008: text that does not parse as the declared type.
-    ("[sadc]\nnode = n1\ninterval = fast", "FPT008",
+    ("[sadc]\nnodes = n1\ninterval = fast", "FPT008",
      "parameter 'interval' must be float, got 'fast'"),
     ("[mavgvec]\nwindow = sixty", "FPT008",
      "parameter 'window' must be int, got 'sixty'"),
@@ -31,9 +31,9 @@ PARITY = [
     # FPT009: below a minimum, not positive, not a choice.
     ("[ibuffer]\nsize = 0", "FPT009", "parameter 'size' must be >= 1, got 0"),
     ("[knn]\nk = 0", "FPT009", "parameter 'k' must be >= 1, got 0"),
-    ("[sadc]\nnode = n1\ninterval = 0", "FPT009",
+    ("[sadc]\nnodes = n1\ninterval = 0", "FPT009",
      "parameter 'interval' must be > 0, got 0.0"),
-    ("[sadc]\nnode = n1\nphase = -5", "FPT009",
+    ("[sadc]\nnodes = n1\nphase = -5", "FPT009",
      "parameter 'phase' must be >= 0, got -5.0"),
     ("[analysis_wb]\nk = -1", "FPT009", "parameter 'k' must be >= 0, got -1.0"),
     ("[analysis_wb]\nk = 0", None, None),
@@ -43,7 +43,7 @@ PARITY = [
      "parameter 'threshold' must be >= 0, got -1.0"),
     ("[threshold_alarm]\nbound = 1\ndirection = sideways", "FPT009",
      "parameter 'direction' must be one of ['above', 'below'], got 'sideways'"),
-    ("[sadc]\nnode = n1\nmetrics = ldavg_1, bogus", "FPT009",
+    ("[sadc]\nnodes = n1\nmetrics = ldavg_1, bogus", "FPT009",
      "parameter 'metrics' has unknown item(s) ['bogus']"),
     # FPT009: each cross-param rule.
     ("[ibuffer]\nsize = 5\nslide = 9", "FPT009", "slide (9) must be <= size (5)"),
@@ -57,8 +57,13 @@ PARITY = [
     ("[analysis_wb]\nwindow = 30\nslide = 31", "FPT009",
      "slide (31) must be <= window (30)"),
     ("[hadoop_log]\nnodes =", "FPT009", "'nodes' is empty: name at least one node"),
+    ("[sadc]\nnodes =", "FPT009", "'nodes' is empty: name at least one node"),
+    # A node named twice would name two outputs alike.
+    ("[hadoop_log]\nnodes = a,b,a", "FPT009", "'nodes' names ['a'] more than once"),
+    ("[sadc]\nnodes = a,b,a", "FPT009", "'nodes' names ['a'] more than once"),
+    ("[sadc]\nnodes = a,b", None, None),
     # FPT010: a required param left out.
-    ("[sadc]\ninterval = 1", "FPT010", "required parameter 'node' (str) is missing"),
+    ("[sadc]\ninterval = 1", "FPT010", "required parameter 'nodes' (list) is missing"),
     ("[analysis_bb]\nnum_states = 5", "FPT010",
      "required parameter 'threshold' (float) is missing"),
     ("[csv_writer]", "FPT010", "required parameter 'path' (str) is missing"),

@@ -107,16 +107,14 @@ class TestDetection:
         nodes = ("a", "b", "c")
         lines = []
         for node in nodes:
-            lines += [
-                "[scripted]", f"id = src_{node}", f"node = {node}", "",
-                "[ibuffer]", f"id = buf_{node}",
-                f"input[input] = src_{node}.value", "size = 5", "",
-            ]
+            lines += ["[scripted]", f"id = src_{node}", f"node = {node}", ""]
+        lines += ["[ibuffer]", "id = buf", "size = 5"]
+        lines += [f"input[input] = src_{n}.value" for n in nodes]
         lines += [
-            "[analysis_bb]", "id = bb", "threshold = 4", "window = 5",
+            "", "[analysis_bb]", "id = bb", "threshold = 4", "window = 5",
             "consecutive = 1", "num_states = 3",
         ]
-        lines += [f"input[l{i}] = buf_{n}.output0" for i, n in enumerate(nodes)]
+        lines += [f"input[l{i}] = buf.{n}" for i, n in enumerate(nodes)]
         lines += ["", "[print]", "id = alarms", "input[a] = bb.alarms"]
         script = {"src_a": [0] * 10, "src_b": [0] * 10, "src_c": [2] * 10}
         core = build_core("\n".join(lines) + "\n", {"script": script})

@@ -151,12 +151,31 @@ class TestPollGap:
         assert list(by_second[299.0][0]) == [0.0] * 8
         assert list(by_second[301.0][1]) == [1.0, 0, 0, 0, 0, 0, 1.0, 0]
         assert list(by_second[302.0][0]) == [1.0] + [0.0] * 7
+        assert module.stalled_catchups == 0
+
+    def test_a_daemon_stuck_on_one_stale_second_cannot_hang_the_core(self):
+        """A daemon that answers every call with the same stale second is
+        asked twice a poll, not forever; each cut-short catch-up counts."""
+        stuck = FakeChannel({
+            "collect": lambda now: {"seconds": [3], "vectors": [[0.0] * 8]}
+        })
+        channels = {"a": ScriptedLogChannel({}), "b": stuck}
+        core = build_core(config_for(["a", "b"]), services_for(channels))
+        core.run_until(40.0)
+        module = core.instance("hl")
+        stale_polls = 40 - 8  # max_skew 5: second 3 is stale from t = 9
+        assert module.stalled_catchups == stale_polls
+        assert len(stuck.calls) == 41 + stale_polls
 
 
 class TestConfigErrors:
     def test_empty_nodes_rejected(self):
         with pytest.raises(ConfigError, match="empty"):
             build_core("[hadoop_log]\nid = hl\nnodes = \n", services_for({}))
+
+    def test_a_node_named_twice_rejected_before_init(self):
+        with pytest.raises(ConfigError, match=r"'nodes' names \['a'\] more than once"):
+            build_core("[hadoop_log]\nid = hl\nnodes = a,b,a\n", services_for({}))
 
     def test_missing_channel_rejected(self):
         with pytest.raises(ConfigError, match="no channel"):

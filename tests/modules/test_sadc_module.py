@@ -1,4 +1,4 @@
-"""Tests for the sadc data-collection module."""
+"""Tests for the sadc data-collection module: one instance, every node."""
 
 import numpy as np
 import pytest
@@ -24,12 +24,12 @@ def make_services(channel: FakeChannel):
 BASIC_CONFIG = """
 [sadc]
 id = s
-node = slave01
+nodes = slave01
 interval = 1.0
 
 [print]
 id = sink
-input[a] = s.vector
+input[a] = s.slave01
 """
 
 
@@ -57,6 +57,7 @@ class TestSadcModule:
         module = core.instance("s")
         assert module.priming_skips == 1
         assert module.samples_collected == 2
+        assert module.node_samples == {"slave01": 2}
 
     def test_a_channel_error_is_a_skipped_sample(self):
         from repro.rpc.protocol import RemoteError
@@ -70,6 +71,7 @@ class TestSadcModule:
         core.run_until(3.0)
         module = core.instance("s")
         assert module.poll_errors == 1
+        assert module.node_poll_errors == {"slave01": 1}
         assert module.samples_collected == 3
         assert [s.timestamp for s in core.instance("sink").received] == [0.0, 2.0, 3.0]
 
@@ -85,12 +87,12 @@ class TestSadcModule:
         config = """
 [sadc]
 id = s
-node = slave01
+nodes = slave01
 metrics = cpu_user_pct,net_rxkb_per_s
 
 [print]
 id = sink
-input[a] = s.cpu_user_pct
+input[a] = s.slave01.cpu_user_pct
 """
         channel = FakeChannel({"sample": lambda now: sample_response(cpu_user=70.0)})
         core = build_core(config, make_services(channel))
@@ -101,23 +103,23 @@ input[a] = s.cpu_user_pct
         config = """
 [sadc]
 id = s
-node = slave01
+nodes = slave01
 metrics = cpu_user_pct
 """
         channel = FakeChannel({"sample": lambda now: sample_response()})
         core = build_core(config, make_services(channel))
-        origin = core.dag.contexts["s"].outputs["cpu_user_pct"].origin
+        origin = core.dag.contexts["s"].outputs["slave01.cpu_user_pct"].origin
         assert origin.node == "slave01"
         assert origin.metric == "cpu_user_pct"
 
     def test_unknown_metric_rejected_at_init(self):
-        config = "[sadc]\nid = s\nnode = slave01\nmetrics = bogus_metric\n"
+        config = "[sadc]\nid = s\nnodes = slave01\nmetrics = bogus_metric\n"
         with pytest.raises(ConfigError, match=r"unknown item\(s\) \['bogus_metric'\]"):
             build_core(config, make_services(FakeChannel()))
 
     def test_unregistered_node_rejected_at_init(self):
-        config = "[sadc]\nid = s\nnode = slave99\n"
-        with pytest.raises(ConfigError, match="no channel registered"):
+        config = "[sadc]\nid = s\nnodes = slave01,slave99\n"
+        with pytest.raises(ConfigError, match=r"no channel registered for nodes \['slave99'\]"):
             build_core(config, make_services(FakeChannel()))
 
     def test_close_closes_channel(self):
@@ -127,12 +129,94 @@ metrics = cpu_user_pct
         assert channel.closed
 
 
+FLEET_CONFIG = """
+[sadc]
+id = s
+nodes = slave01,slave02,slave03
+metrics = cpu_user_pct
+
+[print]
+id = sink
+input[a] = s.slave01
+input[b] = s.slave02
+input[c] = s.slave03
+input[d] = s.slave02.cpu_user_pct
+"""
+
+
+def fleet_channels(respond):
+    """One fake channel per node; ``respond(node, now)`` answers each."""
+    return {
+        node: FakeChannel({"sample": lambda now, node=node: respond(node, now)})
+        for node in ("slave01", "slave02", "slave03")
+    }
+
+
+class TestOneInstanceForTheFleet:
+    def test_one_sample_call_per_node_per_run(self):
+        channels = fleet_channels(lambda node, now: sample_response())
+        core = build_core(FLEET_CONFIG, {SADC_CHANNEL_SERVICE: channels})
+        core.run_until(4.0)
+        assert core.scheduler.runs_by_instance["s"] == 5
+        for channel in channels.values():
+            assert channel.calls == [("sample", {"now": float(t)}) for t in range(5)]
+
+    def test_outputs_are_named_after_their_nodes(self):
+        channels = fleet_channels(lambda node, now: sample_response())
+        core = build_core(FLEET_CONFIG, {SADC_CHANNEL_SERVICE: channels})
+        outputs = core.dag.contexts["s"].outputs
+        assert list(outputs) == [
+            "slave01", "slave01.cpu_user_pct", "slave02",
+            "slave02.cpu_user_pct", "slave03", "slave03.cpu_user_pct",
+        ]
+        assert {(o.origin.node, o.origin.metric) for o in outputs.values()} == {
+            (node, metric)
+            for node in ("slave01", "slave02", "slave03")
+            for metric in ("node_vector", "cpu_user_pct")
+        }
+
+    def test_each_node_writes_its_own_vector(self):
+        cpu = {"slave01": 10.0, "slave02": 20.0, "slave03": 30.0}
+        channels = fleet_channels(lambda node, now: sample_response(cpu[node]))
+        core = build_core(FLEET_CONFIG, {SADC_CHANNEL_SERVICE: channels})
+        core.run_until(0.0)
+        index = NODE_METRICS.index("cpu_user_pct")
+        received = [s.value for s in core.instance("sink").received]
+        assert [v[index] for v in received[:3]] == [10.0, 20.0, 30.0]
+        assert received[3] == 20.0
+
+    def test_a_failing_node_costs_its_own_samples_only(self):
+        from repro.rpc.protocol import ProtocolError
+
+        def respond(node, now):
+            if node == "slave02" and now in (1.0, 2.0):
+                raise ProtocolError("bad frame")
+            return None if now == 0.0 and node == "slave03" else sample_response()
+
+        core = build_core(
+            FLEET_CONFIG, {SADC_CHANNEL_SERVICE: fleet_channels(respond)}
+        )
+        core.run_until(3.0)
+        module = core.instance("s")
+        assert module.node_samples == {"slave01": 4, "slave02": 2, "slave03": 3}
+        assert module.node_poll_errors == {"slave01": 0, "slave02": 2, "slave03": 0}
+        assert module.samples_collected == 9
+        assert module.poll_errors == 2
+        assert module.priming_skips == 1
+
+    def test_close_closes_every_channel(self):
+        channels = fleet_channels(lambda node, now: sample_response())
+        core = build_core(FLEET_CONFIG, {SADC_CHANNEL_SERVICE: channels})
+        core.close()
+        assert all(channel.closed for channel in channels.values())
+
+
 class TestRowHandedThrough:
     """On the binary path the decoded row *is* the vector written."""
 
     CONFIG = BASIC_CONFIG.replace(
         "interval = 1.0", "interval = 1.0\nmetrics = cpu_idle_pct"
-    ) + "\n[print]\nid = idle\ninput[a] = s.cpu_idle_pct\n"
+    ) + "\n[print]\nid = idle\ninput[a] = s.slave01.cpu_idle_pct\n"
 
     def test_fleet_row_reaches_vector_out_without_a_dict(self, monkeypatch):
         from repro.hadoop import ClusterConfig, HadoopCluster

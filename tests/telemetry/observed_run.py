@@ -16,6 +16,14 @@ args dict per event).  A second argument writes those two, next to it::
 
     PYTHONPATH=src python tests/telemetry/observed_run.py \
         /tmp/observed.prom tests/telemetry/golden/observed10_400s
+
+The three files were last written when ``sadc`` and ``ibuffer`` became
+one instance each for the fleet.  The text then equalled the old file
+line for line once each per-node row (``sadc_slave01``,
+``buf_slave01.output0``, ...) was renamed to its fleet row (``sadc``,
+``buf.slave01``, ...), and the trace equalled the old one once the
+per-node runs of one tick were folded into one.  The ``.prom`` file
+leaves out the rows of outputs never written, as the parent's did.
 """
 
 import contextlib
