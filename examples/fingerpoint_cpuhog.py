@@ -15,13 +15,15 @@ Run:  python examples/fingerpoint_cpuhog.py        (~30 s)
 With ``--trace out.json`` the run is self-instrumented: it writes a
 Chrome trace (load ``out.json`` in chrome://tracing or Perfetto), dumps
 the core's Prometheus metrics (per-instance run-latency histograms)
-next to it, and prints the alarm audit trail explaining every verdict.
+next to it, and prints the observatory's alarm records explaining every
+verdict.
 """
 
 import argparse
 import os
 
 from repro.experiments import ScenarioConfig, run_scenario, shared_model
+from repro.obsv import Observatory
 from repro.telemetry import Telemetry
 
 
@@ -38,7 +40,7 @@ def parse_args() -> argparse.Namespace:
     )
     parser.add_argument(
         "--audit", metavar="FILE", default=None,
-        help="where to write the alarm audit trail as JSONL "
+        help="where to write the alarm records as JSONL "
              "(default: <trace>.audit.jsonl)",
     )
     return parser.parse_args()
@@ -46,8 +48,9 @@ def parse_args() -> argparse.Namespace:
 
 def main() -> None:
     args = parse_args()
-    telemetry = (
-        Telemetry() if (args.trace or args.metrics or args.audit) else None
+    observatory = (
+        Observatory(Telemetry())
+        if (args.trace or args.metrics or args.audit) else None
     )
     config = ScenarioConfig(
         num_slaves=10,
@@ -65,7 +68,7 @@ def main() -> None:
         f"{config.num_slaves} slaves; CPUHog on the middle slave at "
         f"t={config.inject_time:.0f}s...\n"
     )
-    result = run_scenario(config, model=model, telemetry=telemetry)
+    result = run_scenario(config, model=model, observatory=observatory)
 
     print(f"ground truth: {result.truth.faulty_node} from t={result.truth.inject_time:.0f}s")
     print(f"jobs completed during the run: {result.jobs_completed}\n")
@@ -85,7 +88,8 @@ def main() -> None:
     assert result.truth.faulty_node in culprits, "culprit not fingerpointed!"
     print("\nASDF fingerpointed the correct culprit node.")
 
-    if telemetry is not None:
+    if observatory is not None:
+        telemetry = observatory.telemetry
         stem = args.trace or args.metrics or args.audit
         if args.trace:
             telemetry.tracer.write_chrome_trace(args.trace)
@@ -97,11 +101,10 @@ def main() -> None:
             fh.write(telemetry.metrics.render_prometheus())
         print(f"wrote Prometheus metrics to {metrics_path}")
         audit_path = args.audit or f"{stem}.audit.jsonl"
-        telemetry.audit.write_jsonl(audit_path)
-        print(f"wrote alarm audit trail ({len(telemetry.audit)} records) "
-              f"to {audit_path}")
-        print("\nalarm audit trail (why each verdict fired):")
-        print(telemetry.audit.render_text(limit=15))
+        count = observatory.write_alarms_jsonl(audit_path)
+        print(f"wrote {count} alarm records to {audit_path}")
+        print("\nwhy each verdict fired:")
+        print(observatory.summary_text(limit=15))
 
 
 if __name__ == "__main__":

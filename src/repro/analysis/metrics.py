@@ -29,7 +29,7 @@ class Alarm:
     #: Provenance: full names of the outputs this alarm was forwarded
     #: through (oldest first).  Combinators such as ``alarm_union``
     #: append their delivering upstream output here, so sinks and the
-    #: audit trail can name the analysis that actually raised the alarm
+    #: alarm records can name the analysis that actually raised the alarm
     #: even after several forwarding hops.
     via: Tuple[str, ...] = ()
 

@@ -2,13 +2,14 @@
 
 * ``demo``     -- the one command that runs a monitored scenario: an
                   injected fault, the run summary and an ASCII alarm
-                  timeline.  Each optional flag attaches one layer:
-                  ``--trace/--metrics/--audit`` telemetry (whose summary
-                  the run then prints), ``--serve/--linger/--scoreboard``
-                  the diagnosis observatory and its ops surface,
-                  ``--top`` a live dashboard over the observatory, and
-                  ``--record`` a flight recorder for ``incident`` and
-                  ``replay``; ``--dot`` writes the annotated DAG;
+                  timeline.  Any of ``--trace/--metrics/--audit``,
+                  ``--serve/--scoreboard`` and ``--top`` attaches the
+                  diagnosis observatory (whose telemetry summary and
+                  alarm records the run then prints); each flag adds
+                  its export, ops surface or live dashboard over it.
+                  ``--record`` attaches a flight recorder for
+                  ``incident`` and ``replay``; ``--dot`` writes the
+                  annotated DAG;
 * ``paper``    -- the paper's artifacts: ``paper table2`` (the fault
                   catalog), ``paper figure6`` (the fault-free threshold
                   sweeps), ``paper figure7`` (per-fault accuracy and
@@ -73,10 +74,6 @@ ARCHIVE_MODEL_FILE = "model.json"
 #: Simulated seconds between ``demo --top`` dashboard repaints.
 TOP_REFRESH_S = 15.0
 
-#: Audit records ``demo`` prints under the telemetry summary.
-AUDIT_LINES = 20
-
-
 def _positive_float(text: str) -> float:
     value = float(text)
     if not value > 0:
@@ -110,7 +107,8 @@ def _scenario_config(args, **fields) -> ScenarioConfig:
     )
 
 
-def _write_telemetry(telemetry: Telemetry, args) -> None:
+def _write_telemetry(observatory, args) -> None:
+    telemetry = observatory.telemetry
     if args.trace:
         telemetry.tracer.write_chrome_trace(args.trace)
         print(f"wrote {len(telemetry.tracer.events)} trace events to {args.trace}")
@@ -120,8 +118,8 @@ def _write_telemetry(telemetry: Telemetry, args) -> None:
             fh.write(telemetry.metrics.render_prometheus())
         print(f"wrote metrics exposition to {args.metrics}")
     if args.audit:
-        telemetry.audit.write_jsonl(args.audit)
-        print(f"wrote {len(telemetry.audit)} audit records to {args.audit}")
+        count = observatory.write_alarms_jsonl(args.audit)
+        print(f"wrote {count} alarm records to {args.audit}")
 
 
 def _linger(server, linger_s: float) -> None:
@@ -161,15 +159,13 @@ def _top_repainter(observatory):
 
 def cmd_demo(args) -> int:
     config = _scenario_config(args, fault_name=args.fault, inject_time=args.inject)
-    telemetry_on = bool(args.trace or args.metrics or args.audit)
-    telemetry = Telemetry(trace=bool(args.trace)) if telemetry_on else None
-    serving = args.serve is not None or args.scoreboard is not None
     observatory = None
     server = None
-    if serving or args.top:
+    if (args.trace or args.metrics or args.audit or args.top
+            or args.serve is not None or args.scoreboard is not None):
         from .obsv import Observatory, OpsServer
 
-        observatory = Observatory(telemetry=telemetry)
+        observatory = Observatory(Telemetry(trace=bool(args.trace)))
         if args.serve is not None:
             server = OpsServer(observatory, port=args.serve).start()
             print(f"ops surface listening on {server.url}", flush=True)
@@ -200,7 +196,6 @@ def cmd_demo(args) -> int:
         config,
         model=model,
         keep_handles=bool(args.dot),
-        telemetry=telemetry,
         recorder=recorder,
         observatory=observatory,
         tick_callback=_top_repainter(observatory) if args.top and tty else None,
@@ -213,20 +208,17 @@ def cmd_demo(args) -> int:
     print(render_summary(result))
     print()
     print(render_timeline(result))
-    if telemetry_on:
+    if observatory is not None:
         print()
-        print(telemetry.summary_text())
-        if len(telemetry.audit):
-            print("\nalarm audit trail:")
-            print(telemetry.audit.render_text(limit=AUDIT_LINES))
-        _write_telemetry(telemetry, args)
+        print(observatory.summary_text())
+        _write_telemetry(observatory, args)
     if args.dot:
         os.makedirs(os.path.dirname(args.dot) or ".", exist_ok=True)
         with open(args.dot, "w", encoding="utf-8") as fh:
             fh.write(result.handles.core.to_dot(annotate=True))
         print(f"wrote annotated DAG to {args.dot}")
         result.handles.core.close()
-    if serving:
+    if args.scoreboard is not None:
         path = observatory.write_scoreboard(directory=args.scoreboard)
         print(f"\nwrote scoreboard to {path}")
     if server is not None:
@@ -771,8 +763,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     demo = commands.add_parser(
         "demo",
-        help="one monitored fault-injection run; flags attach telemetry, "
-        "the observatory, the dashboard and the flight recorder",
+        help="one monitored fault-injection run; flags attach the "
+        "observatory (exports, ops surface, dashboard) and the flight "
+        "recorder",
     )
     _add_scenario_flags(demo, "slaves", "duration", "seed", "inject")
     demo.add_argument(
@@ -791,7 +784,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     demo.add_argument(
         "--audit", metavar="FILE", default=None,
-        help="write the alarm audit trail as JSONL",
+        help="write the observatory's alarm records as JSONL",
     )
     demo.add_argument(
         "--dot", metavar="FILE", default=None,

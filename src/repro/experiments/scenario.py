@@ -107,21 +107,15 @@ class AsdfHandles:
     hl_dn_channels: Dict[str, InprocChannel]
 
 
-def build_asdf_config_text(
-    nodes: List[str], config: ScenarioConfig, scoreboard: bool = False
-) -> str:
+def build_asdf_config_text(nodes: List[str], config: ScenarioConfig) -> str:
     """Render the full fpt-core configuration for a deployment.
 
     This is the analogue of the paper's Figure 3 file: sadc -> knnfleet
     -> ibuffer -> analysis_bb on the black-box side, hadoop_log ->
     analysis_wb on the white-box side, alarm sinks, and the union module
-    implementing the combined fingerpointer.
-
-    ``scoreboard=True`` additionally wires the online ground-truth
-    scoring sink (:mod:`repro.modules.scoreboard`) to the combined alarm
-    stream and both detectors' decision streams; the default keeps the
-    generated text byte-identical to pre-observatory deployments, which
-    the archive-replay and parity guarantees rest on.
+    implementing the combined fingerpointer.  The text is the same
+    whether or not an observatory is attached: the ``print`` sinks feed
+    it when it is.
     """
     # One instance per stage whatever the fleet size, wired node by node.
     lines: List[str] = [
@@ -179,15 +173,6 @@ def build_asdf_config_text(
         "id = CombinedAlarm",
         "input[a] = combined.alarms",
     ]
-    if scoreboard:
-        lines += [
-            "",
-            "[scoreboard]",
-            "id = scoreboard",
-            "input[a] = combined.alarms",
-            "input[db] = analysis_bb.decisions",
-            "input[dw] = analysis_wb.decisions",
-        ]
     return "\n".join(lines) + "\n"
 
 
@@ -207,10 +192,10 @@ def deploy_asdf(
     output of the deployed core and (when archiving) stamps the rendered
     configuration text into the archive manifest so the recorded run can
     be replayed without the original scenario code.
-    ``observatory``, a :class:`repro.obsv.Observatory`, adds the online
-    ground-truth scoring sink to the generated configuration, registers
-    itself as the ``observatory`` service and taps every output for
-    sample->alarm latency tracing.  When the observatory brings its own
+    ``observatory``, a :class:`repro.obsv.Observatory`, registers itself
+    as the ``observatory`` service the ``print`` sinks hand their alarms
+    and decisions to, and taps every output for sample->alarm latency
+    tracing.  When the observatory brings its own
     telemetry and none was passed explicitly, that telemetry instruments
     the core so ``/metrics`` has run stats to serve.
     """
@@ -251,11 +236,7 @@ def deploy_asdf(
         },
         "bb_model": model,
     }
-    if observatory is not None:
-        services["observatory"] = observatory
-    config_text = build_asdf_config_text(
-        nodes, config, scoreboard=observatory is not None
-    )
+    config_text = build_asdf_config_text(nodes, config)
     core = FptCore.from_config(
         config_text,
         standard_registry(),
@@ -350,9 +331,9 @@ def run_scenario(
     """Execute one full evaluation run and score it.
 
     ``observatory`` (a :class:`repro.obsv.Observatory`) turns on the
-    diagnosis-observatory surfaces: the injected fault registers its
-    ground-truth window with the online scoreboard before the run
-    starts, and the deployment gains the ``scoreboard`` scoring sink.
+    diagnosis-observatory surfaces: the run's ground truth is registered
+    with it before the run starts, and the ``print`` sinks hand it every
+    alarm and decision they receive.
     ``tick_callback(cluster_time_s)``, if given, is invoked after every
     lock-step second -- the hook ``repro demo --top`` repaints from.
     """
@@ -380,13 +361,12 @@ def run_scenario(
         )
         fault.arm(cluster, fault_spec)
         truth = fault.ground_truth(fault_spec)
-        if observatory is not None:
-            fault.register_ground_truth(observatory, fault_spec)
+        fault_label = fault.name
     else:
         truth = GroundTruth(faulty_node=None)
-        if observatory is not None:
-            # Register the fault-free context: every alarm is false.
-            observatory.register_ground_truth(None, truth)
+        fault_label = None
+    if observatory is not None:
+        observatory.register_ground_truth(fault_label, truth)
 
     handles = deploy_asdf(
         cluster, model, config, telemetry=telemetry, recorder=recorder,

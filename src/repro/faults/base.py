@@ -57,13 +57,3 @@ class Fault(abc.ABC):
             inject_time=spec.inject_time,
             clear_time=spec.clear_time,
         )
-
-    def register_ground_truth(self, observatory, spec: FaultSpec) -> None:
-        """Publish this fault's labeled truth window to an online scorer.
-
-        ``observatory`` is anything exposing
-        ``register_ground_truth(fault_name, truth)`` -- normally a
-        :class:`repro.obsv.Observatory`, whose scoreboard then scores
-        the alarm stream against the window as the run proceeds.
-        """
-        observatory.register_ground_truth(self.name, self.ground_truth(spec))

@@ -229,9 +229,6 @@ COST_FACTS: Dict[str, CostFact] = {
         ),
     ),
     "print": CostFact(terms=(CostTerm(1.0, "sample", note="format + swallow"),)),
-    "scoreboard": CostFact(
-        terms=(CostTerm(3.0, "sample", note="scoreboard ingest"),),
-    ),
     "csv_writer": CostFact(
         terms=(CostTerm(4.0, "sample", note="row format + write"),),
     ),

@@ -5,8 +5,8 @@ Data collection: ``sadc`` (black-box /proc metrics), ``hadoop_log``
 Analysis: ``mavgvec``, ``knnfleet`` (one instance classifying the whole
 fleet in batched numpy passes) and ``knn`` (the same class bound to one
 input), ``analysis_bb``, ``analysis_wb``.
-Plumbing/sinks: ``ibuffer``, ``print``, ``alarm_union``, ``csv_writer``,
-``scoreboard`` (online ground-truth scoring into the observatory).
+Plumbing/sinks: ``ibuffer``, ``print`` (which also feeds an attached
+observatory), ``alarm_union``, ``csv_writer``.
 
 :func:`standard_registry` returns a registry with all of them, ready to
 be extended with user modules (the paper's pluggability requirement).
@@ -24,7 +24,6 @@ from .knnfleet import KnnFleetModule
 from .mavgvec import MavgVecModule
 from .mitigate import MitigationModule
 from .sadc import SADC_CHANNEL_SERVICE, SadcModule
-from .scoreboard import ScoreboardModule
 from .threshold import ThresholdAlarmModule
 from .strace import (
     STRACE_CHANNEL_SERVICE,
@@ -45,7 +44,6 @@ STANDARD_MODULES = (
     MitigationModule,
     PrintModule,
     SadcModule,
-    ScoreboardModule,
     StraceModule,
     SyscallAnomalyModule,
     ThresholdAlarmModule,
@@ -77,7 +75,6 @@ __all__ = [
     "STANDARD_MODULES",
     "STRACE_CHANNEL_SERVICE",
     "SadcModule",
-    "ScoreboardModule",
     "StraceModule",
     "SyscallAnomalyModule",
     "ThresholdAlarmModule",

@@ -8,17 +8,17 @@
   the outputs of the white-box and black-box analysis yielded a modest
   improvement").  Forwarded alarms keep their provenance: the union
   appends the delivering upstream output to the alarm's ``via`` chain,
-  so sinks, the audit trail and incident bundles name the analysis that
-  actually raised the alarm, not the union.
+  so sinks, the alarm records and incident bundles name the analysis
+  that actually raised the alarm, not the union.
 
-When the owning core has telemetry enabled, every alarm that reaches a
-``print`` sink is also written to the core's append-only
-:class:`~repro.telemetry.AlarmAuditTrail` -- timestamp, culprit node,
-raising analysis, the threshold evidence in the alarm's detail, the sink
-that witnessed it and the full chain of outputs that delivered it.  When
-a :class:`~repro.flightrec.FlightRecorder` is attached to the core, each
-alarm additionally freezes an *incident bundle* (the recorded channel
-windows, peer comparisons and config on the alarm's DAG path).
+When a :class:`~repro.obsv.Observatory` is attached to the core, a
+``print`` sink hands it every alarm it receives (with the chain of
+outputs that delivered it and the sink's own id) and every batch of
+window decisions; the observatory keeps one record per alarm and scores
+the run from what it was handed.  When a
+:class:`~repro.flightrec.FlightRecorder` is attached, each alarm
+additionally freezes an *incident bundle* (the recorded channel windows,
+peer comparisons and config on the alarm's DAG path).
 
 Non-quiet alarm echo goes through the ``repro.alarms`` logger (stdout by
 default), so recorded runs can capture or redirect alarm text with
@@ -32,7 +32,7 @@ import sys
 from dataclasses import replace
 from typing import List
 
-from ..analysis.metrics import Alarm
+from ..analysis.metrics import Alarm, WindowDecision
 from ..core import Module, ParamSpec, RunReason, Sample, TriggerSpec
 
 #: Logger carrying non-quiet ``print``-sink echo lines.
@@ -100,31 +100,30 @@ class PrintModule(Module):
         return [s.value for s in self.received if isinstance(s.value, Alarm)]
 
     def run(self, reason: RunReason) -> None:
-        telemetry = self.ctx.telemetry
-        # Installed by FlightRecorder.attach after core construction;
-        # absent on unrecorded cores, so this is one dict lookup per run.
+        # Both installed by their attach() after core construction;
+        # absent on plain cores, so each is one dict lookup per run.
         recorder = self.ctx.services.get("flight_recorder")
+        observatory = self.ctx.services.get("observatory")
         logger = None if self.quiet else alarm_logger()
         for group in self.ctx.inputs.values():
             for connection in group:
+                upstream = connection.output.full_name
                 for sample in connection.pop_all():
                     self.received.append(sample)
                     value = sample.value
                     if isinstance(value, Alarm):
-                        delivered = value.via + (connection.output.full_name,)
-                        if telemetry.enabled:
-                            telemetry.audit.record(
-                                time=value.time,
-                                node=value.node,
-                                source=value.source,
-                                detail=value.detail,
-                                sink=self.instance_id,
-                                inputs=delivered,
+                        delivered = value.via + (upstream,)
+                        if observatory is not None:
+                            observatory.observe_alarm(
+                                value, delivered, self.ctx.clock.now(),
+                                self.instance_id,
                             )
                         if recorder is not None:
                             recorder.record_incident(
                                 value, sink=self.instance_id, inputs=delivered,
                             )
+                    elif observatory is not None and _is_decisions(value):
+                        observatory.observe_decisions(upstream, value)
                     if logger is not None:
                         text = (
                             value.describe()
@@ -132,6 +131,12 @@ class PrintModule(Module):
                             else repr(value)
                         )
                         logger.info("[%s] %s", self.prefix, text)
+
+
+def _is_decisions(value) -> bool:
+    return isinstance(value, list) and all(
+        isinstance(item, WindowDecision) for item in value
+    )
 
 
 class AlarmUnionModule(Module):

@@ -1,48 +1,36 @@
-"""The diagnosis observatory: latency tracing, online scoring, ops surface.
+"""The diagnosis observatory: latency tracing, alarm records, one scorer.
 
-``repro.obsv`` layers three observability surfaces over a running
+``repro.obsv`` layers its observability surfaces over a running
 fpt-core, all opt-in and all built on the existing ``repro.telemetry``
 primitives:
 
 * :mod:`~repro.obsv.latency` -- sample->alarm latency traced through
   channel-write ingest watermarks and the ``Alarm.via`` provenance chain;
-* :mod:`~repro.obsv.scoreboard` -- the online ground-truth scoreboard
-  (rolling TP/FP/FN, balanced accuracy, detection-latency percentiles,
-  emitted as ``BENCH_scoreboard.json``);
+* :mod:`~repro.obsv.observatory` -- one record per alarm a ``print``
+  sink delivered, and the run scored on read against its one ground
+  truth (``/scoreboard``, ``BENCH_scoreboard.json``);
 * :mod:`~repro.obsv.ops` / :mod:`~repro.obsv.top` -- the live HTTP ops
   surface and the ANSI terminal dashboard.
 
 :class:`~repro.obsv.observatory.Observatory` bundles them and registers
-itself as the core's ``"observatory"`` service, consumed by the
-``scoreboard`` DAG module (:mod:`repro.modules.scoreboard`).
+itself as the core's ``"observatory"`` service, which every ``print``
+sink (:mod:`repro.modules.alarms`) hands its alarms and decisions to.
 """
 
-from .latency import AlarmLatencyRecord, LatencyTracer, StageLatency
-from .observatory import OBSERVATORY_SERVICE, Observatory
+from .latency import AlarmLatencyRecord, LatencyTracer, StageLatency, percentile
+from .observatory import OBSERVATORY_SERVICE, SCOREBOARD_FORMAT, Observatory
 from .ops import OpsServer
-from .scoreboard import (
-    SCOREBOARD_FORMAT,
-    FaultScore,
-    Scoreboard,
-    TruthWindow,
-    percentile,
-    write_scoreboard_json,
-)
 from .top import CLEAR_SCREEN, render_top
 
 __all__ = [
     "AlarmLatencyRecord",
     "CLEAR_SCREEN",
-    "FaultScore",
     "LatencyTracer",
     "OBSERVATORY_SERVICE",
     "Observatory",
     "OpsServer",
     "SCOREBOARD_FORMAT",
-    "Scoreboard",
     "StageLatency",
-    "TruthWindow",
     "percentile",
     "render_top",
-    "write_scoreboard_json",
 ]

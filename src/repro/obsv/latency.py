@@ -47,14 +47,24 @@ real network transport rather than in-process analysis.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from ..analysis.metrics import Alarm
 from ..core.channel import Output, Sample
 
-__all__ = ["StageLatency", "AlarmLatencyRecord", "LatencyTracer"]
+__all__ = ["StageLatency", "AlarmLatencyRecord", "LatencyTracer", "percentile"]
+
+
+def percentile(values: Sequence[float], q: float) -> Optional[float]:
+    """Nearest-rank percentile of ``values`` (q in [0, 100]); None if empty."""
+    if not values:
+        return None
+    ordered = sorted(values)
+    rank = max(1, math.ceil(q / 100.0 * len(ordered)))
+    return ordered[min(rank, len(ordered)) - 1]
 
 
 @dataclass(frozen=True)
@@ -78,7 +88,8 @@ class StageLatency:
 
 @dataclass(frozen=True)
 class AlarmLatencyRecord:
-    """End-to-end latency of one alarm, derived from its via chain."""
+    """One alarm as one sink delivered it: why it fired, where it went,
+    and its end-to-end latency, derived from its via chain."""
 
     alarm_time: float
     node: str
@@ -99,17 +110,32 @@ class AlarmLatencyRecord:
     #: chain (``None`` when no stage recorded a remote hop -- e.g. all
     #: in-process simulation runs).
     remote_hop_wall_s: Optional[float] = None
+    #: Threshold evidence the alarm carried, e.g. "L1 66.2 > 65.0".
+    detail: str = ""
+    #: Instance id of the sink that delivered it ("" outside a sink).
+    sink: str = ""
 
     @property
     def measured(self) -> bool:
         """True when an end-to-end latency could actually be derived."""
         return self.total_sim_s is not None
 
+    def describe(self) -> str:
+        source = f" [{self.source}]" if self.source else ""
+        detail = f" ({self.detail})" if self.detail else ""
+        via = f" via {','.join(self.delivered)}" if self.delivered else ""
+        return (
+            f"t={self.alarm_time:.0f}s{source} culprit={self.node}"
+            f"{detail} -> {self.sink}{via}"
+        )
+
     def to_json_obj(self) -> dict:
         return {
             "alarm_time": self.alarm_time,
             "node": self.node,
             "source": self.source,
+            "detail": self.detail,
+            "sink": self.sink,
             "delivered": list(self.delivered),
             "ingest_sim": self.ingest_sim,
             "stages": [stage.to_json_obj() for stage in self.stages],
@@ -219,6 +245,7 @@ class LatencyTracer:
         delivered: Tuple[str, ...],
         sim_now: float,
         wall_now: Optional[float] = None,
+        sink: str = "",
     ) -> AlarmLatencyRecord:
         """Walk ``delivered`` (oldest first) into a latency record.
 
@@ -233,6 +260,7 @@ class LatencyTracer:
                 delivered=(), ingest_sim=None, stages=(),
                 deliver_sim_s=None, deliver_wall_s=None,
                 total_sim_s=None, total_wall_s=None,
+                detail=alarm.detail, sink=sink,
             )
         ingest = self._ingest.get(delivered[0])
         previous = ingest
@@ -268,4 +296,5 @@ class LatencyTracer:
             deliver_sim_s=deliver_sim, deliver_wall_s=deliver_wall,
             total_sim_s=total_sim, total_wall_s=total_wall,
             remote_hop_wall_s=sum(hops) if hops else None,
+            detail=alarm.detail, sink=sink,
         )

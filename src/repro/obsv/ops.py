@@ -12,8 +12,8 @@ path                      payload
 ``/metrics.json``         the metrics registry snapshot (what the cluster
                           federator scrapes -- structured, not text)
 ``/status``               DAG topology + per-module run stats (JSON)
-``/alarms``               audit-trail tail; ``?tail=N`` and ``?since=TS``
-``/scoreboard``           the online ground-truth scoreboard snapshot
+``/alarms``               the alarm records; ``?tail=N`` and ``?since=TS``
+``/scoreboard``           the run scored against its ground truth
 ``/trace``                the telemetry tracer's Chrome-trace document
 ``/shutdown`` (POST/GET)  ask the embedding run to stop lingering
 ========================  ==================================================
@@ -112,7 +112,7 @@ class _OpsHandler(BaseHTTPRequestHandler):
                 since=_query_float(query, "since"),
             ))
         elif route == "/scoreboard":
-            self._send_json(obsv.scoreboard.snapshot())
+            self._send_json(obsv.scoreboard_obj())
         elif route == "/shutdown":
             self.server.shutdown_requested.set()  # type: ignore[attr-defined]
             self._send_json({"shutting_down": True})

@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from .observatory import Observatory
-from .scoreboard import percentile
 
 __all__ = ["render_top", "CLEAR_SCREEN"]
 
@@ -35,19 +34,18 @@ def _fmt_s(value: Optional[float]) -> str:
     return f"{value:.1f}s" if value is not None else "-"
 
 
-def _node_rows(observatory: Observatory) -> List[dict]:
-    """Per-node alarm tallies from the audit trail, plus truth labels."""
+def _node_rows(observatory: Observatory, records: tuple) -> List[dict]:
+    """Per-node alarm tallies from the alarm records, plus the truth label."""
     truth_by_node: Dict[str, str] = {}
-    for window in observatory.scoreboard.truths:
-        if window.node is not None:
-            truth_by_node[window.node] = window.fault
+    if observatory.truth.faulty_node is not None:
+        truth_by_node[observatory.truth.faulty_node] = observatory.fault
     by_node: Dict[str, dict] = {}
-    for record in observatory.telemetry.audit.records:
+    for record in records:
         row = by_node.setdefault(
             record.node, {"node": record.node, "alarms": 0, "last": None}
         )
         row["alarms"] += 1
-        row["last"] = record.time
+        row["last"] = record.alarm_time
     for node in truth_by_node:
         by_node.setdefault(node, {"node": node, "alarms": 0, "last": None})
     for row in by_node.values():
@@ -60,6 +58,7 @@ def render_top(
 ) -> str:
     """One dashboard frame: header, nodes, latencies, hottest modules."""
     lines: List[str] = []
+    records = observatory.records
     health = observatory.health_obj()
     sim = health.get("sim_time_s")
     header = (
@@ -72,7 +71,7 @@ def render_top(
     lines.append("")
 
     # -- node health ---------------------------------------------------------
-    rows = _node_rows(observatory)
+    rows = _node_rows(observatory, records)
     lines.append(_paint(f"{'node':<12} {'state':<10} {'alarms':>7} "
                         f"{'last alarm':>11} {'injected':<12}",
                         _DIM, color))
@@ -94,23 +93,22 @@ def render_top(
     lines.append("")
 
     # -- sample->alarm latency ----------------------------------------------
-    scores = observatory.scoreboard.fault_scores()
+    alarm_rows = observatory.scoreboard_obj()["alarms"]
     lines.append(_paint("sample->alarm latency (via-chain)", _BOLD, color))
-    if not any(s.sample_to_alarm_sim_s for s in scores.values()):
+    if not any(r["sample_to_alarm_sim_s"]["count"] for r in alarm_rows.values()):
         lines.append("  (no measured alarms yet)")
-    for fault, score in sorted(scores.items()):
-        values = score.sample_to_alarm_sim_s
-        if not values:
+    for output, row in alarm_rows.items():
+        latency = row["sample_to_alarm_sim_s"]
+        if not latency["count"]:
             continue
         lines.append(
-            f"  {fault:<14} n={len(values):<4} "
-            f"p50={_fmt_s(percentile(values, 50.0))} "
-            f"p95={_fmt_s(percentile(values, 95.0))} "
-            f"fingerpoint={_fmt_s(score.fingerpointing_latency_s)}"
+            f"  {output:<22} n={latency['count']:<4} "
+            f"p50={_fmt_s(latency['p50'])} p95={_fmt_s(latency['p95'])} "
+            f"fingerpoint={_fmt_s(row['fingerpointing_latency_s'])}"
         )
-    stage_rows = _stage_latency_rows(observatory)
+    stage_rows = _stage_latency_rows(records)
     if stage_rows:
-        lines.append(_paint("  per-stage mean (newest alarms):", _DIM, color))
+        lines.append(_paint("  per-stage mean:", _DIM, color))
         for stage, mean_s in stage_rows:
             lines.append(f"    {stage:<32} {mean_s:8.2f}s")
     lines.append("")
@@ -133,10 +131,10 @@ def render_top(
     return "\n".join(lines) + "\n"
 
 
-def _stage_latency_rows(observatory: Observatory) -> List[tuple]:
-    """Mean per-stage sim latency over the recent latency records."""
+def _stage_latency_rows(records: tuple) -> List[tuple]:
+    """Mean per-stage sim latency over the alarm records."""
     sums: Dict[str, List[float]] = {}
-    for record in observatory.recent:
+    for record in records:
         for stage in record.stages:
             if stage.sim_s is not None:
                 sums.setdefault(stage.output, []).append(stage.sim_s)

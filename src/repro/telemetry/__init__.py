@@ -1,11 +1,11 @@
-"""Self-instrumentation for the fpt-core: metrics, traces, alarm audit.
+"""Self-instrumentation for the fpt-core: metrics and traces.
 
 ASDF is itself a monitoring framework; this package is how the
 reproduction observes *itself* (the paper's Tables 3/4 measure exactly
 this).  Public surface:
 
 * :class:`Telemetry` -- the facade a running core owns; bundles a
-  metrics registry, a tracer and the alarm audit trail.
+  metrics registry and a tracer.
 * :data:`NULL_TELEMETRY` -- the disabled default (one attribute check
   on the hot path).
 * :class:`MetricsRegistry`, :class:`Counter`, :class:`Gauge`,
@@ -13,11 +13,8 @@ this).  Public surface:
   and JSON expositions.
 * :class:`Tracer`, :class:`TraceEvent` -- span/event recording with
   JSONL and Chrome ``chrome://tracing`` exports.
-* :class:`AlarmAuditTrail`, :class:`AuditRecord` -- the append-only
-  record of why each fingerpointing verdict fired.
 """
 
-from .audit import AlarmAuditTrail, AuditRecord
 from .facade import NULL_TELEMETRY, RunStats, Telemetry
 from .metrics import (
     DEFAULT_LATENCY_BUCKETS_S,
@@ -36,8 +33,6 @@ from .tracing import (
 )
 
 __all__ = [
-    "AlarmAuditTrail",
-    "AuditRecord",
     "Counter",
     "DEFAULT_LATENCY_BUCKETS_S",
     "Gauge",

@@ -1,9 +1,8 @@
 """The :class:`Telemetry` facade owned by a running fpt-core.
 
-One object bundles the three self-instrumentation surfaces --
-:class:`~repro.telemetry.metrics.MetricsRegistry`,
-:class:`~repro.telemetry.tracing.Tracer` and
-:class:`~repro.telemetry.audit.AlarmAuditTrail` -- and binds them to the
+One object bundles the two self-instrumentation surfaces --
+:class:`~repro.telemetry.metrics.MetricsRegistry` and
+:class:`~repro.telemetry.tracing.Tracer` -- and binds them to the
 pipeline.  The rule: **telemetry reads, it does not re-count.**  A count
 the pipeline keeps anyway is published as a child *read* from its owner
 when somebody scrapes (``watch_output``, ``watch_rpc``, ``run_probe``);
@@ -43,8 +42,10 @@ scrape, and follows the latest owner bound under its labels.  The
 service name, so a client and a server sharing one add up.
 
 The alarm-latency pair comes from the diagnosis observatory
-(:mod:`repro.obsv`): the ``Alarm.via`` walk per attributed fault and per
-stage (``total`` = ingest->sink), on the simulated and the wall clock.
+(:mod:`repro.obsv`): the ``Alarm.via`` walk of every alarm a ``print``
+sink delivered, per stage (``total`` = ingest->sink), on the simulated
+and the wall clock.  ``fault`` is the run's fault when the alarm names
+the culprit at or after injection, and ``fault-free`` otherwise.
 The flight recorder (:mod:`repro.flightrec`) registers five
 ``fpt_flightrec_*`` gauges of its own, all read on scrape.
 """
@@ -54,7 +55,6 @@ from __future__ import annotations
 from functools import partial
 from typing import Callable, Dict, Optional
 
-from .audit import AlarmAuditTrail
 from .metrics import Gauge, Histogram, MetricsRegistry
 from .tracing import Tracer
 
@@ -164,7 +164,6 @@ class Telemetry:
         self.enabled = enabled
         self.metrics = MetricsRegistry()
         self.tracer = Tracer(enabled=enabled and trace)
-        self.audit = AlarmAuditTrail()
         #: instance id -> its probe (a re-added id continues its counts).
         self._probes: Dict[str, RunProbe] = {}
         #: service name -> the ByteCounters watched under it.
@@ -376,11 +375,6 @@ class Telemetry:
             lines.append(
                 f"trace events: {len(self.tracer.events)} "
                 f"(+{self.tracer.dropped} dropped)"
-            )
-        if len(self.audit):
-            lines.append(
-                f"alarm audit trail: {len(self.audit)} records, "
-                f"culprits: {', '.join(self.audit.culprits())}"
             )
         return "\n".join(lines)
 

@@ -188,7 +188,7 @@ class TestPerNodeKnnArchives:
 
         monkeypatch.setattr(
             scenario, "build_asdf_config_text",
-            lambda nodes, config, scoreboard=False: per_node_knn_deployment(
+            lambda nodes, config: per_node_knn_deployment(
                 nodes, config
             ),
         )

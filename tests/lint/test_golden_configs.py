@@ -50,14 +50,6 @@ class TestGeneratedDeployment:
         nodes = [f"slave{i + 1:02d}" for i in range(slaves)]
         assert_clean(build_asdf_config_text(nodes, config))
 
-    @pytest.mark.parametrize("fault", [None, "CPUHog"])
-    def test_scoreboard_enabled_config_lints_clean(self, fault):
-        config = ScenarioConfig(num_slaves=5, fault_name=fault)
-        nodes = [f"slave{i + 1:02d}" for i in range(5)]
-        text = build_asdf_config_text(nodes, config, scoreboard=True)
-        assert "[scoreboard]" in text
-        assert_clean(text)
-
     def test_fleet_knn_config_lints_clean(self):
         config = ScenarioConfig(num_slaves=5)
         nodes = [f"slave{i + 1:02d}" for i in range(5)]
@@ -71,13 +63,6 @@ class TestGeneratedDeployment:
         text = per_node_knn_text(5)
         assert text.count("[knn]") == 5 and "[knnfleet]" not in text
         assert_clean(text)
-
-    def test_scoreboard_section_is_opt_in(self):
-        # Observatory-less deployments must keep generating the exact
-        # pre-observatory text (byte parity for archives and goldens).
-        config = ScenarioConfig(num_slaves=5)
-        nodes = [f"slave{i + 1:02d}" for i in range(5)]
-        assert "scoreboard" not in build_asdf_config_text(nodes, config)
 
 
 class TestExampleConfigs:

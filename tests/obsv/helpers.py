@@ -41,8 +41,8 @@ def build_core(config_text: str, services: dict, telemetry=None) -> FptCore:
     )
 
 
-#: scripted source -> threshold -> union -> scoreboard: the smallest
-#: pipeline that exercises online scoring and the via-chain walk.
+#: scripted source -> threshold -> union -> print: the smallest pipeline
+#: that exercises the alarm records, the scorer and the via-chain walk.
 SCORED_PIPELINE_CONFIG = """
 [scripted]
 id = src
@@ -58,7 +58,7 @@ consecutive = 2
 id = union
 input[a] = thr.alarms
 
-[scoreboard]
+[print]
 id = board
 input[a] = union.alarms
 """

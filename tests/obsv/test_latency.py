@@ -3,7 +3,7 @@
 from types import SimpleNamespace
 
 from repro.analysis.metrics import Alarm
-from repro.obsv import LatencyTracer
+from repro.obsv import LatencyTracer, percentile
 
 
 def write(tracer, name, owner, timestamp):
@@ -123,3 +123,18 @@ class TestRecordAlarm:
         obj = record.to_json_obj()
         assert json.loads(json.dumps(obj)) == obj
         assert obj["delivered"] == ["src.value"]
+
+
+class TestPercentile:
+    def test_empty_is_none(self):
+        assert percentile([], 50.0) is None
+
+    def test_single_value(self):
+        assert percentile([7.0], 50.0) == 7.0
+        assert percentile([7.0], 95.0) == 7.0
+
+    def test_nearest_rank(self):
+        values = [10.0, 20.0, 30.0, 40.0]
+        assert percentile(values, 50.0) == 20.0
+        assert percentile(values, 95.0) == 40.0
+        assert percentile(values, 25.0) == 10.0

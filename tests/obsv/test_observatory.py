@@ -30,14 +30,16 @@ class TestPipeline:
         )
         core = run_scored_pipeline(observatory)
         board = core.instance("board")
-        assert board.alarms_routed == 3  # t=3, 4 and 7
-        score = observatory.scoreboard.fault_scores()["CPUHog"]
-        assert score.true_alarms == 3
-        assert score.false_alarms == 0
-        assert score.fingerpointing_latency_s == 1.0  # inject 2 -> alarm 3
-        # Every record walked a union-forwarded multi-hop chain.
-        assert len(observatory.recent) == 3
-        for record in observatory.recent:
+        assert len(board.alarms) == 3  # t=3, 4 and 7
+        row = observatory.scoreboard_obj()["alarms"]["union.alarms"]
+        assert row["true_alarms"] == 3
+        assert row["false_alarms"] == 0
+        assert row["fingerpointing_latency_s"] == 1.0  # inject 2 -> alarm 3
+        # One record per delivery, each walked over a union-forwarded
+        # multi-hop chain.
+        assert [r.alarm_time for r in observatory.records] == [3.0, 4.0, 7.0]
+        for record in observatory.records:
+            assert record.sink == "board"
             assert record.measured
             assert record.delivered == ("thr.alarms", "union.alarms")
             assert record.total_sim_s is not None
@@ -60,7 +62,7 @@ class TestPipeline:
             id = src
             node = slave01
 
-            [scoreboard]
+            [print]
             id = board
             input[d] = src.value
             """,
@@ -71,13 +73,10 @@ class TestPipeline:
         )
         observatory.attach(core)
         core.run_until(float(len(decisions)))
-        board = core.instance("board")
-        assert board.decision_batches_routed == 2
-        counts = observatory.scoreboard.fault_scores()["CPUHog"].detectors[
-            "src.value"
-        ]
-        assert counts.true_positives == 1
-        assert counts.false_negatives == 1
+        row = observatory.scoreboard_obj()["decisions"]["src.value"]
+        assert (row["tp"], row["fp"], row["fn"], row["tn"]) == (1, 0, 1, 0)
+        assert observatory.health_obj()["decisions_seen"] == 2
+        assert observatory.records == ()
         core.close()
 
     def test_latency_histograms_reach_telemetry(self):

@@ -64,15 +64,30 @@ class TestRoutes:
 
     def test_scoreboard(self, served):
         doc = get_json(served, "/scoreboard")
-        assert doc["format"] == "asdf-scoreboard/1"
-        assert doc["faults"]["CPUHog"]["true_alarms"] == 3
+        assert doc["format"] == "asdf-scoreboard/2"
+        assert doc["fault"] == "CPUHog"
+        assert doc["alarms"]["union.alarms"]["true_alarms"] == 3
 
     def test_alarms_tail_and_since(self, served):
-        # The scoreboard sink does not feed the audit trail; the counts
-        # endpoint must still answer with a well-formed document.
-        doc = get_json(served, "/alarms?tail=2&since=3.5")
+        doc = get_json(served, "/alarms")
         assert set(doc) == {"total", "returned", "alarms"}
-        assert doc["returned"] <= 2
+        assert doc["total"] == doc["returned"] == 3
+        assert [a["alarm_time"] for a in doc["alarms"]] == [3.0, 4.0, 7.0]
+        assert {a["sink"] for a in doc["alarms"]} == {"board"}
+        assert all(a["delivered"] == ["thr.alarms", "union.alarms"]
+                   and a["total_sim_s"] is not None
+                   and a["total_wall_s"] is not None
+                   for a in doc["alarms"])
+        # A tail longer than the record count returns every record.
+        for tail, times in ((5, [3.0, 4.0, 7.0]), (4, [3.0, 4.0, 7.0]),
+                            (3, [3.0, 4.0, 7.0]), (2, [4.0, 7.0]), (0, [])):
+            doc = get_json(served, f"/alarms?tail={tail}")
+            assert doc["total"] == 3
+            assert [a["alarm_time"] for a in doc["alarms"]] == times, tail
+        doc = get_json(served, "/alarms?tail=1&since=3.5")
+        assert [a["alarm_time"] for a in doc["alarms"]] == [7.0]
+        doc = get_json(served, "/alarms?since=3.5")
+        assert [a["alarm_time"] for a in doc["alarms"]] == [4.0, 7.0]
 
     def test_unknown_route_is_404(self, served):
         with pytest.raises(urllib.error.HTTPError) as excinfo:

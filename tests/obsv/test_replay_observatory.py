@@ -35,7 +35,7 @@ def record_run(tmp_path):
 class TestReplayedAlarms:
     def test_replayed_alarms_yield_well_defined_records(self, tmp_path):
         recorded = record_run(tmp_path)
-        assert len(recorded.recent) == 3
+        assert len(recorded.records) == 3
 
         replay_observatory = Observatory()
         replay_observatory.register_ground_truth(
@@ -53,7 +53,7 @@ class TestReplayedAlarms:
         # Same alarms as the recording, each with a well-defined record:
         # the replay source is itself an ingest point, so the chain walk
         # measures the replayed pipeline (never a fabricated number).
-        records = list(replay_observatory.recent)
+        records = replay_observatory.records
         assert len(records) == 3
         for record in records:
             assert record.delivered == ("thr.alarms", "union.alarms")
@@ -63,7 +63,7 @@ class TestReplayedAlarms:
                 stage.sim_s is None or stage.sim_s >= 0.0
                 for stage in record.stages
             )
-        score = replay_observatory.scoreboard.fault_scores()["CPUHog"]
-        assert score.true_alarms == 3
-        assert score.unmeasured_alarms == 0
+        row = replay_observatory.scoreboard_obj()["alarms"]["union.alarms"]
+        assert row["true_alarms"] == 3
+        assert row["unmeasured_alarms"] == 0
         core.close()

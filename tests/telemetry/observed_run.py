@@ -17,13 +17,14 @@ args dict per event).  A second argument writes those two, next to it::
     PYTHONPATH=src python tests/telemetry/observed_run.py \
         /tmp/observed.prom tests/telemetry/golden/observed10_400s
 
-The three files were last written when ``sadc`` and ``ibuffer`` became
-one instance each for the fleet.  The text then equalled the old file
-line for line once each per-node row (``sadc_slave01``,
-``buf_slave01.output0``, ...) was renamed to its fleet row (``sadc``,
-``buf.slave01``, ...), and the trace equalled the old one once the
-per-node runs of one tick were folded into one.  The ``.prom`` file
-leaves out the rows of outputs never written, as the parent's did.
+The ``.prom`` and ``.trace.json`` files were last written when the
+``scoreboard`` sink was removed (the ``print`` sinks feed the
+observatory): the text is the old file without its
+``fpt_instance_runs_total{instance="scoreboard",...}`` line, and the
+trace is the old one without the scoreboard's 12 run events (their
+timestamps shift under :func:`fixed_perf_counter`; the head does not
+change).  The ``.prom`` file leaves out the rows of outputs never
+written, as the parent's did.
 """
 
 import contextlib

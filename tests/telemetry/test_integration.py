@@ -5,6 +5,7 @@ import json
 from repro.analysis.metrics import Alarm
 from repro.core import FptCore, Module, ModuleRegistry, RunReason, SimClock
 from repro.modules.alarms import PrintModule
+from repro.obsv import Observatory
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 
 CONFIG = "[source]\nid = s\n\n[sink]\nid = k\ninput[a] = s.value\n"
@@ -48,7 +49,7 @@ def build_registry() -> ModuleRegistry:
 
 
 class AlarmSourceModule(Module):
-    """Emits one Alarm per tick, for audit-trail tests."""
+    """Emits one Alarm per tick, for alarm-record tests."""
 
     type_name = "alarm_source"
 
@@ -164,51 +165,56 @@ class TestCoreInstrumentation:
         assert "4 runs" in dot
 
 
+ALARM_CONFIG = (
+    "[alarm_source]\nid = bb\n\n"
+    "[print]\nid = BlackBoxAlarm\ninput[a] = bb.alarms\n"
+)
+
+
+def observed_alarm_core(observatory):
+    core = FptCore.from_config(
+        ALARM_CONFIG, alarm_registry(), SimClock(),
+        telemetry=observatory.telemetry,
+    )
+    observatory.attach(core)
+    return core
+
+
 class TestAlarmAuditTrail:
     def test_print_sink_records_audit_trail(self):
-        telemetry = Telemetry()
-        core = FptCore.from_config(
-            "[alarm_source]\nid = bb\n\n"
-            "[print]\nid = BlackBoxAlarm\ninput[a] = bb.alarms\n",
-            alarm_registry(),
-            SimClock(),
-            telemetry=telemetry,
-        )
+        observatory = Observatory()
+        core = observed_alarm_core(observatory)
         core.run_until(2.0)
-        assert len(telemetry.audit) == 3
-        record = telemetry.audit.records[0]
+        assert len(observatory.records) == 3
+        record = observatory.records[0]
         assert record.node == "slave05"
         assert record.source == "blackbox"
         assert record.detail == "L1 deviation 66.2 > 65.0"
         assert record.sink == "BlackBoxAlarm"
-        assert record.inputs == ("bb.alarms",)
-        assert telemetry.audit.culprits() == ["slave05"]
+        assert record.delivered == ("bb.alarms",)
+        assert record.measured  # the source's write is the ingest
+        assert "culprits: slave05" in observatory.summary_text()
 
-    def test_no_audit_records_with_telemetry_disabled(self):
+    def test_no_audit_records_without_an_observatory(self):
+        observatory = Observatory()
         core = FptCore.from_config(
-            "[alarm_source]\nid = bb\n\n"
-            "[print]\nid = BlackBoxAlarm\ninput[a] = bb.alarms\n",
-            alarm_registry(),
-            SimClock(),
+            ALARM_CONFIG, alarm_registry(), SimClock(),
+            telemetry=observatory.telemetry,
         )
         core.run_until(2.0)
-        assert len(core.telemetry.audit) == 0
+        # Telemetry alone records no alarm: only an attached observatory.
+        assert observatory.records == ()
+        assert "observatory" not in core.instance("BlackBoxAlarm").ctx.services
         # The sink itself still received everything.
         assert len(core.instance("BlackBoxAlarm").alarms) == 3
 
 
 class TestSummary:
     def test_summary_text_mentions_instances_and_culprits(self):
-        telemetry = Telemetry()
-        core = FptCore.from_config(
-            "[alarm_source]\nid = bb\n\n"
-            "[print]\nid = BlackBoxAlarm\ninput[a] = bb.alarms\n",
-            alarm_registry(),
-            SimClock(),
-            telemetry=telemetry,
-        )
+        observatory = Observatory(Telemetry())
+        core = observed_alarm_core(observatory)
         core.run_until(5.0)
-        text = telemetry.summary_text()
+        text = observatory.summary_text()
         assert "bb" in text
         assert "slave05" in text
         assert "total run() time" in text

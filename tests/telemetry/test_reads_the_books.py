@@ -140,17 +140,22 @@ class TestScrapeWhileItRuns:
         metrics = observatory.telemetry.metrics
         errors, done = [], threading.Event()
         scrapes = [[], []]  # one chronological list per hammering thread
+        alarm_totals = [[], []]  # /alarms "total" per scrape, likewise
 
         def fetch(server, path: str) -> bytes:
             with urllib.request.urlopen(server.url + path, timeout=10.0) as r:
                 assert r.status == 200
                 return r.read()
 
-        def hammer(server, seen: list) -> None:
+        def hammer(server, seen: list, totals: list) -> None:
             try:
                 while not done.is_set():
                     seen.append(parse(fetch(server, "/metrics").decode()))
                     json.loads(fetch(server, "/status"))
+                    json.loads(fetch(server, "/scoreboard"))
+                    alarms = json.loads(fetch(server, "/alarms"))
+                    assert alarms["returned"] == len(alarms["alarms"])
+                    totals.append(alarms["total"])
                     stats = recorder.stats()
                     assert 0 <= stats["buffered_samples"] <= stats["recorded"]
                     assert stats["buffered_bytes"] >= 0
@@ -160,8 +165,8 @@ class TestScrapeWhileItRuns:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         with OpsServer(observatory) as server:
-            threads = [threading.Thread(target=hammer, args=(server, seen))
-                       for seen in scrapes]
+            threads = [threading.Thread(target=hammer, args=(server, *pair))
+                       for pair in zip(scrapes, alarm_totals)]
             for thread in threads:
                 thread.start()
             try:
@@ -187,6 +192,9 @@ class TestScrapeWhileItRuns:
                 for key, value in earlier.items():
                     if key[0].endswith(("_total", "_count", "_bucket")):
                         assert later[key] >= value, key
+
+        for totals in alarm_totals:
+            assert totals == sorted(totals)
 
         # After the run every series is its book.
         final = parse(metrics.render_prometheus())
