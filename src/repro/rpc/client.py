@@ -22,7 +22,6 @@ request in flight to every node; :meth:`call` is the two in a row.
 
 from __future__ import annotations
 
-import itertools
 import random
 import socket
 import time
@@ -45,6 +44,7 @@ from .protocol import (
     encode_frame,
     make_hello,
     max_frame_bytes,
+    request_ids,
     response_result,
 )
 
@@ -77,7 +77,7 @@ class RpcClient:
         self.timeout = timeout
         self.counter = ByteCounter()
         self.reconnects = 0
-        self._ids = itertools.count(1)
+        self._ids = request_ids()
         self._sock: Optional[socket.socket] = None
         self._connect()
         if telemetry is not None and telemetry.enabled:

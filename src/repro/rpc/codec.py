@@ -29,20 +29,22 @@ A *series* is ``hadoop_log_rpcd``'s ``collect`` result: ``seconds``
 ``first, first + 1, ...``, one ``vectors`` row per second, ``watermark``.
 
 **Call plans.**  A connection that settles on ``bin`` compiles its
-steady frames at the welcome: :func:`call_plans` builds a
-:class:`CallPlan` per binary method, holding the request ``Struct`` per
-param flags (``>IBBIBB`` + ``""``/``"d"``/``"H"``/``"dH"``), the response
-layout -- ``_sample_struct(len(name))`` for ``sample`` (one window, flags
-0x02), ``_series_struct(rows * width)`` for ``collect``, the window walk
-for ``poll_many`` -- and, serving, the handler's bound ``rpc_*`` method,
-looked up per connection so that a wrapper put on the class before the
-connection opened sees every call.  An untraced call is then pack ->
-unpack -> handler -> pack -> unpack with no payload dict between.  The
-general functions here take the rest -- traced frames, errors, the
-priming ``None``, results the layout cannot carry, JSON -- and walk
-binary frames field by field (:class:`_Reader`), which names a frame
-truncated or trailed; a plan hands them any frame that is not its
-layout, so both give the same bytes, decoded objects and errors.
+steady round trips at the welcome: :func:`call_plans` builds a
+:class:`CallPlan` per binary method; a serving one holds the handler's
+bound ``rpc_*`` method, looked up per connection so that a wrapper put
+on the class before the connection opened sees every call.  A *steady*
+call is an untraced ``sample`` or ``collect`` with ``now`` alone: its
+request is one fixed ``Struct`` (``>IBBIBBd``) whose length is held
+against the connection's fixed frame limit once; its response is one
+window against the catalog, packed and read with the layout of the
+node name last seen on the connection (``_sample_struct``), or a
+one-row series, packed and read with the one ``_series_struct(width)``.
+Every other frame -- traced, the priming ``None``, errors, multi-row
+catch-ups, a row in another catalog order, a frame over the limit,
+JSON -- goes to the general functions, which walk binary frames field
+by field (:class:`_Reader`) and name a frame truncated or trailed; the
+untraced request with other params and ``poll_many``'s window walk stay
+in the plan.  Both give the same bytes, decoded objects and errors.
 
 A sample's ``node`` is a :class:`~repro.rpc.protocol.MetricRow`.  A row
 against the connection's own catalog (interned per process, so an
@@ -153,6 +155,9 @@ _REQUEST = {
     flags: struct.Struct(">IBBIBB" + params)
     for flags, params in _REQUEST_PARAM_FORMATS.items()
 }
+#: The steady request, ``now`` alone, and its length prefix.
+_NOW_REQUEST = _REQUEST[_RQ_NOW]
+_NOW_BODY = _NOW_REQUEST.size - _LENGTH.size
 _REQUEST_TAIL = {
     flags: struct.Struct(">" + params)
     for flags, params in _REQUEST_PARAM_FORMATS.items()
@@ -525,33 +530,6 @@ def _truncated(what: str, total: int, peer: str) -> ProtocolError:
     )
 
 
-def _series_at(
-    data: bytes, total: int, peer: str, width: int
-) -> Tuple[Dict[str, Any], int]:
-    """A series message's result, and where its trace block would start."""
-    if total < _SERIES_ROWS_AT + _U16.size:
-        raise _truncated("series", total, peer)
-    (rows,) = _U16.unpack_from(data, _SERIES_ROWS_AT)
-    layout = _series_struct(rows * width)
-    if total < layout.size:
-        raise _truncated("series", total, peer)
-    if rows and not width:
-        raise ProtocolError(
-            f"binary series frame but no interned metric catalog "
-            f"negotiated{_peer_suffix(peer)}"
-        )
-    fields = layout.unpack_from(data)
-    first = fields[6]
-    return {
-        "seconds": list(range(first, first + rows)),
-        "vectors": [list(fields[8:])] if rows == 1 else [
-            list(fields[8 + at * width:8 + (at + 1) * width])
-            for at in range(rows)
-        ],
-        "watermark": fields[5],
-    }, layout.size
-
-
 def decode_message(
     data: bytes, peer: str = "", metric_names: Sequence[str] = (),
     limit: Optional[int] = None,
@@ -587,12 +565,29 @@ def decode_message(
         if trace is not None:
             payload["trace"] = trace
     elif kind == _KIND_SERIES:
-        result, trace_at = _series_at(data, total, peer, len(metric_names))
-        reader = _Reader(data, peer, trace_at, total)
+        width = len(metric_names)
+        if total < _SERIES_ROWS_AT + _U16.size:
+            raise _truncated("series", total, peer)
+        (rows,) = _U16.unpack_from(data, _SERIES_ROWS_AT)
+        layout = _series_struct(rows * width)
+        if total < layout.size:
+            raise _truncated("series", total, peer)
+        if rows and not width:
+            raise ProtocolError(
+                f"binary series frame but no interned metric catalog "
+                f"negotiated{_peer_suffix(peer)}"
+            )
+        fields = layout.unpack_from(data)
+        reader = _Reader(data, peer, layout.size, total)
         if flags & _RS_TRACE:
             payload["trace"] = _unpack_trace(reader)
         reader.done()
-        payload["result"] = result
+        payload["result"] = {
+            "seconds": list(range(fields[6], fields[6] + rows)),
+            "vectors": [list(fields[8 + at * width:8 + (at + 1) * width])
+                        for at in range(rows)],
+            "watermark": fields[5],
+        }
     elif kind in (_KIND_RESPONSE, _KIND_ERROR):
         if flags & _RS_TRACE:
             payload["trace"] = _unpack_trace(reader)
@@ -657,10 +652,12 @@ class CallPlan:
     ``poll_many``'s (the window walk).  :meth:`request` and :meth:`result`
     are the client half, :meth:`answer` the serving one.  Each hands a
     frame or result that is not its layout to the general functions, so
-    bytes, decoded objects and errors are theirs."""
+    bytes, decoded objects and errors are theirs.  ``now_request`` packs
+    the steady request; None when it is over the limit, which the general
+    path then refuses."""
 
     __slots__ = ("method", "method_id", "names", "width", "peer", "limit",
-                 "target")
+                 "target", "now_request")
 
     def __init__(self, method: str, names: Tuple[str, ...], peer: str,
                  limit: int, target: Any) -> None:
@@ -671,9 +668,14 @@ class CallPlan:
         self.peer = peer
         self.limit = limit
         self.target = target
+        self.now_request = _NOW_REQUEST.pack if _NOW_BODY <= limit else None
 
     def request(self, request_id: int, params: Dict[str, Any]) -> Optional[bytes]:
         """The request frame; None when ``params`` do not fit."""
+        now = params.get("now") if len(params) == 1 else None
+        if now is not None and self.now_request is not None:
+            return self.now_request(_NOW_BODY, MAGIC, _KIND_REQUEST, request_id & 0xFFFFFFFF,
+                                    _RQ_NOW, self.method_id, float(now))
         fit = _request_values(params)
         if fit is None:
             return None
@@ -741,59 +743,101 @@ class CallPlan:
 
 
 class _SamplePlan(CallPlan):
-    """``sample``: one window in the ``_sample_struct`` layout."""
+    """``sample``: one window in the ``_sample_struct`` layout.  ``named``
+    caches the node name last packed or read: (name, its bytes, layout)."""
 
-    __slots__ = ()
+    __slots__ = ("named",)
+
+    def __init__(self, *args: Any) -> None:
+        super().__init__(*args)
+        self.named: Tuple[Any, bytes, struct.Struct] = self._name("")
+
+    def _name(self, name: str) -> Tuple[Any, bytes, struct.Struct]:
+        encoded = name.encode("utf-8")
+        named = (name, encoded, _sample_struct(len(encoded)))
+        if len(encoded) <= 255:
+            self.named = named  # fpt: noqa[FPT401] -- per-connection cache, replaced whole; one thread serves or polls a connection
+        return named
 
     def result(self, data: bytes, request_id: int) -> Any:
+        named = self.named
         if len(data) > _FRAME_HEAD.size:
-            layout = _sample_struct(data[_FRAME_HEAD.size])
+            layout = (named[2] if data[_FRAME_HEAD.size] == len(named[1])
+                      else _sample_struct(data[_FRAME_HEAD.size]))
             if len(data) == layout.size + 8 * self.width:
                 (length, magic, kind, answered, flags, _, name, windows,
                  timestamp, emit_wall) = layout.unpack_from(data)
                 if (length == len(data) - _LENGTH.size <= self.limit
                         and magic == MAGIC and kind == _KIND_RESPONSE
                         and flags == _RS_SINGLE and windows == 1):
+                    if name != named[1]:
+                        named = self._name(name.decode("utf-8", "replace"))
                     return self._checked(_window(
-                        timestamp, emit_wall, name.decode("utf-8", "replace"),
-                        data, layout.size, self.names,
+                        timestamp, emit_wall, named[0], data, layout.size,
+                        self.names,
                     ), answered, request_id)
         return self._decoded(data, request_id)
 
     def pack(self, request_id: int, result: Any) -> Optional[bytes]:
-        window = _pack_window(result, self.names)
-        if window is None:
-            return None
-        name = str(result.get("node_name", "")).encode("utf-8")
-        if len(name) > 255:
-            return None
-        timestamp, emit_wall, row = window
-        layout = _sample_struct(len(name))
-        return layout.pack(
-            body_length(layout.size + len(row), self.peer, self.limit),
-            MAGIC, _KIND_RESPONSE, request_id, _RS_SINGLE, len(name), name,
-            1, timestamp, emit_wall,
-        ) + row
+        if type(result) is dict and result.keys() <= _WINDOW_KEYS:
+            node, name = result.get("node"), result.get("node_name", "")
+            if type(node) is MetricRow and node.names is self.names and type(name) is str:
+                named = self.named if name == self.named[0] else self._name(name)
+                if len(named[1]) <= 255:
+                    try:
+                        row = node.row.astype(_WIRE_F64).tobytes()
+                        stamps = (float(result.get("timestamp", 0.0)),
+                                  float(result.get("emit_wall", 0.0)))
+                    except (TypeError, ValueError):
+                        return None
+                    length = named[2].size - _LENGTH.size + len(row)
+                    if length <= self.limit:
+                        return named[2].pack(
+                            length, MAGIC, _KIND_RESPONSE, request_id,
+                            _RS_SINGLE, len(named[1]), named[1], 1, *stamps,
+                        ) + row
+        return super().pack(request_id, result)
 
 
 class _SeriesPlan(CallPlan):
-    """``collect``: the ``_series_struct`` layout."""
+    """``collect``: the ``_series_struct`` layout; a one-row series is
+    packed and read with the one ``Struct`` of its size, ``one_row``
+    (None when that frame is over the connection's limit)."""
 
-    __slots__ = ()
+    __slots__ = ("one_row",)
+
+    def __init__(self, *args: Any) -> None:
+        super().__init__(*args)
+        layout = _series_struct(self.width)
+        self.one_row = layout if layout.size - _LENGTH.size <= self.limit else None
 
     def result(self, data: bytes, request_id: int) -> Any:
-        if (len(data) > _FRAME_HEAD.size and data[10] == 0
-                and data[5] == _KIND_SERIES):
-            length, magic, _, answered, _ = _FRAME_HEAD.unpack_from(data)
-            if length == len(data) - _LENGTH.size <= self.limit and magic == MAGIC:
-                result, end = _series_at(data, len(data), self.peer, self.width)
-                if end == len(data):
-                    return self._checked(result, answered, request_id)
+        one_row = self.one_row
+        if one_row is not None and len(data) == one_row.size:
+            fields = one_row.unpack(data)
+            if (fields[0] == one_row.size - _LENGTH.size and fields[1] == MAGIC
+                    and fields[2] == _KIND_SERIES and fields[4] == 0 and fields[7] == 1):
+                return self._checked({
+                    "seconds": [fields[6]], "vectors": [list(fields[8:])],
+                    "watermark": fields[5],
+                }, fields[3], request_id)
         return self._decoded(data, request_id)
 
     def pack(self, request_id: int, result: Any) -> Optional[bytes]:
-        return _pack_series(result, request_id, b"", self.width, self.peer,
-                            self.limit)
+        one_row = self.one_row
+        if one_row is not None and type(result) is dict and result.keys() == _SERIES_KEYS:
+            seconds, vectors = result["seconds"], result["vectors"]
+            if (type(seconds) is list and type(vectors) is list
+                    and len(seconds) == len(vectors) == 1
+                    and type(seconds[0]) is int):
+                try:
+                    if len(vectors[0]) == self.width:
+                        return one_row.pack(one_row.size - _LENGTH.size, MAGIC, _KIND_SERIES,
+                                            request_id, 0, result["watermark"], seconds[0], 1,
+                                            *vectors[0])
+                except (struct.error, TypeError, OverflowError):
+                    return None
+        return super().pack(request_id, result)
 
 
 _PLANS = {"sample": _SamplePlan, "collect": _SeriesPlan, "poll_many": CallPlan}

@@ -129,9 +129,10 @@ class HadoopLogDaemon:
 
     def _feed_new_lines(self) -> None:
         for index, log in enumerate(self._logs):
-            records, self._offsets[index] = log.read_from(self._offsets[index])
-            for record in records:
-                self._states.feed_line(record.line)
+            if len(log) != self._offsets[index]:  # no line, no tail copy
+                records, self._offsets[index] = log.read_from(self._offsets[index])
+                for record in records:
+                    self._states.feed_line(record.line)
 
     def rpc_collect(self, now: float) -> Dict[str, Any]:
         """Return state vectors for newly stable seconds, oldest first.

@@ -17,7 +17,6 @@ encode -> decode.
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, List, Optional
 
 from .codec import (
@@ -34,6 +33,7 @@ from .protocol import (
     encode_frame,
     make_hello,
     max_frame_bytes,
+    request_ids,
     response_result,
 )
 from .server import Connection
@@ -59,7 +59,7 @@ class InprocChannel:
             telemetry.watch_rpc(service, f"inproc:{service}", self.counter)
             if telemetry.tracer.enabled:
                 self._tracer = telemetry.tracer
-        self._ids = itertools.count(1)
+        self._ids = request_ids()
         # The frame limit in force when the channel opens holds for its
         # lifetime, as on a TCP connection.
         self._limit = limit = max_frame_bytes()

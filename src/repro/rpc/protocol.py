@@ -25,6 +25,7 @@ import os
 import struct
 import threading
 from collections.abc import Mapping
+from itertools import chain, repeat
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Any, Dict, Iterator, List, Optional, Tuple
@@ -331,6 +332,13 @@ def frame_trace(payload: Dict[str, Any]) -> Optional[TraceContext]:
     return TraceContext.from_wire(payload.get("trace"))
 
 
+def request_ids(first: int = 1) -> Iterator[int]:
+    """A connection's request ids, ``first`` on: u32, as binary frames
+    carry them, wrapping from ``2**32 - 1`` to 1."""
+    ids = range(1, 1 << 32)
+    return chain(range(first, 1 << 32), chain.from_iterable(repeat(ids)))
+
+
 def make_request(
     request_id: int,
     method: str,
@@ -463,9 +471,11 @@ class ByteCounter:
                 self.static_wire += wire
 
     def count_round_trip(self, tx_bytes: int, rx_bytes: int) -> None:
-        """``count_tx(tx_bytes)`` and ``count_rx(rx_bytes)`` under one lock."""
-        tx_wire = wire_bytes(tx_bytes)
-        rx_wire = wire_bytes(rx_bytes)
+        """``count_tx(tx_bytes)`` and ``count_rx(rx_bytes)`` under one lock;
+        a frame within one segment adds its header inline."""
+        one = SEGMENT_PAYLOAD_BYTES
+        tx_wire = tx_bytes + WIRE_HEADER_BYTES if 0 < tx_bytes <= one else wire_bytes(tx_bytes)
+        rx_wire = rx_bytes + WIRE_HEADER_BYTES if 0 < rx_bytes <= one else wire_bytes(rx_bytes)
         with self._lock:
             self.tx_payload += tx_bytes
             self.tx_wire += tx_wire

@@ -163,8 +163,11 @@ class FleetSadc:
         self._nodes: List[int] = []
         self._index = np.zeros(0, dtype=np.intp)
         self._primed: List[bool] = []
+        #: Per slot, its last collect's counters and time; a collect notes
+        #: its slot in ``_taken``, the next pass copies its counters over.
         self._prev = np.zeros((len(COUNTERS), 0))
-        self._prev_time = np.zeros(0)
+        self._prev_time: List[float] = []
+        self._taken: List[int] = []
         self._key: Optional[Tuple[float, int, int]] = None
         self._cur = self._prev
         self._matrix = np.zeros((0, len(NODE_METRICS)))
@@ -176,6 +179,7 @@ class FleetSadc:
         with self._lock:
             self._nodes.append(int(node_index))
             self._primed.append(False)
+            self._prev_time.append(0.0)
             return FleetNodeSampler(self, len(self._nodes) - 1)
 
     def collect(self, slot: int, now: float) -> Optional[np.ndarray]:
@@ -189,23 +193,12 @@ class FleetSadc:
             if key != self._key:
                 self._build(now)
                 self._key = key
-            primed = self._primed[slot]
-            elapsed = now - self._prev_time[slot]
-            serve = primed and elapsed > 0
-            row = self._matrix[slot] if serve else None
-            self._prev[:, slot] = self._cur[:, slot]
-            self._prev_time[slot] = now
+            prev_time = self._prev_time
+            serve = self._primed[slot] and now - prev_time[slot] > 0
+            prev_time[slot] = now
             self._primed[slot] = True
-            return row
-
-    def _grow(self) -> None:
-        """Give slots handed out since the last pass their columns."""
-        added = len(self._nodes) - self._prev.shape[1]
-        self._index = np.array(self._nodes, dtype=np.intp)
-        self._prev = np.concatenate(
-            [self._prev, np.zeros((len(COUNTERS), added))], axis=1
-        )
-        self._prev_time = np.concatenate([self._prev_time, np.zeros(added)])
+            self._taken.append(slot)
+            return self._matrix[slot] if serve else None
 
     def _build(self, now: float) -> None:
         """One pass: every slot's node metrics against its own previous.
@@ -213,8 +206,16 @@ class FleetSadc:
         Mirrors the oracle's ``Sadc._node_metrics`` expression for
         expression; any edit there must be replicated here.
         """
-        if self._prev.shape[1] != len(self._nodes):
-            self._grow()
+        if self._taken:
+            taken = np.array(self._taken, dtype=np.intp)
+            self._prev[:, taken] = self._cur[:, taken]
+            self._taken = []
+        added = len(self._nodes) - self._prev.shape[1]
+        if added:
+            self._index = np.array(self._nodes, dtype=np.intp)
+            self._prev = np.concatenate(
+                [self._prev, np.zeros((len(COUNTERS), added))], axis=1
+            )
         arrays = self._fleet.a
         index = self._index
         cur = np.stack([arrays[key] for key in COUNTERS])[:, index]
@@ -222,7 +223,7 @@ class FleetSadc:
         prev = self._prev
         # Unprimed and zero-elapsed slots are never served; their lanes
         # only have to stay finite.
-        elapsed = now - self._prev_time
+        elapsed = now - np.array(self._prev_time)
         elapsed = np.where(elapsed > 0.0, elapsed, 1.0)
         pos = np.maximum(0.0, cur - prev)
         out = np.zeros((len(NODE_METRICS), len(index)))

@@ -3,18 +3,23 @@
 A plan packs, unpacks and answers the untraced ``sample`` / ``collect``
 / ``poll_many`` calls without the general functions.  Held here: on
 seeded random results -- rows with NaN, -0.0, float32 or strided values,
-rows in another catalog order, series of 0, 1 and 240 rows and one with
-a gap, the priming ``None``, handlers raising ``TypeError`` or anything
-else, extra keys that fall back to JSON -- every frame a plan builds is
-byte-identical to the oracle's, every result it reads ``==`` the
-oracle's and of the same types, and traced calls, which the general
-functions keep, are the oracle's too.  The id-mismatch and frame-limit
-checks still fire on the plan path.
+rows in another catalog order, series of 0, 1 and 240 rows, one with a
+gap and one whose seconds do not fit an i64, node names that change
+from call to call on one connection, ``now`` as float, int and
+``numpy.float64``, the priming ``None``, handlers raising ``TypeError``
+or anything else, extra keys that fall back to JSON -- every frame a
+plan builds is byte-identical to the oracle's, every result it reads
+``==`` the oracle's and of the same types, and traced calls, which the
+general functions keep, are the oracle's too.  The id-mismatch and
+frame-limit checks still fire on the plan path, also at limits around
+the size of the steady frames; a steady call never reaches the general
+functions; request ids stay u32 past ``2**32 - 1`` calls.
 """
 
 import math
 import random
 import struct
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -29,7 +34,7 @@ from repro.rpc import (
     TraceContext,
     set_max_frame_bytes,
 )
-from repro.rpc import codec
+from repro.rpc import codec, inproc, server
 from repro.rpc.codec import (
     CODEC_BINARY,
     call_plans,
@@ -38,7 +43,12 @@ from repro.rpc.codec import (
     encode_response_frame,
     planned_answer,
 )
-from repro.rpc.protocol import intern_catalog, response_result
+from repro.rpc.protocol import (
+    WIRE_HEADER_BYTES,
+    intern_catalog,
+    request_ids,
+    response_result,
+)
 from repro.sysstat import NODE_METRICS
 
 from . import codec_oracle as oracle
@@ -92,7 +102,7 @@ def random_row(rng, names):
 def random_window(rng, names):
     window = {"timestamp": rng.uniform(0, 1e5)}
     window["node_name"] = rng.choice(
-        ["", "slave07", "n" * rng.randint(1, 255), "été", "n" * 256]
+        ["", "slave07", "slave08", "n" * rng.randint(1, 255), "été", "n" * 256]
     )
     window["node"] = random_row(rng, names)
     if rng.random() < 0.5:
@@ -105,6 +115,8 @@ def random_window(rng, names):
 def random_series(rng, width):
     rows = rng.choice([0, 1, 1, 2, 5, 240])
     first = rng.randint(-3, 10**6)
+    if rng.random() < 0.1:              # past an i64: JSON
+        first = rng.choice([2**63 - 1, 2**63, -2**63 - 1, 2**64])
     seconds = list(range(first, first + rows))
     if rows > 1 and rng.random() < 0.15:
         seconds[-1] += 1                # a gap: JSON
@@ -137,7 +149,9 @@ def random_result(rng, method, names):
 
 
 def random_params(rng, method):
-    params = {"now": rng.choice([rng.uniform(0, 1e6), 7, 1.5])}
+    params = {"now": rng.choice([
+        rng.uniform(0, 1e6), 7, 1.5, 10**6, np.float64(rng.uniform(0, 1e6)),
+    ])}
     if method == "poll_many" and rng.random() < 0.7:
         params["max_windows"] = rng.choice([1, 32, 70000, -4])
     if rng.random() < 0.05:
@@ -194,9 +208,9 @@ def oracle_round_trip(handler, request_id, method, params, names, trace=None):
     return frame, response
 
 
-def oracle_result(response, request_id, names):
-    payload, _ = oracle.decode_message(response, metric_names=names)
-    return response_result(payload, request_id)
+def oracle_result(response, request_id, names, peer="", limit=None):
+    payload, _ = oracle.decode_message(response, peer, names, limit)
+    return response_result(payload, request_id, peer)
 
 
 def general_result(response, request_id, names):
@@ -217,10 +231,17 @@ def outcome_of(call, *args, **kwargs):
 class TestPlansEqualTheOracle:
     @pytest.mark.parametrize("seed", range(6))
     def test_frames_are_byte_identical_and_results_the_same(self, seed):
+        """One connection per catalog, so what a plan keeps between calls
+        (the last node name's layout) meets every name in turn."""
+        connections = {}
         for request_id, method, params, outcome, names in cases(seed, 150):
-            handler = Scripted(names)
+            if names not in connections:
+                handler = Scripted(names)
+                connections[names] = handler, call_plans(
+                    CODEC_BINARY, METHODS, names, "", LIMIT, handler
+                )
+            handler, plans = connections[names]
             handler.outcome = outcome
-            plans = call_plans(CODEC_BINARY, METHODS, names, "", LIMIT, handler)
             plan = plans[method]
             want_request, want_response = oracle_round_trip(
                 handler, request_id, method, params, names
@@ -314,6 +335,131 @@ class TestPlansEqualTheOracle:
         assert channel.call("collect", now=6.0)["watermark"] == 2.5
         assert seen == [5.0, 6.0]
         assert channel._plans["collect"].target.__self__ is handler
+
+
+    @pytest.mark.parametrize("method", ["sample", "collect"])
+    def test_limits_around_the_steady_frames(self, method):
+        """At a limit just under, at and just over the size of the steady
+        request and of a one-row response, a plan builds the oracle's
+        frames or raises the oracle's error, writing and reading."""
+        names = CATALOGS[8] if method == "collect" else CATALOGS[64]
+        handler = Scripted(names)
+        handler.outcome = (
+            {"seconds": [41], "vectors": [[2.0] * 8], "watermark": 42.5}
+            if method == "collect" else
+            {"timestamp": 9.0, "node_name": "slave07",
+             "node": MetricRow(names, np.arange(64.0))}
+        )
+        request, response = oracle_round_trip(handler, 5, method, {"now": 3.0}, names)
+        reply = oracle.dispatch(handler, oracle.decode_message(request)[0])
+        sizes = {len(request) - 4, len(response) - 4}
+        for limit in sorted({size + step for size in sizes for step in (-1, 0, 1)}):
+            plans = call_plans(CODEC_BINARY, METHODS, names, "p:1", limit, handler)
+            got = staged(plans[method].request, 5, {"now": 3.0})
+            want = staged(oracle.encode_request_frame, 5, method, {"now": 3.0},
+                          None, CODEC_BINARY, "p:1", limit)
+            assert got == want, limit
+            if got[0] == "ok":
+                got = staged(planned_answer, plans, request)
+                want = staged(oracle.encode_response_frame, reply, method, names,
+                              CODEC_BINARY, "p:1", limit)
+                assert got == want, limit
+            # The roomy response read under this limit.
+            got = staged(plans[method].result, response, 5)
+            want = staged(oracle_result, response, 5, names, "p:1", limit)
+            if got[0] == want[0] == "ok":
+                assert_same(got[1], want[1])
+            else:
+                assert got == want, limit
+
+
+def staged(call, *args):
+    """``("ok", call(*args))`` or ``("error", type, message)``."""
+    try:
+        return "ok", call(*args)
+    except (ProtocolError, RemoteError) as exc:
+        return "error", type(exc).__name__, str(exc)
+
+
+# -- the steady path ------------------------------------------------------------
+
+def steady_outcomes(names, method, count):
+    """Steady results: one window against the catalog under a name that
+    changes now and then, or a one-row series; ``now`` of every type."""
+    rng = random.Random(count)
+    for call in range(count):
+        now = rng.choice([float(call), call, np.float64(call + 0.5)])
+        if method == "collect":
+            yield now, {"seconds": [call], "vectors": [[rng.random()] * 8],
+                        "watermark": call + 0.25}
+        else:
+            yield now, {"timestamp": float(call),
+                        "node_name": rng.choice(["slave07", "slave08", "n1", "été"]),
+                        "node": MetricRow(names, np.full(64, rng.random()))}
+
+
+class TestTheSteadyPath:
+    def test_a_steady_call_never_takes_the_general_path(self, monkeypatch):
+        """The general functions -- and the plans' own field-by-field
+        fallbacks -- raise; steady untraced calls still return the
+        oracle's results and count the oracle's bytes."""
+        channels = {
+            method: InprocChannel(Scripted(names), "svc@node")
+            for method, names in (("sample", CATALOGS[64]), ("collect", CATALOGS[8]))
+        }
+
+        def general(*args, **kwargs):
+            raise AssertionError("a steady call took the general path")
+
+        for module in (codec, inproc, server):
+            for name in ("encode_request_frame", "encode_response_frame",
+                         "decode_message", "_request_values", "_pack_window",
+                         "_pack_series", "_walk_windows"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, general)
+        for method, channel in channels.items():
+            handler, names = channel.handler, channel.metric_names
+            start = vars(channel.counter).copy()
+            tx = rx = 0
+            for call, (now, outcome) in enumerate(steady_outcomes(names, method, 40), 1):
+                handler.outcome = outcome
+                got = channel.call(method, now=now)
+                assert handler.seen[-1] == {"now": float(now)}
+                request, response = oracle_round_trip(
+                    handler, call, method, {"now": now}, names
+                )
+                assert_same(got, oracle_result(response, call, names))
+                tx, rx = tx + len(request), rx + len(response)
+            counter = channel.counter
+            assert (counter.tx_payload - start["tx_payload"],
+                    counter.rx_payload - start["rx_payload"]) == (tx, rx)
+            assert counter.messages_sent - start["messages_sent"] == 40
+            assert counter.messages_received - start["messages_received"] == 40
+            # Every steady frame fits one segment: one header each.
+            assert counter.tx_wire - start["tx_wire"] == tx + 40 * WIRE_HEADER_BYTES
+            assert counter.rx_wire - start["rx_wire"] == rx + 40 * WIRE_HEADER_BYTES
+
+
+class TestRequestIds:
+    def test_ids_wrap_to_one_after_the_last_u32(self):
+        assert list(islice(request_ids(2**32 - 2), 4)) == [2**32 - 2, 2**32 - 1, 1, 2]
+
+    def test_calls_go_on_past_the_last_u32_id(self):
+        """Three planned and three traced calls from id ``2**32 - 1`` on,
+        in process and over TCP: each answer matches its request."""
+        handler = Scripted(CATALOGS[3])
+        handler.outcome = {
+            "timestamp": 1.0, "node_name": "n1",
+            "node": MetricRow(CATALOGS[3], np.arange(3.0)),
+        }
+        with RpcServer(handler, "svc") as srv, RpcClient(*srv.address) as client:
+            for caller in (InprocChannel(handler, "svc"), client):
+                caller._ids = request_ids(2**32 - 1)
+                for trace in (None, None, None, TraceContext.new_root(),
+                              TraceContext.new_root(), TraceContext.new_root()):
+                    got = caller.call("sample", trace=trace, now=2.0)
+                    assert list(got["node"].values()) == [0.0, 1.0, 2.0]
+                assert next(caller._ids) == 6
 
 
 # -- the checks it keeps ---------------------------------------------------------
