@@ -389,9 +389,6 @@ def run_scenario(
     wb_sink = sink("WhiteBoxAlarm")
     all_sink = sink("CombinedAlarm")
 
-    def collect(sink_module, type_check):
-        return [s.value for s in sink_module.received if type_check(s.value)]
-
     alarms_bb = bb_sink.alarms
     alarms_wb = wb_sink.alarms
     alarms_all = all_sink.alarms

@@ -134,14 +134,9 @@ class JobState:
     submit_time: float = 0.0
     finish_time: Optional[float] = None
     output_blocks: List[Block] = field(default_factory=list)
-
-    @property
-    def maps_done(self) -> int:
-        return sum(1 for t in self.maps if t.status is TaskStatus.SUCCEEDED)
-
-    @property
-    def reduces_done(self) -> int:
-        return sum(1 for t in self.reduces if t.status is TaskStatus.SUCCEEDED)
+    #: Tasks ``SUCCEEDED`` (a success is final): kept by ``_complete``.
+    maps_done: int = 0
+    reduces_done: int = 0
 
     def reduces_eligible(self) -> bool:
         threshold = max(1, int(REDUCE_SLOWSTART_FRACTION * len(self.maps)))
@@ -166,7 +161,9 @@ class TaskAttempt:
         now: float,
     ) -> None:
         self.tracker = tracker
+        self.node = tracker.node_name
         self.job = job
+        self.cost = job.spec.cost
         self.task = task
         self.attempt_no = attempt_no
         self.pid = pid
@@ -176,14 +173,6 @@ class TaskAttempt:
         self.last_log_time = now - PROGRESS_LOG_INTERVAL_S  # log soon after launch
         self.finished = False
         self.failed = False
-
-    @property
-    def node(self) -> str:
-        return self.tracker.node_name
-
-    @property
-    def cost(self):
-        return self.job.spec.cost
 
     def progress(self) -> float:
         raise NotImplementedError
@@ -197,7 +186,8 @@ class TaskAttempt:
     def _note_progress(self, now: float) -> None:
         self.last_progress_time = now
 
-    def _maybe_log_progress(self, now: float, detail: str) -> None:
+    def _maybe_log_progress(self, now: float, detail: Callable[[], str]) -> None:
+        """Log a progress line if one is due; ``detail()`` runs only then."""
         if now - self.last_log_time >= PROGRESS_LOG_INTERVAL_S:
             self.last_log_time = now
             # Hadoop logs progress as a 0-1 fraction with a percent sign
@@ -206,7 +196,7 @@ class TaskAttempt:
                 now,
                 "INFO",
                 TASKTRACKER_CLASS,
-                f"{self.attempt_id} {self.progress() / 100.0:.2f}% {detail}",
+                f"{self.attempt_id} {self.progress() / 100.0:.2f}% {detail()}",
             )
 
 
@@ -261,9 +251,7 @@ class MapAttempt(TaskAttempt):
             # the bytes cross the network.
             src_pid = self.tracker.datanode_pid(self.src_node)
             ctx.demand_disk(self.src_node, src_pid, read_bytes=want_bytes)
-            self._transfer = ctx.demand_transfer(
-                self.src_node, self.node, want_bytes, tag=f"hdfs-read:{self.attempt_id}"
-            )
+            self._transfer = ctx.demand_transfer(self.src_node, self.node, want_bytes)
             self._io = ctx.demand_disk(self.node, self.pid, write_bytes=out_bytes)
 
     def advance(self, now: float, dt: float) -> None:
@@ -287,7 +275,7 @@ class MapAttempt(TaskAttempt):
             self.bytes_done += consumed
             self._note_progress(now)
         self._maybe_log_progress(
-            now, f"hdfs://master:9000/gridmix/{self.job.spec.name}:"
+            now, lambda: f"hdfs://master:9000/gridmix/{self.job.spec.name}:"
             f"{self.task.index * 67108864}+67108864"
         )
         if self.bytes_done >= self.input_bytes - 1e-6:
@@ -305,8 +293,9 @@ class ReduceAttempt(TaskAttempt):
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.phase = ReducePhase.COPY
-        self.remaining_by_src: Dict[int, float] = {}  # map index -> bytes left
-        self.known_outputs: set = set()
+        #: Map index -> bytes left (> 1e-6), in discovery order.
+        self.remaining_by_src: Dict[int, float] = {}
+        self.outputs_known = 0  # how many map outputs it has seen
         self.fetched_bytes = 0.0
         self.expected_shuffle_bytes: Optional[float] = None
         self.sort_done_bytes = 0.0
@@ -323,12 +312,16 @@ class ReduceAttempt(TaskAttempt):
 
     def _discover_outputs(self) -> None:
         """Learn about newly completed maps (piece = 1/num_reduces each)."""
+        outputs = self.job.map_outputs
+        if len(outputs) == self.outputs_known:
+            return
+        # A map reports its output once, so the new ones are the last.
         num_reduces = max(1, self.job.spec.num_reduces)
-        for map_index, output in self.job.map_outputs.items():
-            if map_index in self.known_outputs:
-                continue
-            self.known_outputs.add(map_index)
-            self.remaining_by_src[map_index] = output.total_bytes / num_reduces
+        for index, output in itertools.islice(outputs.items(), self.outputs_known, None):
+            piece = output.total_bytes / num_reduces
+            if piece > 1e-6:
+                self.remaining_by_src[index] = piece
+        self.outputs_known = len(outputs)
 
     def _shuffle_total(self) -> float:
         if self.expected_shuffle_bytes is None:
@@ -350,8 +343,8 @@ class ReduceAttempt(TaskAttempt):
     def _copy_complete(self) -> bool:
         return (
             self.job.maps_done == len(self.job.maps)
-            and len(self.known_outputs) == len(self.job.maps)
-            and all(v <= 1e-6 for v in self.remaining_by_src.values())
+            and self.outputs_known == len(self.job.maps)
+            and not self.remaining_by_src
         )
 
     # -- demand / advance ----------------------------------------------------------
@@ -365,15 +358,9 @@ class ReduceAttempt(TaskAttempt):
         if self.hung:
             return  # wedged: no demands at all (paper: decreased activity)
 
-        bug = self.tracker.bug_for(self.node, now)
         if self.phase is ReducePhase.COPY:
             self._discover_outputs()
-            sources = [
-                (idx, remaining)
-                for idx, remaining in self.remaining_by_src.items()
-                if remaining > 1e-6
-            ]
-            sources.sort(key=lambda item: -item[1])
+            sources = sorted(self.remaining_by_src.items(), key=lambda s: -s[1])
             write_total = 0.0
             fetch_cap = SHUFFLE_FETCH_BYTES_PER_S * ctx.dt
             for idx, remaining in sources[:MAX_PARALLEL_FETCHES]:
@@ -381,9 +368,7 @@ class ReduceAttempt(TaskAttempt):
                 output = self.job.map_outputs[idx]
                 src_pid = self.tracker.tasktracker_pid(output.node)
                 ctx.demand_disk(output.node, src_pid, read_bytes=remaining)
-                transfer = ctx.demand_transfer(
-                    output.node, self.node, remaining, tag=f"shuffle:{self.attempt_id}"
-                )
+                transfer = ctx.demand_transfer(output.node, self.node, remaining)
                 self._fetch_transfers.append(transfer)
                 self._fetch_sources.append(idx)
                 write_total += remaining
@@ -418,9 +403,7 @@ class ReduceAttempt(TaskAttempt):
                 chain = [n for n in self.output_block.replicas if n != self.node]
                 upstream = self.node
                 for replica in chain:
-                    transfer = ctx.demand_transfer(
-                        upstream, replica, out_bytes, tag=f"pipeline:{self.attempt_id}"
-                    )
+                    transfer = ctx.demand_transfer(upstream, replica, out_bytes)
                     self._replica_transfers.append((replica, transfer))
                     dn_pid = self.tracker.datanode_pid(replica)
                     ctx.demand_disk(replica, dn_pid, write_bytes=out_bytes)
@@ -434,25 +417,24 @@ class ReduceAttempt(TaskAttempt):
 
         if self.phase is ReducePhase.COPY:
             got = 0.0
+            remaining_by_src = self.remaining_by_src
             for idx, transfer in zip(self._fetch_sources, self._fetch_transfers):
-                fetched = min(transfer.granted_bytes, self.remaining_by_src[idx])
-                self.remaining_by_src[idx] -= fetched
+                fetched = min(transfer.granted_bytes, remaining_by_src[idx])
+                left = remaining_by_src[idx] - fetched
+                if left > 1e-6:
+                    remaining_by_src[idx] = left
+                else:
+                    del remaining_by_src[idx]
                 got += fetched
             if got > 0:
                 self.fetched_bytes += got
                 self._note_progress(now)
             if self._cpu is not None:
                 self._cpu.book(min(self._cpu.granted, 0.05 * got / MB))
-            total = self._shuffle_total()
-            done_maps = len(self.known_outputs) - sum(
-                1 for v in self.remaining_by_src.values() if v > 1e-6
-            )
-            rate = got / MB / dt
-            self._maybe_log_progress(
-                now,
-                f"reduce > copy ({done_maps} of {len(self.job.maps)} at "
-                f"{rate:.2f} MB/s) >",
-            )
+            self._maybe_log_progress(now, lambda: (
+                f"reduce > copy ({self.outputs_known - len(self.remaining_by_src)}"
+                f" of {len(self.job.maps)} at {got / MB / dt:.2f} MB/s) >"
+            ))
             if self._copy_complete():
                 bug = self.tracker.bug_for(self.node, now)
                 if bug is BugKind.REDUCE_HANG_2080:
@@ -481,7 +463,7 @@ class ReduceAttempt(TaskAttempt):
             if consumed > 0:
                 self.sort_done_bytes += consumed
                 self._note_progress(now)
-            self._maybe_log_progress(now, "reduce > sort")
+            self._maybe_log_progress(now, lambda: "reduce > sort")
             if self.sort_done_bytes >= total - 1e-6:
                 self.phase = ReducePhase.REDUCE
                 self.output_block = self.tracker.allocate_output_block(
@@ -506,7 +488,7 @@ class ReduceAttempt(TaskAttempt):
             if consumed > 0:
                 self.reduce_done_bytes += consumed
                 self._note_progress(now)
-            self._maybe_log_progress(now, "reduce > reduce")
+            self._maybe_log_progress(now, lambda: "reduce > reduce")
             if self.reduce_done_bytes >= total - 1e-6:
                 self.finished = True
 
@@ -542,6 +524,7 @@ class TaskTracker:
         self.map_slots = map_slots
         self.reduce_slots = reduce_slots
         self.running: List[TaskAttempt] = []
+        self._maps_running = 0  # how many of ``running`` are maps
         self._pids = itertools.count(pid_base)
         self._last_heartbeat = -HEARTBEAT_INTERVAL_S
         self.pid = pid_base - 2  # the tasktracker daemon's own pid
@@ -580,14 +563,11 @@ class TaskTracker:
 
     # -- slot accounting ----------------------------------------------------------
 
-    def _running_of(self, kind: TaskKind) -> int:
-        return sum(1 for a in self.running if a.task.kind is kind)
-
     def free_map_slots(self) -> int:
-        return self.map_slots - self._running_of(TaskKind.MAP)
+        return self.map_slots - self._maps_running
 
     def free_reduce_slots(self) -> int:
-        return self.reduce_slots - self._running_of(TaskKind.REDUCE)
+        return self.reduce_slots - (len(self.running) - self._maps_running)
 
     # -- lifecycle -----------------------------------------------------------------
 
@@ -626,6 +606,7 @@ class TaskTracker:
             )
             serving = self.datanodes[src]
             serving.log_serve(block, self._ip(self.node_name), now)
+            self._maps_running += 1
         else:
             attempt = ReduceAttempt(self, job, task, attempt_no, pid, now)
         self.running.append(attempt)
@@ -663,9 +644,17 @@ class TaskTracker:
                 self._kill_timed_out(attempt, now)
             else:
                 still_running.append(attempt)
+        if len(still_running) < len(self.running):
+            self._maps_running = sum(
+                1 for a in still_running if a.task.kind is TaskKind.MAP
+            )
         self.running = still_running
 
     def _complete(self, attempt: TaskAttempt, now: float) -> None:
+        if attempt.task.kind is TaskKind.MAP:
+            attempt.job.maps_done += 1
+        else:
+            attempt.job.reduces_done += 1
         attempt.task.status = TaskStatus.SUCCEEDED
         attempt.task.finished_on = self.node_name
         attempt.task.finish_time = now
@@ -743,6 +732,7 @@ class JobTracker:
         self.trackers: Dict[str, TaskTracker] = {}
         self.jobs: Dict[str, JobState] = {}
         self.job_order: List[str] = []
+        self._running_jobs: List[JobState] = []  # in submission order
         self.completed_jobs: List[JobState] = []
         #: Trackers excluded from scheduling (operator/mitigation action).
         self.blacklisted: Set[str] = set()
@@ -772,14 +762,11 @@ class JobTracker:
             job.pending_reduces.append(index)
         self.jobs[spec.job_id] = job
         self.job_order.append(spec.job_id)
+        self._running_jobs.append(job)
         return job
 
     def _active_jobs(self) -> List[JobState]:
-        return [
-            self.jobs[job_id]
-            for job_id in self.job_order
-            if self.jobs[job_id].status is JobStatus.RUNNING
-        ]
+        return self._running_jobs
 
     # -- assignment ----------------------------------------------------------------
 
@@ -787,22 +774,20 @@ class JobTracker:
         if node in self.blacklisted:
             return None
         for job in self._active_jobs():
-            candidates = [
-                index
-                for index in job.pending_maps
-                if node not in job.maps[index].failed_on
-            ]
-            if not candidates:
-                continue
-            # Locality first: a pending map whose block has a local replica.
+            # Locality first: the first pending map, not failed on this
+            # node, whose block has a local replica; else the first one.
             chosen: Optional[int] = None
-            for index in candidates:
-                block = job.maps[index].block
-                if block is not None and node in block.replicas:
+            for index in job.pending_maps:
+                task = job.maps[index]
+                if node in task.failed_on:
+                    continue
+                if chosen is None:
+                    chosen = index
+                if task.block is not None and node in task.block.replicas:
                     chosen = index
                     break
             if chosen is None:
-                chosen = candidates[0]
+                continue
             job.pending_maps.remove(chosen)
             return job, job.maps[chosen]
         return None
@@ -813,14 +798,13 @@ class JobTracker:
         for job in self._active_jobs():
             if not job.reduces_eligible():
                 continue
-            candidates = [
-                index
-                for index in job.pending_reduces
-                if node not in job.reduces[index].failed_on
-            ]
-            if not candidates:
+            index = next(
+                (i for i in job.pending_reduces
+                 if node not in job.reduces[i].failed_on),
+                None,
+            )
+            if index is None:
                 continue
-            index = candidates[0]
             job.pending_reduces.remove(index)
             return job, job.reduces[index]
         return None
@@ -859,6 +843,7 @@ class JobTracker:
     def _finish_job(self, job: JobState, status: JobStatus, now: float) -> None:
         job.status = status
         job.finish_time = now
+        self._running_jobs = [j for j in self._running_jobs if j is not job]
         self.completed_jobs.append(job)
         # GridMix cleanup: drop the generated input and the job output,
         # producing the DeleteBlock activity the datanode logs record.

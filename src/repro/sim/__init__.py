@@ -10,7 +10,7 @@ and its :class:`ProcFS` are views into it.
 from .engine import CpuDemand, DiskDemand, TickContext
 from .network import PACKET_BYTES, NetworkModel, Transfer
 from .node import DISK_IO_BYTES, ProcFS, SimNode
-from .noise import NOISE_BLOCK, TickNoise
+from .noise import NOISE_BLOCK
 from .resources import NodeSpec, tcp_goodput_factor
 from .vec import FleetState
 
@@ -26,7 +26,6 @@ __all__ = [
     "ProcFS",
     "SimNode",
     "TickContext",
-    "TickNoise",
     "Transfer",
     "tcp_goodput_factor",
 ]

@@ -15,7 +15,7 @@ that node, slowing them down exactly as the paper's injected fault does.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -171,10 +171,8 @@ class TickContext:
         self._disk.append(demand)
         return demand
 
-    def demand_transfer(
-        self, src: str, dst: str, wanted_bytes: float, tag: str = ""
-    ) -> Transfer:
-        transfer = Transfer(src=src, dst=dst, wanted_bytes=max(0.0, wanted_bytes), tag=tag)
+    def demand_transfer(self, src: str, dst: str, wanted_bytes: float) -> Transfer:
+        transfer = Transfer(src=src, dst=dst, wanted_bytes=max(0.0, wanted_bytes))
         self._net.append(transfer)
         return transfer
 
@@ -207,32 +205,32 @@ class TickContext:
             over = (totals > capacity) & (totals > 0.0)
             factor = np.ones(n)
             np.divide(capacity, totals, out=factor, where=over)
-            grants = cleaned * factor[idx]
+            grants = (cleaned * factor[idx]).tolist()
             for demand, pos in positions:
-                demand.granted = float(grants[pos])
+                demand.granted = grants[pos]
 
         # Disk: reads and writes jointly saturate the device.  The busy
         # fraction they'd require is computed against each bandwidth, and
-        # all demands are scaled by the same factor when oversubscribed.
-        # Only attempts and hogs touch disk, so this stays an object loop.
-        disk_by_node: Dict[str, List[DiskDemand]] = {}
-        for demand in self._disk:
-            disk_by_node.setdefault(demand.node, []).append(demand)
-        for node_name, demands in disk_by_node.items():
-            sim_node = self._node(node_name)
-            spec = sim_node.spec
-            busy = sum(
-                d.read_wanted / spec.disk_read_bytes_s
-                + d.write_wanted / spec.disk_write_bytes_s
-                for d in demands
-            )
-            disk_factor = 1.0 if busy <= dt or busy <= 0 else dt / busy
-            for demand in demands:
-                demand.read_granted = demand.read_wanted * disk_factor
-                demand.write_granted = demand.write_wanted * disk_factor
-                sim_node.account_disk(
-                    demand.pid, demand.read_granted, demand.write_granted
-                )
+        # all of a node's demands are scaled by the same factor when
+        # oversubscribed.
+        disk = self._disk
+        if disk:
+            idx = np.array([index[d.node] for d in disk], dtype=np.intp)
+            read = np.array([d.read_wanted for d in disk])
+            write = np.array([d.write_wanted for d in disk])
+            each = read / fleet.disk_read_bps[idx] + write / fleet.disk_write_bps[idx]
+            busy = np.bincount(idx, weights=each, minlength=n)
+            disk_factor = np.ones(n)
+            np.divide(dt, busy, out=disk_factor, where=busy > dt)
+            read = read * disk_factor[idx]
+            write = write * disk_factor[idx]
+            fleet.acc_disk_read += np.bincount(idx, np.maximum(0.0, read), n)
+            fleet.acc_disk_write += np.bincount(idx, np.maximum(0.0, write), n)
+            nodes = fleet.nodes
+            for demand, i, r, w in zip(disk, idx.tolist(), read.tolist(), write.tolist()):
+                demand.read_granted = r
+                demand.write_granted = w
+                nodes[i].book_process_io(demand.pid, r, w)
 
         # Network: min of endpoint shares, degraded by packet loss;
         # local transfers bypass the NIC.
@@ -271,9 +269,11 @@ class TickContext:
         granted = np.where(local, w_nonneg, wire * goodput)
         dropped = np.where(local, 0.0, wire * goodput * combined_loss)
 
+        granted_list = granted.tolist()
+        dropped_list = dropped.tolist()
         for transfer, pos in net_positions:
-            transfer.granted_bytes = float(granted[pos])
-            transfer.dropped_bytes = float(dropped[pos])
+            transfer.granted_bytes = granted_list[pos]
+            transfer.dropped_bytes = dropped_list[pos]
 
         g_nl = np.maximum(0.0, granted[remote])
         d_nl = np.maximum(0.0, dropped[remote])

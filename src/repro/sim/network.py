@@ -29,7 +29,6 @@ class Transfer:
     src: str
     dst: str
     wanted_bytes: float
-    tag: str = ""
     granted_bytes: float = 0.0
     #: Bytes lost to drops (retransmitted wire traffic, not goodput).
     dropped_bytes: float = 0.0

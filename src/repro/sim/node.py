@@ -37,7 +37,6 @@ from ..sysstat.procfs import (
     TcpCounters,
     VmCounters,
 )
-from .noise import TickNoise
 from .resources import NodeSpec
 
 if TYPE_CHECKING:
@@ -149,15 +148,16 @@ class ProcFS:
 
 
 class SimNode:
-    """One node's spec, noise stream, process table and ``/proc`` view;
-    its accounting lands in the :class:`FleetState` arrays."""
+    """One node's spec, noise generator, process table and ``/proc``
+    view; its accounting lands in the :class:`FleetState` arrays."""
 
     def __init__(
         self, name: str, spec: NodeSpec, seed: int, fleet: "FleetState", index: int
     ) -> None:
         self.name = name
         self.spec = spec
-        self.noise = TickNoise(np.random.default_rng(seed))
+        #: Seeded background-noise stream, drawn in fleet blocks.
+        self.rng = np.random.default_rng(seed)
         self._fleet = fleet
         self._i = index
         self.procfs = ProcFS(fleet, index, num_cpus=int(round(spec.cpu_cores)))
@@ -185,6 +185,10 @@ class SimNode:
         i = self._i
         f.acc_disk_read[i] += max(0.0, read_bytes)
         f.acc_disk_write[i] += max(0.0, write_bytes)
+        self.book_process_io(pid, read_bytes, write_bytes)
+
+    def book_process_io(self, pid: int, read_bytes: float, write_bytes: float) -> None:
+        """Disk bytes of ``pid`` alone (arbitration books node totals)."""
         u, s, r, w = self._per_proc.get(pid, (0.0, 0.0, 0.0, 0.0))
         self._per_proc[pid] = (
             u, s, r + max(0.0, read_bytes), w + max(0.0, write_bytes)

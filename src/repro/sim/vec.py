@@ -1,13 +1,14 @@
 """Struct-of-arrays fleet state: the simulator core.
 
-:class:`FleetState` keeps *all* per-node simulator state in ``(N_nodes,)``
-numpy arrays -- one float64 column per ``/proc`` counter and per tick
-accumulator, plus the per-node load-average matrix -- and
-:meth:`FleetState.end_tick_all` advances the whole fleet in one
-vectorized pass per tick.  The per-node objects are views into it:
+:class:`FleetState` keeps *all* per-node simulator state in arrays with
+one lane per node -- the ``(counters x N)`` ``/proc`` matrix (``a[key]``
+is a row view), the ``(accumulators x N)`` tick matrix (``acc_<name>``
+rows), the load-average matrix and an ``(8 x N x NOISE_BLOCK)`` noise
+block -- and :meth:`FleetState.end_tick_all` advances the whole fleet in
+one vectorized pass per tick.  The per-node objects are views into it:
 :class:`repro.sim.node.SimNode` books ``account_*`` calls into the
 accumulators, :class:`repro.sim.node.ProcFS` reads and writes the
-counter columns, and :class:`repro.sim.engine.TickContext` arbitrates
+counter rows, and :class:`repro.sim.engine.TickContext` arbitrates
 with ``np.bincount`` totals over the fleet.
 
 The per-node model the fleet replaced is kept test-side as the parity
@@ -16,9 +17,9 @@ accumulators and ``end_tick``, stepped one demand call at a time.  Bit
 parity with it is a design invariant, not a tolerance: every derived
 expression in :meth:`FleetState.end_tick_all` mirrors the scalar
 ``end_tick`` term for term (``np.where`` plus guarded ``np.divide``
-replace the data-dependent branches), and both draw background noise
-from the same per-node :class:`repro.sim.noise.TickNoise` buffers, so
-the random streams are identical by construction.
+replace the data-dependent branches), and both take background noise
+from blocks :func:`repro.sim.noise.fill_noise` draws from each node's
+own seeded generator, so the random streams are identical by construction.
 """
 
 from __future__ import annotations
@@ -46,12 +47,14 @@ from .node import _LOAD_TAU, DISK_IO_BYTES, SimNode
 from .noise import (
     GAMMA_SYS,
     GAMMA_USER,
+    NOISE_BLOCK,
     NORMAL_CTXT,
     NORMAL_INTR,
     NORMAL_PGFAULT,
     POISSON_FORKS,
     POISSON_MCAST,
     POISSON_PGMAJ,
+    fill_noise,
 )
 
 #: (fleet attribute, array-key prefix, procfs dataclass) -- one counter
@@ -98,14 +101,18 @@ class FleetState:
         n = len(self.names)
         self.n = n
 
-        # /proc counter arrays, keyed "<group>_<field>".
-        self.a: Dict[str, np.ndarray] = {}
+        # The /proc counters and gauges: one matrix row per
+        # "<group>_<field>", and ``a[key]`` is that row as a view.
+        defaults: Dict[str, float] = {}
         for prefix, cls in _PROC_GROUPS:
             proto = cls()
             for f in dataclass_fields(cls):
-                self.a[f"{prefix}_{f.name}"] = np.full(
-                    n, float(getattr(proto, f.name))
-                )
+                defaults[f"{prefix}_{f.name}"] = float(getattr(proto, f.name))
+        self.counter_row = {key: row for row, key in enumerate(defaults)}
+        self.counters = np.tile(np.array(list(defaults.values()))[:, None], (1, n))
+        self.a: Dict[str, np.ndarray] = {
+            key: self.counters[row] for key, row in self.counter_row.items()
+        }
 
         # Hardware spec arrays (filled as nodes register).
         self.cpu_cores = np.zeros(n)
@@ -117,10 +124,15 @@ class FleetState:
         # Load-average EMA state, one column per tau.
         self.loads = np.zeros((n, len(_LOAD_TAU)))
 
-        # Tick accumulators.
-        for name in _ACCUMULATORS:
-            setattr(self, name, np.zeros(n))
-        self._acc_arrays = [getattr(self, name) for name in _ACCUMULATORS]
+        # Tick accumulators: one matrix, ``acc_<name>`` a row view.
+        self._acc = np.zeros((len(_ACCUMULATORS), n))
+        for row, name in enumerate(_ACCUMULATORS):
+            setattr(self, name, self._acc[row])
+
+        # Every node's next NOISE_BLOCK ticks of noise, for ``_noise_dt``.
+        self._noise = np.empty((8, n, NOISE_BLOCK))
+        self._noise_dt = float("nan")
+        self._noise_pos = NOISE_BLOCK
 
         # Cached process-table aggregates (exact in-order re-sums of the
         # per-node tables, recomputed only for nodes whose table changed).
@@ -152,8 +164,7 @@ class FleetState:
     # -- tick lifecycle --------------------------------------------------------
 
     def begin_tick_all(self) -> None:
-        for arr in self._acc_arrays:
-            arr.fill(0.0)
+        self._acc.fill(0.0)
         for node in self.nodes:
             if node is not None and node._per_proc:
                 node._per_proc.clear()
@@ -169,6 +180,18 @@ class FleetState:
             self.proc_count[i] = len(procs)
         self.proc_dirty.clear()
 
+    def _next_noise(self, dt: float) -> np.ndarray:
+        """The (8, N) noise of this tick.  A spent block, or a new ``dt``,
+        refills every node's lane from its own generator, in node order."""
+        if self._noise_pos >= NOISE_BLOCK or dt != self._noise_dt:
+            for i, node in enumerate(self.nodes):
+                fill_noise(node.rng, dt, self._noise[:, i])
+            self._noise_dt = dt
+            self._noise_pos = 0
+        noise = self._noise[:, :, self._noise_pos]
+        self._noise_pos += 1
+        return noise
+
     def end_tick_all(self, dt: float) -> None:
         """Fold every node's tick into its counters in one array pass.
 
@@ -181,11 +204,7 @@ class FleetState:
         n = self.n
         self._refresh_proc_aggregates()
 
-        # Per-node background noise, from the same buffers the scalar
-        # reference reads (each node's own seeded generator).
-        noise = np.empty((8, n))
-        for i, node in enumerate(self.nodes):
-            noise[:, i] = node.noise.draw(dt)
+        noise = self._next_noise(dt)
 
         capacity = self.cpu_cores * dt
         noise_user = noise[GAMMA_USER] * dt
@@ -325,6 +344,5 @@ class FleetState:
                 )
             pp.clear()
 
-        for arr in self._acc_arrays:
-            arr.fill(0.0)
+        self._acc.fill(0.0)
         self.ticks += 1

@@ -4,8 +4,9 @@ The per-node ``Sadc`` (``tests/sysstat/sadc_oracle.py``, the parity
 oracle) samples one node: it materialises a dataclass snapshot (~70 fields), differences it against the previous one
 and computes the 64 node metrics in Python.  When the counters already
 live in struct-of-arrays form (:class:`repro.sim.vec.FleetState`), the
-same arithmetic runs once for every node: :class:`FleetSadc` copies the
-35 cumulative counter columns, differences them against each sampler's
+same arithmetic runs once for every node: :class:`FleetSadc` gathers the
+35 cumulative counter rows of the fleet's counter matrix for its
+samplers' nodes, differences them against each sampler's
 *own* previous column and poll time, and produces the (samplers x 64)
 metric matrix in ~60 numpy operations.  Every sampler then takes its
 row.
@@ -150,8 +151,11 @@ def _cpu_total(counters: np.ndarray) -> np.ndarray:
 class FleetSadc:
     """The shared collector of one :class:`~repro.sim.vec.FleetState`.
 
-    ``fleet`` is duck-typed: ``a`` (array per ``<group>_<field>``) and
-    ``ticks`` (completed tick passes).
+    ``fleet`` is duck-typed: ``counters`` (the ``(keys x nodes)`` matrix
+    of ``/proc`` counters and gauges), ``counter_row`` (its row per
+    ``<group>_<field>`` key) and ``ticks`` (completed tick passes).  A
+    pass gathers the counter and gauge rows it reads, for the sampled
+    nodes, with one ``take`` each.
     """
 
     def __init__(self, fleet: Any) -> None:
@@ -161,7 +165,10 @@ class FleetSadc:
         self._lock = threading.Lock()
         #: slot -> fleet node index, one slot per sampler handed out.
         self._nodes: List[int] = []
-        self._index = np.zeros(0, dtype=np.intp)
+        #: Flat positions in ``fleet.counters`` of (counter row, slot)
+        #: and (gauge row, slot).
+        self._counter_at = np.zeros((len(COUNTERS), 0), dtype=np.intp)
+        self._gauge_at = np.zeros((len(_GAUGE_KEYS), 0), dtype=np.intp)
         self._primed: List[bool] = []
         #: Per slot, its last collect's counters and time; a collect notes
         #: its slot in ``_taken``, the next pass copies its counters over.
@@ -210,23 +217,26 @@ class FleetSadc:
             taken = np.array(self._taken, dtype=np.intp)
             self._prev[:, taken] = self._cur[:, taken]
             self._taken = []
+        counters = self._fleet.counters
         added = len(self._nodes) - self._prev.shape[1]
         if added:
-            self._index = np.array(self._nodes, dtype=np.intp)
+            rows = self._fleet.counter_row
+            width = counters.shape[1]
+            index = np.array(self._nodes, dtype=np.intp)
+            self._counter_at = np.array([[rows[k] * width] for k in COUNTERS]) + index
+            self._gauge_at = np.array([[rows[k] * width] for k in _GAUGE_KEYS]) + index
             self._prev = np.concatenate(
                 [self._prev, np.zeros((len(COUNTERS), added))], axis=1
             )
-        arrays = self._fleet.a
-        index = self._index
-        cur = np.stack([arrays[key] for key in COUNTERS])[:, index]
-        gauges = np.stack([arrays[key] for key in _GAUGE_KEYS])[:, index]
+        cur = counters.take(self._counter_at)
+        gauges = counters.take(self._gauge_at)
         prev = self._prev
         # Unprimed and zero-elapsed slots are never served; their lanes
         # only have to stay finite.
         elapsed = now - np.array(self._prev_time)
         elapsed = np.where(elapsed > 0.0, elapsed, 1.0)
         pos = np.maximum(0.0, cur - prev)
-        out = np.zeros((len(NODE_METRICS), len(index)))
+        out = np.zeros((len(NODE_METRICS), len(self._nodes)))
 
         cpu_total = np.maximum(1e-9, _cpu_total(cur) - _cpu_total(prev))
         np.multiply(100.0, pos[:8], out=out[:8])

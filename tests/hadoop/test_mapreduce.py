@@ -183,3 +183,46 @@ class TestLocality:
                         local += 1
         assert total > 0
         assert local / total > 0.6
+
+
+class TestKeptCounts:
+    """The scheduler keeps its done counts and running jobs as tasks and
+    jobs change state; they must equal a scan of the states at all times,
+    retries included."""
+
+    def test_kept_counts_equal_the_scan_every_tick(self):
+        cluster, first = cluster_with_job(num_slaves=4, input_mb=256.0, reduces=3)
+        cluster.submit_job(JobSpec(
+            job_id="200807070001_0002",
+            name="job",
+            input_bytes=192.0 * MB,
+            num_reduces=2,
+            cost=first.spec.cost,
+        ))
+        cluster.set_bug("slave02", BugKind.SHUFFLE_FAIL_1152, 0.0)
+        cluster.set_bug("slave03", BugKind.MAP_HANG_1036, 0.0, TASK_TIMEOUT_S)
+        jobtracker = cluster.jobtracker
+        for _ in range(int(TASK_TIMEOUT_S) + 200):
+            cluster.step(1.0)
+            for job in jobtracker.jobs.values():
+                assert job.maps_done == sum(
+                    t.status is TaskStatus.SUCCEEDED for t in job.maps
+                )
+                assert job.reduces_done == sum(
+                    t.status is TaskStatus.SUCCEEDED for t in job.reduces
+                )
+            assert jobtracker._active_jobs() == [
+                jobtracker.jobs[job_id]
+                for job_id in jobtracker.job_order
+                if jobtracker.jobs[job_id].status is JobStatus.RUNNING
+            ]
+        lines = {
+            node: [r.line for r in cluster.tt_logs[node].records()]
+            for node in ("slave02", "slave03")
+        }
+        # Both kinds of retry happened: a failed reduce and a timed-out map.
+        assert any("Error from" in line and "_r_" in line for line in lines["slave02"])
+        assert any("Killing" in line and "_m_" in line for line in lines["slave03"])
+        assert all(
+            job.status is JobStatus.SUCCEEDED for job in jobtracker.jobs.values()
+        )

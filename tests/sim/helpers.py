@@ -8,7 +8,7 @@ not share fails here.
 """
 
 import dataclasses
-from typing import List
+from typing import List, Sequence
 
 from repro.faults import FaultSpec, make_fault
 from repro.hadoop import MB, ClusterConfig, HadoopCluster, JobSpec
@@ -40,14 +40,15 @@ def exercise(cluster: HadoopCluster) -> None:
 
 
 def tick_parity_mismatches(
-    num_slaves: int, ticks: int = 90, seed: int = 11
+    num_slaves: int, dts: Sequence[float] = (1.0,) * 90, seed: int = 11
 ) -> List[str]:
     """(tick, node) labels whose procfs snapshots differ from the reference.
 
     Both clusters step the same busy workload (jobs, CPU/disk hogs,
-    packet loss) tick by tick; every node's full snapshot -- all counter
-    groups, process table, NICs -- must compare exactly (float equality,
-    i.e. bit-for-bit for finite values) on every tick.
+    packet loss) one tick of each ``dt`` in ``dts``; every node's full
+    snapshot -- all counter groups, process table, NICs -- must compare
+    exactly (float equality, i.e. bit-for-bit for finite values) on
+    every tick.
     """
     config = ClusterConfig(num_slaves=num_slaves, seed=seed)
     reference = ReferenceCluster(config)
@@ -55,9 +56,9 @@ def tick_parity_mismatches(
     exercise(reference)
     exercise(cluster)
     mismatches: List[str] = []
-    for tick in range(ticks):
-        reference.step(1.0)
-        cluster.step(1.0)
+    for tick, dt in enumerate(dts):
+        reference.step(dt)
+        cluster.step(dt)
         for node in reference.nodes:
             a = dataclasses.asdict(snapshot(reference.procfs(node)))
             b = dataclasses.asdict(snapshot(cluster.procfs(node)))

@@ -5,6 +5,7 @@ tick accumulators folded into a dataclass ``/proc`` by its own
 ``end_tick``, and every demand was arbitrated by Python loops.  That
 model lives on here, its arithmetic unchanged:
 
+- :class:`TickNoise` -- one node's noise, served one tick at a time;
 - :class:`ReferenceNode` -- one node's accumulators and ``end_tick``;
 - :class:`ReferenceTickContext` -- per-node demand lists and ``arbitrate``;
 - :class:`ReferenceNetwork` -- the scalar NIC arbitration;
@@ -31,7 +32,6 @@ from repro.sim import (
     DiskDemand,
     NetworkModel,
     NodeSpec,
-    TickNoise,
     Transfer,
     tcp_goodput_factor,
 )
@@ -39,15 +39,44 @@ from repro.sim.node import _LOAD_TAU, DISK_IO_BYTES
 from repro.sim.noise import (
     GAMMA_SYS,
     GAMMA_USER,
+    NOISE_BLOCK,
     NORMAL_CTXT,
     NORMAL_INTR,
     NORMAL_PGFAULT,
     POISSON_FORKS,
     POISSON_MCAST,
     POISSON_PGMAJ,
+    fill_noise,
 )
 
 from sysstat.sadc_oracle import SimProcFS  # tests/sysstat: the dataclass /proc
+
+
+class TickNoise:
+    """One node's noise, one tick at a time.
+
+    A block of ``NOISE_BLOCK`` ticks is drawn with :func:`fill_noise`
+    and served column by column; a tick with a different ``dt`` flushes
+    it and draws anew.  The fleet keeps the same blocks for every node
+    in one array.
+    """
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        self.rng = rng
+        self._dt = float("nan")
+        self._buf = np.empty((8, 0))
+        self._pos = 0
+
+    def draw(self, dt: float) -> np.ndarray:
+        """The next tick's eight noise values, drawn for ``dt``."""
+        if self._pos >= self._buf.shape[1] or dt != self._dt:
+            self._buf = np.empty((8, NOISE_BLOCK))
+            fill_noise(self.rng, dt, self._buf)
+            self._dt = dt
+            self._pos = 0
+        row = self._buf[:, self._pos]
+        self._pos += 1
+        return row
 
 
 def share_proportionally(wanted: Sequence[float], capacity: float) -> List[float]:
@@ -401,10 +430,8 @@ class ReferenceTickContext:
         self._disk.append(demand)
         return demand
 
-    def demand_transfer(
-        self, src: str, dst: str, wanted_bytes: float, tag: str = ""
-    ) -> Transfer:
-        transfer = Transfer(src=src, dst=dst, wanted_bytes=max(0.0, wanted_bytes), tag=tag)
+    def demand_transfer(self, src: str, dst: str, wanted_bytes: float) -> Transfer:
+        transfer = Transfer(src=src, dst=dst, wanted_bytes=max(0.0, wanted_bytes))
         self._transfers.append(transfer)
         return transfer
 
@@ -479,12 +506,8 @@ class ReferenceCluster(HadoopCluster):
     def _heartbeat(self, tracker: TaskTracker, ctx: ReferenceTickContext, now: float):
         if not tracker.heartbeat_due(now):
             return
-        ctx.demand_transfer(
-            tracker.node_name, self.MASTER, HEARTBEAT_BYTES, tag="heartbeat"
-        )
-        ctx.demand_transfer(
-            self.MASTER, tracker.node_name, HEARTBEAT_BYTES, tag="heartbeat"
-        )
+        ctx.demand_transfer(tracker.node_name, self.MASTER, HEARTBEAT_BYTES)
+        ctx.demand_transfer(self.MASTER, tracker.node_name, HEARTBEAT_BYTES)
         tracker.heartbeat_pull(now)
 
     def step(self, dt: float = 1.0) -> None:

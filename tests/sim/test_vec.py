@@ -11,7 +11,7 @@ import dataclasses
 import pytest
 
 from repro.hadoop import ClusterConfig, HadoopCluster
-from repro.sim import FleetState, ProcFS, SimNode
+from repro.sim import NOISE_BLOCK, FleetState, ProcFS, SimNode
 from repro.sysstat.procfs import CpuTicks, ProcessStat
 
 from sysstat.sadc_oracle import SimProcFS, snapshot  # tests/sysstat: detached /proc copies
@@ -91,10 +91,19 @@ class TestTickParity:
         """Every node's full snapshot matches the reference tick exactly,
         tick for tick, with jobs running, CPU/disk hogs armed and packet
         loss injected."""
-        assert tick_parity_mismatches(8, ticks=60, seed=11) == []
+        assert tick_parity_mismatches(8, dts=[1.0] * 60, seed=11) == []
 
     def test_bit_parity_second_seed(self):
-        assert tick_parity_mismatches(6, ticks=40, seed=77) == []
+        assert tick_parity_mismatches(6, dts=[1.0] * 40, seed=77) == []
+
+    def test_bit_parity_across_noise_refills_and_dt_changes(self):
+        """The fleet's noise block is refilled when it is spent (every
+        NOISE_BLOCK ticks) and when ``dt`` changes; cluster mode steps
+        0.5 s.  This run spends a 0.5 s block, then changes ``dt`` three
+        times."""
+        dts = [0.5] * 70 + [1.0] * 30 + [0.5] * 5 + [1.0] * 30
+        assert len(dts) > 2 * NOISE_BLOCK
+        assert tick_parity_mismatches(6, dts=dts, seed=23) == []
 
 
 class TestFleetAccounting:
