@@ -26,9 +26,9 @@ class LatencyProbe(Module):
     type_name = "latency_probe"
     params = (ParamSpec("seed", "int", default="0"),) + SCHEDULE_PARAMS
     output_names = ("latency_ms",)
+    ports = ()
 
     def init(self) -> None:
-        self.ctx.require_no_inputs()
         self.out = self.ctx.create_output(
             "latency_ms", Origin(node="svc01", source="probe", metric="latency")
         )

@@ -1053,10 +1053,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         return args.handler(args)
     except ConfigError as error:
-        # Bad configuration input, not a crash: show the offending line
-        # (ConfigError.describe carries the line number and text) and
-        # point at the static analyzer for the full report.
-        print(f"configuration error: {error.describe()}", file=sys.stderr)
+        # Bad configuration input, not a crash: show its lint code and
+        # the offending line (ConfigError.describe carries the line
+        # number and text), and point at the lint for the full report.
+        print(f"configuration error: {error.code} {error.describe()}", file=sys.stderr)
         print(
             "hint: run 'python -m repro lint <config>' for the full "
             "diagnostic report",

@@ -18,8 +18,9 @@ line-oriented; values may contain spaces.
 Every parsed element remembers the 1-based line it came from
 (``InstanceSpec.header_line``, ``InstanceSpec.param_lines``,
 ``InputSpec.line``), and every :class:`ConfigError` raised here carries
-``line_no`` and ``line_text`` so callers -- the CLI, the ``repro lint``
-analyzer -- can point at the offending configuration line.
+``line_no``, ``line_text`` and a ``code`` (FPT002 for a duplicate id,
+FPT000 for the rest) so callers -- the CLI, ``repro lint`` -- can point
+at the offending configuration line.
 """
 
 from __future__ import annotations
@@ -102,7 +103,7 @@ def parse_config(
 
     When ``collect`` is a list, errors are appended to it instead of
     being raised and parsing continues past the offending line -- the
-    lenient mode the ``repro lint`` analyzer uses to report every problem
+    lenient mode ``repro lint`` uses to report every problem
     in one pass rather than stopping at the first.
     """
     specs: List[InstanceSpec] = []
@@ -110,10 +111,13 @@ def parse_config(
     type_counters: Dict[str, int] = {}
     explicit_id = False
 
-    def fail(message: str, line_no: Optional[int], line_text: Optional[str]) -> None:
+    def fail(
+        message: str, line_no: Optional[int], line_text: Optional[str],
+        code: str = "FPT000",
+    ) -> None:
         prefix = f"line {line_no}: " if line_no is not None else ""
         error = ConfigError(
-            prefix + message, line_no=line_no, line_text=line_text
+            prefix + message, line_no=line_no, line_text=line_text, code=code
         )
         if collect is None:
             raise error
@@ -233,6 +237,7 @@ def parse_config(
                 f"[{spec.module_type}])",
                 spec.header_line or None,
                 f"[{spec.module_type}]" if spec.header_line else None,
+                code="FPT002",
             )
             continue  # lenient mode: keep the first declaration only
         seen_ids[spec.instance_id] = spec

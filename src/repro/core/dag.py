@@ -3,15 +3,19 @@
 Implements the four-step initialization the paper gives in section 3.3:
 
 1. every module instance in the configuration becomes a vertex, once
-   its params pass its class's declaration (a ``ConfigError`` otherwise);
+   the configuration passes :func:`~repro.core.check.check_specs` (its
+   first error is raised as a ``ConfigError``);
 2. each instance is annotated with its number of unsatisfied inputs, and
    instances with no inputs enter the initialization queue;
 3. dequeued instances are initialized -- their ``init()`` creates their
    outputs, and every newly created output may satisfy other instances'
    inputs, enqueueing them in turn;
-4. the process repeats until all instances are initialized.  Anything
-   left over means a wiring cycle or a reference to a missing instance or
-   output, and DAG construction fails with :class:`ConfigError`.
+4. the process repeats until all instances are initialized.  The check
+   has ruled out cycles and missing instances, so every one is reached;
+   an output only ``init()`` names is looked up as it is wired.
+
+The same path attaches instances to a running DAG (paper section 2.1):
+``build_dag(..., existing=dag)``, all or nothing.
 
 The only deliberate departure from the paper is that we do not spawn one
 thread per module: instances run on the deterministic scheduler in
@@ -22,12 +26,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Type
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from .channel import DEFAULT_QUEUE_CAPACITY, InputGroup
+from .check import Problem, check_specs, missing_output
 from .clock import Clock
 from .config import InstanceSpec
-from .declaration import check_params
 from .errors import ConfigError
 from .module import Module, ModuleContext
 from .registry import ModuleRegistry
@@ -110,57 +114,29 @@ class Dag:
         return "\n".join(lines)
 
 
-def _check_upstreams(specs: Sequence[InstanceSpec], known: Mapping[str, object]) -> None:
-    """Before any work: every input names a ``known`` instance, not its own."""
-    for spec in specs:
-        for input_spec in spec.inputs:
-            if input_spec.instance_id not in known:
-                raise ConfigError(
-                    f"instance '{spec.instance_id}' input "
-                    f"'{input_spec.input_name}' references unknown instance "
-                    f"'{input_spec.instance_id}'",
-                    line_no=input_spec.line or None,
-                    line_text=input_spec.render(),
-                )
-            if input_spec.instance_id == spec.instance_id:
-                raise ConfigError(
-                    f"instance '{spec.instance_id}' cannot consume its own "
-                    f"outputs (input '{input_spec.input_name}')",
-                    line_no=input_spec.line or None,
-                    line_text=input_spec.render(),
-                )
-
-
 def _wire_inputs(dag: Dag, spec: InstanceSpec, queue_capacity: int) -> None:
     """Subscribe ``spec``'s inputs to the upstream outputs they name: the
-    one place edges are made.  ``subscribe`` marks the output's trigger
-    plan stale; the owner is set before the next write compiles it."""
+    one place edges are made, and where an output only the upstream's
+    ``init()`` named is looked up.  ``subscribe`` marks the output's
+    trigger plan stale; the owner is set before the next write compiles it."""
     ctx = dag.contexts[spec.instance_id]
     for input_spec in spec.inputs:
         upstream_ctx = dag.contexts[input_spec.instance_id]
+        message = missing_output(
+            f"[{dag.instances[input_spec.instance_id].type_name}]",
+            input_spec, upstream_ctx.outputs,
+        )
+        if message is not None:
+            raise Problem(
+                "FPT004", message, spec.instance_id, input_spec.line,
+                input_spec.render(),
+            ).error()
         group = ctx.inputs.setdefault(
             input_spec.input_name, InputGroup(input_spec.input_name)
         )
         if input_spec.output_name is None:
             outputs = list(upstream_ctx.outputs.values())
-            if not outputs:
-                raise ConfigError(
-                    f"instance '{spec.instance_id}' wires "
-                    f"'@{input_spec.instance_id}' but that instance "
-                    "declared no outputs",
-                    line_no=input_spec.line or None,
-                    line_text=input_spec.render(),
-                )
         else:
-            if input_spec.output_name not in upstream_ctx.outputs:
-                raise ConfigError(
-                    f"instance '{spec.instance_id}' wires "
-                    f"'{input_spec.instance_id}.{input_spec.output_name}' "
-                    "but that output does not exist (available: "
-                    f"{sorted(upstream_ctx.outputs)})",
-                    line_no=input_spec.line or None,
-                    line_text=input_spec.render(),
-                )
             outputs = [upstream_ctx.outputs[input_spec.output_name]]
         for output in outputs:
             connection = output.subscribe(capacity=queue_capacity)
@@ -176,33 +152,17 @@ def _wire_inputs(dag: Dag, spec: InstanceSpec, queue_capacity: int) -> None:
             )
 
 
-def _make_vertices(
-    dag: Dag, specs: Sequence[InstanceSpec], registry: ModuleRegistry,
-    clock: Clock, services,
-) -> Dict[str, Module]:
-    """A context and a module object per instance, once every instance's
-    params pass its class's declaration; none is initialized yet."""
-    classes: Dict[str, Type[Module]] = {}
-    for spec in specs:
-        module_class = classes[spec.instance_id] = registry.resolve(
-            spec.module_type
-        )
-        for problem in check_params(module_class, spec.params):
-            line = spec.param_lines.get(problem.param)
-            raise ConfigError(
-                f"instance '{spec.instance_id}': {problem.message}",
-                line_no=line or spec.header_line or None,
-                line_text=(
-                    f"{problem.param} = {spec.params[problem.param]}"
-                    if line else f"[{spec.module_type}]"
-                ),
-            )
-    modules: Dict[str, Module] = {}
-    for spec in specs:
-        ctx = ModuleContext(spec.instance_id, spec.params, clock, services)
-        modules[spec.instance_id] = classes[spec.instance_id](ctx)
-        dag.contexts[spec.instance_id] = ctx
-    return modules
+def _remove(dag: Dag, instance_ids: Sequence[str]) -> List[Module]:
+    """Drop ``instance_ids`` from ``dag``: their upstream subscriptions,
+    edges and contexts; returns the initialized modules among them."""
+    for instance_id in instance_ids:
+        ctx = dag.contexts.pop(instance_id, None)
+        for group in ctx.inputs.values() if ctx is not None else ():
+            for connection in group:
+                connection.output.unsubscribe(connection)
+    gone = set(instance_ids)
+    dag.edges = [e for e in dag.edges if e.dst_instance not in gone]
+    return [dag.instances.pop(i) for i in instance_ids if i in dag.instances]
 
 
 def build_dag(
@@ -212,138 +172,57 @@ def build_dag(
     install_hooks=None,
     queue_capacity: int = DEFAULT_QUEUE_CAPACITY,
     services=None,
+    existing: Optional[Dag] = None,
 ) -> Dag:
     """Construct and initialize the module DAG from parsed ``specs``.
 
     ``install_hooks``, if given, is called as ``install_hooks(ctx)`` right
     before each instance's ``init()`` so the core can attach scheduling
-    callbacks to the context.
+    callbacks to the context.  With ``existing``, the new instances join
+    that DAG and may wire to its outputs; existing instances are never
+    rewired.  ``dag.instances`` keeps initialization order.  Any failure
+    leaves ``existing`` as it was.
     """
-    dag = Dag()
-    spec_by_id: Dict[str, InstanceSpec] = {}
-    for spec in specs:
-        if spec.instance_id in spec_by_id:
-            raise ConfigError(f"duplicate instance id '{spec.instance_id}'")
-        spec_by_id[spec.instance_id] = spec
+    for problem in check_specs(specs, registry, existing):
+        if problem.is_error:
+            raise problem.error()
+    dag = existing if existing is not None else Dag()
+    new = {spec.instance_id: spec for spec in specs}
 
-    _check_upstreams(specs, spec_by_id)
+    try:
+        # Step 1: a vertex (context + module object) per instance.
+        modules: Dict[str, Module] = {}
+        for spec in specs:
+            ctx = ModuleContext(spec.instance_id, spec.params, clock, services)
+            dag.contexts[spec.instance_id] = ctx
+            modules[spec.instance_id] = registry.resolve(spec.module_type)(ctx)
 
-    # Step 1: a vertex (context + module object) per instance.
-    modules = _make_vertices(dag, specs, registry, clock, services)
-
-    # Step 2: count unsatisfied upstream instances; queue the sources.
-    waiting: Dict[str, set] = {
-        spec.instance_id: {inp.instance_id for inp in spec.inputs}
-        for spec in specs
-    }
-    ready = deque(
-        spec.instance_id for spec in specs if not waiting[spec.instance_id]
-    )
-    initialized: set = set()
-
-    # Steps 3-4: initialize in waves, satisfying inputs as outputs appear.
-    while ready:
-        instance_id = ready.popleft()
-        spec = spec_by_id[instance_id]
-        ctx = dag.contexts[instance_id]
-        _wire_inputs(dag, spec, queue_capacity)
-        if install_hooks is not None:
-            install_hooks(ctx)
-        module = modules[instance_id]
-        module.init()
-        initialized.add(instance_id)
-        dag.instances[instance_id] = module
-        for other_id, pending in waiting.items():
-            if other_id in initialized or other_id in ready:
-                continue
-            pending.discard(instance_id)
-            if not pending:
-                ready.append(other_id)
-
-    leftover = sorted(set(spec_by_id) - initialized)
-    if leftover:
-        first = spec_by_id[leftover[0]]
-        raise ConfigError(
-            "DAG construction failed; the following instances could not be "
-            f"initialized (cycle or missing upstream): {leftover}",
-            line_no=first.header_line or None,
-            line_text=f"[{first.module_type}]",
-        )
-    return dag
-
-
-def extend_dag(
-    dag: Dag,
-    specs: Sequence[InstanceSpec],
-    registry: ModuleRegistry,
-    clock: Clock,
-    install_hooks=None,
-    queue_capacity: int = DEFAULT_QUEUE_CAPACITY,
-    services=None,
-) -> List[str]:
-    """Attach new instances to an already-initialized DAG at runtime.
-
-    The paper requires "the flexibility to attach or detach any data
-    source ... or analysis module" (section 2.1).  New instances may
-    wire their inputs to outputs of existing instances (or of each
-    other); existing instances are never rewired.  Returns the ids of
-    the instances added, in initialization order.
-    """
-    spec_by_id: Dict[str, InstanceSpec] = {}
-    for spec in specs:
-        if spec.instance_id in dag.instances or spec.instance_id in spec_by_id:
-            raise ConfigError(
-                f"instance id '{spec.instance_id}' already exists"
-            )
-        spec_by_id[spec.instance_id] = spec
-
-    _check_upstreams(specs, {**dag.contexts, **spec_by_id})
-
-    modules = _make_vertices(dag, specs, registry, clock, services)
-
-    waiting: Dict[str, set] = {
-        spec.instance_id: {
-            inp.instance_id
-            for inp in spec.inputs
-            if inp.instance_id in spec_by_id  # existing ones are satisfied
+        # Step 2: count unsatisfied new upstreams; queue the rest.
+        waiting: Dict[str, set] = {
+            instance_id: {i.instance_id for i in spec.inputs if i.instance_id in new}
+            for instance_id, spec in new.items()
         }
-        for spec in specs
-    }
-    ready = deque(
-        spec.instance_id for spec in specs if not waiting[spec.instance_id]
-    )
-    initialized: set = set()
-    added: List[str] = []
+        ready = deque(i for i, pending in waiting.items() if not pending)
 
-    while ready:
-        instance_id = ready.popleft()
-        spec = spec_by_id[instance_id]
-        _wire_inputs(dag, spec, queue_capacity)
-        if install_hooks is not None:
-            install_hooks(dag.contexts[instance_id])
-        modules[instance_id].init()
-        initialized.add(instance_id)
-        dag.instances[instance_id] = modules[instance_id]
-        added.append(instance_id)
-        for other_id, pending in waiting.items():
-            if other_id in initialized or other_id in ready:
-                continue
-            pending.discard(instance_id)
-            if not pending:
-                ready.append(other_id)
-
-    leftover = sorted(set(spec_by_id) - initialized)
-    if leftover:
-        for instance_id in leftover:
-            dag.contexts.pop(instance_id, None)
-        first = spec_by_id[leftover[0]]
-        raise ConfigError(
-            "DAG extension failed; the following instances could not be "
-            f"initialized (cycle or missing upstream): {leftover}",
-            line_no=first.header_line or None,
-            line_text=f"[{first.module_type}]",
-        )
-    return added
+        # Steps 3-4: initialize in waves, satisfying inputs as outputs appear.
+        while ready:
+            instance_id = ready.popleft()
+            del waiting[instance_id]
+            _wire_inputs(dag, new[instance_id], queue_capacity)
+            if install_hooks is not None:
+                install_hooks(dag.contexts[instance_id])
+            modules[instance_id].init()
+            dag.instances[instance_id] = modules[instance_id]
+            for other_id, pending in waiting.items():
+                if instance_id in pending:
+                    pending.discard(instance_id)
+                    if not pending:
+                        ready.append(other_id)
+    except Exception:
+        for module in _remove(dag, list(new)):
+            module.close()
+        raise
+    return dag
 
 
 def detach_instance(dag: Dag, instance_id: str) -> Module:
@@ -364,11 +243,4 @@ def detach_instance(dag: Dag, instance_id: str) -> Module:
             f"cannot detach '{instance_id}': instances {downstream} "
             "consume its outputs"
         )
-    ctx = dag.contexts[instance_id]
-    for group in ctx.inputs.values():
-        for connection in group:
-            connection.output.unsubscribe(connection)
-    dag.edges = [e for e in dag.edges if e.dst_instance != instance_id]
-    module = dag.instances.pop(instance_id)
-    dag.contexts.pop(instance_id, None)
-    return module
+    return _remove(dag, [instance_id])[0]

@@ -7,12 +7,10 @@ here: the parameters it reads (:class:`ParamSpec`), its input ports
 (:class:`InputPortSpec`), its outputs, how it is scheduled
 (:class:`TriggerSpec`) and a cross-parameter rule.
 
-Two readers use the one declaration.  fpt-core runs
-:func:`check_params` on every instance when it builds the DAG, before any
-``init()``, and ``ModuleContext.param_*`` take each parameter's type and
-default from it.  ``repro lint`` reads the whole declaration without
-instantiating anything, and reports :func:`check_params`'s problems
-under their codes (FPT007-010).
+:func:`repro.core.check.check_specs` checks every instance against the
+whole declaration (:func:`check_params` is its parameter part) before any
+``init()``, for fpt-core's builder and ``repro lint`` alike, and
+``ModuleContext.param_*`` take each parameter's type and default from it.
 """
 
 from __future__ import annotations
@@ -69,13 +67,11 @@ class TriggerSpec:
     * ``fixed`` -- ``trigger_after_updates(updates)`` with a constant;
     * ``per_connection`` -- runs once every wired connection has a fresh
       sample (the scheduler default, and what modules that call
-      ``trigger_after_updates(connection_count)`` get);
-    * ``param`` -- the trigger count comes from the named int parameter.
+      ``trigger_after_updates(connection_count)`` get).
     """
 
     kind: str
     updates: int = 0
-    param: str = ""
 
     @classmethod
     def periodic(cls) -> "TriggerSpec":
@@ -88,10 +84,6 @@ class TriggerSpec:
     @classmethod
     def per_connection(cls) -> "TriggerSpec":
         return cls("per_connection")
-
-    @classmethod
-    def from_param(cls, name: str) -> "TriggerSpec":
-        return cls("param", param=name)
 
 
 #: The two parameters every ``schedule_every`` poller reads.

@@ -26,7 +26,9 @@ class ConfigError(FptError):
     ``line_no`` and ``line_text`` locate the offending configuration line
     when the error originated from (or can be traced back to) a parsed
     configuration file; both are ``None`` for errors with no file
-    position (e.g. programmatically built specs).
+    position (e.g. programmatically built specs).  ``code`` is the
+    ``repro lint`` code of the problem: ``FPT000`` (a syntax error) unless
+    the raiser knows better.
     """
 
     def __init__(
@@ -35,10 +37,12 @@ class ConfigError(FptError):
         *,
         line_no: Optional[int] = None,
         line_text: Optional[str] = None,
+        code: str = "FPT000",
     ) -> None:
         super().__init__(message)
         self.line_no = line_no
         self.line_text = line_text
+        self.code = code
 
     def describe(self) -> str:
         """The message plus the offending config line, when known."""

@@ -25,7 +25,7 @@ from ..telemetry import NULL_TELEMETRY, Telemetry
 from .channel import DEFAULT_QUEUE_CAPACITY
 from .clock import Clock, SimClock
 from .config import InstanceSpec, parse_config
-from .dag import Dag, Edge, build_dag, detach_instance, extend_dag
+from .dag import Dag, Edge, build_dag, detach_instance
 from .module import Module, ModuleContext
 from .registry import ModuleRegistry
 from .scheduler import Scheduler
@@ -154,22 +154,32 @@ class FptCore:
 
         Accepts configuration-file text or pre-parsed specs.  New
         instances may consume outputs of existing instances; existing
-        wiring is untouched.  Returns the ids of the attached instances.
+        wiring is untouched.  Returns the ids of the attached instances,
+        in initialization order.  A failed attach changes nothing.
         """
         specs = (
             parse_config(text_or_specs)
             if isinstance(text_or_specs, str)
             else list(text_or_specs)
         )
-        added = extend_dag(
-            self.dag,
-            specs,
-            self._registry,
-            self.clock,
-            install_hooks=self._install_hooks,
-            queue_capacity=self._queue_capacity,
-            services=self._services,
-        )
+        known = set(self.dag.instances)
+        try:
+            build_dag(
+                specs,
+                self._registry,
+                self.clock,
+                install_hooks=self._install_hooks,
+                queue_capacity=self._queue_capacity,
+                services=self._services,
+                existing=self.dag,
+            )
+        except Exception:
+            # What the new instances' init() asked of the scheduler.
+            self.scheduler.forget(
+                [s.instance_id for s in specs if s.instance_id not in known]
+            )
+            raise
+        added = [i for i in self.dag.instances if i not in known]
         for instance_id in added:
             self.scheduler.add_instance(self.dag.instances[instance_id])
             for output in self.dag.contexts[instance_id].outputs.values():

@@ -4,11 +4,11 @@ Every data-collection and analysis module implements the same two-method
 contract the paper describes in section 3.2:
 
 * ``init()`` is called once when the instance becomes a DAG vertex.  The
-  module reads its configuration parameters (typed, defaulted and
-  already range-checked by its class's declaration, see
-  :mod:`repro.core.declaration`), verifies its input wiring,
-  creates its outputs, and registers scheduling hooks (periodic execution
-  for pollers, input-triggered execution for analyses).
+  module reads its configuration parameters and binds its inputs (both
+  already checked against its class's declaration, see
+  :mod:`repro.core.check`), creates its outputs, and registers
+  scheduling hooks (periodic execution for pollers, input-triggered
+  execution for analyses).
 * ``run(reason)`` is called by the scheduler, with ``reason`` saying why
   (a periodic tick, fresh input data, or a manual invocation).
 
@@ -115,14 +115,6 @@ class ModuleContext:
                 f"which is not wired (wired inputs: {sorted(self.inputs)})"
             ) from None
 
-    def require_no_inputs(self) -> None:
-        """Assert that this instance was wired with no inputs at all."""
-        if self.inputs:
-            raise ModuleError(
-                f"instance '{self.instance_id}' accepts no inputs but was "
-                f"wired with {sorted(self.inputs)}"
-            )
-
     def connection_count(self) -> int:
         """Total number of upstream connections across all input groups."""
         return sum(len(group) for group in self.inputs.values())
@@ -209,8 +201,8 @@ class Module(abc.ABC):
     Subclasses set :attr:`type_name` (the name used in configuration-file
     section headers), declare their interface in the class attributes
     below (:mod:`repro.core.declaration`), and implement :meth:`init`
-    and :meth:`run`.  fpt-core checks every instance's params against
-    the declaration before ``init()``; ``repro lint`` reads all of it.
+    and :meth:`run`.  fpt-core checks every instance against the
+    declaration before ``init()``; ``repro lint`` reports the same check.
     """
 
     #: Name used in ``[section]`` headers of the configuration file.

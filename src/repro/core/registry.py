@@ -9,7 +9,7 @@ own modules -- the paper's flexibility requirement.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Type
+from typing import Dict, Iterator, Optional, Type
 
 from .errors import ConfigError
 from .module import Module
@@ -49,6 +49,10 @@ class ModuleRegistry:
                 f"unknown module type '{type_name}' "
                 f"(registered: {sorted(self._types)})"
             ) from None
+
+    def get(self, type_name: str) -> Optional[Type[Module]]:
+        """The class registered under ``type_name``; None if there is none."""
+        return self._types.get(type_name)
 
     def __contains__(self, type_name: str) -> bool:
         return type_name in self._types

@@ -23,7 +23,7 @@ import heapq
 import itertools
 import time
 from collections import deque
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..telemetry import NULL_TELEMETRY, Telemetry
 from .channel import Output
@@ -134,21 +134,31 @@ class Scheduler:
     def remove_instance(self, instance_id: str) -> None:
         """Detach an instance from scheduling (paper section 2.1).
 
-        Pending heap entries for the instance are discarded lazily when
-        they surface; a queued input-triggered run is dropped now.  A
-        periodic instance may remove itself (or a peer) from inside its
-        own ``run()``: dropping the interval here also cancels the
-        re-arm that ``run_until`` would otherwise attempt.
+        Its pending heap entries and a queued input-triggered run are
+        dropped now, so a later instance with the same id keeps only its
+        own schedule.  A periodic instance may remove itself (or a peer)
+        from inside its own ``run()``: dropping the interval here also
+        cancels the re-arm that ``run_until`` would otherwise attempt.
         """
         cell = self._cells.pop(instance_id, None)
         if cell is None:
             raise SchedulerError(f"no such instance '{instance_id}'")
-        self._triggers.pop(instance_id, None)
-        self._intervals.pop(instance_id, None)
         if cell.queued:
             self._pending.remove(cell)
         if cell.runs:
             self._retired_runs[instance_id] = cell.runs
+        self.forget((instance_id,))
+
+    def forget(self, instance_ids: Sequence[str]) -> None:
+        """Drop what instances asked of the scheduler: intervals, heap
+        entries and trigger counts.  ``remove_instance`` calls it for an
+        added instance, a failed attach for instances never added."""
+        gone = set(instance_ids)
+        for instance_id in gone:
+            self._intervals.pop(instance_id, None)
+            self._triggers.pop(instance_id, None)
+        self._heap = [entry for entry in self._heap if entry[2] not in gone]
+        heapq.heapify(self._heap)
         self._invalidate_plans()
 
     def schedule_periodic(self, instance_id: str, interval: float, phase: float) -> None:
@@ -279,7 +289,7 @@ class Scheduler:
             heapq.heappop(self._heap)
             cell = self._cells.get(instance_id)
             if cell is None:
-                continue  # detached while a heap entry was pending
+                continue  # scheduled by an init() whose attach is under way
             self.clock.sleep_until(deadline)
             if observe_lag is not None:
                 # Under a simulated clock the lag is 0 by construction;

@@ -238,7 +238,6 @@ class ReplaySourceModule(Module):
 
     def init(self) -> None:
         ctx = self.ctx
-        ctx.require_no_inputs()
         archive: ReplayArchive = ctx.service("replay_archive")
         self.source_id = ctx.param_str("instance") or ctx.instance_id
         metas = archive.outputs_of(self.source_id)

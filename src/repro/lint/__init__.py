@@ -2,13 +2,11 @@
 
 Three layers, each usable on its own:
 
-* :mod:`repro.lint.analyzer` -- parses a configuration *without
-  instantiating any module* and checks it against the declarations the
-  registered module classes carry (:mod:`repro.core.declaration`;
-  ``FPT0xx`` codes: unknown types, bad wiring, cycles, dead instances,
-  parameter type/range errors, scheduling problems).  The parameter
-  codes (FPT007-010) are the problems of the check fpt-core itself
-  makes when it builds the DAG.
+* :func:`analyze_config` -- parses a configuration leniently and reports
+  every problem of :func:`repro.core.check.check_specs`, the check
+  fpt-core makes before it builds a DAG, *without instantiating any
+  module* (``FPT0xx`` codes: unknown types, bad wiring, cycles, dead
+  instances, parameter type/range errors, scheduling problems).
 * :mod:`repro.lint.costmodel` -- folds a parsed configuration's DAG
   into a static per-tick CPU estimate from its table of per-type cost
   facts (``FPT301``: the estimate exceeds the tick budget; ``FPT303``:
@@ -22,7 +20,6 @@ reports the entries that name no code (``FPT090``).  Entry points: the
 ``repro lint`` CLI subcommand and the functions re-exported here.
 """
 
-from .analyzer import analyze_config, analyze_specs
 from .concurrency import (
     lint_concurrency,
     scan_concurrency_source,
@@ -41,6 +38,8 @@ from .diagnostics import (
     CODES,
     Diagnostic,
     Severity,
+    analyze_config,
+    analyze_specs,
     apply_noqa,
     has_errors,
     lint_markers,

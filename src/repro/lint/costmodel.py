@@ -42,8 +42,7 @@ from ..core.declaration import param_value
 from ..core.module import Module
 from ..core.registry import ModuleRegistry
 from ..sysstat.metrics import NODE_METRICS
-from .analyzer import _default_registry, declared_class
-from .diagnostics import Diagnostic, apply_noqa, sort_diagnostics
+from .diagnostics import Diagnostic, apply_noqa, default_registry, sort_diagnostics
 
 #: Default tick budget: one simulated second of analysis must fit in one
 #: wall-clock second, or the online pipeline falls behind its sources.
@@ -333,7 +332,7 @@ def _number(
     spec: InstanceSpec, module_class: Optional[Type[Module]], name: str
 ) -> Optional[float]:
     """A numeric parameter's value, else its declared default; None when
-    neither is a number (the analyzer reports why)."""
+    neither is a number (``analyze_config`` reports why)."""
     if module_class is None:
         return None
     try:
@@ -416,7 +415,7 @@ class _Estimator:
                 continue
             count = 1.0
             if wire.output_name is None:
-                upstream_class = declared_class(self.registry, upstream.module_type)
+                upstream_class = self.registry.get(upstream.module_type)
                 outputs = (
                     upstream_class.outputs_for(upstream.params)
                     if upstream_class is not None else None
@@ -462,12 +461,12 @@ class _Estimator:
         )
         order = self._topo_order()
         if order is None:
-            # Cyclic wiring: the FPT005 analyzer error owns this config;
+            # Cyclic wiring: the FPT005 error owns this config;
             # a rate fixpoint does not exist, so no estimate is emitted.
             return report
 
         for spec in order:
-            module_class = declared_class(self.registry, spec.module_type)
+            module_class = self.registry.get(spec.module_type)
             fact = COST_FACTS.get(spec.module_type)
             connections = self._connections(spec)
 
@@ -493,9 +492,6 @@ class _Estimator:
                 )
             elif kind == "fixed":
                 trigger_hz = update_in / max(trigger.updates, 1)
-            elif kind == "param":
-                updates = _int_param(spec, module_class, trigger.param) or 1
-                trigger_hz = update_in / max(updates, 1)
             elif kind == "per_connection":
                 trigger_hz = slowest if slowest != float("inf") else 0.0
             else:
@@ -609,7 +605,7 @@ def estimate_specs(
     budget_ms: Optional[float] = None,
 ) -> CostReport:
     """Cost-estimate pre-parsed instance specs (no syntax layer, no noqa)."""
-    return _Estimator(specs, _default_registry(registry), file, budget_ms).run()
+    return _Estimator(specs, default_registry(registry), file, budget_ms).run()
 
 
 def estimate_config(
@@ -625,7 +621,7 @@ def estimate_config(
     ``budget_ms`` is the tick budget (default
     :data:`DEFAULT_TICK_BUDGET_MS`); a non-positive one is a ``ValueError``.
     Syntax errors are not re-reported here -- run
-    :func:`~repro.lint.analyzer.analyze_config` for the FPT0xx layer.
+    :func:`~repro.lint.analyze_config` for the FPT0xx layer.
     """
     errors: List[ConfigError] = []
     specs = parse_config(text, collect=errors)

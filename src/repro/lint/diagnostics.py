@@ -3,7 +3,9 @@
 Every fpt-lint check emits :class:`Diagnostic` records with a stable
 code.  Codes are grouped by layer:
 
-* ``FPT0xx`` -- configuration analysis (:mod:`repro.lint.analyzer`);
+* ``FPT0xx`` -- configuration analysis (:func:`analyze_config`: the
+  lenient parse, then :func:`repro.core.check.check_specs`, the check
+  fpt-core makes before it builds a DAG);
 * ``FPT3xx`` -- static cost model (:mod:`repro.lint.costmodel`);
 * ``FPT4xx`` -- concurrency / data races
   (:mod:`repro.lint.concurrency`).
@@ -40,6 +42,10 @@ import re
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+from ..core.check import WARNING_CODES, check_specs
+from ..core.config import ConfigError, InstanceSpec, parse_config
+from ..core.registry import ModuleRegistry
+
 #: ``# fpt: noqa`` or ``# fpt: noqa[FPT001,FPT007]`` (case-insensitive).
 _NOQA_RE = re.compile(
     r"#\s*fpt:\s*noqa(?:\[(?P<codes>[A-Za-z0-9_,\s]+)\])?", re.IGNORECASE
@@ -61,23 +67,32 @@ class Severity(enum.Enum):
         return self.value
 
 
+#: The codes :func:`~repro.core.check.check_specs` reports; its
+#: ``WARNING_CODES`` decide which of them only warn.
+_CHECKED_CODES: Dict[str, str] = {
+    "FPT001": "unknown module type",
+    "FPT002": "duplicate instance id",
+    "FPT003": "wiring references an unknown instance",
+    "FPT004": "wiring references a nonexistent output",
+    "FPT005": "wiring cycle (DAG construction would fail)",
+    "FPT006": "instance unreachable from any sink (dead)",
+    "FPT007": "unknown parameter (not declared by the module)",
+    "FPT008": "parameter has the wrong type",
+    "FPT009": "parameter out of range",
+    "FPT010": "required parameter missing",
+    "FPT011": "input wiring violates the module contract",
+    "FPT012": "trigger threshold exceeds wired connections",
+    "FPT013": "peer-comparison group smaller than 3 peers",
+}
+
 #: code -> (severity, one-line summary).  The single source of truth for
 #: the diagnostic table in DESIGN.md / README.md.
 CODES: Dict[str, "tuple[Severity, str]"] = {
     "FPT000": (Severity.ERROR, "configuration syntax error"),
-    "FPT001": (Severity.ERROR, "unknown module type"),
-    "FPT002": (Severity.ERROR, "duplicate instance id"),
-    "FPT003": (Severity.ERROR, "wiring references an unknown instance"),
-    "FPT004": (Severity.ERROR, "wiring references a nonexistent output"),
-    "FPT005": (Severity.ERROR, "wiring cycle (DAG construction would fail)"),
-    "FPT006": (Severity.WARNING, "instance unreachable from any sink (dead)"),
-    "FPT007": (Severity.ERROR, "unknown parameter (not declared by the module)"),
-    "FPT008": (Severity.ERROR, "parameter has the wrong type"),
-    "FPT009": (Severity.ERROR, "parameter out of range"),
-    "FPT010": (Severity.ERROR, "required parameter missing"),
-    "FPT011": (Severity.ERROR, "input wiring violates the module contract"),
-    "FPT012": (Severity.ERROR, "trigger threshold exceeds wired connections"),
-    "FPT013": (Severity.ERROR, "peer-comparison group smaller than 3 peers"),
+    **{
+        code: (Severity.WARNING if code in WARNING_CODES else Severity.ERROR, summary)
+        for code, summary in _CHECKED_CODES.items()
+    },
     "FPT090": (Severity.ERROR, "noqa suppression entry names no code"),
     "FPT301": (Severity.ERROR, "config cannot sustain its tick budget"),
     "FPT303": (
@@ -283,3 +298,53 @@ def render_json(diagnostics: Iterable[Diagnostic]) -> str:
 
 def has_errors(diagnostics: Iterable[Diagnostic]) -> bool:
     return any(d.severity is Severity.ERROR for d in diagnostics)
+
+
+def default_registry(registry: Optional[ModuleRegistry]) -> ModuleRegistry:
+    """``registry``, or the standard one when it is None."""
+    if registry is None:
+        from ..modules import standard_registry
+
+        registry = standard_registry()
+    return registry
+
+
+def analyze_specs(
+    specs: Sequence[InstanceSpec],
+    registry: Optional[ModuleRegistry] = None,
+    file: str = "<config>",
+) -> List[Diagnostic]:
+    """:func:`~repro.core.check.check_specs`'s problems as diagnostics
+    (no syntax layer, no noqa)."""
+    return sort_diagnostics(
+        Diagnostic(code=p.code, message=p.message, line=p.line, file=file,
+                   instance=p.instance)
+        for p in check_specs(specs, default_registry(registry))
+    )
+
+
+def analyze_config(
+    text: str,
+    registry: Optional[ModuleRegistry] = None,
+    file: str = "<config>",
+    noqa: bool = True,
+) -> List[Diagnostic]:
+    """Analyze configuration-file text; returns every diagnostic found.
+
+    The text is parsed leniently (every syntax error and duplicate id is
+    collected as FPT000 / FPT002), and the specs are checked against the
+    declarations of ``registry``'s classes (default: the standard
+    registry).  ``# fpt: noqa`` markers in ``text`` suppress diagnostics
+    on their line unless ``noqa=False``.
+    """
+    errors: List[ConfigError] = []
+    specs = parse_config(text, collect=errors)
+    diagnostics = [
+        Diagnostic(code=e.code, message=str(e), line=e.line_no or 0, file=file)
+        for e in errors
+    ]
+    diagnostics += analyze_specs(specs, registry, file)
+    diagnostics += marker_errors(text, file)
+    if noqa:
+        diagnostics = apply_noqa(diagnostics, text)
+    return sort_diagnostics(diagnostics)

@@ -224,11 +224,6 @@ class PeerComparisonModule(Module):
         self.consecutive = ctx.param_int("consecutive")
 
         self.connections = connections_by_node(ctx, owner)
-        if len(self.connections) < 3:
-            raise ConfigError(
-                f"{owner}: peer comparison needs at least 3 nodes, got "
-                f"{len(self.connections)}"
-            )
         self.nodes = sorted(self.connections)
         self._window = FleetWindow(self.nodes, window, slide, owner)
         self._counter = ConsecutiveCounter(self.nodes, self.consecutive)

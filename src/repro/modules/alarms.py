@@ -84,10 +84,6 @@ class PrintModule(Module):
 
     def init(self) -> None:
         ctx = self.ctx
-        if not ctx.inputs:
-            from ..core.errors import ConfigError
-
-            raise ConfigError(f"print '{ctx.instance_id}': no inputs wired")
         self.quiet = ctx.param_bool("quiet")
         prefix = ctx.param_str("prefix")
         self.prefix = ctx.instance_id if prefix is None else prefix
@@ -149,10 +145,6 @@ class AlarmUnionModule(Module):
 
     def init(self) -> None:
         ctx = self.ctx
-        if not ctx.inputs:
-            from ..core.errors import ConfigError
-
-            raise ConfigError(f"alarm_union '{ctx.instance_id}': no inputs wired")
         self.out = ctx.create_output("alarms")
         self.forwarded = 0
         ctx.trigger_after_updates(1)

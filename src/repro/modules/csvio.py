@@ -42,10 +42,6 @@ class CsvWriterModule(Module):
 
     def init(self) -> None:
         ctx = self.ctx
-        if not ctx.inputs:
-            from ..core.errors import ConfigError
-
-            raise ConfigError(f"csv_writer '{ctx.instance_id}': no inputs wired")
         self.path = ctx.param_str("path")
         self._file = open(self.path, "w", newline="")
         self._writer = csv.writer(self._file)

@@ -76,7 +76,6 @@ class HadoopLogModule(Module):
 
     def init(self) -> None:
         ctx = self.ctx
-        ctx.require_no_inputs()
         self.nodes: List[str] = ctx.param_list("nodes")
         channels: Dict[str, object] = ctx.service(HADOOP_LOG_CHANNEL_SERVICE)
         missing = [node for node in self.nodes if node not in channels]

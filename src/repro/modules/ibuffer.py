@@ -42,7 +42,6 @@ class IBufferModule(Module):
 
     def init(self) -> None:
         ctx = self.ctx
-        ctx.input("input")  # raises unless wired
         connections = connections_by_node(ctx, f"ibuffer '{ctx.instance_id}'")
         self.size = ctx.param_int("size")
         self.slide = ctx.param_int("slide")

@@ -82,8 +82,6 @@ class KnnFleetModule(Module):
         name: one connection per node origin, the output named after it."""
         ctx = self.ctx
         connections = connections_by_node(ctx, self._owner)
-        if not connections:
-            raise ConfigError(f"{self._owner}: needs at least one input")
         outputs = {
             node: ctx.create_output(node, connections[node].origin)
             for node in sorted(connections)

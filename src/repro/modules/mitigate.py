@@ -43,10 +43,6 @@ class MitigationModule(Module):
 
     def init(self) -> None:
         ctx = self.ctx
-        if not ctx.inputs:
-            from ..core.errors import ConfigError
-
-            raise ConfigError(f"mitigate '{ctx.instance_id}': no inputs wired")
         self.controller = ctx.service(ctx.param_str("controller"))
         self.min_alarms = ctx.param_int("min_alarms")
         self._alarm_counts: Dict[str, int] = {}

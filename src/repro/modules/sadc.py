@@ -62,7 +62,6 @@ class SadcModule(Module):
 
     def init(self) -> None:
         ctx = self.ctx
-        ctx.require_no_inputs()
         self.nodes = ctx.param_list("nodes")
         channels: Dict[str, object] = ctx.service(SADC_CHANNEL_SERVICE)
         missing = [node for node in self.nodes if node not in channels]

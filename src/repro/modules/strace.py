@@ -93,7 +93,6 @@ class StraceModule(Module):
 
     def init(self) -> None:
         ctx = self.ctx
-        ctx.require_no_inputs()
         self.node = ctx.param_str("node")
         channels: Dict[str, object] = ctx.service(STRACE_CHANNEL_SERVICE)
         if self.node not in channels:

@@ -8,9 +8,9 @@ class SourceModule(Module):
 
     type_name = "source"
     params = SCHEDULE_PARAMS
+    ports = ()
 
     def init(self) -> None:
-        self.ctx.require_no_inputs()
         self.out = self.ctx.create_output("value")
         self.counter = 0
         self.ctx.schedule_every(

@@ -16,7 +16,7 @@ import itertools
 from collections import deque
 
 from repro.core import RunReason, parse_config
-from repro.core.dag import build_dag, detach_instance, extend_dag
+from repro.core.dag import build_dag, detach_instance
 
 
 class ReferenceScheduler:
@@ -48,6 +48,8 @@ class ReferenceScheduler:
         self._triggers.pop(instance_id, None)
         self._intervals.pop(instance_id, None)
         self._threshold_cache.pop(instance_id, None)
+        self._heap = [entry for entry in self._heap if entry[2] != instance_id]
+        heapq.heapify(self._heap)
         if instance_id in self._pending_set:
             self._pending_set.discard(instance_id)
             self._pending = deque(
@@ -154,7 +156,9 @@ class ReferenceCore:
         self.scheduler.run_until(end_time)
 
     def attach(self, text):
-        self._register(extend_dag(self.dag, parse_config(text), **self._build))
+        known = set(self.dag.instances)
+        build_dag(parse_config(text), existing=self.dag, **self._build)
+        self._register([i for i in self.dag.instances if i not in known])
 
     def detach(self, instance_id):
         detach_instance(self.dag, instance_id)

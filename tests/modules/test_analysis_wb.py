@@ -131,9 +131,9 @@ class TestOutputsAndValidation:
             make_core({"a": steady([1.0]), "b": steady([1.0])})
 
     def test_rejects_missing_node_origin(self):
-        config = (
-            "[scripted]\nid = src\n\n"
-            "[analysis_wb]\nid = wb\ninput[n0] = src.value\n"
+        config = "".join(f"[scripted]\nid = src{i}\n\n" for i in range(3)) + (
+            "[analysis_wb]\nid = wb\n"
+            "input[n0] = src0.value\ninput[n1] = src1.value\ninput[n2] = src2.value\n"
         )
         with pytest.raises(ConfigError, match="node origin"):
-            build_core(config, {"script": {"src": [1.0]}})
+            build_core(config, {"script": {f"src{i}": [1.0] for i in range(3)}})
