@@ -581,8 +581,7 @@ def _cmd_cluster_scale_drive(args) -> int:
         bytes_node = entry.get("bytes_per_node_round")
         detection = entry.get("detection_s")
         print(
-            f"nodes={entry['nodes']:<4} ({entry['processes']} procs, "
-            f"negotiated {entry['negotiated']}): "
+            f"nodes={entry['nodes']:<4} ({entry['processes']} procs): "
             f"{entry.get('samples_per_sec') or 0:.1f} samples/s  "
             f"round mean "
             f"{(f'{mean_round * 1000:.1f}ms' if mean_round else '-')}  "

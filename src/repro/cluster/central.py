@@ -437,7 +437,6 @@ class CentralDaemon:
                 "rpc_bytes_sent": counter.tx_payload if counter else 0,
                 "rpc_bytes_received": counter.rx_payload if counter else 0,
                 "bytes_per_round": bytes_per_round,
-                "codec": peer.client.codec if peer.client is not None else None,
                 "rtt_s": round(peer.rtt_s, 6) if peer.rtt_s is not None else None,
             }
         latencies = list(self._latencies)

@@ -307,8 +307,8 @@ def measure_deployment(
 
     Returns one trajectory entry: throughput (samples/sec end to end),
     round-duration backpressure (mean/max, pipelined so ~max(node RTT)),
-    measured payload bytes per node per round under the negotiated
-    codec, and -- when ``inject`` -- wall-clock alarm latency for one
+    measured payload bytes per node per round, and -- when ``inject``
+    -- wall-clock alarm latency for one
     cpuhog.  ``trace_out``, when given, fetches the stitched
     cross-process Chrome trace before teardown and writes it there.
     Raises :class:`DriveError` if the deployment never becomes
@@ -375,17 +375,9 @@ def measure_deployment(
             ),
             "max_rtt_s": rtts[-1] if rtts else None,
             "poll_errors": stats.get("poll_errors"),
-            "negotiated": sorted({
-                str(peer.get("codec")) for peer in peers.values()
-            }),
         })
         if not entry["samples_measured"]:
             failures.append(f"nodes={nodes}: no samples in sustain window")
-        if entry["negotiated"] != ["bin"]:
-            failures.append(
-                f"nodes={nodes}: polls negotiated {entry['negotiated']}, "
-                "not ['bin'] (a node daemon answered without its catalog)"
-            )
 
         if inject:
             target = sorted(expected)[0]
@@ -451,8 +443,7 @@ def run_scale_drive(
     """Sweep deployments across node counts; emit the scale trajectory.
 
     For each count a full cluster (launcher + central + packed node
-    hosts) is booted, sustained, measured and torn down; an entry whose
-    polls did not all negotiate the binary codec is a failure.
+    hosts) is booted, sustained, measured and torn down.
 
     Writes ``BENCH_cluster.json`` (format ``asdf-cluster-scale/1``)
     into ``out_dir`` and returns it.
@@ -529,8 +520,8 @@ def check_cluster_scale_gate(
 ) -> Tuple[bool, str]:
     """CI gate over a scale trajectory.
 
-    Asserts the sweep's own invariants held (every poll negotiated
-    binary, mean round growth within :data:`ROUND_RATIO_MAX`), and --
+    Asserts the sweep's own invariants held (mean round growth within
+    :data:`ROUND_RATIO_MAX`), and --
     when a committed baseline trajectory is given -- that samples/sec
     has not regressed below ``slack`` times the baseline at any node
     count both sweeps share.  A baseline that shares no measured node

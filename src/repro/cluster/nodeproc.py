@@ -1,6 +1,6 @@
 """Collection daemon host process: the ``repro cluster node`` entrypoint.
 
-Transport v2 turns the one-process-per-node model into a *host* model:
+A *host* process, not one process per node:
 one OS process serves one or many **logical** node daemons.  The host
 builds a single shared :class:`~repro.cluster.load.FleetLoad` -- a
 vectorized Hadoop simulation (``repro.sim.vec`` struct-of-arrays state)

@@ -15,28 +15,21 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from ..analysis.peer import whitebox_anomalies
+from ..modules._window_sync import ConsecutiveCounter
 
 
 def _fp_rate_from_flags(flag_rounds: List[Dict[str, bool]], consecutive: int) -> float:
-    """Alarmed fraction of node-rounds after the confidence filter.
+    """Alarmed fraction of node-rounds after the confidence filter, the
+    online detectors' :class:`ConsecutiveCounter`.
 
     All rounds are assumed problem-free, so every alarmed node-window is
     a false positive.
     """
-    if not flag_rounds:
-        return 0.0
-    streaks: Dict[str, int] = {}
-    alarmed = 0
-    total = 0
+    counter = ConsecutiveCounter((), consecutive)
+    alarmed = total = 0
     for flags in flag_rounds:
-        for node, is_anomalous in flags.items():
-            total += 1
-            if is_anomalous:
-                streaks[node] = streaks.get(node, 0) + 1
-                if streaks[node] >= consecutive:
-                    alarmed += 1
-            else:
-                streaks[node] = 0
+        total += len(flags)
+        alarmed += len(counter.update(flags))
     return alarmed / total if total else 0.0
 
 

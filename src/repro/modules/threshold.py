@@ -25,6 +25,7 @@ import numpy as np
 
 from ..analysis.metrics import Alarm
 from ..core import InputPortSpec, Module, ParamSpec, RunReason, TriggerSpec
+from ._window_sync import ConsecutiveCounter
 
 _REDUCERS = {"max": np.max, "min": np.min, "mean": np.mean}
 
@@ -51,7 +52,7 @@ class ThresholdAlarmModule(Module):
         self.direction = ctx.param_str("direction")
         self.consecutive = ctx.param_int("consecutive")
         self._reduce = _REDUCERS[ctx.param_str("reduce")]
-        self._streak = 0
+        self._counter = ConsecutiveCounter((self.node,), self.consecutive)
         self.alarms_out = ctx.create_output("alarms")
         self.samples_checked = 0
         ctx.trigger_after_updates(1)
@@ -65,21 +66,17 @@ class ThresholdAlarmModule(Module):
         for sample in self.connection.pop_all():
             value = float(self._reduce(np.atleast_1d(np.asarray(sample.value, dtype=float))))
             self.samples_checked += 1
-            if self._violates(value):
-                self._streak += 1
-                if self._streak >= self.consecutive:
-                    self.alarms_out.write(
-                        Alarm(
-                            time=sample.timestamp,
-                            node=self.node,
-                            source="rule",
-                            detail=(
-                                f"{self.metric} {value:.2f} "
-                                f"{self.direction} {self.bound:.2f} "
-                                f"for {self._streak} samples"
-                            ),
+            if self._counter.update({self.node: self._violates(value)}):
+                self.alarms_out.write(
+                    Alarm(
+                        time=sample.timestamp,
+                        node=self.node,
+                        source="rule",
+                        detail=(
+                            f"{self.metric} {value:.2f} "
+                            f"{self.direction} {self.bound:.2f} "
+                            f"for {self._counter.streak(self.node)} samples"
                         ),
-                        sample.timestamp,
-                    )
-            else:
-                self._streak = 0
+                    ),
+                    sample.timestamp,
+                )

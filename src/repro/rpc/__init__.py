@@ -12,7 +12,6 @@ cross-process trace.
 from .client import RpcClient
 from .codec import (
     CODEC_BINARY,
-    CODEC_JSON,
     decode_message,
     encode_request_frame,
     encode_response_frame,
@@ -54,7 +53,6 @@ from .server import RpcServer, dispatch, handler_methods
 __all__ = [
     "ByteCounter",
     "CODEC_BINARY",
-    "CODEC_JSON",
     "ClusterNodeDaemon",
     "HadoopLogDaemon",
     "InprocChannel",

@@ -13,8 +13,9 @@ counter keeps accumulating across connections), *trace propagation*
 span), and *peer-labelled* protocol errors so a malformed frame is
 attributable to a concrete remote address in cluster logs.
 
-The hello offers both codecs; a binary welcome compiles the
-connection's call plans (:mod:`repro.rpc.codec`).  :meth:`begin_call`
+The welcome's metric catalog builds the connection's
+:class:`~repro.rpc.codec.Wire`: binary frames for the data calls, JSON
+for the rest.  :meth:`begin_call`
 sends a request and :meth:`finish_call` decodes its response, so the
 selectors-based :class:`~repro.rpc.poller.MultiPoller` can keep one
 request in flight to every node; :meth:`call` is the two in a row.
@@ -28,24 +29,17 @@ import time
 import zlib
 from typing import Any, Dict, List, Optional
 
-from .codec import (
-    CODEC_BINARY,
-    CODEC_JSON,
-    call_plans,
-    decode_message,
-    encode_request_frame,
-    recv_frame,
-    welcome_codec,
-)
+from .codec import Wire, recv_frame
 from .protocol import (
     ByteCounter,
     ProtocolError,
     TraceContext,
+    decode_frame,
     encode_frame,
+    intern_catalog,
     make_hello,
     max_frame_bytes,
     request_ids,
-    response_result,
 )
 
 #: Cap on the exponential reconnect backoff delay, seconds.
@@ -104,24 +98,19 @@ class RpcClient:
         # its lifetime (one lookup, not one per frame).
         self.frame_limit: int = max_frame_bytes()
         hello = encode_frame(
-            make_hello(self.client_name, codecs=[CODEC_BINARY, CODEC_JSON]),
-            peer=self.peer, limit=self.frame_limit,
+            make_hello(self.client_name), peer=self.peer, limit=self.frame_limit
         )
         self._sock.sendall(hello)
         self.counter.count_tx(len(hello), static=True)
         data = self._recv()
-        welcome, _ = decode_message(data, self.peer, (), self.frame_limit)
+        welcome, _ = decode_frame(data, self.peer, self.frame_limit)
         self.counter.count_rx(len(data), static=True)
         if "welcome" not in welcome:
             raise ProtocolError(f"expected welcome, got {welcome!r} (peer {self.peer})")
         self.service: str = welcome["welcome"]
         self.methods: List[str] = list(welcome.get("methods", []))
-        self.codec, self.metric_names = welcome_codec(welcome)
-        #: This connection's compiled steady calls (``codec.call_plans``).
-        self._plans = call_plans(
-            self.codec, self.methods, self.metric_names, self.peer,
-            self.frame_limit,
-        )
+        self.metric_names = intern_catalog(tuple(welcome.get("metrics") or ()))
+        self._wire = Wire(self.metric_names, self.peer, self.frame_limit)
 
     def reconnect(self, retries: int = 10, delay_s: float = 0.25,
                   max_delay_s: float = RECONNECT_MAX_DELAY_S) -> None:
@@ -180,14 +169,10 @@ class RpcClient:
         if self._sock is None:
             raise ProtocolError(f"client is closed (peer {self.peer})")
         request_id = next(self._ids)
-        plan = self._plans.get(method) if trace is None else None
-        frame = plan.request(request_id, params) if plan is not None else None
-        if frame is None:
-            frame = encode_request_frame(
-                request_id, method, params,
-                trace.to_wire() if trace is not None else None,
-                codec=self.codec, peer=self.peer, limit=self.frame_limit,
-            )
+        frame = self._wire.request(
+            request_id, method, params,
+            trace.to_wire() if trace is not None else None,
+        )
         started = time.perf_counter()
         self._sock.sendall(frame)
         self.counter.count_tx(len(frame))
@@ -205,25 +190,14 @@ class RpcClient:
         telemetry = self.telemetry
         if (telemetry is not None and telemetry.enabled
                 and telemetry.tracer.enabled):
-            args: Dict[str, Any] = {
-                "method": pending.method, "peer": self.peer,
-                "codec": self.codec,
-            }
+            args: Dict[str, Any] = {"method": pending.method, "peer": self.peer}
             if pending.trace is not None:
                 args.update(pending.trace.span_args())
             telemetry.tracer.complete(
                 f"rpc.call:{pending.method}", "rpc", pending.started,
                 duration, track=f"rpc:{self.service}", **args,
             )
-        # Whichever way the request went, a plan reads its layout's
-        # response and hands any other frame to the general decoder.
-        plan = self._plans.get(pending.method)
-        if plan is not None:
-            return plan.result(data, pending.request_id)
-        response, _ = decode_message(
-            data, self.peer, self.metric_names, self.frame_limit
-        )
-        return response_result(response, pending.request_id, self.peer)
+        return self._wire.result(pending.method, data, pending.request_id)
 
     def call(self, method: str, trace: Optional[TraceContext] = None,
              **params: Any) -> Any:

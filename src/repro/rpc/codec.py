@@ -1,16 +1,16 @@
-"""Binary codec v2: struct-packed frames for the hot poll path.
+"""Binary frames for the three data calls: ``sample``, ``collect``, ``poll_many``.
 
-JSON frames repeat the 64 metric *names* in every sample, which is what
-Table 4's per-iteration bandwidth would measure.  Codec v2 interns the
-catalog once, at connection setup -- a v2 client's hello offers
-``codecs: ["bin", "json"]``, the welcome answers with ``codec`` and the
-ordered ``metrics`` -- and every sample frame then carries float rows
-(IEEE-754 doubles, big-endian) behind a small header.  A v1 peer never
-sends or reads those fields and stays on JSON.  The framing (a 4-byte
-big-endian payload length) is shared; the first payload byte tells the
-codecs apart: ``{`` (0x7B) for JSON, :data:`MAGIC` (0xA5) for binary.
-:func:`decode_message` returns the dict the JSON codec would have, so
-everything upstack is codec-blind.  Layouts (after the length prefix):
+JSON would repeat the 64 metric *names* in every sample, which is what
+Table 4's per-iteration bandwidth would measure.  Instead the welcome
+carries the ordered catalog once (``metrics``), and every frame of a
+data call -- request, result, error -- is binary: float rows
+(big-endian IEEE-754 doubles) behind a small header.  Every other
+message is JSON: hello, welcome, the control calls and the strace
+extension's ``trace`` / ``categories``.  The method names the frame,
+and :class:`Wire` is where that rule lives.  The first payload byte
+tells the two apart: ``{`` (0x7B) for JSON, :data:`MAGIC` (0xA5) for
+binary; :func:`decode_message` returns the dict a JSON frame would have
+held.  Layouts (after the 4-byte big-endian length prefix):
 
 .. code-block:: text
 
@@ -25,36 +25,32 @@ everything upstack is codec-blind.  Layouts (after the length prefix):
    trace     <flags:u8> <trace_id:8s> <span_id:4s> [parent_id:4s]
              <origin_len:u8> <origin>
 
-A *series* is ``hadoop_log_rpcd``'s ``collect`` result: ``seconds``
-``first, first + 1, ...``, one ``vectors`` row per second, ``watermark``.
+A *series* is ``collect``'s result: ``seconds`` ``first, first + 1,
+...``, one ``vectors`` row each, ``watermark``.  ``sample`` answers with
+one window (flags 0x02) or, on the priming call, ``None`` (0x06);
+``poll_many`` with a batch.
 
-**Call plans.**  A connection that settles on ``bin`` compiles its
-steady round trips at the welcome: :func:`call_plans` builds a
-:class:`CallPlan` per binary method; a serving one holds the handler's
-bound ``rpc_*`` method, looked up per connection so that a wrapper put
-on the class before the connection opened sees every call.  A *steady*
-call is an untraced ``sample`` or ``collect`` with ``now`` alone: its
-request is one fixed ``Struct`` (``>IBBIBBd``) whose length is held
-against the connection's fixed frame limit once; its response is one
-window against the catalog, packed and read with the layout of the
-node name last seen on the connection (``_sample_struct``), or a
-one-row series, packed and read with the one ``_series_struct(width)``.
-Every other frame -- traced, the priming ``None``, errors, multi-row
-catch-ups, a row in another catalog order, a frame over the limit,
-JSON -- goes to the general functions, which walk binary frames field
-by field (:class:`_Reader`) and name a frame truncated or trailed; the
-untraced request with other params and ``poll_many``'s window walk stay
-in the plan.  Both give the same bytes, decoded objects and errors.
+**Call plans.**  A connection builds one :class:`CallPlan` per data
+method against its catalog, peer and frame limit; a serving end's is
+bound to the handler's ``rpc_*`` method, looked up per connection so
+that a wrapper put on the class before it opened sees every call.  A
+plan is the one encoder of its method's frames and reads them back.
+The *steady* call, an untraced ``sample`` or ``collect`` with ``now``
+alone, is packed and read with fixed ``Struct`` layouts (``now_request``,
+``_SamplePlan.named``, ``_SeriesPlan.one_row``); every other frame is
+read field by field (:class:`_Reader`), which names a frame truncated
+or trailed.  A row -- a :class:`~repro.rpc.protocol.MetricRow` on the
+connection's catalog, interned per process -- ships as
+``row.astype(">f8").tobytes()`` and decodes as native float64.
 
-A sample's ``node`` is a :class:`~repro.rpc.protocol.MetricRow`.  A row
-against the connection's own catalog (interned per process, so an
-identity test) goes out as ``row.astype(">f8").tobytes()``; another
-mapping is read name by name into the same bytes.  Decoding wraps the
-wire row as native float64.  Anything a binary frame cannot represent
-(extra params, a mapping whose keys differ from the catalog, extra
-result keys, a node name over 255 bytes, seconds with a gap, a ragged or
-non-numeric row, non-hex trace ids) goes out as JSON on the same
-connection, per message.
+**What does not fit.**  A request whose params are not ``now`` and
+``max_windows`` (clamped to its u16) or whose trace ids are not the hex
+a ``TraceContext`` mints raises :class:`ProtocolError` before a byte is
+sent.  A result the layout cannot carry -- an extra key, a row not on
+the catalog, a node name over 255 bytes or unlike its batch's, seconds
+with a gap, more than 65 535 rows -- goes out as an error frame that
+names it: the caller gets a :class:`~repro.rpc.protocol.RemoteError`,
+and the connection goes on.
 """
 
 from __future__ import annotations
@@ -67,6 +63,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .protocol import (
+    CODEC_BINARY,
     MetricRow,
     ProtocolError,
     _LENGTH,
@@ -79,30 +76,23 @@ from .protocol import (
     handler_failure,
     intern_catalog,
     make_request,
+    max_frame_bytes,
     response_result,
 )
 
 __all__ = [
     "CODEC_BINARY",
-    "CODEC_JSON",
     "MAGIC",
     "BINARY_METHOD_IDS",
     "CallPlan",
-    "call_plans",
+    "Wire",
     "decode_message",
     "encode_request_frame",
     "encode_response_frame",
     "frame_length",
-    "is_binary_payload",
-    "planned_answer",
     "read_frame",
     "recv_frame",
-    "welcome_codec",
 ]
-
-#: Codec names carried in hello/welcome negotiation.
-CODEC_JSON = "json"
-CODEC_BINARY = "bin"
 
 #: First payload byte of every binary message (JSON objects start with
 #: ``{`` = 0x7B, so one byte discriminates).
@@ -113,16 +103,14 @@ _KIND_RESPONSE = 2
 _KIND_ERROR = 3
 _KIND_SERIES = 4
 
-#: Methods with a binary request encoding.  Only the hot poll path is
-#: worth packing; everything else (inject/clear/info) stays JSON.
+#: The data methods, whose frames are binary.  Every other call is JSON.
 BINARY_METHOD_IDS: Dict[str, int] = {"sample": 1, "poll_many": 2, "collect": 3}
 _METHOD_BY_ID = {v: k for k, v in BINARY_METHOD_IDS.items()}
 
 #: Request param keys a binary frame can carry.
 _REQUEST_PARAMS = frozenset({"now", "max_windows"})
 
-#: Keys of a sample window / a batch result the binary layout carries.
-#: A dict with any other key goes out as a JSON frame.
+#: Keys of a sample window / a batch result / a series the layouts carry.
 _WINDOW_KEYS = frozenset({"timestamp", "emit_wall", "node_name", "node"})
 _BATCH_KEYS = frozenset({"node_name", "windows"})
 _SERIES_KEYS = frozenset({"seconds", "vectors", "watermark"})
@@ -145,9 +133,8 @@ _U16 = struct.Struct(">H")
 _WIRE_F64 = np.dtype(">f8")
 
 #: The params behind a request's method byte, by the flags that announce
-#: them: alone they make the whole untraced frame a plan packs
-#: (``_REQUEST``), behind a trace block the tail the walk reads
-#: (``_REQUEST_TAIL``).
+#: them: alone they make the whole untraced frame (``_REQUEST``), behind
+#: a trace block the frame's tail (``_REQUEST_TAIL``).
 _REQUEST_PARAM_FORMATS = {
     0: "", _RQ_NOW: "d", _RQ_MAXW: "H", _RQ_NOW | _RQ_MAXW: "dH",
 }
@@ -182,19 +169,15 @@ def _series_struct(values: int) -> struct.Struct:
 _SERIES_ROWS_AT = _series_struct(0).size - _U16.size
 
 
-def welcome_codec(welcome: Dict[str, Any]) -> Tuple[str, Tuple[str, ...]]:
-    """The codec and interned metric catalog a welcome pins for its
-    connection: ``("bin", names)`` or, for a v1 welcome, ``("json", ())``.
-    ``names`` is the process's one tuple for that catalog, so a row a
-    daemon laid out against it is recognised by identity."""
-    if welcome.get("codec") == CODEC_BINARY:
-        return CODEC_BINARY, intern_catalog(tuple(welcome.get("metrics") or ()))
-    return CODEC_JSON, ()
+class _Unfit(ProtocolError):
+    """A value a data frame's layout has no field for."""
 
 
-def is_binary_payload(body: bytes) -> bool:
-    """Whether a frame payload is codec-v2 binary (vs JSON)."""
-    return bool(body) and body[0] == MAGIC
+def _shape(value: Any) -> str:
+    """What a value is, for an error: a dict's keys, else its type."""
+    if isinstance(value, dict):
+        return "with keys " + ", ".join(sorted(map(str, value)))
+    return f"of type {type(value).__name__}"
 
 
 def recv_frame(
@@ -227,7 +210,7 @@ def read_frame(
     sock: Any, peer: str = "", metric_names: Sequence[str] = (),
     limit: Optional[int] = None,
 ) -> Optional[Tuple[Dict[str, Any], int]]:
-    """:func:`recv_frame`, then :func:`decode_message` (either codec)."""
+    """:func:`recv_frame`, then :func:`decode_message`."""
     data = recv_frame(sock, peer, limit)
     if data is None:
         return None
@@ -238,9 +221,9 @@ def read_frame(
 
 # -- trace block --------------------------------------------------------------
 
-def _pack_trace(trace_wire: Optional[Dict[str, Any]]) -> Optional[bytes]:
-    """Pack a wire trace object; None when it doesn't fit the binary
-    layout (ids must be the 16/8 hex chars ``TraceContext`` mints)."""
+def _pack_trace(trace_wire: Optional[Dict[str, Any]]) -> bytes:
+    """Pack a wire trace object (``b""`` for none); its ids must be the
+    16/8 hex chars ``TraceContext`` mints."""
     if trace_wire is None:
         return b""
     try:
@@ -248,18 +231,18 @@ def _pack_trace(trace_wire: Optional[Dict[str, Any]]) -> Optional[bytes]:
         parent = trace_wire.get("parent")
         if parent is not None:
             ids.append(bytes.fromhex(parent))
-    except (KeyError, TypeError, ValueError):
-        return None
-    origin = str(trace_wire.get("origin", "")).encode("utf-8")
+        origin = str(trace_wire.get("origin", "")).encode("utf-8")
+    except (AttributeError, KeyError, TypeError, ValueError):
+        raise _Unfit(f"trace {trace_wire!r} is no trace context") from None
     if [len(part) for part in ids] not in ([8, 4], [8, 4, 4]) or len(origin) > 255:
-        return None
+        raise _Unfit(f"trace {trace_wire!r} is no trace context")
     flags = _TR_PARENT if parent is not None else 0
     return bytes((flags,)) + b"".join(ids) + bytes((len(origin),)) + origin
 
 
 class _Reader:
     """Bounds-checked cursor over one binary frame: the field-by-field
-    walk of the general decoder and of the ``poll_many`` plan."""
+    walk of every frame the steady layouts do not read."""
 
     __slots__ = ("data", "pos", "end", "peer")
 
@@ -312,7 +295,7 @@ def _unpack_trace(reader: _Reader) -> Dict[str, Any]:
     return wire
 
 
-# -- encoding -----------------------------------------------------------------
+# -- requests -----------------------------------------------------------------
 
 def _frame(
     kind: int, request_id: int, flags: int, tail: bytes,
@@ -325,18 +308,23 @@ def _frame(
     ) + tail
 
 
-def _request_values(params: Dict[str, Any]) -> Optional[Tuple[int, Tuple[Any, ...]]]:
-    """A request's param flags and packed values; None when the params
-    carry more than ``now`` and ``max_windows``."""
+def _request_values(method: str, params: Dict[str, Any]) -> Tuple[int, Tuple[Any, ...]]:
+    """A request's param flags and packed values."""
     if not params.keys() <= _REQUEST_PARAMS:
-        return None
+        extra = sorted(params.keys() - _REQUEST_PARAMS)
+        raise _Unfit(f"{method} params {extra} have no field in a binary request")
     now, maxw = params.get("now"), params.get("max_windows")
-    if maxw is None:
-        return (0, ()) if now is None else (_RQ_NOW, (float(now),))
-    maxw = min(0xFFFF, max(0, int(maxw)))
-    if now is None:
-        return _RQ_MAXW, (maxw,)
-    return _RQ_NOW | _RQ_MAXW, (float(now), maxw)
+    try:
+        if maxw is None:
+            return (0, ()) if now is None else (_RQ_NOW, (float(now),))
+        maxw = min(0xFFFF, max(0, int(maxw)))
+        if now is None:
+            return _RQ_MAXW, (maxw,)
+        return _RQ_NOW | _RQ_MAXW, (float(now), maxw)
+    except (TypeError, ValueError, OverflowError):
+        raise _Unfit(
+            f"{method} params {params!r} do not fit now:f64 and max_windows:u16"
+        ) from None
 
 
 def _request_params(flags: int, values: Sequence[Any]) -> Dict[str, Any]:
@@ -349,180 +337,7 @@ def _request_params(flags: int, values: Sequence[Any]) -> Dict[str, Any]:
     return params
 
 
-def encode_request_frame(
-    request_id: int,
-    method: str,
-    params: Optional[Dict[str, Any]],
-    trace_wire: Optional[Dict[str, Any]],
-    codec: str,
-    peer: str = "",
-    limit: Optional[int] = None,
-) -> bytes:
-    """Encode one request in the connection's negotiated codec.
-
-    Binary when the method and params fit the packed layout; JSON
-    otherwise (including always under ``codec="json"``).
-    """
-    params = params or {}
-    method_id = BINARY_METHOD_IDS.get(method) if codec == CODEC_BINARY else None
-    fit = _request_values(params) if method_id is not None else None
-    packed_trace = _pack_trace(trace_wire) if fit is not None else None
-    if packed_trace is not None:
-        flags, values = fit
-        return _frame(
-            _KIND_REQUEST, request_id & 0xFFFFFFFF,
-            flags | (_RQ_TRACE if packed_trace else 0),
-            bytes((method_id,)) + packed_trace
-            + _REQUEST_TAIL[flags].pack(*values),
-            peer, limit,
-        )
-    frame: Dict[str, Any] = make_request(request_id, method, params)
-    if trace_wire is not None:
-        frame["trace"] = trace_wire
-    return encode_frame(frame, peer=peer, limit=limit)
-
-
-def _pack_window(
-    window: Any, metric_names: Sequence[str]
-) -> Optional[Tuple[float, float, bytes]]:
-    """A sample window as (timestamp, emit_wall, packed f64 row); None
-    if it doesn't carry exactly the interned catalog, or carries more
-    than a row."""
-    if not (isinstance(window, dict) and window.keys() <= _WINDOW_KEYS):
-        return None
-    node = window.get("node")
-    try:
-        if type(node) is MetricRow and node.names is metric_names:
-            row = node.row.astype(_WIRE_F64).tobytes()
-        elif (isinstance(node, (dict, MetricRow))
-                and len(node) == len(metric_names)):
-            row = struct.pack(
-                f">{len(metric_names)}d",
-                *[float(node[name]) for name in metric_names],
-            )
-        else:
-            return None
-        return (
-            float(window.get("timestamp", 0.0)),
-            float(window.get("emit_wall", 0.0)),
-            row,
-        )
-    except (KeyError, TypeError, ValueError):
-        return None
-
-
-def encode_response_frame(
-    payload: Dict[str, Any],
-    method: Optional[str],
-    metric_names: Sequence[str],
-    codec: str,
-    peer: str = "",
-    limit: Optional[int] = None,
-) -> bytes:
-    """Encode one response/error in the connection's negotiated codec.
-
-    ``payload`` is the dict :func:`repro.rpc.server.dispatch` produced;
-    ``method`` is the request's method name (binary packing applies only
-    to the sample-shaped results of :data:`BINARY_METHOD_IDS`).
-    """
-    if codec == CODEC_BINARY:
-        packed_trace = _pack_trace(payload.get("trace"))
-        if packed_trace is not None:
-            request_id = int(payload.get("id", 0)) & 0xFFFFFFFF
-            if "error" in payload:
-                message = str(payload["error"]).encode("utf-8")
-                if len(message) <= 0xFFFF:
-                    return _frame(
-                        _KIND_ERROR, request_id,
-                        _RS_TRACE if packed_trace else 0,
-                        packed_trace + _U16.pack(len(message)) + message,
-                        peer, limit,
-                    )
-            elif method in BINARY_METHOD_IDS:
-                frame = _pack_result(
-                    payload.get("result"), request_id, packed_trace,
-                    metric_names, peer, limit,
-                )
-                if frame is not None:
-                    return frame
-    return encode_frame(payload, peer=peer, limit=limit)
-
-
-def _pack_series(
-    result: Any, request_id: int, packed_trace: bytes,
-    width: int, peer: str, limit: Optional[int],
-) -> Optional[bytes]:
-    """Pack a ``collect`` result; None unless it is exactly consecutive
-    integer ``seconds``, as many ``vectors`` of ``width`` numbers each,
-    and a ``watermark``."""
-    if not isinstance(result, dict) or result.keys() != _SERIES_KEYS:
-        return None
-    seconds, vectors = result["seconds"], result["vectors"]
-    try:
-        rows = len(seconds)
-        first = seconds[0] if rows else 0
-        if (rows != len(vectors) or rows > 0xFFFF
-                or seconds != list(range(first, first + rows))
-                or (rows and set(map(len, vectors)) != {width})):
-            return None
-        layout = _series_struct(rows * width)
-        return layout.pack(
-            body_length(layout.size + len(packed_trace), peer, limit),
-            MAGIC, _KIND_SERIES, request_id,
-            _RS_TRACE if packed_trace else 0,
-            result["watermark"], first, rows,
-            *chain.from_iterable(vectors),
-        ) + packed_trace
-    except (struct.error, TypeError, OverflowError):
-        return None
-
-
-def _pack_result(
-    result: Any, request_id: int, packed_trace: bytes,
-    metric_names: Sequence[str], peer: str, limit: Optional[int],
-) -> Optional[bytes]:
-    """The binary frame of a sample-shaped result; None if it has none."""
-    flags = _RS_TRACE if packed_trace else 0
-    if result is None:
-        flags |= _RS_SINGLE | _RS_NONE
-        windows: Sequence[Dict[str, Any]] = ()
-        node_name = ""
-    elif not isinstance(result, dict):
-        return None
-    elif "windows" in result:
-        windows = result["windows"]
-        if not (isinstance(windows, (list, tuple))
-                and result.keys() <= _BATCH_KEYS):
-            return None
-        node_name = str(result.get("node_name", ""))
-    elif "node" in result:
-        flags |= _RS_SINGLE
-        windows = (result,)
-        node_name = str(result.get("node_name", ""))
-    elif "vectors" in result:
-        return _pack_series(
-            result, request_id, packed_trace, len(metric_names), peer, limit
-        )
-    else:
-        return None
-    name = node_name.encode("utf-8")
-    if len(name) > 255 or len(windows) > 0xFFFF:
-        return None
-    if windows and not metric_names:
-        return None
-    packed = [_pack_window(window, metric_names) for window in windows]
-    if None in packed:
-        return None
-    parts = [packed_trace, bytes((len(name),)), name, _U16.pack(len(packed))]
-    for timestamp, emit_wall, row in packed:
-        parts.append(_STAMPS.pack(timestamp, emit_wall))
-        parts.append(row)
-    return _frame(
-        _KIND_RESPONSE, request_id, flags, b"".join(parts), peer, limit
-    )
-
-
-# -- decoding -----------------------------------------------------------------
+# -- the general decoder --------------------------------------------------------
 
 def _truncated(what: str, total: int, peer: str) -> ProtocolError:
     return ProtocolError(
@@ -534,22 +349,30 @@ def decode_message(
     data: bytes, peer: str = "", metric_names: Sequence[str] = (),
     limit: Optional[int] = None,
 ) -> Tuple[Dict[str, Any], int]:
-    """Decode one frame (either codec) from the head of ``data``.
+    """Decode one frame, binary or JSON, from the head of ``data``.
 
     Returns ``(payload, consumed)`` with the payload in the JSON dict
-    shape regardless of wire codec (a sample's ``node`` is a
+    shape (a sample's ``node`` is a
     :class:`~repro.rpc.protocol.MetricRow` over the decoded row, which
     equals the dict); raises :class:`ProtocolError` on truncated,
-    oversized or garbage input, labelled with ``peer``.
+    oversized or garbage input, or a data request in JSON, labelled with
+    ``peer``.
     """
     total = frame_end(data, peer, limit)
     if total == _LENGTH.size or data[_LENGTH.size] != MAGIC:
-        return decode_frame(data[:total], peer=peer, limit=limit)
+        payload, _ = decode_frame(data[:total], peer=peer, limit=limit)
+        method = payload.get("method")
+        if isinstance(method, str) and method in BINARY_METHOD_IDS:
+            raise ProtocolError(
+                f"{method} request in JSON: data calls are binary"
+                f"{_peer_suffix(peer)}"
+            )
+        return payload, total
     if total < _FRAME_HEAD.size:
         raise _truncated("head", total, peer)
     _, _, kind, request_id, flags = _FRAME_HEAD.unpack_from(data)
     reader = _Reader(data, peer, _FRAME_HEAD.size, total)
-    payload: Dict[str, Any] = {"id": request_id}
+    payload = {"id": request_id}
     if kind == _KIND_REQUEST:
         method_id = reader.u8()
         trace = _unpack_trace(reader) if flags & _RQ_TRACE else None
@@ -574,8 +397,8 @@ def decode_message(
             raise _truncated("series", total, peer)
         if rows and not width:
             raise ProtocolError(
-                f"binary series frame but no interned metric catalog "
-                f"negotiated{_peer_suffix(peer)}"
+                "binary series frame but no interned metric catalog"
+                f"{_peer_suffix(peer)}"
             )
         fields = layout.unpack_from(data)
         reader = _Reader(data, peer, layout.size, total)
@@ -631,8 +454,8 @@ def _walk_windows(
     n_windows = reader.u16()
     if n_windows and not width:
         raise ProtocolError(
-            f"binary sample frame but no interned metric catalog "
-            f"negotiated{_peer_suffix(reader.peer)}"
+            "binary sample frame but no interned metric catalog"
+            f"{_peer_suffix(reader.peer)}"
         )
     windows = []
     for _ in range(n_windows):
@@ -648,13 +471,13 @@ def _walk_windows(
 # -- call plans ---------------------------------------------------------------
 
 class CallPlan:
-    """One binary method's untraced call on one connection; as it stands,
-    ``poll_many``'s (the window walk).  :meth:`request` and :meth:`result`
-    are the client half, :meth:`answer` the serving one.  Each hands a
-    frame or result that is not its layout to the general functions, so
-    bytes, decoded objects and errors are theirs.  ``now_request`` packs
-    the steady request; None when it is over the limit, which the general
-    path then refuses."""
+    """One data method's frames on one connection; as it stands,
+    ``poll_many``'s (a batch of windows).  :meth:`request` and
+    :meth:`result` are the client half; :meth:`answer` (an untraced
+    request, whole) and :meth:`respond` (a dispatched payload) the
+    serving one; :meth:`pack` packs a result.  ``now_request`` packs the
+    steady request; None when it is over the limit, which
+    :meth:`request` then refuses."""
 
     __slots__ = ("method", "method_id", "names", "width", "peer", "limit",
                  "target", "now_request")
@@ -670,21 +493,35 @@ class CallPlan:
         self.target = target
         self.now_request = _NOW_REQUEST.pack if _NOW_BODY <= limit else None
 
-    def request(self, request_id: int, params: Dict[str, Any]) -> Optional[bytes]:
-        """The request frame; None when ``params`` do not fit."""
-        now = params.get("now") if len(params) == 1 else None
-        if now is not None and self.now_request is not None:
-            return self.now_request(_NOW_BODY, MAGIC, _KIND_REQUEST, request_id & 0xFFFFFFFF,
-                                    _RQ_NOW, self.method_id, float(now))
-        fit = _request_values(params)
-        if fit is None:
-            return None
-        flags, values = fit
+    # -- the client half
+
+    def request(self, request_id: int, params: Dict[str, Any],
+                trace_wire: Optional[Dict[str, Any]] = None) -> bytes:
+        """The request frame; :class:`ProtocolError` when ``params`` or
+        ``trace_wire`` do not fit it."""
+        if trace_wire is None and len(params) == 1 and self.now_request is not None:
+            now = params.get("now")
+            if now is not None:
+                try:
+                    return self.now_request(
+                        _NOW_BODY, MAGIC, _KIND_REQUEST, request_id & 0xFFFFFFFF,
+                        _RQ_NOW, self.method_id, float(now),
+                    )
+                except (TypeError, ValueError, OverflowError):
+                    pass  # refused below, with the reason
+        flags, values = _request_values(self.method, params)
+        trace = _pack_trace(trace_wire)
+        request_id &= 0xFFFFFFFF
+        if trace:
+            return _frame(
+                _KIND_REQUEST, request_id, flags | _RQ_TRACE,
+                bytes((self.method_id,)) + trace + _REQUEST_TAIL[flags].pack(*values),
+                self.peer, self.limit,
+            )
         layout = _REQUEST[flags]
         return layout.pack(
             body_length(layout.size, self.peer, self.limit), MAGIC,
-            _KIND_REQUEST, request_id & 0xFFFFFFFF, flags, self.method_id,
-            *values,
+            _KIND_REQUEST, request_id, flags, self.method_id, *values,
         )
 
     def result(self, data: bytes, request_id: int) -> Any:
@@ -707,12 +544,20 @@ class CallPlan:
         return result
 
     def _decoded(self, data: bytes, request_id: int) -> Any:
+        if len(data) <= _LENGTH.size or data[_LENGTH.size] != MAGIC:
+            frame_end(data, self.peer, self.limit)
+            raise ProtocolError(
+                f"{self.method} answered by a frame that is not binary"
+                f"{_peer_suffix(self.peer)}"
+            )
         payload, _ = decode_message(data, self.peer, self.names, self.limit)
         return response_result(payload, request_id, self.peer)
 
+    # -- the serving half
+
     def answer(self, data: bytes) -> Optional[bytes]:
         """The response frame to the request frame ``data``; None unless
-        it is an untraced one of this method (:func:`planned_answer`)."""
+        it is an untraced one (:meth:`Wire.answer`)."""
         layout = _REQUEST.get(data[10])
         if layout is None or len(data) != layout.size:
             return None
@@ -720,31 +565,106 @@ class CallPlan:
         if fields[0] != layout.size - _LENGTH.size:
             return None
         request_id, flags = fields[3], fields[4]
+        if self.target is None:
+            return self._error(request_id, f"no such method: {self.method}")
         try:
             if flags == _RQ_NOW:
                 result = self.target(now=fields[6])
             else:
                 result = self.target(**_request_params(flags, fields[6:]))
         except Exception as exc:  # noqa: BLE001 - reported to the caller
-            payload = {"id": request_id, "error": handler_failure(self.method, exc)}
-        else:
-            frame = self.pack(request_id, result)
-            if frame is not None:
-                return frame
-            payload = {"id": request_id, "result": result}
-        return encode_response_frame(
-            payload, self.method, self.names, CODEC_BINARY, self.peer, self.limit
+            return self._error(request_id, handler_failure(self.method, exc))
+        try:
+            return self.pack(request_id, result)
+        except _Unfit as exc:
+            return self._error(request_id, self._unfit(exc))
+
+    def respond(self, payload: Dict[str, Any]) -> bytes:
+        """The frame of a dispatched response ``payload``: ``id``, then
+        ``result`` or ``error``, and ``trace`` when the call carried one."""
+        request_id = int(payload.get("id", 0)) & 0xFFFFFFFF
+        trace = b""
+        try:
+            trace = _pack_trace(payload.get("trace"))
+            if "error" in payload:
+                return self._error(request_id, payload["error"], trace)
+            return self.pack(request_id, payload.get("result"), trace)
+        except _Unfit as exc:
+            return self._error(request_id, self._unfit(exc), trace)
+
+    def _unfit(self, exc: _Unfit) -> str:
+        return f"{self.method} result does not fit its binary frame: {exc}"
+
+    def _error(self, request_id: int, message: Any, trace: bytes = b"") -> bytes:
+        """An error frame; the message is cut to the 65 535 bytes it has."""
+        raw = str(message).encode("utf-8", "replace")[:0xFFFF]
+        return _frame(
+            _KIND_ERROR, request_id, _RS_TRACE if trace else 0,
+            trace + _U16.pack(len(raw)) + raw, self.peer, self.limit,
         )
 
-    def pack(self, request_id: int, result: Any) -> Optional[bytes]:
-        """The response frame of ``result``; None to encode it generally."""
-        return _pack_result(result, request_id, b"", self.names, self.peer,
-                            self.limit)
+    def _windows(self, request_id: int, flags: int, trace: bytes, name: bytes,
+                 rows: Sequence[Tuple[float, float, bytes]]) -> bytes:
+        """A response frame: ``rows`` are (timestamp, emit_wall, wire row)."""
+        parts = [trace, bytes((len(name),)), name, _U16.pack(len(rows))]
+        for timestamp, emit_wall, row in rows:
+            parts.append(_STAMPS.pack(timestamp, emit_wall))
+            parts.append(row)
+        return _frame(
+            _KIND_RESPONSE, request_id, flags | (_RS_TRACE if trace else 0),
+            b"".join(parts), self.peer, self.limit,
+        )
+
+    def _priming(self, request_id: int, trace: bytes) -> bytes:
+        """The ``None`` result: a one-sample frame with no window."""
+        return self._windows(request_id, _RS_SINGLE | _RS_NONE, trace, b"", ())
+
+    def _row(self, window: Any) -> Tuple[float, float, bytes]:
+        """A sample window's timestamp, emit_wall and wire row."""
+        if not isinstance(window, dict) or not window.keys() <= _WINDOW_KEYS:
+            raise _Unfit(
+                f"window {_shape(window)} is not timestamp, emit_wall, "
+                "node_name and node"
+            )
+        node = window.get("node")
+        if (type(node) is not MetricRow or not self.width
+                or (node.names is not self.names and node.names != self.names)):
+            raise _Unfit(f"node {_shape(node)} is no row on the metric catalog")
+        try:
+            return (float(window.get("timestamp", 0.0)),
+                    float(window.get("emit_wall", 0.0)),
+                    node.row.astype(_WIRE_F64).tobytes())
+        except (TypeError, ValueError) as exc:
+            raise _Unfit(f"window values: {exc}") from None
+
+    def pack(self, request_id: int, result: Any, trace: bytes = b"") -> bytes:
+        """The response frame of ``result``; :class:`_Unfit` when the
+        layout cannot carry it."""
+        if result is None:
+            return self._priming(request_id, trace)
+        if (not isinstance(result, dict) or "windows" not in result
+                or not result.keys() <= _BATCH_KEYS):
+            raise _Unfit(f"result {_shape(result)} is not node_name and windows")
+        windows = result["windows"]
+        if not isinstance(windows, (list, tuple)) or len(windows) > 0xFFFF:
+            raise _Unfit(f"windows {_shape(windows)} is no list of up to 65 535")
+        name = result.get("node_name", "")
+        try:
+            raw = name.encode("utf-8")
+        except (AttributeError, UnicodeError):
+            raise _Unfit(f"node_name {name!r} is not text") from None
+        if len(raw) > 255:
+            raise _Unfit(f"node_name of {len(raw)} bytes (at most 255)")
+        rows = [self._row(window) for window in windows]
+        if any(window.get("node_name", name) != name for window in windows):
+            raise _Unfit(f"a window's node_name is not the batch's {name!r}")
+        return self._windows(request_id, 0, trace, raw, rows)
 
 
 class _SamplePlan(CallPlan):
-    """``sample``: one window in the ``_sample_struct`` layout.  ``named``
-    caches the node name last packed or read: (name, its bytes, layout)."""
+    """``sample``: the priming ``None`` or one window, untraced in the
+    ``_sample_struct`` layout.  ``named`` caches the node name last packed
+    or read: (name, its bytes, layout)."""
 
     __slots__ = ("named",)
 
@@ -752,8 +672,11 @@ class _SamplePlan(CallPlan):
         super().__init__(*args)
         self.named: Tuple[Any, bytes, struct.Struct] = self._name("")
 
-    def _name(self, name: str) -> Tuple[Any, bytes, struct.Struct]:
-        encoded = name.encode("utf-8")
+    def _name(self, name: Any) -> Tuple[Any, bytes, struct.Struct]:
+        try:
+            encoded = name.encode("utf-8")
+        except (AttributeError, UnicodeError):
+            raise _Unfit(f"node_name {name!r} is not text") from None
         named = (name, encoded, _sample_struct(len(encoded)))
         if len(encoded) <= 255:
             self.named = named  # fpt: noqa[FPT401] -- per-connection cache, replaced whole; one thread serves or polls a connection
@@ -761,7 +684,7 @@ class _SamplePlan(CallPlan):
 
     def result(self, data: bytes, request_id: int) -> Any:
         named = self.named
-        if len(data) > _FRAME_HEAD.size:
+        if self.width and len(data) > _FRAME_HEAD.size:
             layout = (named[2] if data[_FRAME_HEAD.size] == len(named[1])
                       else _sample_struct(data[_FRAME_HEAD.size]))
             if len(data) == layout.size + 8 * self.width:
@@ -778,38 +701,39 @@ class _SamplePlan(CallPlan):
                     ), answered, request_id)
         return self._decoded(data, request_id)
 
-    def pack(self, request_id: int, result: Any) -> Optional[bytes]:
-        if type(result) is dict and result.keys() <= _WINDOW_KEYS:
-            node, name = result.get("node"), result.get("node_name", "")
-            if type(node) is MetricRow and node.names is self.names and type(name) is str:
-                named = self.named if name == self.named[0] else self._name(name)
-                if len(named[1]) <= 255:
-                    try:
-                        row = node.row.astype(_WIRE_F64).tobytes()
-                        stamps = (float(result.get("timestamp", 0.0)),
-                                  float(result.get("emit_wall", 0.0)))
-                    except (TypeError, ValueError):
-                        return None
-                    length = named[2].size - _LENGTH.size + len(row)
-                    if length <= self.limit:
-                        return named[2].pack(
-                            length, MAGIC, _KIND_RESPONSE, request_id,
-                            _RS_SINGLE, len(named[1]), named[1], 1, *stamps,
-                        ) + row
-        return super().pack(request_id, result)
+    def pack(self, request_id: int, result: Any, trace: bytes = b"") -> bytes:
+        if result is None:
+            return self._priming(request_id, trace)
+        timestamp, emit_wall, row = self._row(result)
+        name = result.get("node_name", "")
+        named = self.named if name == self.named[0] else self._name(name)
+        if len(named[1]) > 255:
+            raise _Unfit(f"node_name of {len(named[1])} bytes (at most 255)")
+        if trace:
+            return self._windows(
+                request_id, _RS_SINGLE, trace, named[1],
+                ((timestamp, emit_wall, row),),
+            )
+        return named[2].pack(
+            body_length(named[2].size + len(row), self.peer, self.limit),
+            MAGIC, _KIND_RESPONSE, request_id, _RS_SINGLE, len(named[1]),
+            named[1], 1, timestamp, emit_wall,
+        ) + row
 
 
 class _SeriesPlan(CallPlan):
     """``collect``: the ``_series_struct`` layout; a one-row series is
     packed and read with the one ``Struct`` of its size, ``one_row``
-    (None when that frame is over the connection's limit)."""
+    (None without a catalog, or when that frame is over the connection's
+    limit)."""
 
     __slots__ = ("one_row",)
 
     def __init__(self, *args: Any) -> None:
         super().__init__(*args)
         layout = _series_struct(self.width)
-        self.one_row = layout if layout.size - _LENGTH.size <= self.limit else None
+        fits = self.width and layout.size - _LENGTH.size <= self.limit
+        self.one_row = layout if fits else None
 
     def result(self, data: bytes, request_id: int) -> Any:
         one_row = self.one_row
@@ -823,50 +747,141 @@ class _SeriesPlan(CallPlan):
                 }, fields[3], request_id)
         return self._decoded(data, request_id)
 
-    def pack(self, request_id: int, result: Any) -> Optional[bytes]:
-        one_row = self.one_row
-        if one_row is not None and type(result) is dict and result.keys() == _SERIES_KEYS:
-            seconds, vectors = result["seconds"], result["vectors"]
-            if (type(seconds) is list and type(vectors) is list
+    def pack(self, request_id: int, result: Any, trace: bytes = b"") -> bytes:
+        if result is None:
+            return self._priming(request_id, trace)
+        if not isinstance(result, dict) or result.keys() != _SERIES_KEYS:
+            raise _Unfit(
+                f"result {_shape(result)} is not seconds, vectors and watermark"
+            )
+        seconds, vectors = result["seconds"], result["vectors"]
+        one_row, width = self.one_row, self.width
+        try:
+            if (not trace and one_row is not None
+                    and type(seconds) is list and type(vectors) is list
                     and len(seconds) == len(vectors) == 1
-                    and type(seconds[0]) is int):
-                try:
-                    if len(vectors[0]) == self.width:
-                        return one_row.pack(one_row.size - _LENGTH.size, MAGIC, _KIND_SERIES,
-                                            request_id, 0, result["watermark"], seconds[0], 1,
-                                            *vectors[0])
-                except (struct.error, TypeError, OverflowError):
-                    return None
-        return super().pack(request_id, result)
+                    and type(seconds[0]) is int and len(vectors[0]) == width):
+                return one_row.pack(
+                    one_row.size - _LENGTH.size, MAGIC, _KIND_SERIES, request_id,
+                    0, result["watermark"], seconds[0], 1, *vectors[0],
+                )
+            rows = len(seconds)
+            if rows != len(vectors):
+                raise _Unfit(f"{rows} seconds for {len(vectors)} rows")
+            if rows > 0xFFFF:
+                raise _Unfit(f"{rows} rows (at most 65 535)")
+            first = seconds[0] if rows else 0
+            if seconds != list(range(first, first + rows)):
+                raise _Unfit("seconds are not consecutive integers")
+            if rows and (not width or set(map(len, vectors)) != {width}):
+                raise _Unfit(f"rows are not {width} values wide")
+            layout = _series_struct(rows * width)
+            return layout.pack(
+                body_length(layout.size + len(trace), self.peer, self.limit),
+                MAGIC, _KIND_SERIES, request_id, _RS_TRACE if trace else 0,
+                result["watermark"], first, rows, *chain.from_iterable(vectors),
+            ) + trace
+        except (struct.error, TypeError, OverflowError) as exc:
+            raise _Unfit(f"series values: {exc}") from None
 
 
 _PLANS = {"sample": _SamplePlan, "collect": _SeriesPlan, "poll_many": CallPlan}
 
 
-def call_plans(
-    codec: str, methods: Sequence[str], metric_names: Tuple[str, ...],
-    peer: str, limit: int, handler: Any = None,
-) -> Dict[str, CallPlan]:
-    """One plan per binary method a welcome advertises, when it settled on
-    ``bin`` with a catalog.  The serving end's ``handler`` methods are
-    looked up here, per connection, so a wrapper already around them sees
-    every call."""
-    if codec != CODEC_BINARY or not metric_names:
-        return {}
-    return {
-        method: _PLANS[method](
-            method, metric_names, peer, limit,
-            None if handler is None else getattr(handler, f"rpc_{method}"),
-        )
-        for method in methods if method in _PLANS
-    }
+class Wire:
+    """One connection's frames: a :class:`CallPlan` per data method in
+    ``plans``, JSON for every other call.  Which encoding a frame takes
+    is decided here.  The plans are built against the connection's
+    catalog, peer and frame limit; a serving end's are bound to the
+    ``handler``'s ``rpc_*`` methods, looked up here, per connection, so a
+    wrapper already around them sees every call."""
 
+    __slots__ = ("peer", "limit", "plans")
 
-def planned_answer(plans: Dict[str, CallPlan], data: bytes) -> Optional[bytes]:
-    """The plan-built response to the request frame ``data``; None unless
-    it is an untraced request of a method ``plans`` holds."""
-    if len(data) > _FRAME_HEAD.size and data[4] == MAGIC and data[5] == _KIND_REQUEST:
-        plan = plans.get(_METHOD_BY_ID.get(data[_FRAME_HEAD.size]))
+    def __init__(self, names: Tuple[str, ...], peer: str, limit: int,
+                 handler: Any = None) -> None:
+        self.peer = peer
+        self.limit = limit
+        self.plans: Dict[str, CallPlan] = {
+            method: plan(
+                method, names, peer, limit,
+                None if handler is None else getattr(handler, f"rpc_{method}", None),
+            )
+            for method, plan in _PLANS.items()
+        }
+
+    def request(self, request_id: int, method: str, params: Dict[str, Any],
+                trace_wire: Optional[Dict[str, Any]] = None) -> bytes:
+        """The request frame of a call."""
+        plan = self.plans.get(method)
         if plan is not None:
-            return plan.answer(data)
-    return None
+            return plan.request(request_id, params, trace_wire)
+        frame = make_request(request_id, method, params)
+        if trace_wire is not None:
+            frame["trace"] = trace_wire
+        return encode_frame(frame, peer=self.peer, limit=self.limit)
+
+    def result(self, method: str, data: bytes, request_id: int) -> Any:
+        """The result the response frame ``data`` carries for a call."""
+        plan = self.plans.get(method)
+        if plan is not None:
+            return plan.result(data, request_id)
+        payload, _ = decode_frame(data, self.peer, self.limit)
+        return response_result(payload, request_id, self.peer)
+
+    def answer(self, data: bytes) -> Optional[bytes]:
+        """The plan-built response to the request frame ``data``; None
+        unless it is an untraced data request."""
+        if len(data) > _FRAME_HEAD.size and data[4] == MAGIC and data[5] == _KIND_REQUEST:
+            plan = self.plans.get(_METHOD_BY_ID.get(data[_FRAME_HEAD.size]))
+            if plan is not None:
+                return plan.answer(data)
+        return None
+
+    def respond(self, method: Any, payload: Dict[str, Any]) -> bytes:
+        """The response frame of a dispatched request of ``method``."""
+        plan = self.plans.get(method) if isinstance(method, str) else None
+        if plan is not None:
+            return plan.respond(payload)
+        return encode_frame(payload, peer=self.peer, limit=self.limit)
+
+
+@lru_cache(maxsize=64)
+def _wire(names: Tuple[str, ...], peer: str, limit: int) -> Wire:
+    return Wire(intern_catalog(names), peer, limit)
+
+
+def _shared_wire(metric_names: Sequence[str], peer: str, limit: Optional[int]) -> Wire:
+    """The process's one :class:`Wire` for a catalog, peer and limit."""
+    return _wire(tuple(metric_names), peer, max_frame_bytes() if limit is None else limit)
+
+
+def encode_request_frame(
+    request_id: int,
+    method: str,
+    params: Optional[Dict[str, Any]],
+    trace_wire: Optional[Dict[str, Any]] = None,
+    peer: str = "",
+    limit: Optional[int] = None,
+) -> bytes:
+    """One request frame: binary for a data method, JSON otherwise."""
+    return _shared_wire((), peer, limit).request(
+        request_id, method, params or {}, trace_wire
+    )
+
+
+def encode_response_frame(
+    payload: Dict[str, Any],
+    method: Optional[str],
+    metric_names: Sequence[str],
+    codec: str = CODEC_BINARY,
+    peer: str = "",
+    limit: Optional[int] = None,
+) -> bytes:
+    """One response frame to a request of ``method``: binary for a data
+    method, JSON otherwise.  ``payload`` is the dict
+    :func:`repro.rpc.server.dispatch` produced.  ``codec`` names the data
+    frames' codec, and :data:`CODEC_BINARY` is the only one."""
+    if codec != CODEC_BINARY:
+        raise ValueError(f"unknown codec {codec!r}: data frames are binary")
+    return _shared_wire(metric_names, peer, limit).respond(method, payload)

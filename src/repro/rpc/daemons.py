@@ -55,7 +55,7 @@ _NODE_CATALOG = intern_catalog(NODE_METRICS)
 
 
 def _node_window(node: str, timestamp: float, row) -> Dict[str, Any]:
-    """One sample around the sampler's row, as it is: codec v2 ships
+    """One sample around the sampler's row, as it is: a binary frame ships
     the array, nobody builds the 64-key dict it stands for."""
     return {
         "timestamp": timestamp,
@@ -73,7 +73,7 @@ class SadcDaemon:
     procfs.
     """
 
-    #: Interned metric catalog for binary sample framing (codec v2).
+    #: Interned metric catalog the sample rows are laid out on.
     metric_names = _NODE_CATALOG
 
     def __init__(self, node: str, procfs: Any) -> None:
@@ -115,7 +115,7 @@ class HadoopLogDaemon:
     """
 
     #: Interned catalog: the state behind each column of a ``collect``
-    #: row, which lets the series ride codec v2.
+    #: row, which lets the series ride a binary frame.
     metric_names = WHITEBOX_STATES
 
     def __init__(self, node: str, *logs: DaemonLog) -> None:
@@ -194,11 +194,11 @@ class ClusterNodeDaemon:
       what keeps per-node sample rate flat as the central fans in
       hundreds of nodes.
 
-    ``metric_names`` is the interned catalog codec v2 packs sample rows
-    against; the RPC server advertises it in its welcome.
+    ``metric_names`` is the interned catalog the sample rows are laid out
+    on; the RPC server advertises it in its welcome.
     """
 
-    #: Interned metric catalog for binary sample framing (codec v2).
+    #: Interned metric catalog the sample rows are laid out on.
     metric_names = _NODE_CATALOG
 
     def __init__(self, node: str, load: Any, buffered: bool = False) -> None:

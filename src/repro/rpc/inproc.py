@@ -2,30 +2,22 @@
 
 Simulated experiments collect from hundreds of virtual daemons per run;
 real TCP round-trips would add nothing but wall-clock time.  The
-in-process channel still *negotiates, encodes and decodes every frame*
+in-process channel still *says hello, encodes and decodes every frame*
 exactly as :class:`RpcClient` and :class:`RpcServer` do -- its serving
 end is the server's :class:`~repro.rpc.server.Connection` -- and counts
 bytes identically, so Table 4 is the same on either transport.
 
-On a binary channel the serving end compiles one call plan per binary
-method against the handler (:mod:`repro.rpc.codec`) and the channel
-shares it, so an untraced ``sample`` / ``collect`` / ``poll_many`` call
-is one plan: pack the request, unpack it, call the handler, pack the
-response, unpack it.  Anything else goes encode -> decode -> dispatch ->
-encode -> decode.
+Both ends share the serving end's :class:`~repro.rpc.codec.Wire`, whose
+call plans are bound to the handler, so an untraced ``sample`` /
+``collect`` / ``poll_many`` call is one plan: pack the request, unpack
+it, call the handler, pack the response, unpack it.  A traced call, or
+any other method, goes encode -> decode -> dispatch -> encode -> decode.
 """
 
 from __future__ import annotations
 
 from typing import Any, List, Optional
 
-from .codec import (
-    CODEC_BINARY,
-    CODEC_JSON,
-    decode_message,
-    encode_request_frame,
-    welcome_codec,
-)
 from .protocol import (
     ByteCounter,
     TraceContext,
@@ -34,7 +26,6 @@ from .protocol import (
     make_hello,
     max_frame_bytes,
     request_ids,
-    response_result,
 )
 from .server import Connection
 
@@ -62,16 +53,12 @@ class InprocChannel:
         self._ids = request_ids()
         # The frame limit in force when the channel opens holds for its
         # lifetime, as on a TCP connection.
-        self._limit = limit = max_frame_bytes()
+        limit = max_frame_bytes()
         # Perform the same hello/welcome exchange as the TCP transport --
-        # RpcClient's offer, RpcServer's answer -- so static overhead is
-        # accounted identically and a handler with an interned metric
-        # catalog gets binary sample rows here too.
+        # RpcClient's hello, RpcServer's answer -- so static overhead is
+        # accounted identically.
         self.counter.count_handshake()
-        hello_frame = encode_frame(
-            make_hello(client_name, codecs=[CODEC_BINARY, CODEC_JSON]),
-            limit=limit,
-        )
+        hello_frame = encode_frame(make_hello(client_name), limit=limit)
         self.counter.count_tx(len(hello_frame), static=True)
         hello, _ = decode_frame(hello_frame, limit=limit)
         # The serving end is RpcServer's; only a traced call records a
@@ -83,26 +70,26 @@ class InprocChannel:
         welcome, consumed = decode_frame(self._server.welcome, limit=limit)
         self.counter.count_rx(consumed, static=True)
         self.methods: List[str] = list(welcome.get("methods", []))
-        # Both ends of the channel live here, so the codec, catalog and
-        # plans the client reads off the welcome are the server's too.
-        self.codec, self.metric_names = welcome_codec(welcome)
-        self._plans = self._server.plans
+        # Both ends of the channel live here, so the catalog and plans
+        # the client reads off the welcome are the server's too.
+        self.metric_names = self._server.names
+        self._wire = self._server.wire
+        self._plans = self._wire.plans
 
     def call(self, method: str, trace: Optional[TraceContext] = None,
              **params: Any) -> Any:
         request_id = next(self._ids)
-        plan = self._plans.get(method)
-        frame = None
-        if plan is not None and trace is None:
+        plan = self._plans.get(method) if trace is None else None
+        if plan is not None:
+            # An untraced data call: the plan packs and answers it.
             frame = plan.request(request_id, params)
-        # A frame the plan packed is the plan's to answer.
-        answer = plan.answer if frame is not None else self._server.answer
-        if frame is None:
-            frame = encode_request_frame(
+            answer = plan.answer
+        else:
+            frame = self._wire.request(
                 request_id, method, params,
                 trace.to_wire() if trace is not None else None,
-                self.codec, "", self._limit,
             )
+            answer = self._server.answer
         try:
             response = answer(frame)
         except BaseException:
@@ -114,8 +101,7 @@ class InprocChannel:
         self.counter.count_round_trip(len(frame), len(response))
         if plan is not None:
             return plan.result(response, request_id)
-        payload, _ = decode_message(response, "", self.metric_names, self._limit)
-        return response_result(payload, request_id)
+        return self._wire.result(method, response, request_id)
 
     def close(self) -> None:
         """No-op, for interface parity with :class:`RpcClient`."""

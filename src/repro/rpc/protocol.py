@@ -2,19 +2,21 @@
 
 The paper used ZeroC's ICE to fetch statistics from per-node daemons
 (``sadc_rpcd``, ``hadoop_log_rpcd``).  This substitute is a minimal
-request/response protocol -- length-prefixed UTF-8 JSON over a byte
-stream -- with explicit *byte accounting*, because Table 4 of the paper
-reports exactly those numbers: static connection overhead and
-per-iteration bandwidth per RPC type.
+request/response protocol over a byte stream, with explicit *byte
+accounting*, because Table 4 of the paper reports exactly those numbers:
+static connection overhead and per-iteration bandwidth per RPC type.
 
-Framing: 4-byte big-endian payload length, then the JSON payload.
-Requests carry ``{"id", "method", "params"}`` and optionally a
-``"trace"`` object (cross-process trace context, see
-:class:`TraceContext`); responses carry ``{"id", "result"}`` or
+Framing: 4-byte big-endian payload length, then the payload.  A
+connection opens with a JSON hello/welcome exchange -- protocol version,
+the codecs the client reads, the advertised methods and the metric
+catalog -- which is what the static-overhead column of Table 4
+measures.  The three data calls (``sample``, ``collect``,
+``poll_many``) then travel as binary frames (:mod:`repro.rpc.codec`);
+every other call is UTF-8 JSON: requests carry ``{"id", "method",
+"params"}`` and optionally a ``"trace"`` object (cross-process trace
+context, see :class:`TraceContext`), responses ``{"id", "result"}`` or
 ``{"id", "error"}`` plus the serving side's trace context when the
-request carried one.  A connection starts with a hello/welcome exchange
-(protocol version + advertised methods), which is what the
-static-overhead column of Table 4 measures.
+request carried one.
 """
 
 from __future__ import annotations
@@ -28,11 +30,14 @@ from collections.abc import Mapping
 from itertools import chain, repeat
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 PROTOCOL_VERSION = 2
+
+#: The codec of the data calls' frames, named in hello and welcome.
+CODEC_BINARY = "bin"
 
 #: Default maximum accepted frame payload, bytes (sanity bound against
 #: garbage).  The effective limit is :func:`max_frame_bytes`, which
@@ -117,9 +122,9 @@ class MetricRow(Mapping):
 
     ``names`` is the (interned) catalog and ``row`` the values in catalog
     order.  It reads, compares and JSON-encodes as the ``{name: value}``
-    dict it stands for; codec v2 ships ``row`` as it is when ``names`` is
-    the connection's catalog, and a consumer that wants the vector takes
-    ``row`` instead of looking up every name.
+    dict it stands for; a binary frame ships ``row`` as it is, and a
+    consumer that wants the vector takes ``row`` instead of looking up
+    every name.
     """
 
     __slots__ = ("names", "row")
@@ -394,42 +399,32 @@ def response_result(
     return response.get("result")
 
 
-def make_hello(
-    client_name: str, codecs: Optional["list[str]"] = None
-) -> Dict[str, Any]:
+def make_hello(client_name: str) -> Dict[str, Any]:
     """The client's opening frame.
 
-    ``codecs`` advertises the wire codecs this client can decode, in
-    preference order (codec v2 negotiation).  A v1 server ignores the
-    unknown key and answers with a plain welcome, which the client reads
-    as JSON-only -- cross-version pairs interoperate either way.
+    ``codecs`` names what the client reads: binary data frames and JSON
+    for everything else.  A server refuses a hello without ``bin``.
     """
-    hello: Dict[str, Any] = {"hello": client_name, "version": PROTOCOL_VERSION}
-    if codecs:
-        hello["codecs"] = list(codecs)
-    return hello
+    return {
+        "hello": client_name, "version": PROTOCOL_VERSION,
+        "codecs": [CODEC_BINARY, "json"],
+    }
 
 
 def make_welcome(
-    service: str,
-    methods: "list[str]",
-    codec: Optional[str] = None,
-    metrics: Optional["list[str]"] = None,
+    service: str, methods: "list[str]", metrics: Sequence[str] = ()
 ) -> Dict[str, Any]:
     """The server's answer to a hello.
 
-    ``codec`` names the wire codec chosen for this connection and
     ``metrics`` is the interned metric-name catalog binary sample rows
-    are packed against (codec v2).  Both are omitted for JSON-only
-    connections, producing exactly the v1 welcome.
+    are laid out on; a handler with one names it, after ``codec``.
     """
     welcome: Dict[str, Any] = {
         "welcome": service, "version": PROTOCOL_VERSION, "methods": methods,
     }
-    if codec is not None:
-        welcome["codec"] = codec
-        if metrics:
-            welcome["metrics"] = list(metrics)
+    if metrics:
+        welcome["codec"] = CODEC_BINARY
+        welcome["metrics"] = list(metrics)
     return welcome
 
 

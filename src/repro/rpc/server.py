@@ -3,7 +3,9 @@
 A handler is any object whose ``rpc_*`` methods implement the service:
 ``rpc_sample(self, **params)`` is callable as method ``"sample"``.  The
 server answers each connection's hello with a welcome advertising the
-available methods, then serves requests until the peer disconnects.
+available methods and metric catalog, then serves requests until the
+peer disconnects; a hello that does not offer binary data frames gets
+no welcome, and the connection closes.
 
 Used by the production-mode deployment (``sadc_rpcd`` /
 ``hadoop_log_rpcd`` per monitored node); simulation-mode experiments use
@@ -24,41 +26,23 @@ import socket
 import socketserver
 import threading
 import time
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
-from .codec import (
-    CODEC_BINARY,
-    call_plans,
-    decode_message,
-    encode_response_frame,
-    planned_answer,
-    read_frame,
-    recv_frame,
-    welcome_codec,
-)
+from .codec import Wire, decode_message, read_frame, recv_frame
 from .protocol import (
+    CODEC_BINARY,
     ByteCounter,
     ProtocolError,
     TraceContext,
     encode_frame,
     frame_trace,
     handler_failure,
+    intern_catalog,
     make_error,
     make_response,
     make_welcome,
     max_frame_bytes,
 )
-
-
-def handler_metric_names(handler: Any) -> Sequence[str]:
-    """The interned metric catalog a handler advertises for codec v2.
-
-    A handler opts into binary sample framing by exposing a non-empty
-    ``metric_names`` sequence (the ordered keys of every sample's
-    ``node`` dict); handlers without one negotiate JSON-only.
-    """
-    names = getattr(handler, "metric_names", None)
-    return tuple(names) if names else ()
 
 
 def handler_methods(handler: Any) -> List[str]:
@@ -73,27 +57,21 @@ def handler_methods(handler: Any) -> List[str]:
 def negotiate(
     handler: Any, service: str, hello: Dict[str, Any]
 ) -> Dict[str, Any]:
-    """The welcome that answers ``hello`` for a connection to ``handler``.
-
-    Binary (``codec`` and the interned ``metrics`` catalog present) when
-    the client advertised it and the handler publishes a catalog to pack
-    rows against.  What the hello or the handler cannot support -- a
-    peer whose hello carries no ``codecs`` key, a catalog-less handler
-    -- gets the v1 welcome and that connection stays on JSON.  Shared by
+    """The welcome that answers ``hello`` for a connection to ``handler``:
+    its methods and the catalog its sample rows are laid out on
+    (``metric_names``, if it has one).  A hello that does not offer binary
+    data frames is refused with :class:`ProtocolError`.  Shared by
     :class:`RpcServer` and :class:`repro.rpc.inproc.InprocChannel`, so
     both transports put the same frames on the wire.
     """
     offered = hello.get("codecs")
-    metric_names = handler_metric_names(handler)
-    use_binary = (
-        isinstance(offered, list)
-        and CODEC_BINARY in offered
-        and bool(metric_names)
-    )
+    if not (isinstance(offered, list) and CODEC_BINARY in offered):
+        raise ProtocolError(
+            f"hello {hello.get('hello')!r} does not offer {CODEC_BINARY!r}"
+        )
     return make_welcome(
         service, handler_methods(handler),
-        codec=CODEC_BINARY if use_binary else None,
-        metrics=list(metric_names) if use_binary else None,
+        getattr(handler, "metric_names", None) or (),
     )
 
 
@@ -125,12 +103,13 @@ def dispatch(handler: Any, payload: Dict[str, Any],
 class Connection:
     """The serving end of one connection, for :class:`RpcServer` and
     :class:`repro.rpc.inproc.InprocChannel` alike: the welcome answering
-    ``hello``, the call plans it settles, and the response frame to each
-    request frame (:meth:`answer`).
+    ``hello``, its :class:`~repro.rpc.codec.Wire`, and the response frame
+    to each request frame (:meth:`answer`).
 
     ``tracer`` gets a serving span per request, or with ``traced_only``
     per request that carries a trace.  A span times dispatch, so a
-    connection that records one for every request has no plans.
+    connection that records one for every request answers none from its
+    plans directly.
     """
 
     def __init__(self, handler: Any, service: str, hello: Dict[str, Any],
@@ -145,18 +124,18 @@ class Connection:
         self.traced_only = traced_only
         answer = negotiate(handler, service, hello)
         self.welcome = encode_frame(answer, peer=peer, limit=limit)
-        self.codec, self.names = welcome_codec(answer)
-        self.plans = {} if tracer is not None and not traced_only else call_plans(
-            self.codec, answer["methods"], self.names, peer, limit, handler
-        )
+        self.names = intern_catalog(tuple(answer.get("metrics", ())))
+        self.wire = Wire(self.names, peer, limit, handler)
+        self._planned = tracer is None or traced_only
 
     def answer(self, data: bytes) -> bytes:
         """The response frame to the request frame ``data``: its plan's,
         or decoded, dispatched -- joining the caller's trace if it
         carries one -- and encoded."""
-        response = planned_answer(self.plans, data)
-        if response is not None:
-            return response
+        if self._planned:
+            response = self.wire.answer(data)
+            if response is not None:
+                return response
         payload, _ = decode_message(data, self.peer, self.names, self.limit)
         incoming = frame_trace(payload)
         trace = (
@@ -177,10 +156,7 @@ class Connection:
                 time.perf_counter() - started, track=f"rpc:{self.service}",
                 **args,
             )
-        return encode_response_frame(
-            reply, payload.get("method"), self.names, self.codec, self.peer,
-            self.limit,
-        )
+        return self.wire.respond(payload.get("method"), reply)
 
 
 class RpcServer:

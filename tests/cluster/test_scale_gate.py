@@ -16,7 +16,7 @@ def scale_bench(rates, failures=()):
         "format": CLUSTER_SCALE_FORMAT,
         "node_counts": sorted(rates),
         "sweep": [
-            {"nodes": nodes, "samples_per_sec": rate, "negotiated": ["bin"]}
+            {"nodes": nodes, "samples_per_sec": rate}
             for nodes, rate in sorted(rates.items())
         ],
         "failures": list(failures),
@@ -80,9 +80,9 @@ class TestClusterScaleGate:
         ok, message = check_cluster_scale_gate(scale_bench({3: 6.0}))
         assert ok and "no baseline given" in message
         ok, message = check_cluster_scale_gate(
-            scale_bench({3: 6.0}, failures=["nodes=3: polls negotiated ['json']"])
+            scale_bench({3: 6.0}, failures=["nodes=3: no samples in sustain window"])
         )
-        assert not ok and "negotiated ['json']" in message
+        assert not ok and "no samples in sustain window" in message
 
     def test_committed_trajectory_gates_against_itself(self):
         """The committed sweep still carries a per-entry ``codec`` key the

@@ -58,6 +58,12 @@ class TestBlackboxSweep:
         strict = blackbox_fp_sweep(rounds, thresholds=[50], consecutive=2)[0][1]
         assert strict < loose
 
+    def test_zero_consecutive_is_refused_like_the_online_rule(self):
+        """The sweep counts streaks with the detectors' own counter, which
+        refuses a streak of 0."""
+        with pytest.raises(ValueError, match="must be >= 1"):
+            blackbox_fp_sweep(bb_stats([[1, 1, 99]]), thresholds=[50], consecutive=0)
+
     def test_empty_rounds_give_zero(self):
         assert blackbox_fp_sweep([], thresholds=[5])[0][1] == 0.0
 

@@ -32,7 +32,6 @@ from repro.rpc.protocol import (
 )
 
 #: Codec names carried in hello/welcome negotiation.
-CODEC_JSON = "json"
 CODEC_BINARY = "bin"
 
 #: First payload byte of every binary message (JSON objects start with

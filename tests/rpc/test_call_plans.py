@@ -1,16 +1,17 @@
 """Call plans against the codec's general path as it was (``codec_oracle``).
 
-A plan packs, unpacks and answers the untraced ``sample`` / ``collect``
-/ ``poll_many`` calls without the general functions.  Held here: on
-seeded random results -- rows with NaN, -0.0, float32 or strided values,
-rows in another catalog order, series of 0, 1 and 240 rows, one with a
-gap and one whose seconds do not fit an i64, node names that change
-from call to call on one connection, ``now`` as float, int and
-``numpy.float64``, the priming ``None``, handlers raising ``TypeError``
-or anything else, extra keys that fall back to JSON -- every frame a
-plan builds is byte-identical to the oracle's, every result it reads
-``==`` the oracle's and of the same types, and traced calls, which the
-general functions keep, are the oracle's too.  The id-mismatch and
+A plan packs, unpacks and answers the ``sample`` / ``collect`` /
+``poll_many`` calls.  Held here: on seeded random results -- rows with
+NaN, -0.0, float32 or strided values, series of 0, 1 and 240 rows, node
+names that change from call to call on one connection, ``now`` as float,
+int and ``numpy.float64``, the priming ``None``, handlers raising
+``TypeError`` or anything else -- every frame a plan builds, traced or
+not, is byte-identical to the oracle's, and every result it reads
+``==`` the oracle's and of the same types.  What the oracle sent as JSON
+or read name by name -- extra keys and params, rows in another catalog
+order or as dicts, node names over 255 bytes or unlike their batch's,
+series with a gap or seconds past an i64 -- is refused at the sender
+instead.  The id-mismatch and
 frame-limit checks still fire on the plan path, also at limits around
 the size of the steady frames; a steady call never reaches the general
 functions; request ids stay u32 past ``2**32 - 1`` calls.
@@ -36,12 +37,11 @@ from repro.rpc import (
 )
 from repro.rpc import codec, inproc, server
 from repro.rpc.codec import (
-    CODEC_BINARY,
-    call_plans,
+    MAGIC,
+    Wire,
     decode_message,
     encode_request_frame,
     encode_response_frame,
-    planned_answer,
 )
 from repro.rpc.protocol import (
     WIRE_HEADER_BYTES,
@@ -52,6 +52,7 @@ from repro.rpc.protocol import (
 from repro.sysstat import NODE_METRICS
 
 from . import codec_oracle as oracle
+from .codec_oracle import CODEC_BINARY
 from .helpers import assert_same
 
 LIMIT = 16 * 1024 * 1024
@@ -108,18 +109,18 @@ def random_window(rng, names):
     if rng.random() < 0.5:
         window["emit_wall"] = rng.uniform(1e9, 2e9)
     if rng.random() < 0.05:
-        window["nics"] = {"eth0": {}}   # a key no layout carries: JSON
+        window["nics"] = {"eth0": {}}   # a key no layout carries
     return window
 
 
 def random_series(rng, width):
     rows = rng.choice([0, 1, 1, 2, 5, 240])
     first = rng.randint(-3, 10**6)
-    if rng.random() < 0.1:              # past an i64: JSON
+    if rng.random() < 0.1:              # past an i64
         first = rng.choice([2**63 - 1, 2**63, -2**63 - 1, 2**64])
     seconds = list(range(first, first + rows))
     if rows > 1 and rng.random() < 0.15:
-        seconds[-1] += 1                # a gap: JSON
+        seconds[-1] += 1                # a gap
     return {
         "seconds": seconds,
         "vectors": [
@@ -142,10 +143,14 @@ def random_result(rng, method, names):
         return random_window(rng, names)
     if method == "collect":
         return random_series(rng, len(names))
-    return {
-        "node_name": rng.choice(["node-01", ""]),
-        "windows": [random_window(rng, names) for _ in range(rng.randint(0, 4))],
-    }
+    name = rng.choice(["node-01", ""])
+    windows = [
+        dict(random_window(rng, names), node_name=name)
+        for _ in range(rng.randint(0, 4))
+    ]
+    if windows and rng.random() < 0.1:
+        windows[-1]["node_name"] = "slave07"    # unlike the batch's
+    return {"node_name": name, "windows": windows}
 
 
 def random_params(rng, method):
@@ -155,7 +160,7 @@ def random_params(rng, method):
     if method == "poll_many" and rng.random() < 0.7:
         params["max_windows"] = rng.choice([1, 32, 70000, -4])
     if rng.random() < 0.05:
-        params["verbose"] = True        # a param no layout carries: JSON
+        params["verbose"] = True        # a param no layout carries
     return params
 
 
@@ -224,6 +229,30 @@ def outcome_of(call, *args, **kwargs):
         return "ok", call(*args, **kwargs)
     except RemoteError as exc:
         return "remote", str(exc)
+    except ProtocolError as exc:
+        return "protocol", str(exc)
+
+
+def refused(oracle_frame, result, names):
+    """Whether the oracle sent ``result`` as JSON, read a row of it name
+    by name or gave a window its batch's name: what the layouts have no
+    field for."""
+    if oracle_frame[4] != MAGIC:
+        return True
+    if not isinstance(result, dict):
+        return False
+    name = result.get("node_name", "")
+    return any(
+        isinstance(window, dict) and "node" in window
+        and not (type(window["node"]) is MetricRow and window["node"].names == names)
+        or "windows" in result and window.get("node_name", name) != name
+        for window in result.get("windows", [result])
+    )
+
+
+def assert_refused(outcome):
+    assert outcome[0] == "remote", outcome
+    assert " result does not fit its binary frame: " in outcome[1]
 
 
 # -- the parity ---------------------------------------------------------------
@@ -237,59 +266,63 @@ class TestPlansEqualTheOracle:
         for request_id, method, params, outcome, names in cases(seed, 150):
             if names not in connections:
                 handler = Scripted(names)
-                connections[names] = handler, call_plans(
-                    CODEC_BINARY, METHODS, names, "", LIMIT, handler
-                )
-            handler, plans = connections[names]
+                connections[names] = handler, Wire(names, "", LIMIT, handler)
+            handler, wire = connections[names]
             handler.outcome = outcome
-            plan = plans[method]
+            plan = wire.plans[method]
+            if "verbose" in params:     # a param no layout carries
+                with pytest.raises(ProtocolError, match="'verbose'"):
+                    plan.request(request_id, dict(params))
+                continue
             want_request, want_response = oracle_round_trip(
                 handler, request_id, method, params, names
             )
             frame = plan.request(request_id, dict(params))
-            if frame is None:           # params no layout carries
-                assert "verbose" in params
-                frame = encode_request_frame(
-                    request_id, method, params, None, CODEC_BINARY
-                )
-                response = encode_response_frame(
-                    oracle.dispatch(handler, decode_message(frame)[0]),
-                    method, names, CODEC_BINARY,
-                )
-            else:
-                response = planned_answer(plans, frame)
+            response = wire.answer(frame)
             assert frame == want_request
-            assert response == want_response, (method, outcome)
             got = outcome_of(plan.result, response, request_id)
+            # The same frame decoded by the general function, too.
+            general = outcome_of(general_result, response, request_id, names)
+            assert_same(general, got)
+            if refused(want_response, outcome, names):
+                assert_refused(got)
+                continue
+            assert response == want_response, (method, outcome)
             want = outcome_of(oracle_result, want_response, request_id, names)
             assert got[0] == want[0]
             assert_same(got[1], want[1])
-            # The same frame decoded by the general function, too.
-            general = outcome_of(general_result, response, request_id, names)
-            assert_same(general[1], want[1])
 
     @pytest.mark.parametrize("seed", range(3))
     def test_traced_calls_are_the_oracles(self, seed):
-        """The general functions keep traced frames: same bytes, same
-        payloads, with and without a parent span."""
+        """Traced frames, with and without a parent span: same bytes,
+        same payloads."""
         rng = random.Random(100 + seed)
         for request_id, method, params, outcome, names in cases(seed, 80):
             root = TraceContext.new_root(origin=rng.choice(["", "central@pid1"]))
             trace = (root.child() if rng.random() < 0.5 else root).to_wire()
-            assert encode_request_frame(
-                request_id, method, params, trace, CODEC_BINARY
-            ) == oracle.encode_request_frame(
-                request_id, method, params, trace, CODEC_BINARY
-            )
+            if "verbose" in params:
+                with pytest.raises(ProtocolError, match="'verbose'"):
+                    encode_request_frame(request_id, method, params, trace)
+            else:
+                assert encode_request_frame(
+                    request_id, method, params, trace
+                ) == oracle.encode_request_frame(
+                    request_id, method, params, trace, CODEC_BINARY
+                )
             if isinstance(outcome, Exception):
                 payload = {"id": request_id, "error": str(outcome), "trace": trace}
             else:
                 payload = {"id": request_id, "result": outcome, "trace": trace}
-            frame = encode_response_frame(payload, method, names, CODEC_BINARY)
-            assert frame == oracle.encode_response_frame(
+            frame = encode_response_frame(payload, method, names)
+            want_frame = oracle.encode_response_frame(
                 payload, method, names, CODEC_BINARY
             )
             got, _ = decode_message(frame, metric_names=names)
+            if refused(want_frame, outcome, names):
+                assert got["trace"] == trace
+                assert_refused(outcome_of(response_result, got, request_id))
+                continue
+            assert frame == want_frame
             want, _ = oracle.decode_message(frame, metric_names=names)
             assert_same(got, want, "payload")
 
@@ -308,14 +341,21 @@ class TestPlansEqualTheOracle:
                 trace = TraceContext.new_root() if call % 7 == 0 else None
                 before = channel.counter.tx_payload, channel.counter.rx_payload
                 got = outcome_of(channel.call, method, trace=trace, **params)
+                if "verbose" in params:
+                    assert got[0] == "protocol" and "'verbose'" in got[1]
+                    assert channel.counter.tx_payload == before[0]
+                    continue
                 request, response = oracle_round_trip(
                     handler, call, method, params, names,
                     trace.to_wire() if trace is not None else None,
                 )
+                assert channel.counter.tx_payload - before[0] == len(request)
+                if refused(response, handler.outcome, names):
+                    assert_refused(got)
+                    continue
                 want = outcome_of(oracle_result, response, call, names)
                 assert got[0] == want[0]
                 assert_same(got[1], want[1])
-                assert channel.counter.tx_payload - before[0] == len(request)
                 assert channel.counter.rx_payload - before[1] == len(response)
 
     def test_a_class_level_wrapper_sees_every_planned_call(self, monkeypatch):
@@ -354,13 +394,14 @@ class TestPlansEqualTheOracle:
         reply = oracle.dispatch(handler, oracle.decode_message(request)[0])
         sizes = {len(request) - 4, len(response) - 4}
         for limit in sorted({size + step for size in sizes for step in (-1, 0, 1)}):
-            plans = call_plans(CODEC_BINARY, METHODS, names, "p:1", limit, handler)
+            wire = Wire(names, "p:1", limit, handler)
+            plans = wire.plans
             got = staged(plans[method].request, 5, {"now": 3.0})
             want = staged(oracle.encode_request_frame, 5, method, {"now": 3.0},
                           None, CODEC_BINARY, "p:1", limit)
             assert got == want, limit
             if got[0] == "ok":
-                got = staged(planned_answer, plans, request)
+                got = staged(wire.answer, request)
                 want = staged(oracle.encode_response_frame, reply, method, names,
                               CODEC_BINARY, "p:1", limit)
                 assert got == want, limit
@@ -413,10 +454,12 @@ class TestTheSteadyPath:
 
         for module in (codec, inproc, server):
             for name in ("encode_request_frame", "encode_response_frame",
-                         "decode_message", "_request_values", "_pack_window",
-                         "_pack_series", "_walk_windows"):
+                         "decode_message", "dispatch", "encode_frame",
+                         "decode_frame", "_request_values", "_pack_trace",
+                         "_frame", "_walk_windows"):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, general)
+        monkeypatch.setattr(codec.CallPlan, "_windows", general)
         for method, channel in channels.items():
             handler, names = channel.handler, channel.metric_names
             start = vars(channel.counter).copy()
@@ -511,11 +554,11 @@ class TestChecksOnThePlanPath:
     def test_the_limit_holds_both_ways_on_a_plan(self):
         handler = Scripted(CATALOGS[3])
         handler.outcome = {"node": MetricRow(CATALOGS[3], np.ones(3))}
-        plans = call_plans(CODEC_BINARY, METHODS, CATALOGS[3], "far:1", 8, handler)
+        plans = Wire(CATALOGS[3], "far:1", 8, handler).plans
         with pytest.raises(ProtocolError, match=r"frame too large: 16 bytes > limit 8 \(peer far:1\)"):
             plans["sample"].request(1, {"now": 1.0})
-        roomy = call_plans(CODEC_BINARY, METHODS, CATALOGS[3], "far:1", LIMIT, handler)
-        response = planned_answer(roomy, roomy["sample"].request(1, {"now": 1.0}))
+        roomy = Wire(CATALOGS[3], "far:1", LIMIT, handler)
+        response = roomy.answer(roomy.plans["sample"].request(1, {"now": 1.0}))
         with pytest.raises(ProtocolError, match=r"exceeds maximum 8 \(peer far:1\)"):
             plans["sample"].result(response, 1)
 
@@ -528,12 +571,18 @@ class TestChecksOnThePlanPath:
         handler.outcome = KeyError("slot")
         with pytest.raises(RemoteError, match="^KeyError: 'slot'"):
             channel.call("collect", now=1.0)
-        # An unexpected param never reaches a plan; dispatch reports it.
-        with pytest.raises(RemoteError, match="^bad parameters for collect"):
+        # A param no layout carries never leaves the caller.
+        with pytest.raises(ProtocolError, match=r"collect params \['verbose'\]"):
             channel.call("collect", now=1.0, verbose=True)
 
-    def test_no_plan_without_a_binary_catalog(self):
-        assert call_plans("json", METHODS, CATALOGS[3], "", LIMIT) == {}
-        assert call_plans(CODEC_BINARY, METHODS, (), "", LIMIT) == {}
-        assert set(call_plans(CODEC_BINARY, ["sample", "inject"], CATALOGS[3],
-                              "", LIMIT)) == {"sample"}
+    def test_every_data_method_has_a_plan(self):
+        """With or without a catalog; a window needs one to ride."""
+        handler = Scripted(())
+        handler.outcome = {"node": MetricRow(CATALOGS[3], np.ones(3))}
+        for names in (CATALOGS[3], ()):
+            assert set(Wire(names, "", LIMIT).plans) == set(METHODS)
+        channel = InprocChannel(handler, "svc")
+        with pytest.raises(RemoteError, match="no row on the metric catalog"):
+            channel.call("sample", now=1.0)
+        handler.outcome = None
+        assert channel.call("sample", now=2.0) is None

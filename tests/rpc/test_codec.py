@@ -1,7 +1,8 @@
-"""Tests for the binary codec v2: packing, negotiation, interop."""
+"""Tests for the binary data frames: layouts, what does not fit, live calls."""
 
 import json
 import math
+import socket
 import struct
 
 import numpy as np
@@ -9,48 +10,55 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.rpc import (
+    InprocChannel,
     MetricRow,
     ProtocolError,
+    RemoteError,
     RpcClient,
     RpcServer,
     TraceContext,
 )
 from repro.rpc.codec import (
-    CODEC_BINARY,
-    CODEC_JSON,
     MAGIC,
     decode_message,
     encode_request_frame,
     encode_response_frame,
     frame_length,
-    is_binary_payload,
 )
-from repro.rpc.protocol import _LENGTH, decode_frame, encode_frame
+from repro.rpc.protocol import (
+    _LENGTH,
+    decode_frame,
+    encode_frame,
+    intern_catalog,
+    make_request,
+)
 
-from .helpers import JsonPeer
-
-CATALOG = ("cpu_idle_pct", "loadavg_1", "disk_sectors_written_per_s")
+CATALOG = intern_catalog(("cpu_idle_pct", "loadavg_1", "disk_sectors_written_per_s"))
 
 
 def _window(ts: float, idle: float) -> dict:
     return {
         "timestamp": ts,
         "node_name": "node-01",
-        "node": {
-            "cpu_idle_pct": idle,
-            "loadavg_1": 1.5,
-            "disk_sectors_written_per_s": 640.0,
-        },
+        "node": MetricRow(CATALOG, np.array([idle, 1.5, 640.0])),
         "emit_wall": ts + 0.001,
     }
 
 
+def _is_binary(frame: bytes) -> bool:
+    return frame[_LENGTH.size] == MAGIC
+
+
+def _error_of(frame: bytes, names=CATALOG) -> str:
+    """The message of a binary error frame."""
+    assert _is_binary(frame) and frame[5] == 3
+    return decode_message(frame, metric_names=names)[0]["error"]
+
+
 class TestRequestRoundTrip:
     def test_binary_sample_request(self):
-        frame = encode_request_frame(
-            7, "sample", {"now": 12.5}, None, CODEC_BINARY
-        )
-        assert is_binary_payload(frame[_LENGTH.size:])
+        frame = encode_request_frame(7, "sample", {"now": 12.5}, None)
+        assert _is_binary(frame)
         payload, consumed = decode_message(frame)
         assert consumed == len(frame)
         assert payload == {"id": 7, "method": "sample", "params": {"now": 12.5}}
@@ -58,10 +66,9 @@ class TestRequestRoundTrip:
     def test_binary_poll_many_request_with_trace(self):
         trace = TraceContext.new_root(origin="central@pid1").to_wire()
         frame = encode_request_frame(
-            9, "poll_many", {"now": 3.0, "max_windows": 32},
-            trace, CODEC_BINARY,
+            9, "poll_many", {"now": 3.0, "max_windows": 32}, trace,
         )
-        assert is_binary_payload(frame[_LENGTH.size:])
+        assert _is_binary(frame)
         payload, _ = decode_message(frame)
         assert payload["params"] == {"now": 3.0, "max_windows": 32}
         assert payload["trace"]["id"] == trace["id"]
@@ -71,38 +78,21 @@ class TestRequestRoundTrip:
     def test_child_trace_carries_parent(self):
         root = TraceContext.new_root(origin="o")
         child = root.child()
-        frame = encode_request_frame(
-            1, "sample", {}, child.to_wire(), CODEC_BINARY
-        )
+        frame = encode_request_frame(1, "sample", {}, child.to_wire())
         payload, _ = decode_message(frame)
         assert payload["trace"]["parent"] == root.span_id
 
-    def test_json_codec_always_json(self):
-        frame = encode_request_frame(1, "sample", {"now": 1.0}, None, CODEC_JSON)
-        assert not is_binary_payload(frame[_LENGTH.size:])
-        payload, _ = decode_message(frame)
-        assert payload["method"] == "sample"
-
     def test_unpackable_method_falls_back_to_json(self):
-        frame = encode_request_frame(
-            2, "inject", {"kind": "cpuhog"}, None, CODEC_BINARY
-        )
-        assert not is_binary_payload(frame[_LENGTH.size:])
+        """A control call is JSON, its params whatever they are."""
+        frame = encode_request_frame(2, "inject", {"kind": "cpuhog"}, None)
+        assert not _is_binary(frame)
         payload, _ = decode_message(frame)
         assert payload["params"] == {"kind": "cpuhog"}
 
-    def test_extra_params_fall_back_to_json(self):
-        frame = encode_request_frame(
-            3, "sample", {"now": 1.0, "verbose": True}, None, CODEC_BINARY
-        )
-        assert not is_binary_payload(frame[_LENGTH.size:])
-
-    def test_non_hex_trace_falls_back_to_json(self):
-        trace = {"id": "not-hex!", "span": "nope", "origin": "x"}
-        frame = encode_request_frame(4, "sample", {}, trace, CODEC_BINARY)
-        assert not is_binary_payload(frame[_LENGTH.size:])
-        payload, _ = decode_message(frame)
-        assert payload["trace"] == trace
+    def test_a_data_request_in_json_is_refused(self):
+        frame = encode_frame(make_request(3, "sample", {"now": 1.0}))
+        with pytest.raises(ProtocolError, match=r"sample request in JSON.*\(peer p:1\)"):
+            decode_message(frame, peer="p:1")
 
 
 class TestResponseRoundTrip:
@@ -114,94 +104,41 @@ class TestResponseRoundTrip:
         }
         frame = encode_response_frame(
             payload, method="poll_many", metric_names=CATALOG,
-            codec=CODEC_BINARY,
         )
-        assert is_binary_payload(frame[_LENGTH.size:])
+        assert _is_binary(frame)
         decoded, consumed = decode_message(frame, metric_names=CATALOG)
         assert consumed == len(frame)
         assert decoded == payload
 
     def test_single_sample(self):
         payload = {"id": 4, "result": _window(5.0, 33.0)}
-        frame = encode_response_frame(
-            payload, method="sample", metric_names=CATALOG,
-            codec=CODEC_BINARY,
-        )
-        assert is_binary_payload(frame[_LENGTH.size:])
+        frame = encode_response_frame(payload, method="sample", metric_names=CATALOG)
+        assert _is_binary(frame)
         decoded, _ = decode_message(frame, metric_names=CATALOG)
         assert decoded == payload
 
     def test_priming_none_result(self):
         payload = {"id": 5, "result": None}
-        frame = encode_response_frame(
-            payload, method="sample", metric_names=CATALOG,
-            codec=CODEC_BINARY,
-        )
-        assert is_binary_payload(frame[_LENGTH.size:])
+        frame = encode_response_frame(payload, method="sample", metric_names=CATALOG)
+        assert _is_binary(frame)
         decoded, _ = decode_message(frame, metric_names=CATALOG)
         assert decoded == payload
 
     def test_error_response_binary(self):
-        payload = {"id": 6, "error": "no such method 'bogus'"}
-        frame = encode_response_frame(
-            payload, method="bogus", metric_names=CATALOG,
-            codec=CODEC_BINARY,
-        )
-        assert is_binary_payload(frame[_LENGTH.size:])
+        payload = {"id": 6, "error": "KeyError: 'slot'"}
+        frame = encode_response_frame(payload, method="sample", metric_names=CATALOG)
+        assert _is_binary(frame)
         decoded, _ = decode_message(frame, metric_names=CATALOG)
         assert decoded == payload
-
-    def test_catalog_mismatch_falls_back_to_json(self):
-        window = _window(1.0, 50.0)
-        window["node"]["extra_metric"] = 1.0
-        payload = {
-            "id": 7,
-            "result": {"node_name": "n", "windows": [window]},
-        }
-        frame = encode_response_frame(
-            payload, method="poll_many", metric_names=CATALOG,
-            codec=CODEC_BINARY,
-        )
-        assert not is_binary_payload(frame[_LENGTH.size:])
-        decoded, _ = decode_message(frame, metric_names=CATALOG)
-        assert decoded == payload
-
-    @pytest.mark.parametrize("place", ["single", "window", "batch"])
-    def test_keys_the_layout_cannot_carry_fall_back_to_json(self, place):
-        """A packed frame holds a row, two stamps and a name: a result
-        with anything else used to lose it without an error."""
-        window = _window(2.0, 45.0)
-        extra = {"nics": {"eth0": {"rxkb_per_s": 1.0}}, "processes": {"42": {}}}
-        if place == "single":
-            result, method = {**window, **extra}, "sample"
-        elif place == "window":
-            result = {"node_name": "node-01", "windows": [{**window, **extra}]}
-            method = "poll_many"
-        else:
-            result = {"node_name": "node-01", "windows": [window], **extra}
-            method = "poll_many"
-        payload = {"id": 11, "result": result}
-        frame = encode_response_frame(
-            payload, method=method, metric_names=CATALOG, codec=CODEC_BINARY,
-        )
-        assert not is_binary_payload(frame[_LENGTH.size:])
-        decoded, _ = decode_message(frame, metric_names=CATALOG)
-        assert decoded == payload
-
-    def test_non_sample_result_falls_back_to_json(self):
-        payload = {"id": 8, "result": {"acknowledged": True}}
-        frame = encode_response_frame(
-            payload, method="poll_many", metric_names=CATALOG,
-            codec=CODEC_BINARY,
-        )
-        assert not is_binary_payload(frame[_LENGTH.size:])
+        # A control call's error is JSON, like its result.
+        frame = encode_response_frame(payload, method="inject", metric_names=CATALOG)
+        assert not _is_binary(frame) and decode_message(frame)[0] == payload
 
     def test_binary_batch_is_smaller_than_json(self):
         windows = [_window(float(i), 50.0) for i in range(10)]
-        payload = {"id": 1, "result": {"node_name": "n", "windows": windows}}
-        binary = encode_response_frame(
-            payload, "poll_many", CATALOG, CODEC_BINARY
-        )
+        payload = {"id": 1, "result": {"node_name": "node-01", "windows": windows}}
+        binary = encode_response_frame(payload, "poll_many", CATALOG)
+        assert decode_message(binary, metric_names=CATALOG)[0] == payload
         json_frame = encode_frame(payload)
         assert len(binary) < len(json_frame)
 
@@ -227,19 +164,17 @@ def _series(draw):
 
 
 class TestSeriesRoundTrip:
-    """The ``collect`` result of ``hadoop_log_rpcd`` on codec v2."""
+    """The ``collect`` result of ``hadoop_log_rpcd``."""
 
     def _encode(self, result, trace=None, request_id=21):
         payload = {"id": request_id, "result": result}
         if trace is not None:
             payload["trace"] = trace
-        frame = encode_response_frame(
-            payload, method="collect", metric_names=STATES, codec=CODEC_BINARY,
-        )
+        frame = encode_response_frame(payload, method="collect", metric_names=STATES)
         return payload, frame
 
     def test_collect_request_is_binary(self):
-        frame = encode_request_frame(7, "collect", {"now": 12.0}, None, CODEC_BINARY)
+        frame = encode_request_frame(7, "collect", {"now": 12.0}, None)
         assert len(frame) == _LENGTH.size + 16
         payload, _ = decode_message(frame)
         assert payload == {"id": 7, "method": "collect", "params": {"now": 12.0}}
@@ -248,7 +183,7 @@ class TestSeriesRoundTrip:
     def test_decoded_equals_json_decoded(self, result, traced):
         trace = TraceContext.new_root(origin="central@pid1").child().to_wire()
         payload, frame = self._encode(result, trace if traced else None)
-        assert is_binary_payload(frame[_LENGTH.size:])
+        assert _is_binary(frame)
         decoded, consumed = decode_message(frame, metric_names=STATES)
         via_json, _ = decode_message(encode_frame(payload))
         assert consumed == len(frame)
@@ -265,45 +200,6 @@ class TestSeriesRoundTrip:
         assert len(frame) == _LENGTH.size + 25 + 8 * 8
         _, empty = self._encode({"seconds": [], "vectors": [], "watermark": -1.0})
         assert len(empty) == _LENGTH.size + 25
-
-    @pytest.mark.parametrize("result", [
-        {"seconds": [1, 2], "vectors": [[0.0] * 8, [0.0] * 7], "watermark": 1.0},
-        {"seconds": [1, 2], "vectors": [[0.0] * 7, [0.0] * 9], "watermark": 1.0},
-        {"seconds": [1, 2], "vectors": [[0.0] * 8], "watermark": 1.0},
-        {"seconds": [1, 3], "vectors": [[0.0] * 8] * 2, "watermark": 1.0},
-        {"seconds": [2, 1], "vectors": [[0.0] * 8] * 2, "watermark": 1.0},
-        {"seconds": [1.5], "vectors": [[0.0] * 8], "watermark": 1.0},
-        {"seconds": ["1"], "vectors": [[0.0] * 8], "watermark": 1.0},
-        {"seconds": [1], "vectors": [["a"] + [0.0] * 7], "watermark": 1.0},
-        {"seconds": [1], "vectors": [[None] * 8], "watermark": 1.0},
-        {"seconds": [1], "vectors": [3], "watermark": 1.0},
-        {"seconds": [1], "vectors": [[0.0] * 8], "watermark": None},
-        {"seconds": [1], "vectors": [[0.0] * 8]},
-        {"seconds": [1], "vectors": [[0.0] * 8], "watermark": 1.0, "node": "n"},
-        {"seconds": [2**63], "vectors": [[0.0] * 8], "watermark": 1.0},
-        {"seconds": [1], "vectors": [[10**400] + [0.0] * 7], "watermark": 1.0},
-        {"seconds": 5, "vectors": [[0.0] * 8], "watermark": 1.0},
-    ])
-    def test_what_the_layout_cannot_carry_falls_back_to_json(self, result):
-        payload, frame = self._encode(result)
-        assert not is_binary_payload(frame[_LENGTH.size:])
-        decoded, _ = decode_message(frame, metric_names=STATES)
-        assert decoded == payload
-
-    def test_more_rows_than_a_u16_fall_back_to_json(self):
-        rows = 0x10000
-        payload, frame = self._encode({
-            "seconds": list(range(rows)), "vectors": [[0.0] * 8] * rows,
-            "watermark": 1.0,
-        })
-        assert not is_binary_payload(frame[_LENGTH.size:])
-
-    def test_series_without_a_catalog_is_json(self):
-        payload = {"id": 1, "result": {
-            "seconds": [1], "vectors": [[0.0] * 8], "watermark": 1.0,
-        }}
-        frame = encode_response_frame(payload, "collect", (), CODEC_BINARY)
-        assert not is_binary_payload(frame[_LENGTH.size:])
 
     @given(_series(), st.data())
     def test_truncated_and_padded_frames_raise(self, result, data):
@@ -409,29 +305,29 @@ class TestFixedLayouts:
     """
 
     def test_golden_request(self):
-        frame = encode_request_frame(7, "sample", {"now": 12.5}, None, CODEC_BINARY)
+        frame = encode_request_frame(7, "sample", {"now": 12.5}, None)
         assert frame.hex() == (
             "00000010" "a5" "01" "00000007" "02" "01" "4029000000000000"
         )
         frame = encode_request_frame(
-            9, "poll_many", {"now": 3.0, "max_windows": 32}, None, CODEC_BINARY
+            9, "poll_many", {"now": 3.0, "max_windows": 32}, None
         )
         assert frame.hex() == (
             "00000012" "a5" "01" "00000009" "06" "02"
             "4008000000000000" "0020"
         )
         assert encode_request_frame(
-            1, "collect", {}, None, CODEC_BINARY
+            1, "collect", {}, None
         ).hex() == "00000008" "a5" "01" "00000001" "00" "03"
         assert encode_request_frame(
-            1, "poll_many", {"max_windows": 70000}, None, CODEC_BINARY
+            1, "poll_many", {"max_windows": 70000}, None
         ).hex() == "0000000a" "a5" "01" "00000001" "04" "02" "ffff"
 
     def test_golden_single_sample(self):
         row = np.array([1.0, -2.0, 0.5])
         frame = encode_response_frame(
             {"id": 4, "result": _row_window(row, node="n1")},
-            "sample", CATALOG, CODEC_BINARY,
+            "sample", CATALOG,
         )
         assert frame.hex() == (
             "00000034" "a5" "02" "00000004" "02" "02" "6e31" "0001"
@@ -444,7 +340,7 @@ class TestFixedLayouts:
             {"id": 5, "result": {
                 "seconds": [598], "vectors": [[1.0] + [0.0] * 7],
                 "watermark": 597.5,
-            }}, "collect", STATES, CODEC_BINARY,
+            }}, "collect", STATES,
         )
         assert frame.hex() == (
             "00000059" "a5" "04" "00000005" "00"
@@ -465,13 +361,14 @@ class TestFixedLayouts:
         if maxw is not None:
             params["max_windows"] = maxw
         trace = _TRACE if traced else None
-        frame = encode_request_frame(request_id, method, params, trace, CODEC_BINARY)
+        frame = encode_request_frame(request_id, method, params, trace)
         method_id = {"sample": 1, "poll_many": 2, "collect": 3}[method]
         assert frame == _reference_request(request_id, method_id, now, maxw, trace)
         decoded, consumed = decode_message(frame)
-        via_json, _ = decode_message(
-            encode_request_frame(request_id, method, params, trace, CODEC_JSON)
-        )
+        as_json = make_request(request_id, method, params)
+        if trace:
+            as_json["trace"] = trace
+        via_json, _ = decode_frame(encode_frame(as_json))
         assert consumed == len(frame)
         assert decoded == via_json
         assert decoded["params"] == params
@@ -487,13 +384,9 @@ class TestFixedLayouts:
         payload = {"id": request_id, "result": window}
         if traced:
             payload["trace"] = _TRACE
-        frame = encode_response_frame(payload, "sample", CATALOG, CODEC_BINARY)
+        frame = encode_response_frame(payload, "sample", CATALOG)
         assert frame == _reference_sample(
             request_id, name, ts, emit, values, _TRACE if traced else None
-        )
-        from_dict = dict(payload, result=dict(window, node=dict(window["node"])))
-        assert frame == encode_response_frame(
-            from_dict, "sample", CATALOG, CODEC_BINARY
         )
         decoded, consumed = decode_message(frame, metric_names=CATALOG)
         via_json, _ = decode_message(encode_frame(payload))
@@ -505,19 +398,19 @@ class TestFixedLayouts:
 
     def _fixed_frames(self):
         return [
-            (encode_request_frame(1, "sample", {"now": 1.0}, None, CODEC_BINARY), ()),
-            (encode_request_frame(1, "collect", {}, None, CODEC_BINARY), ()),
+            (encode_request_frame(1, "sample", {"now": 1.0}, None), ()),
+            (encode_request_frame(1, "collect", {}, None), ()),
             (encode_request_frame(
-                1, "poll_many", {"now": 1.0, "max_windows": 4}, None, CODEC_BINARY
+                1, "poll_many", {"now": 1.0, "max_windows": 4}, None
             ), ()),
             (encode_response_frame(
                 {"id": 1, "result": _row_window(np.arange(3.0))},
-                "sample", CATALOG, CODEC_BINARY,
+                "sample", CATALOG,
             ), CATALOG),
             (encode_response_frame(
                 {"id": 1, "result": {
                     "seconds": [3, 4], "vectors": [[0.0] * 8] * 2, "watermark": 2.0,
-                }}, "collect", STATES, CODEC_BINARY,
+                }}, "collect", STATES,
             ), STATES),
         ]
 
@@ -545,34 +438,31 @@ class TestFixedLayouts:
             with pytest.raises(ProtocolError, match="exceeds maximum"):
                 decode_message(frame, metric_names=names, limit=len(frame) - 5)
         with pytest.raises(ProtocolError, match="frame too large"):
-            encode_request_frame(1, "sample", {"now": 1.0}, None, CODEC_BINARY, limit=8)
+            encode_request_frame(1, "sample", {"now": 1.0}, None, limit=8)
         with pytest.raises(ProtocolError, match="frame too large"):
             encode_response_frame(
                 {"id": 1, "result": _row_window(np.arange(3.0))},
-                "sample", CATALOG, CODEC_BINARY, limit=40,
+                "sample", CATALOG, limit=40,
             )
 
-    def test_row_against_another_catalog_goes_name_by_name(self):
-        other = ("loadavg_1", "disk_sectors_written_per_s", "cpu_idle_pct")
-        window = _row_window(np.array([1.5, 640.0, 33.0]), names=other)
-        frame = encode_response_frame(
-            {"id": 2, "result": window}, "sample", CATALOG, CODEC_BINARY
-        )
-        decoded, _ = decode_message(frame, metric_names=CATALOG)
-        assert decoded["result"]["node"].row.tolist() == [33.0, 1.5, 640.0]
-        assert decoded["result"]["node"] == window["node"]
-        # An equal but distinct catalog tuple reads the same.
+    def test_a_row_on_another_catalog_is_refused(self):
+        """A row crosses as it is, so it must be laid out on the
+        connection's catalog; anything else is an error frame."""
+        window = _row_window(np.array([33.0, 1.5, 640.0]))
+        frame = encode_response_frame({"id": 2, "result": window}, "sample", CATALOG)
+        # An equal but distinct catalog tuple is the same layout.
         same = _row_window(np.array([33.0, 1.5, 640.0]), names=tuple(list(CATALOG)))
         assert frame == encode_response_frame(
-            {"id": 2, "result": same}, "sample", CATALOG, CODEC_BINARY
+            {"id": 2, "result": same}, "sample", CATALOG
         )
-        # Names the connection never interned cannot ride a row.
-        stranger = _row_window(np.zeros(3), names=("a", "b", "c"))
-        frame = encode_response_frame(
-            {"id": 2, "result": stranger}, "sample", CATALOG, CODEC_BINARY
-        )
-        assert not is_binary_payload(frame[_LENGTH.size:])
-        assert decode_message(frame)[0]["result"]["node"] == {"a": 0, "b": 0, "c": 0}
+        other = ("loadavg_1", "disk_sectors_written_per_s", "cpu_idle_pct")
+        for node in (MetricRow(other, np.array([1.5, 640.0, 33.0])),
+                     MetricRow(("a", "b", "c"), np.zeros(3)),
+                     dict(window["node"])):
+            frame = encode_response_frame(
+                {"id": 2, "result": dict(window, node=node)}, "sample", CATALOG
+            )
+            assert "no row on the metric catalog" in _error_of(frame)
 
     @pytest.mark.parametrize("row", [
         np.array([1, 2, 3], dtype=np.int64),
@@ -583,7 +473,7 @@ class TestFixedLayouts:
     ], ids=["int64", "float32", "big-endian", "computed", "non-contiguous"])
     def test_any_numeric_row_ships_as_float64(self, row):
         frame = encode_response_frame(
-            {"id": 1, "result": _row_window(row)}, "sample", CATALOG, CODEC_BINARY
+            {"id": 1, "result": _row_window(row)}, "sample", CATALOG
         )
         assert frame == _reference_sample(1, "node-01", 7.0, 7.5, [1.0, 2.0, 3.0])
 
@@ -599,43 +489,48 @@ class TestFixedLayouts:
             row = np.array(values)
             frame = encode_response_frame(
                 {"id": 1, "result": _row_window(row)}, "sample", CATALOG,
-                CODEC_BINARY,
             )
             assert frame[-24:] == b"".join(_bits(values))
             decoded, _ = decode_message(frame, metric_names=CATALOG)
             assert _bits(decoded["result"]["node"].row.tolist()) == _bits(values)
             batch = encode_response_frame(
-                {"id": 1, "result": {"node_name": "n", "windows": [_row_window(row)] * 2}},
-                "poll_many", CATALOG, CODEC_BINARY,
+                {"id": 1, "result": {"node_name": "node-01",
+                                     "windows": [_row_window(row)] * 2}},
+                "poll_many", CATALOG,
             )
             decoded, _ = decode_message(batch, metric_names=CATALOG)
             for window in decoded["result"]["windows"]:
                 assert _bits(window["node"].row.tolist()) == _bits(values)
 
-    def test_node_name_of_255_bytes_is_binary_256_is_json(self):
-        for length, binary in ((255, True), (256, False)):
-            payload = {"id": 1, "result": _row_window(np.arange(3.0), node="n" * length)}
-            frame = encode_response_frame(payload, "sample", CATALOG, CODEC_BINARY)
-            assert is_binary_payload(frame[_LENGTH.size:]) is binary
-            decoded, _ = decode_message(frame, metric_names=CATALOG)
-            assert decoded == payload
+    def test_node_name_of_255_bytes_fits_256_is_refused(self):
+        payload = {"id": 1, "result": _row_window(np.arange(3.0), node="n" * 255)}
+        frame = encode_response_frame(payload, "sample", CATALOG)
+        assert decode_message(frame, metric_names=CATALOG)[0] == payload
         # Bytes, not characters: 128 two-byte characters do not fit.
-        payload = {"id": 1, "result": _row_window(np.arange(3.0), node="\u00e9" * 128)}
-        frame = encode_response_frame(payload, "sample", CATALOG, CODEC_BINARY)
-        assert not is_binary_payload(frame[_LENGTH.size:])
+        for name in ("n" * 256, "\u00e9" * 128):
+            for method, result in (
+                ("sample", _row_window(np.arange(3.0), node=name)),
+                ("poll_many", {"node_name": name, "windows": []}),
+            ):
+                frame = encode_response_frame(
+                    {"id": 1, "result": result}, method, CATALOG
+                )
+                assert "node_name of 256 bytes" in _error_of(frame)
+
+    def test_the_codec_argument_names_binary_only(self):
+        payload = {"id": 1, "result": _row_window(np.arange(3.0))}
+        assert encode_response_frame(payload, "sample", CATALOG, "bin") == (
+            encode_response_frame(payload, "sample", CATALOG)
+        )
+        with pytest.raises(ValueError, match="unknown codec 'json'"):
+            encode_response_frame(payload, "sample", CATALOG, "json")
 
     def test_batches_carry_rows_too(self):
         windows = [_row_window(np.arange(3.0) + i, ts=float(i)) for i in range(4)]
         payload = {"id": 3, "result": {"node_name": "node-01", "windows": windows}}
-        frame = encode_response_frame(payload, "poll_many", CATALOG, CODEC_BINARY)
-        as_dicts = {"id": 3, "result": {"node_name": "node-01", "windows": [
-            dict(w, node=dict(w["node"])) for w in windows
-        ]}}
-        assert frame == encode_response_frame(
-            as_dicts, "poll_many", CATALOG, CODEC_BINARY
-        )
+        frame = encode_response_frame(payload, "poll_many", CATALOG)
         decoded, _ = decode_message(frame, metric_names=CATALOG)
-        assert decoded == payload == as_dicts
+        assert decoded == payload
         assert all(
             type(w["node"]) is MetricRow for w in decoded["result"]["windows"]
         )
@@ -695,22 +590,19 @@ class TestMalformedFrames:
         return _LENGTH.pack(len(body)) + body
 
     def test_truncated_binary_body(self):
-        good = encode_request_frame(1, "sample", {"now": 1.0}, None,
-                                    CODEC_BINARY)
+        good = encode_request_frame(1, "sample", {"now": 1.0}, None)
         body = good[_LENGTH.size:-2]
         with pytest.raises(ProtocolError, match="truncated binary frame"):
             decode_message(self._binary_frame(body), peer="10.0.0.9:1234")
 
     def test_error_carries_peer(self):
-        good = encode_request_frame(1, "sample", {"now": 1.0}, None,
-                                    CODEC_BINARY)
+        good = encode_request_frame(1, "sample", {"now": 1.0}, None)
         body = good[_LENGTH.size:-2]
         with pytest.raises(ProtocolError, match="10.0.0.9:1234"):
             decode_message(self._binary_frame(body), peer="10.0.0.9:1234")
 
     def test_trailing_bytes_rejected(self):
-        good = encode_request_frame(1, "sample", {"now": 1.0}, None,
-                                    CODEC_BINARY)
+        good = encode_request_frame(1, "sample", {"now": 1.0}, None)
         body = good[_LENGTH.size:] + b"\x00\x00"
         with pytest.raises(ProtocolError, match="trailing"):
             decode_message(self._binary_frame(body))
@@ -727,7 +619,7 @@ class TestMalformedFrames:
 
     def test_sample_frame_without_catalog_rejected(self):
         payload = {"id": 1, "result": _window(1.0, 50.0)}
-        frame = encode_response_frame(payload, "sample", CATALOG, CODEC_BINARY)
+        frame = encode_response_frame(payload, "sample", CATALOG)
         with pytest.raises(ProtocolError, match="no interned metric catalog"):
             decode_message(frame, metric_names=())
 
@@ -740,7 +632,7 @@ class TestMalformedFrames:
             frame_length(_LENGTH.pack(1 << 30))
 
     def test_frame_length_of_valid_frame(self):
-        frame = encode_request_frame(1, "sample", {}, None, CODEC_BINARY)
+        frame = encode_request_frame(1, "sample", {}, None)
         assert frame_length(frame) == len(frame)
         assert frame_length(frame + b"more") == len(frame)
 
@@ -771,14 +663,13 @@ class _NodeHandler:
 
 
 class TestLiveInterop:
-    """Binary and JSON-only peers interoperate over real sockets."""
+    """Binary data calls and JSON control calls on one live connection."""
 
     def test_v2_client_v2_server_negotiates_binary(self):
         with RpcServer(_NodeHandler(), "sadc") as server:
             host, port = server.address
             with RpcClient(host, port) as client:
-                assert client.codec == CODEC_BINARY
-                assert client.metric_names == CATALOG
+                assert client.metric_names is CATALOG
                 assert client.call("sample", now=1.0) is None  # priming
                 sample = client.call("sample", now=2.0)
                 assert sample["node"]["cpu_idle_pct"] == 42.0
@@ -786,42 +677,45 @@ class TestLiveInterop:
                 assert len(batch["windows"]) == 3
                 assert batch["windows"][0]["node"]["loadavg_1"] == 1.5
 
-    def test_v1_client_on_v2_server_stays_json(self):
+    def test_a_hello_without_bin_is_refused(self):
         with RpcServer(_NodeHandler(), "sadc") as server:
-            host, port = server.address
-            with JsonPeer(host, port) as peer:
-                assert "codec" not in peer.welcome
-                assert "metrics" not in peer.welcome
-                peer.call("sample", now=1.0)
-                sample = peer.call("sample", now=2.0)
-                assert sample["node"]["cpu_idle_pct"] == 42.0
+            for hello in ({"hello": "old", "version": 1},
+                          {"hello": "json-only", "version": 2, "codecs": ["json"]},
+                          {"hello": "odd", "version": 2, "codecs": "bin"}):
+                with socket.create_connection(server.address, timeout=5.0) as sock:
+                    sock.sendall(encode_frame(hello))
+                    assert sock.recv(65536) == b""     # no welcome: closed
+            with RpcClient(*server.address) as client:
+                assert client.call("inject", kind="cpuhog") == {
+                    "node": "node-01", "fault": "cpuhog",
+                }
 
     def test_both_codecs_return_identical_values(self):
-        with RpcServer(_NodeHandler(), "sadc") as server:
-            host, port = server.address
-            with RpcClient(host, port) as v2:
-                with JsonPeer(host, port) as v1:
-                    v2.call("sample", now=1.0)
-                    v1.call("sample", now=1.0)
-                    a = v2.call("poll_many", now=5.0)
-                    b = v1.call("poll_many", now=5.0)
-                    assert a == b
+        """A binary result reads as the JSON frame of the same payload."""
+        handler = _NodeHandler()
+        with RpcServer(handler, "sadc") as server:
+            with RpcClient(*server.address) as client:
+                got = client.call("poll_many", now=5.0)
+        sent = handler.rpc_poll_many(now=5.0)
+        assert got == decode_frame(encode_frame({"id": 1, "result": sent}))[0]["result"]
 
     def test_binary_connection_moves_fewer_bytes(self):
+        """Frame for frame, a ``poll_many`` response is under half the
+        JSON frame of the same payload."""
         with RpcServer(_NodeHandler(), "sadc") as server:
-            host, port = server.address
-            with RpcClient(host, port) as v2:
-                with JsonPeer(host, port) as v1:
-                    for client in (v2, v1):
-                        for i in range(5):
-                            client.call("poll_many", now=float(i))
-                    assert v2.counter.rx_payload < 0.5 * v1.rx_payload
+            with RpcClient(*server.address) as client:
+                binary = as_json = 0
+                for call in range(1, 6):
+                    before = client.counter.rx_payload
+                    result = client.call("poll_many", now=float(call))
+                    binary += client.counter.rx_payload - before
+                    as_json += len(encode_frame({"id": call, "result": result}))
+        assert binary < 0.5 * as_json
 
     def test_non_poll_methods_work_over_binary_connection(self):
         with RpcServer(_NodeHandler(), "sadc") as server:
             host, port = server.address
             with RpcClient(host, port) as client:
-                assert client.codec == CODEC_BINARY
                 result = client.call("inject", kind="cpuhog", intensity=0.5)
                 assert result == {"node": "node-01", "fault": "cpuhog"}
 
@@ -833,5 +727,110 @@ class TestLiveInterop:
         with RpcServer(Bare(), "bare") as server:
             host, port = server.address
             with RpcClient(host, port) as client:
-                assert client.codec == CODEC_JSON
+                assert client.metric_names == ()
                 assert client.call("echo", value="x") == "x"
+                with pytest.raises(RemoteError, match="no such method: sample"):
+                    client.call("sample", now=1.0)
+
+
+class _Scripted:
+    """Answers each data call with whatever the case scripts."""
+
+    metric_names = CATALOG
+
+    def __init__(self):
+        self.outcome = None
+
+    def rpc_sample(self, now=None):
+        return self.outcome
+
+    def rpc_collect(self, now=None):
+        return self.outcome
+
+    def rpc_poll_many(self, now=None, max_windows=32):
+        return self.outcome
+
+
+_GOOD = {
+    "sample": _window(1.0, 50.0),
+    "poll_many": {"node_name": "node-01", "windows": [_window(1.0, 50.0)]},
+    "collect": {"seconds": [4], "vectors": [[1.0, 2.0, 3.0]], "watermark": 3.5},
+}
+_OTHER = ("loadavg_1", "disk_sectors_written_per_s", "cpu_idle_pct")
+
+
+def _series_with(**fields):
+    return dict(_GOOD["collect"], **fields)
+
+
+class TestWhatDoesNotFit:
+    """A data frame the layout cannot carry is an error at its sender:
+    a request raises before a byte leaves, a result comes back as a
+    remote error naming it, and the connection goes on."""
+
+    @pytest.mark.parametrize("method, params, trace, result, error, match", [
+        ("sample", {"now": 1.0, "verbose": True}, None, None,
+         ProtocolError, r"sample params \['verbose'\] have no field"),
+        ("sample", {"now": "soon"}, None, None,
+         ProtocolError, "do not fit now:f64 and max_windows:u16"),
+        ("poll_many", {"now": 1.0, "max_windows": "all"}, None, None,
+         ProtocolError, "do not fit now:f64 and max_windows:u16"),
+        ("collect", {"now": 1.0}, TraceContext("not-hex!", "nope"), None,
+         ProtocolError, "is no trace context"),
+        ("sample", {"now": 1.0}, None, dict(_GOOD["sample"], nics={}),
+         RemoteError, "window with keys emit_wall, nics, node, node_name, timestamp"),
+        ("sample", {"now": 1.0}, None,
+         dict(_GOOD["sample"], node=MetricRow(_OTHER, np.zeros(3))),
+         RemoteError, "no row on the metric catalog"),
+        ("sample", {"now": 1.0}, None,
+         dict(_GOOD["sample"], node=dict(_GOOD["sample"]["node"])),
+         RemoteError, "node with keys .* is no row on the metric catalog"),
+        ("sample", {"now": 1.0}, TraceContext.new_root(),
+         dict(_GOOD["sample"], node_name="n" * 256),
+         RemoteError, "node_name of 256 bytes"),
+        ("poll_many", {"now": 1.0}, None, dict(_GOOD["poll_many"], processes={}),
+         RemoteError, "is not node_name and windows"),
+        ("poll_many", {"now": 1.0}, None, {"acknowledged": True},
+         RemoteError, "is not node_name and windows"),
+        ("poll_many", {"now": 1.0}, None,
+         dict(_GOOD["poll_many"], windows=[dict(_GOOD["sample"], node_name="node-02")]),
+         RemoteError, "a window's node_name is not the batch's 'node-01'"),
+        ("collect", {"now": 1.0}, None,
+         _series_with(seconds=[1, 3], vectors=[[0.0] * 3] * 2),
+         RemoteError, "seconds are not consecutive integers"),
+        ("collect", {"now": 1.0}, None,
+         _series_with(seconds=list(range(0x10000)), vectors=[[0.0] * 3] * 0x10000),
+         RemoteError, r"65536 rows \(at most 65 535\)"),
+        ("collect", {"now": 1.0}, None, _series_with(vectors=[[0.0] * 2]),
+         RemoteError, "rows are not 3 values wide"),
+        ("collect", {"now": 1.0}, None, _series_with(seconds=[2**63]),
+         RemoteError, "series values"),
+        ("collect", {"now": 1.0}, None, {"seconds": [], "vectors": []},
+         RemoteError, "is not seconds, vectors and watermark"),
+    ], ids=[
+        "extra-param", "now-not-a-number", "max-windows-not-a-number",
+        "non-hex-trace", "extra-window-key", "row-off-catalog", "dict-row",
+        "long-node-name-traced", "extra-batch-key", "not-a-batch",
+        "window-named-unlike-its-batch",
+        "seconds-with-a-gap", "too-many-rows", "narrow-rows",
+        "seconds-past-i64", "no-watermark",
+    ])
+    def test_it_is_a_sender_side_error_and_the_connection_goes_on(
+        self, method, params, trace, result, error, match
+    ):
+        handler = _Scripted()
+        with RpcServer(handler, "svc") as server, \
+                RpcClient(*server.address) as client:
+            for caller in (client, InprocChannel(handler, "svc")):
+                handler.outcome = result
+                sent = caller.counter.messages_sent
+                with pytest.raises(error, match=match) as raised:
+                    caller.call(method, trace=trace, **params)
+                if error is ProtocolError:
+                    assert caller.counter.messages_sent == sent
+                else:
+                    assert str(raised.value).startswith(
+                        f"{method} result does not fit its binary frame: "
+                    )
+                handler.outcome = _GOOD[method]
+                assert caller.call(method, now=2.0) == _GOOD[method]

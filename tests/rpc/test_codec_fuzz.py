@@ -3,9 +3,9 @@
 Behind a valid length prefix any payload -- with or without the 0xA5
 magic, every kind and flags byte, against catalogs of width 0, 8 and 64
 -- makes :func:`decode_message` and each call plan's decoder either
-return or raise :class:`ProtocolError`, never anything else, and a plan
-reads exactly what the general decoder reads (including the
-:class:`RemoteError` an error frame carries).  A
+return or raise :class:`ProtocolError`, never anything else; a plan
+reads a binary frame exactly as the general decoder does (including the
+:class:`RemoteError` an error frame carries) and refuses any other.  A
 valid stream of frames cut anywhere reassembles into the same frames,
 through :func:`frame_length` and through ``MultiPoller._pump``'s buffer.
 """
@@ -17,12 +17,11 @@ from repro.rpc import MetricRow, ProtocolError, RemoteError, TraceContext
 from repro.rpc.codec import (
     CODEC_BINARY,
     MAGIC,
-    call_plans,
+    Wire,
     decode_message,
     encode_request_frame,
     encode_response_frame,
     frame_length,
-    planned_answer,
 )
 from repro.rpc.poller import MultiPoller, _InFlight
 from repro.rpc.protocol import (
@@ -71,11 +70,8 @@ def outcome(call, *args):
         return "protocol", None
 
 
-def plans_for(names):
-    return call_plans(
-        CODEC_BINARY, ["sample", "collect", "poll_many"], names, "fuzz:1",
-        LIMIT, Handler(names),
-    )
+def wire_for(names):
+    return Wire(names, "fuzz:1", LIMIT, Handler(names))
 
 
 _binary = st.builds(
@@ -98,7 +94,7 @@ def _valid_frames():
     for params in ({}, {"now": 2.0}, {"max_windows": 4}, {"now": 1.0, "max_windows": 9}):
         for method in ("sample", "collect", "poll_many"):
             for wire in (None, trace):
-                frames.append(encode_request_frame(5, method, params, wire, CODEC_BINARY))
+                frames.append(encode_request_frame(5, method, params, wire))
     for width in (8, 64):
         handler = Handler(CATALOGS[width])
         rows = {"seconds": [4, 5, 6], "vectors": [[1.0] * width] * 3, "watermark": 3.5}
@@ -112,10 +108,10 @@ def _valid_frames():
             for extra in ({}, {"trace": trace}):
                 frames.append(encode_response_frame(
                     dict({"id": 5, "result": result}, **extra),
-                    method, CATALOGS[width], CODEC_BINARY,
+                    method, CATALOGS[width],
                 ))
     frames.append(encode_response_frame(
-        {"id": 5, "error": "boom", "trace": trace}, "sample", (), CODEC_BINARY
+        {"id": 5, "error": "boom", "trace": trace}, "sample", ()
     ))
     return [frame[_LENGTH.size:] for frame in frames]
 
@@ -139,17 +135,19 @@ def check_decoders(payload, width):
     if decoded is not None:
         request_id = decoded.get("id", 0)
         want = outcome(response_result, decoded, request_id, "fuzz:1")
-    plans = plans_for(names)
-    for plan in plans.values():
-        # A plan reads what the general decoder reads, and nothing else.
+    wire = wire_for(names)
+    binary = payload[:1] == bytes([MAGIC])
+    for plan in wire.plans.values():
+        # A plan reads a binary frame as the general decoder does, and
+        # refuses any other.
         got = outcome(plan.result, frame, request_id)
-        assert got[0] == want[0], (plan.method, got, want)
+        assert got[0] == (want[0] if binary else "protocol"), (plan.method, got, want)
         if got[0] != "protocol":
             assert_same(got[1], want[1])
-    response = planned_answer(plans, frame)
+    response = wire.answer(frame)
     if response is not None:        # an untraced request of a planned method
         assert decoded is not None and "method" in decoded
-        assert decoded["method"] in plans and "trace" not in decoded
+        assert decoded["method"] in wire.plans and "trace" not in decoded
         assert frame_length(response) == len(response)
 
 
@@ -194,9 +192,14 @@ class TestArbitraryPayloads:
             hello, _ = decode_frame(_LENGTH.pack(len(body)) + body)
         except ProtocolError:
             return
-        welcome = negotiate(Handler(CATALOGS[8]), "svc", hello)
+        try:
+            welcome = negotiate(Handler(CATALOGS[8]), "svc", hello)
+        except ProtocolError:       # refused: no binary data frames offered
+            offered = hello.get("codecs")
+            assert not (isinstance(offered, list) and CODEC_BINARY in offered)
+            return
         assert welcome["welcome"] == "svc"
-        assert welcome.get("codec") in (None, CODEC_BINARY)
+        assert welcome["codec"] == CODEC_BINARY
 
 
 def _stream(names):
@@ -213,7 +216,7 @@ def _stream(names):
         ("inject", {"id": 7, "result": {"node": "n", "fault": "cpuhog"}}),
     ]
     return [
-        encode_response_frame(payload, method, names, CODEC_BINARY)
+        encode_response_frame(payload, method, names)
         for method, payload in payloads
     ]
 

@@ -6,9 +6,11 @@ import sys
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro.rpc import (
+    MetricRow,
     MultiPoller,
     ProtocolError,
     RpcClient,
@@ -16,7 +18,7 @@ from repro.rpc import (
     TraceContext,
     encode_frame,
 )
-from repro.rpc.protocol import decode_frame
+from repro.rpc.protocol import decode_frame, make_hello
 
 CATALOG = ("cpu_idle_pct", "loadavg_1")
 
@@ -36,7 +38,7 @@ class SlowableHandler:
         return {
             "timestamp": float(now or 0.0),
             "node_name": self.name,
-            "node": {"cpu_idle_pct": 60.0, "loadavg_1": 0.5},
+            "node": MetricRow(CATALOG, np.array([60.0, 0.5])),
             "emit_wall": time.time(),
         }
 
@@ -169,8 +171,8 @@ _HUGE_INT = b'{"id":1,"result":' + b"7" * 5_000 + b"}"
 
 
 def _bad_json_peer(body):
-    """A one-connection JSON peer: welcomes, then answers the first
-    request with ``body`` as the frame's payload."""
+    """A one-connection peer: welcomes, then answers the first request
+    with ``body`` as the frame's payload."""
     listener = socket.socket()
     listener.bind(("127.0.0.1", 0))
     listener.listen(1)
@@ -180,7 +182,7 @@ def _bad_json_peer(body):
         with conn, listener:
             conn.recv(65536)  # the hello
             conn.sendall(encode_frame(
-                {"welcome": "bad", "version": 1, "methods": ["sample"]}
+                {"welcome": "bad", "version": 2, "methods": ["info"]}
             ))
             conn.recv(65536)  # the request
             conn.sendall(struct.pack(">I", len(body)) + body)
@@ -207,7 +209,7 @@ class TestMalformedJsonPeer:
         try:
             calls = {
                 "good": (clients[0], "sample", {"now": 1.0}),
-                "bad": (bad, "sample", {"now": 1.0}),
+                "bad": (bad, "info", {}),   # a JSON call
             }
             outcomes = MultiPoller().poll(calls, trace=None, timeout_s=5.0)
             assert outcomes["good"].ok
@@ -227,7 +229,7 @@ class TestMalformedJsonPeer:
     def test_a_server_drops_such_a_client_and_keeps_serving(self):
         with RpcServer(SlowableHandler("node-0"), "sadc@0") as server:
             with socket.create_connection(server.address, timeout=5.0) as sock:
-                sock.sendall(encode_frame({"hello": "x", "version": 2}))
+                sock.sendall(encode_frame(make_hello("x")))
                 sock.recv(65536)  # the welcome
                 sock.sendall(struct.pack(">I", len(_DEEP)) + _DEEP)
                 assert sock.recv(16) == b""

@@ -95,22 +95,15 @@ class TestMessageHelpers:
         assert welcome["welcome"] == "sadc_rpcd"
         assert welcome["methods"] == ["sample"]
 
-    def test_hello_welcome_v1_shape_without_codec(self):
-        # Without negotiation fields the frames are exactly the v1
-        # shapes: no "codecs" in hello, no "codec"/"metrics" in welcome.
-        assert "codecs" not in make_hello("asdf")
-        welcome = make_welcome("sadc_rpcd", ["sample"])
-        assert "codec" not in welcome and "metrics" not in welcome
-
     def test_hello_welcome_negotiation_fields(self):
-        assert make_hello("asdf", codecs=["bin", "json"])["codecs"] == [
-            "bin", "json",
-        ]
-        welcome = make_welcome(
-            "sadc_rpcd", ["sample"], codec="bin", metrics=["cpu_idle_pct"]
-        )
+        # The hello always offers binary data frames and JSON; a welcome
+        # names the codec with a catalog, and neither without one.
+        assert make_hello("asdf")["codecs"] == ["bin", "json"]
+        welcome = make_welcome("sadc_rpcd", ["sample"], metrics=["cpu_idle_pct"])
         assert welcome["codec"] == "bin"
         assert welcome["metrics"] == ["cpu_idle_pct"]
+        welcome = make_welcome("strace_rpcd", ["trace"])
+        assert "codec" not in welcome and "metrics" not in welcome
 
 
 class TestWireEstimation:

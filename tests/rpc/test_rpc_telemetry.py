@@ -68,7 +68,7 @@ class TestOneNumberPerEndpoint:
         with RpcServer(make_daemon(), SERVICE) as server:
             with RpcClient(*server.address, telemetry=over_tcp) as client:
                 drive(client)
-                assert client.codec == inproc.codec == "bin"
+                assert client.metric_names is inproc.metric_names
                 tcp_counter = client.counter
         assert rpc_series(over_inproc) == rpc_series(over_tcp)
         # ...and both are the endpoint's own books, hello included.

