@@ -1,7 +1,7 @@
 """Live multi-daemon deployment of the ASDF reproduction.
 
 ``repro.cluster`` turns the simulated collection/analysis pipeline into
-a *real* distributed system (ROADMAP item 3): ``repro cluster up``
+a *real* distributed system: ``repro cluster up``
 spawns one collection daemon per simulated node as an actual OS process
 plus a central analysis daemon, all on localhost, discovering each other
 through runtime files in a shared state directory.  The central daemon

@@ -1,8 +1,8 @@
 """Real-process faults for the live cluster deployment.
 
 The Table 2 faults perturb a *simulated* Hadoop cluster; cluster mode
-(PR 7) adds the first fault that acts on an actual operating-system
-process: killing a live collection daemon with SIGKILL.  The paper's
+adds a fault that acts on an actual operating-system process: killing
+a live collection daemon with SIGKILL.  The paper's
 deployment tolerates exactly this -- a crashed ``sadc_rpcd`` is
 restarted and the control node reconnects -- and the cluster bench
 measures how long that takes (``reconnect.downtime_s`` in

@@ -86,7 +86,7 @@ _CHECKED_CODES: Dict[str, str] = {
 }
 
 #: code -> (severity, one-line summary).  The single source of truth for
-#: the diagnostic table in DESIGN.md / README.md.
+#: the diagnostic table in README.md.
 CODES: Dict[str, "tuple[Severity, str]"] = {
     "FPT000": (Severity.ERROR, "configuration syntax error"),
     **{

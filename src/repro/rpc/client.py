@@ -5,12 +5,12 @@ ASDF control node holds a connection to every slave's ``sadc_rpcd`` and
 ``hadoop_log_rpcd``.  All traffic is byte-counted so the Table 4
 bandwidth reproduction can read the numbers straight off the client.
 
-Cluster mode extends the client with *reconnect* (the central analysis
-daemon survives a collection daemon being killed and respawned -- the
-counter keeps accumulating across connections), *trace propagation*
-(``call(..., trace=ctx)`` stamps the request frame with the caller's
+A client lives as long as its connection: the central analysis daemon
+reconnects to a respawned collection daemon by building a fresh client.
+Cluster mode adds *trace propagation* (``call(..., trace=ctx)`` stamps
+the request frame with the caller's
 :class:`~repro.rpc.protocol.TraceContext` and records a client-side
-span), and *peer-labelled* protocol errors so a malformed frame is
+span) and *peer-labelled* protocol errors, so a malformed frame is
 attributable to a concrete remote address in cluster logs.
 
 The welcome's metric catalog builds the connection's
@@ -23,10 +23,8 @@ request in flight to every node; :meth:`call` is the two in a row.
 
 from __future__ import annotations
 
-import random
 import socket
 import time
-import zlib
 from typing import Any, Dict, List, Optional
 
 from .codec import Wire, recv_frame
@@ -41,9 +39,6 @@ from .protocol import (
     max_frame_bytes,
     request_ids,
 )
-
-#: Cap on the exponential reconnect backoff delay, seconds.
-RECONNECT_MAX_DELAY_S = 5.0
 
 
 class _PendingCall:
@@ -70,12 +65,11 @@ class RpcClient:
         self.telemetry = telemetry
         self.timeout = timeout
         self.counter = ByteCounter()
-        self.reconnects = 0
         self._ids = request_ids()
         self._sock: Optional[socket.socket] = None
         self._connect()
         if telemetry is not None and telemetry.enabled:
-            # Read on scrape; the counter outlives reconnects.
+            # Read on scrape.
             telemetry.watch_rpc(
                 self.service, f"client:{self.service}", self.counter
             )
@@ -111,42 +105,6 @@ class RpcClient:
         self.methods: List[str] = list(welcome.get("methods", []))
         self.metric_names = intern_catalog(tuple(welcome.get("metrics") or ()))
         self._wire = Wire(self.metric_names, self.peer, self.frame_limit)
-
-    def reconnect(self, retries: int = 10, delay_s: float = 0.25,
-                  max_delay_s: float = RECONNECT_MAX_DELAY_S) -> None:
-        """Drop the connection and re-establish it, retrying with
-        exponentially backed-off, deterministically jittered delays.
-
-        Used after a collection daemon is killed and respawned: the new
-        process listens on the same published address a moment later, so
-        a short retry loop bridges the gap.  The delay doubles per
-        attempt (capped at ``max_delay_s``) and is scaled by a jitter
-        drawn from an RNG seeded on this client's identity -- every
-        client's schedule is replay-stable, but a hundred clients that
-        lost the same daemon desynchronize instead of hammering the
-        address in lockstep.  Byte counters accumulate across
-        connections (each reconnect adds another handshake's static
-        overhead, exactly as a real redeployment would).
-        """
-        self.close()
-        jitter = random.Random(
-            zlib.crc32(f"{self.client_name}:{self.peer}".encode("utf-8"))
-        )
-        last_error: Optional[Exception] = None
-        for attempt in range(max(1, retries)):
-            try:
-                self._connect()
-            except (OSError, ProtocolError) as exc:
-                last_error = exc
-                delay = min(max_delay_s, delay_s * (2.0 ** attempt))
-                time.sleep(delay * (0.5 + jitter.random()))
-            else:
-                self.reconnects += 1
-                return
-        raise ProtocolError(
-            f"reconnect failed after {retries} attempts (peer {self.peer}): "
-            f"{last_error}"
-        )
 
     def _recv(self) -> bytes:
         if self._sock is None:

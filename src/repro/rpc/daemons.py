@@ -186,7 +186,7 @@ class ClusterNodeDaemon:
     Two collection modes:
 
     * **pull** (``buffered=False``): every ``rpc_sample`` advances the
-      load and samples inline -- the v1 behaviour, one window per poll.
+      load and samples inline, one window per poll.
     * **push** (``buffered=True``): the host process's sampler loop
       calls :meth:`buffer_sample` on its own cadence and polls drain the
       buffered windows (``rpc_poll_many`` batch-wise, ``rpc_sample`` the
@@ -254,8 +254,8 @@ class ClusterNodeDaemon:
         poller passes its clock so both ends agree on the nominal
         timestamp.  ``emit_wall`` stamps the instant the sample left the
         handler, which is what end-to-end alarm latency measures against.
-        In push mode this serves the *newest* buffered window (v1
-        pollers keep working against a buffered daemon).
+        In push mode this serves the *newest* buffered window, so a
+        ``sample`` poller also works against a buffered daemon.
         """
         with self.meter:
             if self.buffered:

@@ -1,9 +1,9 @@
 """Pipelined multi-peer polling: one round, all nodes in flight.
 
-The v1 central daemon polled its N collection daemons with one blocking
-``call`` each, so a round cost the *sum* of the node round-trip times
-and a single slow node stalled everybody behind it.  This poller keeps
-one request outstanding to every peer simultaneously:
+Polling N collection daemons with one blocking ``call`` each would make
+a round cost the *sum* of the node round-trip times, and a single slow
+node would stall everybody behind it.  This poller keeps one request
+outstanding to every peer simultaneously:
 
 1. **write coalescing** -- every request frame is encoded and written
    back-to-back before any response is read, so the kernel batches the

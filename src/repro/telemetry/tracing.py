@@ -256,11 +256,6 @@ class Tracer:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(self.render_chrome_trace())
 
-    def write_jsonl(self, path: str) -> None:
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.render_jsonl())
-
 
 # -- remote-span stitching ----------------------------------------------------
 

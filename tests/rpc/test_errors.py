@@ -199,50 +199,3 @@ class TestOversizedLengthPrefix:
                 else:
                     with pytest.raises(ProtocolError, match=outcome):
                         read_frame(ours)
-
-
-class TestReconnect:
-    def test_reconnect_after_server_restart(self):
-        # A one-shot server that answers exactly one call and then dies,
-        # like a SIGKILLed collection daemon.
-        def respond(conn):
-            conn.recv(4096)  # hello
-            conn.sendall(encode_frame(
-                {"welcome": "toy", "version": 1, "methods": ["echo"]}
-            ))
-            request, _ = decode_frame(conn.recv(65536))
-            conn.sendall(encode_frame(
-                {"id": request["id"],
-                 "result": request["params"]["value"]}
-            ))
-
-        host, port = _raw_server(respond)
-        client = RpcClient(host, port, timeout=5.0)
-        assert client.call("echo", value=1) == 1
-
-        # The daemon is gone: the next call dies on the wire.
-        with pytest.raises((ProtocolError, OSError)):
-            client.call("echo", value=2)
-
-        # A fresh server appears (the respawn); point the client at its
-        # new address and reconnect.
-        server = RpcServer(ToyHandler(), "toy")
-        server.start()
-        try:
-            client.host, client.port = server.address
-            client.reconnect(retries=10, delay_s=0.05)
-            assert client.reconnects == 1
-            assert client.call("echo", value=3) == 3
-        finally:
-            client.close()
-            server.stop()
-
-    def test_reconnect_exhaustion_raises_with_peer(self):
-        server = RpcServer(ToyHandler(), "toy")
-        server.start()
-        host, port = server.address
-        client = RpcClient(host, port, timeout=5.0)
-        server.stop()
-        with pytest.raises(ProtocolError, match=f"{host}:{port}"):
-            client.reconnect(retries=2, delay_s=0.01)
-        client.close()

@@ -1,8 +1,9 @@
-"""The docs cite what exists: paths, ``repro.*`` names and CLI flags.
+"""The docs cite what exists: paths, ``repro.*`` names, CLI flags and
+DESIGN.md sections.
 
 README.md, DESIGN.md, EXPERIMENTS.md and the verify recipe are what a
-reader runs commands from; a renamed file, module or flag should fail
-here rather than in their terminal.
+reader runs commands from; a renamed file, module, flag or section
+should fail here rather than in their terminal.
 """
 
 import importlib
@@ -26,6 +27,11 @@ _NAME_RE = re.compile(r"`(repro(?:\.\w+)+)")
 _FENCE_RE = re.compile(r"^```[^\n]*\n(.*?)^```", re.MULTILINE | re.DOTALL)
 _INLINE_RE = re.compile(r"`([^`]+)`")
 _INVOKE = "python -m repro"
+# A section citation: the file name, optionally a comma, whitespace, then
+# the section's name in double or single quotes.
+_SECTION_RE = re.compile(r"DESIGN\.md,?\s+(?:\"([^\"]+)\"|'([^']+)')")
+_HEADING_RE = re.compile(r"^#+\s+(.+?)\s*$", re.MULTILINE)
+_PR_RE = re.compile(r"\bPR \d+")
 
 
 def _read(doc):
@@ -117,3 +123,31 @@ def test_the_scan_sees_the_cli_examples():
     tokens = _invocations(_read("README.md"))
     assert ["lint", "--cost", "--slaves", "1000"] in tokens
     assert any(t[:2] == ["cluster", "drive"] for t in tokens)
+
+
+def _sources():
+    """Every file that may cite a DESIGN.md section."""
+    for top in ("src", "tests"):
+        for folder, _, names in os.walk(os.path.join(ROOT, top)):
+            for name in sorted(names):
+                if name.endswith((".py", ".md")):
+                    yield os.path.relpath(os.path.join(folder, name), ROOT)
+    yield "README.md"
+    yield "EXPERIMENTS.md"
+
+
+def test_cited_design_sections_exist():
+    headings = set(_HEADING_RE.findall(_FENCE_RE.sub("", _read("DESIGN.md"))))
+    cited = {
+        (source, " ".join("".join(match).split()))
+        for source in _sources()
+        for match in _SECTION_RE.findall(_read(source))
+    }
+    assert sorted(c for c in cited if c[1] not in headings) == []
+
+
+@pytest.mark.parametrize("doc", ("DESIGN.md", "README.md"))
+def test_no_pr_numbers(doc):
+    # These two say what the system is; which change made it so is
+    # CHANGES.md's business.
+    assert _PR_RE.findall(_read(doc)) == []
