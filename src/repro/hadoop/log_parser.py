@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import re
+from operator import add
 from typing import Dict, List, Optional, Tuple
 
 from .logs import parse_timestamp
@@ -93,7 +94,8 @@ class _LogReader:
 
     def __init__(self, node: str) -> None:
         self.node = node
-        self._last_time: Optional[float] = None
+        #: Latest log timestamp seen (states before it are stable), or None.
+        self.latest: Optional[float] = None
         self.lines_parsed = 0
         self.lines_skipped = 0
 
@@ -109,7 +111,7 @@ class _LogReader:
         except ValueError:
             self.lines_skipped += 1
             return
-        self._last_time = time if self._last_time is None else max(self._last_time, time)
+        self.latest = time if self.latest is None else max(self.latest, time)
         if java_class.endswith("TaskTracker"):
             event = _tasktracker_event(message)
             if event is not None:
@@ -124,8 +126,7 @@ class _LogReader:
             self.lines_skipped += 1
 
     def watermark(self) -> Optional[float]:
-        """Latest log timestamp seen (states before it are stable)."""
-        return self._last_time
+        return self.latest
 
     def _task_event(self, time: float, kind: str, attempt: str, phase: str) -> None:
         raise NotImplementedError
@@ -242,15 +243,17 @@ class StateVectorStream(_LogReader):
 
     def take(self, end: int) -> List[List[float]]:
         """The rows of seconds ``[cursor, end)``, oldest first; the
-        cursor moves to ``end``.  Empty when ``end <= cursor``."""
+        cursor moves to ``end``.  Empty when ``end <= cursor``.  A second
+        with no pending delta is handed the running row itself; a delta
+        makes a new one, so no row handed out changes (nor may be written)."""
         row, deltas = self._row, self._deltas
         rows = []
         for second in range(self.cursor, end):
             change = deltas.pop(second, None) if deltas else None
             if change is not None:
-                for index, amount in enumerate(change):
-                    row[index] += amount
-            rows.append(row[:])
+                row = list(map(add, row, change))
+            rows.append(row)
         if rows:
             self.cursor = end
+            self._row = row
         return rows

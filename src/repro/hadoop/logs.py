@@ -77,18 +77,19 @@ class DaemonLog:
     def __init__(self, node: str, daemon: str) -> None:
         self.node = node
         self.daemon = daemon
-        self._records: List[LogRecord] = []
+        #: The records, oldest first; append-only, so their count says it grew.
+        self.entries: List[LogRecord] = []
 
     def append(self, sim_time: float, level: str, java_class: str, message: str) -> None:
-        self._records.append(
+        self.entries.append(
             LogRecord(time=sim_time, line=format_line(sim_time, level, java_class, message))
         )
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self.entries)
 
     def records(self) -> List[LogRecord]:
-        return list(self._records)
+        return list(self.entries)
 
     def read_from(self, offset: int) -> Tuple[List[LogRecord], int]:
         """Return records at index >= ``offset`` plus the new offset.
@@ -98,12 +99,12 @@ class DaemonLog:
         """
         if offset < 0:
             offset = 0
-        new_records = self._records[offset:]
-        return new_records, len(self._records)
+        new_records = self.entries[offset:]
+        return new_records, len(self.entries)
 
     def text(self) -> str:
         """The whole log as file content (for offline analysis)."""
-        return "\n".join(record.line for record in self._records)
+        return "\n".join(record.line for record in self.entries)
 
     def last_time(self) -> Optional[float]:
-        return self._records[-1].time if self._records else None
+        return self.entries[-1].time if self.entries else None

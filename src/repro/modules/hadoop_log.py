@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from itertools import chain
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -98,6 +99,7 @@ class HadoopLogModule(Module):
             )
             for node in self.nodes
         }
+        self._writes = [self.outputs[node].write for node in self.nodes]
         self.max_skew = ctx.param_float("max_skew")
         #: (channel, row of its node) in poll order; a second is complete
         #: once every one of them has reported it.
@@ -106,16 +108,21 @@ class HadoopLogModule(Module):
             for row, node in enumerate(self.nodes)
             for channel in self.channels[node]
         ]
+        #: Report rows in poll order, if all nodes have as many sources.
+        same = len({len(self.channels[node]) for node in self.nodes}) == 1
+        self._in_order = [row for _, row in self._sources] if same else None
         #: second -> (row of each report so far, its vector)
         self._pending: Dict[int, Tuple[List[int], List[Sequence[float]]]] = {}
         self._emitted_through = -1
         self.seconds_emitted = 0
         self.seconds_dropped = 0
-        #: ``collect`` calls that failed: skipped, and asked again next poll.
-        self.poll_errors = 0
+        #: Failed ``collect`` calls per node: skipped, asked again next poll.
+        self.node_poll_errors = dict.fromkeys(self.nodes, 0)
         #: Catch-ups cut short: a daemon's newest second stopped advancing.
         self.stalled_catchups = 0
         ctx.schedule_every(ctx.param_float("interval"), ctx.param_float("phase"))
+
+    poll_errors = property(lambda self: sum(self.node_poll_errors.values()))
 
     def run(self, reason: RunReason) -> None:
         now = self.ctx.clock.now()
@@ -140,22 +147,19 @@ class HadoopLogModule(Module):
         try:
             result = channel.call("collect", now=now)
         except (ProtocolError, RemoteError):
-            self.poll_errors += 1
+            self.node_poll_errors[self.nodes[row]] += 1
             return math.inf
-        seconds = result["seconds"]
-        if not seconds:
+        rows, first = result.rows, result.first
+        if not rows:
             return math.inf
         pending = self._pending
-        for second, vector in zip(seconds, result["vectors"]):
-            second = int(second)
-            if second <= self._emitted_through:
-                continue
-            entry = pending.get(second)
+        for at in range(max(0, self._emitted_through + 1 - first), len(rows)):
+            entry = pending.get(first + at)
             if entry is None:
-                entry = pending[second] = ([], [])
+                entry = pending[first + at] = ([], [])
             entry[0].append(row)
-            entry[1].append(vector)
-        return seconds[-1]
+            entry[1].append(rows[at])
+        return first + len(rows) - 1
 
     def _complete(self, second: int) -> bool:
         entry = self._pending.get(second)
@@ -170,13 +174,18 @@ class HadoopLogModule(Module):
         while self._complete(self._emitted_through + 1):
             self._emitted_through += 1
             rows, vectors = self._pending.pop(self._emitted_through)
-            # One (nodes x states) block a second: every report summed
-            # into its node's row, every output handed its row.
-            block = np.zeros((len(self.nodes), len(vectors[0])))
-            np.add.at(block, rows, vectors)
+            width = len(vectors[0])
+            reports = np.fromiter(
+                chain.from_iterable(vectors), float, len(vectors) * width
+            ).reshape(-1, width)
+            if rows == self._in_order:
+                block = reports.reshape(len(self.nodes), -1, width).sum(axis=1, initial=0.0)
+            else:
+                block = np.zeros((len(self.nodes), width))
+                np.add.at(block, rows, reports)
             timestamp = float(self._emitted_through)
-            for node, vector in zip(self.nodes, block):
-                self.outputs[node].write(vector, timestamp)
+            for write, vector in zip(self._writes, block):
+                write(vector, timestamp)
             self.seconds_emitted += 1
 
     def _drop_stale(self, stale_cutoff: int) -> None:

@@ -103,8 +103,9 @@ class SadcModule(Module):
                 self.priming_skips += 1
                 continue
             node_metrics = result["node"]
-            if (isinstance(node_metrics, MetricRow)
-                    and node_metrics.names == NODE_METRICS):
+            if type(node_metrics) is MetricRow and (
+                    node_metrics.names is NODE_METRICS
+                    or node_metrics.names == NODE_METRICS):
                 # Off the binary path: the decoded row is the vector.
                 vector = node_metrics.row
             else:

@@ -35,6 +35,7 @@ from .protocol import (
     MetricRow,
     ProtocolError,
     RemoteError,
+    SeriesRows,
     TraceContext,
     decode_frame,
     encode_frame,
@@ -68,6 +69,7 @@ __all__ = [
     "RpcServer",
     "SEGMENT_PAYLOAD_BYTES",
     "SadcDaemon",
+    "SeriesRows",
     "TCP_HANDSHAKE_WIRE_BYTES",
     "TraceContext",
     "WIRE_HEADER_BYTES",

@@ -5,12 +5,10 @@ Table 4's per-iteration bandwidth would measure.  Instead the welcome
 carries the ordered catalog once (``metrics``), and every frame of a
 data call -- request, result, error -- is binary: float rows
 (big-endian IEEE-754 doubles) behind a small header.  Every other
-message is JSON: hello, welcome, the control calls and the strace
-extension's ``trace`` / ``categories``.  The method names the frame,
-and :class:`Wire` is where that rule lives.  The first payload byte
-tells the two apart: ``{`` (0x7B) for JSON, :data:`MAGIC` (0xA5) for
-binary; :func:`decode_message` returns the dict a JSON frame would have
-held.  Layouts (after the 4-byte big-endian length prefix):
+message (hello, welcome, the control calls, strace's ``trace`` and
+``categories``) is JSON; :class:`Wire` decides which.  The first
+payload byte tells them apart: ``{`` (0x7B) for JSON, :data:`MAGIC`
+(0xA5) for binary.  Layouts (after the 4-byte big-endian length prefix):
 
 .. code-block:: text
 
@@ -25,32 +23,30 @@ held.  Layouts (after the 4-byte big-endian length prefix):
    trace     <flags:u8> <trace_id:8s> <span_id:4s> [parent_id:4s]
              <origin_len:u8> <origin>
 
-A *series* is ``collect``'s result: ``seconds`` ``first, first + 1,
-...``, one ``vectors`` row each, ``watermark``.  ``sample`` answers with
-one window (flags 0x02) or, on the priming call, ``None`` (0x06);
-``poll_many`` with a batch.
+``sample`` answers with one window (flags 0x02) or, on the priming call,
+``None`` (0x06); ``poll_many`` with a batch; ``collect`` with a series,
+a :class:`~repro.rpc.protocol.SeriesRows` (``first``, its rows,
+``watermark``), which :func:`decode_message` returns too.
 
 **Call plans.**  A connection builds one :class:`CallPlan` per data
-method against its catalog, peer and frame limit; a serving end's is
-bound to the handler's ``rpc_*`` method, looked up per connection so
-that a wrapper put on the class before it opened sees every call.  A
-plan is the one encoder of its method's frames and reads them back.
-The *steady* call, an untraced ``sample`` or ``collect`` with ``now``
-alone, is packed and read with fixed ``Struct`` layouts (``now_request``,
-``_SamplePlan.named``, ``_SeriesPlan.one_row``); every other frame is
-read field by field (:class:`_Reader`), which names a frame truncated
-or trailed.  A row -- a :class:`~repro.rpc.protocol.MetricRow` on the
-connection's catalog, interned per process -- ships as
-``row.astype(">f8").tobytes()`` and decodes as native float64.
+method when it opens, against its catalog, peer and frame limit; a
+serving end's is bound to the handler's ``rpc_*`` method then, so a
+wrapper put on the class before sees every call.  What the connection
+fixes is decided there once: the steady layouts (``now_request``,
+``_SeriesPlan.one_row``, ``_SamplePlan.named``) and whether they fit the
+limit.  A steady call, untraced with ``now`` alone, packs and reads each
+frame with one ``Struct``; every other frame is read field by field
+(:class:`_Reader`), which names a frame truncated or trailed.  A row
+ships as ``row.astype(">f8").tobytes()`` and decodes as native float64.
 
-**What does not fit.**  A request whose params are not ``now`` and
-``max_windows`` (clamped to its u16) or whose trace ids are not the hex
-a ``TraceContext`` mints raises :class:`ProtocolError` before a byte is
-sent.  A result the layout cannot carry -- an extra key, a row not on
-the catalog, a node name over 255 bytes or unlike its batch's, seconds
-with a gap, more than 65 535 rows -- goes out as an error frame that
-names it: the caller gets a :class:`~repro.rpc.protocol.RemoteError`,
-and the connection goes on.
+**What does not fit.**  Params other than ``now`` and ``max_windows``
+(clamped to u16), or trace ids a ``TraceContext`` did not mint, raise
+:class:`ProtocolError` before a byte is sent.  A result the layout
+cannot carry -- an extra key, a row off the catalog, a node name over
+255 bytes or unlike its batch's, a series that is no ``SeriesRows`` or
+has over 65 535 rows -- goes out as an error frame that names it: the
+caller gets a :class:`~repro.rpc.protocol.RemoteError`, and the
+connection goes on.
 """
 
 from __future__ import annotations
@@ -66,6 +62,7 @@ from .protocol import (
     CODEC_BINARY,
     MetricRow,
     ProtocolError,
+    SeriesRows,
     _LENGTH,
     _peer_suffix,
     body_length,
@@ -110,10 +107,9 @@ _METHOD_BY_ID = {v: k for k, v in BINARY_METHOD_IDS.items()}
 #: Request param keys a binary frame can carry.
 _REQUEST_PARAMS = frozenset({"now", "max_windows"})
 
-#: Keys of a sample window / a batch result / a series the layouts carry.
+#: Keys of a sample window / a batch result the layouts carry.
 _WINDOW_KEYS = frozenset({"timestamp", "emit_wall", "node_name", "node"})
 _BATCH_KEYS = frozenset({"node_name", "windows"})
-_SERIES_KEYS = frozenset({"seconds", "vectors", "watermark"})
 
 # flags, request
 _RQ_TRACE = 0x01
@@ -405,12 +401,9 @@ def decode_message(
         if flags & _RS_TRACE:
             payload["trace"] = _unpack_trace(reader)
         reader.done()
-        payload["result"] = {
-            "seconds": list(range(fields[6], fields[6] + rows)),
-            "vectors": [list(fields[8 + at * width:8 + (at + 1) * width])
-                        for at in range(rows)],
-            "watermark": fields[5],
-        }
+        payload["result"] = SeriesRows(fields[6], [
+            list(fields[8 + at * width:8 + (at + 1) * width]) for at in range(rows)
+        ], fields[5])
     elif kind in (_KIND_RESPONSE, _KIND_ERROR):
         if flags & _RS_TRACE:
             payload["trace"] = _unpack_trace(reader)
@@ -436,7 +429,7 @@ def _window(
     data: bytes, row_at: int, metric_names: Tuple[str, ...],
 ) -> Dict[str, Any]:
     """A decoded sample window over the wire row at ``data[row_at:]``."""
-    row = np.frombuffer(data, _WIRE_F64, len(metric_names), row_at)
+    row = np.ndarray((len(metric_names),), _WIRE_F64, data, row_at)
     return {
         "timestamp": timestamp,
         "node_name": name,
@@ -500,15 +493,13 @@ class CallPlan:
         """The request frame; :class:`ProtocolError` when ``params`` or
         ``trace_wire`` do not fit it."""
         if trace_wire is None and len(params) == 1 and self.now_request is not None:
-            now = params.get("now")
-            if now is not None:
-                try:
-                    return self.now_request(
-                        _NOW_BODY, MAGIC, _KIND_REQUEST, request_id & 0xFFFFFFFF,
-                        _RQ_NOW, self.method_id, float(now),
-                    )
-                except (TypeError, ValueError, OverflowError):
-                    pass  # refused below, with the reason
+            try:
+                return self.now_request(
+                    _NOW_BODY, MAGIC, _KIND_REQUEST, request_id, _RQ_NOW,
+                    self.method_id, params["now"],
+                )
+            except (KeyError, struct.error):
+                pass  # packed or refused below, with the reason
         flags, values = _request_values(self.method, params)
         trace = _pack_trace(trace_wire)
         request_id &= 0xFFFFFFFF
@@ -533,15 +524,10 @@ class CallPlan:
             if length == len(data) - _LENGTH.size <= self.limit and magic == MAGIC:
                 reader = _Reader(data, self.peer, _FRAME_HEAD.size, len(data))
                 name, windows = _walk_windows(reader, self.names)
-                return self._checked(
-                    {"node_name": name, "windows": windows}, answered, request_id
-                )
+                if answered != request_id:
+                    response_result({"id": answered}, request_id, self.peer)
+                return {"node_name": name, "windows": windows}
         return self._decoded(data, request_id)
-
-    def _checked(self, result: Any, answered: int, request_id: int) -> Any:
-        if answered != request_id:
-            response_result({"id": answered}, request_id, self.peer)
-        return result
 
     def _decoded(self, data: bytes, request_id: int) -> Any:
         if len(data) <= _LENGTH.size or data[_LENGTH.size] != MAGIC:
@@ -663,42 +649,44 @@ class CallPlan:
 
 class _SamplePlan(CallPlan):
     """``sample``: the priming ``None`` or one window, untraced in the
-    ``_sample_struct`` layout.  ``named`` caches the node name last packed
-    or read: (name, its bytes, layout)."""
+    ``_sample_struct`` layout; ``named`` caches the last node name's."""
 
     __slots__ = ("named",)
 
     def __init__(self, *args: Any) -> None:
         super().__init__(*args)
-        self.named: Tuple[Any, bytes, struct.Struct] = self._name("")
+        self.named: Tuple[Any, bytes, struct.Struct, Optional[int]] = self._name("")
 
-    def _name(self, name: Any) -> Tuple[Any, bytes, struct.Struct]:
+    def _name(self, name: Any) -> Tuple[Any, bytes, struct.Struct, Optional[int]]:
         try:
             encoded = name.encode("utf-8")
         except (AttributeError, UnicodeError):
             raise _Unfit(f"node_name {name!r} is not text") from None
-        named = (name, encoded, _sample_struct(len(encoded)))
+        layout = _sample_struct(len(encoded))
+        body = layout.size + 8 * self.width - _LENGTH.size
+        named = (name, encoded, layout, body if body <= self.limit else None)
         if len(encoded) <= 255:
             self.named = named  # fpt: noqa[FPT401] -- per-connection cache, replaced whole; one thread serves or polls a connection
         return named
 
     def result(self, data: bytes, request_id: int) -> Any:
         named = self.named
-        if self.width and len(data) > _FRAME_HEAD.size:
-            layout = (named[2] if data[_FRAME_HEAD.size] == len(named[1])
-                      else _sample_struct(data[_FRAME_HEAD.size]))
-            if len(data) == layout.size + 8 * self.width:
-                (length, magic, kind, answered, flags, _, name, windows,
-                 timestamp, emit_wall) = layout.unpack_from(data)
-                if (length == len(data) - _LENGTH.size <= self.limit
-                        and magic == MAGIC and kind == _KIND_RESPONSE
-                        and flags == _RS_SINGLE and windows == 1):
-                    if name != named[1]:
-                        named = self._name(name.decode("utf-8", "replace"))
-                    return self._checked(_window(
-                        timestamp, emit_wall, named[0], data, layout.size,
-                        self.names,
-                    ), answered, request_id)
+        if len(data) > _FRAME_HEAD.size and data[_FRAME_HEAD.size] != len(named[1]):
+            named = (None, None, _sample_struct(data[_FRAME_HEAD.size]))
+        layout = named[2]
+        if self.width and len(data) == layout.size + 8 * self.width:
+            (length, magic, kind, answered, flags, _, name, windows,
+             timestamp, emit_wall) = layout.unpack_from(data)
+            if (length == len(data) - _LENGTH.size <= self.limit
+                    and magic == MAGIC and kind == _KIND_RESPONSE
+                    and flags == _RS_SINGLE and windows == 1):
+                if name != named[1]:
+                    named = self._name(name.decode("utf-8", "replace"))
+                if answered != request_id:
+                    response_result({"id": answered}, request_id, self.peer)
+                return _window(
+                    timestamp, emit_wall, named[0], data, layout.size, self.names
+                )
         return self._decoded(data, request_id)
 
     def pack(self, request_id: int, result: Any, trace: bytes = b"") -> bytes:
@@ -709,23 +697,21 @@ class _SamplePlan(CallPlan):
         named = self.named if name == self.named[0] else self._name(name)
         if len(named[1]) > 255:
             raise _Unfit(f"node_name of {len(named[1])} bytes (at most 255)")
-        if trace:
+        if trace or named[3] is None:
             return self._windows(
                 request_id, _RS_SINGLE, trace, named[1],
                 ((timestamp, emit_wall, row),),
             )
         return named[2].pack(
-            body_length(named[2].size + len(row), self.peer, self.limit),
-            MAGIC, _KIND_RESPONSE, request_id, _RS_SINGLE, len(named[1]),
-            named[1], 1, timestamp, emit_wall,
+            named[3], MAGIC, _KIND_RESPONSE, request_id, _RS_SINGLE,
+            len(named[1]), named[1], 1, timestamp, emit_wall,
         ) + row
 
 
 class _SeriesPlan(CallPlan):
-    """``collect``: the ``_series_struct`` layout; a one-row series is
-    packed and read with the one ``Struct`` of its size, ``one_row``
-    (None without a catalog, or when that frame is over the connection's
-    limit)."""
+    """``collect``: a ``SeriesRows`` in the ``_series_struct`` layout; a
+    one-row series is packed and read with ``one_row``, the ``Struct`` of
+    its size (None without a catalog, or if that frame is over the limit)."""
 
     __slots__ = ("one_row",)
 
@@ -741,45 +727,37 @@ class _SeriesPlan(CallPlan):
             fields = one_row.unpack(data)
             if (fields[0] == one_row.size - _LENGTH.size and fields[1] == MAGIC
                     and fields[2] == _KIND_SERIES and fields[4] == 0 and fields[7] == 1):
-                return self._checked({
-                    "seconds": [fields[6]], "vectors": [list(fields[8:])],
-                    "watermark": fields[5],
-                }, fields[3], request_id)
+                if fields[3] != request_id:
+                    response_result({"id": fields[3]}, request_id, self.peer)
+                return SeriesRows(fields[6], [list(fields[8:])], fields[5])
         return self._decoded(data, request_id)
 
     def pack(self, request_id: int, result: Any, trace: bytes = b"") -> bytes:
-        if result is None:
-            return self._priming(request_id, trace)
-        if not isinstance(result, dict) or result.keys() != _SERIES_KEYS:
-            raise _Unfit(
-                f"result {_shape(result)} is not seconds, vectors and watermark"
-            )
-        seconds, vectors = result["seconds"], result["vectors"]
-        one_row, width = self.one_row, self.width
-        try:
-            if (not trace and one_row is not None
-                    and type(seconds) is list and type(vectors) is list
-                    and len(seconds) == len(vectors) == 1
-                    and type(seconds[0]) is int and len(vectors[0]) == width):
+        if type(result) is not SeriesRows:
+            if result is None:
+                return self._priming(request_id, trace)
+            raise _Unfit(f"result {_shape(result)} is no SeriesRows")
+        rows, one_row, width = result.rows, self.one_row, self.width
+        if len(rows) == 1 and not trace and one_row is not None:
+            try:
                 return one_row.pack(
                     one_row.size - _LENGTH.size, MAGIC, _KIND_SERIES, request_id,
-                    0, result["watermark"], seconds[0], 1, *vectors[0],
+                    0, result.watermark, result.first, 1, *rows[0],
                 )
-            rows = len(seconds)
-            if rows != len(vectors):
-                raise _Unfit(f"{rows} seconds for {len(vectors)} rows")
-            if rows > 0xFFFF:
-                raise _Unfit(f"{rows} rows (at most 65 535)")
-            first = seconds[0] if rows else 0
-            if seconds != list(range(first, first + rows)):
-                raise _Unfit("seconds are not consecutive integers")
-            if rows and (not width or set(map(len, vectors)) != {width}):
+            except (struct.error, TypeError):
+                pass  # refused below, with the reason
+        try:
+            count = len(rows)
+            if count > 0xFFFF:
+                raise _Unfit(f"{count} rows (at most 65 535)")
+            if count and (not width or any(len(row) != width for row in rows)):
                 raise _Unfit(f"rows are not {width} values wide")
-            layout = _series_struct(rows * width)
+            layout = _series_struct(count * width)
             return layout.pack(
                 body_length(layout.size + len(trace), self.peer, self.limit),
                 MAGIC, _KIND_SERIES, request_id, _RS_TRACE if trace else 0,
-                result["watermark"], first, rows, *chain.from_iterable(vectors),
+                result.watermark, result.first if count else 0, count,
+                *chain.from_iterable(rows),
             ) + trace
         except (struct.error, TypeError, OverflowError) as exc:
             raise _Unfit(f"series values: {exc}") from None

@@ -5,14 +5,15 @@ control node polls them once per second.  ``sadc_rpcd`` wraps the
 libsadc sampler over the node's ``/proc``; ``hadoop_log_rpcd`` wraps the
 lazy log parser and returns per-second white-box state vectors.
 
-Both daemons keep a running account of the CPU time they consume
-(``cpu_seconds``), which is what the Table 3 overhead benchmark reports.
+Every daemon meters the CPU time its handlers take (``meter``), which
+is what the Table 3 overhead benchmark reports.
 """
 
 from __future__ import annotations
 
 import os
 import time
+from time import process_time
 from collections import deque
 from typing import Any, Dict, List, Optional
 
@@ -20,7 +21,7 @@ from ..hadoop.log_parser import StateVectorStream
 from ..hadoop.logs import DaemonLog
 from ..hadoop.states import WHITEBOX_STATES
 from ..sysstat.metrics import NIC_METRICS, NODE_METRICS, PROCESS_METRICS
-from .protocol import MetricRow, intern_catalog
+from .protocol import MetricRow, SeriesRows, intern_catalog
 
 #: Seconds the log parser lags behind real time: Hadoop buffers log
 #: writes, and some statistics resolve only one or two iterations later
@@ -34,34 +35,20 @@ MAX_BUFFERED_WINDOWS = 240
 
 
 class _CpuMeter:
-    """Accumulates process CPU time spent inside RPC handlers."""
+    """CPU time spent in RPC handlers, and their calls: a handler reads
+    ``process_time()`` on entry and adds the time since on every way out
+    (unlocked: a push-mode sampler loop and a poll can race)."""
+
+    __slots__ = ("cpu_seconds", "calls")
 
     def __init__(self) -> None:
         self.cpu_seconds = 0.0
         self.calls = 0
 
-    def __enter__(self) -> "_CpuMeter":
-        self._t0 = time.process_time()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.cpu_seconds += time.process_time() - self._t0
-        self.calls += 1
-
 
 #: The node-metric catalog both sampling daemons advertise and lay
 #: their rows out against.
 _NODE_CATALOG = intern_catalog(NODE_METRICS)
-
-
-def _node_window(node: str, timestamp: float, row) -> Dict[str, Any]:
-    """One sample around the sampler's row, as it is: a binary frame ships
-    the array, nobody builds the 64-key dict it stands for."""
-    return {
-        "timestamp": timestamp,
-        "node_name": node,
-        "node": MetricRow(_NODE_CATALOG, row),
-    }
 
 
 class SadcDaemon:
@@ -91,27 +78,27 @@ class SadcDaemon:
 
     def rpc_sample(self, now: float) -> Optional[Dict[str, Any]]:
         """One collection iteration; ``None`` on the priming call."""
-        with self.meter:
+        started = process_time()
+        try:
             now = float(now)
             row = self._sampler.collect_vector(now)
             if row is None:
                 return None
-            return _node_window(self.node, now, row)
+            return {"timestamp": now, "node_name": self.node,
+                    "node": MetricRow(_NODE_CATALOG, row)}
+        finally:
+            self.meter.cpu_seconds += process_time() - started
+            self.meter.calls += 1
 
 
 class HadoopLogDaemon:
     """``hadoop_log_rpcd``: lazy log parsing into state-vector series.
 
-    Incrementally tails one Hadoop daemon's log (tasktracker *or*
-    datanode -- the paper runs these as separate RPC types, ``hl-tt`` and
-    ``hl-dn`` in Table 4), feeds the streaming state counter, and returns
-    the per-second state vectors that have become *stable* (older than
-    the parser lag).  The counter's cursor ensures each second is
-    returned exactly once; nothing is kept of a second once it is served.
-
-    The emitted vector always spans the full 8-state catalog; states the
-    daemon's log cannot populate stay zero, so per-node vectors from the
-    tasktracker and datanode daemons can simply be summed.
+    Tails a Hadoop daemon's log (tasktracker *or* datanode: ``hl-tt`` and
+    ``hl-dn`` in Table 4), feeds the streaming state counter, and serves
+    each per-second vector once it is *stable* (older than the parser
+    lag), once.  A vector spans the full 8-state catalog, so the
+    tasktracker's and the datanode's sum per node.
     """
 
     #: Interned catalog: the state behind each column of a ``collect``
@@ -127,35 +114,31 @@ class HadoopLogDaemon:
         self._states = StateVectorStream(node)
         self.meter = _CpuMeter()
 
-    def _feed_new_lines(self) -> None:
-        for index, log in enumerate(self._logs):
-            if len(log) != self._offsets[index]:  # no line, no tail copy
-                records, self._offsets[index] = log.read_from(self._offsets[index])
-                for record in records:
-                    self._states.feed_line(record.line)
-
-    def rpc_collect(self, now: float) -> Dict[str, Any]:
+    def rpc_collect(self, now: float) -> SeriesRows:
         """Return state vectors for newly stable seconds, oldest first.
 
         ``now`` is the collection time at the control node; seconds up to
         ``now - LOG_PARSER_LAG_S`` (exclusive) are considered stable.  One
         call serves at most :data:`MAX_BUFFERED_WINDOWS` seconds, so the
         response always fits a frame; after a long poll gap the rest
-        follows on the next polls.
+        follows on the next polls.  A log that has not grown is not read.
         """
-        with self.meter:
-            self._feed_new_lines()
-            states = self._states
+        started = process_time()
+        try:
+            states, offsets = self._states, self._offsets
+            for index, log in enumerate(self._logs):
+                if len(log.entries) != offsets[index]:
+                    records, offsets[index] = log.read_from(offsets[index])
+                    for record in records:
+                        states.feed_line(record.line)
             first = states.cursor
-            vectors = states.take(
+            rows = states.take(
                 min(int(now) - LOG_PARSER_LAG_S, first + MAX_BUFFERED_WINDOWS)
             )
-            watermark = states.watermark()
-            return {
-                "seconds": list(range(first, first + len(vectors))),
-                "vectors": vectors,
-                "watermark": watermark if watermark is not None else -1.0,
-            }
+            return SeriesRows(first, rows, -1.0 if states.latest is None else states.latest)
+        finally:
+            self.meter.cpu_seconds += process_time() - started
+            self.meter.calls += 1
 
     def rpc_stats(self) -> Dict[str, Any]:
         return {
@@ -172,30 +155,18 @@ DEFAULT_MAX_WINDOWS = 32
 class ClusterNodeDaemon:
     """Per-node collection daemon for the live cluster deployment.
 
-    One logical node of the live cluster (``repro cluster up``): a load
-    source advances the node's ``/proc`` counters to *wall-clock* time,
-    and the node's sampler (``procfs.sampler()``: over a ``FleetLoad``
-    view, one fleet pass per tick for all the host's logical nodes)
-    differences the counters -- so the whole
-    collect path (load -> ``/proc`` counters -> sadc rates -> RPC frame)
-    runs at real speed over real sockets.  ``load`` is duck-typed (see
-    :class:`repro.cluster.load.FleetNodeLoad`): it must expose
-    ``procfs``, ``advance_to(wall_s)``, ``inject(kind, intensity)``,
-    ``clear()`` and ``active_fault``.
-
-    Two collection modes:
-
-    * **pull** (``buffered=False``): every ``rpc_sample`` advances the
-      load and samples inline, one window per poll.
-    * **push** (``buffered=True``): the host process's sampler loop
-      calls :meth:`buffer_sample` on its own cadence and polls drain the
-      buffered windows (``rpc_poll_many`` batch-wise, ``rpc_sample`` the
-      newest) -- sampling cadence decouples from poll cadence, which is
-      what keeps per-node sample rate flat as the central fans in
-      hundreds of nodes.
-
-    ``metric_names`` is the interned catalog the sample rows are laid out
-    on; the RPC server advertises it in its welcome.
+    One logical node of ``repro cluster up``: a load source advances the
+    node's ``/proc`` counters to *wall-clock* time and the node's sampler
+    (``procfs.sampler()``, one fleet pass per tick for the host's nodes)
+    differences them, so load -> counters -> sadc rates -> RPC frame runs
+    at real speed over real sockets.  ``load`` is duck-typed
+    (:class:`repro.cluster.load.FleetNodeLoad`): ``procfs``,
+    ``advance_to(wall_s)``, ``inject(kind, intensity)``, ``clear()`` and
+    ``active_fault``.  In **pull** mode (``buffered=False``) every
+    ``rpc_sample`` samples inline; in **push** mode the host's sampler
+    loop calls :meth:`buffer_sample` on its own cadence and polls drain
+    the buffer (``rpc_poll_many`` batch-wise, ``rpc_sample`` the newest),
+    so the sample rate stays flat as the central fans in.
     """
 
     #: Interned metric catalog the sample rows are laid out on.
@@ -227,9 +198,8 @@ class ClusterNodeDaemon:
         row = self._sampler.collect_vector(ts)
         if row is None:
             return None
-        window = _node_window(self.node, ts, row)
-        window["emit_wall"] = time.time()
-        return window
+        return {"timestamp": ts, "node_name": self.node,
+                "node": MetricRow(_NODE_CATALOG, row), "emit_wall": time.time()}
 
     def buffer_sample(self, now: Optional[float] = None) -> bool:
         """One sampler-loop iteration (push mode): collect + enqueue.
@@ -238,7 +208,8 @@ class ClusterNodeDaemon:
         Called only from the host process's sampler thread.
         """
         ts = float(now) if now is not None else time.time()
-        with self.meter:
+        started = process_time()
+        try:
             window = self._collect_window(ts)
             if window is None:
                 return False
@@ -246,46 +217,42 @@ class ClusterNodeDaemon:
                 self.windows_dropped += 1  # fpt: noqa[FPT401] -- single writer: only the sampler loop buffers
             self._windows.append(window)
             return True
+        finally:
+            self.meter.cpu_seconds += process_time() - started
+            self.meter.calls += 1
 
     def rpc_sample(self, now: Optional[float] = None) -> Optional[Dict[str, Any]]:
         """One collection iteration; ``None`` while priming.
 
-        ``now`` defaults to the daemon's own wall clock; the central
-        poller passes its clock so both ends agree on the nominal
-        timestamp.  ``emit_wall`` stamps the instant the sample left the
-        handler, which is what end-to-end alarm latency measures against.
-        In push mode this serves the *newest* buffered window, so a
-        ``sample`` poller also works against a buffered daemon.
+        ``now`` defaults to the daemon's wall clock; ``emit_wall`` stamps
+        when the sample left the handler (end-to-end alarm latency
+        measures against it).  In push mode: the *newest* buffered window.
         """
-        with self.meter:
+        started = process_time()
+        try:
             if self.buffered:
                 window = None
                 while self._windows:  # keep only the newest
                     window = self._windows.popleft()
-                if window is None:
-                    return None
+            else:
+                window = self._collect_window(
+                    float(now) if now is not None else time.time()
+                )
+            if window is not None:
                 self.samples_served += 1  # fpt: noqa[FPT401] -- single writer: one poller connection serializes rpc_sample
-                return window
-            ts = float(now) if now is not None else time.time()
-            window = self._collect_window(ts)
-            if window is None:
-                return None
-            self.samples_served += 1  # fpt: noqa[FPT401] -- single writer: one poller connection serializes rpc_sample
             return window
+        finally:
+            self.meter.cpu_seconds += process_time() - started
+            self.meter.calls += 1
 
     def rpc_poll_many(
         self, now: Optional[float] = None,
         max_windows: float = DEFAULT_MAX_WINDOWS,
     ) -> Dict[str, Any]:
-        """Drain up to ``max_windows`` buffered collection windows.
-
-        The batched poll path: one request/response round-trip carries
-        every window accumulated since the previous poll, so poll
-        cadence and sampling cadence decouple.  In pull mode (no sampler
-        loop) it degrades to at most one inline sample, so the method is
-        always safe to call.
-        """
-        with self.meter:
+        """Drain up to ``max_windows`` buffered collection windows, or in
+        pull mode take at most one inline sample."""
+        started = process_time()
+        try:
             limit = max(1, int(max_windows))
             windows: List[Dict[str, Any]] = []
             if self.buffered:
@@ -299,22 +266,34 @@ class ClusterNodeDaemon:
                     windows.append(window)
             self.samples_served += len(windows)  # fpt: noqa[FPT401] -- single writer: one poller connection serializes polls
             return {"node_name": self.node, "windows": windows}
+        finally:
+            self.meter.cpu_seconds += process_time() - started
+            self.meter.calls += 1
 
     def rpc_inject(self, kind: str, intensity: float = 1.0) -> Dict[str, Any]:
         """Start perturbing this node's synthetic load (cpuhog/diskhog)."""
-        with self.meter:
+        started = process_time()
+        try:
             self.load.inject(kind, float(intensity))
             return {"node": self.node, "fault": kind}
+        finally:
+            self.meter.cpu_seconds += process_time() - started
+            self.meter.calls += 1
 
     def rpc_clear(self) -> Dict[str, Any]:
         """Stop any active perturbation."""
-        with self.meter:
+        started = process_time()
+        try:
             self.load.clear()
             return {"node": self.node, "fault": None}
+        finally:
+            self.meter.cpu_seconds += process_time() - started
+            self.meter.calls += 1
 
     def rpc_info(self) -> Dict[str, Any]:
         """Identity + counters, served to the federator's /cluster view."""
-        with self.meter:
+        started = process_time()
+        try:
             return {
                 "node": self.node,
                 "pid": os.getpid(),
@@ -325,17 +304,15 @@ class ClusterNodeDaemon:
                 "windows_pending": len(self._windows),
                 "windows_dropped": self.windows_dropped,
             }
+        finally:
+            self.meter.cpu_seconds += process_time() - started
+            self.meter.calls += 1
 
 
 class StraceDaemon:
-    """``strace_rpcd``: per-node syscall tracing (paper section 5).
-
-    "We are currently developing new ASDF modules, including a strace
-    module that tracks all of the system calls made by a given process."
-    The daemon reports per-second syscall category counts, either summed
-    across all traced processes (the node-level view the anomaly model
-    consumes) or broken out per pid.
-    """
+    """``strace_rpcd``: per-node syscall tracing (paper section 5's
+    "strace module"): per-second syscall category counts, summed across
+    the traced processes (the view the anomaly model consumes)."""
 
     def __init__(self, node: str, procfs, seed: int = 0) -> None:
         from ..sysstat.syscalls import SYSCALL_CATEGORIES, SyscallTracer
@@ -354,8 +331,12 @@ class StraceDaemon:
 
         ``None`` on the priming call, like sadc's first sample.
         """
-        with self.meter:
+        started = process_time()
+        try:
             total = self._tracer.trace_total(float(now))
             if total is None:
                 return None
             return [float(x) for x in total]
+        finally:
+            self.meter.cpu_seconds += process_time() - started
+            self.meter.calls += 1

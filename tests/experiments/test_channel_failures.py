@@ -102,6 +102,9 @@ class TestThreeFailedPolls:
     ):
         module = flapped.core.instance("hl")
         assert module.poll_errors == 6  # tt and dn, three polls each
+        assert module.node_poll_errors == dict(
+            dict.fromkeys(healthy.sadc_channels, 0), **{VICTIM: 6}
+        )
         assert module.seconds_dropped == 0
         assert module.seconds_emitted == healthy.core.instance("hl").seconds_emitted
 
@@ -125,6 +128,7 @@ class TestChannelsDeadForTheRestOfTheRun:
     def test_unsynchronised_seconds_are_dropped_not_raised(self, dead):
         module = dead.core.instance("hl")
         assert module.poll_errors == 2 * 281
+        assert {n for n, count in module.node_poll_errors.items() if count} == {VICTIM}
         assert module.seconds_dropped > 200
 
     def test_nobody_is_alarmed_by_it(self, dead):

@@ -422,13 +422,19 @@ class TestStreamHandCases:
             0, 1, 1, 1, 0, 0,
         ]
 
-    def test_take_is_empty_behind_the_cursor_and_rows_are_copies(self):
+    def test_take_is_empty_behind_the_cursor_and_rows_are_left_alone(self):
+        """A second with no pending delta is handed the running row
+        itself; a delta makes a new running row, so no row handed out
+        ever changes."""
         stream = StateVectorStream("n")
         assert stream.take(0) == [] and stream.take(-5) == []
         rows = stream.take(3)
-        rows[0][0] = 99.0
-        assert stream.take(4) == [[0.0] * 8]
-        assert stream.take(2) == [] and stream.cursor == 4
+        assert rows[0] is rows[1] is rows[2]
+        stream.feed_line(dn_line(3.5, "Receiving block blk_1 src: /a dest: /b"))
+        later = stream.take(5)
+        assert rows == [[0.0] * 8] * 3 and later[0] is rows[2]
+        assert state(later[1], "WriteBlock") == 1.0 and later[1] is not rows[2]
+        assert stream.take(2) == [] and stream.cursor == 5
 
 
 @given(

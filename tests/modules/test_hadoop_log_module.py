@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import ConfigError
 from repro.modules.hadoop_log import HADOOP_LOG_CHANNEL_SERVICE
+from repro.rpc import SeriesRows
 
 from .helpers import FakeChannel, build_core
 
@@ -24,16 +25,12 @@ class ScriptedLogChannel(FakeChannel):
         self.calls.append((method, params))
         assert method == "collect"
         stable_end = int(params["now"]) - self.lag
-        seconds = []
-        vectors = []
-        for second in range(self._cursor, max(self._cursor, stable_end)):
-            if second >= self.hold_after:
-                break
-            seconds.append(second)
-            vectors.append(self.vectors_by_second.get(second, [0.0] * 8))
-        if seconds:
-            self._cursor = seconds[-1] + 1
-        return {"seconds": seconds, "vectors": vectors, "watermark": float(stable_end)}
+        first = self._cursor
+        end = max(first, min(stable_end, self.hold_after))
+        self._cursor = end
+        vectors = [self.vectors_by_second.get(second, [0.0] * 8)
+                   for second in range(first, end)]
+        return SeriesRows(first, vectors, float(stable_end))
 
 
 def config_for(nodes):
@@ -157,7 +154,7 @@ class TestPollGap:
         """A daemon that answers every call with the same stale second is
         asked twice a poll, not forever; each cut-short catch-up counts."""
         stuck = FakeChannel({
-            "collect": lambda now: {"seconds": [3], "vectors": [[0.0] * 8]}
+            "collect": lambda now: SeriesRows(3, [[0.0] * 8], 2.5)
         })
         channels = {"a": ScriptedLogChannel({}), "b": stuck}
         core = build_core(config_for(["a", "b"]), services_for(channels))

@@ -7,7 +7,9 @@ Every frame a :class:`repro.rpc.codec.CallPlan` packs must be
 byte-identical to what ``encode_request_frame`` / ``encode_response_frame``
 here produce for the same call, and every result it unpacks ``==`` (and
 of the same types as) what ``decode_message`` here returns
-(``test_call_plans.py``).
+(``test_call_plans.py``).  A series is read as the
+:class:`~repro.rpc.protocol.SeriesRows` a plan reads, and one is packed
+through the dict it reads as.
 """
 
 import struct
@@ -20,6 +22,7 @@ import numpy as np
 from repro.rpc.protocol import (
     MetricRow,
     ProtocolError,
+    SeriesRows,
     TraceContext,
     _LENGTH,
     _peer_suffix,
@@ -399,6 +402,11 @@ def _pack_result(
         flags |= _RS_SINGLE | _RS_NONE
         windows: Sequence[Dict[str, Any]] = ()
         node_name = ""
+    elif isinstance(result, SeriesRows):
+        # Packed through the dict it reads as.
+        return _pack_series(
+            result, request_id, packed_trace, len(metric_names), peer, limit
+        )
     elif not isinstance(result, dict):
         return None
     elif "windows" in result:
@@ -474,13 +482,9 @@ def _unpack_series(
         if flags & _RS_TRACE:
             payload["trace"] = _unpack_trace(reader)
         reader.done()
-    payload["result"] = {
-        "seconds": list(range(first, first + rows)),
-        "vectors": [
-            list(values[at:at + width]) for at in range(0, len(values), width)
-        ],
-        "watermark": watermark,
-    }
+    payload["result"] = SeriesRows(first, [
+        list(values[at:at + width]) for at in range(0, len(values), width)
+    ], watermark)
     return payload
 
 

@@ -4,7 +4,7 @@ import struct
 
 import numpy as np
 
-from repro.rpc.protocol import MetricRow
+from repro.rpc.protocol import MetricRow, SeriesRows
 
 
 def bits(value):
@@ -15,7 +15,7 @@ def assert_same(got, want, where="result"):
     """``==`` with NaN compared bit for bit, and the same types all the
     way down: a plan must hand back what the general path did."""
     assert type(got) is type(want), (where, type(got), type(want))
-    if isinstance(want, dict):
+    if isinstance(want, (dict, SeriesRows)):
         assert list(got) == list(want), where
         for key in want:
             assert_same(got[key], want[key], f"{where}[{key!r}]")

@@ -10,8 +10,8 @@ not, is byte-identical to the oracle's, and every result it reads
 ``==`` the oracle's and of the same types.  What the oracle sent as JSON
 or read name by name -- extra keys and params, rows in another catalog
 order or as dicts, node names over 255 bytes or unlike their batch's,
-series with a gap or seconds past an i64 -- is refused at the sender
-instead.  The id-mismatch and
+series seconds past an i64 -- is refused at the sender instead, and so
+is a series that is not a ``SeriesRows``, which the oracle packed.  The id-mismatch and
 frame-limit checks still fire on the plan path, also at limits around
 the size of the steady frames; a steady call never reaches the general
 functions; request ids stay u32 past ``2**32 - 1`` calls.
@@ -32,6 +32,7 @@ from repro.rpc import (
     RemoteError,
     RpcClient,
     RpcServer,
+    SeriesRows,
     TraceContext,
     set_max_frame_bytes,
 )
@@ -118,17 +119,13 @@ def random_series(rng, width):
     first = rng.randint(-3, 10**6)
     if rng.random() < 0.1:              # past an i64
         first = rng.choice([2**63 - 1, 2**63, -2**63 - 1, 2**64])
-    seconds = list(range(first, first + rows))
-    if rows > 1 and rng.random() < 0.15:
-        seconds[-1] += 1                # a gap
-    return {
-        "seconds": seconds,
-        "vectors": [
-            [rng.choice([0.0, 1.0, 2.0, 0.5, -0.0]) for _ in range(width)]
-            for _ in range(rows)
-        ],
-        "watermark": rng.choice([-1.0, rng.uniform(0, 1e6)]),
-    }
+    series = SeriesRows(first, [
+        [rng.choice([0.0, 1.0, 2.0, 0.5, -0.0]) for _ in range(width)]
+        for _ in range(rows)
+    ], rng.choice([-1.0, rng.uniform(0, 1e6)]))
+    if rng.random() < 0.15:
+        return dict(series)             # the dict it reads as
+    return series
 
 
 def random_result(rng, method, names):
@@ -241,6 +238,8 @@ def refused(oracle_frame, result, names):
         return True
     if not isinstance(result, dict):
         return False
+    if "vectors" in result:
+        return True                     # a series, but no SeriesRows
     name = result.get("node_name", "")
     return any(
         isinstance(window, dict) and "node" in window
@@ -369,7 +368,7 @@ class TestPlansEqualTheOracle:
             lambda self, now: seen.append(now) or original(self, now),
         )
         handler = Scripted(CATALOGS[8])
-        handler.outcome = {"seconds": [3], "vectors": [[1.0] * 8], "watermark": 2.5}
+        handler.outcome = SeriesRows(3, [[1.0] * 8], 2.5)
         channel = InprocChannel(handler, "svc")
         assert channel.call("collect", now=5.0)["seconds"] == [3]
         assert channel.call("collect", now=6.0)["watermark"] == 2.5
@@ -385,7 +384,7 @@ class TestPlansEqualTheOracle:
         names = CATALOGS[8] if method == "collect" else CATALOGS[64]
         handler = Scripted(names)
         handler.outcome = (
-            {"seconds": [41], "vectors": [[2.0] * 8], "watermark": 42.5}
+            SeriesRows(41, [[2.0] * 8], 42.5)
             if method == "collect" else
             {"timestamp": 9.0, "node_name": "slave07",
              "node": MetricRow(names, np.arange(64.0))}
@@ -431,8 +430,7 @@ def steady_outcomes(names, method, count):
     for call in range(count):
         now = rng.choice([float(call), call, np.float64(call + 0.5)])
         if method == "collect":
-            yield now, {"seconds": [call], "vectors": [[rng.random()] * 8],
-                        "watermark": call + 0.25}
+            yield now, SeriesRows(call, [[rng.random()] * 8], call + 0.25)
         else:
             yield now, {"timestamp": float(call),
                         "node_name": rng.choice(["slave07", "slave08", "n1", "été"]),

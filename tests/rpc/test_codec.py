@@ -16,6 +16,7 @@ from repro.rpc import (
     RemoteError,
     RpcClient,
     RpcServer,
+    SeriesRows,
     TraceContext,
 )
 from repro.rpc.codec import (
@@ -153,14 +154,10 @@ def _series(draw):
     """A ``collect`` result as ``HadoopLogDaemon`` shapes it."""
     rows = draw(st.integers(0, 40))
     first = draw(st.integers(-5, 2**40))
-    return {
-        "seconds": list(range(first, first + rows)),
-        "vectors": [
-            draw(st.lists(_counts, min_size=len(STATES), max_size=len(STATES)))
-            for _ in range(rows)
-        ],
-        "watermark": draw(st.floats(allow_nan=False)),
-    }
+    return SeriesRows(first, [
+        draw(st.lists(_counts, min_size=len(STATES), max_size=len(STATES)))
+        for _ in range(rows)
+    ], draw(st.floats(allow_nan=False)))
 
 
 class TestSeriesRoundTrip:
@@ -194,11 +191,9 @@ class TestSeriesRoundTrip:
         )
 
     def test_one_row_is_a_fixed_size_frame(self):
-        _, frame = self._encode(
-            {"seconds": [598], "vectors": [[0.0] * 8], "watermark": 597.5}
-        )
+        _, frame = self._encode(SeriesRows(598, [[0.0] * 8], 597.5))
         assert len(frame) == _LENGTH.size + 25 + 8 * 8
-        _, empty = self._encode({"seconds": [], "vectors": [], "watermark": -1.0})
+        _, empty = self._encode(SeriesRows(598, [], -1.0))
         assert len(empty) == _LENGTH.size + 25
 
     @given(_series(), st.data())
@@ -224,16 +219,12 @@ class TestSeriesRoundTrip:
         assert all(len(row) == len(STATES) for row in rows)
 
     def test_series_frame_without_catalog_rejected(self):
-        _, frame = self._encode(
-            {"seconds": [1], "vectors": [[0.0] * 8], "watermark": 1.0}
-        )
+        _, frame = self._encode(SeriesRows(1, [[0.0] * 8], 1.0))
         with pytest.raises(ProtocolError, match="no interned metric catalog"):
             decode_message(frame, metric_names=())
 
     def test_row_count_that_disagrees_with_the_body_rejected(self):
-        _, frame = self._encode(
-            {"seconds": [1, 2], "vectors": [[0.0] * 8] * 2, "watermark": 1.0}
-        )
+        _, frame = self._encode(SeriesRows(1, [[0.0] * 8] * 2, 1.0))
         body = bytearray(frame[_LENGTH.size:])
         body[23:25] = (3).to_bytes(2, "big")
         with pytest.raises(ProtocolError, match="truncated"):
@@ -337,10 +328,8 @@ class TestFixedLayouts:
 
     def test_golden_series(self):
         frame = encode_response_frame(
-            {"id": 5, "result": {
-                "seconds": [598], "vectors": [[1.0] + [0.0] * 7],
-                "watermark": 597.5,
-            }}, "collect", STATES,
+            {"id": 5, "result": SeriesRows(598, [[1.0] + [0.0] * 7], 597.5)},
+            "collect", STATES,
         )
         assert frame.hex() == (
             "00000059" "a5" "04" "00000005" "00"
@@ -408,9 +397,8 @@ class TestFixedLayouts:
                 "sample", CATALOG,
             ), CATALOG),
             (encode_response_frame(
-                {"id": 1, "result": {
-                    "seconds": [3, 4], "vectors": [[0.0] * 8] * 2, "watermark": 2.0,
-                }}, "collect", STATES,
+                {"id": 1, "result": SeriesRows(3, [[0.0] * 8] * 2, 2.0)},
+                "collect", STATES,
             ), STATES),
         ]
 
@@ -754,13 +742,13 @@ class _Scripted:
 _GOOD = {
     "sample": _window(1.0, 50.0),
     "poll_many": {"node_name": "node-01", "windows": [_window(1.0, 50.0)]},
-    "collect": {"seconds": [4], "vectors": [[1.0, 2.0, 3.0]], "watermark": 3.5},
+    "collect": SeriesRows(4, [[1.0, 2.0, 3.0]], 3.5),
 }
 _OTHER = ("loadavg_1", "disk_sectors_written_per_s", "cpu_idle_pct")
 
 
-def _series_with(**fields):
-    return dict(_GOOD["collect"], **fields)
+def _series_with(first=4, rows=([1.0, 2.0, 3.0],)):
+    return SeriesRows(first, list(rows), 3.5)
 
 
 class TestWhatDoesNotFit:
@@ -796,17 +784,17 @@ class TestWhatDoesNotFit:
          dict(_GOOD["poll_many"], windows=[dict(_GOOD["sample"], node_name="node-02")]),
          RemoteError, "a window's node_name is not the batch's 'node-01'"),
         ("collect", {"now": 1.0}, None,
-         _series_with(seconds=[1, 3], vectors=[[0.0] * 3] * 2),
-         RemoteError, "seconds are not consecutive integers"),
+         dict(_GOOD["collect"], seconds=[1, 3], vectors=[[0.0] * 3] * 2),
+         RemoteError, "result with keys seconds, vectors, watermark is no SeriesRows"),
         ("collect", {"now": 1.0}, None,
-         _series_with(seconds=list(range(0x10000)), vectors=[[0.0] * 3] * 0x10000),
+         _series_with(rows=[[0.0] * 3] * 0x10000),
          RemoteError, r"65536 rows \(at most 65 535\)"),
-        ("collect", {"now": 1.0}, None, _series_with(vectors=[[0.0] * 2]),
+        ("collect", {"now": 1.0}, None, _series_with(rows=[[0.0] * 2]),
          RemoteError, "rows are not 3 values wide"),
-        ("collect", {"now": 1.0}, None, _series_with(seconds=[2**63]),
+        ("collect", {"now": 1.0}, None, _series_with(first=2**63),
          RemoteError, "series values"),
         ("collect", {"now": 1.0}, None, {"seconds": [], "vectors": []},
-         RemoteError, "is not seconds, vectors and watermark"),
+         RemoteError, "result with keys seconds, vectors is no SeriesRows"),
     ], ids=[
         "extra-param", "now-not-a-number", "max-windows-not-a-number",
         "non-hex-trace", "extra-window-key", "row-off-catalog", "dict-row",

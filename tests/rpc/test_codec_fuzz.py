@@ -8,14 +8,28 @@ reads a binary frame exactly as the general decoder does (including the
 :class:`RemoteError` an error frame carries) and refuses any other.  A
 valid stream of frames cut anywhere reassembles into the same frames,
 through :func:`frame_length` and through ``MultiPoller._pump``'s buffer.
+A :class:`SeriesRows` is the dict it stands for: it compares, reads and
+JSON-encodes as that dict, and a plan reads its frame back as the
+general decoder does.
 """
+
+import json
+import struct
+
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.rpc import MetricRow, ProtocolError, RemoteError, TraceContext
+from repro.rpc import (
+    MetricRow,
+    ProtocolError,
+    RemoteError,
+    SeriesRows,
+    TraceContext,
+)
 from repro.rpc.codec import (
     CODEC_BINARY,
+    _pack_trace,
     MAGIC,
     Wire,
     decode_message,
@@ -27,6 +41,7 @@ from repro.rpc.poller import MultiPoller, _InFlight
 from repro.rpc.protocol import (
     _LENGTH,
     decode_frame,
+    encode_frame,
     intern_catalog,
     response_result,
 )
@@ -52,8 +67,7 @@ class Handler:
                 "node": MetricRow(self.metric_names, np.zeros(len(self.metric_names)))}
 
     def rpc_collect(self, now=None):
-        return {"seconds": [1], "vectors": [[0.0] * len(self.metric_names)],
-                "watermark": 0.5}
+        return SeriesRows(1, [[0.0] * len(self.metric_names)], 0.5)
 
     def rpc_poll_many(self, now=None, max_windows=32):
         return {"node_name": "n", "windows": [self.rpc_sample(now)]}
@@ -97,13 +111,13 @@ def _valid_frames():
                 frames.append(encode_request_frame(5, method, params, wire))
     for width in (8, 64):
         handler = Handler(CATALOGS[width])
-        rows = {"seconds": [4, 5, 6], "vectors": [[1.0] * width] * 3, "watermark": 3.5}
+        rows = SeriesRows(4, [[1.0] * width] * 3, 3.5)
         for method, result in (
             ("sample", handler.rpc_sample()), ("sample", None),
             ("poll_many", handler.rpc_poll_many()),
             ("poll_many", {"node_name": "n", "windows": []}),
             ("collect", handler.rpc_collect()), ("collect", rows),
-            ("collect", {"seconds": [], "vectors": [], "watermark": -1.0}),
+            ("collect", SeriesRows(0, [], -1.0)),
         ):
             for extra in ({}, {"trace": trace}):
                 frames.append(encode_response_frame(
@@ -176,6 +190,13 @@ class TestArbitraryPayloads:
                     changed[at] = value
                     for width in CATALOGS:
                         check_decoders(bytes(changed), width)
+
+    def test_a_node_name_of_255_bytes_that_is_not_utf8(self):
+        """It decodes to more than 255 bytes of text: read, not refused."""
+        name = b"\xff" * 255
+        head = struct.pack(f">BBIBB{len(name)}sHdd", MAGIC, 2, 7, 2, len(name), name, 1, 1.0, 2.0)
+        for width in (8, 64):
+            check_decoders(head + bytes(8 * width), width)
 
     @settings(max_examples=300, deadline=None)
     @given(st.sampled_from(_VALID), st.integers(0, 1 << 16), st.integers(0, 255),
@@ -284,3 +305,40 @@ class TestChunkedStreams:
             assert pumps == len(pieces) - 1
             assert outcomes["peer"].error is None
             assert outcomes["peer"].result == frame
+
+
+_series = st.builds(
+    SeriesRows,
+    st.integers(-2**40, 2**40),
+    st.integers(0, 5).flatmap(lambda rows: st.lists(
+        st.lists(st.floats(allow_nan=False), min_size=8, max_size=8),
+        min_size=rows, max_size=rows,
+    )),
+    st.floats(allow_nan=False),
+)
+
+
+class TestSeriesRowsIsItsDict:
+    @settings(max_examples=200, deadline=None)
+    @given(_series, st.booleans())
+    def test_it_compares_reads_and_encodes_as_its_dict(self, series, traced):
+        seconds = list(range(series.first, series.first + len(series.rows)))
+        as_dict = {"seconds": seconds, "vectors": series.rows,
+                   "watermark": series.watermark}
+        assert series == as_dict and as_dict == series and dict(series) == as_dict
+        assert list(series) == ["seconds", "vectors", "watermark"]
+        assert [series[key] for key in series] == list(as_dict.values())
+        assert encode_frame({"result": series}) == encode_frame({"result": as_dict})
+        assert json.loads(encode_frame({"result": series})[_LENGTH.size:]) == {
+            "result": as_dict
+        }
+        # The frame a plan packs, read by the plan and by the general
+        # decoder: the same SeriesRows, equal to the dict.
+        trace = TraceContext.new_root().to_wire() if traced else None
+        frame = wire_for(CATALOGS[8]).plans["collect"].pack(
+            7, series, b"" if trace is None else _pack_trace(trace)
+        )
+        general, _ = decode_message(frame, "", CATALOGS[8])
+        assert general["result"] == as_dict
+        assert_same(outcome(wire_for(CATALOGS[8]).plans["collect"].result, frame, 7),
+                    ("ok", general["result"]))

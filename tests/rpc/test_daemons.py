@@ -1,11 +1,22 @@
 """Tests for the sadc and hadoop_log collection daemons."""
 
+import random
+from functools import partial
+
 import pytest
 
-from repro.hadoop import DaemonLog, TASKTRACKER_CLASS
-from repro.rpc import LOG_PARSER_LAG_S, HadoopLogDaemon, SadcDaemon
+from repro.hadoop import DATANODE_CLASS, DaemonLog, TASKTRACKER_CLASS, format_line
+from repro.rpc import (
+    LOG_PARSER_LAG_S,
+    HadoopLogDaemon,
+    InprocChannel,
+    SadcDaemon,
+    SeriesRows,
+)
+from repro.rpc.daemons import MAX_BUFFERED_WINDOWS
 from repro.sysstat import NODE_METRICS
 
+from hadoop.log_oracle import NodeLogParser  # tests/hadoop: the interval scan
 from sysstat.sadc_oracle import SampledProcFS  # tests/sysstat: the per-node sampler
 
 
@@ -156,3 +167,77 @@ class TestHadoopLogDaemon:
         result = daemon.rpc_collect(now=10.0)
         for vector in result["vectors"]:
             assert all(isinstance(x, float) for x in vector)
+
+
+def _log_schedule(seed: int, end: float):
+    """(time, daemon, message) lines, time-ordered: bursts of map tasks,
+    reduce tasks with phases and written, read and deleted blocks, split
+    by idle stretches."""
+    rng = random.Random(seed)
+    lines, t, ids = [], 0.0, iter(range(1, 10**6))
+    while t < end:
+        t += rng.choice([0.4, 1.0, 3.0, 9.0, 25.0])
+        for _ in range(rng.randint(1, 5)):
+            start, length, n = t + 3 * rng.random(), rng.uniform(0.2, 40), next(ids)
+            kind = rng.choice(["map", "reduce", "block"])
+            if kind == "block":
+                lines += [(start, "dn", f"Receiving block blk_{n} src: /a dest: /b"),
+                          (start + length, "dn", f"Received block blk_{n} of size 1 from /a")]
+                if rng.random() < 0.5:
+                    lines.append((start + length / 2, "dn", f"Served block blk_{n} to /c"))
+                if rng.random() < 0.3:
+                    lines.append((start + length + 1, "dn", f"Deleting block blk_{n} file /d"))
+                continue
+            attempt = f"task_0001_{kind[0]}_{n:06d}_0"
+            lines.append((start, "tt", f"LaunchTaskAction: {attempt}"))
+            if kind == "reduce":
+                lines += [(start + length / 3, "tt", f"{attempt} 0.50% reduce > sort"),
+                          (start + length / 2, "tt", f"{attempt} 0.80% reduce > reduce")]
+            lines.append((start + length, "tt", f"Task {attempt} is done."))
+    return sorted(lines)
+
+
+def _collect_rows(seed: int, polls, call=None):
+    """Every second one daemon over a tasktracker and a datanode log
+    serves while the schedule's lines are written as time passes,
+    checked row by row against the interval-scan oracle."""
+    logs = {"tt": DaemonLog("n", "tasktracker"), "dn": DaemonLog("n", "datanode")}
+    classes = {"tt": TASKTRACKER_CLASS, "dn": DATANODE_CLASS}
+    daemon = HadoopLogDaemon("n", logs["tt"], logs["dn"])
+    collect = call(daemon) if call is not None else daemon.rpc_collect
+    oracle, lines, rows = NodeLogParser("n"), _log_schedule(seed, polls[-1]), {}
+    for now in polls:
+        while lines and lines[0][0] <= now:
+            time, which, message = lines.pop(0)
+            logs[which].append(time, "INFO", classes[which], message)
+            oracle.feed_line(format_line(time, "INFO", classes[which], message))
+        result = collect(now=now)
+        assert type(result) is SeriesRows
+        assert len(result.rows) <= MAX_BUFFERED_WINDOWS
+        for at, row in enumerate(result.rows):
+            assert result.first + at not in rows
+            assert row == oracle.state_vector(result.first + at).tolist(), (seed, now)
+            rows[result.first + at] = row
+    return rows
+
+
+class TestSteadyPathIsTheGeneralPath:
+    """A steady ``collect`` -- no new line, one second, the running row
+    handed out -- gives what the interval scan gives, and the same lines
+    give the same rows polled every second or in batches."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rows_equal_the_oracle_and_batches_equal_steps(self, seed):
+        rng = random.Random(seed)
+        steady = []
+        for t in range(900):
+            if 300 <= t < 300 + MAX_BUFFERED_WINDOWS + 45:
+                continue                    # a poll gap past one frame's worth
+            steady += [float(t)] * (2 if rng.random() < 0.1 else 1)
+        via_channel = _collect_rows(
+            seed, steady, lambda daemon: partial(InprocChannel(daemon, "hl").call, "collect")
+        )
+        batched = _collect_rows(seed, [float(t) for t in range(0, 900, 13)] + [899.0])
+        assert sorted(via_channel) == sorted(batched) == list(range(899 - LOG_PARSER_LAG_S))
+        assert via_channel == batched
+        assert sum(map(sum, batched.values())) > 900     # the rows are not idle

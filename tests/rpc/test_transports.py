@@ -363,11 +363,10 @@ class TestInprocCountsLikeTcp:
         assert channel.counter.messages_sent == sent + 1
         assert channel.counter.messages_received == received
 
-    def test_the_row_is_handed_through_not_rebuilt(self, monkeypatch):
+    def test_the_row_is_handed_through_not_rebuilt(self):
         """Sampler row -> frame -> decoded row: no 64-key dict between."""
         import numpy as np
 
-        import repro.rpc.daemons as daemons_module
         from repro.rpc import MetricRow
 
         handler, procfs = _sadc_handler()
@@ -380,11 +379,9 @@ class TestInprocCountsLikeTcp:
 
         handler._sampler.collect_vector = remember
         windows = []
-        node_window = daemons_module._node_window
-        monkeypatch.setattr(
-            daemons_module, "_node_window",
-            lambda *args: windows.append(node_window(*args)) or windows[-1],
-        )
+        sample_window = handler.rpc_sample
+        # Bound on the instance before the channel opens, so its plan calls it.
+        handler.rpc_sample = lambda now: windows.append(sample_window(now)) or windows[-1]
         channel = InprocChannel(handler, "svc@node")
         channel.call("sample", now=0.0)
         procfs.cpu.idle += 4.0
