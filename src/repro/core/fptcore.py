@@ -1,20 +1,10 @@
 """The fpt-core facade: configuration in, running diagnosis DAG out.
 
-:class:`FptCore` ties the pieces together -- it parses a configuration
-(or accepts pre-parsed specs), builds the module DAG against a registry,
-installs scheduling hooks, and exposes the run loop.  A specific
-configuration of the fpt-core *is* a specific online fingerpointing tool
-(paper section 3.1): the same core can be wired as a black-box
-fingerpointer, a white-box one, a hybrid, or a pure data logger.
-
-Typical use::
-
-    from repro.core import FptCore, SimClock
-    from repro.modules import standard_registry
-
-    core = FptCore.from_config(config_text, standard_registry(), SimClock())
-    core.run_for(600.0)          # simulated seconds
-    core.close()
+:class:`FptCore` parses a configuration (or takes parsed specs), builds
+the module DAG against a registry, installs the scheduling hooks, runs
+it and, at ``close()``, lets it go (DESIGN.md "fpt-core").  A
+configuration of the fpt-core *is* an online fingerpointing tool (paper
+section 3.1): black-box, white-box, hybrid or a pure data logger.
 """
 
 from __future__ import annotations
@@ -54,13 +44,6 @@ class FptCore:
         self._queue_capacity = queue_capacity
         self._services = services
 
-        def install_hooks(ctx: ModuleContext) -> None:
-            ctx._schedule_periodic = self.scheduler.schedule_periodic
-            ctx._set_trigger = self.scheduler.set_trigger
-            ctx.telemetry = self.telemetry
-
-        self._install_hooks = install_hooks
-
         #: Optional :class:`repro.flightrec.FlightRecorder` tapping every
         #: output; set by :meth:`set_flight_recorder` (or by the
         #: recorder's own ``attach``).  ``None`` keeps the write hot path
@@ -76,7 +59,7 @@ class FptCore:
             specs,
             registry,
             self.clock,
-            install_hooks=install_hooks,
+            install_hooks=self._install_hooks,
             queue_capacity=queue_capacity,
             services=services,
         )
@@ -86,6 +69,11 @@ class FptCore:
             for output in ctx.outputs.values():
                 self.scheduler.attach_output(output)
         self._closed = False
+
+    def _install_hooks(self, ctx: ModuleContext) -> None:
+        ctx._schedule_periodic = self.scheduler.schedule_periodic
+        ctx._set_trigger = self.scheduler.set_trigger
+        ctx.telemetry = self.telemetry
 
     # -- construction ---------------------------------------------------------
 
@@ -210,12 +198,19 @@ class FptCore:
         self.scheduler.stop()
 
     def close(self) -> None:
-        """Release module resources; idempotent."""
+        """Close the modules, then cut the wiring's reference cycles
+        (output <-> connection, the scheduler's hooks and trigger plans)
+        so reference counting frees the core; module state stays
+        readable.  Idempotent."""
         if self._closed:
             return
         self._closed = True
         for module in self.dag.instances.values():
             module.close()
+        for ctx in self.dag.contexts.values():
+            ctx._schedule_periodic = ctx._set_trigger = None
+            for output in ctx.outputs.values():
+                output.subscribers, output._plan, output._planner = [], (), None
 
     def __enter__(self) -> "FptCore":
         return self

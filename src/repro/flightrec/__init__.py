@@ -1,17 +1,8 @@
-"""Flight recorder, incident bundles and archive replay for the fpt-core.
-
-The observability layer the paper's operators would need in production
-(and that DCDB Wintermute pairs with its live analysis): record what
-flowed through every channel, freeze the evidence when an alarm fires,
-and replay captured traces through any configuration.
-
-* :class:`FlightRecorder` -- taps every output's ``on_write`` chain into
-  bounded per-channel ring buffers, optionally archiving to JSONL.
-* :func:`build_incident_bundle` / :func:`load_bundles` /
-  :func:`render_bundle_text` -- the frozen evidence behind one alarm.
-* :class:`ReplayArchive`, :class:`ReplaySourceModule`,
-  :func:`run_replay` -- deterministic faster-than-real-time replay of a
-  recorded archive through a DAG config.
+"""Flight recorder, incident bundles and archive replay for the fpt-core
+(DESIGN.md "Flight recorder"): record what flowed through every channel
+(:class:`FlightRecorder`), freeze the evidence when an alarm fires
+(:func:`build_incident_bundle`), and replay a recorded archive through
+any configuration (:class:`ReplayArchive`, :func:`run_replay`).
 """
 
 from .bundle import (
@@ -27,7 +18,6 @@ from .replay import (
     ReplayRecord,
     ReplayResult,
     ReplaySourceModule,
-    archived_stats_rounds,
     make_replay_registry,
     replay_core,
     run_replay,
@@ -41,7 +31,6 @@ __all__ = [
     "ReplayRecord",
     "ReplayResult",
     "ReplaySourceModule",
-    "archived_stats_rounds",
     "build_incident_bundle",
     "decode_value",
     "encode_value",

@@ -1,24 +1,11 @@
 """Archive replay: feed a recorded run back through any DAG config.
 
-BiDAl-style replayable traces for the fpt-core: a run recorded by the
-:class:`~repro.flightrec.recorder.FlightRecorder` (with an archive
-directory) can be re-run through the *same or a different* configuration
-at simulated speed -- no cluster simulator, no model training, just the
-DAG math.  That turns threshold re-tuning (``experiments/sweep.py``) and
-regression tests into archive replays instead of fresh simulations.
-
-How it works: the config's source instances (those with no inputs --
-``sadc``, ``hadoop_log``) are substituted with :class:`ReplaySourceModule`
-instances.  Each replay source recreates its original instance's outputs
-(same names, same :class:`~repro.core.Origin`) from the archive's output
-metadata and re-emits the recorded samples at their recorded emission
-times on the simulated clock.  Because the downstream DAG, the write
-order and the clock grid are identical to the recording, the analysis
-modules raise byte-identical alarms.
-
-Determinism contract: archives must come from a simulated-clock run (the
-default everywhere in this repo); wall-clock recordings replay too, but
-emission jitter then lands on the replay tick grid.
+The config's source instances (no inputs: ``sadc``, ``hadoop_log``)
+become :class:`ReplaySourceModule` instances that recreate the recorded
+outputs and re-emit their samples at the recorded emission times, at
+simulated speed.  The downstream DAG, the write order and the clock grid
+are the recording's, so the analyses raise byte-identical alarms (a
+wall-clock recording replays too, its jitter on the replay tick grid).
 """
 
 from __future__ import annotations
@@ -27,10 +14,14 @@ import json
 import os
 import sys
 from array import array
-from collections import defaultdict
+from bisect import bisect_right
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
-from itertools import chain
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Union
+from itertools import accumulate, chain
+from operator import itemgetter
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+
+import numpy as np
 
 from ..analysis.metrics import Alarm
 from ..core import (
@@ -56,73 +47,130 @@ from .recorder import (
     READABLE_ARCHIVE_FORMATS,
 )
 
-__all__ = [
-    "ReplayArchive",
-    "ReplayRecord",
-    "ReplaySourceModule",
-    "ReplayResult",
-    "archived_stats_rounds",
-    "make_replay_registry",
-    "replay_core",
-    "run_replay",
-]
+__all__ = ["ReplayArchive", "ReplayRecord", "ReplaySourceModule", "ReplayResult",
+           "make_replay_registry", "replay_core", "run_replay"]
+
+_UNREAD = object()
 
 
-@dataclass(frozen=True)
 class ReplayRecord:
-    """One archived write: when it was emitted, on which output, what."""
+    """One archived write: emission time ``at``, the sample's
+    ``timestamp``, ``output`` ("instance.output") and ``value``, built on
+    access; ``value`` is read from the archive when first asked for."""
 
-    at: float          # clock time of the original emission
-    timestamp: float   # the sample's own timestamp
-    output: str        # output full name ("instance.output")
-    value: object      # decoded payload
+    __slots__ = ("at", "timestamp", "output", "_stream", "_index", "_value")
+
+    def __init__(self, stream: "_Stream", index: int) -> None:
+        self.at, self.timestamp = stream.at[index], stream.t[index]
+        self.output = stream.names[stream.slot[index]]
+        self._stream, self._index, self._value = stream, index, _UNREAD
+
+    @property
+    def value(self) -> object:
+        if self._value is _UNREAD:
+            self._value = self._stream.value(self._index)
+        return self._value
 
 
-class _ArchiveIndex:
-    """One pass over an archive's records: which output wrote where."""
+def _read_value(fh, offset: int) -> object:
+    fh.seek(offset)
+    return decode_value(json.loads(fh.readline())["v"])
 
-    def __init__(self, records: List[ReplayRecord], outputs: Dict[str, dict]) -> None:
-        self.records = records
-        self.size = len(records)
-        #: output full name -> positions of its records (packed ints).
-        self.positions: Dict[str, array] = defaultdict(lambda: array("q"))
-        for position, record in enumerate(records):
-            self.positions[record.output].append(position)
-        #: owner -> its outputs' full names; an output missing from
-        #: ``outputs.json`` belongs to the instance its name starts with.
-        self.names: Dict[str, List[str]] = {}
-        for name in dict.fromkeys(chain(outputs, self.positions)):
-            meta = outputs.get(name)
-            owner = meta["owner"] if meta else name.partition(".")[0]
-            self.names.setdefault(owner, []).append(name)
-        #: owner -> its records in file order; shared by all who ask.
-        self.by_owner = {
-            owner: self.select(names) for owner, names in self.names.items()
-        }
 
-    def select(self, full_names: Iterable[str]) -> List[ReplayRecord]:
-        """The records of these outputs, merged in file order."""
-        found = [self.positions[n] for n in full_names if n in self.positions]
-        merged = found[0] if len(found) == 1 else sorted(chain.from_iterable(found))
-        return [self.records[position] for position in merged]
+class _Stream:
+    """One instance's records in file order, as columns: ``slot`` (into
+    ``names``), ``at``, ``t`` and the byte ``offset`` of each line of
+    ``samples.jsonl``.  A source whose every value is a float64 vector of
+    one width keeps them in ``rows``, one read-only matrix; other values
+    stay in the file until asked for.
+    """
+
+    def __init__(self, path: str, number: int) -> None:
+        self.path, self.number, self.names = path, number, []
+        self.slot, self.offset = array("i"), array("q")
+        self.at, self.t = array("d"), array("d")
+        self.rows: Optional[np.ndarray] = None
+        #: The row bytes while loading; ``None`` once a value is no
+        #: vector of the first one's width.
+        self.pending: Optional[bytearray] = bytearray()
+        self.width = 0
+        #: Record index -> its value, for the records that are alarms.
+        self.alarms: Dict[int, Alarm] = {}
+        self._replay: Optional[Tuple[array, list]] = None
+
+    def add(self, value: object) -> None:
+        """Keep the rows while every value is a float64 vector of the
+        first one's width."""
+        if (isinstance(value, np.ndarray) and value.dtype == np.float64 and value.ndim == 1
+                and value.size and value.size == (self.width or value.size)):
+            self.pending += value.tobytes()
+            self.width = value.size
+        else:
+            self.pending = None
+
+    def finish(self) -> None:
+        if self.t.tobytes() == self.at.tobytes():
+            self.t = self.at  # a simulated clock's archive: one column
+        if self.pending:
+            self.rows = np.frombuffer(self.pending, dtype="<f8").reshape(
+                len(self.at), self.width).copy()
+            self.rows.flags.writeable = False
+        self.pending = None
+
+    def replay(self) -> Tuple[array, list]:
+        """``(due, values)``, built once for every core replaying this
+        stream: ``at`` as a running maximum (a bisect lands where a scan
+        for the first later record stops) and the rows as views, or the
+        decoded objects."""
+        if self._replay is None:
+            if self.rows is not None:
+                values = list(self.rows)
+            else:
+                with open(self.path, "rb") as fh:
+                    values = [_read_value(fh, offset) for offset in self.offset]
+            self._replay = (array("d", accumulate(self.at, max)), values)
+        return self._replay
+
+    def value(self, k: int) -> object:
+        if self.rows is not None:
+            return self.rows[k].copy()  # an array of its own
+        if self._replay is not None:
+            return self._replay[1][k]
+        with open(self.path, "rb") as fh:
+            return _read_value(fh, self.offset[k])
+
+
+class _Records(SequenceABC):
+    """``ReplayArchive.records``: record ``i`` of the file is record
+    ``index[i]`` of stream ``streams[number[i]]``, built when read."""
+
+    def __init__(self, streams: List[_Stream], number: array, index: array) -> None:
+        self._streams, self._number, self._index = streams, number, index
+
+    def __len__(self) -> int:
+        return len(self._index)
+
+    def __getitem__(self, i: int) -> ReplayRecord:
+        return ReplayRecord(self._streams[self._number[i]], self._index[i])
+
+    def __iter__(self):
+        streams = self._streams
+        return (ReplayRecord(streams[n], k) for n, k in zip(self._number, self._index))
 
 
 class ReplayArchive:
-    """A loaded flight-recorder archive directory.
+    """A loaded flight-recorder archive directory: one :class:`_Stream`
+    of columns per instance.  Values other than a source's vector rows
+    are read back from ``samples.jsonl`` when asked for, so the directory
+    must outlive the archive.  ``records``: all of it in file order."""
 
-    ``records`` is the archive in file order; per-instance and
-    per-output questions are answered from an index built lazily in one
-    pass (rebuilt if ``records`` was appended to or replaced).
-    ``records_for_instance`` hands every caller the same list: read it.
-    """
-
-    def __init__(self, directory: str, records: List[ReplayRecord],
-                 outputs: Dict[str, dict], manifest: dict) -> None:
+    def __init__(self, directory: str, outputs: Dict[str, dict], manifest: dict,
+                 streams: Dict[str, _Stream], number: array, index: array) -> None:
         self.directory = directory
-        self.records = records          # file order == emission order
         self.outputs = outputs          # full_name -> {owner, name, origin}
         self.manifest = manifest
-        self._indexed: Optional[_ArchiveIndex] = None
+        self._streams = streams         # owner -> its records
+        self.records: Sequence[ReplayRecord] = _Records(list(streams.values()), number, index)
 
     @classmethod
     def load(cls, directory: str) -> "ReplayArchive":
@@ -130,88 +178,92 @@ class ReplayArchive:
 
         ``asdf-flight-archive/2`` (arrays as bytes), ``/1`` (arrays as
         decimal lists) and archives without a manifest or a tag load
-        alike -- :func:`~repro.flightrec.codec.decode_value` tells the
-        two array forms apart per value.  Any other tag is a newer or
-        foreign layout and raises ``ValueError`` instead of being guessed.
+        into the same columns.  Any other tag is a newer or foreign
+        layout and raises ``ValueError`` instead of being guessed.
         """
         samples_path = os.path.join(directory, ARCHIVE_SAMPLES_FILE)
         if not os.path.exists(samples_path):
             raise FileNotFoundError(
-                f"no flight archive at {directory!r} (missing "
-                f"{ARCHIVE_SAMPLES_FILE})"
-            )
-        manifest: dict = {}
-        manifest_path = os.path.join(directory, ARCHIVE_MANIFEST_FILE)
-        if os.path.exists(manifest_path):
-            with open(manifest_path, encoding="utf-8") as fh:
-                manifest = json.load(fh)
+                f"no flight archive at {directory!r} (missing {ARCHIVE_SAMPLES_FILE})")
+        manifest, outputs = (_read_json(os.path.join(directory, name))
+                             for name in (ARCHIVE_MANIFEST_FILE, ARCHIVE_OUTPUTS_FILE))
         tag = manifest.get("format")
         if tag is not None and tag not in READABLE_ARCHIVE_FORMATS:
-            raise ValueError(
-                f"flight archive at {directory!r} has format {tag!r}; this "
-                f"reader knows {', '.join(READABLE_ARCHIVE_FORMATS)}"
-            )
-        records: List[ReplayRecord] = []
-        with open(samples_path, encoding="utf-8") as fh:
+            raise ValueError(f"flight archive at {directory!r} has format {tag!r}; this "
+                             f"reader knows {', '.join(READABLE_ARCHIVE_FORMATS)}")
+        streams: Dict[str, _Stream] = {}
+        places: Dict[str, Tuple[_Stream, int]] = {}
+
+        def place(name: str) -> Tuple[_Stream, int]:
+            meta = outputs.get(name)
+            # An output ``outputs.json`` lacks belongs to the instance
+            # its name starts with.
+            owner = meta["owner"] if meta else name.partition(".")[0]
+            if owner not in streams:
+                streams[owner] = _Stream(samples_path, len(streams))
+            stream = streams[owner]
+            found = places[name] = (stream, len(stream.names))
+            stream.names.append(sys.intern(name))
+            return found
+
+        for name in outputs:
+            place(name)
+        number, index = array("i"), array("i")
+        offset = 0
+        with open(samples_path, "rb") as fh:
             for line in fh:
-                line = line.strip()
-                if not line:
+                start, offset = offset, offset + len(line)
+                if not line.strip():
                     continue
                 obj = json.loads(line)
-                records.append(
-                    ReplayRecord(
-                        at=float(obj["at"]),
-                        timestamp=float(obj["t"]),
-                        # One str per output, not per record.
-                        output=sys.intern(obj["o"]),
-                        value=decode_value(obj["v"]),
-                    )
-                )
-        outputs: Dict[str, dict] = {}
-        outputs_path = os.path.join(directory, ARCHIVE_OUTPUTS_FILE)
-        if os.path.exists(outputs_path):
-            with open(outputs_path, encoding="utf-8") as fh:
-                outputs = json.load(fh)
-        return cls(directory, records, outputs, manifest)
-
-    def _index(self) -> _ArchiveIndex:
-        index = self._indexed
-        records = self.records
-        if (index is None or index.records is not records
-                or index.size != len(records)):
-            index = self._indexed = _ArchiveIndex(records, self.outputs)
-        return index
+                stream, slot = places.get(obj["o"]) or place(obj["o"])
+                number.append(stream.number)
+                index.append(len(stream.at))
+                stream.slot.append(slot)
+                stream.offset.append(start)
+                stream.at.append(float(obj["at"]))
+                stream.t.append(float(obj["t"]))
+                value = obj["v"]
+                if type(value) is dict and value.get("__kind__") in ("ndarray", "alarm"):
+                    value = decode_value(value)
+                if isinstance(value, Alarm):
+                    stream.alarms[len(stream.at) - 1] = value
+                if stream.pending is not None:
+                    stream.add(value)
+        for stream in streams.values():
+            stream.finish()
+        return cls(directory, outputs, manifest, streams, number, index)
 
     def instances(self) -> Set[str]:
         """Instance ids that own at least one archived output."""
-        return set(self._index().names)
+        return set(self._streams)
 
     def outputs_of(self, instance_id: str) -> Dict[str, dict]:
         """Output name -> metadata for one instance's archived outputs."""
-        names = self._index().names.get(instance_id, ())
-        metas = (self.outputs[name] for name in names if name in self.outputs)
-        return {meta["name"]: meta for meta in metas}
+        return {m["name"]: m for m in self.outputs.values() if m["owner"] == instance_id}
 
     def records_for_instance(self, instance_id: str) -> List[ReplayRecord]:
         """Every record of the instance's outputs, in file order."""
-        return self._index().by_owner.get(instance_id, [])
+        stream = self._streams.get(instance_id)
+        return [ReplayRecord(stream, k) for k in range(len(stream.at))] if stream else []
 
-    def records_for_outputs(self, full_names: Iterable[str]) -> List[ReplayRecord]:
-        """The records of these outputs, merged in file order."""
-        return self._index().select(set(full_names))
-
-    def samples_for_output(self, full_name: str) -> List[ReplayRecord]:
-        return self._index().select((full_name,))
+    def _alarms_on(self, full_names: Iterable[str]) -> List[Alarm]:
+        """The alarms these outputs carried, in file order."""
+        wanted = set(full_names)
+        found = [(stream.offset[k], alarm) for stream in self._streams.values()
+                 for k, alarm in stream.alarms.items() if stream.names[stream.slot[k]] in wanted]
+        return [alarm for _, alarm in sorted(found, key=itemgetter(0))]
 
     def end_time(self) -> float:
-        return max((r.at for r in self.records), default=0.0)
+        return max(chain.from_iterable(s.at for s in self._streams.values()), default=0.0)
 
 
-def _infer_tick(records: Sequence[ReplayRecord]) -> float:
-    """Smallest positive gap between distinct emission times (default 1.0)."""
-    times = sorted({r.at for r in records})
-    gaps = [b - a for a, b in zip(times, times[1:]) if b - a > 1e-9]
-    return min(gaps) if gaps else 1.0
+def _read_json(path: str) -> dict:
+    """The JSON object in ``path``; empty when there is no such file."""
+    if not os.path.exists(path):
+        return {}
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 class ReplaySourceModule(Module):
@@ -246,37 +298,35 @@ class ReplaySourceModule(Module):
                 f"replay_source '{ctx.instance_id}': archive has no outputs "
                 f"for instance '{self.source_id}'"
             )
-        #: A record's output full name -> that output's bound ``write``.
-        self._writes = {}
+        writes = {}
         for name in sorted(metas):
             origin = metas[name].get("origin")
-            output = ctx.create_output(
-                name, Origin(**origin) if isinstance(origin, dict) else None
-            )
-            self._writes[f"{self.source_id}.{name}"] = output.write
-        # Shared with every other core replaying this archive.
-        self._records = archive.records_for_instance(self.source_id)
+            output = ctx.create_output(name, Origin(**origin) if origin else None)
+            writes[f"{self.source_id}.{name}"] = output.write
+        # The columns, shared with every other core replaying the archive.
+        self._stream = stream = archive._streams[self.source_id]
+        #: A record's slot -> that output's bound ``write``.
+        self._writes = [writes[name] for name in stream.names]
+        self._due, self._values = stream.replay()
         self._pos = 0
         self.samples_replayed = 0
         tick = ctx.param_float("tick")
-        if tick <= 0.0:
-            tick = _infer_tick(self._records)
+        if tick <= 0.0:  # the smallest gap between distinct emission times
+            times = sorted(set(stream.at))
+            gaps = (b - a for a, b in zip(times, times[1:]) if b - a > 1e-9)
+            tick = min(gaps, default=1.0)
         ctx.schedule_every(tick, ctx.param_float("phase"))
 
     def run(self, reason: RunReason) -> None:
-        now = self.ctx.clock.now() + 1e-9
-        records = self._records
-        writes = self._writes
-        start = pos = self._pos
-        end = len(records)
-        while pos < end:
-            record = records[pos]
-            if record.at > now:
-                break
-            writes[record.output](record.value, record.timestamp)
-            pos += 1
-        self._pos = pos
-        self.samples_replayed += pos - start
+        start = self._pos
+        end = bisect_right(self._due, self.ctx.clock.now() + 1e-9, start)
+        stream, writes = self._stream, self._writes
+        for slot, value, timestamp in zip(
+            stream.slot[start:end], self._values[start:end], stream.t[start:end]
+        ):
+            writes[slot](value, timestamp)
+        self._pos = end
+        self.samples_replayed += end - start
 
 
 def make_replay_registry(base: Optional[ModuleRegistry] = None) -> ModuleRegistry:
@@ -296,38 +346,24 @@ def _substitute_sources(
 ) -> List[InstanceSpec]:
     """Swap source instances for replay sources feeding from ``archive``."""
     recorded = archive.instances()
-    if replace is None:
-        replaced = {
-            spec.instance_id
-            for spec in specs
-            if not spec.inputs and spec.instance_id in recorded
-        }
-    else:
-        replaced = set(replace)
-        missing = sorted(replaced - recorded)
-        if missing:
-            raise ConfigError(
-                f"cannot replay: archive has no data for instances {missing}"
-            )
+    replaced = set(replace) if replace is not None else {
+        spec.instance_id for spec in specs
+        if not spec.inputs and spec.instance_id in recorded
+    }
+    missing = sorted(replaced - recorded)
+    if missing:
+        raise ConfigError(f"cannot replay: archive has no data for instances {missing}")
     if not replaced:
         raise ConfigError(
             "cannot replay: no config instance matches the archive "
             f"(archived instances: {sorted(recorded)[:8]}...)"
         )
-    out: List[InstanceSpec] = []
-    for spec in specs:
-        if spec.instance_id in replaced:
-            out.append(
-                InstanceSpec(
-                    module_type="replay_source",
-                    instance_id=spec.instance_id,
-                    params={},
-                    inputs=[],
-                )
-            )
-        else:
-            out.append(spec)
-    return out
+    return [
+        InstanceSpec(module_type="replay_source", instance_id=spec.instance_id,
+                     params={}, inputs=[])
+        if spec.instance_id in replaced else spec
+        for spec in specs
+    ]
 
 
 def replay_core(
@@ -346,12 +382,10 @@ def replay_core(
         registry = make_replay_registry()
     elif "replay_source" not in registry:
         registry.register(ReplaySourceModule)
-    merged_services = {"replay_archive": archive}
-    if services:
-        merged_services.update(services)
     return FptCore(
         specs, registry, SimClock(), queue_capacity,
-        services=merged_services, telemetry=telemetry,
+        services={"replay_archive": archive, **(services or {})},
+        telemetry=telemetry,
     )
 
 
@@ -408,29 +442,8 @@ def run_replay(
         if not isinstance(module, PrintModule):
             continue
         result.alarms[instance_id] = module.alarms
-        feeding = archive.records_for_outputs(
+        result.expected[instance_id] = archive._alarms_on(
             f"{edge.src_instance}.{edge.output_name}"
-            for edge in core.edges
-            if edge.dst_instance == instance_id
+            for edge in core.edges if edge.dst_instance == instance_id
         )
-        result.expected[instance_id] = [
-            r.value for r in feeding if isinstance(r.value, Alarm)
-        ]
     return result
-
-
-def archived_stats_rounds(
-    archive: ReplayArchive, instance_id: str = "analysis_bb",
-    output: str = "stats",
-) -> List[dict]:
-    """Decoded per-round analysis ``stats`` dicts from an archive.
-
-    Drop-in input for :func:`repro.experiments.sweep.blackbox_fp_sweep`
-    / ``whitebox_fp_sweep`` -- threshold re-tuning over a captured trace
-    without re-running the cluster.
-    """
-    return [
-        r.value
-        for r in archive.samples_for_output(f"{instance_id}.{output}")
-        if isinstance(r.value, dict)
-    ]

@@ -12,6 +12,7 @@ is what the Table 3 overhead benchmark reports.
 from __future__ import annotations
 
 import os
+import threading
 import time
 from time import process_time
 from collections import deque
@@ -37,7 +38,7 @@ MAX_BUFFERED_WINDOWS = 240
 class _CpuMeter:
     """CPU time spent in RPC handlers, and their calls: a handler reads
     ``process_time()`` on entry and adds the time since on every way out
-    (unlocked: a push-mode sampler loop and a poll can race)."""
+    (under ``ClusterNodeDaemon``'s lock: two threads charge that one)."""
 
     __slots__ = ("cpu_seconds", "calls")
 
@@ -183,8 +184,16 @@ class ClusterNodeDaemon:
             maxlen=MAX_BUFFERED_WINDOWS
         )
         self.meter = _CpuMeter()
+        self._meter_lock = threading.Lock()  # sampler and connection threads
         self.samples_served = 0
         self.windows_dropped = 0
+
+    def _charge(self, started: float) -> None:
+        """Add one handler's CPU time since ``started`` and its call."""
+        spent = process_time() - started
+        with self._meter_lock:
+            self.meter.cpu_seconds += spent
+            self.meter.calls += 1
 
     def _collect_window(self, ts: float) -> Optional[Dict[str, Any]]:
         self.load.advance_to(ts)
@@ -218,8 +227,7 @@ class ClusterNodeDaemon:
             self._windows.append(window)
             return True
         finally:
-            self.meter.cpu_seconds += process_time() - started
-            self.meter.calls += 1
+            self._charge(started)
 
     def rpc_sample(self, now: Optional[float] = None) -> Optional[Dict[str, Any]]:
         """One collection iteration; ``None`` while priming.
@@ -242,8 +250,7 @@ class ClusterNodeDaemon:
                 self.samples_served += 1  # fpt: noqa[FPT401] -- single writer: one poller connection serializes rpc_sample
             return window
         finally:
-            self.meter.cpu_seconds += process_time() - started
-            self.meter.calls += 1
+            self._charge(started)
 
     def rpc_poll_many(
         self, now: Optional[float] = None,
@@ -267,8 +274,7 @@ class ClusterNodeDaemon:
             self.samples_served += len(windows)  # fpt: noqa[FPT401] -- single writer: one poller connection serializes polls
             return {"node_name": self.node, "windows": windows}
         finally:
-            self.meter.cpu_seconds += process_time() - started
-            self.meter.calls += 1
+            self._charge(started)
 
     def rpc_inject(self, kind: str, intensity: float = 1.0) -> Dict[str, Any]:
         """Start perturbing this node's synthetic load (cpuhog/diskhog)."""
@@ -277,8 +283,7 @@ class ClusterNodeDaemon:
             self.load.inject(kind, float(intensity))
             return {"node": self.node, "fault": kind}
         finally:
-            self.meter.cpu_seconds += process_time() - started
-            self.meter.calls += 1
+            self._charge(started)
 
     def rpc_clear(self) -> Dict[str, Any]:
         """Stop any active perturbation."""
@@ -287,8 +292,7 @@ class ClusterNodeDaemon:
             self.load.clear()
             return {"node": self.node, "fault": None}
         finally:
-            self.meter.cpu_seconds += process_time() - started
-            self.meter.calls += 1
+            self._charge(started)
 
     def rpc_info(self) -> Dict[str, Any]:
         """Identity + counters, served to the federator's /cluster view."""
@@ -305,8 +309,7 @@ class ClusterNodeDaemon:
                 "windows_dropped": self.windows_dropped,
             }
         finally:
-            self.meter.cpu_seconds += process_time() - started
-            self.meter.calls += 1
+            self._charge(started)
 
 
 class StraceDaemon:

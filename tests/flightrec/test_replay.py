@@ -1,5 +1,8 @@
 """Tests for archive replay: record a run, replay it, compare alarms."""
 
+import gc
+import weakref
+
 import pytest
 
 from lint.helpers import per_node_knn_deployment  # tests/lint: the per-node text
@@ -10,6 +13,7 @@ from repro.flightrec import (
     FlightRecorder,
     ReplayArchive,
     make_replay_registry,
+    replay_core,
     run_replay,
 )
 
@@ -36,7 +40,7 @@ class TestReplayArchive:
         assert archive.instances() == {"src", "thr", "union"}
         assert set(archive.outputs_of("src")) == {"value"}
         assert archive.outputs_of("src")["value"]["origin"]["node"] == "slave01"
-        assert len(archive.samples_for_output("src.value")) == len(ALARM_SCRIPT)
+        assert sum(r.output == "src.value" for r in archive.records) == len(ALARM_SCRIPT)
         assert archive.end_time() == float(len(ALARM_SCRIPT)) - 1.0
         assert archive.manifest["config_text"] == ALARM_PIPELINE_CONFIG
 
@@ -91,6 +95,31 @@ class TestReplayDeterminism:
         )
         with pytest.raises(ConfigError, match="no config instance matches"):
             run_replay(archive, config)
+
+    def test_a_closed_core_is_freed_by_reference_counting(self, tmp_path):
+        """``close()`` cuts the wiring's cycles: with the collector off,
+        dropping the last reference frees the core, and what its
+        modules computed stays readable after the close."""
+        recorded_core, directory = record_run(tmp_path)
+        archive = ReplayArchive.load(directory)
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            core = replay_core(archive, ALARM_PIPELINE_CONFIG)
+            core.run_until(archive.end_time() + 1.0)
+            sink = core.instance("sink")
+            core.close()
+            assert sink.alarms == recorded_core.instance("sink").alarms
+            assert core.scheduler.total_runs > 0
+            freed = [weakref.ref(core), weakref.ref(core.scheduler),
+                     weakref.ref(sink), weakref.ref(core.instance("src")),
+                     weakref.ref(core.dag.contexts["src"].outputs["value"])]
+            del core, sink
+            assert [ref() for ref in freed] == [None] * len(freed)
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_make_replay_registry_is_idempotent(self):
         registry = make_replay_registry()
@@ -156,7 +185,7 @@ input[a] = thr.alarms
         assert archive.outputs_of("sadc")["b.cpu_user_pct"]["origin"] == {
             "node": "b", "source": "sadc", "metric": "cpu_user_pct",
         }
-        assert len(archive.samples_for_output("sadc.b.cpu_user_pct")) == 9
+        assert sum(r.output == "sadc.b.cpu_user_pct" for r in archive.records) == 9
         result = run_replay(archive, self.CONFIG)
         assert type(result.core.instance("sadc")).type_name == "replay_source"
         assert result.alarms["sink"] == recorded

@@ -1,6 +1,8 @@
 """Tests for the sadc and hadoop_log collection daemons."""
 
 import random
+import sys
+import threading
 from functools import partial
 
 import pytest
@@ -13,10 +15,11 @@ from repro.rpc import (
     SadcDaemon,
     SeriesRows,
 )
-from repro.rpc.daemons import MAX_BUFFERED_WINDOWS
+from repro.rpc.daemons import MAX_BUFFERED_WINDOWS, ClusterNodeDaemon
 from repro.sysstat import NODE_METRICS
 
 from hadoop.log_oracle import NodeLogParser  # tests/hadoop: the interval scan
+from cluster.helpers import SyntheticNodeLoad  # tests/cluster: the one test-side load
 from sysstat.sadc_oracle import SampledProcFS  # tests/sysstat: the per-node sampler
 
 
@@ -64,6 +67,30 @@ class TestSadcDaemon:
             daemon.rpc_sample(now=float(t))
         assert daemon.meter.calls == 5
         assert daemon.meter.cpu_seconds >= 0.0
+
+
+class TestClusterNodeDaemonMeter:
+    def test_two_threads_lose_no_charge(self):
+        """Push mode: the sampler thread buffers while the connection
+        thread polls, and both charge the one meter."""
+        daemon = ClusterNodeDaemon(
+            "node-01", SyntheticNodeLoad("node-01", seed=3), buffered=True
+        )
+        calls = 2000
+        sampler = threading.Thread(target=lambda: [
+            daemon.buffer_sample(1000.0 + i) for i in range(calls)
+        ])
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            sampler.start()
+            for _ in range(calls):
+                daemon.rpc_poll_many(max_windows=4)
+            sampler.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert daemon.meter.calls == 2 * calls
+        assert daemon.meter.cpu_seconds > 0.0
 
 
 def tt_log_with_task(node: str = "slave01") -> DaemonLog:

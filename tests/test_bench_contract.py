@@ -4,8 +4,9 @@
 public entry points; the traced passes are the only runs that exercise
 some of it.  Read off the harness's own source: every ``from repro...
 import`` name resolves, every ``rec.wrap(Owner, "attr", ...)`` target in
-``bench/live.py`` is an attribute of its class, and the codec calls
-``bench/wire.py``'s traced pass makes round-trip a ``poll_many`` batch.
+``bench/live.py`` is an attribute of its class, the codec calls
+``bench/wire.py``'s traced pass makes round-trip a ``poll_many`` batch,
+and the archive calls of ``bench/replay.py`` replay a small recording.
 """
 
 import ast
@@ -15,6 +16,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.experiments import ScenarioConfig, run_scenario, shared_model
+from repro.flightrec import FlightRecorder, ReplayArchive, replay_core, run_replay
 from repro.rpc import MetricRow
 from repro.rpc.codec import CODEC_BINARY, decode_message, encode_response_frame
 from repro.rpc.protocol import intern_catalog
@@ -75,3 +78,39 @@ def test_the_codec_calls_of_the_wire_pass_round_trip_a_batch():
     payload, consumed = decode_message(frame, "", catalog)
     assert consumed == len(frame) and frame[4] == 0xA5
     assert payload == {"id": 1, "result": result}
+
+
+def test_the_archive_calls_of_the_replay_pass_replay_a_small_recording(tmp_path):
+    """As ``ReplayWorkload`` makes them: load, read the manifest and the
+    end, count the node samples over ``records``, replay once scored,
+    then replay op by op and read the sinks and counters."""
+    config = ScenarioConfig(num_slaves=3, duration_s=240.0, seed=7,
+                            fault_name="CPUHog", inject_time=60.0)
+    model = shared_model(config, training_duration_s=120.0)
+    recorder = FlightRecorder(archive_dir=str(tmp_path), max_incidents=0)
+    run_scenario(config, model=model, recorder=recorder)
+    recorder.close()
+
+    archive = ReplayArchive.load(str(tmp_path))
+    config_text = archive.manifest["config_text"]
+    services = {"bb_model": model}
+    end = int(archive.end_time()) + 1
+    samples = sum(
+        1 for record in archive.records
+        if (archive.outputs[record.output].get("origin") or {})
+        .get("metric") == "node_vector"
+    )
+    assert 0 < samples < len(archive.records) == archive.manifest["records"]
+    first = run_replay(archive, config_text, services=services)
+    assert first.all_match and first.expected["CombinedAlarm"]
+    first.core.close()
+
+    core = replay_core(archive, config_text, None, services)
+    for second in range(1, end + 1):
+        core.run_until(float(second))
+    modules = [core.instance(i) for i in core.instances]
+    sinks = {m.instance_id: m.alarms for m in modules if m.type_name == "print"}
+    assert sinks == first.expected
+    assert core.scheduler.total_runs > 0
+    assert sum(m.rounds_processed for m in modules if m.type_name == "analysis_bb") > 0
+    core.close()
